@@ -11,21 +11,21 @@
 //! `--cache DIR` / `--no-cache` / `--cache-shards N`, `--obs` /
 //! `--obs-out FILE`). `--alias` is accepted but ignored: this binary
 //! always sweeps every backend. The machine-readable report (schema
-//! `localias-bench-alias/v2`, which added the `hist` latency block) is
-//! written to `BENCH_alias.json`, or to
-//! `--bench-out FILE` when given.
+//! `localias-bench-alias/v3`; v2 added the `hist` latency block, v3 the
+//! shared artifact envelope and `backends` keyed by name) is written to
+//! `BENCH_alias.json`, or to `--bench-out FILE` when given.
 //!
 //! On the default seed the Steensgaard sweep must reproduce the paper's
 //! headline split — 352/85/138/14 over 589 modules — and the binary
 //! exits non-zero if it does not, so the frontier numbers are anchored
 //! to a verified baseline.
 
-use std::fmt::Write as _;
-
 use localias_alias::Backend;
+use localias_bench::json::Value;
+use localias_bench::Better::{Higher, Lower};
 use localias_bench::{
-    finish_obs, init_obs, json_hists, json_trace, run_experiment_cached, CliOpts, ExperimentBench,
-    ModuleResult, ObsReport,
+    finish_obs, init_obs, json_hists, json_trace, run_experiment_cached, Artifact, CliOpts,
+    ExperimentBench, ModuleResult, ObsReport,
 };
 use localias_corpus::DEFAULT_SEED;
 use localias_obs as obs;
@@ -93,62 +93,50 @@ impl FrontierRow {
         (self.modules == 589).then(|| self.categories == PAPER_CATEGORIES)
     }
 
-    fn json(&self) -> String {
+    /// Writes this row under `backends.<name>`.
+    fn write(&self, a: &mut Artifact) {
+        let name = self.backend.name();
         let (clean, real, full, partial) = self.categories;
         let (nc, cf, st) = self.errors;
-        let matches = match self.matches_paper() {
-            None => "null".to_string(),
-            Some(b) => b.to_string(),
-        };
-        let cache = match &self.bench.cache {
-            None => "null".to_string(),
-            Some(c) => format!("{{\"hits\": {}, \"misses\": {}}}", c.hits, c.misses),
-        };
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\n      \"backend\": \"{}\",\n      \"modules\": {},\n      \
-             \"wall_seconds\": {},\n      \"modules_per_sec\": {},\n      \
-             \"errors\": {{\"no_confine\": {nc}, \"confine\": {cf}, \"all_strong\": {st}}},\n      \
-             \"categories\": {{\"clean\": {clean}, \"real\": {real}, \"full\": {full}, \
-             \"partial\": {partial}}},\n      \
-             \"potential\": {},\n      \"eliminated\": {},\n      \
-             \"elimination_rate\": {},\n      \"matches_paper\": {matches},\n      \
-             \"cache\": {cache}\n    }}",
-            self.backend,
-            self.modules,
-            self.bench.wall.as_secs_f64(),
-            self.bench.modules_per_sec(),
-            self.potential,
-            self.eliminated,
-            self.elimination_rate(),
+        let at = |key| ["backends", name, key];
+        a.set(&at("modules"), self.modules);
+        a.metric(&at("wall_seconds"), self.bench.wall.as_secs_f64(), Lower);
+        a.metric(&at("modules_per_sec"), self.bench.modules_per_sec(), Higher);
+        a.set(
+            &at("errors"),
+            counts(&[("no_confine", nc), ("confine", cf), ("all_strong", st)]),
         );
-        out
+        let categories = [
+            ("clean", clean),
+            ("real", real),
+            ("full", full),
+            ("partial", partial),
+        ];
+        a.set(&at("categories"), counts(&categories));
+        a.set(&at("potential"), self.potential);
+        a.set(&at("eliminated"), self.eliminated);
+        a.metric(&at("elimination_rate"), self.elimination_rate(), Higher);
+        a.set(&at("matches_paper"), self.matches_paper());
+        let cache = self.bench.cache.as_ref();
+        let cache = cache.map(|c| counts(&[("hits", c.hits), ("misses", c.misses)]));
+        a.set(&at("cache"), cache);
     }
 }
 
+/// An object of named counts.
+fn counts(pairs: &[(&str, usize)]) -> Value {
+    Value::obj(pairs.iter().map(|&(k, n)| (k, n.into())))
+}
+
+/// The `localias-bench-alias/v3` artifact.
 fn report_json(seed: u64, opts: &CliOpts, rows: &[FrontierRow], report: &ObsReport) -> String {
-    let mut out = String::from("{\n  \"schema\": \"localias-bench-alias/v2\",\n");
-    let _ = write!(
-        out,
-        "  \"seed\": {seed},\n  \"jobs\": {},\n  \"intra_jobs\": {},\n  \"backends\": [\n    ",
-        opts.jobs, opts.intra_jobs
-    );
-    for (i, row) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n    ");
-        }
-        out.push_str(&row.json());
+    let mut a = Artifact::new("localias-bench-alias/v3", seed);
+    a.set(&["jobs"], opts.jobs);
+    a.set(&["intra_jobs"], opts.intra_jobs);
+    for row in rows {
+        row.write(&mut a);
     }
-    out.push_str("\n  ],\n  \"hist\": ");
-    out.push_str(&json_hists(&report.hists));
-    out.push_str(",\n  \"profile\": ");
-    match &report.trace {
-        None => out.push_str("null"),
-        Some(t) => out.push_str(&json_trace(t)),
-    }
-    out.push_str("\n}\n");
-    out
+    a.finish(json_hists(&report.hists), json_trace(report.trace.as_ref()))
 }
 
 fn main() {
@@ -235,5 +223,47 @@ fn main() {
             std::process::exit(1);
         }
         println!("steensgaard baseline matches the paper: 352/85/138/14 over 589 modules");
+    }
+}
+
+#[cfg(test)]
+#[path = "../testkit.rs"]
+mod testkit;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use localias_bench::PhaseTimes;
+    use std::time::Duration;
+
+    #[test]
+    fn writer_keeps_the_contract() {
+        let row = |backend| FrontierRow {
+            backend,
+            modules: 4,
+            categories: (1, 1, 1, 1),
+            errors: (9, 3, 2),
+            potential: 7,
+            eliminated: 6,
+            bench: ExperimentBench {
+                seed: 1,
+                modules: 4,
+                threads: 1,
+                wall: Duration::from_millis(8),
+                phases: PhaseTimes::default(),
+                errors: (9, 3, 2),
+                potential: 7,
+                eliminated: 6,
+                cache: None,
+                profile: None,
+                hist: Vec::new(),
+                partition: None,
+                results: None,
+            },
+        };
+        let rows: Vec<FrontierRow> = Backend::ALL.into_iter().map(row).collect();
+        let opts = CliOpts::parse(Vec::<String>::new()).unwrap();
+        let text = report_json(1, &opts, &rows, &ObsReport::default());
+        testkit::assert_writer_contract(&text, &["backends", "andersen", "wall_seconds"]);
     }
 }

@@ -5,94 +5,70 @@
 //! `--modules N` sets the number of fuzzed modules (default 2000), the
 //! positional argument the corpus seed; the shared observability flags
 //! (`--trace-out FILE`, `--profile`, `--quiet`) are honored. The
-//! machine-readable report (schema `localias-bench-fuzz/v2`, which
-//! added the `hist` latency block) is written to `BENCH_fuzz.json`, or
-//! to `--bench-out FILE` when given: modules/s fuzzed, the
-//! false-positive rate per mode per backend, shrinker statistics,
-//! per-operation latency histograms, and the embedded obs profile
-//! block.
+//! machine-readable report (schema `localias-bench-fuzz/v3`; v2 added
+//! the `hist` latency block, v3 the shared artifact envelope and
+//! `fp_rates` keyed by backend) is written to `BENCH_fuzz.json`, or to
+//! `--bench-out FILE` when given: modules/s fuzzed, the false-positive
+//! rate per mode per backend, shrinker statistics, per-operation latency
+//! histograms, and the embedded obs profile block.
 //!
 //! The binary exits non-zero on any soundness divergence — a fuzz
 //! sweep doubles as a release gate.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use localias_alias::Backend;
 use localias_bench::fuzz::{mode_name, run_fuzz, FuzzConfig, FuzzReport};
-use localias_bench::{finish_obs, init_obs, json_hists, json_trace, CliOpts, ObsReport};
+use localias_bench::Better::{Higher, Lower};
+use localias_bench::{finish_obs, init_obs, json_hists, json_trace, Artifact, CliOpts, ObsReport};
 use localias_cqual::MODES;
 use localias_obs as obs;
 
-fn fp_rates_json(report: &FuzzReport) -> String {
-    let mut out = String::from("[\n    ");
-    for (bi, backend) in Backend::ALL.into_iter().enumerate() {
-        if bi > 0 {
-            out.push_str(",\n    ");
-        }
-        let _ = write!(out, "{{\"backend\": \"{}\", \"modes\": {{", backend.name());
-        for (mi, &mode) in MODES.iter().enumerate() {
-            if mi > 0 {
-                out.push_str(", ");
-            }
-            let st = &report.stats[backend.index()][mi];
-            let _ = write!(
-                out,
-                "\"{}\": {{\"flagged\": {}, \"true_positives\": {}, \
-                 \"false_positives\": {}, \"rate\": {}}}",
-                mode_name(mode),
-                st.flagged_funs,
-                st.true_positive_funs,
-                st.false_positive_funs,
-                st.fp_rate(),
-            );
-        }
-        out.push_str("}}");
-    }
-    out.push_str("\n  ]");
-    out
-}
-
+/// The `localias-bench-fuzz/v3` artifact.
 fn report_json(
     cfg: &FuzzConfig,
     report: &FuzzReport,
     wall_seconds: f64,
     obs_report: &ObsReport,
 ) -> String {
-    let mut out = String::from("{\n  \"schema\": \"localias-bench-fuzz/v2\",\n");
-    let _ = write!(
-        out,
-        "  \"seed\": {},\n  \"iterations\": {},\n  \"fuel\": {},\n  \
-         \"wall_seconds\": {wall_seconds},\n  \"modules_per_sec\": {},\n  \
-         \"entries\": {},\n  \"runs\": {},\n  \"dyn_faults\": {},\n  \
-         \"leaks\": {},\n  \"restrict_violations\": {},\n  \
-         \"out_of_fuel\": {},\n  \"exec_errors\": {},\n  \
-         \"divergences\": {},\n  \"fp_rates\": {},\n  \
-         \"shrink\": {{\"candidates\": {}, \"steps\": {}}},\n  \"hist\": ",
-        cfg.seed,
-        cfg.iterations,
-        cfg.fuel,
-        report.modules as f64 / wall_seconds.max(1e-9),
-        report.entries,
-        report.runs,
-        report.dyn_faults,
-        report.leaks,
-        report.restrict_violations,
-        report.out_of_fuel,
-        report.exec_errors,
-        report.divergences.len(),
-        fp_rates_json(report),
-        report.shrink_candidates,
-        report.shrink_steps,
-    );
-    out.push_str(&json_hists(&obs_report.hists));
-    out.push_str(",\n  \"profile\": ");
-    match &obs_report.trace {
-        None => out.push_str("null"),
-        Some(t) => out.push_str(&json_trace(t)),
+    let mut a = Artifact::new("localias-bench-fuzz/v3", cfg.seed);
+    a.set(&["iterations"], cfg.iterations);
+    a.set(&["fuel"], cfg.fuel);
+    a.metric(&["wall_seconds"], wall_seconds, Lower);
+    let per_sec = report.modules as f64 / wall_seconds.max(1e-9);
+    a.metric(&["modules_per_sec"], per_sec, Higher);
+    let counts = [
+        ("entries", report.entries),
+        ("runs", report.runs),
+        ("dyn_faults", report.dyn_faults),
+        ("leaks", report.leaks),
+        ("restrict_violations", report.restrict_violations),
+        ("out_of_fuel", report.out_of_fuel),
+        ("exec_errors", report.exec_errors),
+        ("divergences", report.divergences.len() as u64),
+    ];
+    for (key, n) in counts {
+        a.set(&[key], n);
     }
-    out.push_str("\n}\n");
-    out
+    for backend in Backend::ALL {
+        for (mi, &mode) in MODES.iter().enumerate() {
+            let st = &report.stats[backend.index()][mi];
+            let (b, m) = (backend.name(), mode_name(mode));
+            a.set(&["fp_rates", b, m, "flagged"], st.flagged_funs);
+            a.set(&["fp_rates", b, m, "true_positives"], st.true_positive_funs);
+            a.set(
+                &["fp_rates", b, m, "false_positives"],
+                st.false_positive_funs,
+            );
+            a.metric(&["fp_rates", b, m, "rate"], st.fp_rate(), Lower);
+        }
+    }
+    a.set(&["shrink", "candidates"], report.shrink_candidates);
+    a.set(&["shrink", "steps"], report.shrink_steps);
+    a.finish(
+        json_hists(&obs_report.hists),
+        json_trace(obs_report.trace.as_ref()),
+    )
 }
 
 fn main() {
@@ -149,5 +125,30 @@ fn main() {
             report.divergences.len()
         );
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+#[path = "../testkit.rs"]
+mod testkit;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use localias_bench::fuzz::ModeStats;
+
+    #[test]
+    fn writer_keeps_the_contract() {
+        let mut report = FuzzReport {
+            modules: 10,
+            ..FuzzReport::default()
+        };
+        report.stats[0][0] = ModeStats {
+            flagged_funs: 4,
+            true_positive_funs: 3,
+            false_positive_funs: 1,
+        };
+        let text = report_json(&FuzzConfig::default(), &report, 0.5, &ObsReport::default());
+        testkit::assert_writer_contract(&text, &["fp_rates", "steensgaard", "noconfine", "rate"]);
     }
 }

@@ -10,18 +10,20 @@
 //! Accepts `[SEED] [--funs N] [--intra-jobs N] [--bench-out FILE]`;
 //! `--intra-jobs` sets the parallel row's thread count (default: all
 //! cores). The machine-readable report (`--bench-out`, conventionally
-//! `BENCH_intra.json`) uses schema `localias-bench-intra/v3` with
+//! `BENCH_intra.json`) uses schema `localias-bench-intra/v4` with
 //! per-wave timings from the parallel run; v2 added each wave's
 //! `max_fun_seconds` — the straggler function that bounds how much
-//! parallelism can help that wave — and v3 the `hist` latency block
-//! (per-function check and per-wave histograms with exact percentiles).
+//! parallelism can help that wave — v3 the `hist` latency block
+//! (per-function check and per-wave histograms with exact percentiles),
+//! and v4 the shared artifact envelope (`host`, `profile`, `gate`).
 
 use localias_bench::harness::best_of;
-use localias_bench::{finish_obs, init_obs, json_hists, CliOpts};
+use localias_bench::json::Value;
+use localias_bench::Better::{Higher, Lower};
+use localias_bench::{finish_obs, init_obs, json_hists, json_trace, Artifact, CliOpts, ObsReport};
 use localias_corpus::{mega_module, DEFAULT_MEGA_FUNS};
 use localias_cqual::{check_locks_frozen_timed, IntraStats, Mode};
 use localias_obs as obs;
-use std::fmt::Write as _;
 
 const MODES: [(Mode, &str); 3] = [
     (Mode::NoConfine, "no_confine"),
@@ -31,15 +33,6 @@ const MODES: [(Mode, &str); 3] = [
 
 /// Timing runs per row; the minimum is reported.
 const REPS: usize = 3;
-
-/// JSON float rendering (shortest round trip; non-finite degrades to 0).
-fn jf(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:?}")
-    } else {
-        "0.0".to_string()
-    }
-}
 
 struct ModeRow {
     key: &'static str,
@@ -159,49 +152,79 @@ fn main() {
     };
 
     if let Some(path) = &opts.bench_out {
-        let mut modes = String::new();
-        for (i, r) in rows.iter().enumerate() {
-            let waves: Vec<String> = r
-                .stats
-                .waves
-                .iter()
-                .map(|w| {
-                    format!(
-                        "{{\"functions\": {}, \"seconds\": {}, \"max_fun_seconds\": {}}}",
-                        w.functions,
-                        jf(w.seconds),
-                        jf(w.max_fun_seconds)
-                    )
-                })
-                .collect();
-            let _ = write!(
-                modes,
-                "    \"{}\": {{\n      \"sequential_seconds\": {},\n      \
-                 \"parallel_seconds\": {},\n      \"speedup\": {},\n      \
-                 \"sccs\": {},\n      \"waves\": [{}]\n    }}{}\n",
-                r.key,
-                jf(r.sequential),
-                jf(r.parallel),
-                jf(r.sequential / r.parallel),
-                r.stats.sccs,
-                waves.join(", "),
-                if i + 1 < rows.len() { "," } else { "" },
-            );
-        }
-        let json = format!(
-            "{{\n  \"schema\": \"localias-bench-intra/v3\",\n  \"seed\": {seed},\n  \
-             \"funs\": {funs},\n  \"threads\": {threads},\n  \
-             \"sequential_seconds\": {},\n  \"parallel_seconds\": {},\n  \
-             \"speedup\": {},\n  \"hist\": {},\n  \"modes\": {{\n{modes}  }}\n}}\n",
-            jf(total_seq),
-            jf(total_par),
-            jf(total_seq / total_par),
-            json_hists(&obs_report.hists),
-        );
-        if let Err(e) = std::fs::write(path, json) {
+        if let Err(e) = std::fs::write(path, report(seed, funs, &rows, &obs_report)) {
             obs::error!("intra: {path}: {e}");
             std::process::exit(1);
         }
         println!("(wrote {path})");
+    }
+}
+
+/// The `localias-bench-intra/v4` artifact.
+fn report(seed: u64, funs: usize, rows: &[ModeRow], obs_report: &ObsReport) -> String {
+    let total_seq: f64 = rows.iter().map(|r| r.sequential).sum();
+    let total_par: f64 = rows.iter().map(|r| r.parallel).sum();
+    let mut a = Artifact::new("localias-bench-intra/v4", seed);
+    a.set(&["funs"], funs);
+    a.set(&["threads"], rows[0].stats.threads);
+    a.metric(&["sequential_seconds"], total_seq, Lower);
+    a.metric(&["parallel_seconds"], total_par, Lower);
+    a.metric(&["speedup"], total_seq / total_par, Higher);
+    for r in rows {
+        let waves = r.stats.waves.iter().map(|w| {
+            Value::obj([
+                ("functions", w.functions.into()),
+                ("seconds", w.seconds.into()),
+                ("max_fun_seconds", w.max_fun_seconds.into()),
+            ])
+        });
+        a.set(&["modes", r.key, "sequential_seconds"], r.sequential);
+        a.set(&["modes", r.key, "parallel_seconds"], r.parallel);
+        a.set(&["modes", r.key, "speedup"], r.sequential / r.parallel);
+        a.set(&["modes", r.key, "sccs"], r.stats.sccs);
+        a.set(&["modes", r.key, "waves"], Value::Arr(waves.collect()));
+    }
+    a.finish(
+        json_hists(&obs_report.hists),
+        json_trace(obs_report.trace.as_ref()),
+    )
+}
+
+#[cfg(test)]
+#[path = "../testkit.rs"]
+mod testkit;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use localias_cqual::WaveStat;
+
+    #[test]
+    fn writer_keeps_the_contract() {
+        let stats = IntraStats {
+            threads: 2,
+            functions: 3,
+            sccs: 3,
+            waves: vec![WaveStat {
+                functions: 3,
+                seconds: 0.002,
+                max_fun_seconds: 0.001,
+            }],
+        };
+        let rows: Vec<ModeRow> = MODES
+            .iter()
+            .map(|&(_, key)| ModeRow {
+                key,
+                sequential: 0.004,
+                parallel: 0.002,
+                stats: stats.clone(),
+            })
+            .collect();
+        let text = report(1, 3, &rows, &ObsReport::default());
+        assert!(
+            text.contains("\"schema\": \"localias-bench-intra/v4\""),
+            "{text}"
+        );
+        testkit::assert_writer_contract(&text, &["parallel_seconds"]);
     }
 }

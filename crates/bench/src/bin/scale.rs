@@ -15,14 +15,16 @@
 //!
 //! Defaults: sizes 1000,5000,20000,50000; partitions 1,2; the driver
 //! binary at target/release/localias (or `$LOCALIAS_BIN`). The report
-//! (schema `localias-bench-scale/v2`, which added the `hist` block)
+//! (schema `localias-bench-scale/v3`; v2 added the `hist` block, v3 the
+//! shared artifact envelope and `points` keyed by `<modules>x<partitions>`)
 //! embeds the obs profile and latency-histogram blocks from the largest
 //! single-partition run, so the per-phase span tree, the `mem.*`
 //! gauges, and the per-module latency distribution for the heaviest
 //! sweep travel with the curve.
 
 use localias_bench::json::{self, Value};
-use std::fmt::Write as _;
+use localias_bench::Artifact;
+use localias_bench::Better::{Higher, Lower};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 
@@ -224,37 +226,22 @@ fn run_point(
     ))
 }
 
-fn render_report(opts: &Opts, points: &[Point], profile: &Value, hist: &Value) -> String {
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\n  \"schema\": \"localias-bench-scale/v2\",\n  \"seed\": {},\n  \
-         \"jobs\": {},\n  \"points\": [",
-        opts.seed, opts.jobs
-    );
-    for (i, p) in points.iter().enumerate() {
-        let _ = write!(
-            out,
-            "{}\n    {{\"modules\": {}, \"partitions\": {}, \"wall_seconds\": {}, \
-             \"modules_per_second\": {}, \"peak_rss_bytes\": {}, \"arena_bytes\": {}, \
-             \"arena_saved_bytes\": {}}}",
-            if i == 0 { "" } else { "," },
-            p.modules,
-            p.partitions,
-            p.wall_seconds,
-            p.modules_per_second,
-            p.peak_rss_bytes,
-            p.arena_bytes,
-            p.arena_saved_bytes
-        );
+/// The `localias-bench-scale/v3` artifact.
+fn render_report(opts: &Opts, points: &[Point], profile: Value, hist: Value) -> String {
+    let mut a = Artifact::new("localias-bench-scale/v3", opts.seed);
+    a.set(&["jobs"], opts.jobs);
+    for p in points {
+        let key = format!("{}x{}", p.modules, p.partitions);
+        let at = |field| ["points", key.as_str(), field];
+        a.set(&at("modules"), p.modules);
+        a.set(&at("partitions"), p.partitions);
+        a.set(&at("wall_seconds"), p.wall_seconds);
+        a.metric(&at("modules_per_second"), p.modules_per_second, Higher);
+        a.metric(&at("peak_rss_bytes"), p.peak_rss_bytes as f64, Lower);
+        a.set(&at("arena_bytes"), p.arena_bytes);
+        a.set(&at("arena_saved_bytes"), p.arena_saved_bytes);
     }
-    let _ = write!(
-        out,
-        "\n  ],\n  \"hist\": {},\n  \"profile\": {}\n}}\n",
-        hist.render(),
-        profile.render()
-    );
-    out
+    a.finish(hist, profile)
 }
 
 fn main() {
@@ -311,7 +298,7 @@ fn main() {
     let (profile, hist) = headline
         .map(|(_, p, h)| (p, h))
         .unwrap_or((Value::Null, Value::Null));
-    let report = render_report(&opts, &points, &profile, &hist);
+    let report = render_report(&opts, &points, profile, hist);
     match &opts.bench_out {
         Some(path) => {
             if let Err(e) = std::fs::write(path, &report) {
@@ -321,5 +308,37 @@ fn main() {
             println!("wrote {path}");
         }
         None => print!("{report}"),
+    }
+}
+
+#[cfg(test)]
+#[path = "../testkit.rs"]
+mod testkit;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn writer_keeps_the_contract() {
+        let opts = Opts {
+            seed: 1,
+            sizes: vec![1000],
+            partitions: vec![1, 2],
+            jobs: 2,
+            bench_out: None,
+            bin: PathBuf::from("localias"),
+        };
+        let point = |partitions| Point {
+            modules: 1000,
+            partitions,
+            wall_seconds: 0.5,
+            modules_per_second: 2000.0,
+            peak_rss_bytes: 30 << 20,
+            arena_bytes: 1 << 20,
+            arena_saved_bytes: 1 << 19,
+        };
+        let text = render_report(&opts, &[point(1), point(2)], Value::Null, Value::Null);
+        testkit::assert_writer_contract(&text, &["points", "1000x2", "peak_rss_bytes"]);
     }
 }

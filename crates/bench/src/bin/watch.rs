@@ -13,30 +13,23 @@
 //! Accepts `[SEED] [--funs N] [--edits N] [--intra-jobs N]
 //! [--bench-out FILE] [--trace-out FILE] [--profile] [--quiet]`.
 //! The machine-readable report (`--bench-out`, conventionally
-//! `BENCH_watch.json`) uses schema `localias-bench-watch/v2`: cold /
+//! `BENCH_watch.json`) uses schema `localias-bench-watch/v3`: cold /
 //! per-edit / no-op latencies, hit/recheck slot counts, the check-phase
 //! and end-to-end speedups over from-scratch analysis, the `hist`
-//! latency block (v2), and the embedded obs profile block (`incr.*`
-//! counters) when `--profile` or `--trace-out` is given.
+//! latency block (v2), the embedded obs profile block (`incr.*`
+//! counters) when `--profile` or `--trace-out` is given, and the shared
+//! artifact envelope (v3).
 
-use localias_bench::{finish_obs, init_obs, json_hists, json_trace, CliOpts};
+use localias_bench::json::Value;
+use localias_bench::Better::{Higher, Lower};
+use localias_bench::{finish_obs, init_obs, json_hists, json_trace, Artifact, CliOpts, ObsReport};
 use localias_corpus::{mega_edit, mega_module, MegaEditKind, DEFAULT_MEGA_FUNS};
 use localias_cqual::{check_locks_frozen, IncrStats, IncrementalSession, LockReport, Mode, MODES};
 use localias_obs as obs;
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Default number of seeded edits.
 const DEFAULT_EDITS: usize = 8;
-
-/// JSON float rendering (shortest round trip; non-finite degrades to 0).
-fn jf(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:?}")
-    } else {
-        "0.0".to_string()
-    }
-}
 
 /// One from-scratch analysis of `source`: the three mode reports plus
 /// `(total_seconds, check_seconds)` — the latter covering only the three
@@ -66,6 +59,96 @@ struct EditRow {
     stats: IncrStats,
     full_total: f64,
     full_check: f64,
+}
+
+/// Everything the `--bench-out` report records about one run.
+struct Run {
+    seed: u64,
+    funs: usize,
+    intra_jobs: usize,
+    cold: IncrStats,
+    /// From-scratch `(total, check)` seconds of the cold source.
+    cold_full: (f64, f64),
+    rows: Vec<EditRow>,
+    /// The whitespace-only no-op edit.
+    ws: IncrStats,
+    /// The byte-identical repeat of the no-op edit.
+    repeat_seconds: f64,
+}
+
+/// Per-edit means over a run's edit rows (zero with no edits).
+struct Means {
+    incr_total: f64,
+    incr_check: f64,
+    full_total: f64,
+    full_check: f64,
+    fraction: f64,
+}
+
+impl Means {
+    fn check_speedup(&self) -> f64 {
+        self.full_check / self.incr_check.max(1e-9)
+    }
+
+    fn total_speedup(&self) -> f64 {
+        self.full_total / self.incr_total.max(1e-9)
+    }
+}
+
+impl Run {
+    fn means(&self) -> Means {
+        let n = self.rows.len().max(1) as f64;
+        let mean = |f: &dyn Fn(&EditRow) -> f64| self.rows.iter().map(f).sum::<f64>() / n;
+        Means {
+            incr_total: mean(&|r| r.stats.total_seconds),
+            incr_check: mean(&|r| r.stats.check_seconds),
+            full_total: mean(&|r| r.full_total),
+            full_check: mean(&|r| r.full_check),
+            fraction: mean(&|r| r.stats.rechecked as f64 / r.stats.slots.max(1) as f64),
+        }
+    }
+
+    /// The `localias-bench-watch/v3` artifact.
+    fn report(&self, obs_report: &ObsReport) -> String {
+        let m = self.means();
+        let mut a = Artifact::new("localias-bench-watch/v3", self.seed);
+        a.set(&["funs"], self.funs);
+        a.set(&["edits"], self.rows.len());
+        a.set(&["intra_jobs"], self.intra_jobs);
+        a.metric(&["cold", "total_seconds"], self.cold.total_seconds, Lower);
+        a.set(&["cold", "check_seconds"], self.cold.check_seconds);
+        a.set(&["cold", "full_total_seconds"], self.cold_full.0);
+        a.set(&["cold", "full_check_seconds"], self.cold_full.1);
+        a.metric(&["edit", "mean_total_seconds"], m.incr_total, Lower);
+        a.metric(&["edit", "mean_check_seconds"], m.incr_check, Lower);
+        a.set(&["edit", "mean_full_total_seconds"], m.full_total);
+        a.set(&["edit", "mean_full_check_seconds"], m.full_check);
+        a.set(&["edit", "mean_rechecked_fraction"], m.fraction);
+        a.metric(&["edit", "check_speedup"], m.check_speedup(), Higher);
+        a.metric(&["edit", "total_speedup"], m.total_speedup(), Higher);
+        let rows = self.rows.iter().map(|r| {
+            Value::obj([
+                ("kind", r.label.as_str().into()),
+                ("function", r.function.as_str().into()),
+                ("total_seconds", r.stats.total_seconds.into()),
+                ("check_seconds", r.stats.check_seconds.into()),
+                ("full_total_seconds", r.full_total.into()),
+                ("full_check_seconds", r.full_check.into()),
+                ("rechecked", r.stats.rechecked.into()),
+                ("hits", r.stats.hits.into()),
+                ("slots", r.stats.slots.into()),
+                ("summary_changes", r.stats.summary_changes.into()),
+            ])
+        });
+        a.set(&["edit", "rows"], Value::Arr(rows.collect()));
+        a.set(&["noop", "whitespace_seconds"], self.ws.total_seconds);
+        a.set(&["noop", "whitespace_rechecked"], self.ws.rechecked);
+        a.metric(&["noop", "module_hit_seconds"], self.repeat_seconds, Lower);
+        a.finish(
+            json_hists(&obs_report.hists),
+            json_trace(obs_report.trace.as_ref()),
+        )
+    }
 }
 
 fn edit_kind_label(kind: MegaEditKind) -> &'static str {
@@ -253,30 +336,28 @@ fn main() {
         repeat_seconds * 1e3,
     );
 
-    // ---- Aggregates ----
-    let mean = |f: &dyn Fn(&EditRow) -> f64| -> f64 {
-        if rows.is_empty() {
-            0.0
-        } else {
-            rows.iter().map(f).sum::<f64>() / rows.len() as f64
-        }
+    let run = Run {
+        seed,
+        funs,
+        intra_jobs: opts.intra_jobs,
+        cold,
+        cold_full: (cold_full_total, cold_full_check),
+        rows,
+        ws,
+        repeat_seconds,
     };
-    let mean_incr_total = mean(&|r| r.stats.total_seconds);
-    let mean_incr_check = mean(&|r| r.stats.check_seconds);
-    let mean_full_total = mean(&|r| r.full_total);
-    let mean_full_check = mean(&|r| r.full_check);
-    let mean_fraction = mean(&|r| r.stats.rechecked as f64 / r.stats.slots.max(1) as f64);
-    let check_speedup = mean_full_check / mean_incr_check.max(1e-9);
-    let total_speedup = mean_full_total / mean_incr_total.max(1e-9);
+    let m = run.means();
     println!();
     println!(
         "edits: mean recheck fraction {:.1}% — check phase {:.3} ms vs {:.3} ms full \
-         ({check_speedup:.1}x), end-to-end {:.3} ms vs {:.3} ms full ({total_speedup:.2}x)",
-        mean_fraction * 100.0,
-        mean_incr_check * 1e3,
-        mean_full_check * 1e3,
-        mean_incr_total * 1e3,
-        mean_full_total * 1e3,
+         ({:.1}x), end-to-end {:.3} ms vs {:.3} ms full ({:.2}x)",
+        m.fraction * 100.0,
+        m.incr_check * 1e3,
+        m.full_check * 1e3,
+        m.check_speedup(),
+        m.incr_total * 1e3,
+        m.full_total * 1e3,
+        m.total_speedup(),
     );
     println!(
         "(end-to-end stays analysis-dominated: parse + alias/confine analysis re-run \
@@ -292,67 +373,48 @@ fn main() {
     };
 
     if let Some(path) = &opts.bench_out {
-        let mut edit_rows = String::new();
-        for (i, r) in rows.iter().enumerate() {
-            let _ = write!(
-                edit_rows,
-                "\n      {{\"kind\": \"{}\", \"function\": \"{}\", \
-                 \"total_seconds\": {}, \"check_seconds\": {}, \
-                 \"full_total_seconds\": {}, \"full_check_seconds\": {}, \
-                 \"rechecked\": {}, \"hits\": {}, \"slots\": {}, \
-                 \"summary_changes\": {}}}{}",
-                r.label,
-                r.function,
-                jf(r.stats.total_seconds),
-                jf(r.stats.check_seconds),
-                jf(r.full_total),
-                jf(r.full_check),
-                r.stats.rechecked,
-                r.stats.hits,
-                r.stats.slots,
-                r.stats.summary_changes,
-                if i + 1 < rows.len() { "," } else { "" },
-            );
-        }
-        let profile = match &obs_report.trace {
-            None => "null".to_string(),
-            Some(t) => json_trace(t),
-        };
-        let hist = json_hists(&obs_report.hists);
-        let json = format!(
-            "{{\n  \"schema\": \"localias-bench-watch/v2\",\n  \"seed\": {seed},\n  \
-             \"funs\": {funs},\n  \"edits\": {edits},\n  \"intra_jobs\": {},\n  \
-             \"cold\": {{\"total_seconds\": {}, \"check_seconds\": {}, \
-             \"full_total_seconds\": {}, \"full_check_seconds\": {}}},\n  \
-             \"edit\": {{\n    \"mean_total_seconds\": {},\n    \
-             \"mean_check_seconds\": {},\n    \"mean_full_total_seconds\": {},\n    \
-             \"mean_full_check_seconds\": {},\n    \"mean_rechecked_fraction\": {},\n    \
-             \"check_speedup\": {},\n    \"total_speedup\": {},\n    \
-             \"rows\": [{}\n    ]\n  }},\n  \
-             \"noop\": {{\"whitespace_seconds\": {}, \"whitespace_rechecked\": {}, \
-             \"module_hit_seconds\": {}}},\n  \"hist\": {hist},\n  \
-             \"profile\": {profile}\n}}\n",
-            opts.intra_jobs,
-            jf(cold.total_seconds),
-            jf(cold.check_seconds),
-            jf(cold_full_total),
-            jf(cold_full_check),
-            jf(mean_incr_total),
-            jf(mean_incr_check),
-            jf(mean_full_total),
-            jf(mean_full_check),
-            jf(mean_fraction),
-            jf(check_speedup),
-            jf(total_speedup),
-            edit_rows,
-            jf(ws.total_seconds),
-            ws.rechecked,
-            jf(repeat_seconds),
-        );
-        if let Err(e) = std::fs::write(path, json) {
+        if let Err(e) = std::fs::write(path, run.report(&obs_report)) {
             obs::error!("watch: {path}: {e}");
             std::process::exit(1);
         }
         println!("(wrote {path})");
+    }
+}
+
+#[cfg(test)]
+#[path = "../testkit.rs"]
+mod testkit;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn writer_keeps_the_contract() {
+        let stats = |total_seconds: f64| IncrStats {
+            slots: 6,
+            rechecked: 2,
+            total_seconds,
+            check_seconds: total_seconds / 10.0,
+            ..IncrStats::default()
+        };
+        let run = Run {
+            seed: 1,
+            funs: 3,
+            intra_jobs: 1,
+            cold: stats(0.05),
+            cold_full: (0.05, 0.01),
+            rows: vec![EditRow {
+                label: "compute".into(),
+                function: "f0".into(),
+                stats: stats(0.02),
+                full_total: 0.05,
+                full_check: 0.01,
+            }],
+            ws: stats(0.01),
+            repeat_seconds: 0.0001,
+        };
+        let text = run.report(&ObsReport::default());
+        testkit::assert_writer_contract(&text, &["edit", "mean_total_seconds"]);
     }
 }

@@ -1,36 +1,31 @@
 //! `bench-diff` — the perf-regression gate over two bench artifacts.
 //!
-//! Compares an old and a new bench JSON document produced by the same
-//! harness family (`localias-bench-experiment`, `-intra`, `-watch`,
-//! `-alias`, `-scale`, or `-fuzz`) metric by metric: throughput, phase
-//! and latency times, histogram percentiles, cache hit rates, and
-//! false-positive rates. Every metric carries a direction — lower is
-//! better for latencies, higher for throughput — and a relative change
-//! past the threshold in the *worse* direction is a regression.
+//! Compares an old and a new bench JSON document of the same family
+//! (`localias-bench-experiment`, `-intra`, `-watch`, `-alias`, `-scale`,
+//! `-fuzz`, or `-diff`) metric by metric. The metrics are the ones each
+//! artifact lists in its `gate` block — every number its writer
+//! recorded with a direction ([`crate::artifact`]) — plus the
+//! percentiles of every sampled histogram in its `hist` block (lower is
+//! better). A relative change past the threshold in the *worse*
+//! direction is a regression.
 //!
-//! Comparison is intersection-based: only metrics present in both
-//! documents are compared (so a v5→v6 schema bump degrades to the
-//! shared fields instead of erroring), but the two schemas must belong
-//! to the same family — diffing a watch report against an experiment
-//! sweep is a usage error, not a clean result. A metric whose old value
-//! is zero and whose new value is worse counts as a 100% regression
-//! (rates that were clean must stay clean); zero-to-zero is unchanged.
+//! Comparison is intersection-based: the union of both documents'
+//! `gate` paths is compared wherever both documents hold a number there
+//! (so a document written before `gate` existed still compares on the
+//! paths it shares with a newer one), and a path present in only one
+//! document is listed as skipped. The two schemas must belong to the
+//! same family — diffing a watch report against an experiment sweep is
+//! a usage error, not a clean result. A metric whose old value is zero
+//! and whose new value is worse counts as a 100% regression (rates that
+//! were clean must stay clean); zero-to-zero is unchanged.
 //!
 //! The report renders as a human table ([`DiffReport::render_table`])
-//! and as machine JSON (schema `localias-bench-diff/v1`,
+//! and as an artifact of its own (schema `localias-bench-diff/v2`,
 //! [`DiffReport::to_json`]).
 
+use crate::artifact::{gated_paths, Artifact, Better};
 use crate::json::{self, Value};
 use std::fmt::Write as _;
-
-/// Which way a metric is allowed to move without being a regression.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
-    /// Latencies, memory, error rates: growing is a regression.
-    LowerIsBetter,
-    /// Throughput, speedups, hit rates: shrinking is a regression.
-    HigherIsBetter,
-}
 
 /// The default regression threshold, in percent.
 pub const DEFAULT_THRESHOLD_PCT: f64 = 10.0;
@@ -38,14 +33,15 @@ pub const DEFAULT_THRESHOLD_PCT: f64 = 10.0;
 /// One metric compared across the two artifacts.
 #[derive(Debug, Clone)]
 pub struct MetricDiff {
-    /// Dotted metric name (`modules_per_second`, `hist.analyze.module.p95_ns`, …).
+    /// The metric's path joined with dots (`modules_per_second`,
+    /// `hist.analyze.module.p95_ns`, …).
     pub name: String,
     /// Value in the old artifact.
     pub old: f64,
     /// Value in the new artifact.
     pub new: f64,
-    /// Which direction is worse.
-    pub direction: Direction,
+    /// Which direction is better.
+    pub better: Better,
 }
 
 impl MetricDiff {
@@ -54,9 +50,9 @@ impl MetricDiff {
     /// An old value of zero compares exactly: unchanged if new is also
     /// zero, ±100% otherwise.
     pub fn delta_pct(&self) -> f64 {
-        let worse = match self.direction {
-            Direction::LowerIsBetter => self.new - self.old,
-            Direction::HigherIsBetter => self.old - self.new,
+        let worse = match self.better {
+            Better::Lower => self.new - self.old,
+            Better::Higher => self.old - self.new,
         };
         if self.old == 0.0 {
             if worse == 0.0 {
@@ -86,7 +82,8 @@ pub struct DiffReport {
     pub threshold_pct: f64,
     /// Every compared metric, in extraction order.
     pub metrics: Vec<MetricDiff>,
-    /// Metric names present in only one document (skipped).
+    /// Metrics present in only one document, as `old:<name>` or
+    /// `new:<name>` (skipped).
     pub skipped: Vec<String>,
 }
 
@@ -153,58 +150,31 @@ impl DiffReport {
         out
     }
 
-    /// Machine-readable report (schema `localias-bench-diff/v1`).
+    /// The report as a bench artifact (schema `localias-bench-diff/v2`):
+    /// the shared envelope (with a `null` seed) around the compared
+    /// metrics and the skipped names. The regression count is gated, so
+    /// two diff reports compare like any other artifacts.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"schema\": \"localias-bench-diff/v1\",\n");
-        let _ = write!(
-            out,
-            "  \"family\": {},\n  \"old_schema\": {},\n  \"new_schema\": {},\n  \
-             \"threshold_pct\": {},\n  \"regressions\": {},\n  \"metrics\": [",
-            json_str(&self.family),
-            json_str(&self.schemas.0),
-            json_str(&self.schemas.1),
-            fmt_json_f64(self.threshold_pct),
-            self.regressions().len(),
-        );
-        for (i, m) in self.metrics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"name\": {}, \"old\": {}, \"new\": {}, \"delta_pct\": {}, \
-                 \"regressed\": {}}}",
-                json_str(&m.name),
-                fmt_json_f64(m.old),
-                fmt_json_f64(m.new),
-                fmt_json_f64(m.delta_pct()),
-                m.regressed(self.threshold_pct),
-            );
-        }
-        if !self.metrics.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("],\n  \"skipped\": [");
-        for (i, s) in self.skipped.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&json_str(s));
-        }
-        out.push_str("]\n}\n");
-        out
-    }
-}
-
-fn json_str(s: &str) -> String {
-    Value::Str(s.to_string()).render()
-}
-
-fn fmt_json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:?}")
-    } else {
-        "0.0".to_string()
+        let mut a = Artifact::new("localias-bench-diff/v2", Value::Null);
+        a.set(&["family"], self.family.as_str());
+        a.set(&["old_schema"], self.schemas.0.as_str());
+        a.set(&["new_schema"], self.schemas.1.as_str());
+        a.set(&["threshold_pct"], self.threshold_pct);
+        let regressions = self.regressions().len() as f64;
+        a.metric(&["regressions"], regressions, Better::Lower);
+        let metrics = self.metrics.iter().map(|m| {
+            Value::obj([
+                ("name", m.name.as_str().into()),
+                ("old", m.old.into()),
+                ("new", m.new.into()),
+                ("delta_pct", m.delta_pct().into()),
+                ("regressed", m.regressed(self.threshold_pct).into()),
+            ])
+        });
+        a.set(&["metrics"], Value::Arr(metrics.collect()));
+        let skipped = self.skipped.iter().map(|s| s.as_str().into());
+        a.set(&["skipped"], Value::Arr(skipped.collect()));
+        a.finish(Value::Null, Value::Null)
     }
 }
 
@@ -220,268 +190,30 @@ fn fmt_value(x: f64) -> String {
     }
 }
 
-/// One extracted `(name, direction, value)` triple.
-type Extracted = (String, Direction, f64);
-
-fn get_f64(doc: &Value, path: &[&str]) -> Option<f64> {
-    let mut cur = doc;
-    for key in path {
-        cur = cur.get(key)?;
-    }
-    cur.as_f64()
-}
-
-fn push(out: &mut Vec<Extracted>, name: &str, dir: Direction, v: Option<f64>) {
-    if let Some(v) = v {
-        out.push((name.to_string(), dir, v));
-    }
-}
-
-/// The `hist` block's percentiles, one metric per sampled histogram.
-/// Zero-sample histograms are skipped (their percentiles are shape
-/// padding, not measurements).
-fn extract_hists(doc: &Value, out: &mut Vec<Extracted>) {
-    let Some(Value::Obj(pairs)) = doc.get("hist") else {
-        return;
-    };
-    for (name, h) in pairs {
-        if h.get("count").and_then(Value::as_u64).unwrap_or(0) == 0 {
-            continue;
-        }
-        for pct in ["p50_ns", "p90_ns", "p95_ns", "p99_ns", "max_ns"] {
-            push(
-                out,
-                &format!("hist.{name}.{pct}"),
-                Direction::LowerIsBetter,
-                h.get(pct).and_then(Value::as_f64),
-            );
-        }
-    }
-}
-
-/// Experiment-family metrics (`localias-bench-experiment/v*`).
-fn extract_experiment(doc: &Value) -> Vec<Extracted> {
-    use Direction::*;
-    let mut out = Vec::new();
-    push(
-        &mut out,
-        "modules_per_second",
-        HigherIsBetter,
-        get_f64(doc, &["modules_per_second"]),
-    );
-    push(
-        &mut out,
-        "wall_seconds",
-        LowerIsBetter,
-        get_f64(doc, &["wall_seconds"]),
-    );
-    for phase in ["parse", "check", "confine"] {
-        push(
-            &mut out,
-            &format!("phase_cpu_seconds.{phase}"),
-            LowerIsBetter,
-            get_f64(doc, &["phase_cpu_seconds", phase]),
-        );
-    }
-    if let Some(cache) = doc.get("cache").filter(|c| !c.is_null()) {
-        let hits = get_f64(cache, &["hits"]).unwrap_or(0.0);
-        let misses = get_f64(cache, &["misses"]).unwrap_or(0.0);
-        if hits + misses > 0.0 {
-            out.push((
-                "cache.hit_rate".to_string(),
-                HigherIsBetter,
-                hits / (hits + misses),
-            ));
-        }
-        push(
-            &mut out,
-            "cache.load_seconds",
-            LowerIsBetter,
-            get_f64(cache, &["load_seconds"]),
-        );
-        push(
-            &mut out,
-            "cache.store_seconds",
-            LowerIsBetter,
-            get_f64(cache, &["store_seconds"]),
-        );
-    }
-    extract_hists(doc, &mut out);
-    out
-}
-
-/// Intra-family metrics (`localias-bench-intra/v*`).
-fn extract_intra(doc: &Value) -> Vec<Extracted> {
-    use Direction::*;
-    let mut out = Vec::new();
-    push(
-        &mut out,
-        "sequential_seconds",
-        LowerIsBetter,
-        get_f64(doc, &["sequential_seconds"]),
-    );
-    push(
-        &mut out,
-        "parallel_seconds",
-        LowerIsBetter,
-        get_f64(doc, &["parallel_seconds"]),
-    );
-    push(
-        &mut out,
-        "speedup",
-        HigherIsBetter,
-        get_f64(doc, &["speedup"]),
-    );
-    extract_hists(doc, &mut out);
-    out
-}
-
-/// Watch-family metrics (`localias-bench-watch/v*`).
-fn extract_watch(doc: &Value) -> Vec<Extracted> {
-    use Direction::*;
-    let mut out = Vec::new();
-    push(
-        &mut out,
-        "cold.total_seconds",
-        LowerIsBetter,
-        get_f64(doc, &["cold", "total_seconds"]),
-    );
-    push(
-        &mut out,
-        "edit.mean_total_seconds",
-        LowerIsBetter,
-        get_f64(doc, &["edit", "mean_total_seconds"]),
-    );
-    push(
-        &mut out,
-        "edit.mean_check_seconds",
-        LowerIsBetter,
-        get_f64(doc, &["edit", "mean_check_seconds"]),
-    );
-    push(
-        &mut out,
-        "edit.check_speedup",
-        HigherIsBetter,
-        get_f64(doc, &["edit", "check_speedup"]),
-    );
-    push(
-        &mut out,
-        "edit.total_speedup",
-        HigherIsBetter,
-        get_f64(doc, &["edit", "total_speedup"]),
-    );
-    push(
-        &mut out,
-        "noop.module_hit_seconds",
-        LowerIsBetter,
-        get_f64(doc, &["noop", "module_hit_seconds"]),
-    );
-    extract_hists(doc, &mut out);
-    out
-}
-
-/// Alias-family metrics (`localias-bench-alias/v*`).
-fn extract_alias(doc: &Value) -> Vec<Extracted> {
-    use Direction::*;
-    let mut out = Vec::new();
-    if let Some(backends) = doc.get("backends").and_then(Value::as_arr) {
-        for b in backends {
-            let Some(name) = b.get("backend").and_then(Value::as_str) else {
-                continue;
-            };
-            push(
-                &mut out,
-                &format!("{name}.modules_per_sec"),
-                HigherIsBetter,
-                get_f64(b, &["modules_per_sec"]),
-            );
-            push(
-                &mut out,
-                &format!("{name}.wall_seconds"),
-                LowerIsBetter,
-                get_f64(b, &["wall_seconds"]),
-            );
-            push(
-                &mut out,
-                &format!("{name}.elimination_rate"),
-                HigherIsBetter,
-                get_f64(b, &["elimination_rate"]),
-            );
-        }
-    }
-    extract_hists(doc, &mut out);
-    out
-}
-
-/// Scale-family metrics (`localias-bench-scale/v*`), one pair per
-/// (modules, partitions) grid point.
-fn extract_scale(doc: &Value) -> Vec<Extracted> {
-    use Direction::*;
-    let mut out = Vec::new();
-    if let Some(points) = doc.get("points").and_then(Value::as_arr) {
-        for p in points {
-            let (Some(modules), Some(parts)) = (
-                p.get("modules").and_then(Value::as_u64),
-                p.get("partitions").and_then(Value::as_u64),
-            ) else {
-                continue;
-            };
-            let key = format!("points.{modules}x{parts}");
-            push(
-                &mut out,
-                &format!("{key}.modules_per_second"),
-                HigherIsBetter,
-                get_f64(p, &["modules_per_second"]),
-            );
-            push(
-                &mut out,
-                &format!("{key}.peak_rss_bytes"),
-                LowerIsBetter,
-                get_f64(p, &["peak_rss_bytes"]),
-            );
-        }
-    }
-    extract_hists(doc, &mut out);
-    out
-}
-
-/// Fuzz-family metrics (`localias-bench-fuzz/v*`): throughput plus the
-/// per-backend, per-mode false-positive rates.
-fn extract_fuzz(doc: &Value) -> Vec<Extracted> {
-    use Direction::*;
-    let mut out = Vec::new();
-    push(
-        &mut out,
-        "modules_per_sec",
-        HigherIsBetter,
-        get_f64(doc, &["modules_per_sec"]),
-    );
-    push(
-        &mut out,
-        "wall_seconds",
-        LowerIsBetter,
-        get_f64(doc, &["wall_seconds"]),
-    );
-    if let Some(rates) = doc.get("fp_rates").and_then(Value::as_arr) {
-        for entry in rates {
-            let Some(backend) = entry.get("backend").and_then(Value::as_str) else {
-                continue;
-            };
-            let Some(Value::Obj(modes)) = entry.get("modes") else {
-                continue;
-            };
-            for (mode, st) in modes {
-                push(
-                    &mut out,
-                    &format!("fp_rate.{backend}.{mode}"),
-                    LowerIsBetter,
-                    get_f64(st, &["rate"]),
-                );
+/// Every comparable metric of a document: its gated paths, then the
+/// percentiles of each histogram.
+fn metric_paths(doc: &Value) -> Vec<(Vec<String>, Better)> {
+    let mut out = gated_paths(doc);
+    if let Some(Value::Obj(hists)) = doc.get("hist") {
+        for (name, _) in hists {
+            for pct in ["p50_ns", "p90_ns", "p95_ns", "p99_ns", "max_ns"] {
+                let path = ["hist", name, pct].map(str::to_string).to_vec();
+                out.push((path, Better::Lower));
             }
         }
     }
-    extract_hists(doc, &mut out);
     out
+}
+
+/// The number at `path`, unless it belongs to a histogram that saw no
+/// samples (zero-sample histograms are shape padding, not measurements).
+fn value(doc: &Value, path: &[String]) -> Option<f64> {
+    if let [first, name, ..] = path {
+        if first == "hist" && doc.at(&[first, name])?.get("count")?.as_u64()? == 0 {
+            return None;
+        }
+    }
+    doc.at(path)?.as_f64()
 }
 
 /// Extracts the schema string and its family prefix (the part before
@@ -497,21 +229,6 @@ fn schema_of(doc: &Value, label: &str) -> Result<(String, String), String> {
         .map(|(f, _)| f.to_string())
         .unwrap_or_else(|| schema.clone());
     Ok((schema, family))
-}
-
-fn extract(family: &str, doc: &Value) -> Result<Vec<Extracted>, String> {
-    match family {
-        "localias-bench-experiment" => Ok(extract_experiment(doc)),
-        "localias-bench-intra" => Ok(extract_intra(doc)),
-        "localias-bench-watch" => Ok(extract_watch(doc)),
-        "localias-bench-alias" => Ok(extract_alias(doc)),
-        "localias-bench-scale" => Ok(extract_scale(doc)),
-        "localias-bench-fuzz" => Ok(extract_fuzz(doc)),
-        other => Err(format!(
-            "unknown bench schema family {other:?} — bench-diff understands \
-             experiment, intra, watch, alias, scale, and fuzz artifacts"
-        )),
-    }
 }
 
 /// Compares two bench artifacts of the same schema family.
@@ -538,25 +255,30 @@ pub fn diff_benches(
              bench-diff compares artifacts from the same harness"
         ));
     }
-    let old_metrics = extract(&old_family, &old_doc)?;
-    let new_metrics = extract(&new_family, &new_doc)?;
-
-    let mut metrics = Vec::new();
-    let mut skipped = Vec::new();
-    for (name, direction, old) in &old_metrics {
-        match new_metrics.iter().find(|(n, ..)| n == name) {
-            Some(&(_, _, new)) => metrics.push(MetricDiff {
-                name: name.clone(),
-                old: *old,
-                new,
-                direction: *direction,
-            }),
-            None => skipped.push(format!("old:{name}")),
+    // The union of both documents' metrics, old document's order first;
+    // where both gate a path, the new document's direction holds.
+    let mut paths = metric_paths(&old_doc);
+    for entry in metric_paths(&new_doc) {
+        match paths.iter_mut().find(|(p, _)| *p == entry.0) {
+            Some(known) => known.1 = entry.1,
+            None => paths.push(entry),
         }
     }
-    for (name, ..) in &new_metrics {
-        if !old_metrics.iter().any(|(n, ..)| n == name) {
-            skipped.push(format!("new:{name}"));
+    let mut metrics = Vec::new();
+    let mut skipped = Vec::new();
+    for (path, better) in paths {
+        let name = path.join(".");
+        let (old, new) = (value(&old_doc, &path), value(&new_doc, &path));
+        match (old, new) {
+            (Some(old), Some(new)) => metrics.push(MetricDiff {
+                name,
+                old,
+                new,
+                better,
+            }),
+            (Some(_), None) => skipped.push(format!("old:{name}")),
+            (None, Some(_)) => skipped.push(format!("new:{name}")),
+            (None, None) => {}
         }
     }
     Ok(DiffReport {
@@ -572,45 +294,52 @@ pub fn diff_benches(
 mod tests {
     use super::*;
 
-    fn experiment_doc(mps: f64, check: f64, p95: u64) -> String {
-        format!(
-            r#"{{
-  "schema": "localias-bench-experiment/v6",
-  "modules_per_second": {mps},
-  "wall_seconds": 1.0,
-  "phase_cpu_seconds": {{"parse": 0.5, "check": {check}, "confine": 0.25}},
-  "cache": {{"hits": 580, "misses": 9, "load_seconds": 0.01, "store_seconds": 0.02}},
-  "hist": {{
-    "analyze.module": {{"count": 589, "sum_ns": 100, "min_ns": 1, "max_ns": 9000,
-      "p50_ns": 100, "p90_ns": 200, "p95_ns": {p95}, "p99_ns": 400, "buckets": [[7,589]]}},
-    "fuzz.execute": {{"count": 0, "sum_ns": 0, "min_ns": 0, "max_ns": 0,
-      "p50_ns": 0, "p90_ns": 0, "p95_ns": 0, "p99_ns": 0, "buckets": []}}
-  }}
-}}"#
-        )
+    /// A writer-rendered experiment artifact, parsed so a test can edit
+    /// single metrics.
+    fn experiment() -> Value {
+        json::parse(&crate::tests::sample_bench().to_json()).unwrap()
     }
+
+    /// `doc` with the numbers at `edits` replaced, rendered.
+    fn edited(doc: &Value, edits: &[(&[&str], f64)]) -> String {
+        let mut doc = doc.clone();
+        for (path, v) in edits {
+            doc.insert(path, Value::Num(*v));
+        }
+        doc.pretty()
+    }
+
+    const MPS: &[&str] = &["modules_per_second"];
+    const CHECK: &[&str] = &["phase_cpu_seconds", "check"];
+    const P95: &[&str] = &["hist", "analyze.module", "p95_ns"];
 
     #[test]
     fn self_compare_is_clean() {
-        let doc = experiment_doc(1000.0, 0.75, 300);
+        let doc = experiment().pretty();
         let report = diff_benches(&doc, &doc, DEFAULT_THRESHOLD_PCT).unwrap();
         assert!(report.regressions().is_empty(), "{}", report.render_table());
-        assert!(!report.metrics.is_empty());
+        assert!(report.skipped.is_empty(), "{}", report.render_table());
         // Every delta is exactly zero on a self-compare.
         for m in &report.metrics {
             assert_eq!(m.delta_pct(), 0.0, "{}", m.name);
         }
+        let names: Vec<&str> = report.metrics.iter().map(|m| m.name.as_str()).collect();
+        assert!(names.contains(&"cache.hit_rate"), "{names:?}");
+        assert!(names.contains(&"hist.analyze.module.p95_ns"), "{names:?}");
         // Zero-sample histograms are not compared.
-        assert!(report
-            .metrics
-            .iter()
-            .all(|m| !m.name.contains("fuzz.execute")));
+        assert!(
+            names.iter().all(|n| !n.contains("fuzz.execute")),
+            "{names:?}"
+        );
     }
 
     #[test]
     fn throughput_drop_past_threshold_regresses() {
-        let old = experiment_doc(1000.0, 0.75, 300);
-        let new = experiment_doc(800.0, 0.75, 300);
+        let doc = experiment();
+        let (old, new) = (
+            edited(&doc, &[(MPS, 1000.0)]),
+            edited(&doc, &[(MPS, 800.0)]),
+        );
         let report = diff_benches(&old, &new, 10.0).unwrap();
         let regs = report.regressions();
         assert_eq!(regs.len(), 1, "{}", report.render_table());
@@ -624,83 +353,127 @@ mod tests {
 
     #[test]
     fn latency_and_percentile_growth_regress() {
-        let old = experiment_doc(1000.0, 0.75, 300);
-        let new = experiment_doc(1000.0, 1.5, 600);
+        let doc = experiment();
+        let old = edited(&doc, &[(CHECK, 0.75), (P95, 300.0)]);
+        let new = edited(&doc, &[(CHECK, 1.5), (P95, 600.0)]);
         let report = diff_benches(&old, &new, 10.0).unwrap();
         let names: Vec<&str> = report
             .regressions()
             .iter()
             .map(|m| m.name.as_str())
             .collect();
-        assert!(names.contains(&"phase_cpu_seconds.check"), "{names:?}");
-        assert!(names.contains(&"hist.analyze.module.p95_ns"), "{names:?}");
-        // Throughput didn't move; latency improvements are not flagged.
-        assert!(!names.contains(&"modules_per_second"), "{names:?}");
+        assert_eq!(
+            names,
+            ["phase_cpu_seconds.check", "hist.analyze.module.p95_ns"]
+        );
     }
 
     #[test]
     fn improvements_are_not_regressions() {
-        let old = experiment_doc(1000.0, 1.5, 600);
-        let new = experiment_doc(2000.0, 0.5, 200);
+        let doc = experiment();
+        let old = edited(&doc, &[(MPS, 1000.0), (CHECK, 1.5), (P95, 600.0)]);
+        let new = edited(&doc, &[(MPS, 2000.0), (CHECK, 0.5), (P95, 200.0)]);
         let report = diff_benches(&old, &new, 10.0).unwrap();
         assert!(report.regressions().is_empty(), "{}", report.render_table());
     }
 
     #[test]
     fn family_mismatch_is_an_error() {
-        let exp = experiment_doc(1000.0, 0.75, 300);
-        let intra = r#"{"schema": "localias-bench-intra/v3",
-            "sequential_seconds": 1.0, "parallel_seconds": 0.5, "speedup": 2.0}"#;
+        let exp = experiment().pretty();
+        let intra = r#"{"schema": "localias-bench-intra/v4", "gate": []}"#;
         let err = diff_benches(&exp, intra, 10.0).unwrap_err();
         assert!(err.contains("schema family mismatch"), "{err}");
-        // Same family, different version: compares the intersection.
-        let v5 = exp.replace("experiment/v6", "experiment/v5");
-        let report = diff_benches(&v5, &exp, 10.0).unwrap();
-        assert!(report.regressions().is_empty());
+    }
+
+    /// A document written before the envelope existed (the committed v6
+    /// experiment artifacts) has no `gate`: the new document's gate
+    /// decides what is compared, on the paths both documents hold.
+    #[test]
+    fn pre_gate_artifacts_compare_on_shared_paths() {
+        let v6 = r#"{
+  "schema": "localias-bench-experiment/v6",
+  "modules_per_second": 1000.0,
+  "wall_seconds": 1.0,
+  "phase_cpu_seconds": {"parse": 0.5, "check": 0.75, "confine": 0.25},
+  "cache": {"hits": 580, "misses": 9, "load_seconds": 0.01, "store_seconds": 0.02},
+  "hist": {
+    "analyze.module": {"count": 589, "sum_ns": 100, "min_ns": 1, "max_ns": 9000,
+      "p50_ns": 100, "p90_ns": 200, "p95_ns": 300, "p99_ns": 400, "buckets": [[7,589]]}
+  }
+}"#;
+        let new = edited(&experiment(), &[(MPS, 500.0)]);
+        for (old, new, worse) in [(v6, new.as_str(), true), (new.as_str(), v6, false)] {
+            let report = diff_benches(old, new, 10.0).unwrap();
+            let names: Vec<&str> = report.metrics.iter().map(|m| m.name.as_str()).collect();
+            for shared in ["modules_per_second", "wall_seconds", "cache.store_seconds"] {
+                assert!(
+                    names.contains(&shared),
+                    "{shared}: {}",
+                    report.render_table()
+                );
+            }
+            assert!(names.contains(&"hist.analyze.module.p95_ns"), "{names:?}");
+            // The v7-only hit rate is skipped, not compared.
+            let side = if worse { "new" } else { "old" };
+            assert_eq!(report.skipped, [format!("{side}:cache.hit_rate")]);
+            let regressed = report
+                .regressions()
+                .iter()
+                .any(|m| m.name == "modules_per_second");
+            assert_eq!(regressed, worse, "{}", report.render_table());
+        }
     }
 
     #[test]
-    fn zero_baseline_rates_must_stay_zero() {
-        let doc = |rate: f64| {
-            format!(
-                r#"{{"schema": "localias-bench-fuzz/v2", "modules_per_sec": 500.0,
-                 "wall_seconds": 4.0,
-                 "fp_rates": [{{"backend": "steensgaard",
-                   "modes": {{"no_confine": {{"rate": {rate}}}}}}}]}}"#
-            )
-        };
-        let clean = diff_benches(&doc(0.0), &doc(0.0), 10.0).unwrap();
+    fn unsampled_histograms_are_skipped_not_compared() {
+        let doc = experiment();
+        let unsampled = edited(&doc, &[(&["hist", "analyze.module", "count"], 0.0)]);
+        let report = diff_benches(&doc.pretty(), &unsampled, 10.0).unwrap();
+        assert!(report.metrics.iter().all(|m| !m.name.starts_with("hist.")));
+        assert_eq!(report.skipped.len(), 5, "{}", report.render_table());
+        assert_eq!(report.skipped[0], "old:hist.analyze.module.p50_ns");
+    }
+
+    #[test]
+    fn zero_baselines_must_stay_zero() {
+        let doc = experiment();
+        let store = &["cache", "store_seconds"][..];
+        let zero = edited(&doc, &[(store, 0.0)]);
+        let clean = diff_benches(&zero, &zero, 10.0).unwrap();
         assert!(clean.regressions().is_empty());
-        let dirty = diff_benches(&doc(0.0), &doc(0.25), 10.0).unwrap();
+        let dirty = diff_benches(&zero, &edited(&doc, &[(store, 0.25)]), 10.0).unwrap();
         let regs = dirty.regressions();
         assert_eq!(regs.len(), 1);
-        assert_eq!(regs[0].name, "fp_rate.steensgaard.no_confine");
+        assert_eq!(regs[0].name, "cache.store_seconds");
+        assert_eq!(regs[0].delta_pct(), 100.0);
     }
 
     #[test]
-    fn report_json_is_machine_readable() {
-        let old = experiment_doc(1000.0, 0.75, 300);
-        let new = experiment_doc(800.0, 0.75, 300);
-        let report = diff_benches(&old, &new, 10.0).unwrap();
-        let doc = json::parse(&report.to_json()).unwrap();
+    fn report_is_an_artifact_of_its_own() {
+        let doc = experiment();
+        let old = edited(&doc, &[(MPS, 1000.0)]);
+        let report = diff_benches(&old, &edited(&doc, &[(MPS, 800.0)]), 10.0).unwrap();
+        let text = report.to_json();
+        let out = json::parse(&text).unwrap();
         assert_eq!(
-            doc.get("schema").and_then(Value::as_str),
-            Some("localias-bench-diff/v1")
+            out.get("schema").and_then(Value::as_str),
+            Some("localias-bench-diff/v2")
         );
-        assert_eq!(doc.get("regressions").and_then(Value::as_u64), Some(1));
-        let metrics = doc.get("metrics").unwrap().as_arr().unwrap();
+        assert_eq!(out.get("regressions").and_then(Value::as_u64), Some(1));
+        let metrics = out.get("metrics").unwrap().as_arr().unwrap();
         let mps = metrics
             .iter()
             .find(|m| m.get("name").and_then(Value::as_str) == Some("modules_per_second"))
             .unwrap();
         assert_eq!(mps.get("regressed"), Some(&Value::Bool(true)));
+        crate::testkit::assert_writer_contract(&text, &["regressions"]);
     }
 
     #[test]
     fn table_renders_verdicts() {
-        let old = experiment_doc(1000.0, 0.75, 300);
-        let new = experiment_doc(800.0, 0.75, 300);
-        let report = diff_benches(&old, &new, 10.0).unwrap();
+        let doc = experiment();
+        let old = edited(&doc, &[(MPS, 1000.0)]);
+        let report = diff_benches(&old, &edited(&doc, &[(MPS, 800.0)]), 10.0).unwrap();
         let table = report.render_table();
         assert!(table.contains("REGRESSED"), "{table}");
         assert!(table.contains("modules_per_second"), "{table}");

@@ -3,13 +3,22 @@
 //! synthetic program generators for those benches and a small in-repo
 //! timing harness ([`harness`]) standing in for criterion.
 
+pub mod artifact;
 pub mod cache;
 pub mod cli;
 pub mod diff;
 pub mod fuzz;
 pub mod harness;
-pub mod json;
 pub mod merge;
+#[cfg(test)]
+mod testkit;
+
+// Lets `testkit`, which the bench binaries' tests include too, name this
+// crate the way they do.
+#[cfg(test)]
+extern crate self as localias_bench;
+
+pub use artifact::{json_hists, json_trace, Artifact, Better};
 
 pub use cache::{
     AnalysisCache, CachePolicy, CacheStats, CachedValues, PrecisionOutcome, ANALYSIS_VERSION,
@@ -18,7 +27,7 @@ pub use cache::{
 pub use cli::CliOpts;
 pub use diff::{diff_benches, DiffReport, DEFAULT_THRESHOLD_PCT};
 pub use localias_corpus::{partition_range, CorpusStream};
-pub use localias_obs::text_histogram;
+pub use localias_obs::{json, text_histogram};
 pub use merge::merge_partitions;
 
 use cache::CachedOutcome;
@@ -28,6 +37,7 @@ use localias_core::SharedAnalysis;
 use localias_corpus::GeneratedModule;
 use localias_cqual::{check_locks_shared_jobs, Mode};
 use localias_obs as obs;
+use localias_obs::json::Value;
 use std::fmt::Write as _;
 use std::ops::Range;
 use std::time::{Duration, Instant};
@@ -195,247 +205,81 @@ pub struct PartitionInfo {
     pub total: usize,
 }
 
-/// Formats an `f64` as a JSON number that parses back to the same value:
-/// Rust's shortest-round-trip representation, which is locale-independent
-/// and always a valid JSON literal for finite inputs. Non-finite values
-/// (which JSON cannot represent) degrade to `0.0`.
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:?}")
-    } else {
-        "0.0".to_string()
-    }
-}
-
-/// Renders a counter slice as a JSON array of integers.
-fn json_usize_array(xs: &[usize]) -> String {
-    let mut out = String::with_capacity(2 + xs.len() * 4);
-    out.push('[');
-    for (i, x) in xs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{x}");
-    }
-    out.push(']');
-    out
-}
-
-/// Escapes a string for embedding in a JSON document.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Renders an [`obs::Trace`] as a JSON object: a `spans` array (path,
-/// count, total/self nanoseconds) plus a `counters` object keyed by the
-/// registry's dotted names, non-zero entries only. Public so bench
-/// binaries with their own report schemas (e.g. `watch`) can embed the
-/// same profile block the experiment schema uses.
-pub fn json_trace(t: &obs::Trace) -> String {
-    let mut out = String::from("{\n    \"spans\": [");
-    for (i, s) in t.spans.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\n      {{\"path\": {}, \"count\": {}, \"total_ns\": {}, \"self_ns\": {}}}",
-            json_str(&s.path),
-            s.count,
-            s.total_ns,
-            s.self_ns
-        );
-    }
-    if !t.spans.is_empty() {
-        out.push_str("\n    ");
-    }
-    out.push_str("],\n    \"counters\": {");
-    for (i, (name, value)) in t.counters.iter_nonzero().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\n      {}: {value}", json_str(name));
-    }
-    if !t.counters.is_empty() {
-        out.push_str("\n    ");
-    }
-    out.push_str("}\n  }");
-    out
-}
-
-/// Renders the latency-histogram block every bench schema embeds: one
-/// entry per *registered* histogram (zero-sample histograms included, so
-/// the block's shape is identical across cold and warm runs), keyed by
-/// dotted name, carrying the exact aggregate plus the p50/p90/p95/p99
-/// percentiles and the sparse `[bucket_index, count]` pairs. Public so
-/// bench binaries with their own report schemas embed the same block.
-pub fn json_hists(hists: &[obs::HistSnapshot]) -> String {
-    let mut out = String::from("{");
-    for (i, name) in obs::ALL_HISTS
-        .iter()
-        .map(|&h| obs::hist_name(h))
-        .enumerate()
-    {
-        let empty = obs::HistSnapshot::empty(name);
-        let h = hists.iter().find(|h| h.name == name).unwrap_or(&empty);
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\n    {}: {{\"count\": {}, \"sum_ns\": {}, \"min_ns\": {}, \"max_ns\": {}, \
-             \"p50_ns\": {}, \"p90_ns\": {}, \"p95_ns\": {}, \"p99_ns\": {}, \"buckets\": [",
-            json_str(name),
-            h.count,
-            h.sum_ns,
-            h.min_ns,
-            h.max_ns,
-            h.percentile(50),
-            h.percentile(90),
-            h.percentile(95),
-            h.percentile(99),
-        );
-        for (j, (idx, count)) in h.buckets.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "[{idx},{count}]");
-        }
-        out.push_str("]}");
-    }
-    out.push_str("\n  }");
-    out
-}
-
 impl ExperimentBench {
     /// Sweep throughput in modules per wall-clock second.
     pub fn modules_per_sec(&self) -> f64 {
         self.modules as f64 / self.wall.as_secs_f64().max(1e-9)
     }
 
-    /// Renders the stats as a small, stable JSON document
-    /// (schema `localias-bench-experiment/v6`).
+    /// Renders the stats through the artifact writer (schema
+    /// `localias-bench-experiment/v7`).
     ///
-    /// v2 extended v1 with the `cache` block (`null` on uncached sweeps)
-    /// and switched every float to a shortest-round-trip rendering, so
-    /// each number parses back to the exact measured value. v3 extends
-    /// the `cache` block with the sharded-store observability fields:
-    /// `shards`, per-shard `shard_hits`/`shard_misses`, `quarantined`,
-    /// and the lock-contention counters `lock_retries`/`lock_skips`.
-    /// v4 adds the `profile` block (`null` unless the run collected an
-    /// obs trace): aggregated spans plus non-zero counter totals.
-    /// v5 adds `partition` (`{"index", "count", "total"}` for a
-    /// partitioned sweep, else `null`) and `results` (per-module
-    /// `[name, nc, cf, as]` rows when the caller opts in, else `null`) —
-    /// the fields `bench-merge` unions disjoint partition sweeps with.
-    /// v6 adds the `hist` block ([`json_hists`]): per-operation latency
-    /// histograms with exact p50/p90/p95/p99 percentiles, one entry per
-    /// registered histogram on every run.
+    /// v2 added the `cache` block (`null` on uncached sweeps), v3 its
+    /// sharded-store fields, v4 the `profile` block, v5 `partition` and
+    /// per-module `results` rows (`[name, nc, cf, as]`, the fields
+    /// `bench-merge` unions partition sweeps with), v6 the `hist` block.
+    /// v7 moves to the shared envelope (`host`, `gate`) and adds
+    /// `cache.hit_rate`.
     pub fn to_json(&self) -> String {
+        use Better::{Higher, Lower};
+        let mut a = Artifact::new(crate::merge::MERGE_SCHEMA, self.seed);
+        a.set(&["modules"], self.modules);
+        a.set(&["threads"], self.threads);
+        a.metric(&["wall_seconds"], self.wall.as_secs_f64(), Lower);
+        a.metric(&["modules_per_second"], self.modules_per_sec(), Higher);
+        let phases = [
+            ("parse", self.phases.parse),
+            ("check", self.phases.check),
+            ("confine", self.phases.confine),
+        ];
+        for (phase, t) in phases {
+            a.metric(&["phase_cpu_seconds", phase], t.as_secs_f64(), Lower);
+        }
         let (nc, cf, st) = self.errors;
-        let profile = match &self.profile {
-            None => "null".to_string(),
-            Some(t) => json_trace(t),
-        };
-        let partition = match &self.partition {
-            None => "null".to_string(),
-            Some(p) => format!(
-                "{{\"index\": {}, \"count\": {}, \"total\": {}}}",
-                p.index, p.count, p.total
-            ),
-        };
-        let results = match &self.results {
-            None => "null".to_string(),
-            Some(rows) => {
-                let mut out = String::from("[");
-                for (i, r) in rows.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(
-                        out,
-                        "\n    [{}, {}, {}, {}]",
-                        json_str(&r.name),
-                        r.no_confine,
-                        r.confine,
-                        r.all_strong
-                    );
-                }
-                if !rows.is_empty() {
-                    out.push_str("\n  ");
-                }
-                out.push(']');
-                out
+        a.set(&["errors", "no_confine"], nc);
+        a.set(&["errors", "confine"], cf);
+        a.set(&["errors", "all_strong"], st);
+        a.set(&["spurious", "potential"], self.potential);
+        a.set(&["spurious", "eliminated"], self.eliminated);
+        match &self.cache {
+            None => a.set(&["cache"], Value::Null),
+            Some(c) => {
+                let counts = |xs: &[usize]| Value::Arr(xs.iter().map(|&x| x.into()).collect());
+                a.set(&["cache", "hits"], c.hits);
+                a.set(&["cache", "misses"], c.misses);
+                a.set(&["cache", "dir"], c.dir.as_str());
+                a.set(&["cache", "shards"], c.shards);
+                a.set(&["cache", "shard_hits"], counts(&c.shard_hits));
+                a.set(&["cache", "shard_misses"], counts(&c.shard_misses));
+                a.set(&["cache", "quarantined"], c.quarantined);
+                a.set(&["cache", "lock_retries"], c.lock_retries);
+                a.set(&["cache", "lock_skips"], c.lock_skips);
+                let rate = c.hits as f64 / (c.hits + c.misses).max(1) as f64;
+                a.metric(&["cache", "hit_rate"], rate, Higher);
+                a.metric(&["cache", "load_seconds"], c.load.as_secs_f64(), Lower);
+                a.metric(&["cache", "store_seconds"], c.store.as_secs_f64(), Lower);
             }
-        };
-        let cache = match &self.cache {
-            None => "null".to_string(),
-            Some(c) => format!(
-                "{{\n    \"hits\": {},\n    \"misses\": {},\n    \"dir\": {},\n    \
-                 \"shards\": {},\n    \"shard_hits\": {},\n    \"shard_misses\": {},\n    \
-                 \"quarantined\": {},\n    \"lock_retries\": {},\n    \"lock_skips\": {},\n    \
-                 \"load_seconds\": {},\n    \"store_seconds\": {}\n  }}",
-                c.hits,
-                c.misses,
-                json_str(&c.dir),
-                c.shards,
-                json_usize_array(&c.shard_hits),
-                json_usize_array(&c.shard_misses),
-                c.quarantined,
-                c.lock_retries,
-                c.lock_skips,
-                json_f64(c.load.as_secs_f64()),
-                json_f64(c.store.as_secs_f64()),
-            ),
-        };
-        let hist = json_hists(&self.hist);
-        format!(
-            "{{\n  \"schema\": \"localias-bench-experiment/v6\",\n  \
-             \"seed\": {},\n  \
-             \"modules\": {},\n  \
-             \"threads\": {},\n  \
-             \"wall_seconds\": {},\n  \
-             \"modules_per_second\": {},\n  \
-             \"phase_cpu_seconds\": {{\n    \
-             \"parse\": {},\n    \
-             \"check\": {},\n    \
-             \"confine\": {}\n  }},\n  \
-             \"errors\": {{\n    \
-             \"no_confine\": {nc},\n    \
-             \"confine\": {cf},\n    \
-             \"all_strong\": {st}\n  }},\n  \
-             \"spurious\": {{\n    \
-             \"potential\": {},\n    \
-             \"eliminated\": {}\n  }},\n  \
-             \"cache\": {cache},\n  \
-             \"partition\": {partition},\n  \
-             \"results\": {results},\n  \
-             \"hist\": {hist},\n  \
-             \"profile\": {profile}\n}}\n",
-            self.seed,
-            self.modules,
-            self.threads,
-            json_f64(self.wall.as_secs_f64()),
-            json_f64(self.modules_per_sec()),
-            json_f64(self.phases.parse.as_secs_f64()),
-            json_f64(self.phases.check.as_secs_f64()),
-            json_f64(self.phases.confine.as_secs_f64()),
-            self.potential,
-            self.eliminated,
-        )
+        }
+        let partition = self.partition.map(|p| {
+            Value::obj([
+                ("index", p.index.into()),
+                ("count", p.count.into()),
+                ("total", p.total.into()),
+            ])
+        });
+        a.set(&["partition"], partition);
+        let results = self.results.as_ref().map(|rows| {
+            let row = |r: &ModuleResult| -> Value {
+                let cells = [r.no_confine, r.confine, r.all_strong].map(Value::from);
+                std::iter::once(r.name.as_str().into())
+                    .chain(cells)
+                    .collect::<Vec<_>>()
+                    .into()
+            };
+            rows.iter().map(row).collect::<Vec<_>>()
+        });
+        a.set(&["results"], results);
+        a.finish(json_hists(&self.hist), json_trace(self.profile.as_ref()))
     }
 }
 
@@ -898,9 +742,6 @@ pub fn finish_obs(opts: &CliOpts) -> Result<ObsReport, String> {
             .map(|(n, v)| (n.to_string(), v))
             .collect();
         let chrome = obs::chrome_trace(&trace.spans, &counters, &trace.hists);
-        // The exporter promises well-formed JSON; hold it to that before
-        // the file lands where a browser will load it.
-        crate::json::parse(&chrome).map_err(|e| format!("{path}: generated trace invalid: {e}"))?;
         std::fs::write(path, chrome).map_err(|e| format!("{path}: {e}"))?;
     }
     if opts.profile {
@@ -1036,97 +877,115 @@ mod tests {
         }
     }
 
-    /// Every float in the JSON report must be locale-independent and
-    /// parse back to the exact measured value (shortest round trip) —
-    /// pinned before the schema grew the v2 cache fields.
-    #[test]
-    fn json_floats_round_trip_exactly() {
-        for x in [
-            0.0,
-            0.1,
-            0.313788,
-            1.0 / 3.0,
-            1e-9,
-            1877.06,
-            f64::MAX,
-            f64::MIN_POSITIVE,
-            -2.5,
-        ] {
-            let s = json_f64(x);
-            assert_eq!(s.parse::<f64>().unwrap(), x, "{s}");
-            assert!(!s.contains(','), "locale-dependent rendering: {s}");
-        }
-        assert_eq!(json_f64(f64::NAN), "0.0");
-        assert_eq!(json_f64(f64::INFINITY), "0.0");
-    }
-
-    #[test]
-    fn bench_json_parses_back_field_for_field() {
-        let bench = ExperimentBench {
+    /// An experiment artifact with every optional block filled in.
+    pub(crate) fn sample_bench() -> ExperimentBench {
+        ExperimentBench {
             seed: 7,
-            modules: 2,
+            modules: 1000,
             threads: 1,
-            wall: Duration::from_nanos(313_788_123),
+            wall: Duration::from_secs(1),
             phases: PhaseTimes {
-                parse: Duration::from_nanos(41_000_001),
-                check: Duration::from_nanos(3),
-                confine: Duration::from_nanos(148_000_000),
+                parse: Duration::from_millis(500),
+                check: Duration::from_millis(750),
+                confine: Duration::from_millis(250),
             },
             errors: (3, 2, 1),
             potential: 2,
             eliminated: 1,
             cache: Some(CacheStats {
-                hits: 589,
-                misses: 0,
+                hits: 580,
+                misses: 9,
                 dir: ".localias-cache".into(),
                 shards: 4,
-                shard_hits: vec![147, 148, 147, 147],
-                shard_misses: vec![0, 0, 0, 0],
+                shard_hits: vec![147, 148, 147, 138],
+                shard_misses: vec![2, 2, 2, 3],
                 quarantined: 1,
                 lock_retries: 2,
                 lock_skips: 0,
-                load: Duration::from_nanos(1_234_567),
-                store: Duration::from_nanos(89),
+                load: Duration::from_millis(10),
+                store: Duration::from_millis(20),
             }),
             profile: None,
-            hist: Vec::new(),
-            partition: None,
-            results: None,
-        };
-        let json = bench.to_json();
-        assert!(json.contains("\"schema\": \"localias-bench-experiment/v6\""));
-        assert!(json.contains("\"hist\": {"));
-        assert!(json.contains("\"analyze.module\""));
-        assert!(json.contains("\"check.function\""));
-        assert!(json.contains("\"profile\": null"));
-        assert!(json.contains("\"partition\": null"));
-        assert!(json.contains("\"results\": null"));
-        assert!(json.contains("\"hits\": 589"));
-        assert!(json.contains("\"dir\": \".localias-cache\""));
-        assert!(json.contains("\"shards\": 4"));
-        assert!(json.contains("\"shard_hits\": [147,148,147,147]"));
-        assert!(json.contains("\"shard_misses\": [0,0,0,0]"));
-        assert!(json.contains("\"quarantined\": 1"));
-        assert!(json.contains("\"lock_retries\": 2"));
-        assert!(json.contains("\"lock_skips\": 0"));
-        // Extract a float field and check exact parse-back.
-        let wall = json
-            .lines()
-            .find(|l| l.contains("\"wall_seconds\""))
-            .and_then(|l| l.split(": ").nth(1))
-            .map(|v| v.trim_end_matches(','))
-            .unwrap();
-        assert_eq!(wall.parse::<f64>().unwrap(), bench.wall.as_secs_f64());
-
-        let uncached = ExperimentBench {
-            cache: None,
-            ..bench
-        };
-        assert!(uncached.to_json().contains("\"cache\": null"));
+            hist: vec![obs::HistSnapshot {
+                name: "analyze.module".into(),
+                count: 2,
+                sum_ns: 48,
+                min_ns: 16,
+                max_ns: 32,
+                buckets: vec![(5, 1), (6, 1)],
+            }],
+            partition: Some(PartitionInfo {
+                index: 1,
+                count: 2,
+                total: 589,
+            }),
+            results: Some(vec![ModuleResult {
+                name: "net_x0".into(),
+                no_confine: 2,
+                confine: 1,
+                all_strong: 0,
+            }]),
+        }
     }
 
-    /// The v4 `profile` block carries the trace's spans and non-zero
-    /// counters, and the rendered JSON stays machine-parseable.
+    #[test]
+    fn experiment_writer_keeps_the_contract() {
+        crate::testkit::assert_writer_contract(&sample_bench().to_json(), &["wall_seconds"]);
+    }
+
+    #[test]
+    fn bench_json_parses_back_field_for_field() {
+        let bench = ExperimentBench {
+            wall: Duration::from_nanos(313_788_123),
+            ..sample_bench()
+        };
+        let text = bench.to_json();
+        // The `"key": value` layout scripts/check.sh greps for.
+        for line in [
+            "\"schema\": \"localias-bench-experiment/v7\"",
+            "\"hits\": 580",
+            "\"misses\": 9",
+            "\"quarantined\": 1",
+            "\"profile\": null",
+            "\"hist\": {",
+        ] {
+            assert!(text.contains(line), "{line} missing:\n{text}");
+        }
+        let v = json::parse(&text).unwrap();
+        let num = |path: &[&str]| v.at(path).and_then(Value::as_f64).unwrap();
+        assert_eq!(num(&["seed"]), 7.0);
+        assert_eq!(num(&["host", "nproc"]), default_jobs() as f64);
+        assert_eq!(num(&["wall_seconds"]), bench.wall.as_secs_f64());
+        assert_eq!(num(&["cache", "hit_rate"]), 580.0 / 589.0);
+        let shard_hits = v.at(&["cache", "shard_hits"]).unwrap().render();
+        assert_eq!(shard_hits, "[147,148,147,138]");
+        assert_eq!(num(&["partition", "total"]), 589.0);
+        let row = v.at(&["results"]).unwrap().as_arr().unwrap()[0].render();
+        assert_eq!(row, r#"["net_x0",2,1,0]"#);
+        // p50 hits bucket 5 (upper bound 31); p99 hits bucket 6, clamped
+        // to the exact observed max.
+        assert_eq!(num(&["hist", "analyze.module", "p50_ns"]), 31.0);
+        assert_eq!(num(&["hist", "analyze.module", "p99_ns"]), 32.0);
+        // Every registered histogram appears, sampled or not.
+        assert_eq!(num(&["hist", "fuzz.execute", "count"]), 0.0);
+
+        let bare = ExperimentBench {
+            cache: None,
+            partition: None,
+            results: None,
+            ..bench
+        };
+        let v = json::parse(&bare.to_json()).unwrap();
+        for key in ["cache", "partition", "results", "profile"] {
+            assert!(v.get(key).unwrap().is_null(), "{key}");
+        }
+        // Without a cache there is no hit rate to gate.
+        let gate = artifact::gated_paths(&v);
+        assert!(gate.iter().all(|(p, _)| p[0] != "cache"), "{gate:?}");
+    }
+
+    /// The `profile` block carries the trace's spans and non-zero
+    /// counters.
     #[test]
     fn profile_block_serializes_spans_and_counters() {
         let mut trace = obs::Trace::default();
@@ -1136,12 +995,12 @@ mod tests {
             total_ns: 5_000,
             self_ns: 2_000,
         });
-        let json = json_trace(&trace);
-        assert!(json.contains("\"path\": \"bench.sweep\""));
-        assert!(json.contains("\"count\": 1"));
-        assert!(json.contains("\"total_ns\": 5000"));
-        assert!(json.contains("\"self_ns\": 2000"));
-        assert!(json.contains("\"counters\": {}"));
+        let block = json_trace(Some(&trace));
+        assert_eq!(
+            block.render(),
+            r#"{"spans":[{"path":"bench.sweep","count":1,"total_ns":5000,"self_ns":2000}],"counters":{}}"#
+        );
+        assert!(json_trace(None).is_null());
 
         let (results, mut bench) = {
             let corpus = localias_corpus::generate(1);
@@ -1149,48 +1008,34 @@ mod tests {
         };
         assert_eq!(results.len(), 1);
         bench.profile = Some(trace);
-        let json = bench.to_json();
-        assert!(json.contains("\"profile\": {"));
-        assert!(json.contains("\"spans\": ["));
+        let v = json::parse(&bench.to_json()).unwrap();
+        assert_eq!(v.get("profile"), Some(&block));
     }
 
-    /// The v6 `hist` block names every registered histogram — zeros
+    /// The `hist` block names every registered histogram — zeros
     /// included — so cold and warm artifacts share a shape, and renders
     /// exact percentiles for the ones that saw samples.
     #[test]
     fn hist_block_renders_all_registered_names() {
         let empty = json_hists(&[]);
         for h in obs::ALL_HISTS {
-            assert!(
-                empty.contains(&format!("\"{}\"", obs::hist_name(h))),
-                "{empty}"
-            );
+            let count = empty.at(&[obs::hist_name(h), "count"]);
+            assert_eq!(count.and_then(Value::as_u64), Some(0), "{}", empty.render());
         }
-        let parsed = crate::json::parse(&empty).unwrap();
-        assert!(matches!(parsed, crate::json::Value::Obj(_)));
 
         let mut snap = obs::HistSnapshot::empty("analyze.module");
-        for v in [10u64, 20, 30, 40] {
-            snap.count += 1;
-            snap.sum_ns += v;
-        }
+        snap.count = 4;
+        snap.sum_ns = 100;
         snap.min_ns = 10;
         snap.max_ns = 40;
         // Samples 10, 20, 30, 40 land in log2 buckets 4, 5, 5, 6.
         snap.buckets = vec![(4, 1), (5, 2), (6, 1)];
-        let json = json_hists(&[snap.clone()]);
-        assert!(json.contains("\"count\": 4"));
-        assert!(json.contains(&format!("\"p50_ns\": {}", snap.percentile(50))));
-        assert!(json.contains(&format!("\"p99_ns\": {}", snap.percentile(99))));
-        assert!(json.contains("\"buckets\": [[4,1],[5,2],[6,1]]"));
-        crate::json::parse(&json).unwrap();
-    }
-
-    #[test]
-    fn json_strings_are_escaped() {
-        assert_eq!(json_str("plain"), "\"plain\"");
-        assert_eq!(json_str("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(json_str("x\ny"), "\"x\\u000ay\"");
+        let block = json_hists(&[snap.clone()]);
+        let h = block.get("analyze.module").unwrap();
+        assert_eq!(h.get("count").and_then(Value::as_u64), Some(4));
+        let p50 = h.get("p50_ns").and_then(Value::as_u64);
+        assert_eq!(p50, Some(snap.percentile(50)));
+        assert_eq!(h.get("buckets").unwrap().render(), "[[4,1],[5,2],[6,1]]");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Merging partitioned bench artifacts.
 //!
 //! `localias experiment --partition i/N` writes one
-//! `localias-bench-experiment/v6` artifact per partition, each carrying
+//! `localias-bench-experiment/v7` artifact per partition, each carrying
 //! its slice's per-module `results` rows. [`merge_partitions`] validates
 //! that a set of such artifacts is one complete, disjoint cover of a
 //! single seeded corpus — same seed, same partition count, every index
@@ -20,8 +20,8 @@ use localias_corpus::partition_range;
 use localias_obs::HistSnapshot;
 use std::time::Duration;
 
-/// The schema the merge both consumes and produces.
-pub const MERGE_SCHEMA: &str = "localias-bench-experiment/v6";
+/// The experiment schema: the one the merge both consumes and produces.
+pub const MERGE_SCHEMA: &str = "localias-bench-experiment/v7";
 
 fn field<'v>(doc: &'v Value, key: &str) -> Result<&'v Value, String> {
     doc.get(key).ok_or_else(|| format!("missing field {key:?}"))
@@ -50,7 +50,7 @@ struct Partition {
     hists: Vec<HistSnapshot>,
 }
 
-/// Decodes a v6 `hist` block back into snapshots, keeping only the
+/// Decodes a `hist` block back into snapshots, keeping only the
 /// histograms that saw samples (the renderer writes zeros for shape).
 fn decode_hists(doc: &Value, label: &str) -> Result<Vec<HistSnapshot>, String> {
     let block = field(doc, "hist").map_err(|e| format!("{label}: {e}"))?;

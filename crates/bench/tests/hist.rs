@@ -130,13 +130,13 @@ fn equal_multisets_render_byte_identical_hist_blocks() {
     let _l = obs::test_lock();
 
     let base = layout_hists(&values, 1);
-    let base_json = json_hists(&base);
+    let base_json = json_hists(&base).render();
     json::parse(&base_json).expect("hist block is valid JSON");
     for workers in [2usize, 4, 8] {
         let hists = layout_hists(&values, workers);
         assert_eq!(hists, base, "{workers}-worker snapshots diverged");
         assert_eq!(
-            json_hists(&hists),
+            json_hists(&hists).render(),
             base_json,
             "{workers}-worker hist block is not byte-identical"
         );
@@ -162,7 +162,7 @@ fn hist_block_reports_exact_percentiles() {
     let trace = obs::drain();
     obs::disable_hists();
 
-    let doc = json::parse(&json_hists(&trace.hists)).expect("hist block parses");
+    let doc = json::parse(&json_hists(&trace.hists).render()).expect("hist block parses");
     let h = doc.get("analyze.module").expect("analyze.module present");
     let field = |name: &str| h.get(name).and_then(json::Value::as_u64).unwrap();
     assert_eq!(field("count"), 111);

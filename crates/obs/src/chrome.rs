@@ -12,9 +12,8 @@
 //! and counters/histograms ride along as counter events at t = 0.
 
 use crate::hist::HistSnapshot;
+use crate::json::Value;
 use crate::span::SpanAgg;
-use crate::trace::esc;
-use std::fmt::Write as _;
 
 /// Renders spans, counters and histograms as one Chrome trace-event
 /// JSON object (`{"traceEvents":[...]}`). Spans must be sorted by path
@@ -24,40 +23,38 @@ pub fn chrome_trace(
     counters: &[(String, u64)],
     hists: &[HistSnapshot],
 ) -> String {
-    let mut events: Vec<String> = Vec::new();
+    let mut events: Vec<Value> = Vec::new();
     layout(spans, None, 0.0, f64::INFINITY, &mut events);
+    let counter_event = |name: &str, cat: &str, args: Value| {
+        Value::obj([
+            ("name", name.into()),
+            ("cat", cat.into()),
+            ("ph", "C".into()),
+            ("ts", 0u64.into()),
+            ("pid", 1u64.into()),
+            ("args", args),
+        ])
+    };
     for (name, value) in counters {
-        let mut e = String::from("{\"name\":\"");
-        esc(name, &mut e);
-        let _ = write!(
-            e,
-            "\",\"cat\":\"counter\",\"ph\":\"C\",\"ts\":0,\"pid\":1,\"args\":{{\"value\":{value}}}}}"
-        );
-        events.push(e);
+        let args = Value::obj([("value", (*value).into())]);
+        events.push(counter_event(name, "counter", args));
     }
     for h in hists {
-        let mut e = String::from("{\"name\":\"hist:");
-        esc(&h.name, &mut e);
-        let _ = write!(
-            e,
-            "\",\"cat\":\"hist\",\"ph\":\"C\",\"ts\":0,\"pid\":1,\"args\":{{\
-             \"count\":{},\"p50_ns\":{},\"p90_ns\":{},\"p95_ns\":{},\"p99_ns\":{},\"max_ns\":{}}}}}",
-            h.count,
-            h.percentile(50),
-            h.percentile(90),
-            h.percentile(95),
-            h.percentile(99),
-            h.max_ns
-        );
-        events.push(e);
+        let args = Value::obj([
+            ("count", h.count.into()),
+            ("p50_ns", h.percentile(50).into()),
+            ("p90_ns", h.percentile(90).into()),
+            ("p95_ns", h.percentile(95).into()),
+            ("p99_ns", h.percentile(99).into()),
+            ("max_ns", h.max_ns.into()),
+        ]);
+        events.push(counter_event(&format!("hist:{}", h.name), "hist", args));
     }
-    let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    for (i, e) in events.iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        out.push_str(e);
-    }
-    out.push_str("\n]}\n");
-    out
+    let doc = Value::obj([
+        ("displayTimeUnit", "ms".into()),
+        ("traceEvents", events.into()),
+    ]);
+    doc.render() + "\n"
 }
 
 /// Direct children of `parent` (or the roots, when `None`) in a
@@ -84,7 +81,7 @@ fn layout(
     parent: Option<&str>,
     start_ns: f64,
     budget_ns: f64,
-    events: &mut Vec<String>,
+    events: &mut Vec<Value>,
 ) {
     let kids = children(spans, parent);
     if kids.is_empty() {
@@ -100,22 +97,26 @@ fn layout(
     for s in kids {
         let dur_ns = s.total_ns as f64 * scale;
         let leaf = s.path.rsplit('/').next().unwrap_or(&s.path);
-        let mut e = String::from("{\"name\":\"");
-        esc(leaf, &mut e);
-        e.push_str("\",\"cat\":\"span\",\"ph\":\"X\",");
-        let _ = write!(
-            e,
-            "\"ts\":{:.3},\"dur\":{:.3},\"pid\":1,\"tid\":1,\"args\":{{\"path\":\"",
-            cursor / 1e3,
-            dur_ns / 1e3
-        );
-        esc(&s.path, &mut e);
-        let _ = write!(
-            e,
-            "\",\"count\":{},\"total_ns\":{},\"self_ns\":{}}}}}",
-            s.count, s.total_ns, s.self_ns
-        );
-        events.push(e);
+        // Timestamps are in microseconds, kept to nanosecond precision.
+        let us = |ns: f64| Value::Num(ns.round() / 1e3);
+        events.push(Value::obj([
+            ("name", leaf.into()),
+            ("cat", "span".into()),
+            ("ph", "X".into()),
+            ("ts", us(cursor)),
+            ("dur", us(dur_ns)),
+            ("pid", 1u64.into()),
+            ("tid", 1u64.into()),
+            (
+                "args",
+                Value::obj([
+                    ("path", s.path.as_str().into()),
+                    ("count", s.count.into()),
+                    ("total_ns", s.total_ns.into()),
+                    ("self_ns", s.self_ns.into()),
+                ]),
+            ),
+        ]));
         layout(spans, Some(&s.path), cursor, dur_ns, events);
         cursor += dur_ns;
     }
@@ -143,13 +144,14 @@ mod tests {
         ];
         let out = chrome_trace(&spans, &[], &[]);
         assert!(out.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));
+        crate::json::parse(&out).expect("chrome trace is valid JSON");
         assert!(out.contains("\"name\":\"sweep\""));
         assert!(out.contains("\"name\":\"analyze\""));
         // sweep spans [0, 1000) µs; analyze spans [0, 500) µs inside it.
-        assert!(out.contains("\"ts\":0.000,\"dur\":1000.000"));
-        assert!(out.contains("\"ts\":0.000,\"dur\":500.000"));
+        assert!(out.contains("\"ts\":0,\"dur\":1000"));
+        assert!(out.contains("\"ts\":0,\"dur\":500"));
         // check follows analyze sequentially.
-        assert!(out.contains("\"ts\":500.000,\"dur\":100.000"));
+        assert!(out.contains("\"ts\":500,\"dur\":100"));
         assert!(out.contains("\"path\":\"sweep/check\""));
     }
 
@@ -162,8 +164,8 @@ mod tests {
             agg("p/b", 1, 800_000, 800_000),
         ];
         let out = chrome_trace(&spans, &[], &[]);
-        assert!(out.contains("\"ts\":0.000,\"dur\":500.000"), "{out}");
-        assert!(out.contains("\"ts\":500.000,\"dur\":500.000"), "{out}");
+        assert!(out.contains("\"ts\":0,\"dur\":500"), "{out}");
+        assert!(out.contains("\"ts\":500,\"dur\":500"), "{out}");
         // The exact aggregate survives in args even when scaled.
         assert!(out.contains("\"total_ns\":800000"));
     }
@@ -185,6 +187,6 @@ mod tests {
         assert!(out.contains("\"name\":\"hist:analyze.module\""));
         assert!(out.contains("\"p50_ns\":10"), "clamped to max: {out}");
         assert!(out.contains("\"count\":4"));
-        assert!(out.ends_with("\n]}\n"));
+        assert!(out.ends_with("]}\n"));
     }
 }

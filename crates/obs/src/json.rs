@@ -1,14 +1,15 @@
-//! A minimal JSON reader for the bench artifacts.
+//! The workspace's one JSON module: a value type, a reader, and the two
+//! renderings every artifact and trace file is written with.
 //!
-//! The workspace is dependency-free by design, and the harness only ever
-//! *emits* JSON by formatting strings — but `bench-merge` has to read
-//! the per-partition `BENCH_experiment.json` artifacts back. This is a
-//! small recursive-descent parser for exactly that: full JSON syntax,
-//! numbers kept as `f64` (every field the merge reads is integral and
-//! well inside `f64`'s exact range), objects as association lists in
-//! document order.
+//! The workspace is dependency-free by design, so this is a small
+//! recursive-descent parser (full JSON syntax, numbers kept as `f64`,
+//! objects as association lists in document order) plus two writers:
+//! [`Value::render`] (compact, for JSON-lines and machine output) and
+//! [`Value::pretty`] (indented `"key": value` layout for bench
+//! artifacts). Every string escape and every non-finite-float guard in
+//! the workspace lives here.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -17,7 +18,7 @@ pub enum Value {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any number (kept as `f64`).
+    /// Any number (kept as `f64`; integers are exact below 2^53).
     Num(f64),
     /// A string, unescaped.
     Str(String),
@@ -27,13 +28,94 @@ pub enum Value {
     Obj(Vec<(String, Value)>),
 }
 
+macro_rules! from_number {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Value {
+            fn from(n: $t) -> Value {
+                Value::Num(n as f64)
+            }
+        }
+    )*};
+}
+
+from_number!(f64, u64, usize);
+
+impl From<bool> for Value {
+    fn from(b: bool) -> Value {
+        Value::Bool(b)
+    }
+}
+
+impl From<&str> for Value {
+    fn from(s: &str) -> Value {
+        Value::Str(s.to_string())
+    }
+}
+
+impl From<Vec<Value>> for Value {
+    fn from(items: Vec<Value>) -> Value {
+        Value::Arr(items)
+    }
+}
+
+impl<T: Into<Value>> From<Option<T>> for Value {
+    fn from(v: Option<T>) -> Value {
+        v.map_or(Value::Null, Into::into)
+    }
+}
+
+/// Lines of [`Value::pretty`] output are kept to this many bytes where
+/// a container can be laid out on one line.
+const PRETTY_WIDTH: usize = 100;
+
+/// The deepest `[`/`{` nesting [`parse`] accepts. The parser recurses
+/// once per level, so input from outside the program must not choose
+/// the recursion depth; every artifact this workspace writes nests
+/// fewer than ten levels.
+pub const MAX_DEPTH: usize = 128;
+
 impl Value {
+    /// An object from `(key, value)` pairs, in order.
+    pub fn obj<'a>(pairs: impl IntoIterator<Item = (&'a str, Value)>) -> Value {
+        Value::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    }
+
     /// Looks up `key` in an object; `None` for other variants.
     pub fn get(&self, key: &str) -> Option<&Value> {
         match self {
             Value::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
+    }
+
+    /// Follows a path of object keys; `None` if any step is missing.
+    pub fn at<S: AsRef<str>>(&self, path: &[S]) -> Option<&Value> {
+        path.iter().try_fold(self, |v, key| v.get(key.as_ref()))
+    }
+
+    /// Writes `v` at a path of object keys, creating missing objects on
+    /// the way (a non-object in the way is replaced) and replacing a value
+    /// already there. New keys go after the existing ones, so a
+    /// document's key order is its write order.
+    pub fn insert(&mut self, path: &[&str], v: Value) {
+        let mut cur = self;
+        for key in path {
+            if !matches!(cur, Value::Obj(_)) {
+                *cur = Value::Obj(Vec::new());
+            }
+            let Value::Obj(pairs) = cur else {
+                unreachable!("made an object above");
+            };
+            let i = match pairs.iter().position(|(k, _)| k == key) {
+                Some(i) => i,
+                None => {
+                    pairs.push((key.to_string(), Value::Null));
+                    pairs.len() - 1
+                }
+            };
+            cur = &mut pairs[i].1;
+        }
+        *cur = v;
     }
 
     /// The value as an array slice, if it is one.
@@ -78,49 +160,80 @@ impl Value {
         matches!(self, Value::Null)
     }
 
-    /// Renders the value back to compact JSON (the `scale` bin uses this
-    /// to re-embed a profile block lifted from a child artifact).
+    /// Renders the value as compact JSON: no whitespace, one line.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.render_into(&mut out);
+        self.write_flat(&mut out, ",", ":");
         out
     }
 
-    fn render_into(&self, out: &mut String) {
+    /// Renders the value as indented JSON with a trailing newline: one
+    /// `"key": value` per line, two spaces per level, except that a
+    /// container whose one-line form fits in [`PRETTY_WIDTH`] columns
+    /// stays on one line (with `", "` and `": "` separators).
+    pub fn pretty(&self) -> String {
+        let mut out = String::new();
+        self.write_pretty(&mut out, 0);
+        out.push('\n');
+        out
+    }
+
+    fn write_pretty(&self, out: &mut String, indent: usize) {
+        let (open, close, len) = match self {
+            Value::Arr(items) if !items.is_empty() => ('[', ']', items.len()),
+            Value::Obj(pairs) if !pairs.is_empty() => ('{', '}', pairs.len()),
+            _ => return self.write_flat(out, ", ", ": "),
+        };
+        let mut line = String::new();
+        self.write_flat(&mut line, ", ", ": ");
+        let column = out.len() - out.rfind('\n').map_or(0, |i| i + 1);
+        if column + line.len() <= PRETTY_WIDTH {
+            out.push_str(&line);
+            return;
+        }
+        out.push(open);
+        for i in 0..len {
+            out.push('\n');
+            out.push_str(&" ".repeat(indent + 2));
+            let item = match self {
+                Value::Arr(items) => &items[i],
+                Value::Obj(pairs) => {
+                    write_str(&pairs[i].0, out);
+                    out.push_str(": ");
+                    &pairs[i].1
+                }
+                _ => unreachable!("only containers break across lines"),
+            };
+            item.write_pretty(out, indent + 2);
+            if i + 1 < len {
+                out.push(',');
+            }
+        }
+        out.push('\n');
+        out.push_str(&" ".repeat(indent));
+        out.push(close);
+    }
+
+    fn write_flat(&self, out: &mut String, comma: &str, colon: &str) {
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            // JSON has no NaN or infinity; they render as 0.
+            Value::Num(n) if !n.is_finite() => out.push('0'),
+            Value::Num(n) if n.fract() == 0.0 && n.abs() < 9e15 => {
+                let _ = write!(out, "{}", *n as i64);
+            }
             Value::Num(n) => {
-                if n.fract() == 0.0 && n.abs() < 9e15 {
-                    out.push_str(&format!("{}", *n as i64));
-                } else {
-                    out.push_str(&format!("{n}"));
-                }
+                let _ = write!(out, "{n}");
             }
-            Value::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\r' => out.push_str("\\r"),
-                        '\t' => out.push_str("\\t"),
-                        c if (c as u32) < 0x20 => {
-                            out.push_str(&format!("\\u{:04x}", c as u32));
-                        }
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
+            Value::Str(s) => write_str(s, out),
             Value::Arr(items) => {
                 out.push('[');
                 for (i, v) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push_str(comma);
                     }
-                    v.render_into(out);
+                    v.write_flat(out, comma, colon);
                 }
                 out.push(']');
             }
@@ -128,16 +241,35 @@ impl Value {
                 out.push('{');
                 for (i, (k, v)) in pairs.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push_str(comma);
                     }
-                    Value::Str(k.clone()).render_into(out);
-                    out.push(':');
-                    v.render_into(out);
+                    write_str(k, out);
+                    out.push_str(colon);
+                    v.write_flat(out, comma, colon);
                 }
                 out.push('}');
             }
         }
     }
+}
+
+/// Writes `s` as a JSON string literal.
+fn write_str(s: &str, out: &mut String) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 /// A parse failure, with byte offset.
@@ -166,6 +298,7 @@ pub fn parse(input: &str) -> Result<Value, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -179,6 +312,8 @@ pub fn parse(input: &str) -> Result<Value, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -223,12 +358,24 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(self.err(format!("unexpected character '{}'", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Value, JsonError>) -> Result<Value, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, JsonError> {
@@ -410,75 +557,93 @@ mod tests {
         let v = parse(src).unwrap();
         let rendered = v.render();
         assert_eq!(parse(&rendered).unwrap(), v, "{rendered}");
-        assert!(rendered.contains("\"c\":\"x\\ny\""), "{rendered}");
-        assert!(rendered.contains("2.5"), "{rendered}");
+        assert_eq!(rendered, r#"{"a":[1,2.5,{"b":null}],"c":"x\ny","d":true}"#);
     }
 
     #[test]
-    fn round_trips_a_real_bench_artifact() {
-        // A v6 artifact rendered by ExperimentBench::to_json must parse
-        // back with every field reachable.
-        let bench = crate::ExperimentBench {
-            seed: 99,
-            modules: 2,
-            threads: 1,
-            wall: std::time::Duration::from_millis(10),
-            phases: crate::PhaseTimes::default(),
-            errors: (3, 2, 1),
-            potential: 2,
-            eliminated: 1,
-            cache: None,
-            profile: None,
-            hist: vec![localias_obs::HistSnapshot {
-                name: "analyze.module".into(),
-                count: 2,
-                sum_ns: 48,
-                min_ns: 16,
-                max_ns: 32,
-                buckets: vec![(5, 1), (6, 1)],
-            }],
-            partition: Some(crate::PartitionInfo {
-                index: 1,
-                count: 2,
-                total: 589,
-            }),
-            results: Some(vec![
-                crate::ModuleResult {
-                    name: "net_x0".into(),
-                    no_confine: 2,
-                    confine: 1,
-                    all_strong: 0,
-                },
-                crate::ModuleResult {
-                    name: "scsi_y1".into(),
-                    no_confine: 1,
-                    confine: 1,
-                    all_strong: 1,
-                },
-            ]),
-        };
-        let v = parse(&bench.to_json()).unwrap();
-        assert_eq!(
-            v.get("schema").unwrap().as_str(),
-            Some("localias-bench-experiment/v6")
+    fn escapes_strings() {
+        let s = Value::from("a\"b\\c\nd\u{1}");
+        assert_eq!(s.render(), r#""a\"b\\c\nd\u0001""#);
+        assert_eq!(parse(&s.render()).unwrap(), s);
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+            let doc = |depth: usize| open.repeat(depth) + "0" + &close.repeat(depth);
+            assert!(parse(&doc(MAX_DEPTH)).is_ok(), "{open} at the limit");
+            let err = parse(&doc(MAX_DEPTH + 1)).unwrap_err();
+            assert!(err.message.contains("nesting deeper"), "{err}");
+            // Far past the limit fails at the same depth, unclosed or not.
+            assert!(parse(&open.repeat(1_000_000)).is_err());
+        }
+    }
+
+    #[test]
+    fn non_finite_numbers_render_as_zero() {
+        let v = Value::from(vec![
+            f64::NAN.into(),
+            f64::INFINITY.into(),
+            f64::NEG_INFINITY.into(),
+        ]);
+        assert_eq!(v.render(), "[0,0,0]");
+        assert_eq!(v.pretty(), "[0, 0, 0]\n");
+        assert_eq!(parse(&v.render()).unwrap(), parse("[0,0,0]").unwrap());
+    }
+
+    #[test]
+    fn finite_numbers_render_shortest_round_trip() {
+        for (x, text) in [
+            (0.0, "0"),
+            (-0.0, "0"),
+            (589.0, "589"),
+            (0.1, "0.1"),
+            (1.0 / 3.0, "0.3333333333333333"),
+            (1e-9, "0.000000001"),
+            (-2.5, "-2.5"),
+            (9e15, "9000000000000000"),
+        ] {
+            let rendered = Value::Num(x).render();
+            assert_eq!(rendered, text);
+            assert_eq!(rendered.parse::<f64>().unwrap(), x);
+        }
+        let big = Value::Num(f64::MAX).render();
+        assert_eq!(big.parse::<f64>().unwrap(), f64::MAX);
+    }
+
+    #[test]
+    fn path_insert_builds_nested_objects_in_write_order() {
+        let mut v = Value::Obj(Vec::new());
+        v.insert(&["b"], 1u64.into());
+        v.insert(&["a", "x.y"], "s".into());
+        v.insert(&["a", "z"], true.into());
+        v.insert(&["b"], 2u64.into());
+        assert_eq!(v.render(), r#"{"b":2,"a":{"x.y":"s","z":true}}"#);
+        assert_eq!(v.at(&["a", "x.y"]).and_then(Value::as_str), Some("s"));
+        assert_eq!(v.at(&["a", "missing"]), None);
+    }
+
+    #[test]
+    fn pretty_breaks_only_containers_too_wide_for_a_line() {
+        let rows: Vec<Value> = (0..30u64)
+            .map(|i| vec![i.into(), (i * 2).into()].into())
+            .collect();
+        let v = Value::obj([
+            ("host", Value::obj([("nproc", 2u64.into())])),
+            ("empty", Value::obj([])),
+            ("rows", rows.into()),
+        ]);
+        let text = v.pretty();
+        assert!(
+            text.starts_with("{\n  \"host\": {\"nproc\": 2},\n  \"empty\": {},\n"),
+            "{text}"
         );
-        assert_eq!(v.get("seed").unwrap().as_u64(), Some(99));
-        let hist = v.get("hist").unwrap().get("analyze.module").unwrap();
-        assert_eq!(hist.get("count").unwrap().as_u64(), Some(2));
-        // p50 hits bucket 5 (upper bound 31); p99 hits bucket 6, clamped
-        // to the exact observed max.
-        assert_eq!(hist.get("p50_ns").unwrap().as_u64(), Some(31));
-        assert_eq!(hist.get("p99_ns").unwrap().as_u64(), Some(32));
-        // Every registered histogram appears, sampled or not.
-        let empty = v.get("hist").unwrap().get("fuzz.execute").unwrap();
-        assert_eq!(empty.get("count").unwrap().as_u64(), Some(0));
-        let p = v.get("partition").unwrap();
-        assert_eq!(p.get("index").unwrap().as_usize(), Some(1));
-        assert_eq!(p.get("count").unwrap().as_usize(), Some(2));
-        assert_eq!(p.get("total").unwrap().as_usize(), Some(589));
-        let rows = v.get("results").unwrap().as_arr().unwrap();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].as_arr().unwrap()[0].as_str(), Some("net_x0"));
-        assert_eq!(rows[1].as_arr().unwrap()[3].as_u64(), Some(1));
+        assert!(
+            text.contains("\n  \"rows\": [\n    [0, 0],\n    [1, 2],\n"),
+            "{text}"
+        );
+        assert!(text.ends_with("    [29, 58]\n  ]\n}\n"), "{text}");
+        assert!(text.lines().all(|l| l.len() <= PRETTY_WIDTH));
+        assert_eq!(parse(&text).unwrap(), v);
     }
 }

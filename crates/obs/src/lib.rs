@@ -33,10 +33,12 @@
 //! pipeline, then [`drain`] a [`Trace`] and render it as a JSON-lines
 //! file ([`Trace::to_jsonl`], schema `localias-trace/v2`), a human
 //! profile table ([`Trace::render_profile`]), or a Chrome trace-event
-//! timeline ([`chrome_trace`]) that opens in Perfetto.
+//! timeline ([`chrome_trace`]) that opens in Perfetto. All three JSON
+//! outputs, and every bench artifact, are written through [`json`].
 
 mod chrome;
 mod hist;
+pub mod json;
 mod log;
 mod metrics;
 mod span;

@@ -18,6 +18,7 @@
 //! counters only); histogram lines are only legal in v2.
 
 use crate::hist::{bucket_upper_bound, fmt_ns, hist_by_name, HistSnapshot, HIST_BUCKETS};
+use crate::json::{self, Value};
 use crate::metrics::{counter_by_name, Counter, Metrics};
 use crate::span::SpanAgg;
 use std::fmt::Write as _;
@@ -40,20 +41,6 @@ pub struct Trace {
     pub hists: Vec<HistSnapshot>,
     /// Counter totals.
     pub counters: Metrics,
-}
-
-/// Escapes a string for a JSON string literal.
-pub(crate) fn esc(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
 }
 
 impl Trace {
@@ -98,36 +85,39 @@ impl Trace {
 
     /// Renders the versioned JSON-lines trace.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "{{\"schema\":\"{SCHEMA}\"}}");
-        for s in &self.spans {
-            out.push_str("{\"type\":\"span\",\"path\":\"");
-            esc(&s.path, &mut out);
-            let _ = writeln!(
-                out,
-                "\",\"count\":{},\"total_ns\":{},\"self_ns\":{}}}",
-                s.count, s.total_ns, s.self_ns
-            );
-        }
-        for h in &self.hists {
-            out.push_str("{\"type\":\"hist\",\"name\":\"");
-            esc(&h.name, &mut out);
-            let _ = write!(
-                out,
-                "\",\"count\":{},\"sum_ns\":{},\"min_ns\":{},\"max_ns\":{},\"buckets\":[",
-                h.count, h.sum_ns, h.min_ns, h.max_ns
-            );
-            for (k, &(i, c)) in h.buckets.iter().enumerate() {
-                let _ = write!(out, "{}[{i},{c}]", if k == 0 { "" } else { "," });
-            }
-            out.push_str("]}\n");
-        }
-        for (name, value) in self.counters.iter_nonzero() {
-            out.push_str("{\"type\":\"counter\",\"name\":\"");
-            esc(name, &mut out);
-            let _ = writeln!(out, "\",\"value\":{value}}}");
-        }
-        out
+        let mut lines = vec![Value::obj([("schema", SCHEMA.into())])];
+        lines.extend(self.spans.iter().map(|s| {
+            Value::obj([
+                ("type", "span".into()),
+                ("path", s.path.as_str().into()),
+                ("count", s.count.into()),
+                ("total_ns", s.total_ns.into()),
+                ("self_ns", s.self_ns.into()),
+            ])
+        }));
+        lines.extend(self.hists.iter().map(|h| {
+            let buckets = h
+                .buckets
+                .iter()
+                .map(|&(i, c)| vec![i.into(), c.into()].into());
+            Value::obj([
+                ("type", "hist".into()),
+                ("name", h.name.as_str().into()),
+                ("count", h.count.into()),
+                ("sum_ns", h.sum_ns.into()),
+                ("min_ns", h.min_ns.into()),
+                ("max_ns", h.max_ns.into()),
+                ("buckets", Value::Arr(buckets.collect())),
+            ])
+        }));
+        lines.extend(self.counters.iter_nonzero().map(|(name, value)| {
+            Value::obj([
+                ("type", "counter".into()),
+                ("name", name.into()),
+                ("value", value.into()),
+            ])
+        }));
+        lines.iter().map(|l| l.render() + "\n").collect()
     }
 
     /// Renders the human `--profile` table: spans sorted by total time
@@ -261,169 +251,149 @@ impl TraceSummary {
 
 /// A strict validator for the `localias-trace/v2` (and legacy v1)
 /// JSON-lines format — the tiny schema check `scripts/check.sh` runs
-/// against real trace files. Verifies the header, every line's shape,
-/// span-path and histogram-name sortedness, histogram internal
-/// consistency (bucket counts sum to the sample count, min/max land in
-/// the first/last bucket), and that names come from the registries.
+/// against real trace files. Verifies the header, every line's exact
+/// key set and order, span-path and histogram-name sortedness,
+/// histogram internal consistency (bucket counts sum to the sample
+/// count, min/max land in the first/last bucket), and that names come
+/// from the registries.
 pub fn validate_jsonl(text: &str) -> Result<TraceSummary, String> {
     let mut lines = text.lines().enumerate();
     let Some((_, header)) = lines.next() else {
         return Err("empty trace".into());
     };
-    let v2 = if header == format!("{{\"schema\":\"{SCHEMA}\"}}") {
-        true
-    } else if header == format!("{{\"schema\":\"{SCHEMA_V1}\"}}") {
-        false
-    } else {
-        return Err(format!("bad header line: {header}"));
+    let schema = json::parse(header)
+        .ok()
+        .and_then(|h| fields(&h, ["schema"]).ok()?[0].as_str().map(str::to_string));
+    let v2 = match schema.as_deref() {
+        Some(SCHEMA) => true,
+        Some(SCHEMA_V1) => false,
+        _ => return Err(format!("bad header line: {header}")),
     };
     let mut summary = TraceSummary::default();
-    let mut last_path: Option<String> = None;
-    let mut last_hist: Option<String> = None;
     let mut seen_hist = false;
     let mut seen_counter = false;
     for (i, line) in lines {
-        let lineno = i + 1;
-        if let Some(rest) = line.strip_prefix("{\"type\":\"span\",\"path\":\"") {
-            if seen_hist || seen_counter {
-                return Err(format!("line {lineno}: span after hist/counter lines"));
-            }
-            let (path, rest) = take_json_string(rest)
-                .ok_or_else(|| format!("line {lineno}: unterminated span path"))?;
-            let rest = rest
-                .strip_prefix("\",\"count\":")
-                .ok_or_else(|| format!("line {lineno}: missing count"))?;
-            let (count, rest) = take_u64(rest)?;
-            let rest = rest
-                .strip_prefix(",\"total_ns\":")
-                .ok_or_else(|| format!("line {lineno}: missing total_ns"))?;
-            let (total_ns, rest) = take_u64(rest)?;
-            let rest = rest
-                .strip_prefix(",\"self_ns\":")
-                .ok_or_else(|| format!("line {lineno}: missing self_ns"))?;
-            let (self_ns, rest) = take_u64(rest)?;
-            if rest != "}" {
-                return Err(format!("line {lineno}: trailing content {rest:?}"));
-            }
-            if count == 0 {
-                return Err(format!("line {lineno}: zero-count span"));
-            }
-            if self_ns > total_ns {
-                return Err(format!("line {lineno}: self_ns exceeds total_ns"));
-            }
-            if let Some(prev) = &last_path {
-                if *prev >= path {
-                    return Err(format!("line {lineno}: span paths not sorted"));
-                }
-            }
-            last_path = Some(path.clone());
-            summary.spans += 1;
-            summary.span_rows.push(SpanAgg {
-                path,
-                count,
-                total_ns,
-                self_ns,
-            });
-        } else if let Some(rest) = line.strip_prefix("{\"type\":\"hist\",\"name\":\"") {
-            if !v2 {
-                return Err(format!("line {lineno}: hist line in a v1 trace"));
-            }
-            if seen_counter {
-                return Err(format!("line {lineno}: hist after counter lines"));
-            }
-            seen_hist = true;
-            let hist = parse_hist_line(rest).map_err(|e| format!("line {lineno}: {e}"))?;
-            if hist_by_name(&hist.name).is_none() {
-                return Err(format!("line {lineno}: unknown histogram `{}`", hist.name));
-            }
-            if let Some(prev) = &last_hist {
-                if *prev >= hist.name {
-                    return Err(format!("line {lineno}: histogram names not sorted"));
-                }
-            }
-            last_hist = Some(hist.name.clone());
-            summary.hists.push(hist);
-        } else if let Some(rest) = line.strip_prefix("{\"type\":\"counter\",\"name\":\"") {
-            seen_counter = true;
-            let (name, rest) = take_json_string(rest)
-                .ok_or_else(|| format!("line {lineno}: unterminated counter name"))?;
-            let rest = rest
-                .strip_prefix("\",\"value\":")
-                .ok_or_else(|| format!("line {lineno}: missing value"))?;
-            let (value, rest) = take_u64(rest)?;
-            if rest != "}" {
-                return Err(format!("line {lineno}: trailing content {rest:?}"));
-            }
-            if counter_by_name(&name).is_none() {
-                return Err(format!("line {lineno}: unknown counter `{name}`"));
-            }
-            summary.counters.push((name, value));
-        } else if line.is_empty() {
+        if line.is_empty() {
             continue;
-        } else {
-            return Err(format!("line {lineno}: unrecognized line {line:?}"));
+        }
+        let lineno = i + 1;
+        let at = |e: String| format!("line {lineno}: {e}");
+        let v = json::parse(line).map_err(|e| at(e.to_string()))?;
+        match v.get("type").and_then(Value::as_str) {
+            Some("span") => {
+                if seen_hist || seen_counter {
+                    return Err(at("span after hist/counter lines".into()));
+                }
+                let [_, path, count, total_ns, self_ns] =
+                    fields(&v, ["type", "path", "count", "total_ns", "self_ns"]).map_err(at)?;
+                let span = SpanAgg {
+                    path: string(path).map_err(at)?,
+                    count: uint(count).map_err(at)?,
+                    total_ns: uint(total_ns).map_err(at)?,
+                    self_ns: uint(self_ns).map_err(at)?,
+                };
+                if span.count == 0 {
+                    return Err(at("zero-count span".into()));
+                }
+                if span.self_ns > span.total_ns {
+                    return Err(at("self_ns exceeds total_ns".into()));
+                }
+                if summary
+                    .span_rows
+                    .last()
+                    .is_some_and(|prev| prev.path >= span.path)
+                {
+                    return Err(at("span paths not sorted".into()));
+                }
+                summary.spans += 1;
+                summary.span_rows.push(span);
+            }
+            Some("hist") => {
+                if !v2 {
+                    return Err(at("hist line in a v1 trace".into()));
+                }
+                if seen_counter {
+                    return Err(at("hist after counter lines".into()));
+                }
+                seen_hist = true;
+                let hist = hist_line(&v).map_err(at)?;
+                if hist_by_name(&hist.name).is_none() {
+                    return Err(at(format!("unknown histogram `{}`", hist.name)));
+                }
+                if summary
+                    .hists
+                    .last()
+                    .is_some_and(|prev| prev.name >= hist.name)
+                {
+                    return Err(at("histogram names not sorted".into()));
+                }
+                summary.hists.push(hist);
+            }
+            Some("counter") => {
+                seen_counter = true;
+                let [_, name, value] = fields(&v, ["type", "name", "value"]).map_err(at)?;
+                let name = string(name).map_err(at)?;
+                if counter_by_name(&name).is_none() {
+                    return Err(at(format!("unknown counter `{name}`")));
+                }
+                summary.counters.push((name, uint(value).map_err(at)?));
+            }
+            _ => return Err(at(format!("unrecognized line {line:?}"))),
         }
     }
     Ok(summary)
 }
 
-/// Parses (and consistency-checks) the remainder of a hist line after
-/// its `{"type":"hist","name":"` prefix.
-fn parse_hist_line(rest: &str) -> Result<HistSnapshot, String> {
-    let (name, rest) =
-        take_json_string(rest).ok_or_else(|| "unterminated hist name".to_string())?;
-    let rest = rest
-        .strip_prefix("\",\"count\":")
-        .ok_or_else(|| "missing count".to_string())?;
-    let (count, rest) = take_u64(rest)?;
-    let rest = rest
-        .strip_prefix(",\"sum_ns\":")
-        .ok_or_else(|| "missing sum_ns".to_string())?;
-    let (sum_ns, rest) = take_u64(rest)?;
-    let rest = rest
-        .strip_prefix(",\"min_ns\":")
-        .ok_or_else(|| "missing min_ns".to_string())?;
-    let (min_ns, rest) = take_u64(rest)?;
-    let rest = rest
-        .strip_prefix(",\"max_ns\":")
-        .ok_or_else(|| "missing max_ns".to_string())?;
-    let (max_ns, rest) = take_u64(rest)?;
-    let mut rest = rest
-        .strip_prefix(",\"buckets\":[")
-        .ok_or_else(|| "missing buckets".to_string())?;
-    let mut buckets: Vec<(usize, u64)> = Vec::new();
-    while !rest.starts_with(']') {
-        if !buckets.is_empty() {
-            rest = rest
-                .strip_prefix(',')
-                .ok_or_else(|| "missing comma between buckets".to_string())?;
+/// The values of an object whose keys are exactly `keys`, in order.
+fn fields<'v, const N: usize>(v: &'v Value, keys: [&str; N]) -> Result<[&'v Value; N], String> {
+    match v {
+        Value::Obj(pairs) if pairs.iter().map(|(k, _)| k.as_str()).eq(keys) => {
+            Ok(std::array::from_fn(|i| &pairs[i].1))
         }
-        rest = rest
-            .strip_prefix('[')
-            .ok_or_else(|| "malformed bucket".to_string())?;
-        let (index, r) = take_u64(rest)?;
-        let r = r
-            .strip_prefix(',')
-            .ok_or_else(|| "malformed bucket".to_string())?;
-        let (bcount, r) = take_u64(r)?;
-        rest = r
-            .strip_prefix(']')
-            .ok_or_else(|| "malformed bucket".to_string())?;
+        _ => Err(format!("expected an object with keys {keys:?}")),
+    }
+}
+
+fn uint(v: &Value) -> Result<u64, String> {
+    v.as_u64()
+        .ok_or_else(|| format!("expected a non-negative integer, got {}", v.render()))
+}
+
+fn string(v: &Value) -> Result<String, String> {
+    v.as_str()
+        .map(str::to_string)
+        .ok_or_else(|| format!("expected a string, got {}", v.render()))
+}
+
+/// Decodes (and consistency-checks) one hist line.
+fn hist_line(v: &Value) -> Result<HistSnapshot, String> {
+    let [_, name, count, sum_ns, min_ns, max_ns, buckets] = fields(
+        v,
+        [
+            "type", "name", "count", "sum_ns", "min_ns", "max_ns", "buckets",
+        ],
+    )?;
+    let (count, sum_ns, min_ns, max_ns) =
+        (uint(count)?, uint(sum_ns)?, uint(min_ns)?, uint(max_ns)?);
+    let mut pairs: Vec<(usize, u64)> = Vec::new();
+    for pair in buckets.as_arr().ok_or("buckets is not an array")? {
+        let (index, bcount) = match pair.as_arr() {
+            Some([i, c]) => (uint(i)?, uint(c)?),
+            _ => return Err("malformed bucket".to_string()),
+        };
         if index as usize >= HIST_BUCKETS {
             return Err(format!("bucket index {index} out of range"));
         }
-        if let Some(&(prev, _)) = buckets.last() {
-            if prev >= index as usize {
-                return Err("bucket indices not ascending".to_string());
-            }
+        if pairs
+            .last()
+            .is_some_and(|&(prev, _)| prev >= index as usize)
+        {
+            return Err("bucket indices not ascending".to_string());
         }
         if bcount == 0 {
             return Err("zero-count bucket".to_string());
         }
-        buckets.push((index as usize, bcount));
-    }
-    if rest != "]}" {
-        return Err(format!("trailing content {rest:?}"));
+        pairs.push((index as usize, bcount));
     }
     if count == 0 {
         return Err("zero-count histogram".to_string());
@@ -434,62 +404,23 @@ fn parse_hist_line(rest: &str) -> Result<HistSnapshot, String> {
     if sum_ns < max_ns {
         return Err("sum_ns below max_ns".to_string());
     }
-    let bucket_total: u64 = buckets.iter().map(|&(_, c)| c).sum();
+    let bucket_total: u64 = pairs.iter().map(|&(_, c)| c).sum();
     if bucket_total != count {
         return Err(format!("buckets sum to {bucket_total}, count is {count}"));
     }
-    let first = buckets.first().map(|&(i, _)| i).unwrap_or(0);
-    let last = buckets.last().map(|&(i, _)| i).unwrap_or(0);
+    let first = pairs.first().map_or(0, |&(i, _)| i);
+    let last = pairs.last().map_or(0, |&(i, _)| i);
     if crate::hist::bucket_index(min_ns) != first || crate::hist::bucket_index(max_ns) != last {
         return Err("min/max fall outside the first/last bucket".to_string());
     }
     Ok(HistSnapshot {
-        name,
+        name: string(name)?,
         count,
         sum_ns,
         min_ns,
         max_ns,
-        buckets,
+        buckets: pairs,
     })
-}
-
-/// Reads a JSON string body up to (not including) its closing quote,
-/// un-escaping `\"`/`\\`; returns the decoded string and the remainder
-/// *starting at the closing quote*.
-fn take_json_string(s: &str) -> Option<(String, &str)> {
-    let mut out = String::new();
-    let mut chars = s.char_indices();
-    while let Some((i, c)) = chars.next() {
-        match c {
-            '"' => return Some((out, &s[i..])),
-            '\\' => match chars.next()?.1 {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'u' => {
-                    let mut v = 0u32;
-                    for _ in 0..4 {
-                        v = v * 16 + chars.next()?.1.to_digit(16)?;
-                    }
-                    out.push(char::from_u32(v)?);
-                }
-                _ => return None,
-            },
-            c => out.push(c),
-        }
-    }
-    None
-}
-
-/// Reads a decimal integer prefix; returns it and the remainder.
-fn take_u64(s: &str) -> Result<(u64, &str), String> {
-    let end = s.find(|c: char| !c.is_ascii_digit()).unwrap_or(s.len());
-    if end == 0 {
-        return Err(format!("expected integer at {s:?}"));
-    }
-    let v = s[..end]
-        .parse()
-        .map_err(|_| format!("integer out of range at {s:?}"))?;
-    Ok((v, &s[end..]))
 }
 
 #[cfg(test)]

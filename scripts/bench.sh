@@ -1,27 +1,32 @@
 #!/bin/sh
 # Runs the full §7 experiment sweep twice — cold (fresh cache) and warm
-# (fully cached) — and writes machine-readable performance reports
-# (schema localias-bench-experiment/v6, with per-shard cache counters,
-# an embedded per-phase profile block, and the latency-histogram block
-# with exact p50/p90/p95/p99 per stage) to the repo root:
+# (fully cached) — and writes machine-readable performance reports to the
+# repo root. Every report goes through one artifact writer: a shared
+# envelope (schema, seed, host.nproc, hist, profile, and a `gate` list
+# naming each gated metric's path and better direction) around the
+# family's own fields.
 #
 #   BENCH_experiment_cold.json   cold sweep, cache.misses == modules
 #   BENCH_experiment.json        warm sweep, cache.hits   == modules
+#                                (schema localias-bench-experiment/v7,
+#                                with per-shard cache counters and the
+#                                latency-histogram block with exact
+#                                p50/p90/p95/p99 per stage)
 #   BENCH_intra.json             mega-module sequential-vs-wave-parallel
-#                                timings (schema localias-bench-intra/v3)
+#                                timings (schema localias-bench-intra/v4)
 #   BENCH_watch.json             function-granular incremental recheck:
 #                                cold/edit/no-op latencies + check-phase
 #                                speedup over from-scratch analysis
-#                                (schema localias-bench-watch/v2)
+#                                (schema localias-bench-watch/v3)
 #   BENCH_alias.json             alias-backend precision/perf frontier:
 #                                both backends over the calibrated
 #                                corpus, categories + error totals +
 #                                wall time side by side (schema
-#                                localias-bench-alias/v2)
+#                                localias-bench-alias/v3)
 #   BENCH_fuzz.json              differential-fuzzing throughput + FP
-#                                rates (schema localias-bench-fuzz/v2)
+#                                rates (schema localias-bench-fuzz/v3)
 #   BENCH_scale.json             modules/sec + peak RSS vs corpus size
-#                                (schema localias-bench-scale/v2; only
+#                                (schema localias-bench-scale/v3; only
 #                                written when BENCH_SCALE=1 — it takes
 #                                minutes)
 #

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Corpus-scale sweep: modules/sec and peak RSS vs. corpus size, single-
 # and two-partition, written to BENCH_scale.json in the repo root
-# (schema localias-bench-scale/v2, embedding the obs profile and
+# (schema localias-bench-scale/v3, embedding the obs profile and
 # latency-histogram blocks of the largest single-process sweep).
 #
 # Every point runs in fresh `localias experiment` child processes — one

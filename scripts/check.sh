@@ -10,7 +10,8 @@
 # observability smoke that traces a sweep, validates the emitted trace
 # with `localias tracecheck`, and exports it as a Chrome trace, and a
 # perf-regression gate proving `localias bench-diff` is clean on a
-# self-compare and trips on an injected slowdown.
+# self-compare, trips on an injected slowdown, and still compares the
+# committed pre-`gate` experiment artifact with a fresh one.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -125,9 +126,17 @@ grep -q '"hits": 589' "$HEALED" && grep -q '"misses": 0' "$HEALED" || {
 INTRA="$CACHE/intra.json"
 cargo run -q --release -p localias-bench --bin intra -- \
     --funs 120 --intra-jobs 4 --bench-out "$INTRA" >/dev/null
-grep -q '"schema": "localias-bench-intra/v3"' "$INTRA" || {
+grep -q '"schema": "localias-bench-intra/v4"' "$INTRA" || {
     echo "check.sh: intra bench wrote an unexpected report:" >&2
     cat "$INTRA" >&2
+    exit 1
+}
+
+# A self-diff of the intra artifact compares every metric its gate
+# lists and must be clean.
+./target/release/localias bench-diff "$INTRA" "$INTRA" >/dev/null || {
+    echo "check.sh: bench-diff self-compare of the intra artifact was not clean" >&2
+    ./target/release/localias bench-diff "$INTRA" "$INTRA" >&2 || true
     exit 1
 }
 
@@ -248,6 +257,22 @@ fi
 grep -q 'REGRESSED' "$DIFFOUT" || {
     echo "check.sh: bench-diff failed without flagging the injected regression:" >&2
     cat "$DIFFOUT" >&2
+    exit 1
+}
+
+# Compatibility: the committed experiment artifact predates the `gate`
+# block, yet still compares with a fresh one on the paths both hold.
+# The threshold is loose because the two runs share no host or cache
+# state; the step checks that the metrics line up, not their values.
+COMPAT="$CACHE/compat.json"
+./target/release/localias bench-diff BENCH_experiment.json "$PROFILED" \
+    --threshold 100000 --json "$COMPAT" >/dev/null || {
+    echo "check.sh: bench-diff of the committed artifact against a fresh one failed" >&2
+    exit 1
+}
+grep -q '"name": "modules_per_second"' "$COMPAT" || {
+    echo "check.sh: bench-diff did not compare modules_per_second across schema versions:" >&2
+    cat "$COMPAT" >&2
     exit 1
 }
 
