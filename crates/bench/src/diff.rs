@@ -13,9 +13,12 @@
 //! `gate` paths is compared wherever both documents hold a number there
 //! (so a document written before `gate` existed still compares on the
 //! paths it shares with a newer one), and a path present in only one
-//! document is listed as skipped. The two schemas must belong to the
-//! same family — diffing a watch report against an experiment sweep is
-//! a usage error, not a clean result. A metric whose old value is zero
+//! document is listed as skipped. Two documents that both predate `gate`
+//! compare only on their histograms, and a diff that finds nothing to
+//! compare is an error rather than a clean result. The two schemas must
+//! belong to the same family — diffing a watch report against an
+//! experiment sweep is a usage error, not a clean result. A metric whose
+//! old value is zero
 //! and whose new value is worse counts as a 100% regression (rates that
 //! were clean must stay clean); zero-to-zero is unchanged.
 //!
@@ -255,13 +258,11 @@ pub fn diff_benches(
              bench-diff compares artifacts from the same harness"
         ));
     }
-    // The union of both documents' metrics, old document's order first;
-    // where both gate a path, the new document's direction holds.
+    // The union of both documents' metrics, old document's order first.
     let mut paths = metric_paths(&old_doc);
     for entry in metric_paths(&new_doc) {
-        match paths.iter_mut().find(|(p, _)| *p == entry.0) {
-            Some(known) => known.1 = entry.1,
-            None => paths.push(entry),
+        if !paths.iter().any(|(p, _)| *p == entry.0) {
+            paths.push(entry);
         }
     }
     let mut metrics = Vec::new();
@@ -280,6 +281,12 @@ pub fn diff_benches(
             (None, Some(_)) => skipped.push(format!("new:{name}")),
             (None, None) => {}
         }
+    }
+    if metrics.is_empty() {
+        return Err(format!(
+            "no metric to compare: {old_schema:?} and {new_schema:?} share no gated \
+             path or sampled histogram"
+        ));
     }
     Ok(DiffReport {
         family: old_family,
@@ -422,6 +429,25 @@ mod tests {
                 .any(|m| m.name == "modules_per_second");
             assert_eq!(regressed, worse, "{}", report.render_table());
         }
+    }
+
+    /// Two pre-`gate` documents share only their sampled histograms; with
+    /// none, the diff compared nothing and must not read as clean.
+    #[test]
+    fn a_diff_with_nothing_to_compare_is_an_error() {
+        let hist = r#""hist": {"analyze.module": {"count": 2, "p50_ns": 31, "p90_ns": 32,
+            "p95_ns": 32, "p99_ns": 32, "max_ns": 32}}"#;
+        let v6 = |extra: &str| {
+            format!(r#"{{"schema": "localias-bench-experiment/v6", "wall_seconds": 1.0{extra}}}"#)
+        };
+        let report = diff_benches(&v6(""), &v6(&format!(", {hist}")), 10.0);
+        let err = report.unwrap_err();
+        assert!(err.contains("no metric to compare"), "{err}");
+        let both = v6(&format!(", {hist}"));
+        let report = diff_benches(&both, &both, 10.0).unwrap();
+        let names: Vec<&str> = report.metrics.iter().map(|m| m.name.as_str()).collect();
+        assert_eq!(names.len(), 5, "{names:?}");
+        assert!(names.iter().all(|n| n.starts_with("hist.")), "{names:?}");
     }
 
     #[test]

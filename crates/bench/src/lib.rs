@@ -935,8 +935,16 @@ mod tests {
 
     #[test]
     fn bench_json_parses_back_field_for_field() {
+        let mut results = sample_bench().results.unwrap();
+        results.push(ModuleResult {
+            name: "scsi_y1".into(),
+            no_confine: 1,
+            confine: 1,
+            all_strong: 1,
+        });
         let bench = ExperimentBench {
             wall: Duration::from_nanos(313_788_123),
+            results: Some(results),
             ..sample_bench()
         };
         let text = bench.to_json();
@@ -945,7 +953,13 @@ mod tests {
             "\"schema\": \"localias-bench-experiment/v7\"",
             "\"hits\": 580",
             "\"misses\": 9",
+            "\"dir\": \".localias-cache\"",
+            "\"shards\": 4",
+            "\"shard_hits\": [147, 148, 147, 138]",
+            "\"shard_misses\": [2, 2, 2, 3]",
             "\"quarantined\": 1",
+            "\"lock_retries\": 2",
+            "\"lock_skips\": 0",
             "\"profile\": null",
             "\"hist\": {",
         ] {
@@ -956,12 +970,27 @@ mod tests {
         assert_eq!(num(&["seed"]), 7.0);
         assert_eq!(num(&["host", "nproc"]), default_jobs() as f64);
         assert_eq!(num(&["wall_seconds"]), bench.wall.as_secs_f64());
+        let cache = v.get("cache").unwrap();
+        assert_eq!(
+            cache.get("dir").and_then(Value::as_str),
+            Some(".localias-cache")
+        );
+        assert_eq!(num(&["cache", "shards"]), 4.0);
         assert_eq!(num(&["cache", "hit_rate"]), 580.0 / 589.0);
-        let shard_hits = v.at(&["cache", "shard_hits"]).unwrap().render();
+        let shard_hits = cache.get("shard_hits").unwrap().render();
         assert_eq!(shard_hits, "[147,148,147,138]");
+        let shard_misses = cache.get("shard_misses").unwrap().render();
+        assert_eq!(shard_misses, "[2,2,2,3]");
+        assert_eq!(num(&["cache", "quarantined"]), 1.0);
+        assert_eq!(num(&["cache", "lock_retries"]), 2.0);
+        assert_eq!(num(&["cache", "lock_skips"]), 0.0);
+        assert_eq!(num(&["partition", "index"]), 1.0);
+        assert_eq!(num(&["partition", "count"]), 2.0);
         assert_eq!(num(&["partition", "total"]), 589.0);
-        let row = v.at(&["results"]).unwrap().as_arr().unwrap()[0].render();
-        assert_eq!(row, r#"["net_x0",2,1,0]"#);
+        let rows = v.at(&["results"]).unwrap().as_arr().unwrap();
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows[0].render(), r#"["net_x0",2,1,0]"#);
+        assert_eq!(rows[1].render(), r#"["scsi_y1",1,1,1]"#);
         // p50 hits bucket 5 (upper bound 31); p99 hits bucket 6, clamped
         // to the exact observed max.
         assert_eq!(num(&["hist", "analyze.module", "p50_ns"]), 31.0);

@@ -94,17 +94,21 @@ impl Value {
     }
 
     /// Writes `v` at a path of object keys, creating missing objects on
-    /// the way (a non-object in the way is replaced) and replacing a value
-    /// already there. New keys go after the existing ones, so a
-    /// document's key order is its write order.
+    /// the way and replacing a value already there. New keys go after the
+    /// existing ones, so a document's key order is its write order.
+    ///
+    /// # Panics
+    ///
+    /// If a value already on the path is neither an object nor a `null`
+    /// placeholder: writing under a number or string would discard it.
     pub fn insert(&mut self, path: &[&str], v: Value) {
         let mut cur = self;
         for key in path {
-            if !matches!(cur, Value::Obj(_)) {
+            if cur.is_null() {
                 *cur = Value::Obj(Vec::new());
             }
             let Value::Obj(pairs) = cur else {
-                unreachable!("made an object above");
+                panic!("json insert at {path:?}: {key:?} is under a non-object");
             };
             let i = match pairs.iter().position(|(k, _)| k == key) {
                 Some(i) => i,
@@ -621,6 +625,13 @@ mod tests {
         assert_eq!(v.render(), r#"{"b":2,"a":{"x.y":"s","z":true}}"#);
         assert_eq!(v.at(&["a", "x.y"]).and_then(Value::as_str), Some("s"));
         assert_eq!(v.at(&["a", "missing"]), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "under a non-object")]
+    fn path_insert_refuses_to_overwrite_a_scalar_on_the_way() {
+        let mut v = Value::obj([("cache", 3u64.into())]);
+        v.insert(&["cache", "hits"], 1u64.into());
     }
 
     #[test]

@@ -354,7 +354,14 @@ fn fields<'v, const N: usize>(v: &'v Value, keys: [&str; N]) -> Result<[&'v Valu
     }
 }
 
+/// Numbers parse as `f64`, which holds every integer below 2^53 exactly;
+/// anything at or above that would read back rounded or saturated.
+const MAX_EXACT_INT: f64 = (1u64 << 53) as f64;
+
 fn uint(v: &Value) -> Result<u64, String> {
+    if v.as_f64().is_some_and(|n| n >= MAX_EXACT_INT) {
+        return Err(format!("integer out of range: {}", v.render()));
+    }
     v.as_u64()
         .ok_or_else(|| format!("expected a non-negative integer, got {}", v.render()))
 }
@@ -404,7 +411,10 @@ fn hist_line(v: &Value) -> Result<HistSnapshot, String> {
     if sum_ns < max_ns {
         return Err("sum_ns below max_ns".to_string());
     }
-    let bucket_total: u64 = pairs.iter().map(|&(_, c)| c).sum();
+    let bucket_total = pairs
+        .iter()
+        .try_fold(0u64, |sum, &(_, c)| sum.checked_add(c))
+        .ok_or("bucket counts overflow")?;
     if bucket_total != count {
         return Err(format!("buckets sum to {bucket_total}, count is {count}"));
     }
@@ -533,6 +543,35 @@ mod tests {
             "{{\"schema\":\"{SCHEMA}\"}}\n{{\"type\":\"counter\",\"name\":\"cqual.errors\",\"value\":1}}\n{{\"type\":\"hist\",\"name\":\"analyze.module\",\"count\":1,\"sum_ns\":5,\"min_ns\":5,\"max_ns\":5,\"buckets\":[[3,1]]}}\n"
         );
         assert!(validate_jsonl(&misordered).is_err(), "hist after counters");
+    }
+
+    #[test]
+    fn validator_rejects_out_of_range_and_fractional_integers() {
+        let hist = |count: &str, bucket: &str| {
+            format!(
+                "{{\"schema\":\"{SCHEMA}\"}}\n{{\"type\":\"hist\",\"name\":\"analyze.module\",\"count\":{count},\"sum_ns\":5,\"min_ns\":5,\"max_ns\":5,\"buckets\":[[3,{bucket}]]}}\n"
+            )
+        };
+        assert!(
+            validate_jsonl(&hist("1", "1")).is_ok(),
+            "baseline hist validates"
+        );
+        for (count, bucket) in [
+            ("1e300", "1e300"),
+            ("1.5", "1.5"),
+            ("9007199254740992", "1"),
+        ] {
+            let err = validate_jsonl(&hist(count, bucket)).unwrap_err();
+            assert!(err.contains("integer"), "count {count}: {err}");
+        }
+        let counter = |value: &str| {
+            format!("{{\"schema\":\"{SCHEMA}\"}}\n{{\"type\":\"counter\",\"name\":\"cqual.errors\",\"value\":{value}}}\n")
+        };
+        assert!(validate_jsonl(&counter("9007199254740991")).is_ok());
+        for value in ["1e300", "1.5", "-1"] {
+            let err = validate_jsonl(&counter(value)).unwrap_err();
+            assert!(err.contains("integer"), "value {value}: {err}");
+        }
     }
 
     #[test]
