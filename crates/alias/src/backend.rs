@@ -7,10 +7,10 @@
 //! `restrict`/`confine` outcomes are computed against. A backend decides
 //! only how the final location table is *snapshotted* for the checker:
 //!
-//! * [`SteensgaardBackend`] captures the table verbatim
+//! * [`Backend::Steensgaard`] captures the table verbatim
 //!   ([`crate::loc::LocTable::freeze`]) — the paper's configuration, and
 //!   byte-identical to the historical pipeline.
-//! * [`AndersenBackend`] additionally runs the inclusion-based points-to
+//! * [`Backend::Andersen`] additionally runs the inclusion-based points-to
 //!   analysis ([`crate::andersen`]) and uses its directional flow facts
 //!   to *split* unification classes that the checker consults, where the
 //!   split is provably invisible to every query the checker can make
@@ -100,11 +100,25 @@ impl Backend {
         self as usize
     }
 
-    /// The trait-object implementation of this backend.
-    pub fn dispatch(self) -> &'static dyn AliasBackend {
+    /// Turns a finished analysis state into the immutable [`FrozenLocs`]
+    /// snapshot the checker consumes. `pinned` lists locations that carry
+    /// checker-visible outcome state (restrict/confine `(ρ, ρ')` pairs,
+    /// restrict-parameter pointees); their classes resolve exactly as the
+    /// live table does.
+    ///
+    /// Every query the checker makes answers consistently with *some*
+    /// sound may-alias abstraction of the module, and `find` is idempotent
+    /// (`find(find(l)) == find(l)`).
+    pub fn freeze(self, m: &Module, state: &mut State, pinned: &[Loc]) -> FrozenLocs {
         match self {
-            Backend::Steensgaard => &SteensgaardBackend,
-            Backend::Andersen => &AndersenBackend,
+            Backend::Steensgaard => {
+                obs::count(obs::Counter::BackendSteensgaardFreezes, 1);
+                state.locs.freeze()
+            }
+            Backend::Andersen => {
+                obs::count(obs::Counter::BackendAndersenFreezes, 1);
+                refine(m, state, pinned)
+            }
         }
     }
 }
@@ -112,56 +126,6 @@ impl Backend {
 impl fmt::Display for Backend {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-/// An alias backend: turns a finished analysis state into the immutable
-/// [`FrozenLocs`] snapshot the checker consumes.
-///
-/// Implementations must uphold the frozen-snapshot invariant relative to
-/// the checker's consultation surface (see the module docs): every query
-/// the checker makes must answer consistently with *some* sound
-/// may-alias abstraction of the module, and `find` must be idempotent
-/// (`find(find(l)) == find(l)`).
-pub trait AliasBackend: Sync {
-    /// The backend's canonical name.
-    fn name(&self) -> &'static str;
-
-    /// Produces the frozen view. `pinned` lists locations that carry
-    /// checker-visible outcome state (restrict/confine `(ρ, ρ')` pairs,
-    /// restrict-parameter pointees); their classes must resolve exactly
-    /// as the live table does.
-    fn freeze(&self, m: &Module, state: &mut State, pinned: &[Loc]) -> FrozenLocs;
-}
-
-/// The identity backend: snapshot the unification classes verbatim.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SteensgaardBackend;
-
-impl AliasBackend for SteensgaardBackend {
-    fn name(&self) -> &'static str {
-        Backend::Steensgaard.name()
-    }
-
-    fn freeze(&self, _m: &Module, state: &mut State, _pinned: &[Loc]) -> FrozenLocs {
-        obs::count(obs::Counter::BackendSteensgaardFreezes, 1);
-        state.locs.freeze()
-    }
-}
-
-/// The refining backend: split unification classes along inclusion-based
-/// points-to boundaries where the split is invisible to the checker.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AndersenBackend;
-
-impl AliasBackend for AndersenBackend {
-    fn name(&self) -> &'static str {
-        Backend::Andersen.name()
-    }
-
-    fn freeze(&self, m: &Module, state: &mut State, pinned: &[Loc]) -> FrozenLocs {
-        obs::count(obs::Counter::BackendAndersenFreezes, 1);
-        refine(m, state, pinned)
     }
 }
 
@@ -407,7 +371,6 @@ mod tests {
         assert_eq!(Backend::Andersen.to_string(), "andersen");
         for b in Backend::ALL {
             assert_eq!(Backend::parse(b.name()), Ok(b));
-            assert_eq!(b.dispatch().name(), b.name());
         }
     }
 
@@ -430,7 +393,7 @@ mod tests {
         .unwrap();
         let mut aliases = analyze(&m);
         let direct = aliases.state.locs.freeze();
-        let via_backend = SteensgaardBackend.freeze(&m, &mut aliases.state, &[]);
+        let via_backend = Backend::Steensgaard.freeze(&m, &mut aliases.state, &[]);
         assert_eq!(direct.len(), via_backend.len());
         for i in 0..direct.len() as u32 {
             let l = Loc(i);
@@ -470,7 +433,7 @@ mod tests {
         assert!(steens.same(la, lb), "unification conflates a and b");
         assert!(!steens.strong_updatable(la), "merged class is Many");
 
-        let refined = AndersenBackend.freeze(&m, &mut aliases.state, &[]);
+        let refined = Backend::Andersen.freeze(&m, &mut aliases.state, &[]);
         assert!(!refined.same(la, lb), "refinement splits a from b");
         assert!(
             refined.strong_updatable(la),
@@ -504,7 +467,7 @@ mod tests {
         let la = addressed(&aliases.state, "a");
         let lb = addressed(&aliases.state, "b");
         let steens = aliases.state.locs.freeze();
-        let refined = AndersenBackend.freeze(&m, &mut aliases.state, &[]);
+        let refined = Backend::Andersen.freeze(&m, &mut aliases.state, &[]);
         assert!(refined.same(la, lb), "tainted class must keep its shape");
         assert_eq!(refined.is_tainted(la), steens.is_tainted(la));
         assert_eq!(refined.multiplicity(la), steens.multiplicity(la));
@@ -531,7 +494,7 @@ mod tests {
         let la = addressed(&aliases.state, "a");
         let lb = addressed(&aliases.state, "b");
         let steens = aliases.state.locs.freeze();
-        let refined = AndersenBackend.freeze(&m, &mut aliases.state, &[la]);
+        let refined = Backend::Andersen.freeze(&m, &mut aliases.state, &[la]);
         assert!(refined.same(la, lb));
         assert_eq!(refined.find(la), steens.find(la));
         assert_eq!(refined.multiplicity(la), steens.multiplicity(la));
@@ -560,7 +523,7 @@ mod tests {
         let mut aliases = analyze(&m);
         let la = addressed(&aliases.state, "a");
         let lb = addressed(&aliases.state, "b");
-        let refined = AndersenBackend.freeze(&m, &mut aliases.state, &[]);
+        let refined = Backend::Andersen.freeze(&m, &mut aliases.state, &[]);
         assert!(refined.same(la, lb), "extern-reachable class stays merged");
     }
 
@@ -586,7 +549,7 @@ mod tests {
                 .expect("locks var");
             v.ty.pointee().expect("array lowers to Ref(elems)")
         };
-        let refined = AndersenBackend.freeze(&m, &mut aliases.state, &[]);
+        let refined = Backend::Andersen.freeze(&m, &mut aliases.state, &[]);
         assert_eq!(
             refined.multiplicity(refined.find(elems)),
             Multiplicity::Many

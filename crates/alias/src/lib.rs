@@ -43,7 +43,7 @@ pub mod steensgaard;
 pub mod ty;
 pub mod union_find;
 
-pub use backend::{AliasBackend, AndersenBackend, Backend, SteensgaardBackend};
+pub use backend::Backend;
 pub use frozen::FrozenLocs;
 pub use fx::{FxHashMap, FxHashSet, FxHasher, FxMap, FxSet};
 pub use loc::{Loc, LocTable};

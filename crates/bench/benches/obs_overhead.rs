@@ -11,6 +11,8 @@
 //! instrumentation landed.
 
 use localias_bench::harness::BenchGroup;
+use localias_core::SharedAnalysis;
+use localias_cqual::check_modes;
 use localias_obs as obs;
 
 fn main() {
@@ -43,15 +45,15 @@ fn main() {
     // counters enabled to see the *enabled* overhead too.
     let corpus = localias_corpus::generate(localias_corpus::DEFAULT_SEED);
     let module = &corpus[0];
+    let measure = || {
+        let parsed = module.parse();
+        check_modes(&mut SharedAnalysis::new(&parsed))
+    };
     let mut p = BenchGroup::new("obs_pipeline");
     p.sample_size(10);
-    p.bench("instrumented-off", || {
-        localias_bench::ModuleResult::measure(module)
-    });
+    p.bench("instrumented-off", measure);
     obs::enable_all();
-    p.bench("instrumented-on", || {
-        localias_bench::ModuleResult::measure(module)
-    });
+    p.bench("instrumented-on", measure);
     obs::disable_metrics();
     obs::disable_spans();
     let _ = obs::drain();

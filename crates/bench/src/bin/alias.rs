@@ -24,8 +24,8 @@ use localias_alias::Backend;
 use localias_bench::json::Value;
 use localias_bench::Better::{Higher, Lower};
 use localias_bench::{
-    finish_obs, init_obs, json_hists, json_trace, run_experiment_cached, Artifact, CliOpts,
-    ExperimentBench, ModuleResult, ObsReport,
+    finish_obs, init_obs, json_hists, json_trace, measure_stream_with_cache, Artifact, CliOpts,
+    CorpusStream, ExperimentBench, ModuleResult, ObsReport,
 };
 use localias_corpus::DEFAULT_SEED;
 use localias_obs as obs;
@@ -66,8 +66,15 @@ fn categories(results: &[ModuleResult]) -> (usize, usize, usize, usize) {
 }
 
 fn sweep(backend: Backend, seed: u64, opts: &CliOpts) -> FrontierRow {
-    let (results, bench) =
-        run_experiment_cached(seed, opts.jobs, opts.intra_jobs, backend, &opts.cache);
+    let stream = CorpusStream::paper(seed);
+    let (results, bench) = measure_stream_with_cache(
+        &stream,
+        0..stream.len(),
+        opts.jobs,
+        opts.intra_jobs,
+        backend,
+        &opts.cache,
+    );
     let errors = (
         results.iter().map(|r| r.no_confine).sum(),
         results.iter().map(|r| r.confine).sum(),

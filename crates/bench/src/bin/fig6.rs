@@ -7,7 +7,9 @@
 //! `--cache DIR` / `--no-cache` / `--cache-shards N` for the incremental
 //! result cache.
 
-use localias_bench::{finish_obs, init_obs, run_experiment_cached, text_histogram, CliOpts};
+use localias_bench::{
+    finish_obs, init_obs, measure_stream_with_cache, text_histogram, CliOpts, CorpusStream,
+};
 use localias_obs as obs;
 
 fn main() {
@@ -20,8 +22,15 @@ fn main() {
     };
     init_obs(&opts);
     let seed = opts.seed_or_default();
-    let (results, mut bench) =
-        run_experiment_cached(seed, opts.jobs, opts.intra_jobs, opts.alias, &opts.cache);
+    let stream = CorpusStream::paper(seed);
+    let (results, mut bench) = measure_stream_with_cache(
+        &stream,
+        0..stream.len(),
+        opts.jobs,
+        opts.intra_jobs,
+        opts.alias,
+        &opts.cache,
+    );
     match finish_obs(&opts) {
         Ok(report) => {
             bench.profile = report.trace;

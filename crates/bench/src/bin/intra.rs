@@ -93,10 +93,7 @@ fn main() {
 
     let mut rows: Vec<ModeRow> = Vec::new();
     for (mode, key) in MODES {
-        let (analysis, frozen) = match mode {
-            Mode::Confine => shared.confine_frozen(),
-            Mode::NoConfine | Mode::AllStrong => shared.base_frozen(),
-        };
+        let (analysis, frozen) = mode.analysis(&mut shared);
 
         // Reports are byte-identical run to run, so best-of-REPS may keep
         // the first run's report with the fastest run's time.

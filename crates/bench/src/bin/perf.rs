@@ -10,8 +10,9 @@
 //! `perf` always measures the analyses themselves, so the result cache is
 //! never consulted here (`--cache`/`--no-cache` draw a warning).
 
+use localias_alias::Backend;
 use localias_bench::harness::{avg_of, timed};
-use localias_bench::{finish_obs, init_obs, measure_corpus, CliOpts};
+use localias_bench::{finish_obs, init_obs, measure_corpus_cached, CliOpts};
 use localias_corpus::generate;
 use localias_cqual::{check_locks, Mode};
 use localias_obs as obs;
@@ -29,7 +30,8 @@ fn main() {
     if opts.cache_explicit {
         obs::warn!("perf: note: perf measures uncached analysis; cache flags are ignored");
     }
-    let corpus = generate(opts.seed_or_default());
+    let seed = opts.seed_or_default();
+    let corpus = generate(seed);
 
     // The largest modules by source size, plus the paper's example.
     let mut by_size: Vec<&localias_corpus::GeneratedModule> = corpus.iter().collect();
@@ -97,7 +99,9 @@ fn main() {
             let _ = check_locks(&p, Mode::AllStrong).error_count();
         }
     });
-    let (_, shared) = timed("perf.shared_sweep", || measure_corpus(&corpus, sweep_jobs));
+    let (_, shared) = timed("perf.shared_sweep", || {
+        measure_corpus_cached(&corpus, sweep_jobs, 1, seed, Backend::Steensgaard, None)
+    });
 
     println!(
         "{:<38} {:>10.1?}",

@@ -8,7 +8,9 @@
 //! 16 shard files), and `--bench-out FILE` for the machine-readable
 //! report.
 
-use localias_bench::{finish_obs, init_obs, run_experiment_cached, CliOpts, ModuleResult};
+use localias_bench::{
+    finish_obs, init_obs, measure_stream_with_cache, CliOpts, CorpusStream, ModuleResult,
+};
 use localias_obs as obs;
 
 fn main() {
@@ -21,8 +23,15 @@ fn main() {
     };
     init_obs(&opts);
     let seed = opts.seed_or_default();
-    let (results, mut bench) =
-        run_experiment_cached(seed, opts.jobs, opts.intra_jobs, opts.alias, &opts.cache);
+    let stream = CorpusStream::paper(seed);
+    let (results, mut bench) = measure_stream_with_cache(
+        &stream,
+        0..stream.len(),
+        opts.jobs,
+        opts.intra_jobs,
+        opts.alias,
+        &opts.cache,
+    );
     match finish_obs(&opts) {
         Ok(report) => {
             bench.profile = report.trace;

@@ -24,7 +24,7 @@ use localias_bench::json::Value;
 use localias_bench::Better::{Higher, Lower};
 use localias_bench::{finish_obs, init_obs, json_hists, json_trace, Artifact, CliOpts, ObsReport};
 use localias_corpus::{mega_edit, mega_module, MegaEditKind, DEFAULT_MEGA_FUNS};
-use localias_cqual::{check_locks_frozen, IncrStats, IncrementalSession, LockReport, Mode, MODES};
+use localias_cqual::{check_locks_frozen, IncrStats, IncrementalSession, LockReport, MODES};
 use localias_obs as obs;
 use std::time::Instant;
 
@@ -43,10 +43,7 @@ fn full_check(name: &str, source: &str, jobs: usize) -> ([LockReport; 3], f64, f
     shared.confine_frozen();
     let t_check = Instant::now();
     let reports = MODES.map(|mode| {
-        let (analysis, frozen) = match mode {
-            Mode::Confine => shared.confine_frozen(),
-            Mode::NoConfine | Mode::AllStrong => shared.base_frozen(),
-        };
+        let (analysis, frozen) = mode.analysis(&mut shared);
         check_locks_frozen(&parsed, analysis, frozen, mode, jobs)
     });
     let check = t_check.elapsed().as_secs_f64();

@@ -55,11 +55,6 @@
 //! side by side, or two CI shards over disjoint corpora — therefore lose
 //! no entries: each persist folds the other's fresh entries into the
 //! union instead of clobbering the store wholesale.
-//!
-//! A legacy monolithic `store.jsonl` (the pre-shard layout) is migrated
-//! on load: its entries are folded in (shards win ties) and re-homed
-//! into shard files at the next persist, after which the legacy file is
-//! removed.
 
 use crate::{ModuleResult, PhaseTimes};
 use localias_ast::fp;
@@ -86,7 +81,7 @@ pub const ANALYSIS_VERSION: u32 = localias_ast::fp::ANALYSIS_VERSION;
 ///
 /// Deliberately *frozen* at the `v2` literal across the v3 sharded store
 /// layout: sharding changed where entries live, not what they mean, so
-/// existing fingerprints (and a migrated legacy store) must keep hitting.
+/// existing fingerprints must keep hitting.
 const STORE_SCHEMA: &str = "localias-cache/v2";
 
 /// Schema identifier written in every shard file's header line.
@@ -98,10 +93,6 @@ const ANALYSIS_CONFIG: &str = "modes=no_confine,confine,all_strong";
 
 /// Seed-independent description of what one §8 precision entry covers.
 const PRECISION_CONFIG: &str = "analyses=steensgaard,andersen;metric=local-pair-aliasing";
-
-/// File name of the legacy monolithic store (pre-shard layout), migrated
-/// into shards on load and removed after the first successful persist.
-pub const STORE_FILE: &str = "store.jsonl";
 
 /// Default number of shard files per cache directory.
 pub const DEFAULT_SHARDS: usize = 16;
@@ -331,9 +322,6 @@ pub struct AnalysisCache {
     by_raw: HashMap<u128, u128>,
     /// Home shards holding entries not yet persisted.
     dirty: HashSet<usize>,
-    /// Legacy monolithic store awaiting removal once its entries have
-    /// been re-homed into shards by a fully successful persist.
-    legacy: Option<PathBuf>,
     quarantined: usize,
     lock_retries: usize,
     lock_skips: usize,
@@ -350,9 +338,7 @@ impl AnalysisCache {
     /// Loads every shard under `dir` (lock-free), or starts empty when
     /// there are none. Corrupt, truncated, or version-mismatched shards
     /// are quarantined individually (renamed to `*.bad`) with a warning —
-    /// never an error, and never at the expense of the healthy shards. A
-    /// legacy monolithic `store.jsonl` is folded in and scheduled for
-    /// re-homing into shards (see the module docs).
+    /// never an error, and never at the expense of the healthy shards.
     pub fn load_sharded(dir: &Path, shards: usize) -> AnalysisCache {
         let t0 = Instant::now();
         let mut cache = AnalysisCache {
@@ -361,7 +347,6 @@ impl AnalysisCache {
             entries: HashMap::new(),
             by_raw: HashMap::new(),
             dirty: HashSet::new(),
-            legacy: None,
             quarantined: 0,
             lock_retries: 0,
             lock_skips: 0,
@@ -402,38 +387,6 @@ impl AnalysisCache {
                         path.display()
                     );
                     quarantine(&path);
-                    cache.quarantined += 1;
-                    obs::count(obs::Counter::CacheQuarantined, 1);
-                }
-            }
-        }
-
-        // Legacy monolithic store: fold in (shards win ties) and mark the
-        // migrated entries' home shards dirty so the next persist re-homes
-        // them, after which the legacy file is removed.
-        let legacy_path = dir.join(STORE_FILE);
-        if let Ok(text) = std::fs::read_to_string(&legacy_path) {
-            match parse_store(&text, &legacy_header_line()) {
-                Ok((entries, by_raw)) => {
-                    for (fp, v) in entries {
-                        cache.entries.entry(fp).or_insert(v);
-                    }
-                    for (raw, fp) in by_raw {
-                        if let std::collections::hash_map::Entry::Vacant(e) =
-                            cache.by_raw.entry(raw)
-                        {
-                            e.insert(fp);
-                            cache.dirty.insert(cache.shard_of(fp));
-                        }
-                    }
-                    cache.legacy = Some(legacy_path);
-                }
-                Err(why) => {
-                    obs::warn!(
-                        "localias-bench: warning: quarantining legacy cache store {} ({why})",
-                        legacy_path.display()
-                    );
-                    quarantine(&legacy_path);
                     cache.quarantined += 1;
                     obs::count(obs::Counter::CacheQuarantined, 1);
                 }
@@ -545,7 +498,7 @@ impl AnalysisCache {
     /// backoff, never blocking the sweep); I/O errors are reported after
     /// every shard has been attempted.
     pub fn persist(&mut self) -> std::io::Result<()> {
-        if self.dirty.is_empty() && self.legacy.is_none() {
+        if self.dirty.is_empty() {
             return Ok(());
         }
         let t0 = Instant::now();
@@ -593,14 +546,6 @@ impl AnalysisCache {
                         first_err = Some(e);
                     }
                 }
-            }
-        }
-
-        // Only once every migrated entry has a shard home is the legacy
-        // store redundant; a partial persist keeps it for the next run.
-        if self.dirty.is_empty() && first_err.is_none() {
-            if let Some(legacy) = self.legacy.take() {
-                let _ = std::fs::remove_file(legacy);
             }
         }
 
@@ -827,11 +772,6 @@ fn shard_header_line(i: usize) -> String {
     )
 }
 
-/// Header line of the legacy monolithic store (the pre-shard layout).
-fn legacy_header_line() -> String {
-    format!("{{\"schema\":\"{STORE_SCHEMA}\",\"analysis_version\":{ANALYSIS_VERSION}}}")
-}
-
 /// Best-effort extraction of `analysis_version` from a store file that
 /// failed the strict parse, to tell "older garbage" (quarantine) from
 /// "newer binary's store" (hands off).
@@ -1053,7 +993,9 @@ mod tests {
         )
         .is_err());
         // The PR-2/PR-3 monolithic header on a shard file: rejected.
-        assert!(parse_store(&format!("{}\n", legacy_header_line()), &h).is_err());
+        let monolithic =
+            format!("{{\"schema\":\"{STORE_SCHEMA}\",\"analysis_version\":{ANALYSIS_VERSION}}}\n");
+        assert!(parse_store(&monolithic, &h).is_err());
         // The right schema under the wrong shard index: rejected.
         assert!(parse_store(&format!("{}\n", shard_header_line(4)), &h).is_err());
         assert!(parse_store("", &h).is_err());
@@ -1148,49 +1090,6 @@ mod tests {
             assert_eq!(c.resolve_raw(i + 2000), Some(i + 500));
         }
         assert_eq!((c.quarantined(), c.lock_skips()), (0, 0));
-    }
-
-    /// A legacy monolithic `store.jsonl` (the pre-shard layout, same
-    /// analysis version) must keep serving hits, get re-homed into
-    /// shards, and disappear after the first successful persist.
-    #[test]
-    fn legacy_store_is_migrated_into_shards() {
-        let dir = test_dir("legacy");
-        let mut store = format!("{}\n", legacy_header_line());
-        for i in 0..20u128 {
-            store.push_str(&entry_line(i, i + 100, &[i as u64, 2, 3, 4, 5, 6]));
-            store.push('\n');
-        }
-        std::fs::write(dir.join(STORE_FILE), store).unwrap();
-
-        let mut c = AnalysisCache::load(&dir);
-        assert_eq!(c.len(), 20, "legacy entries serve immediately");
-        assert_eq!(c.lookup_values(7), Some([7, 2, 3, 4, 5, 6]));
-        c.persist().unwrap();
-
-        assert!(
-            !dir.join(STORE_FILE).exists(),
-            "legacy store removed after re-homing"
-        );
-        let c2 = AnalysisCache::load(&dir);
-        assert_eq!(c2.len(), 20, "entries survive in shard files");
-        assert_eq!(c2.resolve_raw(107), Some(7));
-    }
-
-    /// A corrupt legacy store is quarantined (renamed `.bad`), never
-    /// half-trusted, and never re-parsed on the next load.
-    #[test]
-    fn corrupt_legacy_store_is_quarantined() {
-        let dir = test_dir("legacy-bad");
-        std::fs::write(dir.join(STORE_FILE), b"garbage\x00not a store\n").unwrap();
-        let c = AnalysisCache::load(&dir);
-        assert!(c.is_empty());
-        assert_eq!(c.quarantined(), 1);
-        assert!(!dir.join(STORE_FILE).exists());
-        assert!(dir.join(format!("{STORE_FILE}.bad")).exists());
-
-        let c2 = AnalysisCache::load(&dir);
-        assert_eq!(c2.quarantined(), 0, "quarantined file is not re-parsed");
     }
 
     /// Entries partition across multiple shard files, every shard file

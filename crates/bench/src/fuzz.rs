@@ -45,7 +45,7 @@ use localias_alias::Backend;
 use localias_ast::{parse_module, pretty, Block, ItemKind, Module, Stmt, StmtKind, TypeExpr};
 use localias_core::SharedAnalysis;
 use localias_corpus::fuzz_module;
-use localias_cqual::{check_locks_shared, CallGraph, LockReport, Mode, MODES};
+use localias_cqual::{check_modes, CallGraph, LockReport, Mode, MODES};
 use localias_interp::memory::default_value;
 use localias_interp::{Interp, RuntimeError, Value};
 use localias_obs as obs;
@@ -81,17 +81,16 @@ impl Default for FuzzConfig {
 #[derive(Debug, Clone, Default)]
 pub struct StaticMatrix(pub [[LockReport; 3]; 2]);
 
-/// The real checker under test: all three modes through both backends,
-/// sharing one base analysis per backend via [`SharedAnalysis`].
+/// The real checker under test: all three modes through both backends.
+/// One [`SharedAnalysis`] serves both: its base and confine analyses are
+/// backend-invariant, so switching backends only re-freezes them, and the
+/// module costs two analyses rather than four.
 pub fn real_static_matrix(m: &Module) -> StaticMatrix {
-    let mut out = StaticMatrix::default();
-    for backend in Backend::ALL {
-        let mut shared = SharedAnalysis::new_with_backend(m, backend);
-        for (mi, &mode) in MODES.iter().enumerate() {
-            out.0[backend.index()][mi] = check_locks_shared(&mut shared, mode);
-        }
-    }
-    out
+    let mut shared = SharedAnalysis::new(m);
+    StaticMatrix(Backend::ALL.map(|backend| {
+        shared.set_backend(backend);
+        check_modes(&mut shared)
+    }))
 }
 
 /// Per-(mode × backend) precision tally over statically flagged

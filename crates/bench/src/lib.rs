@@ -31,11 +31,11 @@ pub use localias_obs::{json, text_histogram};
 pub use merge::merge_partitions;
 
 use cache::CachedOutcome;
-use localias_alias::Backend;
+use localias_alias::{Backend, FrozenLocs};
 use localias_ast::Module;
-use localias_core::SharedAnalysis;
+use localias_core::{Analysis, SharedAnalysis};
 use localias_corpus::GeneratedModule;
-use localias_cqual::{check_locks_shared_jobs, Mode};
+use localias_cqual::{check_locks_frozen, Mode};
 use localias_obs as obs;
 use localias_obs::json::Value;
 use std::fmt::Write as _;
@@ -76,29 +76,14 @@ impl PhaseTimes {
 }
 
 impl ModuleResult {
-    /// Measures one corpus module under all three modes.
-    ///
-    /// The no-confine and all-strong modes share one base analysis
-    /// through [`SharedAnalysis`], so this parses once and runs two (not
-    /// three) analysis pipelines.
-    pub fn measure(m: &GeneratedModule) -> ModuleResult {
-        Self::measure_timed(m).0
-    }
-
-    /// [`ModuleResult::measure`], also reporting per-phase times.
-    pub fn measure_timed(m: &GeneratedModule) -> (ModuleResult, PhaseTimes) {
-        let t0 = Instant::now();
-        let parsed = m.parse();
-        let parse = t0.elapsed();
-        Self::measure_parsed(&m.name, &parsed, parse, 1, Backend::Steensgaard)
-    }
-
-    /// Runs the analysis pipelines on an already-parsed module (the cache
-    /// parses first to canonicalize, so the miss path must not re-parse).
-    /// `intra_jobs` fans each lock check out across the module's call-graph
-    /// waves; reports are byte-identical for every value, so cached results
-    /// are valid whatever `intra_jobs` produced them. `backend` selects
-    /// the alias backend the frozen snapshots are produced through.
+    /// Measures one parsed corpus module under all three modes, timing
+    /// each phase. The no-confine and all-strong modes share one base
+    /// analysis through [`SharedAnalysis`], so this runs two (not three)
+    /// analysis pipelines. `intra_jobs` fans each lock check out across
+    /// the module's call-graph waves; reports are byte-identical for every
+    /// value, so cached results are valid whatever `intra_jobs` produced
+    /// them. `backend` selects the alias backend the frozen snapshots are
+    /// produced through.
     fn measure_parsed(
         name: &str,
         parsed: &Module,
@@ -107,15 +92,17 @@ impl ModuleResult {
         backend: Backend,
     ) -> (ModuleResult, PhaseTimes) {
         let mut shared = SharedAnalysis::new_with_backend(parsed, backend);
+        let errors = |(analysis, frozen): (&Analysis, &FrozenLocs), mode| {
+            check_locks_frozen(parsed, analysis, frozen, mode, intra_jobs).error_count()
+        };
         let t1 = Instant::now();
-        let no_confine =
-            check_locks_shared_jobs(&mut shared, Mode::NoConfine, intra_jobs).error_count();
-        let all_strong =
-            check_locks_shared_jobs(&mut shared, Mode::AllStrong, intra_jobs).error_count();
+        let base = shared.base_frozen();
+        let no_confine = errors(base, Mode::NoConfine);
+        let all_strong = errors(base, Mode::AllStrong);
         let check = t1.elapsed();
 
         let t2 = Instant::now();
-        let confine = check_locks_shared_jobs(&mut shared, Mode::Confine, intra_jobs).error_count();
+        let confine = errors(shared.confine_frozen(), Mode::Confine);
         let confine_time = t2.elapsed();
 
         (
@@ -283,22 +270,6 @@ impl ExperimentBench {
     }
 }
 
-/// Measures every module of `corpus` across `jobs` worker threads
-/// (`jobs == 0` → [`default_jobs`]). Results come back in corpus order
-/// regardless of thread count or scheduling.
-pub fn measure_corpus(corpus: &[GeneratedModule], jobs: usize) -> Vec<ModuleResult> {
-    measure_corpus_timed(corpus, jobs, 0).0
-}
-
-/// [`measure_corpus`] plus aggregate timing statistics (uncached).
-pub fn measure_corpus_timed(
-    corpus: &[GeneratedModule],
-    jobs: usize,
-    seed: u64,
-) -> (Vec<ModuleResult>, ExperimentBench) {
-    measure_corpus_cached(corpus, jobs, 1, seed, Backend::Steensgaard, None)
-}
-
 /// What a worker learned about one module, beyond its result.
 enum CacheNote {
     /// Sweep ran uncached.
@@ -389,51 +360,41 @@ where
     let outcomes: Vec<SweepOutcome> = {
         let snapshot: Option<&AnalysisCache> = cache.as_deref();
         let work = |slot: usize, m: &GeneratedModule| -> SweepOutcome {
-            if let Some(c) = snapshot {
-                let raw = cache::source_fingerprint(&m.source, backend);
-                let served = c
+            let served = |e: CachedOutcome, note| SweepOutcome {
+                slot,
+                result: e.to_result(&m.name),
+                times: e.times,
+                note,
+            };
+            let keyed = snapshot.map(|c| (c, cache::source_fingerprint(&m.source, backend)));
+            if let Some((c, raw)) = keyed {
+                if let Some((fp, e)) = c
                     .resolve_raw(raw)
-                    .and_then(|fp| Some((fp, c.lookup_fp(fp)?)));
-                if let Some((fp, e)) = served {
-                    return SweepOutcome {
-                        slot,
-                        result: e.to_result(&m.name),
-                        times: e.times,
-                        note: CacheNote::RawHit { fp },
-                    };
+                    .and_then(|fp| Some((fp, c.lookup_fp(fp)?)))
+                {
+                    return served(e, CacheNote::RawHit { fp });
                 }
-                let t0 = Instant::now();
-                let parsed = m.parse();
-                let parse = t0.elapsed();
-                let fp = cache::module_fingerprint(&parsed, backend);
-                if let Some(e) = c.lookup_fp(fp) {
-                    return SweepOutcome {
-                        slot,
-                        result: e.to_result(&m.name),
-                        times: e.times,
-                        note: CacheNote::CanonHit { fp, raw },
-                    };
+            }
+            let t0 = Instant::now();
+            let parsed = m.parse();
+            let parse = t0.elapsed();
+            let note = match keyed {
+                None => CacheNote::Uncached,
+                Some((c, raw)) => {
+                    let fp = cache::module_fingerprint(&parsed, backend);
+                    if let Some(e) = c.lookup_fp(fp) {
+                        return served(e, CacheNote::CanonHit { fp, raw });
+                    }
+                    CacheNote::Miss { fp, raw }
                 }
-                let (r, t) =
-                    ModuleResult::measure_parsed(&m.name, &parsed, parse, intra_jobs, backend);
-                SweepOutcome {
-                    slot,
-                    result: r,
-                    times: t,
-                    note: CacheNote::Miss { fp, raw },
-                }
-            } else {
-                let t0 = Instant::now();
-                let parsed = m.parse();
-                let parse = t0.elapsed();
-                let (r, t) =
-                    ModuleResult::measure_parsed(&m.name, &parsed, parse, intra_jobs, backend);
-                SweepOutcome {
-                    slot,
-                    result: r,
-                    times: t,
-                    note: CacheNote::Uncached,
-                }
+            };
+            let (result, times) =
+                ModuleResult::measure_parsed(&m.name, &parsed, parse, intra_jobs, backend);
+            SweepOutcome {
+                slot,
+                result,
+                times,
+                note,
             }
         };
 
@@ -562,8 +523,9 @@ where
 }
 
 /// The streaming sweep over an already-materialized corpus slice,
-/// optionally backed by an [`AnalysisCache`]. Results come back in slice
-/// order, byte-identical for every `jobs` value.
+/// optionally backed by an [`AnalysisCache`] the caller loads and
+/// persists. Results come back in slice order, byte-identical for every
+/// `jobs` value.
 pub fn measure_corpus_cached(
     corpus: &[GeneratedModule],
     jobs: usize,
@@ -583,35 +545,57 @@ pub fn measure_corpus_cached(
     )
 }
 
-/// Sweeps stream positions `range` of a [`CorpusStream`] without ever
-/// materializing the corpus: modules are generated one at a time (by the
-/// producer thread when `jobs > 1`) and dropped as soon as they are
-/// measured or served from cache, so peak memory is `O(jobs)` modules
-/// however large the range is. Results come back in stream order.
-pub fn measure_stream_cached(
-    stream: &CorpusStream,
-    range: Range<usize>,
+/// [`sweep_modules`] under a [`CachePolicy`]: loads the store, sweeps,
+/// and atomically persists the store back. Cache I/O failures degrade to
+/// warnings — results are never affected.
+fn sweep_with_policy<M, I>(
+    modules: I,
+    out_len: usize,
     jobs: usize,
     intra_jobs: usize,
+    seed: u64,
     backend: Backend,
-    cache: Option<&mut AnalysisCache>,
-) -> (Vec<ModuleResult>, ExperimentBench) {
-    let base = range.start;
-    sweep_modules(
-        range.clone().map(|p| (p - base, stream.module_at(p))),
-        range.len(),
+    policy: &CachePolicy,
+) -> (Vec<ModuleResult>, ExperimentBench)
+where
+    M: std::borrow::Borrow<GeneratedModule> + Send,
+    I: Iterator<Item = (usize, M)> + Send,
+{
+    let CachePolicy::Dir { dir, shards } = policy else {
+        return sweep_modules(modules, out_len, jobs, intra_jobs, seed, backend, None);
+    };
+    let mut c = AnalysisCache::load_sharded(dir, *shards);
+    let (results, mut bench) = sweep_modules(
+        modules,
+        out_len,
         jobs,
         intra_jobs,
-        stream.seed(),
+        seed,
         backend,
-        cache,
-    )
+        Some(&mut c),
+    );
+    if let Err(e) = c.persist() {
+        obs::warn!(
+            "localias-bench: warning: cache not fully written to {}: {e}",
+            dir.display()
+        );
+    }
+    if let Some(stats) = bench.cache.as_mut() {
+        stats.store = c.store_time();
+        stats.quarantined = c.quarantined();
+        stats.lock_retries = c.lock_retries();
+        stats.lock_skips = c.lock_skips();
+    }
+    (results, bench)
 }
 
-/// One full streamed sweep under a [`CachePolicy`]: loads the store,
-/// runs [`measure_stream_cached`], and atomically persists the store
-/// back. Cache I/O failures degrade to warnings — results are never
-/// affected.
+/// One full streamed sweep of stream positions `range` under a
+/// [`CachePolicy`], without ever materializing the corpus: modules are
+/// generated one at a time (by the producer thread when `jobs > 1`) and
+/// dropped as soon as they are measured or served from cache, so peak
+/// memory is `O(jobs)` modules however large the range is. Results come
+/// back in stream order. The paper's experiment is
+/// `CorpusStream::paper(seed)` over its whole length.
 pub fn measure_stream_with_cache(
     stream: &CorpusStream,
     range: Range<usize>,
@@ -620,34 +604,20 @@ pub fn measure_stream_with_cache(
     backend: Backend,
     policy: &CachePolicy,
 ) -> (Vec<ModuleResult>, ExperimentBench) {
-    match policy {
-        CachePolicy::Disabled => {
-            measure_stream_cached(stream, range, jobs, intra_jobs, backend, None)
-        }
-        CachePolicy::Dir { dir, shards } => {
-            let mut c = AnalysisCache::load_sharded(dir, *shards);
-            let (results, mut bench) =
-                measure_stream_cached(stream, range, jobs, intra_jobs, backend, Some(&mut c));
-            if let Err(e) = c.persist() {
-                obs::warn!(
-                    "localias-bench: warning: cache not fully written to {}: {e}",
-                    dir.display()
-                );
-            }
-            if let Some(stats) = bench.cache.as_mut() {
-                stats.store = c.store_time();
-                stats.quarantined = c.quarantined();
-                stats.lock_retries = c.lock_retries();
-                stats.lock_skips = c.lock_skips();
-            }
-            (results, bench)
-        }
-    }
+    let base = range.start;
+    sweep_with_policy(
+        range.clone().map(|p| (p - base, stream.module_at(p))),
+        range.len(),
+        jobs,
+        intra_jobs,
+        stream.seed(),
+        backend,
+        policy,
+    )
 }
 
-/// One full cached sweep under a [`CachePolicy`]: loads the store, runs
-/// [`measure_corpus_cached`], and atomically persists the store back.
-/// Cache I/O failures degrade to warnings — results are never affected.
+/// One full sweep of an already-materialized corpus slice under a
+/// [`CachePolicy`] (see [`measure_stream_with_cache`]).
 pub fn measure_corpus_with_cache(
     corpus: &[GeneratedModule],
     jobs: usize,
@@ -656,29 +626,15 @@ pub fn measure_corpus_with_cache(
     backend: Backend,
     policy: &CachePolicy,
 ) -> (Vec<ModuleResult>, ExperimentBench) {
-    match policy {
-        CachePolicy::Disabled => {
-            measure_corpus_cached(corpus, jobs, intra_jobs, seed, backend, None)
-        }
-        CachePolicy::Dir { dir, shards } => {
-            let mut c = AnalysisCache::load_sharded(dir, *shards);
-            let (results, mut bench) =
-                measure_corpus_cached(corpus, jobs, intra_jobs, seed, backend, Some(&mut c));
-            if let Err(e) = c.persist() {
-                obs::warn!(
-                    "localias-bench: warning: cache not fully written to {}: {e}",
-                    dir.display()
-                );
-            }
-            if let Some(stats) = bench.cache.as_mut() {
-                stats.store = c.store_time();
-                stats.quarantined = c.quarantined();
-                stats.lock_retries = c.lock_retries();
-                stats.lock_skips = c.lock_skips();
-            }
-            (results, bench)
-        }
-    }
+    sweep_with_policy(
+        corpus.iter().enumerate(),
+        corpus.len(),
+        jobs,
+        intra_jobs,
+        seed,
+        backend,
+        policy,
+    )
 }
 
 /// What [`finish_obs`] drained from the run's observability sinks.
@@ -753,34 +709,6 @@ pub fn finish_obs(opts: &CliOpts) -> Result<ObsReport, String> {
     })
 }
 
-/// Runs the whole Section 7 experiment (all available cores, no cache)
-/// and returns per-module results in corpus order.
-pub fn run_experiment(seed: u64) -> Vec<ModuleResult> {
-    run_experiment_timed(seed, 0).0
-}
-
-/// [`run_experiment`] with an explicit thread count (`0` = auto) and
-/// aggregate timing statistics.
-pub fn run_experiment_timed(seed: u64, jobs: usize) -> (Vec<ModuleResult>, ExperimentBench) {
-    let corpus = localias_corpus::generate(seed);
-    measure_corpus_timed(&corpus, jobs, seed)
-}
-
-/// [`run_experiment_timed`] under a [`CachePolicy`]: the incremental
-/// entry point the `experiment`, `summary`, and `fig6` binaries use.
-/// Streams the paper corpus rather than materializing it.
-pub fn run_experiment_cached(
-    seed: u64,
-    jobs: usize,
-    intra_jobs: usize,
-    backend: Backend,
-    policy: &CachePolicy,
-) -> (Vec<ModuleResult>, ExperimentBench) {
-    let stream = CorpusStream::paper(seed);
-    let range = 0..stream.len();
-    measure_stream_with_cache(&stream, range, jobs, intra_jobs, backend, policy)
-}
-
 /// Generates a synthetic program of roughly `n` statements with `k`
 /// explicit `restrict` annotations, for the §4 `O(kn)` checking bench.
 pub fn checking_workload(n: usize, k: usize) -> Module {
@@ -839,7 +767,7 @@ pub fn confine_workload(pairs: usize) -> Module {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use localias_cqual::check_locks;
+    use localias_cqual::check_modes;
 
     #[test]
     fn checking_workload_scales_and_checks() {
@@ -852,8 +780,7 @@ mod tests {
     #[test]
     fn confine_workload_is_fully_recoverable() {
         let m = confine_workload(4);
-        let nc = check_locks(&m, Mode::NoConfine).error_count();
-        let cf = check_locks(&m, Mode::Confine).error_count();
+        let [nc, cf, _] = check_modes(&mut SharedAnalysis::new(&m)).map(|r| r.error_count());
         assert_eq!(nc, 4);
         assert_eq!(cf, 0);
     }

@@ -291,13 +291,19 @@ pub fn merge_partitions(docs: &[(String, String)]) -> Result<ExperimentBench, St
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{measure_stream_cached, CorpusStream};
+    use crate::{measure_stream_with_cache, CachePolicy, CorpusStream};
     use localias_alias::Backend;
+    use std::ops::Range;
+
+    /// An uncached single-threaded sweep of stream positions `range`.
+    fn sweep(stream: &CorpusStream, range: Range<usize>) -> (Vec<ModuleResult>, ExperimentBench) {
+        let disabled = CachePolicy::Disabled;
+        measure_stream_with_cache(stream, range, 1, 1, Backend::Steensgaard, &disabled)
+    }
 
     fn partition_artifact(stream: &CorpusStream, index: usize, count: usize) -> (String, String) {
         let range = stream.partition(index, count);
-        let (results, mut bench) =
-            measure_stream_cached(stream, range, 1, 1, Backend::Steensgaard, None);
+        let (results, mut bench) = sweep(stream, range);
         bench.partition = Some(PartitionInfo {
             index,
             count,
@@ -324,8 +330,7 @@ mod tests {
         let docs: Vec<_> = (0..3).map(|i| partition_artifact(&stream, i, 3)).collect();
         let merged = merge_partitions(&docs).unwrap();
 
-        let (full, full_bench) =
-            measure_stream_cached(&stream, 0..stream.len(), 1, 1, Backend::Steensgaard, None);
+        let (full, full_bench) = sweep(&stream, 0..stream.len());
         assert_eq!(merged.modules, full.len());
         assert_eq!(merged.errors, full_bench.errors);
         assert_eq!(merged.potential, full_bench.potential);
@@ -364,8 +369,7 @@ mod tests {
         let mut docs: Vec<_> = (0..2).map(|i| partition_artifact(&stream, i, 2)).collect();
         docs.reverse();
         let merged = merge_partitions(&docs).unwrap();
-        let (full, _) =
-            measure_stream_cached(&stream, 0..stream.len(), 1, 1, Backend::Steensgaard, None);
+        let (full, _) = sweep(&stream, 0..stream.len());
         let names: Vec<_> = merged
             .results
             .unwrap()
@@ -400,8 +404,7 @@ mod tests {
         assert!(err.contains("json parse error"), "{err}");
 
         // A full (unpartitioned) artifact is rejected up front.
-        let (_, mut bench) =
-            measure_stream_cached(&stream, 0..stream.len(), 1, 1, Backend::Steensgaard, None);
+        let (_, mut bench) = sweep(&stream, 0..stream.len());
         bench.partition = None;
         bench.results = None;
         let err = merge_partitions(&[("full.json".into(), bench.to_json()), p1]).unwrap_err();

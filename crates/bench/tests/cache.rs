@@ -8,8 +8,8 @@
 use localias_alias::Backend;
 use localias_bench::cache::shard_file_name;
 use localias_bench::{
-    measure_corpus_cached, measure_corpus_timed, measure_corpus_with_cache, AnalysisCache,
-    CachePolicy, ModuleResult, ANALYSIS_VERSION,
+    measure_corpus_cached, measure_corpus_with_cache, AnalysisCache, CachePolicy, ModuleResult,
+    ANALYSIS_VERSION,
 };
 use localias_corpus::{generate, GeneratedModule, DEFAULT_SEED};
 use std::path::{Path, PathBuf};
@@ -35,6 +35,12 @@ fn slice() -> Vec<GeneratedModule> {
     let corpus = generate(DEFAULT_SEED);
     assert!(corpus.len() >= PREFIX);
     corpus[..PREFIX].to_vec()
+}
+
+/// The results of an uncached sweep: the reference every cached sweep
+/// must reproduce.
+fn uncached(slice: &[GeneratedModule], seed: u64) -> Vec<ModuleResult> {
+    measure_corpus_cached(slice, 1, 1, seed, Backend::Steensgaard, None).0
 }
 
 /// Renders results the way the report-diffing contract sees them: every
@@ -89,10 +95,6 @@ fn cold_then_warm_is_byte_identical_and_fully_hits() {
         shards.len() > 1,
         "entries persisted across multiple shard files, got {shards:?}"
     );
-    assert!(
-        !dir.join(localias_bench::cache::STORE_FILE).exists(),
-        "no legacy monolithic store is written"
-    );
     assert_eq!(
         shards.iter().map(|p| entry_count(p)).sum::<usize>(),
         PREFIX,
@@ -111,8 +113,7 @@ fn cold_then_warm_is_byte_identical_and_fully_hits() {
     );
 
     // And both must equal an uncached run.
-    let (uncached, _) = measure_corpus_timed(&slice, 1, DEFAULT_SEED);
-    assert_eq!(render(&uncached), render(&warm));
+    assert_eq!(render(&uncached(&slice, DEFAULT_SEED)), render(&warm));
 }
 
 #[test]
@@ -137,7 +138,7 @@ fn perturbing_one_module_invalidates_exactly_one() {
 
     // The mixed warm/miss report must equal a cold, uncached run of the
     // same perturbed corpus.
-    let (cold, _) = measure_corpus_timed(&slice, 1, DEFAULT_SEED);
+    let cold = uncached(&slice, DEFAULT_SEED);
     assert_eq!(render(&cold), render(&warm));
 }
 
@@ -270,7 +271,7 @@ fn truncated_shard_quarantines_only_itself() {
         "exactly the truncated shard's modules re-analyze"
     );
     assert_eq!(stats.quarantined, 1, "only the broken shard quarantines");
-    let (cold, _) = measure_corpus_timed(&slice, 1, DEFAULT_SEED);
+    let cold = uncached(&slice, DEFAULT_SEED);
     assert_eq!(render(&cold), render(&results));
 
     // The re-analysis healed the quarantined shard.
@@ -308,8 +309,8 @@ fn version_mismatched_shards_are_discarded() {
 /// A store written by the PR-2 binary (schema `localias-cache/v1`,
 /// `analysis_version: 1`, named-field entry lines) must be discarded
 /// whole: the checker pipeline changed in v2, so every v1 entry is
-/// potentially stale and none may be served. Under the sharded layout it
-/// is quarantined as a corrupt legacy store.
+/// potentially stale and none may be served. The sharded store never
+/// reads a `store.jsonl` at all.
 #[test]
 fn stale_v1_store_is_discarded_whole() {
     let dir = cache_dir("v1-store");
@@ -327,8 +328,7 @@ fn stale_v1_store_is_discarded_whole() {
             i + 1000
         ));
     }
-    let legacy = dir.join(localias_bench::cache::STORE_FILE);
-    std::fs::write(&legacy, store).unwrap();
+    std::fs::write(dir.join("store.jsonl"), store).unwrap();
 
     let (results, bench) =
         measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, Backend::Steensgaard, &policy);
@@ -338,15 +338,7 @@ fn stale_v1_store_is_discarded_whole() {
         (0, PREFIX),
         "every stale v1 entry must be discarded, none served"
     );
-    assert!(!legacy.exists(), "stale legacy store quarantined away");
-    let (cold, _) = measure_corpus_timed(&slice, 1, DEFAULT_SEED);
-    assert_eq!(render(&cold), render(&results));
-
-    // The sweep replaced the stale store with a current sharded one.
-    let (_, bench) =
-        measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, Backend::Steensgaard, &policy);
-    let stats = bench.cache.expect("cache stats present");
-    assert_eq!((stats.hits, stats.misses), (PREFIX, 0));
+    assert_eq!(render(&uncached(&slice, DEFAULT_SEED)), render(&results));
 }
 
 /// `--cache-shards 1` degenerates to a single shard file and still
@@ -441,7 +433,7 @@ fn perturbed_seed_reports_match_a_cold_run() {
         Backend::Steensgaard,
         &policy,
     );
-    let (cold, _) = measure_corpus_timed(&slice_b, 1, DEFAULT_SEED + 1);
+    let cold = uncached(&slice_b, DEFAULT_SEED + 1);
     assert_eq!(render(&cold), render(&via_cache));
 }
 
@@ -541,6 +533,6 @@ fn concurrent_disjoint_sweeps_lose_no_entries() {
         "both children's entries must survive concurrent persists"
     );
     assert_eq!(stats.quarantined, 0, "no shard was harmed in the race");
-    let (cold, _) = measure_corpus_timed(&slice, 1, DEFAULT_SEED);
+    let cold = uncached(&slice, DEFAULT_SEED);
     assert_eq!(render(&cold), render(&warm), "union serves exact results");
 }

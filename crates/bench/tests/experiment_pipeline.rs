@@ -2,60 +2,53 @@
 //! analysis-reuse path must report exactly what three independent runs of
 //! `check_locks` report, and the parallel runner must be deterministic.
 
-use localias_bench::{measure_corpus, ModuleResult};
-use localias_corpus::{generate, DEFAULT_SEED};
-use localias_cqual::{check_locks, Mode};
+use localias_alias::Backend;
+use localias_bench::{measure_corpus_cached, ModuleResult};
+use localias_core::SharedAnalysis;
+use localias_corpus::{generate, GeneratedModule, DEFAULT_SEED};
+use localias_cqual::{check_locks, check_modes, LockReport, MODES};
 
 /// How many corpus modules the equivalence test walks. Enough to cover
 /// every generator archetype (clean, spurious-weak, real-bug, confine,
 /// and the Figure 6/7 replicas all appear well inside this prefix).
 const PREFIX: usize = 25;
 
-/// The shared-analysis fast path must be observationally identical to
-/// three independent `check_locks` pipelines — not just the same error
-/// *counts*, but byte-identical rendered reports, error for error.
+/// An uncached sweep of `slice` on `jobs` worker threads.
+fn sweep(slice: &[GeneratedModule], jobs: usize) -> Vec<ModuleResult> {
+    measure_corpus_cached(slice, jobs, 1, DEFAULT_SEED, Backend::Steensgaard, None).0
+}
+
+/// The sweep's phase-timed path must count exactly the errors of
+/// [`check_modes`], module for module.
 #[test]
-fn shared_analysis_matches_independent_pipelines() {
+fn sweep_matches_check_modes() {
     let corpus = generate(DEFAULT_SEED);
     assert!(corpus.len() >= PREFIX);
 
-    for m in &corpus[..PREFIX] {
+    for (m, r) in corpus[..PREFIX].iter().zip(sweep(&corpus[..PREFIX], 1)) {
         let parsed = m.parse();
-        let shared = ModuleResult::measure(m);
-
-        for (mode, got) in [
-            (Mode::NoConfine, shared.no_confine),
-            (Mode::Confine, shared.confine),
-            (Mode::AllStrong, shared.all_strong),
-        ] {
-            let independent = check_locks(&parsed, mode);
-            assert_eq!(
-                got,
-                independent.error_count(),
-                "module {} mode {:?}: shared pipeline disagrees with check_locks",
-                m.name,
-                mode
-            );
-        }
+        let [nc, cf, st] = check_modes(&mut SharedAnalysis::new(&parsed)).map(|r| r.error_count());
+        assert_eq!(
+            (r.no_confine, r.confine, r.all_strong),
+            (nc, cf, st),
+            "module {}: the sweep disagrees with check_modes",
+            m.name
+        );
     }
 }
 
-/// The rendered error text must also match, so diagnostics (not just
-/// counts) are unaffected by analysis sharing. `ModuleResult` keeps only
-/// counts, so this re-runs the shared path at the report level.
+/// The shared-analysis path must be observationally identical to three
+/// independent `check_locks` pipelines — not just the same error
+/// *counts*, but byte-identical rendered reports, error for error.
 #[test]
 fn shared_analysis_reports_are_byte_identical() {
-    use localias_core::SharedAnalysis;
-    use localias_cqual::check_locks_shared;
-
     let corpus = generate(DEFAULT_SEED);
     for m in &corpus[..PREFIX] {
         let parsed = m.parse();
-        let mut shared = SharedAnalysis::new(&parsed);
-        for mode in [Mode::NoConfine, Mode::AllStrong, Mode::Confine] {
-            let a = check_locks_shared(&mut shared, mode);
+        let shared = check_modes(&mut SharedAnalysis::new(&parsed));
+        for (mode, a) in MODES.into_iter().zip(&shared) {
             let b = check_locks(&parsed, mode);
-            let render = |r: &localias_cqual::LockReport| {
+            let render = |r: &LockReport| {
                 let mut s = format!("{r}\n");
                 for e in &r.errors {
                     s.push_str(&format!("{e}\n"));
@@ -63,7 +56,7 @@ fn shared_analysis_reports_are_byte_identical() {
                 s
             };
             assert_eq!(
-                render(&a),
+                render(a),
                 render(&b),
                 "module {} mode {:?}: rendered reports differ",
                 m.name,
@@ -83,8 +76,8 @@ fn parallel_runner_is_deterministic() {
     // stealing loop enough items to interleave on.
     let slice = &corpus[..60.min(corpus.len())];
 
-    let seq = measure_corpus(slice, 1);
-    let par = measure_corpus(slice, 8);
+    let seq = sweep(slice, 1);
+    let par = sweep(slice, 8);
 
     assert_eq!(seq.len(), par.len());
     for (a, b) in seq.iter().zip(&par) {

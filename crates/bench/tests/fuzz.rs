@@ -3,12 +3,15 @@
 //! a deliberately broken checker is caught as unsound and shrunk to a
 //! deterministic, 1-minimal counterexample.
 
+use localias_alias::Backend;
 use localias_ast::{parse_module, pretty, Module};
 use localias_bench::fuzz::{
     real_static_matrix, run_fuzz, run_fuzz_with, shrink_source, DivergenceKind, FuzzConfig,
     StaticMatrix,
 };
+use localias_core::SharedAnalysis;
 use localias_corpus::fuzz_module;
+use localias_cqual::{check_locks_frozen, MODES};
 
 fn cfg(iterations: u64, shrink: bool) -> FuzzConfig {
     FuzzConfig {
@@ -67,6 +70,25 @@ fn real_checker_survives_a_fuzz_sweep() {
 
 /// A checker that sees nothing: every report empty under every mode
 /// and backend. The fuzzer must convict it.
+/// The fuzzer's matrix shares one analysis per module across both
+/// backends, re-freezing it for Andersen. It must report exactly what a
+/// fresh analysis per backend reports.
+#[test]
+fn shared_static_matrix_equals_fresh_analyses_per_backend() {
+    for i in 0..200 {
+        let fm = fuzz_module(42, i);
+        let m = parse_module(&fm.name, &fm.source).expect("fuzz module parses");
+        let fresh = Backend::ALL.map(|backend| {
+            let mut shared = SharedAnalysis::new_with_backend(&m, backend);
+            MODES.map(|mode| {
+                let (analysis, frozen) = mode.analysis(&mut shared);
+                check_locks_frozen(&m, analysis, frozen, mode, 1)
+            })
+        });
+        assert_eq!(real_static_matrix(&m).0, fresh, "{}", fm.name);
+    }
+}
+
 fn blind_checker(_m: &Module) -> StaticMatrix {
     StaticMatrix::default()
 }

@@ -1,11 +1,9 @@
 //! Integration tests for the intra-module (wave-parallel) checking
 //! pipeline on the synthesized mega-module.
 
-use localias_bench::ModuleResult;
+use localias_core::SharedAnalysis;
 use localias_corpus::mega_module;
-use localias_cqual::{check_locks_shared_jobs, check_locks_shared_timed, Mode};
-
-const MODES: [Mode; 3] = [Mode::NoConfine, Mode::Confine, Mode::AllStrong];
+use localias_cqual::{check_locks_frozen, check_locks_frozen_timed, check_modes, Mode, MODES};
 
 #[test]
 fn mega_module_generator_is_deterministic() {
@@ -18,9 +16,10 @@ fn mega_module_generator_is_deterministic() {
 #[test]
 fn mega_module_matches_its_expected_triple() {
     let m = mega_module(20030609, 60);
-    let r = ModuleResult::measure(&m);
+    let parsed = m.parse();
+    let [nc, cf, st] = check_modes(&mut SharedAnalysis::new(&parsed)).map(|r| r.error_count());
     assert_eq!(
-        (r.no_confine, r.confine, r.all_strong),
+        (nc, cf, st),
         (m.expect.no_confine, m.expect.confine, m.expect.all_strong),
         "mega-module error triple"
     );
@@ -32,13 +31,13 @@ fn mega_module_matches_its_expected_triple() {
 fn mega_module_reports_are_thread_invariant() {
     let m = mega_module(20030609, 60);
     let parsed = m.parse();
-    for mode in MODES {
-        let mut shared = localias_core::SharedAnalysis::new(&parsed);
-        let sequential = check_locks_shared_jobs(&mut shared, mode, 1);
+    let mut shared = SharedAnalysis::new(&parsed);
+    let all = check_modes(&mut shared);
+    for (mode, sequential) in MODES.into_iter().zip(&all) {
         for jobs in [0, 2, 4, 8] {
-            let mut shared = localias_core::SharedAnalysis::new(&parsed);
-            let parallel = check_locks_shared_jobs(&mut shared, mode, jobs);
-            assert_eq!(parallel, sequential, "{mode:?} at intra_jobs={jobs}");
+            let (analysis, frozen) = mode.analysis(&mut shared);
+            let parallel = check_locks_frozen(&parsed, analysis, frozen, mode, jobs);
+            assert_eq!(&parallel, sequential, "{mode:?} at intra_jobs={jobs}");
         }
     }
 }
@@ -50,8 +49,9 @@ fn mega_module_reports_are_thread_invariant() {
 fn mega_module_wave_stats_cover_every_function() {
     let m = mega_module(20030609, 60);
     let parsed = m.parse();
-    let mut shared = localias_core::SharedAnalysis::new(&parsed);
-    let (report, stats) = check_locks_shared_timed(&mut shared, Mode::NoConfine, 4);
+    let mut shared = SharedAnalysis::new(&parsed);
+    let (analysis, frozen) = Mode::NoConfine.analysis(&mut shared);
+    let (report, stats) = check_locks_frozen_timed(&parsed, analysis, frozen, Mode::NoConfine, 4);
     assert_eq!(stats.functions, 60);
     let waved: usize = stats.waves.iter().map(|w| w.functions).sum();
     assert_eq!(waved, 60, "each function in exactly one wave");

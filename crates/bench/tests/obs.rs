@@ -11,8 +11,11 @@
 //! enable collection would observe each other.
 
 use localias_alias::Backend;
-use localias_bench::{measure_corpus_cached, ModuleResult};
-use localias_corpus::{generate, mega_module, DEFAULT_SEED};
+use localias_bench::fuzz::{run_fuzz, FuzzConfig};
+use localias_bench::{measure_corpus_cached, AnalysisCache, ModuleResult};
+use localias_core::SharedAnalysis;
+use localias_corpus::{generate, mega_module, GeneratedModule, DEFAULT_SEED};
+use localias_cqual::check_modes;
 use localias_obs as obs;
 
 /// Corpus prefix the determinism sweep runs; enough modules for the
@@ -33,6 +36,19 @@ fn traced_sweep(
     obs::disable_metrics();
     obs::disable_spans();
     trace
+}
+
+/// The sweep's measurement of one module, uncached and single-threaded.
+fn measure(m: &GeneratedModule) -> ModuleResult {
+    let (mut results, _) = measure_corpus_cached(
+        std::slice::from_ref(m),
+        1,
+        1,
+        DEFAULT_SEED,
+        Backend::Steensgaard,
+        None,
+    );
+    results.remove(0)
 }
 
 /// The pinned acceptance criterion: counter totals and the normalized
@@ -88,7 +104,7 @@ fn mega_module_counters_match_closed_form() {
     let _l = obs::test_lock();
     obs::enable_all();
     let _ = obs::drain();
-    let r = ModuleResult::measure(&m);
+    let r = measure(&m);
     let trace = obs::drain();
     obs::disable_metrics();
     obs::disable_spans();
@@ -174,13 +190,52 @@ fn repeated_runs_count_identically() {
     for _ in 0..2 {
         obs::enable_all();
         let _ = obs::drain();
-        let _ = ModuleResult::measure(&m);
+        let _ = measure(&m);
         let t = obs::drain();
         obs::disable_metrics();
         obs::disable_spans();
         shapes.push(t.normalized());
     }
     assert_eq!(shapes[0], shapes[1]);
+}
+
+/// Analyses each entry point runs per module: two for a three-mode check
+/// and for a sweep miss (no-confine and all-strong share the base
+/// analysis), three for a fuzz module (the Theorem-1 gate, then the base
+/// and confine analyses both alias backends share).
+#[test]
+fn analyses_per_module_are_pinned() {
+    let m = mega_module(7, 30);
+    let parsed = m.parse();
+    let analyses = |work: &dyn Fn()| {
+        obs::enable_all();
+        let _ = obs::drain();
+        work();
+        let trace = obs::drain();
+        obs::disable_metrics();
+        obs::disable_spans();
+        trace.counter(obs::Counter::ModulesAnalyzed)
+    };
+    let dir = std::env::temp_dir().join(format!("localias-obs-miss-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let miss = || {
+        let mut cache = AnalysisCache::load(&dir);
+        let slice = std::slice::from_ref(&m);
+        let (_, bench) =
+            measure_corpus_cached(slice, 1, 1, 7, Backend::Steensgaard, Some(&mut cache));
+        assert_eq!(bench.cache.map(|c| c.misses), Some(1));
+    };
+    let fuzz = FuzzConfig {
+        iterations: 1,
+        shrink: false,
+        ..FuzzConfig::default()
+    };
+
+    let _l = obs::test_lock();
+    let modes = analyses(&|| drop(check_modes(&mut SharedAnalysis::new(&parsed))));
+    assert_eq!(modes, 2, "check_modes");
+    assert_eq!(analyses(&miss), 2, "sweep miss");
+    assert_eq!(analyses(&|| drop(run_fuzz(&fuzz))), 3, "fuzz module");
 }
 
 /// End to end through the file format: a real trace renders to JSON

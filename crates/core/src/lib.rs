@@ -166,7 +166,7 @@ impl Analysis {
     /// touching classes that hold a [`Analysis::pinned_locs`] key.
     pub fn freeze_with(&mut self, backend: Backend, m: &Module) -> FrozenLocs {
         let pinned = self.pinned_locs(m);
-        backend.dispatch().freeze(m, &mut self.state, &pinned)
+        backend.freeze(m, &mut self.state, &pinned)
     }
 
     /// `true` if every explicit annotation checked and the module has no

@@ -582,7 +582,8 @@ mod tests {
     /// the experiment itself — `localias-bench`'s `summary` binary.)
     #[test]
     fn measured_counts_match_expectations_on_a_sample() {
-        use localias_cqual::{check_locks, Mode};
+        use localias_core::SharedAnalysis;
+        use localias_cqual::check_modes;
         let corpus = generate(DEFAULT_SEED);
         let mut checked = [0usize; 4];
         for m in &corpus {
@@ -597,9 +598,8 @@ mod tests {
             }
             checked[slot] += 1;
             let parsed = m.parse();
-            let nc = check_locks(&parsed, Mode::NoConfine).error_count();
-            let cf = check_locks(&parsed, Mode::Confine).error_count();
-            let as_ = check_locks(&parsed, Mode::AllStrong).error_count();
+            let [nc, cf, as_] =
+                check_modes(&mut SharedAnalysis::new(&parsed)).map(|r| r.error_count());
             assert_eq!(
                 (nc, cf, as_),
                 (m.expect.no_confine, m.expect.confine, m.expect.all_strong),

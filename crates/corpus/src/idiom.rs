@@ -837,7 +837,8 @@ mod tests {
 
     #[test]
     fn adversarial_triples_match_the_real_analyses() {
-        use localias_cqual::{check_locks, Mode};
+        use localias_core::SharedAnalysis;
+        use localias_cqual::check_modes;
         let samples = [
             ("rwlock_pair", rwlock_pair("t")),
             ("rwlock_bad_downgrade", rwlock_bad_downgrade("t")),
@@ -854,11 +855,8 @@ mod tests {
         for (name, s) in &samples {
             let m = localias_ast::parse_module("m", &s.source)
                 .unwrap_or_else(|e| panic!("{name} failed to parse: {e}\n{}", s.source));
-            let got = (
-                check_locks(&m, Mode::NoConfine).error_count(),
-                check_locks(&m, Mode::Confine).error_count(),
-                check_locks(&m, Mode::AllStrong).error_count(),
-            );
+            let [nc, cf, st] = check_modes(&mut SharedAnalysis::new(&m)).map(|r| r.error_count());
+            let got = (nc, cf, st);
             let want = (s.expect.no_confine, s.expect.confine, s.expect.all_strong);
             assert_eq!(got, want, "{name} triple");
         }

@@ -370,13 +370,11 @@ mod tests {
 
     /// Runs the real checker and asserts the module's `expect` triple.
     fn assert_triple(m: &GeneratedModule) {
-        use localias_cqual::{check_locks, Mode};
         let parsed = m.parse();
-        let got = (
-            check_locks(&parsed, Mode::NoConfine).error_count(),
-            check_locks(&parsed, Mode::Confine).error_count(),
-            check_locks(&parsed, Mode::AllStrong).error_count(),
-        );
+        let [nc, cf, st] =
+            localias_cqual::check_modes(&mut localias_core::SharedAnalysis::new(&parsed))
+                .map(|r| r.error_count());
+        let got = (nc, cf, st);
         let want = (m.expect.no_confine, m.expect.confine, m.expect.all_strong);
         assert_eq!(got, want, "{}", m.name);
     }

@@ -29,7 +29,7 @@ use crate::report::LockReport;
 use crate::summary::Summaries;
 use localias_alias::FrozenLocs;
 use localias_ast::{FunDef, Module};
-use localias_core::Analysis;
+use localias_core::{Analysis, SharedAnalysis};
 use localias_obs as obs;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -47,6 +47,23 @@ pub enum Mode {
     /// amount of confining could recover.
     AllStrong,
 }
+
+impl Mode {
+    /// The analysis this mode checks against, with its frozen snapshot,
+    /// computed on first use by `shared`: the base analysis for
+    /// `NoConfine` and `AllStrong`, the confine-inference analysis for
+    /// `Confine`.
+    pub fn analysis<'s>(self, shared: &'s mut SharedAnalysis) -> (&'s Analysis, &'s FrozenLocs) {
+        match self {
+            Mode::Confine => shared.confine_frozen(),
+            Mode::NoConfine | Mode::AllStrong => shared.base_frozen(),
+        }
+    }
+}
+
+/// The three experiment modes, in report order (matching the corpus
+/// `Expected` triple: no-confine, confine, all-strong).
+pub const MODES: [Mode; 3] = [Mode::NoConfine, Mode::Confine, Mode::AllStrong];
 
 /// Per-wave execution record of one checker run.
 #[derive(Debug, Clone)]
@@ -83,61 +100,27 @@ impl IntraStats {
 /// Checks the locking behaviour of `m` under `mode`, running the
 /// appropriate `localias-core` analysis first.
 pub fn check_locks(m: &Module, mode: Mode) -> LockReport {
-    let mut shared = localias_core::SharedAnalysis::new(m);
-    check_locks_shared(&mut shared, mode)
+    check_mode(&mut SharedAnalysis::new(m), mode)
 }
 
-/// Checks locking under `mode`, reusing (and lazily filling) the shared
-/// per-module analysis cache. Sequential; see
-/// [`check_locks_shared_jobs`] for the wave-parallel variant.
-pub fn check_locks_shared(shared: &mut localias_core::SharedAnalysis, mode: Mode) -> LockReport {
-    check_locks_shared_jobs(shared, mode, 1)
-}
-
-/// Checks locking under `mode` with up to `intra_jobs` worker threads
-/// per wave (`0` = one per available core), reusing the shared
-/// per-module analysis cache.
+/// Checks the module of `shared` in all three modes, in [`MODES`] order,
+/// sequentially.
 ///
 /// `Mode::NoConfine` and `Mode::AllStrong` both consume the base
 /// analysis; `Mode::Confine` consumes the confine-inference analysis.
-/// The checker reads the analysis only through its frozen location
-/// snapshot, so one cached analysis serves any number of modes and
-/// produces byte-identical reports to fresh per-mode runs — at any
-/// thread count.
-pub fn check_locks_shared_jobs(
-    shared: &mut localias_core::SharedAnalysis,
-    mode: Mode,
-    intra_jobs: usize,
-) -> LockReport {
-    let m = shared.module();
-    let (analysis, frozen) = match mode {
-        Mode::Confine => shared.confine_frozen(),
-        Mode::NoConfine | Mode::AllStrong => shared.base_frozen(),
-    };
-    check_locks_frozen(m, analysis, frozen, mode, intra_jobs)
+/// The checker reads an analysis only through its frozen location
+/// snapshot, so the memoized analyses of `shared` serve every mode (two
+/// analyses per module, not three) and the reports are byte-identical to
+/// fresh per-mode [`check_locks`] runs.
+pub fn check_modes(shared: &mut SharedAnalysis) -> [LockReport; 3] {
+    MODES.map(|mode| check_mode(shared, mode))
 }
 
-/// Like [`check_locks_shared_jobs`], also returning per-wave execution
-/// statistics.
-pub fn check_locks_shared_timed(
-    shared: &mut localias_core::SharedAnalysis,
-    mode: Mode,
-    intra_jobs: usize,
-) -> (LockReport, IntraStats) {
+/// One mode's check against the analysis `shared` memoizes for it.
+fn check_mode(shared: &mut SharedAnalysis, mode: Mode) -> LockReport {
     let m = shared.module();
-    let (analysis, frozen) = match mode {
-        Mode::Confine => shared.confine_frozen(),
-        Mode::NoConfine | Mode::AllStrong => shared.base_frozen(),
-    };
-    check_locks_frozen_timed(m, analysis, frozen, mode, intra_jobs)
-}
-
-/// Checks locking given an already-computed analysis (the caller decides
-/// whether it includes confine inference). Freezes the location table,
-/// then runs the sequential schedule.
-pub fn check_locks_with(m: &Module, analysis: &mut Analysis, mode: Mode) -> LockReport {
-    let frozen = analysis.freeze();
-    check_locks_frozen(m, analysis, &frozen, mode, 1)
+    let (analysis, frozen) = mode.analysis(shared);
+    check_locks_frozen(m, analysis, frozen, mode, 1)
 }
 
 /// Checks locking against a frozen analysis with up to `intra_jobs`
@@ -290,6 +273,7 @@ pub(crate) fn resolve_jobs(jobs: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use localias_alias::Backend;
 
     #[test]
     fn resolve_jobs_zero_is_auto() {
@@ -298,7 +282,7 @@ mod tests {
     }
 
     #[test]
-    fn frozen_checker_matches_shared_entrypoints() {
+    fn check_modes_matches_per_mode_checks_at_any_thread_count() {
         let m = localias_ast::parse_module(
             "t",
             r#"
@@ -309,12 +293,14 @@ mod tests {
             "#,
         )
         .expect("parse");
-        for mode in [Mode::NoConfine, Mode::Confine, Mode::AllStrong] {
-            let base = check_locks(&m, mode);
-            for jobs in [1, 2, 8] {
-                let mut shared = localias_core::SharedAnalysis::new(&m);
-                let got = check_locks_shared_jobs(&mut shared, mode, jobs);
-                assert_eq!(got, base, "{mode:?} jobs={jobs}");
+        let mut shared = SharedAnalysis::new(&m);
+        let all = check_modes(&mut shared);
+        for (mode, got) in MODES.into_iter().zip(&all) {
+            assert_eq!(got, &check_locks(&m, mode), "{mode:?}");
+            for jobs in [2, 8] {
+                let (analysis, frozen) = mode.analysis(&mut shared);
+                let parallel = check_locks_frozen(&m, analysis, frozen, mode, jobs);
+                assert_eq!(&parallel, got, "{mode:?} jobs={jobs}");
             }
         }
     }
@@ -340,7 +326,7 @@ mod tests {
             "#,
         )
         .expect("parse");
-        for mode in [Mode::NoConfine, Mode::Confine, Mode::AllStrong] {
+        for mode in MODES {
             let mut a = localias_core::check(&m);
             let frozen = a.freeze();
             let base = check_locks_frozen(&m, &a, &frozen, mode, 1);
@@ -368,7 +354,7 @@ mod tests {
     /// The Steensgaard backend selected explicitly through
     /// [`SharedAnalysis::new_with_backend`](localias_core::SharedAnalysis::new_with_backend)
     /// is byte-identical to the historical default path, across all three
-    /// modes and several worker counts.
+    /// modes.
     #[test]
     fn steensgaard_backend_reports_are_byte_identical() {
         let m = localias_ast::parse_module(
@@ -382,17 +368,9 @@ mod tests {
             "#,
         )
         .expect("parse");
-        for mode in [Mode::NoConfine, Mode::Confine, Mode::AllStrong] {
-            let base = check_locks(&m, mode);
-            for jobs in [1, 2, 8] {
-                let mut shared = localias_core::SharedAnalysis::new_with_backend(
-                    &m,
-                    localias_alias::Backend::Steensgaard,
-                );
-                let got = check_locks_shared_jobs(&mut shared, mode, jobs);
-                assert_eq!(got, base, "{mode:?} jobs={jobs}");
-            }
-        }
+        let mut shared = SharedAnalysis::new_with_backend(&m, Backend::Steensgaard);
+        let got = check_modes(&mut shared);
+        assert_eq!(got, MODES.map(|mode| check_locks(&m, mode)));
     }
 
     /// End-to-end precision win: on a module where unification conflates
@@ -421,20 +399,11 @@ mod tests {
             "#,
         )
         .expect("parse");
-        let steens = {
-            let mut shared = localias_core::SharedAnalysis::new_with_backend(
-                &m,
-                localias_alias::Backend::Steensgaard,
-            );
-            check_locks_shared_jobs(&mut shared, Mode::NoConfine, 1)
-        };
-        let anders = {
-            let mut shared = localias_core::SharedAnalysis::new_with_backend(
-                &m,
-                localias_alias::Backend::Andersen,
-            );
-            check_locks_shared_jobs(&mut shared, Mode::NoConfine, 1)
-        };
+        // `check_modes` runs every mode, so the refined classes must not
+        // break the other two either.
+        let [steens, ..] = check_modes(&mut SharedAnalysis::new(&m));
+        let [anders, ..] =
+            check_modes(&mut SharedAnalysis::new_with_backend(&m, Backend::Andersen));
         assert!(
             steens.error_count() > 0,
             "Steensgaard should conflate a with b and report weak-update errors"
@@ -445,13 +414,5 @@ mod tests {
             anders.error_count(),
             steens.error_count()
         );
-        // The refined classes must not break the other checker modes.
-        for mode in [Mode::Confine, Mode::AllStrong] {
-            let mut shared = localias_core::SharedAnalysis::new_with_backend(
-                &m,
-                localias_alias::Backend::Andersen,
-            );
-            let _ = check_locks_shared_jobs(&mut shared, mode, 1);
-        }
     }
 }

@@ -50,7 +50,7 @@
 //! answered from the cached reports without even parsing.
 
 use crate::callgraph::CallGraph;
-use crate::flow::{check_wave_parallel, resolve_jobs, Mode};
+use crate::flow::{check_wave_parallel, resolve_jobs, Mode, MODES};
 use crate::fx::{FxHashMap, FxHashSet};
 use crate::intra::{check_function, CheckContext, FunOutcome};
 use crate::report::{LockError, LockReport};
@@ -81,10 +81,6 @@ impl LocMap {
         self.map.get(l.index()).copied().flatten()
     }
 }
-
-/// The three experiment modes, in report order (matching the corpus
-/// `Expected` triple: no-confine, confine, all-strong).
-pub const MODES: [Mode; 3] = [Mode::NoConfine, Mode::Confine, Mode::AllStrong];
 
 /// Execution statistics of one [`IncrementalSession::analyze`] call.
 ///
@@ -1269,12 +1265,12 @@ impl IncrementalSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flow::check_locks;
+    use crate::flow::check_modes;
 
     /// Full-pipeline reports for `source`, in [`MODES`] order.
     fn full_reports(source: &str) -> [LockReport; 3] {
         let m = parse_module("m", source).expect("parse");
-        MODES.map(|mode| check_locks(&m, mode))
+        check_modes(&mut SharedAnalysis::new(&m))
     }
 
     /// Drives `sources` through a session at each thread count, asserting

@@ -49,11 +49,10 @@ mod summary;
 
 pub use callgraph::CallGraph;
 pub use flow::{
-    check_locks, check_locks_frozen, check_locks_frozen_timed, check_locks_shared,
-    check_locks_shared_jobs, check_locks_shared_timed, check_locks_with, IntraStats, Mode,
-    WaveStat,
+    check_locks, check_locks_frozen, check_locks_frozen_timed, check_modes, IntraStats, Mode,
+    WaveStat, MODES,
 };
-pub use incremental::{IncrOutcome, IncrStats, IncrementalSession, MODES};
+pub use incremental::{IncrOutcome, IncrStats, IncrementalSession};
 pub use qual::LockState;
 pub use report::{LockError, LockOp, LockReport};
 pub use store::{strong_updatable, Store};

@@ -5,7 +5,8 @@
 
 use localias_ast::parse_module;
 use localias_ast::Module;
-use localias_cqual::{check_locks, Mode};
+use localias_core::SharedAnalysis;
+use localias_cqual::{check_locks, check_modes, Mode};
 
 fn parse(src: &str) -> Module {
     parse_module("test", src).expect("parse")
@@ -13,11 +14,8 @@ fn parse(src: &str) -> Module {
 
 fn counts(src: &str) -> (usize, usize, usize) {
     let m = parse(src);
-    (
-        check_locks(&m, Mode::NoConfine).error_count(),
-        check_locks(&m, Mode::Confine).error_count(),
-        check_locks(&m, Mode::AllStrong).error_count(),
-    )
+    let [nc, cf, st] = check_modes(&mut SharedAnalysis::new(&m)).map(|r| r.error_count());
+    (nc, cf, st)
 }
 
 #[test]

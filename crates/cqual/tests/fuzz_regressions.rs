@@ -4,7 +4,8 @@
 //! fuzzer produced and pins the post-fix static verdict.
 
 use localias_ast::parse_module;
-use localias_cqual::{check_locks, LockState, Mode, MODES};
+use localias_core::SharedAnalysis;
+use localias_cqual::{check_modes, LockState, MODES};
 
 /// The recursion-havoc soundness hole (fixed in `store.rs`): a call
 /// into a recursive cycle havocs the caller's store, but havoc used to
@@ -35,8 +36,8 @@ void b(int n) {
 "#,
     )
     .unwrap();
-    for mode in MODES {
-        let r = check_locks(&m, mode);
+    let reports = check_modes(&mut SharedAnalysis::new(&m));
+    for (mode, r) in MODES.into_iter().zip(reports) {
         assert_eq!(
             r.error_count(),
             1,
@@ -78,8 +79,8 @@ void outside(int n) {
 "#,
     )
     .unwrap();
-    for mode in MODES {
-        let r = check_locks(&m, mode);
+    let reports = check_modes(&mut SharedAnalysis::new(&m));
+    for (mode, r) in MODES.into_iter().zip(reports) {
         assert!(
             r.errors
                 .iter()
@@ -111,8 +112,8 @@ void clean() {
 "#,
     )
     .unwrap();
-    for mode in MODES {
-        let r = check_locks(&m, mode);
+    let reports = check_modes(&mut SharedAnalysis::new(&m));
+    for (mode, r) in MODES.into_iter().zip(reports) {
         assert!(
             r.errors.iter().all(|e| e.fun != "clean"),
             "{mode:?}: functions that never reach the cycle keep their precision"
@@ -140,8 +141,8 @@ void f(int n) {
 "#,
     )
     .unwrap();
-    for mode in [Mode::NoConfine, Mode::Confine, Mode::AllStrong] {
-        let r = check_locks(&m, mode);
+    let reports = check_modes(&mut SharedAnalysis::new(&m));
+    for (mode, r) in MODES.into_iter().zip(reports) {
         assert!(
             r.errors.iter().any(|e| e.found == LockState::Top),
             "{mode:?}: the post-recursion re-acquire sees ⊤"

@@ -3,7 +3,8 @@
 
 use localias_ast::parse_module;
 use localias_ast::Module;
-use localias_cqual::{check_locks, LockOp, Mode};
+use localias_core::SharedAnalysis;
+use localias_cqual::{check_locks, check_locks_frozen, check_modes, LockOp, Mode};
 
 fn parse(src: &str) -> Module {
     parse_module("test", src).expect("parse")
@@ -12,11 +13,8 @@ fn parse(src: &str) -> Module {
 /// `(no-confine, confine-inference, all-strong)` error counts.
 fn counts(src: &str) -> (usize, usize, usize) {
     let m = parse(src);
-    (
-        check_locks(&m, Mode::NoConfine).error_count(),
-        check_locks(&m, Mode::Confine).error_count(),
-        check_locks(&m, Mode::AllStrong).error_count(),
-    )
+    let [nc, cf, st] = check_modes(&mut SharedAnalysis::new(&m)).map(|r| r.error_count());
+    (nc, cf, st)
 }
 
 #[test]
@@ -332,7 +330,8 @@ fn inferred_param_restricts_enable_strong_updates() {
     assert!(check_locks(&m, Mode::NoConfine).error_count() > 0);
 
     let mut analysis = localias_core::infer_param_restricts(&m);
-    let r = localias_cqual::check_locks_with(&m, &mut analysis, Mode::NoConfine);
+    let frozen = analysis.freeze();
+    let r = check_locks_frozen(&m, &analysis, &frozen, Mode::NoConfine, 1);
     assert_eq!(
         r.error_count(),
         0,

@@ -14,9 +14,10 @@
 //!    functions downstream of a cycle).
 
 use localias_ast::parse_module;
-use localias_cqual::{check_locks, check_locks_shared_jobs, LockOp, LockReport, LockState, Mode};
-
-const MODES: [Mode; 3] = [Mode::NoConfine, Mode::Confine, Mode::AllStrong];
+use localias_core::SharedAnalysis;
+use localias_cqual::{
+    check_locks, check_locks_frozen, check_modes, LockOp, LockReport, LockState, MODES,
+};
 
 /// A report projected onto definition-order-independent data.
 type Shape = (Vec<(String, LockOp, LockState)>, usize);
@@ -41,19 +42,14 @@ fn check_all_orders(fragments: &[&str]) {
         (0..n).map(|i| (i + 1) % n).collect(),
         (0..n).map(|i| (i + n / 2) % n).collect(),
     ];
-    for mode in MODES {
-        let mut baseline: Option<Shape> = None;
-        for (k, ord) in orderings.iter().enumerate() {
-            let src: String = ord.iter().map(|&i| fragments[i]).collect();
-            let m = parse_module("shuffled", &src).expect("parse");
-            let report = check_locks(&m, mode);
-            let got = shape(&report);
-            match &baseline {
-                None => baseline = Some(got),
-                Some(want) => {
-                    assert_eq!(&got, want, "{mode:?}, ordering #{k}");
-                }
-            }
+    let mut baseline: Option<[Shape; 3]> = None;
+    for (k, ord) in orderings.iter().enumerate() {
+        let src: String = ord.iter().map(|&i| fragments[i]).collect();
+        let m = parse_module("shuffled", &src).expect("parse");
+        let got = check_modes(&mut SharedAnalysis::new(&m)).map(|r| shape(&r));
+        match &baseline {
+            None => baseline = Some(got),
+            Some(want) => assert_eq!(&got, want, "ordering #{k}"),
         }
     }
 }
@@ -104,15 +100,15 @@ fn thread_count_never_changes_the_report() {
         void top(int i) { mid1(i); mid2(i); }
     "#;
     let m = parse_module("threads", src).expect("parse");
-    for mode in MODES {
-        let mut shared = localias_core::SharedAnalysis::new(&m);
-        let sequential = check_locks_shared_jobs(&mut shared, mode, 1);
+    let mut shared = SharedAnalysis::new(&m);
+    let all = check_modes(&mut shared);
+    for (mode, sequential) in MODES.into_iter().zip(&all) {
         // Entry points agree: the one-shot path equals the shared path.
-        assert_eq!(check_locks(&m, mode), sequential, "{mode:?} one-shot");
+        assert_eq!(&check_locks(&m, mode), sequential, "{mode:?} one-shot");
         for jobs in [0, 2, 3, 8, 16] {
-            let mut shared = localias_core::SharedAnalysis::new(&m);
-            let parallel = check_locks_shared_jobs(&mut shared, mode, jobs);
-            assert_eq!(parallel, sequential, "{mode:?} at intra_jobs={jobs}");
+            let (analysis, frozen) = mode.analysis(&mut shared);
+            let parallel = check_locks_frozen(&m, analysis, frozen, mode, jobs);
+            assert_eq!(&parallel, sequential, "{mode:?} at intra_jobs={jobs}");
         }
     }
 }
@@ -129,10 +125,8 @@ fn repeated_runs_are_bit_stable() {
         void c(int i) { a(i); b(i); }
     "#;
     let m = parse_module("stable", src).expect("parse");
-    for mode in MODES {
-        let first = check_locks(&m, mode);
-        for _ in 0..5 {
-            assert_eq!(check_locks(&m, mode), first, "{mode:?}");
-        }
+    let first = check_modes(&mut SharedAnalysis::new(&m));
+    for _ in 0..5 {
+        assert_eq!(check_modes(&mut SharedAnalysis::new(&m)), first);
     }
 }

@@ -47,7 +47,8 @@
 
 use localias_ast::span::LineMap;
 use localias_ast::{parse_module, pretty, Module, NodeId};
-use localias_cqual::{check_locks, IncrementalSession, Mode, MODES};
+use localias_core::SharedAnalysis;
+use localias_cqual::{check_locks, check_modes, IncrementalSession, Mode, MODES};
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
@@ -501,7 +502,7 @@ fn cmd_watch(args: &[String]) -> Result<String, String> {
         }
         if verify {
             let m = parse_module(&name, &src).map_err(|e| format!("{path}: {e}"))?;
-            let want = MODES.map(|mode| check_locks(&m, mode));
+            let want = check_modes(&mut SharedAnalysis::new(&m));
             if out.reports != want {
                 return Err(format!(
                     "watch: iteration {done}: incremental reports diverge from \

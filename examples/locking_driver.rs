@@ -5,7 +5,8 @@
 //! Run with `cargo run --example locking_driver`.
 
 use localias::ast::parse_module;
-use localias::cqual::{check_locks, Mode};
+use localias::core::SharedAnalysis;
+use localias::cqual::{check_modes, MODES};
 
 const DRIVER: &str = r#"
 // A miniature network driver: one lock per device.
@@ -46,17 +47,15 @@ void flush_all(int n) {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let m = parse_module("minidriver", DRIVER)?;
 
-    for mode in [Mode::NoConfine, Mode::Confine, Mode::AllStrong] {
-        let report = check_locks(&m, mode);
+    let reports = check_modes(&mut SharedAnalysis::new(&m));
+    for (mode, report) in MODES.iter().zip(&reports) {
         println!("{mode:?}: {report}");
         for e in &report.errors {
             println!("    {e}");
         }
     }
 
-    let weak = check_locks(&m, Mode::NoConfine);
-    let confined = check_locks(&m, Mode::Confine);
-    let strong = check_locks(&m, Mode::AllStrong);
+    let [weak, confined, strong] = reports;
     println!(
         "\nconfine inference eliminated {} of {} spurious errors",
         weak.error_count() - confined.error_count(),

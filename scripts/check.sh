@@ -11,7 +11,9 @@
 # with `localias tracecheck`, and exports it as a Chrome trace, and a
 # perf-regression gate proving `localias bench-diff` is clean on a
 # self-compare, trips on an injected slowdown, and still compares the
-# committed pre-`gate` experiment artifact with a fresh one.
+# committed pre-`gate` experiment artifact with a fresh one. The
+# benchmark workspace's tests run too, and the fuzz smoke pins its
+# false-positive counts.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -20,6 +22,11 @@ cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release --workspace
 cargo test -q --workspace
+
+# The benchmark is its own Cargo workspace built against the crates'
+# public API; nothing else builds it, so an API break would pass
+# unnoticed without this step.
+(cd benchmark && cargo test -q --offline)
 
 # The concurrent-writer regression is the load-bearing test of the
 # sharded store: two real processes persisting into one cache dir must
@@ -330,22 +337,32 @@ grep -q '"misses": 80' "$ALIAS/andersen.json" || {
     exit 1
 }
 
-# Differential-fuzzing smoke: a seeded 500-module sweep with the
+# Differential-fuzzing smoke: a seeded 1000-module sweep with the
 # interpreter as ground-truth oracle must find zero soundness
 # divergences across all three modes x both alias backends — the repro
-# dir staying empty is the machine-checkable "all clean" signal.
+# dir staying empty is the machine-checkable "all clean" signal — and
+# must keep the pinned false-positive counts of both backends.
 FUZZ="$CACHE/fuzz-repro"
+FUZZOUT="$CACHE/fuzz.txt"
 mkdir -p "$FUZZ"
-./target/release/localias fuzz --iterations 500 --seed 42 \
-    --repro-dir "$FUZZ" >/dev/null || {
+./target/release/localias fuzz --iterations 1000 --seed 42 \
+    --repro-dir "$FUZZ" >"$FUZZOUT" || {
     echo "check.sh: fuzz smoke found soundness divergences; repros:" >&2
     ls "$FUZZ" >&2
     exit 1
 }
+FP_COUNTS='noconfine=55.6% (726/1305) confine=27.4% (218/797) allstrong=10.5% (68/647)'
+for BACKEND in steensgaard andersen; do
+    grep -qxF "  $(printf '%-12s' "$BACKEND") $FP_COUNTS" "$FUZZOUT" || {
+        echo "check.sh: fuzz smoke changed the $BACKEND false-positive counts:" >&2
+        cat "$FUZZOUT" >&2
+        exit 1
+    }
+done
 if [ -n "$(ls -A "$FUZZ")" ]; then
     echo "check.sh: fuzz smoke exited 0 but wrote repro modules:" >&2
     ls "$FUZZ" >&2
     exit 1
 fi
 
-echo "check.sh: fmt, clippy, build, tests, concurrency + obs + hist gates, warm-cache sweep, crash recovery, mega smoke, watch-determinism smoke, trace + chrome smoke, bench-diff gate, partitioned scale smoke, andersen backend smoke, and fuzz smoke all passed"
+echo "check.sh: fmt, clippy, build, tests, concurrency + obs + hist gates, warm-cache sweep, crash recovery, mega smoke, watch-determinism smoke, trace + chrome smoke, bench-diff gate, partitioned scale smoke, andersen backend smoke, benchmark tests, and fuzz smoke all passed"

@@ -4,8 +4,16 @@
 //! `localias-bench` `summary` binary; it runs in about a second in
 //! release mode but is kept out of the default test run.)
 
+use localias::ast::Module;
+use localias::core::SharedAnalysis;
 use localias::corpus::{generate, Category, DEFAULT_SEED, FIGURE7};
-use localias::cqual::{check_locks, Mode};
+use localias::cqual::check_modes;
+
+/// `(no-confine, confine, all-strong)` error counts of `m`.
+fn triple(m: &Module) -> (usize, usize, usize) {
+    let [nc, cf, st] = check_modes(&mut SharedAnalysis::new(m)).map(|r| r.error_count());
+    (nc, cf, st)
+}
 
 #[test]
 fn figure7_rows_are_measured_exactly() {
@@ -13,11 +21,7 @@ fn figure7_rows_are_measured_exactly() {
     for &(name, nc, cf, as_) in FIGURE7.iter() {
         let m = corpus.iter().find(|m| m.name == name).expect(name);
         let parsed = m.parse();
-        let measured = (
-            check_locks(&parsed, Mode::NoConfine).error_count(),
-            check_locks(&parsed, Mode::Confine).error_count(),
-            check_locks(&parsed, Mode::AllStrong).error_count(),
-        );
+        let measured = triple(&parsed);
         assert_eq!(measured, (nc, cf, as_), "{name}");
     }
 }
@@ -38,11 +42,7 @@ fn stratified_sample_matches_calibration() {
         }
         remaining[slot] -= 1;
         let parsed = m.parse();
-        let measured = (
-            check_locks(&parsed, Mode::NoConfine).error_count(),
-            check_locks(&parsed, Mode::Confine).error_count(),
-            check_locks(&parsed, Mode::AllStrong).error_count(),
-        );
+        let measured = triple(&parsed);
         assert_eq!(
             measured,
             (m.expect.no_confine, m.expect.confine, m.expect.all_strong),
@@ -78,11 +78,7 @@ fn full_corpus_measures_exactly_as_calibrated() {
     let mut mismatches = Vec::new();
     for m in &corpus {
         let parsed = m.parse();
-        let measured = (
-            check_locks(&parsed, Mode::NoConfine).error_count(),
-            check_locks(&parsed, Mode::Confine).error_count(),
-            check_locks(&parsed, Mode::AllStrong).error_count(),
-        );
+        let measured = triple(&parsed);
         let expected = (m.expect.no_confine, m.expect.confine, m.expect.all_strong);
         if measured != expected {
             mismatches.push(format!("{}: {measured:?} != {expected:?}", m.name));

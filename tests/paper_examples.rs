@@ -4,7 +4,7 @@
 
 use localias::ast::parse_module;
 use localias::core::{self, Reason};
-use localias::cqual::{check_locks, Mode};
+use localias::cqual::{check_locks, check_modes, Mode};
 
 #[test]
 fn figure1_story_end_to_end() {
@@ -242,11 +242,6 @@ fn pretty_printed_corpus_module_reanalyzes_identically() {
     let parsed = m.parse();
     let printed = localias::ast::pretty::print_module(&parsed);
     let reparsed = parse_module(&m.name, &printed).unwrap();
-    for mode in [Mode::NoConfine, Mode::Confine, Mode::AllStrong] {
-        assert_eq!(
-            check_locks(&parsed, mode).error_count(),
-            check_locks(&reparsed, mode).error_count(),
-            "{mode:?}"
-        );
-    }
+    let counts = |m| check_modes(&mut core::SharedAnalysis::new(m)).map(|r| r.error_count());
+    assert_eq!(counts(&parsed), counts(&reparsed));
 }

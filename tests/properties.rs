@@ -14,7 +14,7 @@
 
 use localias::ast::{parse_module, pretty, BindingKind, Module, NodeId, StmtKind};
 use localias::core;
-use localias::cqual::{check_locks, Mode};
+use localias::cqual::{check_locks_frozen, check_modes, Mode};
 use localias_prng::Rng64;
 
 mod common;
@@ -64,9 +64,7 @@ fn error_counts_are_monotone_in_update_strength() {
         let (seed, stmts) = (rng.next_u64(), rng.gen_range(1usize..12));
         let src = random_module_source(seed, stmts);
         let m = parse(&src);
-        let nc = check_locks(&m, Mode::NoConfine).error_count();
-        let cf = check_locks(&m, Mode::Confine).error_count();
-        let st = check_locks(&m, Mode::AllStrong).error_count();
+        let [nc, cf, st] = check_modes(&mut core::SharedAnalysis::new(&m)).map(|r| r.error_count());
         assert!(st <= nc, "all-strong {st} > no-confine {nc}\n{src}");
         assert!(cf <= nc, "confine {cf} > no-confine {nc}\n{src}");
     }
@@ -224,14 +222,12 @@ fn general_confine_strategy_dominates_heuristic() {
         let (seed, stmts) = (rng.next_u64(), rng.gen_range(1usize..10));
         let src = random_module_source(seed, stmts);
         let m = parse(&src);
-        let heuristic = {
-            let mut a = core::infer_confines(&m);
-            localias::cqual::check_locks_with(&m, &mut a.analysis, Mode::Confine).error_count()
+        let confine_errors = |mut a: core::ConfineInference| {
+            let frozen = a.analysis.freeze();
+            check_locks_frozen(&m, &a.analysis, &frozen, Mode::Confine, 1).error_count()
         };
-        let general = {
-            let mut a = core::infer_confines_general(&m);
-            localias::cqual::check_locks_with(&m, &mut a.analysis, Mode::Confine).error_count()
-        };
+        let heuristic = confine_errors(core::infer_confines(&m));
+        let general = confine_errors(core::infer_confines_general(&m));
         assert!(
             general <= heuristic,
             "general {general} > heuristic {heuristic}\n{src}"
