@@ -7,13 +7,14 @@
 //! than guessed.
 //!
 //! Run with `cargo run --release -p localias-bench --bin alias`.
-//! Accepts the shared sweep flags (`--seed`, `--jobs N`, `--intra-jobs N`,
+//! Accepts the shared sweep flags (`--seed`, `--jobs N`,
 //! `--cache DIR` / `--no-cache` / `--cache-shards N`, `--obs` /
 //! `--obs-out FILE`). `--alias` is accepted but ignored: this binary
 //! always sweeps every backend. The machine-readable report (schema
-//! `localias-bench-alias/v3`; v2 added the `hist` latency block, v3 the
-//! shared artifact envelope and `backends` keyed by name) is written to
-//! `BENCH_alias.json`, or to `--bench-out FILE` when given.
+//! `localias-bench-alias/v4`; v2 added the `hist` latency block, v3 the
+//! shared artifact envelope and `backends` keyed by name, v4 drops the
+//! wave thread count) is written to `BENCH_alias.json`, or to
+//! `--bench-out FILE` when given.
 //!
 //! On the default seed the Steensgaard sweep must reproduce the paper's
 //! headline split — 352/85/138/14 over 589 modules — and the binary
@@ -24,8 +25,8 @@ use localias_alias::Backend;
 use localias_bench::json::Value;
 use localias_bench::Better::{Higher, Lower};
 use localias_bench::{
-    finish_obs, init_obs, json_hists, json_trace, measure_stream_with_cache, Artifact, CliOpts,
-    CorpusStream, ExperimentBench, ModuleResult, ObsReport,
+    category_counts, finish_obs, init_obs, json_hists, json_trace, measure_stream_with_cache,
+    Artifact, CliOpts, CorpusStream, ExperimentBench, ModuleResult, ObsReport,
 };
 use localias_corpus::DEFAULT_SEED;
 use localias_obs as obs;
@@ -33,48 +34,23 @@ use localias_obs as obs;
 /// The paper's four-way module split at 589 modules: error-free without
 /// confine, errors unrelated to weak updates, fully recovered by confine
 /// inference, and the Figure 7 residue.
-const PAPER_CATEGORIES: (usize, usize, usize, usize) = (352, 85, 138, 14);
+const PAPER_CATEGORIES: [usize; 4] = [352, 85, 138, 14];
 
 /// One backend's sweep, reduced to the frontier quantities.
 struct FrontierRow {
     backend: Backend,
     modules: usize,
-    categories: (usize, usize, usize, usize),
+    categories: [usize; 4],
     errors: (usize, usize, usize),
     potential: usize,
     eliminated: usize,
     bench: ExperimentBench,
 }
 
-/// Splits per-module results into the paper's four categories
-/// (clean / real errors / fully recovered / partially recovered).
-fn categories(results: &[ModuleResult]) -> (usize, usize, usize, usize) {
-    let clean = results.iter().filter(|r| r.no_confine == 0).count();
-    let real = results
-        .iter()
-        .filter(|r| r.no_confine > 0 && r.no_confine == r.all_strong)
-        .count();
-    let full = results
-        .iter()
-        .filter(|r| r.no_confine > r.all_strong && r.confine == r.all_strong)
-        .count();
-    let partial = results
-        .iter()
-        .filter(|r| r.no_confine > r.all_strong && r.confine > r.all_strong)
-        .count();
-    (clean, real, full, partial)
-}
-
 fn sweep(backend: Backend, seed: u64, opts: &CliOpts) -> FrontierRow {
     let stream = CorpusStream::paper(seed);
-    let (results, bench) = measure_stream_with_cache(
-        &stream,
-        0..stream.len(),
-        opts.jobs,
-        opts.intra_jobs,
-        backend,
-        &opts.cache,
-    );
+    let (results, bench) =
+        measure_stream_with_cache(&stream, 0..stream.len(), opts.jobs, backend, &opts.cache);
     let errors = (
         results.iter().map(|r| r.no_confine).sum(),
         results.iter().map(|r| r.confine).sum(),
@@ -83,7 +59,7 @@ fn sweep(backend: Backend, seed: u64, opts: &CliOpts) -> FrontierRow {
     FrontierRow {
         backend,
         modules: results.len(),
-        categories: categories(&results),
+        categories: category_counts(&results),
         errors,
         potential: results.iter().map(ModuleResult::potential).sum(),
         eliminated: results.iter().map(ModuleResult::eliminated).sum(),
@@ -103,7 +79,7 @@ impl FrontierRow {
     /// Writes this row under `backends.<name>`.
     fn write(&self, a: &mut Artifact) {
         let name = self.backend.name();
-        let (clean, real, full, partial) = self.categories;
+        let [clean, real, full, partial] = self.categories;
         let (nc, cf, st) = self.errors;
         let at = |key| ["backends", name, key];
         a.set(&at("modules"), self.modules);
@@ -135,11 +111,10 @@ fn counts(pairs: &[(&str, usize)]) -> Value {
     Value::obj(pairs.iter().map(|&(k, n)| (k, n.into())))
 }
 
-/// The `localias-bench-alias/v3` artifact.
+/// The `localias-bench-alias/v4` artifact.
 fn report_json(seed: u64, opts: &CliOpts, rows: &[FrontierRow], report: &ObsReport) -> String {
-    let mut a = Artifact::new("localias-bench-alias/v3", seed);
+    let mut a = Artifact::new("localias-bench-alias/v4", seed);
     a.set(&["jobs"], opts.jobs);
-    a.set(&["intra_jobs"], opts.intra_jobs);
     for row in rows {
         row.write(&mut a);
     }
@@ -182,16 +157,16 @@ fn main() {
         println!("{label:<42} {a:>14} {b:>14}");
     };
     print_row("error-free without confine", &|r| {
-        r.categories.0.to_string()
+        r.categories[0].to_string()
     });
     print_row("errors unrelated to weak updates", &|r| {
-        r.categories.1.to_string()
+        r.categories[1].to_string()
     });
     print_row("confine == all-strong (fully recovered)", &|r| {
-        r.categories.2.to_string()
+        r.categories[2].to_string()
     });
     print_row("confine misses strong updates (Figure 7)", &|r| {
-        r.categories.3.to_string()
+        r.categories[3].to_string()
     });
     print_row("no-confine errors (total)", &|r| r.errors.0.to_string());
     print_row("confine errors (total)", &|r| r.errors.1.to_string());
@@ -248,7 +223,7 @@ mod tests {
         let row = |backend| FrontierRow {
             backend,
             modules: 4,
-            categories: (1, 1, 1, 1),
+            categories: [1, 1, 1, 1],
             errors: (9, 3, 2),
             potential: 7,
             eliminated: 6,

@@ -23,14 +23,8 @@ fn main() {
     init_obs(&opts);
     let seed = opts.seed_or_default();
     let stream = CorpusStream::paper(seed);
-    let (results, mut bench) = measure_stream_with_cache(
-        &stream,
-        0..stream.len(),
-        opts.jobs,
-        opts.intra_jobs,
-        opts.alias,
-        &opts.cache,
-    );
+    let (results, mut bench) =
+        measure_stream_with_cache(&stream, 0..stream.len(), opts.jobs, opts.alias, &opts.cache);
     match finish_obs(&opts) {
         Ok(report) => {
             bench.profile = report.trace;

@@ -45,14 +45,8 @@ fn main() {
                 .clone()
         })
         .collect();
-    let (measured, mut bench) = measure_corpus_with_cache(
-        &rows,
-        opts.jobs,
-        opts.intra_jobs,
-        seed,
-        opts.alias,
-        &opts.cache,
-    );
+    let (measured, mut bench) =
+        measure_corpus_with_cache(&rows, opts.jobs, 1, seed, opts.alias, &opts.cache);
     match finish_obs(&opts) {
         Ok(report) => {
             bench.profile = report.trace;

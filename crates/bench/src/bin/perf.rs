@@ -100,7 +100,7 @@ fn main() {
         }
     });
     let (_, shared) = timed("perf.shared_sweep", || {
-        measure_corpus_cached(&corpus, sweep_jobs, 1, seed, Backend::Steensgaard, None)
+        measure_corpus_cached(&corpus, sweep_jobs, seed, Backend::Steensgaard, None)
     });
 
     println!(

@@ -9,7 +9,8 @@
 //! report.
 
 use localias_bench::{
-    finish_obs, init_obs, measure_stream_with_cache, CliOpts, CorpusStream, ModuleResult,
+    category_counts, finish_obs, init_obs, measure_stream_with_cache, CliOpts, CorpusStream,
+    ModuleResult,
 };
 use localias_obs as obs;
 
@@ -24,14 +25,8 @@ fn main() {
     init_obs(&opts);
     let seed = opts.seed_or_default();
     let stream = CorpusStream::paper(seed);
-    let (results, mut bench) = measure_stream_with_cache(
-        &stream,
-        0..stream.len(),
-        opts.jobs,
-        opts.intra_jobs,
-        opts.alias,
-        &opts.cache,
-    );
+    let (results, mut bench) =
+        measure_stream_with_cache(&stream, 0..stream.len(), opts.jobs, opts.alias, &opts.cache);
     match finish_obs(&opts) {
         Ok(report) => {
             bench.profile = report.trace;
@@ -43,19 +38,7 @@ fn main() {
         }
     }
 
-    let clean = results.iter().filter(|r| r.no_confine == 0).count();
-    let real = results
-        .iter()
-        .filter(|r| r.no_confine > 0 && r.no_confine == r.all_strong)
-        .count();
-    let full = results
-        .iter()
-        .filter(|r| r.no_confine > r.all_strong && r.confine == r.all_strong)
-        .count();
-    let partial = results
-        .iter()
-        .filter(|r| r.no_confine > r.all_strong && r.confine > r.all_strong)
-        .count();
+    let [clean, real, full, partial] = category_counts(&results);
     let potential: usize = results.iter().map(ModuleResult::potential).sum();
     let eliminated: usize = results.iter().map(ModuleResult::eliminated).sum();
     let pct = 100.0 * eliminated as f64 / potential as f64;

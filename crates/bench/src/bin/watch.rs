@@ -10,21 +10,21 @@
 //! the generator — the error triple is asserted against its closed form.
 //!
 //! Run with `cargo run --release -p localias-bench --bin watch`.
-//! Accepts `[SEED] [--funs N] [--edits N] [--intra-jobs N]
-//! [--bench-out FILE] [--trace-out FILE] [--profile] [--quiet]`.
+//! Accepts `[SEED] [--funs N] [--edits N] [--bench-out FILE]
+//! [--trace-out FILE] [--profile] [--quiet]`.
 //! The machine-readable report (`--bench-out`, conventionally
-//! `BENCH_watch.json`) uses schema `localias-bench-watch/v3`: cold /
+//! `BENCH_watch.json`) uses schema `localias-bench-watch/v4`: cold /
 //! per-edit / no-op latencies, hit/recheck slot counts, the check-phase
 //! and end-to-end speedups over from-scratch analysis, the `hist`
 //! latency block (v2), the embedded obs profile block (`incr.*`
 //! counters) when `--profile` or `--trace-out` is given, and the shared
-//! artifact envelope (v3).
+//! artifact envelope (v3). v4 drops the wave thread count.
 
 use localias_bench::json::Value;
 use localias_bench::Better::{Higher, Lower};
 use localias_bench::{finish_obs, init_obs, json_hists, json_trace, Artifact, CliOpts, ObsReport};
 use localias_corpus::{mega_edit, mega_module, MegaEditKind, DEFAULT_MEGA_FUNS};
-use localias_cqual::{check_locks_frozen, IncrStats, IncrementalSession, LockReport, MODES};
+use localias_cqual::{check_modes, IncrStats, IncrementalSession, LockReport};
 use localias_obs as obs;
 use std::time::Instant;
 
@@ -34,7 +34,7 @@ const DEFAULT_EDITS: usize = 8;
 /// One from-scratch analysis of `source`: the three mode reports plus
 /// `(total_seconds, check_seconds)` — the latter covering only the three
 /// check passes, the phase the function cache accelerates.
-fn full_check(name: &str, source: &str, jobs: usize) -> ([LockReport; 3], f64, f64) {
+fn full_check(name: &str, source: &str) -> ([LockReport; 3], f64, f64) {
     let t0 = Instant::now();
     let parsed = localias_ast::parse_module(name, source).expect("generated module parses");
     let mut shared = localias_core::SharedAnalysis::new(&parsed);
@@ -42,10 +42,7 @@ fn full_check(name: &str, source: &str, jobs: usize) -> ([LockReport; 3], f64, f
     shared.base_frozen();
     shared.confine_frozen();
     let t_check = Instant::now();
-    let reports = MODES.map(|mode| {
-        let (analysis, frozen) = mode.analysis(&mut shared);
-        check_locks_frozen(&parsed, analysis, frozen, mode, jobs)
-    });
+    let reports = check_modes(&mut shared);
     let check = t_check.elapsed().as_secs_f64();
     (reports, t0.elapsed().as_secs_f64(), check)
 }
@@ -62,7 +59,6 @@ struct EditRow {
 struct Run {
     seed: u64,
     funs: usize,
-    intra_jobs: usize,
     cold: IncrStats,
     /// From-scratch `(total, check)` seconds of the cold source.
     cold_full: (f64, f64),
@@ -105,13 +101,12 @@ impl Run {
         }
     }
 
-    /// The `localias-bench-watch/v3` artifact.
+    /// The `localias-bench-watch/v4` artifact.
     fn report(&self, obs_report: &ObsReport) -> String {
         let m = self.means();
-        let mut a = Artifact::new("localias-bench-watch/v3", self.seed);
+        let mut a = Artifact::new("localias-bench-watch/v4", self.seed);
         a.set(&["funs"], self.funs);
         a.set(&["edits"], self.rows.len());
-        a.set(&["intra_jobs"], self.intra_jobs);
         a.metric(&["cold", "total_seconds"], self.cold.total_seconds, Lower);
         a.set(&["cold", "check_seconds"], self.cold.check_seconds);
         a.set(&["cold", "full_total_seconds"], self.cold_full.0);
@@ -163,13 +158,10 @@ fn step(
     session: &mut IncrementalSession,
     name: &str,
     source: &str,
-    jobs: usize,
     what: &str,
 ) -> (IncrStats, f64, f64) {
     let out = session.analyze(source).expect("generated module parses");
-    // The from-scratch baseline runs at the same worker count as the
-    // session, so the speedup never flatters the incremental side.
-    let (want, full_total, full_check_secs) = full_check(name, source, jobs);
+    let (want, full_total, full_check_secs) = full_check(name, source);
     assert_eq!(
         out.reports, want,
         "{what}: incremental report must be byte-identical to from-scratch checking"
@@ -216,13 +208,9 @@ fn main() {
     let seed = opts.seed_or_default();
 
     let base = mega_module(seed, funs);
-    let mut session = IncrementalSession::new(&base.name, opts.intra_jobs);
+    let mut session = IncrementalSession::new(&base.name, 1);
 
-    println!(
-        "Incremental recheck on the mega-module ({funs} functions, seed {seed}, \
-         intra-jobs {})",
-        opts.intra_jobs
-    );
+    println!("Incremental recheck on the mega-module ({funs} functions, seed {seed})");
     println!();
     println!(
         "{:<22} {:>9} {:>9} {:>11} {:>11} {:>9}",
@@ -241,13 +229,8 @@ fn main() {
     };
 
     // ---- Cold ----
-    let (cold, cold_full_total, cold_full_check) = step(
-        &mut session,
-        &base.name,
-        &base.source,
-        opts.intra_jobs,
-        "cold",
-    );
+    let (cold, cold_full_total, cold_full_check) =
+        step(&mut session, &base.name, &base.source, "cold");
     assert!(cold.cold);
     row("cold", &cold, cold_full_total);
 
@@ -261,13 +244,8 @@ fn main() {
         };
         let e = mega_edit(seed, funs, i as u64, kind);
         let what = format!("edit {i} ({})", edit_kind_label(kind));
-        let (stats, full_total, full_check_secs) = step(
-            &mut session,
-            &e.module.name,
-            &e.module.source,
-            opts.intra_jobs,
-            &what,
-        );
+        let (stats, full_total, full_check_secs) =
+            step(&mut session, &e.module.name, &e.module.source, &what);
         // The generator's closed-form triple must hold for the edited
         // module (the from-scratch reports already matched above, so an
         // immediate byte-identical repeat reads the same reports back).
@@ -307,13 +285,7 @@ fn main() {
         base.clone()
     };
     let ws_source = format!("{}// watch no-op\n", last.source);
-    let (ws, ws_full_total, _) = step(
-        &mut session,
-        &last.name,
-        &ws_source,
-        opts.intra_jobs,
-        "whitespace no-op",
-    );
+    let (ws, ws_full_total, _) = step(&mut session, &last.name, &ws_source, "whitespace no-op");
     assert_eq!(ws.rechecked, 0, "canonical no-op must recheck nothing");
     row("noop (whitespace)", &ws, ws_full_total);
 
@@ -336,7 +308,6 @@ fn main() {
     let run = Run {
         seed,
         funs,
-        intra_jobs: opts.intra_jobs,
         cold,
         cold_full: (cold_full_total, cold_full_check),
         rows,
@@ -398,7 +369,6 @@ mod tests {
         let run = Run {
             seed: 1,
             funs: 3,
-            intra_jobs: 1,
             cold: stats(0.05),
             cold_full: (0.05, 0.01),
             rows: vec![EditRow {

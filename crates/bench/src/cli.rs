@@ -4,7 +4,7 @@
 //! `precision`, and `perf` all accept the same surface:
 //!
 //! ```text
-//! [SEED] [--jobs N | -j N] [--intra-jobs N] [--alias BACKEND]
+//! [SEED] [--jobs N | -j N] [--alias BACKEND]
 //! [--cache DIR | --no-cache] [--cache-shards N] [--modules N]
 //! [--partition I/N] [--bench-out FILE] [--trace-out FILE]
 //! [--trace-chrome FILE] [--profile] [--quiet | -q]
@@ -27,11 +27,6 @@ use std::path::PathBuf;
 pub struct CliOpts {
     /// Worker threads (`0` = all available cores).
     pub jobs: usize,
-    /// Worker threads per wave *inside* one module's lock check (`1` =
-    /// sequential, `0` = all available cores). Orthogonal to `jobs`:
-    /// `--jobs` fans out across modules, `--intra-jobs` across the
-    /// independent functions of one module's call-graph wave.
-    pub intra_jobs: usize,
     /// Corpus seed, when given positionally.
     pub seed: Option<u64>,
     /// Result-cache policy (default: enabled under `.localias-cache/`,
@@ -74,7 +69,6 @@ impl CliOpts {
         I: IntoIterator<Item = String>,
     {
         let mut jobs: Option<usize> = None;
-        let mut intra_jobs: Option<usize> = None;
         let mut seed: Option<u64> = None;
         let mut cache_dir: Option<String> = None;
         let mut cache_shards: Option<usize> = None;
@@ -97,16 +91,6 @@ impl CliOpts {
                     }
                     let val = value_of(&mut it, &a, "a thread count")?;
                     jobs = Some(
-                        val.parse()
-                            .map_err(|_| format!("bad thread count `{val}`"))?,
-                    );
-                }
-                "--intra-jobs" => {
-                    if intra_jobs.is_some() {
-                        return Err(format!("{a} given more than once"));
-                    }
-                    let val = value_of(&mut it, &a, "a thread count")?;
-                    intra_jobs = Some(
                         val.parse()
                             .map_err(|_| format!("bad thread count `{val}`"))?,
                     );
@@ -223,7 +207,6 @@ impl CliOpts {
         };
         Ok(CliOpts {
             jobs: jobs.unwrap_or(0),
-            intra_jobs: intra_jobs.unwrap_or(1),
             seed,
             cache,
             cache_explicit,
@@ -308,10 +291,6 @@ mod tests {
     fn defaults() {
         let o = parse(&[]).unwrap();
         assert_eq!(o.jobs, 0);
-        assert_eq!(
-            o.intra_jobs, 1,
-            "intra-module checking defaults to sequential"
-        );
         assert_eq!(o.seed, None);
         assert_eq!(o.seed_or_default(), DEFAULT_SEED);
         assert_eq!(o.cache, CachePolicy::enabled_default());
@@ -354,8 +333,6 @@ mod tests {
             "31337",
             "-j",
             "4",
-            "--intra-jobs",
-            "2",
             "--cache",
             "/tmp/c",
             "--cache-shards",
@@ -365,7 +342,6 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(o.jobs, 4);
-        assert_eq!(o.intra_jobs, 2);
         assert_eq!(o.seed, Some(31337));
         assert_eq!(
             o.cache,
@@ -515,9 +491,6 @@ mod tests {
         assert!(parse(&["--jobs"]).is_err());
         assert!(parse(&["--jobs", "x"]).is_err());
         assert!(parse(&["-j", "1", "--jobs", "2"]).is_err());
-        assert!(parse(&["--intra-jobs"]).is_err());
-        assert!(parse(&["--intra-jobs", "x"]).is_err());
-        assert!(parse(&["--intra-jobs", "1", "--intra-jobs", "2"]).is_err());
         assert!(parse(&["--cache"]).is_err());
         assert!(parse(&["--cache", "d", "--no-cache"]).is_err());
         assert!(parse(&["--bench-out"]).is_err());

@@ -1,8 +1,8 @@
 //! `bench-diff` — the perf-regression gate over two bench artifacts.
 //!
 //! Compares an old and a new bench JSON document of the same family
-//! (`localias-bench-experiment`, `-intra`, `-watch`, `-alias`, `-scale`,
-//! `-fuzz`, or `-diff`) metric by metric. The metrics are the ones each
+//! (`localias-bench-experiment`, `-watch`, `-alias`, `-scale`, `-fuzz`,
+//! or `-diff`) metric by metric. The metrics are the ones each
 //! artifact lists in its `gate` block — every number its writer
 //! recorded with a direction ([`crate::artifact`]) — plus the
 //! percentiles of every sampled histogram in its `hist` block (lower is
@@ -387,8 +387,8 @@ mod tests {
     #[test]
     fn family_mismatch_is_an_error() {
         let exp = experiment().pretty();
-        let intra = r#"{"schema": "localias-bench-intra/v4", "gate": []}"#;
-        let err = diff_benches(&exp, intra, 10.0).unwrap_err();
+        let watch = r#"{"schema": "localias-bench-watch/v4", "gate": []}"#;
+        let err = diff_benches(&exp, watch, 10.0).unwrap_err();
         assert!(err.contains("schema family mismatch"), "{err}");
     }
 

@@ -120,18 +120,6 @@ pub fn timed<T>(name: &'static str, f: impl FnOnce() -> T) -> (T, f64) {
 }
 
 /// Runs `f` `reps` times (at least once) and returns the first run's
-/// result with the *minimum* wall-clock seconds — the best-of-N scheme
-/// the intra bench uses to suppress scheduler noise.
-pub fn best_of<T>(name: &'static str, reps: usize, mut f: impl FnMut() -> T) -> (T, f64) {
-    let (first, mut best) = timed(name, &mut f);
-    for _ in 1..reps.max(1) {
-        let (_, secs) = timed(name, &mut f);
-        best = best.min(secs);
-    }
-    (first, best)
-}
-
-/// Runs `f` `reps` times (at least once) and returns the first run's
 /// result with the *mean* wall-clock seconds per run.
 pub fn avg_of<T>(name: &'static str, reps: usize, mut f: impl FnMut() -> T) -> (T, f64) {
     let reps = reps.max(1);
@@ -179,15 +167,6 @@ mod tests {
         assert!(secs >= 0.0);
 
         let mut runs = 0;
-        let (v, best) = best_of("test.best", 3, || {
-            runs += 1;
-            runs
-        });
-        assert_eq!(v, 1, "first run's result is returned");
-        assert_eq!(runs, 3);
-        assert!(best >= 0.0);
-
-        let mut runs = 0;
         let (v, avg) = avg_of("test.avg", 4, || {
             runs += 1;
             runs * 10
@@ -197,7 +176,7 @@ mod tests {
         assert!(avg >= 0.0);
 
         // Degenerate rep counts still run once.
-        let (_, s) = best_of("test.best", 0, || ());
+        let (_, s) = avg_of("test.avg", 0, || ());
         assert!(s >= 0.0);
     }
 

@@ -79,21 +79,17 @@ impl ModuleResult {
     /// Measures one parsed corpus module under all three modes, timing
     /// each phase. The no-confine and all-strong modes share one base
     /// analysis through [`SharedAnalysis`], so this runs two (not three)
-    /// analysis pipelines. `intra_jobs` fans each lock check out across
-    /// the module's call-graph waves; reports are byte-identical for every
-    /// value, so cached results are valid whatever `intra_jobs` produced
-    /// them. `backend` selects the alias backend the frozen snapshots are
-    /// produced through.
+    /// analysis pipelines. `backend` selects the alias backend the frozen
+    /// snapshots are produced through.
     fn measure_parsed(
         name: &str,
         parsed: &Module,
         parse: Duration,
-        intra_jobs: usize,
         backend: Backend,
     ) -> (ModuleResult, PhaseTimes) {
         let mut shared = SharedAnalysis::new_with_backend(parsed, backend);
         let errors = |(analysis, frozen): (&Analysis, &FrozenLocs), mode| {
-            check_locks_frozen(parsed, analysis, frozen, mode, intra_jobs).error_count()
+            check_locks_frozen(parsed, analysis, frozen, mode, 1).error_count()
         };
         let t1 = Instant::now();
         let base = shared.base_frozen();
@@ -129,6 +125,42 @@ impl ModuleResult {
     pub fn eliminated(&self) -> usize {
         self.no_confine - self.confine.min(self.no_confine)
     }
+
+    /// The module's §7 category. Every module falls in exactly one.
+    pub fn category(&self) -> Category {
+        if self.no_confine == 0 {
+            Category::Clean
+        } else if self.no_confine == self.all_strong {
+            Category::Real
+        } else if self.confine == self.all_strong {
+            Category::Full
+        } else {
+            Category::Partial
+        }
+    }
+}
+
+/// The paper's §7 split of the modules, in the order it reports them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Category {
+    /// Error-free without confine.
+    Clean,
+    /// Errors unrelated to weak updates: all-strong removes none.
+    Real,
+    /// Confine inference removes every error all-strong removes.
+    Full,
+    /// Confine inference misses some strong updates (Figure 7).
+    Partial,
+}
+
+/// How many of `results` fall in each [`Category`], in declaration
+/// order: the paper's 352 / 85 / 138 / 14.
+pub fn category_counts(results: &[ModuleResult]) -> [usize; 4] {
+    let mut counts = [0; 4];
+    for r in results {
+        counts[r.category() as usize] += 1;
+    }
+    counts
 }
 
 /// The machine's available parallelism (≥ 1).
@@ -335,7 +367,6 @@ fn sweep_modules<M, I>(
     modules: I,
     out_len: usize,
     jobs: usize,
-    intra_jobs: usize,
     seed: u64,
     backend: Backend,
     mut cache: Option<&mut AnalysisCache>,
@@ -388,8 +419,7 @@ where
                     CacheNote::Miss { fp, raw }
                 }
             };
-            let (result, times) =
-                ModuleResult::measure_parsed(&m.name, &parsed, parse, intra_jobs, backend);
+            let (result, times) = ModuleResult::measure_parsed(&m.name, &parsed, parse, backend);
             SweepOutcome {
                 slot,
                 result,
@@ -529,7 +559,6 @@ where
 pub fn measure_corpus_cached(
     corpus: &[GeneratedModule],
     jobs: usize,
-    intra_jobs: usize,
     seed: u64,
     backend: Backend,
     cache: Option<&mut AnalysisCache>,
@@ -538,7 +567,6 @@ pub fn measure_corpus_cached(
         corpus.iter().enumerate(),
         corpus.len(),
         jobs,
-        intra_jobs,
         seed,
         backend,
         cache,
@@ -552,7 +580,6 @@ fn sweep_with_policy<M, I>(
     modules: I,
     out_len: usize,
     jobs: usize,
-    intra_jobs: usize,
     seed: u64,
     backend: Backend,
     policy: &CachePolicy,
@@ -562,18 +589,10 @@ where
     I: Iterator<Item = (usize, M)> + Send,
 {
     let CachePolicy::Dir { dir, shards } = policy else {
-        return sweep_modules(modules, out_len, jobs, intra_jobs, seed, backend, None);
+        return sweep_modules(modules, out_len, jobs, seed, backend, None);
     };
     let mut c = AnalysisCache::load_sharded(dir, *shards);
-    let (results, mut bench) = sweep_modules(
-        modules,
-        out_len,
-        jobs,
-        intra_jobs,
-        seed,
-        backend,
-        Some(&mut c),
-    );
+    let (results, mut bench) = sweep_modules(modules, out_len, jobs, seed, backend, Some(&mut c));
     if let Err(e) = c.persist() {
         obs::warn!(
             "localias-bench: warning: cache not fully written to {}: {e}",
@@ -600,7 +619,6 @@ pub fn measure_stream_with_cache(
     stream: &CorpusStream,
     range: Range<usize>,
     jobs: usize,
-    intra_jobs: usize,
     backend: Backend,
     policy: &CachePolicy,
 ) -> (Vec<ModuleResult>, ExperimentBench) {
@@ -609,7 +627,6 @@ pub fn measure_stream_with_cache(
         range.clone().map(|p| (p - base, stream.module_at(p))),
         range.len(),
         jobs,
-        intra_jobs,
         stream.seed(),
         backend,
         policy,
@@ -618,6 +635,9 @@ pub fn measure_stream_with_cache(
 
 /// One full sweep of an already-materialized corpus slice under a
 /// [`CachePolicy`] (see [`measure_stream_with_cache`]).
+///
+/// `intra_jobs` is kept only so the benchmark crate's calls keep their
+/// signature; the lock checker is sequential and the value must be 1.
 pub fn measure_corpus_with_cache(
     corpus: &[GeneratedModule],
     jobs: usize,
@@ -626,11 +646,11 @@ pub fn measure_corpus_with_cache(
     backend: Backend,
     policy: &CachePolicy,
 ) -> (Vec<ModuleResult>, ExperimentBench) {
+    assert_eq!(intra_jobs, 1, "the lock checker is sequential");
     sweep_with_policy(
         corpus.iter().enumerate(),
         corpus.len(),
         jobs,
-        intra_jobs,
         seed,
         backend,
         policy,
@@ -783,6 +803,27 @@ mod tests {
         let [nc, cf, _] = check_modes(&mut SharedAnalysis::new(&m)).map(|r| r.error_count());
         assert_eq!(nc, 4);
         assert_eq!(cf, 0);
+    }
+
+    #[test]
+    fn every_triple_falls_in_one_category() {
+        let r = |no_confine, confine, all_strong| ModuleResult {
+            name: "m".into(),
+            no_confine,
+            confine,
+            all_strong,
+        };
+        let cases = [
+            (r(0, 0, 0), Category::Clean),
+            (r(3, 3, 3), Category::Real),
+            (r(4, 1, 1), Category::Full),
+            (r(5, 2, 0), Category::Partial),
+        ];
+        for (m, want) in &cases {
+            assert_eq!(m.category(), *want, "{m:?}");
+        }
+        let results: Vec<ModuleResult> = cases.into_iter().map(|(m, _)| m).collect();
+        assert_eq!(category_counts(&results), [1, 1, 1, 1]);
     }
 
     #[test]
@@ -960,7 +1001,7 @@ mod tests {
 
         let (results, mut bench) = {
             let corpus = localias_corpus::generate(1);
-            measure_corpus_cached(&corpus[..1], 1, 1, 1, Backend::Steensgaard, None)
+            measure_corpus_cached(&corpus[..1], 1, 1, Backend::Steensgaard, None)
         };
         assert_eq!(results.len(), 1);
         bench.profile = Some(trace);

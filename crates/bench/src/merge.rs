@@ -298,7 +298,7 @@ mod tests {
     /// An uncached single-threaded sweep of stream positions `range`.
     fn sweep(stream: &CorpusStream, range: Range<usize>) -> (Vec<ModuleResult>, ExperimentBench) {
         let disabled = CachePolicy::Disabled;
-        measure_stream_with_cache(stream, range, 1, 1, Backend::Steensgaard, &disabled)
+        measure_stream_with_cache(stream, range, 1, Backend::Steensgaard, &disabled)
     }
 
     fn partition_artifact(stream: &CorpusStream, index: usize, count: usize) -> (String, String) {

@@ -40,7 +40,7 @@ fn slice() -> Vec<GeneratedModule> {
 /// The results of an uncached sweep: the reference every cached sweep
 /// must reproduce.
 fn uncached(slice: &[GeneratedModule], seed: u64) -> Vec<ModuleResult> {
-    measure_corpus_cached(slice, 1, 1, seed, Backend::Steensgaard, None).0
+    measure_corpus_cached(slice, 1, seed, Backend::Steensgaard, None).0
 }
 
 /// Renders results the way the report-diffing contract sees them: every
@@ -396,7 +396,6 @@ fn warm_sweep_is_deterministic_across_thread_counts() {
     let (mixed1, _) = measure_corpus_cached(
         &perturbed,
         1,
-        1,
         DEFAULT_SEED,
         Backend::Steensgaard,
         Some(&mut AnalysisCache::load(&dir)),
@@ -404,7 +403,6 @@ fn warm_sweep_is_deterministic_across_thread_counts() {
     let (mixed8, _) = measure_corpus_cached(
         &perturbed,
         8,
-        1,
         DEFAULT_SEED,
         Backend::Steensgaard,
         Some(&mut AnalysisCache::load(&dir)),
@@ -480,7 +478,6 @@ fn concurrent_child() {
 
     let (_, bench) = measure_corpus_cached(
         &slice,
-        1,
         1,
         DEFAULT_SEED,
         Backend::Steensgaard,

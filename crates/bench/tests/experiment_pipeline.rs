@@ -15,7 +15,7 @@ const PREFIX: usize = 25;
 
 /// An uncached sweep of `slice` on `jobs` worker threads.
 fn sweep(slice: &[GeneratedModule], jobs: usize) -> Vec<ModuleResult> {
-    measure_corpus_cached(slice, jobs, 1, DEFAULT_SEED, Backend::Steensgaard, None).0
+    measure_corpus_cached(slice, jobs, DEFAULT_SEED, Backend::Steensgaard, None).0
 }
 
 /// The sweep's phase-timed path must count exactly the errors of

@@ -6,8 +6,7 @@
 //! * **Real sweeps** time real work, so the nanosecond values differ run
 //!   to run — but the *event multiset structure* (which histograms
 //!   recorded, and how many samples each took) is a pure function of the
-//!   corpus. Those counts must be identical for every `--jobs` ×
-//!   `--intra-jobs` combination.
+//!   corpus. Those counts must be identical for every `--jobs` value.
 //! * **Equal multisets** must merge to byte-identical artifacts whatever
 //!   thread layout recorded them: the same samples pushed through the
 //!   real fork/attach flush discipline under 1, 2, or 8 workers render
@@ -35,10 +34,10 @@ fn slice() -> Vec<GeneratedModule> {
 /// Sweeps `slice` with only histogram collection on (the default-run
 /// configuration: no spans, no counters) and returns the drained
 /// snapshots. Caller holds the test lock.
-fn hist_sweep(slice: &[GeneratedModule], jobs: usize, intra: usize) -> Vec<obs::HistSnapshot> {
+fn hist_sweep(slice: &[GeneratedModule], jobs: usize) -> Vec<obs::HistSnapshot> {
     obs::enable_hists();
     let _ = obs::drain();
-    let _ = measure_corpus_cached(slice, jobs, intra, DEFAULT_SEED, Backend::Steensgaard, None);
+    let _ = measure_corpus_cached(slice, jobs, DEFAULT_SEED, Backend::Steensgaard, None);
     let trace = obs::drain();
     obs::disable_hists();
     trace.hists
@@ -52,14 +51,14 @@ fn shape(hists: &[obs::HistSnapshot]) -> Vec<(String, u64)> {
 }
 
 /// The pinned acceptance criterion, event-count half: every histogram
-/// records exactly the same number of samples whatever `--jobs` and
-/// `--intra-jobs` the sweep ran under.
+/// records exactly the same number of samples whatever `--jobs` the
+/// sweep ran under.
 #[test]
 fn sweep_hist_counts_are_thread_invariant() {
     let slice = slice();
     let _l = obs::test_lock();
 
-    let base = hist_sweep(&slice, 1, 1);
+    let base = hist_sweep(&slice, 1);
     let names: Vec<&str> = base.iter().map(|h| h.name.as_str()).collect();
     assert!(
         names.contains(&"analyze.module"),
@@ -84,11 +83,11 @@ fn sweep_hist_counts_are_thread_invariant() {
     }
 
     let base_shape = shape(&base);
-    for (jobs, intra) in [(2, 1), (8, 1), (1, 4), (2, 4), (8, 4)] {
-        let got = shape(&hist_sweep(&slice, jobs, intra));
+    for jobs in [2, 8] {
+        let got = shape(&hist_sweep(&slice, jobs));
         assert_eq!(
             got, base_shape,
-            "histogram shape depends on schedule at jobs={jobs} intra_jobs={intra}"
+            "histogram shape depends on schedule at jobs={jobs}"
         );
     }
 }

@@ -1,9 +1,9 @@
-//! Integration tests for the intra-module (wave-parallel) checking
-//! pipeline on the synthesized mega-module.
+//! Integration tests for intra-module checking on the synthesized
+//! mega-module.
 
 use localias_core::SharedAnalysis;
 use localias_corpus::mega_module;
-use localias_cqual::{check_locks_frozen, check_locks_frozen_timed, check_modes, Mode, MODES};
+use localias_cqual::{check_modes, CallGraph};
 
 #[test]
 fn mega_module_generator_is_deterministic() {
@@ -25,36 +25,23 @@ fn mega_module_matches_its_expected_triple() {
     );
 }
 
-/// `--intra-jobs 1` vs `N`: byte-identical reports across all three
-/// modes — the pinned acceptance criterion of the wave-parallel checker.
-#[test]
-fn mega_module_reports_are_thread_invariant() {
-    let m = mega_module(20030609, 60);
-    let parsed = m.parse();
-    let mut shared = SharedAnalysis::new(&parsed);
-    let all = check_modes(&mut shared);
-    for (mode, sequential) in MODES.into_iter().zip(&all) {
-        for jobs in [0, 2, 4, 8] {
-            let (analysis, frozen) = mode.analysis(&mut shared);
-            let parallel = check_locks_frozen(&parsed, analysis, frozen, mode, jobs);
-            assert_eq!(&parallel, sequential, "{mode:?} at intra_jobs={jobs}");
-        }
-    }
-}
-
-/// The wave schedule of the three-layer mega DAG: every function is
-/// checked exactly once, and the timed entry point agrees with the
-/// untimed one.
+/// The wave schedule of the three-layer mega DAG: every function sits in
+/// exactly one wave, and the layers give at least three waves.
 #[test]
 fn mega_module_wave_stats_cover_every_function() {
     let m = mega_module(20030609, 60);
     let parsed = m.parse();
-    let mut shared = SharedAnalysis::new(&parsed);
-    let (analysis, frozen) = Mode::NoConfine.analysis(&mut shared);
-    let (report, stats) = check_locks_frozen_timed(&parsed, analysis, frozen, Mode::NoConfine, 4);
-    assert_eq!(stats.functions, 60);
-    let waved: usize = stats.waves.iter().map(|w| w.functions).sum();
-    assert_eq!(waved, 60, "each function in exactly one wave");
-    assert!(stats.waves.len() >= 3, "three-layer DAG has >= 3 waves");
-    assert_eq!(report.error_count(), m.expect.no_confine);
+    let graph = CallGraph::build(&parsed);
+    assert_eq!(graph.len(), 60);
+    let mut seen = vec![0usize; graph.len()];
+    for wave in graph.waves() {
+        for &v in wave {
+            seen[v] += 1;
+        }
+    }
+    assert!(
+        seen.iter().all(|&n| n == 1),
+        "each function in exactly one wave: {seen:?}"
+    );
+    assert!(graph.waves().len() >= 3, "three-layer DAG has >= 3 waves");
 }

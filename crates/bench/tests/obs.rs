@@ -2,9 +2,9 @@
 //!
 //! The obs contract is that traces describe the *work*, not the
 //! *schedule*: counter totals and the span tree (paths and counts) must
-//! be byte-identical whatever `--jobs`/`--intra-jobs` the pipeline ran
-//! under, and on the synthesized mega-module the headline counters have
-//! exact closed forms pinned here.
+//! be byte-identical whatever `--jobs` the pipeline ran under, and on
+//! the synthesized mega-module the headline counters have exact closed
+//! forms pinned here.
 //!
 //! Every test holds [`obs::test_lock`] across enable → work → drain —
 //! the counters are process-global, so concurrently running tests that
@@ -22,16 +22,12 @@ use localias_obs as obs;
 /// work-stealing loop to interleave on while staying fast in debug.
 const PREFIX: usize = 40;
 
-/// Sweeps `slice` under the given thread counts with collection on and
+/// Sweeps `slice` on `jobs` worker threads with collection on and
 /// returns the drained trace. Caller holds the test lock.
-fn traced_sweep(
-    slice: &[localias_corpus::GeneratedModule],
-    jobs: usize,
-    intra: usize,
-) -> obs::Trace {
+fn traced_sweep(slice: &[localias_corpus::GeneratedModule], jobs: usize) -> obs::Trace {
     obs::enable_all();
     let _ = obs::drain();
-    let _ = measure_corpus_cached(slice, jobs, intra, DEFAULT_SEED, Backend::Steensgaard, None);
+    let _ = measure_corpus_cached(slice, jobs, DEFAULT_SEED, Backend::Steensgaard, None);
     let trace = obs::drain();
     obs::disable_metrics();
     obs::disable_spans();
@@ -43,7 +39,6 @@ fn measure(m: &GeneratedModule) -> ModuleResult {
     let (mut results, _) = measure_corpus_cached(
         std::slice::from_ref(m),
         1,
-        1,
         DEFAULT_SEED,
         Backend::Steensgaard,
         None,
@@ -52,14 +47,14 @@ fn measure(m: &GeneratedModule) -> ModuleResult {
 }
 
 /// The pinned acceptance criterion: counter totals and the normalized
-/// span tree are identical for every `jobs` × `intra_jobs` combination.
+/// span tree are identical for every `jobs` value.
 #[test]
 fn trace_shape_is_thread_invariant() {
     let corpus = generate(DEFAULT_SEED);
     let slice = &corpus[..PREFIX.min(corpus.len())];
 
     let _l = obs::test_lock();
-    let base = traced_sweep(slice, 1, 1);
+    let base = traced_sweep(slice, 1);
     assert!(!base.is_empty(), "instrumented sweep recorded nothing");
     assert!(
         base.spans.iter().any(|s| s.path == "bench.sweep"),
@@ -78,12 +73,12 @@ fn trace_shape_is_thread_invariant() {
     ] {
         assert!(base.counter(c) > 0, "{} stayed zero", obs::counter_name(c));
     }
-    for (jobs, intra) in [(2, 1), (8, 1), (1, 4), (8, 4)] {
-        let t = traced_sweep(slice, jobs, intra);
+    for jobs in [2, 8] {
+        let t = traced_sweep(slice, jobs);
         assert_eq!(
             t.normalized(),
             base.normalized(),
-            "trace shape depends on schedule at jobs={jobs} intra_jobs={intra}"
+            "trace shape depends on schedule at jobs={jobs}"
         );
     }
 }
@@ -221,8 +216,7 @@ fn analyses_per_module_are_pinned() {
     let miss = || {
         let mut cache = AnalysisCache::load(&dir);
         let slice = std::slice::from_ref(&m);
-        let (_, bench) =
-            measure_corpus_cached(slice, 1, 1, 7, Backend::Steensgaard, Some(&mut cache));
+        let (_, bench) = measure_corpus_cached(slice, 1, 7, Backend::Steensgaard, Some(&mut cache));
         assert_eq!(bench.cache.map(|c| c.misses), Some(1));
     };
     let fuzz = FuzzConfig {
@@ -246,7 +240,7 @@ fn real_trace_round_trips_through_the_validator() {
     let slice = &corpus[..8.min(corpus.len())];
 
     let _l = obs::test_lock();
-    let trace = traced_sweep(slice, 2, 1);
+    let trace = traced_sweep(slice, 2);
     let text = trace.to_jsonl();
     let summary = obs::validate_jsonl(&text).expect("generated trace validates");
     assert_eq!(summary.spans, trace.spans.len());

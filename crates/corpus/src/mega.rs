@@ -15,8 +15,7 @@
 //! * a small **top layer** of entry points fanning out over the mids.
 //!
 //! The call graph is a three-level DAG with no recursion, so the wave
-//! schedule is three wide waves — the shape where `--intra-jobs`
-//! parallelism pays. The expected error triple is exact by
+//! schedule is three wide waves. The expected error triple is exact by
 //! construction: each array-pair leaf contributes one weak-update error
 //! that confine inference fully recovers, and nothing else ever fails,
 //! so a module with `a` array leaves expects `(a, 0, 0)`.
@@ -29,7 +28,8 @@ use crate::plan::Category;
 use localias_prng::Rng64;
 use std::fmt::Write as _;
 
-/// Default function count for the intra-module benchmark.
+/// Default function count of the mega-module (the `watch` benchmark's
+/// module size).
 pub const DEFAULT_MEGA_FUNS: usize = 300;
 
 /// What one leaf function does.

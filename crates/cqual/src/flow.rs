@@ -12,11 +12,9 @@
 //!    condensation, a deterministic bottom-up schedule, and a wave
 //!    partition of the summary-dependency DAG.
 //! 3. **Check** each function ([`crate::intra::check_function`]) against
-//!    the frozen facts and its dependencies' published summaries — wave
-//!    by wave, each wave's functions in parallel when `intra_jobs > 1`.
-//! 4. **Assemble** the report in schedule order, so the output is
-//!    byte-identical for every thread count (and to the historical
-//!    sequential checker).
+//!    the frozen facts and its dependencies' published summaries, wave
+//!    by wave.
+//! 4. **Assemble** the report in schedule order.
 //!
 //! Interprocedural behaviour goes through per-function summaries applied
 //! bottom-up; calls into recursive cycles conservatively havoc the
@@ -31,8 +29,6 @@ use localias_alias::FrozenLocs;
 use localias_ast::{FunDef, Module};
 use localias_core::{Analysis, SharedAnalysis};
 use localias_obs as obs;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
 
 /// The three analysis modes of the Section 7 experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -65,38 +61,6 @@ impl Mode {
 /// `Expected` triple: no-confine, confine, all-strong).
 pub const MODES: [Mode; 3] = [Mode::NoConfine, Mode::Confine, Mode::AllStrong];
 
-/// Per-wave execution record of one checker run.
-#[derive(Debug, Clone)]
-pub struct WaveStat {
-    /// Number of functions checked in this wave.
-    pub functions: usize,
-    /// Wall-clock seconds the wave took.
-    pub seconds: f64,
-    /// Wall-clock seconds of the single slowest function in the wave —
-    /// the straggler that bounds how much parallelism can help.
-    pub max_fun_seconds: f64,
-}
-
-/// Execution statistics of one [`check_locks_frozen_timed`] run.
-#[derive(Debug, Clone)]
-pub struct IntraStats {
-    /// Worker threads the run was allowed to use per wave.
-    pub threads: usize,
-    /// Number of defined functions checked.
-    pub functions: usize,
-    /// Number of SCCs in the call graph's condensation.
-    pub sccs: usize,
-    /// Per-wave records, in schedule order.
-    pub waves: Vec<WaveStat>,
-}
-
-impl IntraStats {
-    /// Total wall-clock seconds across all waves.
-    pub fn total_seconds(&self) -> f64 {
-        self.waves.iter().map(|w| w.seconds).sum()
-    }
-}
-
 /// Checks the locking behaviour of `m` under `mode`, running the
 /// appropriate `localias-core` analysis first.
 pub fn check_locks(m: &Module, mode: Mode) -> LockReport {
@@ -123,13 +87,12 @@ fn check_mode(shared: &mut SharedAnalysis, mode: Mode) -> LockReport {
     check_locks_frozen(m, analysis, frozen, mode, 1)
 }
 
-/// Checks locking against a frozen analysis with up to `intra_jobs`
-/// worker threads per wave (`0` = one per available core, `1` =
-/// sequential).
+/// Checks locking against a frozen analysis: functions are checked wave
+/// by wave, so every summary a function consumes is published first,
+/// and errors are assembled in schedule order.
 ///
-/// The report is byte-identical for every `intra_jobs` value: functions
-/// are checked wave-by-wave (so every summary a function consumes is
-/// published first), and errors are assembled in schedule order.
+/// `intra_jobs` is kept only so the benchmark crate's calls keep their
+/// signature; the checker is sequential and the value must be 1.
 pub fn check_locks_frozen(
     m: &Module,
     analysis: &Analysis,
@@ -137,21 +100,9 @@ pub fn check_locks_frozen(
     mode: Mode,
     intra_jobs: usize,
 ) -> LockReport {
-    check_locks_frozen_timed(m, analysis, frozen, mode, intra_jobs).0
-}
-
-/// Like [`check_locks_frozen`], also returning per-wave execution
-/// statistics.
-pub fn check_locks_frozen_timed(
-    m: &Module,
-    analysis: &Analysis,
-    frozen: &FrozenLocs,
-    mode: Mode,
-    intra_jobs: usize,
-) -> (LockReport, IntraStats) {
+    assert_eq!(intra_jobs, 1, "the lock checker is sequential");
     let _span = obs::span!("cqual.check");
     let cx = CheckContext::new(m, analysis, frozen, mode);
-    let threads = resolve_jobs(intra_jobs);
     // With duplicate definitions the later one wins (legacy behaviour of
     // the name-keyed function map).
     let by_name: FxHashMap<&str, &FunDef> =
@@ -160,30 +111,14 @@ pub fn check_locks_frozen_timed(
     let n = cx.graph.len();
     let mut outcomes: Vec<Option<FunOutcome>> = (0..n).map(|_| None).collect();
     let mut summaries: Summaries = Summaries::default();
-    let mut stats = IntraStats {
-        threads,
-        functions: n,
-        sccs: cx.graph.scc_count(),
-        waves: Vec::with_capacity(cx.graph.waves().len()),
-    };
 
     for wave in cx.graph.waves() {
         obs::count(obs::Counter::CqualWaves, 1);
-        let wave_span = obs::span!("cqual.wave");
-        let started = Instant::now();
-        let mut max_fun_seconds = 0.0f64;
-        if threads <= 1 || wave.len() <= 1 {
-            for &v in wave {
-                if let Some(f) = by_name.get(cx.graph.name(v)) {
-                    let t0 = Instant::now();
-                    outcomes[v] = Some(check_function(&cx, &summaries, f));
-                    max_fun_seconds = max_fun_seconds.max(t0.elapsed().as_secs_f64());
-                }
-            }
-        } else {
-            for (v, out, secs) in check_wave_parallel(&cx, &summaries, &by_name, wave, threads) {
-                outcomes[v] = Some(out);
-                max_fun_seconds = max_fun_seconds.max(secs);
+        let _wave_span = obs::span!("cqual.wave");
+        let _hist = obs::hist_timer!(obs::Hist::CheckWave);
+        for &v in wave {
+            if let Some(f) = by_name.get(cx.graph.name(v)) {
+                outcomes[v] = Some(check_function(&cx, &summaries, f));
             }
         }
         // Publish the wave's summaries (in schedule order) before the
@@ -193,17 +128,8 @@ pub fn check_locks_frozen_timed(
                 summaries.insert(cx.graph.name(v).to_string(), out.summary.clone());
             }
         }
-        obs::record_duration(obs::Hist::CheckWave, started.elapsed());
-        drop(wave_span);
-        stats.waves.push(WaveStat {
-            functions: wave.len(),
-            seconds: started.elapsed().as_secs_f64(),
-            max_fun_seconds,
-        });
     }
 
-    // Assemble in schedule order — the exact order the sequential
-    // checker emitted errors in.
     let mut report = LockReport::default();
     for &v in cx.graph.order() {
         if let Some(out) = outcomes[v].take() {
@@ -211,63 +137,7 @@ pub fn check_locks_frozen_timed(
             report.sites += out.sites;
         }
     }
-    (report, stats)
-}
-
-/// Checks one wave's functions on `threads` scoped worker threads with
-/// an atomic work-stealing cursor (the same pool shape the corpus sweep
-/// uses), returning `(node, outcome, seconds)` triples. Workers record
-/// their spans under the spawner's current span path (via
-/// [`obs::fork`]), so the merged span tree is identical to a sequential
-/// run's.
-pub(crate) fn check_wave_parallel(
-    cx: &CheckContext<'_>,
-    summaries: &Summaries,
-    by_name: &FxHashMap<&str, &FunDef>,
-    wave: &[usize],
-    threads: usize,
-) -> Vec<(usize, FunOutcome, f64)> {
-    let workers = threads.min(wave.len());
-    let next = AtomicUsize::new(0);
-    let span_cx = obs::fork();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let next = &next;
-                let span_cx = span_cx.clone();
-                s.spawn(move || {
-                    let _attached = span_cx.attach();
-                    let mut got = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&v) = wave.get(i) else { break };
-                        if let Some(f) = by_name.get(cx.graph.name(v)) {
-                            let t0 = Instant::now();
-                            let out = check_function(cx, summaries, f);
-                            got.push((v, out, t0.elapsed().as_secs_f64()));
-                        }
-                    }
-                    got
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("checker thread panicked"))
-            .collect()
-    })
-}
-
-/// Resolves an `--intra-jobs` value: `0` means one worker per available
-/// core.
-pub(crate) fn resolve_jobs(jobs: usize) -> usize {
-    if jobs == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        jobs
-    }
+    report
 }
 
 #[cfg(test)]
@@ -275,32 +145,37 @@ mod tests {
     use super::*;
     use localias_alias::Backend;
 
+    /// The shared-analysis path equals fresh per-mode checks, also on the
+    /// schedule's corner cases: a self-recursive callee scheduled after
+    /// its caller, mutual recursion, and functions downstream of a cycle.
     #[test]
-    fn resolve_jobs_zero_is_auto() {
-        assert!(resolve_jobs(0) >= 1);
-        assert_eq!(resolve_jobs(3), 3);
-    }
-
-    #[test]
-    fn check_modes_matches_per_mode_checks_at_any_thread_count() {
-        let m = localias_ast::parse_module(
-            "t",
-            r#"
+    fn check_modes_matches_per_mode_checks() {
+        let simple = r#"
             lock l;
             void locker() { spin_lock(&l); }
             void unlocker() { spin_unlock(&l); }
             void seq() { locker(); unlocker(); }
-            "#,
-        )
-        .expect("parse");
-        let mut shared = SharedAnalysis::new(&m);
-        let all = check_modes(&mut shared);
-        for (mode, got) in MODES.into_iter().zip(&all) {
-            assert_eq!(got, &check_locks(&m, mode), "{mode:?}");
-            for jobs in [2, 8] {
-                let (analysis, frozen) = mode.analysis(&mut shared);
-                let parallel = check_locks_frozen(&m, analysis, frozen, mode, jobs);
-                assert_eq!(&parallel, got, "{mode:?} jobs={jobs}");
+        "#;
+        let cyclic = r#"
+            lock gl;
+            lock arr[8];
+            extern void work();
+            void zrec(int n) { spin_lock(&gl); zrec(n); spin_unlock(&gl); }
+            void arec(int n) { arec(n); spin_lock(&gl); spin_unlock(&gl); }
+            void even(int n) { odd(n); }
+            void odd(int n) { even(n); }
+            void down(int n) { even(n); spin_lock(&arr[n]); work(); spin_unlock(&arr[n]); }
+            void caller(int n) { arec(n); zrec(n); down(n); }
+            void leaf(int i) { spin_lock(&arr[i]); work(); spin_unlock(&arr[i]); }
+            void mid1(int i) { leaf(i); }
+            void mid2(int i) { leaf(i); }
+            void top(int i) { mid1(i); mid2(i); }
+        "#;
+        for src in [simple, cyclic] {
+            let m = localias_ast::parse_module("t", src).expect("parse");
+            let all = check_modes(&mut SharedAnalysis::new(&m));
+            for (mode, got) in MODES.into_iter().zip(&all) {
+                assert_eq!(got, &check_locks(&m, mode), "{mode:?}");
             }
         }
     }

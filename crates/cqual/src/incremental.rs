@@ -50,7 +50,7 @@
 //! answered from the cached reports without even parsing.
 
 use crate::callgraph::CallGraph;
-use crate::flow::{check_wave_parallel, resolve_jobs, Mode, MODES};
+use crate::flow::{Mode, MODES};
 use crate::fx::{FxHashMap, FxHashSet};
 use crate::intra::{check_function, CheckContext, FunOutcome};
 use crate::report::{LockError, LockReport};
@@ -750,7 +750,6 @@ struct ModeRun {
 fn run_mode<'p>(
     cx: &CheckContext<'_>,
     by_name: &FxHashMap<&str, &FunDef>,
-    threads: usize,
     items: &ItemIndex,
     sigs: &[Arc<StaticSig>],
     prev: Option<(&'p ModeCache, &LocMap, &[bool])>,
@@ -876,15 +875,9 @@ fn run_mode<'p>(
             }
         }
 
-        if threads <= 1 || to_run.len() <= 1 {
-            for &v in &to_run {
-                if let Some(f) = by_name.get(cx.graph.name(v)) {
-                    outcomes[v] = Some(check_function(cx, &summaries, f));
-                }
-            }
-        } else {
-            for (v, out, _secs) in check_wave_parallel(cx, &summaries, by_name, &to_run, threads) {
-                outcomes[v] = Some(out);
+        for &v in &to_run {
+            if let Some(f) = by_name.get(cx.graph.name(v)) {
+                outcomes[v] = Some(check_function(cx, &summaries, f));
             }
         }
         rechecked += to_run.len();
@@ -915,7 +908,7 @@ fn run_mode<'p>(
     drop(wave_span);
 
     // Assemble the report in schedule order (byte-identical to the full
-    // checker at any thread count) — hit errors are un-rebased into the
+    // checker) — hit errors are un-rebased into the
     // current parse's id space on the way — then fold everything into
     // the new cache, where a hit entry inherits its predecessor's
     // (unchanged) item-relative error allocation outright.
@@ -1017,18 +1010,19 @@ fn run_mode<'p>(
 /// ```
 pub struct IncrementalSession {
     name: String,
-    intra_jobs: usize,
     prev: Option<PrevState>,
 }
 
 impl IncrementalSession {
-    /// Creates a session for a module named `name`, checking with up to
-    /// `intra_jobs` worker threads per wave (`0` = one per core). The
-    /// reports are byte-identical for every `intra_jobs` value.
+    /// Creates a session for a module named `name`.
+    ///
+    /// `intra_jobs` is kept only so the benchmark crate's calls keep
+    /// their signature; the checker is sequential and the value must
+    /// be 1.
     pub fn new(name: &str, intra_jobs: usize) -> IncrementalSession {
+        assert_eq!(intra_jobs, 1, "the lock checker is sequential");
         IncrementalSession {
             name: name.to_string(),
-            intra_jobs,
             prev: None,
         }
     }
@@ -1092,7 +1086,6 @@ impl IncrementalSession {
             .map(|p| build_locmap(&p.confine_anchors, &confine_anchors));
         let analysis_seconds = t_analysis.elapsed().as_secs_f64();
 
-        let threads = resolve_jobs(self.intra_jobs);
         let t_check = Instant::now();
         // One call graph and one context per *analysis*; `AllStrong`
         // re-tags the base context rather than rebuilding it. The graph
@@ -1177,7 +1170,6 @@ impl IncrementalSession {
         let r0 = run_mode(
             &cx_base,
             &by_name,
-            threads,
             &items,
             &base_sigs,
             pm(0, &base_locmap).map(|c| (c, base_locmap.as_ref().expect("gated"), &fp_same[..])),
@@ -1185,7 +1177,6 @@ impl IncrementalSession {
         let r1 = run_mode(
             &cx_conf,
             &by_name,
-            threads,
             &items,
             &conf_sigs,
             pm(1, &confine_locmap)
@@ -1195,7 +1186,6 @@ impl IncrementalSession {
         let r2 = run_mode(
             &cx_all,
             &by_name,
-            threads,
             &items,
             &base_sigs,
             pm(2, &base_locmap).map(|c| (c, base_locmap.as_ref().expect("gated"), &fp_same[..])),
@@ -1273,26 +1263,19 @@ mod tests {
         check_modes(&mut SharedAnalysis::new(&m))
     }
 
-    /// Drives `sources` through a session at each thread count, asserting
-    /// every incremental report byte-equals from-scratch checking, and
-    /// returns the stats of the final step (from the jobs=1 run).
+    /// Drives `sources` through one session, asserting every incremental
+    /// report byte-equals from-scratch checking, and returns the stats of
+    /// the final step.
     fn assert_identical(sources: &[&str]) -> IncrStats {
+        let mut session = IncrementalSession::new("m", 1);
         let mut last = None;
-        for jobs in [1usize, 4] {
-            let mut session = IncrementalSession::new("m", jobs);
-            for (i, src) in sources.iter().enumerate() {
-                let out = session.analyze(src).expect("parse");
-                let want = full_reports(src);
-                for (mi, (got, want)) in out.reports.iter().zip(&want).enumerate() {
-                    assert_eq!(
-                        got, want,
-                        "step {i} mode {mi} jobs {jobs}: incremental != full"
-                    );
-                }
-                if jobs == 1 {
-                    last = Some(out.stats);
-                }
+        for (i, src) in sources.iter().enumerate() {
+            let out = session.analyze(src).expect("parse");
+            let want = full_reports(src);
+            for (mi, (got, want)) in out.reports.iter().zip(&want).enumerate() {
+                assert_eq!(got, want, "step {i} mode {mi}: incremental != full");
             }
+            last = Some(out.stats);
         }
         last.expect("at least one source")
     }

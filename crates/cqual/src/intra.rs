@@ -42,8 +42,8 @@ pub(crate) struct RangeScope {
 
 /// Everything a function check reads and nothing it writes: the module,
 /// the frozen analysis facts, the call graph, and per-function scope/
-/// parameter metadata. Immutable after construction and `Sync`, so one
-/// context serves every checker thread.
+/// parameter metadata. Immutable after construction, so one context
+/// serves every function check.
 pub(crate) struct CheckContext<'a> {
     pub mode: Mode,
     /// The typing/aliasing state (read-only: expression types, variables).
@@ -59,8 +59,7 @@ pub(crate) struct CheckContext<'a> {
     /// `(ρ, ρ')` for explicit confine/restrict statements, by stmt id.
     pub(crate) stmt_scopes: FxHashMap<NodeId, (Loc, Loc)>,
     /// Per-function parameter metadata, indexed by call-graph node;
-    /// `Arc` so each call site shares it across threads instead of
-    /// cloning the vector.
+    /// `Arc` so each call site shares it instead of cloning the vector.
     pub(crate) params: Vec<Arc<Vec<ParamInfo>>>,
 }
 

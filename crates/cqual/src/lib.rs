@@ -48,10 +48,7 @@ pub mod store;
 mod summary;
 
 pub use callgraph::CallGraph;
-pub use flow::{
-    check_locks, check_locks_frozen, check_locks_frozen_timed, check_modes, IntraStats, Mode,
-    WaveStat, MODES,
-};
+pub use flow::{check_locks, check_locks_frozen, check_modes, Mode, MODES};
 pub use incremental::{IncrOutcome, IncrStats, IncrementalSession};
 pub use qual::LockState;
 pub use report::{LockError, LockOp, LockReport};

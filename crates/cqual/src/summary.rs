@@ -4,8 +4,8 @@
 //! function: the lock states it requires on entry (per location, first
 //! use) and the states it leaves on exit. Summaries are built bottom-up
 //! over the [`crate::callgraph::CallGraph`] schedule and published behind
-//! `Arc` — once published they are never mutated, so any number of
-//! checker threads can apply one at their call sites concurrently.
+//! `Arc` — once published they are never mutated, so the incremental
+//! checker shares cached ones across runs without copying them.
 //!
 //! A summary speaks in the *callee's* frame: a restrict parameter's
 //! entries name the callee's fresh `ρ'`. [`retarget`] maps those entries
@@ -37,7 +37,7 @@ pub(crate) struct Summary {
 
 /// The published summaries, keyed by function name. Between waves the
 /// scheduler inserts the completed wave's summaries; during a wave the
-/// map is only read (shared as `&Summaries` across worker threads).
+/// map is only read.
 pub(crate) type Summaries = FxHashMap<String, Arc<Summary>>;
 
 /// Parameter metadata for retargeting restrict-parameter summaries.

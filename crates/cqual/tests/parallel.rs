@@ -1,5 +1,4 @@
-//! Determinism and thread-invariance of the call-graph-scheduled
-//! checker.
+//! Determinism of the call-graph-scheduled checker.
 //!
 //! Two pinned properties:
 //!
@@ -8,16 +7,12 @@
 //!    are reported or their order. Node ids shift when definitions move,
 //!    so reports are compared as `(fun, op, found)` sequences plus site
 //!    counts.
-//! 2. **Thread invariance**: `--intra-jobs N` must produce reports
-//!    byte-identical to the sequential schedule, including around the
-//!    legacy schedule's corner cases (self-recursion, mutual recursion,
-//!    functions downstream of a cycle).
+//! 2. **Run-to-run stability**: repeated runs of one input are
+//!    bit-identical.
 
 use localias_ast::parse_module;
 use localias_core::SharedAnalysis;
-use localias_cqual::{
-    check_locks, check_locks_frozen, check_modes, LockOp, LockReport, LockState, MODES,
-};
+use localias_cqual::{check_modes, LockOp, LockReport, LockState};
 
 /// A report projected onto definition-order-independent data.
 type Shape = (Vec<(String, LockOp, LockState)>, usize);
@@ -76,41 +71,6 @@ fn recursive_shapes_survive_definition_shuffling() {
         "void downstream(int n) { even(n); spin_lock(&gl); spin_unlock(&gl); }\n",
         "void caller(int n) { selfy(n); downstream(n); }\n",
     ]);
-}
-
-/// Every mode and thread count produces byte-identical reports, even on
-/// the schedule's corner cases: a self-recursive callee scheduled after
-/// its caller, mutual recursion, and functions dragged into the cyclic
-/// remainder by being downstream of a cycle.
-#[test]
-fn thread_count_never_changes_the_report() {
-    let src = r#"
-        lock gl;
-        lock arr[8];
-        extern void work();
-        void zrec(int n) { spin_lock(&gl); zrec(n); spin_unlock(&gl); }
-        void arec(int n) { arec(n); spin_lock(&gl); spin_unlock(&gl); }
-        void even(int n) { odd(n); }
-        void odd(int n) { even(n); }
-        void down(int n) { even(n); spin_lock(&arr[n]); work(); spin_unlock(&arr[n]); }
-        void caller(int n) { arec(n); zrec(n); down(n); }
-        void leaf(int i) { spin_lock(&arr[i]); work(); spin_unlock(&arr[i]); }
-        void mid1(int i) { leaf(i); }
-        void mid2(int i) { leaf(i); }
-        void top(int i) { mid1(i); mid2(i); }
-    "#;
-    let m = parse_module("threads", src).expect("parse");
-    let mut shared = SharedAnalysis::new(&m);
-    let all = check_modes(&mut shared);
-    for (mode, sequential) in MODES.into_iter().zip(&all) {
-        // Entry points agree: the one-shot path equals the shared path.
-        assert_eq!(&check_locks(&m, mode), sequential, "{mode:?} one-shot");
-        for jobs in [0, 2, 3, 8, 16] {
-            let (analysis, frozen) = mode.analysis(&mut shared);
-            let parallel = check_locks_frozen(&m, analysis, frozen, mode, jobs);
-            assert_eq!(&parallel, sequential, "{mode:?} at intra_jobs={jobs}");
-        }
-    }
 }
 
 /// Repeated runs of the same input are bit-stable (no hash-iteration

@@ -8,10 +8,10 @@
 //! localias locks   <file.mc> [mode]   # flow-sensitive lock checking
 //! localias run     <file.mc> [arg]    # execute under the §3.2 semantics
 //! localias watch   <file.mc> [--iterations N] [--poll-ms MS]
-//!                    [--intra-jobs N] [--verify] [--quiet]
+//!                    [--verify] [--quiet]
 //!                                     # re-check incrementally on every save
 //! localias corpus  <dir> [seed]       # dump the synthetic driver corpus
-//! localias experiment [seed] [--jobs N] [--intra-jobs N]
+//! localias experiment [seed] [--jobs N]
 //!                    [--cache DIR | --no-cache] [--cache-shards N]
 //!                    [--modules N] [--partition I/N]
 //!                    [--bench-out FILE] [--trace-out FILE]
@@ -94,15 +94,14 @@ fn main() -> ExitCode {
                  \x20                          missed real fault fails the run, shrunk to a minimal\n\
                  \x20                          repro module under --repro-dir (--stream prints the\n\
                  \x20                          per-module verdict lines)\n\
-                 watch   <file.mc> [--iterations N] [--poll-ms MS] [--intra-jobs N]\n\
-                 \x20                          [--verify] [--quiet]\n\
+                 watch   <file.mc> [--iterations N] [--poll-ms MS] [--verify] [--quiet]\n\
                  \x20                          re-run the three lock checks on every save,\n\
                  \x20                          re-checking only edited functions plus their\n\
                  \x20                          summary-change cone (--verify cross-checks every\n\
                  \x20                          report against from-scratch analysis; --iterations\n\
                  \x20                          exits after N analyses, for scripting)\n\
                  corpus  <dir> [seed]       write the synthetic driver corpus to <dir>\n\
-                 experiment [seed] [--jobs N] [--intra-jobs N] [--cache DIR | --no-cache]\n\
+                 experiment [seed] [--jobs N] [--cache DIR | --no-cache]\n\
                  \x20                          [--cache-shards N] [--modules N] [--partition I/N]\n\
                  \x20                          [--alias steensgaard|andersen]\n\
                  \x20                          [--bench-out FILE] [--trace-out FILE]\n\
@@ -398,11 +397,10 @@ fn cmd_fuzz(args: &[String]) -> Result<String, String> {
 /// tests drive the loop; without it the command polls until killed.
 fn cmd_watch(args: &[String]) -> Result<String, String> {
     const USAGE: &str = "usage: localias watch <file.mc> [--iterations N] \
-         [--poll-ms MS] [--intra-jobs N] [--verify] [--quiet]";
+         [--poll-ms MS] [--verify] [--quiet]";
     let mut path: Option<String> = None;
     let mut iterations: Option<u64> = None;
     let mut poll_ms: u64 = 200;
-    let mut intra_jobs: usize = 1;
     let mut verify = false;
     let mut quiet = false;
     let mut it = args.iter();
@@ -415,7 +413,6 @@ fn cmd_watch(args: &[String]) -> Result<String, String> {
         match a.as_str() {
             "--iterations" => iterations = Some(parse_num(a, it.next())?),
             "--poll-ms" => poll_ms = parse_num(a, it.next())?.max(1),
-            "--intra-jobs" => intra_jobs = parse_num(a, it.next())? as usize,
             "--verify" => verify = true,
             "--quiet" => quiet = true,
             flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
@@ -435,7 +432,7 @@ fn cmd_watch(args: &[String]) -> Result<String, String> {
         Some((meta.modified().ok()?, meta.len()))
     };
 
-    let mut session = IncrementalSession::new(&name, intra_jobs);
+    let mut session = IncrementalSession::new(&name, 1);
     let max_iters = iterations.unwrap_or(u64::MAX);
     let mut done = 0u64;
     let mut last_fp = fingerprint(&path);
@@ -549,7 +546,6 @@ fn cmd_experiment(args: &[String]) -> Result<String, String> {
         &stream,
         range,
         opts.jobs,
-        opts.intra_jobs,
         opts.alias,
         &opts.cache,
     );
@@ -566,18 +562,7 @@ fn cmd_experiment(args: &[String]) -> Result<String, String> {
     let report = localias_bench::finish_obs(&opts)?;
     bench.profile = report.trace;
     bench.hist = report.hists;
-    let (mut clean, mut real, mut full, mut partial) = (0, 0, 0, 0);
-    for r in &results {
-        if r.no_confine == 0 {
-            clean += 1;
-        } else if r.no_confine == r.all_strong {
-            real += 1;
-        } else if r.confine == r.all_strong {
-            full += 1;
-        } else {
-            partial += 1;
-        }
-    }
+    let [clean, real, full, partial] = localias_bench::category_counts(&results);
 
     let mut out = String::new();
     match opts.partition {

@@ -373,6 +373,23 @@ fn watch_rejects_unknown_flags() {
     assert!(err.contains("unknown flag"), "{err}");
 }
 
+/// The lock checker is sequential: the old wave-thread flag is gone from
+/// both commands that took it, and from the usage text.
+#[test]
+fn removed_wave_thread_flag_is_unknown() {
+    let p = write_temp("watch-intra.mc", WATCH_BASE);
+    let (_, err, ok) = localias(&["watch", p.to_str().unwrap(), "--intra-jobs", "2"]);
+    assert!(!ok);
+    assert!(err.contains("unknown flag `--intra-jobs`"), "{err}");
+
+    let (_, err, ok) = localias(&["experiment", "--intra-jobs", "2"]);
+    assert!(!ok);
+    assert!(err.contains("unknown flag `--intra-jobs`"), "{err}");
+
+    let (_, err, _) = localias(&[]);
+    assert!(!err.contains("--intra-jobs"), "{err}");
+}
+
 #[test]
 fn fuzz_smoke_is_clean_and_deterministic() {
     let dir = std::env::temp_dir().join("localias-cli-tests/fuzz-repro");

@@ -11,7 +11,7 @@
 //! or the trace drains. Bucket addition commutes, so the merged
 //! histogram is byte-identical for any thread layout that records the
 //! same multiset of values — the same determinism contract the span
-//! tree and counters already keep for any `--jobs`/`--intra-jobs`.
+//! tree and counters already keep for any `--jobs` value.
 //!
 //! **Bucket scheme.** [`HIST_BUCKETS`] (64) logarithmic buckets: a
 //! value lands in the bucket indexed by its bit length — bucket 0 holds

@@ -12,10 +12,10 @@
 //! * **Spans** ([`span!`]): phase-scoped timers recorded into a
 //!   thread-local ring buffer and merged *deterministically* into a
 //!   process-wide aggregate keyed by hierarchical path — traces are
-//!   stable (modulo timestamps) for any `--jobs`/`--intra-jobs` value.
-//!   Worker threads inherit their spawner's span path through
+//!   stable (modulo timestamps) for any `--jobs` value. Worker threads
+//!   inherit their spawner's span path through
 //!   [`fork`]/[`SpanContext::attach`], so the span tree is identical
-//!   whether a wave ran sequentially or on eight threads.
+//!   whether a sweep ran sequentially or on eight threads.
 //! * **Counters** ([`count`]/[`counter!`]): named monotonic event
 //!   counters ([`Counter`]) incremented from deep inside the alias,
 //!   effects and cqual crates. Relaxed atomic adds commute, so totals

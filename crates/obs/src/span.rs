@@ -7,8 +7,8 @@
 //! aggregate keyed by path whenever the thread's span stack empties (or
 //! the buffer fills), and aggregation is commutative, so the merged
 //! result is independent of thread count and scheduling: the span *tree*
-//! (paths and counts) is byte-stable for any `--jobs`/`--intra-jobs`
-//! value, and only the recorded durations vary run to run.
+//! (paths and counts) is byte-stable for any `--jobs` value, and only
+//! the recorded durations vary run to run.
 //!
 //! Worker threads do not start inside their spawner's spans — their
 //! stacks are empty — so a parallel run would record different paths

@@ -12,17 +12,15 @@
 #                                with per-shard cache counters and the
 #                                latency-histogram block with exact
 #                                p50/p90/p95/p99 per stage)
-#   BENCH_intra.json             mega-module sequential-vs-wave-parallel
-#                                timings (schema localias-bench-intra/v4)
 #   BENCH_watch.json             function-granular incremental recheck:
 #                                cold/edit/no-op latencies + check-phase
 #                                speedup over from-scratch analysis
-#                                (schema localias-bench-watch/v3)
+#                                (schema localias-bench-watch/v4)
 #   BENCH_alias.json             alias-backend precision/perf frontier:
 #                                both backends over the calibrated
 #                                corpus, categories + error totals +
 #                                wall time side by side (schema
-#                                localias-bench-alias/v3)
+#                                localias-bench-alias/v4)
 #   BENCH_fuzz.json              differential-fuzzing throughput + FP
 #                                rates (schema localias-bench-fuzz/v3)
 #   BENCH_scale.json             modules/sec + peak RSS vs corpus size
@@ -82,24 +80,12 @@ if [ -f BENCH_experiment.prev.json ]; then
         BENCH_experiment.json || true
 fi
 
-# Intra-module wave parallelism on the synthesized mega-module: one
-# sequential and one parallel run per mode, reports asserted identical.
-# On a single-core container the "speedup" hovers near 1x; the per-wave
-# timings still record the schedule the parallel path executes.
-./target/release/intra --intra-jobs 4 --bench-out BENCH_intra.json
-
-echo
-echo "wrote $(pwd)/BENCH_intra.json (mega-module):"
-cat BENCH_intra.json
-
 # Function-granular incremental recheck on the mega-module: seeded
 # single-function edits against an IncrementalSession, every report
 # asserted byte-identical to from-scratch checking. The headline is
-# check-phase vs check-phase at --intra-jobs 1 — parallelism helps the
-# full check more than the (already tiny) incremental one, so the
-# single-thread number is the honest comparison; end-to-end stays
-# analysis-dominated by design (see EXPERIMENTS.md).
-./target/release/watch --funs 300 --edits 8 --intra-jobs 1 --profile \
+# check-phase vs check-phase; end-to-end stays analysis-dominated by
+# design (see EXPERIMENTS.md).
+./target/release/watch --funs 300 --edits 8 --profile \
     --bench-out BENCH_watch.json
 
 echo

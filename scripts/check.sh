@@ -1,12 +1,14 @@
 #!/bin/sh
 # CI gate: formatting + lints, tier-1 build + tests (workspace-wide, which
-# includes the multi-process cache concurrency test), a mega-module smoke
-# run of the wave-parallel checker, a warm-cache smoke sweep that proves
-# the incremental cache fully hits on an unchanged corpus, and a
+# includes the multi-process cache concurrency test), the paper's §7
+# totals from a cold full sweep, a warm-cache smoke sweep that proves
+# the incremental cache fully hits on an unchanged corpus, a
 # crash-recovery smoke that kills a sweep mid-run and fabricates the
-# worst-case crash artifacts to prove the sharded store heals itself,
-# a watch-determinism smoke proving incremental recheck reports stay
-# byte-identical to full rechecks at two worker counts, an
+# worst-case crash artifacts to prove the sharded store heals itself, a
+# mega-module smoke of the `watch` bench (incremental recheck asserted
+# equal to from-scratch checking on every edit), a watch-determinism
+# smoke proving `localias watch` reports stay byte-identical to a full
+# recheck, an
 # observability smoke that traces a sweep, validates the emitted trace
 # with `localias tracecheck`, and exports it as a Chrome trace, and a
 # perf-regression gate proving `localias bench-diff` is clean on a
@@ -50,13 +52,27 @@ cargo test -q -p localias-bench --test hist \
 cargo test -q -p localias-bench --test hist \
     equal_multisets_render_byte_identical_hist_blocks >/dev/null
 
-# Cold pass primes a throwaway cache; warm pass must hit on all 589
-# modules and miss on none.
+# Cold pass primes a throwaway cache and must report the paper's §7
+# totals over the whole corpus; warm pass must hit on all 589 modules
+# and miss on none.
 CACHE=$(mktemp -d)
 trap 'rm -rf "$CACHE"' EXIT
+COLD="$CACHE/cold.txt"
 WARM="$CACHE/warm.json"
 
-./target/release/localias experiment --jobs 1 --cache "$CACHE" >/dev/null
+./target/release/localias experiment --jobs 1 --cache "$CACHE" >"$COLD"
+for LINE in \
+    '  error-free without confine:        352' \
+    '  errors unrelated to weak updates:  85' \
+    '  fully recovered by confine:        138' \
+    '  partially recovered (Figure 7):    14' \
+    '  spurious errors: 3116 of 3277 eliminated (95%)'; do
+    grep -qxF "$LINE" "$COLD" || {
+        echo "check.sh: the cold sweep no longer reports the paper's numbers:" >&2
+        cat "$COLD" >&2
+        exit 1
+    }
+done
 ./target/release/localias experiment --jobs 1 --cache "$CACHE" \
     --bench-out "$WARM" >/dev/null
 
@@ -128,68 +144,66 @@ grep -q '"hits": 589' "$HEALED" && grep -q '"misses": 0' "$HEALED" || {
     exit 1
 }
 
-# Mega-module smoke: the wave-parallel checker must produce reports
-# byte-identical to the sequential schedule (asserted inside the bin).
-INTRA="$CACHE/intra.json"
-cargo run -q --release -p localias-bench --bin intra -- \
-    --funs 120 --intra-jobs 4 --bench-out "$INTRA" >/dev/null
-grep -q '"schema": "localias-bench-intra/v4"' "$INTRA" || {
-    echo "check.sh: intra bench wrote an unexpected report:" >&2
-    cat "$INTRA" >&2
+# Mega-module smoke: on every iteration the `watch` bench asserts that
+# the incremental reports equal from-scratch checking and that each
+# edit's closed-form error triple holds.
+WATCH="$CACHE/watch.json"
+cargo run -q --release -p localias-bench --bin watch -- \
+    --funs 120 --edits 4 --bench-out "$WATCH" >/dev/null
+grep -q '"schema": "localias-bench-watch/v4"' "$WATCH" || {
+    echo "check.sh: watch bench wrote an unexpected report:" >&2
+    cat "$WATCH" >&2
     exit 1
 }
 
-# A self-diff of the intra artifact compares every metric its gate
+# A self-diff of the watch artifact compares every metric its gate
 # lists and must be clean.
-./target/release/localias bench-diff "$INTRA" "$INTRA" >/dev/null || {
-    echo "check.sh: bench-diff self-compare of the intra artifact was not clean" >&2
-    ./target/release/localias bench-diff "$INTRA" "$INTRA" >&2 || true
+./target/release/localias bench-diff "$WATCH" "$WATCH" >/dev/null || {
+    echo "check.sh: bench-diff self-compare of the watch artifact was not clean" >&2
+    ./target/release/localias bench-diff "$WATCH" "$WATCH" >&2 || true
     exit 1
 }
 
 # Watch-determinism smoke: after an edit, the incremental report must
-# be byte-identical to a full recheck at --intra-jobs 1 and 4
-# (`--verify` re-checks from scratch and fails the process on any
-# divergence, every iteration).
+# be byte-identical to a full recheck (`--verify` re-checks from scratch
+# and fails the process on any divergence, every iteration).
 WATCHDIR="$CACHE/watch"
 mkdir -p "$WATCHDIR"
-for JOBS in 1 4; do
-    WFILE="$WATCHDIR/mod$JOBS.mc"
+WFILE="$WATCHDIR/mod.mc"
+printf '%s\n' \
+    'lock locks[8];' \
+    'extern void work();' \
+    'void helper(int i) {' \
+    '    spin_lock(&locks[i]);' \
+    '    work();' \
+    '    spin_unlock(&locks[i]);' \
+    '}' \
+    'void caller(int i) { helper(i); }' >"$WFILE"
+(
+    sleep 0.5
     printf '%s\n' \
         'lock locks[8];' \
         'extern void work();' \
         'void helper(int i) {' \
         '    spin_lock(&locks[i]);' \
         '    work();' \
-        '    spin_unlock(&locks[i]);' \
         '}' \
         'void caller(int i) { helper(i); }' >"$WFILE"
-    (
-        sleep 0.5
-        printf '%s\n' \
-            'lock locks[8];' \
-            'extern void work();' \
-            'void helper(int i) {' \
-            '    spin_lock(&locks[i]);' \
-            '    work();' \
-            '}' \
-            'void caller(int i) { helper(i); }' >"$WFILE"
-    ) &
-    EDITOR_PID=$!
-    WOUT="$WATCHDIR/out$JOBS.txt"
-    ./target/release/localias watch "$WFILE" --iterations 2 --poll-ms 25 \
-        --intra-jobs "$JOBS" --verify --quiet >"$WOUT" || {
-        echo "check.sh: watch --verify diverged at --intra-jobs $JOBS:" >&2
-        cat "$WOUT" >&2
-        exit 1
-    }
-    wait "$EDITOR_PID"
-    grep -q '^\[2\] incr:' "$WOUT" || {
-        echo "check.sh: watch did not pick up the edit at --intra-jobs $JOBS:" >&2
-        cat "$WOUT" >&2
-        exit 1
-    }
-done
+) &
+EDITOR_PID=$!
+WOUT="$WATCHDIR/out.txt"
+./target/release/localias watch "$WFILE" --iterations 2 --poll-ms 25 \
+    --verify --quiet >"$WOUT" || {
+    echo "check.sh: watch --verify diverged from a full recheck:" >&2
+    cat "$WOUT" >&2
+    exit 1
+}
+wait "$EDITOR_PID"
+grep -q '^\[2\] incr:' "$WOUT" || {
+    echo "check.sh: watch did not pick up the edit:" >&2
+    cat "$WOUT" >&2
+    exit 1
+}
 
 # Observability smoke: a traced sweep must emit a trace the strict
 # validator accepts, embed profile + hist blocks in the bench report,
@@ -365,4 +379,4 @@ if [ -n "$(ls -A "$FUZZ")" ]; then
     exit 1
 fi
 
-echo "check.sh: fmt, clippy, build, tests, concurrency + obs + hist gates, warm-cache sweep, crash recovery, mega smoke, watch-determinism smoke, trace + chrome smoke, bench-diff gate, partitioned scale smoke, andersen backend smoke, benchmark tests, and fuzz smoke all passed"
+echo "check.sh: fmt, clippy, build, tests, concurrency + obs + hist gates, §7 totals, warm-cache sweep, crash recovery, mega smoke, watch-determinism smoke, trace + chrome smoke, bench-diff gate, partitioned scale smoke, andersen backend smoke, benchmark tests, and fuzz smoke all passed"
