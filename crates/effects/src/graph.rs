@@ -119,6 +119,12 @@ impl Graph {
         self.added_edges.push((from, to, port));
     }
 
+    /// Consumes the graph, returning the node of each canonical effect
+    /// variable, indexed by variable.
+    pub(crate) fn into_var_nodes(self) -> Vec<Option<NodeIx>> {
+        self.var_node
+    }
+
     /// Drains the additions (atoms, edges) logged since the last call.
     #[allow(clippy::type_complexity)]
     pub fn take_additions(&mut self) -> (Vec<(Atom, NodeIx, Port)>, Vec<(NodeIx, NodeIx, Port)>) {
@@ -162,10 +168,13 @@ impl Graph {
 /// Builds the graph for every unconditional inclusion in `cs`.
 pub fn build(cs: &mut ConstraintSystem) -> Graph {
     let mut g = Graph::new(cs);
-    let includes = cs.includes.clone();
+    // Lowering needs `cs` mutably, so move the inclusions out while it
+    // runs instead of cloning them.
+    let includes = std::mem::take(&mut cs.includes);
     for (l, v) in &includes {
         g.include(cs, l, *v);
     }
+    cs.includes = includes;
     g
 }
 

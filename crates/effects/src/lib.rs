@@ -13,8 +13,10 @@
 //! * [`graph`] — normalization into a constraint graph with intersection
 //!   nodes (Figure 4b);
 //! * [`solve`](crate::solve()) (in the [`solve`](crate::solve) module) —
-//!   least solutions by worklist propagation, the Figure 5 `CHECK-SAT`
-//!   single-location query, and the conditional-constraint fixpoint loop.
+//!   least solutions over per-kind location bitsets, propagated once per
+//!   strongly connected component in topological order, the Figure 5
+//!   `CHECK-SAT` single-location query, and the conditional-constraint
+//!   fixpoint loop.
 //!
 //! # Example
 //!

@@ -6,133 +6,457 @@
 //!
 //! A solution maps every effect variable to a set of kinded atoms such
 //! that all inclusions hold. Least solutions exist (the system is
-//! monotone) and are computed by worklist propagation over the constraint
-//! graph; an intersection node passes an atom `K(ρ)` only once `ρ` has
-//! arrived on *both* of its inputs — the role played by the arrival
-//! counter in the paper's Figure 5.
+//! monotone). A module has few abstract locations (about twenty; a few
+//! hundred on the largest), so each node's set is held as one bitset over
+//! location indices per effect kind, and propagating a whole set along an
+//! edge is a few word ORs. The initial solution visits the constraint
+//! graph's strongly connected components once, in topological order: a
+//! node on no cycle forwards its finished set along each out-edge exactly
+//! once, and a cycle iterates over its own nodes until it is stable.
+//!
+//! An intersection node passes an atom `K(ρ)` only once `ρ` has arrived
+//! on *both* of its inputs — the role played by the arrival counter in
+//! the paper's Figure 5. It keeps its left input per kind and its right
+//! input as one location set; its own set is their word-wise AND.
 //!
 //! ## Conditional constraints (§5, §6)
 //!
 //! Inference introduces one-shot conditionals `guard ⇒ action` whose
 //! actions may unify locations and add inclusions. [`solve`] iterates:
-//! compute the least solution, fire every newly-true guard, repeat. Each
-//! round fires at least one guard or terminates, and guards never
-//! "unfire" (solutions only grow, locations only merge), so the loop runs
-//! at most `#conditionals + 1` rounds — this is the worklist the paper
-//! charges `O(n)` re-computation per fired constraint to, giving the
-//! overall `O(n²)` inference bound.
+//! fire every newly-true guard in index order, propagating each fired
+//! action to the new least solution before the next guard is evaluated,
+//! and repeat. Each round fires at least one guard or terminates, and
+//! guards never "unfire" (solutions only grow, locations only merge), so
+//! the loop runs at most `#conditionals + 1` rounds — this is the
+//! worklist the paper charges `O(n)` re-computation per fired constraint
+//! to, giving the overall `O(n²)` inference bound.
 
-use crate::constraint::{Action, ConstraintSystem, Guard, NotIn};
-use crate::effect::{EffVar, Effect, KindMask};
-use crate::graph::{build, Graph, NodeIx, Port};
+use crate::constraint::{Action, ConstraintSystem, Guard};
+use crate::effect::{EffVar, Effect, EffectKind, KindMask};
+use crate::graph::{build, Graph, NodeIx, NodeKind, Port};
 use localias_alias::{Loc, LocTable};
 use localias_obs as obs;
 
 pub use localias_alias::{FxHasher, FxMap};
 
-/// A dense `Loc → KindMask` set.
-///
-/// Locations are small dense indices (a module tops out at a few hundred
-/// even on the largest corpus members), so per-node sets are flat byte
-/// arrays indexed by `Loc::index` — membership tests and unions on the
-/// propagation hot path are a single array access with no hashing at
-/// all. A side list of touched locations keeps iteration proportional to
-/// the set's size rather than the table's.
-#[derive(Debug, Clone, Default)]
-struct LocSet {
-    /// `masks[loc.index()]`: low bits are the [`KindMask`], the top bit
-    /// records membership in `present` (so re-inserting a removed
-    /// location does not duplicate the list entry).
-    masks: Vec<u8>,
-    /// Insertion-ordered list of locations ever inserted; entries whose
-    /// mask has gone back to empty are skipped on iteration.
-    present: Vec<Loc>,
-    /// Number of locations with a non-empty mask.
-    len: usize,
+/// Number of effect kinds; kind `k` is bit `1 << k` of a [`KindMask`].
+const KINDS: usize = 4;
+
+fn kind_index(kind: EffectKind) -> usize {
+    kind.mask().0.trailing_zeros() as usize
 }
 
-/// Top bit of a `LocSet` mask byte: "already in the `present` list".
-const IN_LIST: u8 = 0x80;
+/// Per-node atom sets: for every node, one bitset over location indices
+/// per effect kind, `w` words each.
+///
+/// Node `n`'s kind-`k` set is `words[(n * KINDS + k) * w..][..w]`.
+#[derive(Debug, Default)]
+struct Sets {
+    w: usize,
+    words: Vec<u64>,
+}
 
-impl LocSet {
+impl Sets {
+    /// Word `i` of the union of `node`'s sets for the kinds in `kinds`.
     #[inline]
-    fn get(&self, loc: Loc) -> KindMask {
-        KindMask(self.masks.get(loc.index()).copied().unwrap_or(0) & !IN_LIST)
+    fn word(&self, node: NodeIx, kinds: KindMask, i: usize) -> u64 {
+        let base = node as usize * KINDS * self.w + i;
+        (0..KINDS)
+            .filter(|&k| kinds.0 & (1 << k) != 0)
+            .fold(0, |acc, k| acc | self.words[base + k * self.w])
     }
 
-    /// Unions `mask` into `loc`'s entry, returning `(old, new)` masks.
+    /// The kinds under which location index `loc` is in `node`'s set.
     #[inline]
-    fn union_insert(&mut self, loc: Loc, mask: KindMask) -> (KindMask, KindMask) {
-        let i = loc.index();
-        if i >= self.masks.len() {
-            self.masks.resize(i + 1, 0);
+    fn mask_at(&self, node: NodeIx, loc: usize) -> KindMask {
+        let (i, bit) = (loc / 64, loc % 64);
+        if i >= self.w {
+            return KindMask::EMPTY;
         }
-        let raw = self.masks[i];
-        let old = raw & !IN_LIST;
-        let new = old | (mask.0 & !IN_LIST);
-        if new != old {
-            if old == 0 {
-                self.len += 1;
-                if raw & IN_LIST == 0 {
-                    self.present.push(loc);
+        let base = node as usize * KINDS * self.w + i;
+        KindMask((0..KINDS).fold(0, |acc, k| {
+            acc | ((((self.words[base + k * self.w] >> bit) & 1) as u8) << k)
+        }))
+    }
+
+    /// `node`'s atoms in location-index order.
+    fn iter(&self, node: NodeIx) -> impl Iterator<Item = (Loc, KindMask)> + '_ {
+        (0..self.w).flat_map(move |i| {
+            let mut rest = self.word(node, KindMask::ALL, i);
+            std::iter::from_fn(move || {
+                if rest == 0 {
+                    return None;
                 }
-            }
-            self.masks[i] = new | IN_LIST;
-        }
-        (KindMask(old), KindMask(new))
-    }
-
-    /// Empties `loc`'s entry, returning its previous non-empty mask.
-    #[inline]
-    fn remove(&mut self, loc: Loc) -> Option<KindMask> {
-        let raw = self.masks.get_mut(loc.index())?;
-        let old = *raw & !IN_LIST;
-        if old == 0 {
-            return None;
-        }
-        *raw &= IN_LIST;
-        self.len -= 1;
-        Some(KindMask(old))
-    }
-
-    #[inline]
-    fn contains(&self, loc: Loc) -> bool {
-        !self.get(loc).is_empty()
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Iterates the non-empty entries in insertion order.
-    fn iter(&self) -> impl Iterator<Item = (Loc, KindMask)> + '_ {
-        self.present.iter().filter_map(move |&l| {
-            let m = self.masks[l.index()] & !IN_LIST;
-            (m != 0).then_some((l, KindMask(m)))
+                let loc = i * 64 + rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                Some((Loc(loc as u32), self.mask_at(node, loc)))
+            })
         })
     }
+
+    /// The number of locations in `node`'s set.
+    fn len(&self, node: NodeIx) -> usize {
+        (0..self.w)
+            .map(|i| self.word(node, KindMask::ALL, i).count_ones() as usize)
+            .sum()
+    }
 }
 
-/// Per-node solution state during propagation.
-#[derive(Debug, Clone, Default)]
-struct NodeState {
-    /// For plain nodes: the solved atom set. For intersection nodes: the
-    /// *output* (gated) set.
-    sol: LocSet,
-    /// Intersection nodes only: atoms seen on the left input.
-    left: LocSet,
-    /// Intersection nodes only: locations seen on the right input.
-    right: LocSet,
+/// The propagation state: every node's [`Sets`] entry, plus the inputs of
+/// intersection nodes.
+#[derive(Debug)]
+struct Store {
+    sets: Sets,
+    /// Offset in `gates` of each node's inputs, [`NO_GATE`] for plain
+    /// nodes.
+    gate_of: Vec<u32>,
+    /// An intersection node's `KINDS` left-input bitsets, then its
+    /// right-input bitset (any kind), `w` words each.
+    gates: Vec<u64>,
+}
+
+const NO_GATE: u32 = u32::MAX;
+
+impl Store {
+    fn new(w: usize) -> Self {
+        Store {
+            sets: Sets {
+                w,
+                words: Vec::new(),
+            },
+            gate_of: Vec::new(),
+            gates: Vec::new(),
+        }
+    }
+
+    /// Extends the store with empty sets for nodes `graph` added since.
+    fn grow(&mut self, graph: &Graph) {
+        let w = self.sets.w;
+        for n in self.gate_of.len()..graph.node_count() {
+            let gate = match graph.kinds[n] {
+                NodeKind::Plain => NO_GATE,
+                NodeKind::Inter => {
+                    let at = u32::try_from(self.gates.len()).expect("gate offsets fit in u32");
+                    self.gates.resize(self.gates.len() + (KINDS + 1) * w, 0);
+                    at
+                }
+            };
+            self.gate_of.push(gate);
+        }
+        self.sets.words.resize(self.gate_of.len() * KINDS * w, 0);
+    }
+
+    /// Adds atom `kind(loc)` to `node`'s input on `port`; `true` if the
+    /// node's own set grew.
+    fn seed(&mut self, node: NodeIx, port: Port, loc: usize, kind: EffectKind) -> bool {
+        let w = self.sets.w;
+        let (i, bit) = (loc / 64, 1u64 << (loc % 64));
+        let n = node as usize;
+        let word = match port {
+            Port::Normal => &mut self.sets.words[(n * KINDS + kind_index(kind)) * w + i],
+            Port::Left => &mut self.gates[self.gate_of[n] as usize + kind_index(kind) * w + i],
+            Port::Right => &mut self.gates[self.gate_of[n] as usize + KINDS * w + i],
+        };
+        let grew = *word & bit == 0;
+        *word |= bit;
+        match port {
+            Port::Normal => grew,
+            Port::Left | Port::Right => grew && self.regate(n),
+        }
+    }
+
+    /// Unions `from`'s set into `to`'s input on `port` — one delivery —
+    /// and returns `true` if `to`'s own set grew.
+    #[inline]
+    fn flow(&mut self, from: NodeIx, to: NodeIx, port: Port) -> bool {
+        let w = self.sets.w;
+        let span = KINDS * w;
+        let (f, t) = (from as usize * span, to as usize * span);
+        let words = &mut self.sets.words;
+        let mut grew = 0;
+        match port {
+            Port::Normal => {
+                for i in 0..span {
+                    let new = words[f + i] & !words[t + i];
+                    words[t + i] |= new;
+                    grew |= new;
+                }
+                grew != 0
+            }
+            Port::Left => {
+                let g = self.gate_of[to as usize] as usize;
+                for i in 0..span {
+                    let new = words[f + i] & !self.gates[g + i];
+                    self.gates[g + i] |= new;
+                    grew |= new;
+                }
+                grew != 0 && self.regate(to as usize)
+            }
+            Port::Right => {
+                let r = self.gate_of[to as usize] as usize + span;
+                for i in 0..w {
+                    let any = (0..KINDS).fold(0, |acc, k| acc | words[f + k * w + i]);
+                    let new = any & !self.gates[r + i];
+                    self.gates[r + i] |= new;
+                    grew |= new;
+                }
+                grew != 0 && self.regate(to as usize)
+            }
+        }
+    }
+
+    /// Re-applies intersection node `n`'s gate: each kind's set gains
+    /// `left[k] & right`. Returns `true` if the node's set grew.
+    fn regate(&mut self, n: usize) -> bool {
+        let w = self.sets.w;
+        let g = self.gate_of[n] as usize;
+        let (t, r) = (n * KINDS * w, g + KINDS * w);
+        let mut grew = 0;
+        for i in 0..KINDS * w {
+            let new = self.gates[g + i] & self.gates[r + i % w] & !self.sets.words[t + i];
+            self.sets.words[t + i] |= new;
+            grew |= new;
+        }
+        grew != 0
+    }
+
+    /// Re-keys every set after location `loser`'s class merged into
+    /// `winner`'s, queueing each intersection node whose set the merge
+    /// made grow.
+    ///
+    /// Moving a bit keeps every plain inclusion satisfied, so only gates
+    /// need re-checking: the merge may newly align a left-side atom with
+    /// a right-side presence.
+    fn merge(&mut self, winner: usize, loser: usize, work: &mut Worklist) {
+        let w = self.sets.w;
+        let (wi, wbit) = (winner / 64, 1u64 << (winner % 64));
+        let (li, lbit) = (loser / 64, 1u64 << (loser % 64));
+        let rekey = |words: &mut [u64], base: usize| {
+            if words[base + li] & lbit != 0 {
+                words[base + li] &= !lbit;
+                words[base + wi] |= wbit;
+            }
+        };
+        for n in 0..self.gate_of.len() {
+            for k in 0..KINDS {
+                rekey(&mut self.sets.words, (n * KINDS + k) * w);
+            }
+            let g = self.gate_of[n];
+            if g != NO_GATE {
+                for k in 0..=KINDS {
+                    rekey(&mut self.gates, g as usize + k * w);
+                }
+                if self.regate(n) {
+                    work.push(n as NodeIx);
+                }
+            }
+        }
+    }
+
+    /// Drains `work` to a fixpoint, returning the number of deliveries.
+    fn drain(&mut self, graph: &Graph, work: &mut Worklist) -> u64 {
+        let mut unions = 0;
+        while let Some(n) = work.pop() {
+            for &(to, port) in &graph.out[n as usize] {
+                unions += 1;
+                if self.flow(n, to, port) {
+                    work.push(to);
+                }
+            }
+        }
+        unions
+    }
+
+    /// Propagates the seeded atoms to the least solution, visiting
+    /// `graph`'s strongly connected components once in topological order,
+    /// and returns the number of deliveries. `work` must be empty.
+    fn propagate(&mut self, graph: &Graph, work: &mut Worklist) -> u64 {
+        let Sccs { order, comp } = Sccs::of(graph);
+        let mut unions = 0;
+        // `order` lists components sinks first, so walk it backwards.
+        let mut end = order.len();
+        while end > 0 {
+            let c = comp[order[end - 1] as usize];
+            let mut start = end - 1;
+            while start > 0 && comp[order[start - 1] as usize] == c {
+                start -= 1;
+            }
+            let members = &order[start..end];
+            if let [n] = *members {
+                // Every input of `n` is final. A singleton's only
+                // possible cycle is a plain `ε ⊆ ε` self-edge (an
+                // intersection node's inputs are created before it), and
+                // that union adds nothing.
+                for &(to, port) in &graph.out[n as usize] {
+                    unions += 1;
+                    self.flow(n, to, port);
+                }
+            } else {
+                for &n in members {
+                    work.push(n);
+                }
+                while let Some(n) = work.pop() {
+                    for &(to, port) in &graph.out[n as usize] {
+                        if comp[to as usize] == c {
+                            unions += 1;
+                            if self.flow(n, to, port) {
+                                work.push(to);
+                            }
+                        }
+                    }
+                }
+                for &n in members {
+                    for &(to, port) in &graph.out[n as usize] {
+                        if comp[to as usize] != c {
+                            unions += 1;
+                            self.flow(n, to, port);
+                        }
+                    }
+                }
+            }
+            end = start;
+        }
+        unions
+    }
+
+    /// Evaluates a conditional's guard against the current sets.
+    fn holds(
+        &self,
+        guard: &Guard,
+        cs: &ConstraintSystem,
+        locs: &mut LocTable,
+        graph: &Graph,
+    ) -> bool {
+        let node = |v: EffVar| var_node_of(graph, cs, v);
+        let sets = &self.sets;
+        match guard {
+            Guard::LocIn { loc, kinds, var } => {
+                let l = locs.find(*loc);
+                node(*var).is_some_and(|n| sets.mask_at(n, l.index()).overlaps(*kinds))
+            }
+            Guard::AnyKind { var, kinds } => {
+                node(*var).is_some_and(|n| (0..sets.w).any(|i| sets.word(n, *kinds, i) != 0))
+            }
+            Guard::Overlap {
+                left,
+                left_kinds,
+                right,
+                right_kinds,
+            } => match (node(*left), node(*right)) {
+                (Some(a), Some(b)) => (0..sets.w)
+                    .any(|i| sets.word(a, *left_kinds, i) & sets.word(b, *right_kinds, i) != 0),
+                _ => false,
+            },
+        }
+    }
+}
+
+/// A LIFO node worklist with an in-queue flag per node.
+#[derive(Debug, Default)]
+struct Worklist {
+    stack: Vec<NodeIx>,
+    queued: Vec<bool>,
+}
+
+impl Worklist {
+    fn grow(&mut self, nodes: usize) {
+        if nodes > self.queued.len() {
+            self.queued.resize(nodes, false);
+        }
+    }
+
+    fn push(&mut self, n: NodeIx) {
+        let queued = &mut self.queued[n as usize];
+        if !*queued {
+            *queued = true;
+            self.stack.push(n);
+        }
+    }
+
+    fn pop(&mut self) -> Option<NodeIx> {
+        let n = self.stack.pop()?;
+        self.queued[n as usize] = false;
+        Some(n)
+    }
+}
+
+/// A graph's strongly connected components, from an iterative Tarjan
+/// search.
+struct Sccs {
+    /// Every node, grouped by component; components appear in reverse
+    /// topological order (Tarjan closes a component only after every
+    /// component it reaches).
+    order: Vec<NodeIx>,
+    /// Each node's component, numbered in `order`'s order.
+    comp: Vec<u32>,
+}
+
+impl Sccs {
+    fn of(graph: &Graph) -> Sccs {
+        const UNSEEN: u32 = u32::MAX;
+        let n = graph.node_count();
+        let mut index = vec![UNSEEN; n];
+        let mut low = vec![0u32; n];
+        let mut comp = vec![UNSEEN; n];
+        let mut order = Vec::with_capacity(n);
+        // The Tarjan stack, and the DFS stack of (node, next out-edge).
+        let mut stack: Vec<NodeIx> = Vec::new();
+        let mut calls: Vec<(NodeIx, usize)> = Vec::new();
+        let (mut next, mut comps) = (0u32, 0u32);
+        for root in 0..n as NodeIx {
+            if index[root as usize] != UNSEEN {
+                continue;
+            }
+            let mut enter = Some(root);
+            loop {
+                if let Some(v) = enter.take() {
+                    index[v as usize] = next;
+                    low[v as usize] = next;
+                    next += 1;
+                    stack.push(v);
+                    calls.push((v, 0));
+                }
+                let Some(&(v, e)) = calls.last() else {
+                    break;
+                };
+                let v = v as usize;
+                if let Some(&(to, _)) = graph.out[v].get(e) {
+                    calls.last_mut().expect("non-empty").1 += 1;
+                    if index[to as usize] == UNSEEN {
+                        enter = Some(to);
+                    } else if comp[to as usize] == UNSEEN {
+                        low[v] = low[v].min(index[to as usize]);
+                    }
+                    continue;
+                }
+                calls.pop();
+                if let Some(&(parent, _)) = calls.last() {
+                    low[parent as usize] = low[parent as usize].min(low[v]);
+                }
+                if low[v] == index[v] {
+                    loop {
+                        let x = stack.pop().expect("v is on the Tarjan stack");
+                        comp[x as usize] = comps;
+                        order.push(x);
+                        if x as usize == v {
+                            break;
+                        }
+                    }
+                    comps += 1;
+                }
+            }
+        }
+        Sccs { order, comp }
+    }
 }
 
 /// The result of [`solve`].
 #[derive(Debug)]
 pub struct Solution {
-    /// Final per-node sets (internal layout).
-    node_sets: Vec<LocSet>,
-    /// Node of each canonical effect variable at the end of solving.
-    var_node: FxMap<EffVar, NodeIx>,
+    /// Final per-node sets.
+    sets: Sets,
+    /// Node of each canonical effect variable, indexed by variable.
+    var_node: Vec<Option<NodeIx>>,
     /// Flag values set by fired conditionals.
     flags: Vec<bool>,
     /// Violated disinclusion checks.
@@ -155,6 +479,13 @@ pub struct Violation {
 }
 
 impl Solution {
+    fn node(&self, cs: &ConstraintSystem, var: EffVar) -> Option<NodeIx> {
+        self.var_node
+            .get(cs.find_const(var).index())
+            .copied()
+            .flatten()
+    }
+
     /// Is `K(ρ)` (for any `K` in `kinds`) in `var`'s least solution?
     pub fn contains(
         &self,
@@ -164,48 +495,36 @@ impl Solution {
         loc: Loc,
         kinds: KindMask,
     ) -> bool {
-        let r = cs.find_const(var);
-        let Some(&node) = self.var_node.get(&r) else {
-            return false;
-        };
-        let l = locs.find_const(loc);
-        self.node_sets[node as usize].get(l).overlaps(kinds)
+        self.node(cs, var).is_some_and(|n| {
+            self.sets
+                .mask_at(n, locs.find_const(loc).index())
+                .overlaps(kinds)
+        })
     }
 
     /// The solved atom set of `var` as sorted `(location, kinds)` pairs.
     ///
-    /// Allocates and sorts; callers that only need to scan the set should
-    /// prefer [`Solution::set_iter`].
+    /// Allocates; callers that only need to scan the set should prefer
+    /// [`Solution::set_iter`].
     pub fn set(&self, cs: &ConstraintSystem, var: EffVar) -> Vec<(Loc, KindMask)> {
-        let mut v: Vec<_> = self.set_iter(cs, var).collect();
-        v.sort_by_key(|&(l, _)| l);
-        v
+        self.set_iter(cs, var).collect()
     }
 
-    /// Iterates `var`'s solved atom set without allocating.
-    ///
-    /// Iteration order is the set's insertion order (an artifact of
-    /// propagation scheduling); use [`Solution::set`] when a sorted order
-    /// matters.
+    /// Iterates `var`'s solved atom set without allocating, in location
+    /// index order.
     pub fn set_iter<'a>(
         &'a self,
         cs: &ConstraintSystem,
         var: EffVar,
     ) -> impl Iterator<Item = (Loc, KindMask)> + 'a {
-        let r = cs.find_const(var);
-        self.var_node
-            .get(&r)
-            .map(|&node| self.node_sets[node as usize].iter())
+        self.node(cs, var)
             .into_iter()
-            .flatten()
+            .flat_map(move |n| self.sets.iter(n))
     }
 
     /// The number of atoms in `var`'s solved set.
     pub fn set_len(&self, cs: &ConstraintSystem, var: EffVar) -> usize {
-        let r = cs.find_const(var);
-        self.var_node
-            .get(&r)
-            .map_or(0, |&node| self.node_sets[node as usize].len())
+        self.node(cs, var).map_or(0, |n| self.sets.len(n))
     }
 
     /// Whether `flag` was set by a fired conditional.
@@ -311,18 +630,23 @@ pub fn solve_with(
     // drop them so we only react to our own.
     let _ = locs.take_merges();
 
-    // Initial propagation; later rounds extend the same state
-    // *incrementally* — the paper's O(n) work per fired conditional
-    // rather than a full re-propagation.
-    let mut engine = Engine::new(graph.node_count());
+    // Actions unify existing locations but never allocate one, so the
+    // bitset width is fixed for the whole solve.
+    let loc_count = locs.len();
+    let mut store = Store::new(loc_count.div_ceil(64));
+    let mut work = Worklist::default();
+    store.grow(&graph);
+    work.grow(graph.node_count());
     let _ = graph.take_additions(); // initial atoms are seeded in bulk
     for &(atom, node, port) in &graph.atoms {
         let l = locs.find(atom.loc);
-        engine.deliver(node, port, l, atom.kind.mask());
+        store.seed(node, port, l.index(), atom.kind);
     }
-    engine.run(&graph);
+    let mut unions = store.propagate(&graph, &mut work);
 
-    let states = loop {
+    // Later rounds extend the same state *incrementally* — the paper's
+    // O(n) work per fired conditional rather than a full re-propagation.
+    loop {
         rounds += 1;
 
         let mut any = false;
@@ -330,51 +654,54 @@ pub fn solve_with(
         // iterator over `cs.conditionals` cannot be held across it.
         #[allow(clippy::needless_range_loop)]
         for i in 0..cs.conditionals.len() {
-            if fired[i] {
+            if fired[i] || !store.holds(&cs.conditionals[i].guard, cs, locs, &graph) {
                 continue;
             }
-            let guard_true = {
-                let cond = &cs.conditionals[i];
-                eval_guard(&cond.guard, cs, locs, &graph, &engine.states)
-            };
-            if guard_true {
-                fired[i] = true;
-                any = true;
-                let action = cs.conditionals[i].action.clone();
-                apply_action(&action, cs, locs, &mut graph, &mut flags);
-                for (winner, loser) in locs.take_merges() {
-                    for (l, v) in loc_vars.merge(winner, loser) {
-                        cs.includes.push((l.clone(), v));
-                        graph.include(cs, &l, v);
-                    }
-                    engine.merge_loc(winner, loser);
+            fired[i] = true;
+            any = true;
+            let action = cs.conditionals[i].action.clone();
+            apply_action(&action, cs, locs, &mut graph, &mut flags);
+            assert_eq!(
+                locs.len(),
+                loc_count,
+                "a conditional action allocated a location mid-solve"
+            );
+            for (winner, loser) in locs.take_merges() {
+                for (l, v) in loc_vars.merge(winner, loser) {
+                    cs.includes.push((l.clone(), v));
+                    graph.include(cs, &l, v);
                 }
-                // Seed whatever the action added to the graph.
-                let (atoms, edges) = graph.take_additions();
-                engine.grow(graph.node_count());
-                for (atom, node, port) in atoms {
-                    let l = locs.find(atom.loc);
-                    engine.deliver(node, port, l, atom.kind.mask());
-                }
-                for (from, to, port) in edges {
-                    engine.deliver_edge(from, to, port);
-                }
-                engine.run(&graph);
+                store.merge(winner.index(), loser.index(), &mut work);
             }
+            // Seed whatever the action added to the graph.
+            let (atoms, edges) = graph.take_additions();
+            store.grow(&graph);
+            work.grow(graph.node_count());
+            for (atom, node, port) in atoms {
+                let l = locs.find(atom.loc);
+                if store.seed(node, port, l.index(), atom.kind) {
+                    work.push(node);
+                }
+            }
+            for (from, to, port) in edges {
+                unions += 1;
+                if store.flow(from, to, port) {
+                    work.push(to);
+                }
+            }
+            unions += store.drain(&graph, &mut work);
         }
         if !any {
-            break std::mem::take(&mut engine.states);
+            break;
         }
-    };
+    }
 
     // Verify the checked disinclusions against the final least solution.
     let mut violations = Vec::new();
-    let not_ins: Vec<NotIn> = cs.not_ins.clone();
-    for check in &not_ins {
-        let node = var_node_of(&graph, cs, check.var);
-        if let Some(node) = node {
+    for check in &cs.not_ins {
+        if let Some(node) = var_node_of(&graph, cs, check.var) {
             let l = locs.find(check.loc);
-            let found = states[node as usize].sol.get(l).inter(check.kinds);
+            let found = store.sets.mask_at(node, l.index()).inter(check.kinds);
             if !found.is_empty() {
                 violations.push(Violation {
                     tag: check.tag,
@@ -385,20 +712,13 @@ pub fn solve_with(
         }
     }
 
-    let mut var_node = FxMap::default();
-    for raw in 0..cs.var_count() as u32 {
-        let r = cs.find(EffVar(raw));
-        if let Some(n) = var_node_of(&graph, cs, r) {
-            var_node.insert(r, n);
-        }
-    }
-
     let fired = fired.iter().filter(|f| **f).count();
+    obs::count(obs::Counter::DeliverOps, unions);
     obs::count(obs::Counter::SolveRounds, rounds as u64);
     obs::count(obs::Counter::ConditionalsFired, fired as u64);
     Solution {
-        node_sets: states.into_iter().map(|s| s.sol).collect(),
-        var_node,
+        sets: store.sets,
+        var_node: graph.into_var_nodes(),
         flags,
         violations,
         rounds,
@@ -406,14 +726,9 @@ pub fn solve_with(
     }
 }
 
+/// The node of `v`'s canonical variable, without creating one.
 fn var_node_of(graph: &Graph, cs: &ConstraintSystem, v: EffVar) -> Option<NodeIx> {
-    // Read-only lookup mirroring Graph::var_node without creating nodes.
-    let r = cs.find_const(v);
-    graph_var_node(graph, r)
-}
-
-fn graph_var_node(graph: &Graph, canonical: EffVar) -> Option<NodeIx> {
-    graph.var_node_readonly(canonical)
+    graph.var_node_readonly(cs.find_const(v))
 }
 
 fn apply_action(
@@ -424,8 +739,6 @@ fn apply_action(
     flags: &mut Vec<bool>,
 ) {
     for &(a, b) in &action.unify {
-        let ta = locs.content(a);
-        let tb = locs.content(b);
         // Unify the classes and their contents; mismatches here mean the
         // program was already ill-typed and have been reported elsewhere.
         let mut mismatches = Vec::new();
@@ -435,7 +748,6 @@ fn apply_action(
             &localias_alias::Ty::Ref(b),
             &mut mismatches,
         );
-        let _ = (ta, tb);
     }
     for (l, v) in &action.include {
         cs.includes.push((l.clone(), *v));
@@ -449,193 +761,12 @@ fn apply_action(
     }
 }
 
-fn eval_guard(
-    guard: &Guard,
-    cs: &ConstraintSystem,
-    locs: &mut LocTable,
-    graph: &Graph,
-    states: &[NodeState],
-) -> bool {
-    let sol_of = |v: EffVar| -> Option<&LocSet> {
-        var_node_of(graph, cs, v).map(|n| &states[n as usize].sol)
-    };
-    match guard {
-        Guard::LocIn { loc, kinds, var } => {
-            let l = locs.find(*loc);
-            sol_of(*var).is_some_and(|s| s.get(l).overlaps(*kinds))
-        }
-        Guard::AnyKind { var, kinds } => sol_of(*var)
-            .map(|s| s.iter().any(|(_, m)| m.overlaps(*kinds)))
-            .unwrap_or(false),
-        Guard::Overlap {
-            left,
-            left_kinds,
-            right,
-            right_kinds,
-        } => {
-            let (Some(ls), Some(rs)) = (sol_of(*left), sol_of(*right)) else {
-                return false;
-            };
-            let (small, big, small_kinds, big_kinds) = if ls.len() <= rs.len() {
-                (ls, rs, *left_kinds, *right_kinds)
-            } else {
-                (rs, ls, *right_kinds, *left_kinds)
-            };
-            small
-                .iter()
-                .any(|(l, m)| m.overlaps(small_kinds) && big.get(l).overlaps(big_kinds))
-        }
-    }
-}
-
-/// The incremental propagation engine used by [`solve_with`]: state
-/// persists across conditional-constraint rounds, new atoms/edges are
-/// seeded individually, and location merges re-key the per-node maps —
-/// `O(n)` per fired constraint, the paper's §5 cost model.
-#[derive(Debug, Default)]
-struct Engine {
-    states: Vec<NodeState>,
-    work: Vec<(NodeIx, Loc)>,
-    /// Reused buffer for [`Engine::deliver_edge`], so each new edge does
-    /// not allocate a fresh snapshot vector.
-    scratch: Vec<(Loc, KindMask)>,
-}
-
-impl Engine {
-    fn new(nodes: usize) -> Self {
-        Engine {
-            states: vec![NodeState::default(); nodes],
-            work: Vec::new(),
-            scratch: Vec::new(),
-        }
-    }
-
-    fn grow(&mut self, nodes: usize) {
-        if nodes > self.states.len() {
-            self.states.resize(nodes, NodeState::default());
-        }
-    }
-
-    fn deliver(&mut self, node: NodeIx, port: Port, loc: Loc, mask: KindMask) {
-        deliver(&mut self.states, &mut self.work, node, port, loc, mask);
-    }
-
-    /// Pushes everything `from` currently holds along a newly added edge.
-    fn deliver_edge(&mut self, from: NodeIx, to: NodeIx, port: Port) {
-        // Snapshot into the reusable scratch buffer (delivery mutates
-        // `states`, so the source set cannot be borrowed across it).
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        scratch.extend(self.states[from as usize].sol.iter());
-        for &(l, m) in &scratch {
-            self.deliver(to, port, l, m);
-        }
-        self.scratch = scratch;
-    }
-
-    /// Re-keys every per-node map after `loser`'s class merged into
-    /// `winner`'s, re-checking intersection gates for the merged key.
-    /// Conservatively re-enqueues every touched node for the merged key
-    /// (monotone, so spurious work is harmless).
-    fn merge_loc(&mut self, winner: Loc, loser: Loc) {
-        for node in 0..self.states.len() {
-            let st = &mut self.states[node];
-            let mut touched = false;
-            if let Some(m) = st.sol.remove(loser) {
-                st.sol.union_insert(winner, m);
-                touched = true;
-            }
-            if let Some(m) = st.left.remove(loser) {
-                st.left.union_insert(winner, m);
-                touched = true;
-            }
-            if let Some(m) = st.right.remove(loser) {
-                st.right.union_insert(winner, m);
-                touched = true;
-            }
-            // Re-check the gate: the merge may newly align a left-side
-            // atom with a right-side presence.
-            if (touched || st.left.contains(winner)) && st.right.contains(winner) {
-                let lm = st.left.get(winner);
-                if !lm.is_empty() {
-                    let (old, new) = st.sol.union_insert(winner, lm);
-                    if new != old {
-                        touched = true;
-                    }
-                }
-            }
-            if touched {
-                self.work.push((node as NodeIx, winner));
-            }
-        }
-    }
-
-    /// Drains the worklist to a fixpoint.
-    fn run(&mut self, graph: &Graph) {
-        while let Some((node, loc)) = self.work.pop() {
-            let mask = self.states[node as usize].sol.get(loc);
-            if mask.is_empty() {
-                continue;
-            }
-            for &(to, port) in &graph.out[node as usize] {
-                deliver(&mut self.states, &mut self.work, to, port, loc, mask);
-            }
-        }
-    }
-}
-
-/// Delivers `mask` for `loc` to `node` on `port`, updating intersection
-/// gating and scheduling further propagation.
-fn deliver(
-    states: &mut [NodeState],
-    work: &mut Vec<(NodeIx, Loc)>,
-    node: NodeIx,
-    port: Port,
-    loc: Loc,
-    mask: KindMask,
-) {
-    obs::count(obs::Counter::DeliverOps, 1);
-    let st = &mut states[node as usize];
-    match port {
-        Port::Normal => {
-            let (old, new) = st.sol.union_insert(loc, mask);
-            if new != old {
-                work.push((node, loc));
-            }
-        }
-        Port::Left => {
-            let (old, new) = st.left.union_insert(loc, mask);
-            if new != old {
-                // Re-gate: pass left kinds if the right side has the loc.
-                if st.right.contains(loc) {
-                    let (out_old, out_new) = st.sol.union_insert(loc, new);
-                    if out_new != out_old {
-                        work.push((node, loc));
-                    }
-                }
-            }
-        }
-        Port::Right => {
-            let (old, new) = st.right.union_insert(loc, mask);
-            if new != old && old.is_empty() {
-                let lm = st.left.get(loc);
-                if !lm.is_empty() {
-                    let (out_old, out_new) = st.sol.union_insert(loc, lm);
-                    if out_new != out_old {
-                        work.push((node, loc));
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// The Figure 5 `CHECK-SAT` query: does `K(ρ)` (for any `K` in `kinds`)
 /// reach `var` in the least solution?
 ///
-/// This runs a *single-location* counting search — `O(n)` per query — and
-/// is the fast path `localias-core` uses for pure `restrict` *checking*
-/// (`k` annotations → `O(kn)` total, the paper's §4 bound). It answers
+/// This runs a *single-location* search — `O(n)` per query — and is the
+/// fast path `localias-core` uses for pure `restrict` *checking* (`k`
+/// annotations → `O(kn)` total, the paper's §4 bound). It answers
 /// identically to full propagation **when no intersection gate depends on
 /// other locations' presence** — true by construction here, because gates
 /// test presence of the *same* location on the right input.
@@ -653,33 +784,40 @@ pub fn reaches(
     };
     let l = locs.find(loc);
 
+    // A one-word store in which bit 0 stands for `l`'s class: only that
+    // class's atoms are seeded.
+    let mut store = Store::new(1);
+    let mut work = Worklist::default();
+    store.grow(graph);
+    work.grow(graph.node_count());
+    for &(atom, node, port) in &graph.atoms {
+        if locs.find(atom.loc) == l && store.seed(node, port, 0, atom.kind) {
+            work.push(node);
+        }
+    }
+    let hit = |store: &Store| store.sets.mask_at(target, 0).overlaps(kinds);
+
     // Node/edge work is tallied locally (plain integers on the hot path)
     // and flushed to the global counters once per query.
     let mut nodes_visited: u64 = 0;
     let mut edges_walked: u64 = 0;
-    let mut states: Vec<NodeState> = vec![NodeState::default(); graph.node_count()];
-    let mut work: Vec<(NodeIx, Loc)> = Vec::new();
-    for &(atom, node, port) in &graph.atoms {
-        if locs.find(atom.loc) == l {
-            deliver(&mut states, &mut work, node, port, l, atom.kind.mask());
-        }
-    }
     let found = 'search: {
-        while let Some((node, loc)) = work.pop() {
+        if hit(&store) {
+            break 'search true;
+        }
+        while let Some(n) = work.pop() {
             nodes_visited += 1;
-            if node == target && states[node as usize].sol.get(loc).overlaps(kinds) {
-                break 'search true;
-            }
-            let mask = states[node as usize].sol.get(loc);
-            if mask.is_empty() {
-                continue;
-            }
-            for &(to, port) in &graph.out[node as usize] {
+            for &(to, port) in &graph.out[n as usize] {
                 edges_walked += 1;
-                deliver(&mut states, &mut work, to, port, loc, mask);
+                if store.flow(n, to, port) {
+                    if to == target && hit(&store) {
+                        break 'search true;
+                    }
+                    work.push(to);
+                }
             }
         }
-        states[target as usize].sol.get(l).overlaps(kinds)
+        false
     };
     obs::count(obs::Counter::CheckSatNodes, nodes_visited);
     obs::count(obs::Counter::CheckSatEdges, edges_walked);

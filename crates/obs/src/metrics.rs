@@ -76,7 +76,9 @@ counters! {
     EffectVars => "effects.vars",
     /// Constraint edges added (inclusions + equations).
     ConstraintEdges => "effects.constraint_edges",
-    /// Worklist deliveries during least-solution propagation.
+    /// Deliveries during least-solution propagation: each one unions a
+    /// node's whole per-kind location bitsets into a successor along one
+    /// graph edge. Counted in a local and added once per solve.
     DeliverOps => "effects.deliver_ops",
     /// Conditional-constraint fixpoint rounds.
     SolveRounds => "effects.solve_rounds",

@@ -14,8 +14,8 @@
 # perf-regression gate proving `localias bench-diff` is clean on a
 # self-compare, trips on an injected slowdown, and still compares the
 # committed pre-`gate` experiment artifact with a fresh one. The
-# benchmark workspace's tests run too, and the fuzz smoke pins its
-# false-positive counts.
+# benchmark workspace's tests run too, the solver's exactness tests are
+# gated by name, and the fuzz smoke pins its false-positive counts.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -51,6 +51,18 @@ cargo test -q -p localias-bench --test hist \
     sweep_hist_counts_are_thread_invariant >/dev/null
 cargo test -q -p localias-bench --test hist \
     equal_multisets_render_byte_identical_hist_blocks >/dev/null
+
+# The solver's exactness contract is gated by name as well: with
+# intersections and with conditional constraints of every guard shape,
+# on random systems and on the first 60 corpus modules plus a mega
+# module, `solve_with` must reach the naive reference's solution,
+# location partition, flags and violations.
+cargo test -q -p localias --test solver_props \
+    solution_is_least_with_intersections >/dev/null
+cargo test -q -p localias --test solver_props \
+    conditional_fixpoint_matches_reference >/dev/null
+cargo test -q -p localias --test solver_props \
+    corpus_systems_match_reference >/dev/null
 
 # Cold pass primes a throwaway cache and must report the paper's §7
 # totals over the whole corpus; warm pass must hit on all 589 modules
@@ -379,4 +391,4 @@ if [ -n "$(ls -A "$FUZZ")" ]; then
     exit 1
 fi
 
-echo "check.sh: fmt, clippy, build, tests, concurrency + obs + hist gates, §7 totals, warm-cache sweep, crash recovery, mega smoke, watch-determinism smoke, trace + chrome smoke, bench-diff gate, partitioned scale smoke, andersen backend smoke, benchmark tests, and fuzz smoke all passed"
+echo "check.sh: fmt, clippy, build, tests, concurrency + obs + hist + solver-exactness gates, §7 totals, warm-cache sweep, crash recovery, mega smoke, watch-determinism smoke, trace + chrome smoke, bench-diff gate, partitioned scale smoke, andersen backend smoke, benchmark tests, and fuzz smoke all passed"
