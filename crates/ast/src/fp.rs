@@ -1,23 +1,18 @@
 //! The shared 128-bit FNV-1a fingerprint core.
 //!
-//! Every content-addressed key in the pipeline — the module-level result
-//! cache in `localias-bench` and the function-granular incremental
-//! recheck in `localias-cqual` — hashes canonical source text with this
-//! one core, so the two layers agree byte-for-byte on what "unchanged"
-//! means. Keys are *domain-separated*: each keying domain prefixes its
-//! own domain string (which embeds [`ANALYSIS_VERSION`]), so a key of
-//! one kind can never collide with a key of another, and bumping the
-//! version invalidates every cached result at once.
+//! Every content-addressed key of the module-level result cache in
+//! `localias-bench` hashes source text with this one core. Keys are
+//! *domain-separated*: each keying domain prefixes its own domain string
+//! (which embeds [`ANALYSIS_VERSION`]), so a key of one kind can never
+//! collide with a key of another, and bumping the version invalidates
+//! every cached result at once.
 //!
-//! The core lives in `localias-ast` (the root of the crate graph) rather
-//! than in `localias-bench` because `localias-cqual` sits *below* bench
-//! in the dependency order; bench re-exports these items so its public
-//! API is unchanged.
+//! The core lives in `localias-ast` (the root of the crate graph);
+//! bench re-exports these items.
 
-/// Bumped whenever any analysis stage changes observable results, so
-/// stale caches — the on-disk module store *and* in-memory function
-/// caches — can never serve wrong answers. Mixed into every fingerprint
-/// domain across the pipeline.
+/// Bumped whenever any analysis stage changes observable results, so a
+/// stale on-disk module store can never serve wrong answers. Mixed into
+/// every fingerprint domain.
 ///
 /// v2: the checker moved to the frozen-analysis, call-graph-scheduled
 /// pipeline and the store grew the generic `"v"` payload.

@@ -35,18 +35,6 @@ pub fn print_module(m: &Module) -> String {
     p.out
 }
 
-/// Renders a single top-level item as source text.
-///
-/// [`print_module`] is exactly the concatenation of `print_item` over the
-/// module's items (pinned by a test below), so a per-item fingerprint of
-/// the canonical form composes with the module-level one: a module's
-/// canonical text changes iff some item's canonical text changes.
-pub fn print_item(item: &Item) -> String {
-    let mut p = Printer::new();
-    p.item(item);
-    p.out
-}
-
 /// Renders a single expression.
 pub fn print_expr(e: &Expr) -> String {
     let mut p = Printer::new();
@@ -397,23 +385,6 @@ mod tests {
             printed.contains("for (; (i < 10); i = (i + 1))"),
             "{printed}"
         );
-    }
-
-    /// `print_module` must remain the concatenation of `print_item` —
-    /// the incremental recheck fingerprints functions per item and
-    /// relies on the composition to agree with the module-level cache.
-    #[test]
-    fn module_print_is_item_print_concatenated() {
-        let src = r#"
-        struct dev { lock mu; int n; };
-        lock locks[8];
-        extern void work();
-        void f(struct dev *d) { spin_lock(&d->mu); work(); spin_unlock(&d->mu); }
-        void g(int i) { f(&devs[i]); }
-        "#;
-        let m = parse_module("m", src).unwrap();
-        let concat: String = m.items.iter().map(print_item).collect();
-        assert_eq!(print_module(&m), concat);
     }
 
     #[test]

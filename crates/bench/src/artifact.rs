@@ -1,6 +1,6 @@
 //! The one writer every bench artifact goes through.
 //!
-//! Each family (experiment, watch, alias, scale, fuzz, and the
+//! Each family (experiment, alias, scale, fuzz, and the
 //! bench-diff report itself) builds an [`Artifact`]: the shared envelope
 //! — `schema`, `seed`, `host: {nproc}` first; `hist`, `profile` and
 //! `gate` last — around the family's own fields. A number written with

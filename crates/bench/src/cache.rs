@@ -68,9 +68,8 @@ use std::time::{Duration, Instant};
 /// stale caches from older binaries can never serve wrong answers. Mixed
 /// into every canonical fingerprint *and* written in every shard header.
 ///
-/// Single-sourced from [`localias_ast::fp`] so the function-granular
-/// incremental recheck in `localias-cqual` versions its fingerprints in
-/// lockstep with this store.
+/// Single-sourced from [`localias_ast::fp`], next to the fingerprint
+/// core.
 ///
 /// v2: the checker moved to the frozen-analysis, call-graph-scheduled
 /// pipeline and the store grew the generic `"v"` payload (see

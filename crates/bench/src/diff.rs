@@ -1,8 +1,8 @@
 //! `bench-diff` — the perf-regression gate over two bench artifacts.
 //!
 //! Compares an old and a new bench JSON document of the same family
-//! (`localias-bench-experiment`, `-watch`, `-alias`, `-scale`, `-fuzz`,
-//! or `-diff`) metric by metric. The metrics are the ones each
+//! (`localias-bench-experiment`, `-alias`, `-scale`, `-fuzz`, or
+//! `-diff`) metric by metric. The metrics are the ones each
 //! artifact lists in its `gate` block — every number its writer
 //! recorded with a direction ([`crate::artifact`]) — plus the
 //! percentiles of every sampled histogram in its `hist` block (lower is
@@ -16,7 +16,7 @@
 //! document is listed as skipped. Two documents that both predate `gate`
 //! compare only on their histograms, and a diff that finds nothing to
 //! compare is an error rather than a clean result. The two schemas must
-//! belong to the same family — diffing a watch report against an
+//! belong to the same family — diffing a fuzz report against an
 //! experiment sweep is a usage error, not a clean result. A metric whose
 //! old value is zero
 //! and whose new value is worse counts as a 100% regression (rates that
@@ -387,8 +387,8 @@ mod tests {
     #[test]
     fn family_mismatch_is_an_error() {
         let exp = experiment().pretty();
-        let watch = r#"{"schema": "localias-bench-watch/v4", "gate": []}"#;
-        let err = diff_benches(&exp, watch, 10.0).unwrap_err();
+        let fuzz = r#"{"schema": "localias-bench-fuzz/v3", "gate": []}"#;
+        let err = diff_benches(&exp, fuzz, 10.0).unwrap_err();
         assert!(err.contains("schema family mismatch"), "{err}");
     }
 

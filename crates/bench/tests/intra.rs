@@ -2,8 +2,8 @@
 //! mega-module.
 
 use localias_core::SharedAnalysis;
-use localias_corpus::mega_module;
-use localias_cqual::{check_modes, CallGraph};
+use localias_corpus::{mega_edit, mega_module, GeneratedModule, MegaEditKind};
+use localias_cqual::{check_modes, CallGraph, IncrementalSession, LockReport};
 
 #[test]
 fn mega_module_generator_is_deterministic() {
@@ -44,4 +44,47 @@ fn mega_module_wave_stats_cover_every_function() {
         "each function in exactly one wave: {seen:?}"
     );
     assert!(graph.waves().len() >= 3, "three-layer DAG has >= 3 waves");
+}
+
+fn from_scratch(m: &GeneratedModule) -> [LockReport; 3] {
+    check_modes(&mut SharedAnalysis::new(&m.parse()))
+}
+
+/// The `localias watch` path on a large module: one session takes four
+/// closed-form edits (Compute and BreakLock alternating), a whitespace
+/// edit and a byte-identical repeat of it.
+#[test]
+fn mega_edits_through_a_session_match_their_closed_forms() {
+    const SEED: u64 = 20030609;
+    const FUNS: usize = 120;
+    let base = mega_module(SEED, FUNS);
+    let mut session = IncrementalSession::new(&base.name, 1);
+    session
+        .analyze(&base.source)
+        .expect("the generated module parses");
+    let kinds = [
+        MegaEditKind::Compute,
+        MegaEditKind::BreakLock,
+        MegaEditKind::Compute,
+        MegaEditKind::BreakLock,
+        MegaEditKind::Whitespace,
+    ];
+    let mut edits = kinds
+        .into_iter()
+        .enumerate()
+        .map(|(i, kind)| mega_edit(SEED, FUNS, i as u64, kind))
+        .collect::<Vec<_>>();
+    edits.push(edits.last().expect("five edits").clone());
+    for (i, e) in edits.iter().enumerate() {
+        let out = session.analyze(&e.module.source).expect("edits parse");
+        let x = e.module.expect;
+        assert_eq!(
+            out.reports.each_ref().map(LockReport::error_count),
+            [x.no_confine, x.confine, x.all_strong],
+            "edit {i} ({:?}): closed-form triple",
+            e.kind
+        );
+        assert_eq!(out.reports, from_scratch(&e.module), "edit {i}");
+        assert_eq!(out.stats.module_hit, i == kinds.len(), "edit {i}");
+    }
 }

@@ -125,7 +125,7 @@ fn mega_module_counters_match_closed_form() {
     // Only the array leaves error, and only under no-confine.
     assert_eq!(trace.counter(obs::Counter::CqualErrors), N_ARRAY);
     // The three-layer DAG schedules at least three waves per mode check,
-    // and all three checks share one call graph.
+    // and the three checks' call graphs (one build each) share a schedule.
     let waves = trace.counter(obs::Counter::CqualWaves);
     assert!(waves >= 9, "expected >= 3 waves x 3 modes, got {waves}");
     assert_eq!(waves % 3, 0, "modes share the schedule, got {waves}");

@@ -421,9 +421,9 @@ impl<'m> SharedAnalysis<'m> {
     }
 
     /// Both frozen analyses at once — `(base, confine)` — for callers
-    /// that interleave modes over one borrow (e.g. the incremental
-    /// rechecker, which keeps per-analysis check contexts alive across
-    /// its three mode passes). Each separate `base_frozen()` /
+    /// that interleave modes over one borrow (e.g. the three-mode check,
+    /// which keeps one check context per analysis alive across its three
+    /// mode passes). Each separate `base_frozen()` /
     /// `confine_frozen()` call reborrows `&mut self` and so invalidates
     /// the other's references; this forces both memoizations first and
     /// then hands out shared references together.

@@ -28,8 +28,8 @@ use crate::plan::Category;
 use localias_prng::Rng64;
 use std::fmt::Write as _;
 
-/// Default function count of the mega-module (the `watch` benchmark's
-/// module size).
+/// Default function count of the mega-module (the `watch_edit`
+/// benchmark's module size).
 pub const DEFAULT_MEGA_FUNS: usize = 300;
 
 /// What one leaf function does.
@@ -225,11 +225,10 @@ fn mega_layout(funs: usize) -> (usize, usize, usize) {
 ///
 /// * [`Compute`](MegaEditKind::Compute) — a constant tweak inside one
 ///   lock-free compute leaf. No lock is touched, so the triple stays the
-///   base `(a, 0, 0)` and the edited function's summary is unchanged:
-///   an incremental recheck's dirty cone is exactly that one function.
+///   base `(a, 0, 0)` and the edited function's summary is unchanged.
 /// * [`Whitespace`](MegaEditKind::Whitespace) — a trailing comment.
 ///   Comments normalize away in the canonical form, so the triple stays
-///   `(a, 0, 0)` and an incremental recheck re-runs *zero* functions.
+///   `(a, 0, 0)`.
 /// * [`BreakLock`](MegaEditKind::BreakLock) — one array leaf's
 ///   `spin_unlock` becomes a second `spin_lock`. Under weak updates the
 ///   leaf already erred once (the release saw ⊤) and still errs once
@@ -237,10 +236,8 @@ fn mega_layout(funs: usize) -> (usize, usize, usize) {
 ///   confine inference or all-strong updates the first acquire is a
 ///   strong update to `locked`, which the second acquire's `unlocked`
 ///   requirement rejects — one error where there was none. The triple
-///   becomes `(a, 1, 1)`, and because only the edited leaf's *errors*
-///   change while its summary does too (exit state of the element
-///   location), the dirty cone is the leaf plus its owning mid and that
-///   mid's callers.
+///   becomes `(a, 1, 1)`, and the leaf's summary changes too (the exit
+///   state of the element location).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MegaEditKind {
     /// Tweak an arithmetic constant in a compute leaf (triple unchanged).
@@ -411,7 +408,7 @@ mod tests {
         assert_eq!(e.module.expect, base.expect);
         assert_eq!(e.function, None);
         // The canonical forms are identical — the strongest statement of
-        // "no-op": an incremental session re-checks zero functions.
+        // "no-op": the module-level cache keys it as the base module.
         assert_eq!(
             pretty::print_module(&base.parse()),
             pretty::print_module(&e.module.parse()),

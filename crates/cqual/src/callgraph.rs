@@ -7,36 +7,34 @@
 //! order. (The predecessor of this module, the ad-hoc `call_order` pass,
 //! iterated `HashMap`/`HashSet` and was deterministic only by luck.)
 //!
-//! Three layers of structure are computed once, up front:
+//! Two layers of structure are computed once, up front:
 //!
-//! 1. **Tarjan SCC condensation** ([`CallGraph::scc_of`],
-//!    [`CallGraph::sccs`]): the recursion groups. Calls into a recursive
-//!    group cannot use a summary and conservatively havoc the store.
-//! 2. **Schedule positions** ([`CallGraph::pos`], [`CallGraph::order`]):
+//! 1. **Schedule positions** ([`CallGraph::pos`], [`CallGraph::order`]):
 //!    the bottom-up order functions are summarized in. This reproduces
 //!    the legacy sequential schedule bit-for-bit — Kahn rounds with
 //!    alphabetical tie-breaks, self-recursive callees ignored for
 //!    readiness, and the undrainable remainder (functions on or
 //!    downstream of a mutual-recursion cycle) appended alphabetically
 //!    and marked [`CallGraph::is_cyclic`] — so reports are byte-identical
-//!    to the historical checker.
-//! 3. **Wave schedule** ([`CallGraph::waves`]): antichains of the
+//!    to the historical checker. Calls into a cyclic function that is
+//!    not yet summarized conservatively havoc the store.
+//! 2. **Wave schedule** ([`CallGraph::waves`]): antichains of the
 //!    summary-dependency DAG. Function `f` depends on callee `c` exactly
 //!    when `pos(c) < pos(f)` (that is precisely when the sequential
 //!    checker consumes `c`'s summary at `f`'s call sites); every such
 //!    edge decreases `pos`, so the dependency relation is acyclic even
 //!    across recursion groups. Wave `k` holds the functions whose longest
 //!    dependency chain has length `k`; all functions in one wave are
-//!    mutually independent and may be checked in parallel.
+//!    mutually independent.
 
 use localias_ast::visit::{walk_expr, Visitor};
 use localias_ast::{Expr, ExprKind, Module};
 use localias_obs as obs;
 use std::collections::HashMap;
 
-/// A call graph over a module's defined functions, with its SCC
-/// condensation, a deterministic bottom-up schedule, and a parallel wave
-/// partition. See the module docs for how the pieces relate.
+/// A call graph over a module's defined functions, with a deterministic
+/// bottom-up schedule and a wave partition. See the module docs for how
+/// the pieces relate.
 #[derive(Debug, Clone)]
 pub struct CallGraph {
     /// Function names; the node id *is* the index into this sorted list.
@@ -45,12 +43,6 @@ pub struct CallGraph {
     index: HashMap<String, usize>,
     /// Sorted, deduplicated defined callees per node, excluding self.
     callees: Vec<Vec<usize>>,
-    /// Whether the function calls itself directly.
-    self_rec: Vec<bool>,
-    /// SCC id per node (Tarjan, over the callee edges).
-    scc_of: Vec<usize>,
-    /// SCC member lists, in reverse-topological (callees-first) order.
-    sccs: Vec<Vec<usize>>,
     /// Treated as recursive by the checker: direct self-recursion, or on/
     /// downstream of a mutual-recursion cycle (the legacy rule).
     cyclic: Vec<bool>,
@@ -80,7 +72,7 @@ impl Visitor for Calls {
 }
 
 impl CallGraph {
-    /// Builds the graph, condensation, schedule, and waves for `m`.
+    /// Builds the graph, schedule, and waves for `m`.
     pub fn build(m: &Module) -> CallGraph {
         let _span = obs::span!("cqual.graph");
         // Node ids: defined function names, sorted — so numeric order on
@@ -118,7 +110,6 @@ impl CallGraph {
             callees[v] = out;
         }
 
-        let (scc_of, sccs) = tarjan(&callees);
         let (order, cyclic) = schedule(&callees, &self_rec);
         let mut pos = vec![0usize; n];
         for (i, &v) in order.iter().enumerate() {
@@ -154,9 +145,6 @@ impl CallGraph {
             names,
             index,
             callees,
-            self_rec,
-            scc_of,
-            sccs,
             cyclic,
             order,
             pos,
@@ -190,31 +178,11 @@ impl CallGraph {
         &self.callees[v]
     }
 
-    /// Whether `v` calls itself directly.
-    pub fn is_self_recursive(&self, v: usize) -> bool {
-        self.self_rec[v]
-    }
-
     /// Whether the checker treats `v` as recursive: calls to `v` havoc
     /// unless `v`'s summary is already scheduled (see
     /// [`CallGraph::uses_summary`]).
     pub fn is_cyclic(&self, v: usize) -> bool {
         self.cyclic[v]
-    }
-
-    /// The SCC id of `v` in the Tarjan condensation.
-    pub fn scc_of(&self, v: usize) -> usize {
-        self.scc_of[v]
-    }
-
-    /// All SCC member lists, callees-first.
-    pub fn sccs(&self) -> &[Vec<usize>] {
-        &self.sccs
-    }
-
-    /// Number of SCCs in the condensation.
-    pub fn scc_count(&self) -> usize {
-        self.sccs.len()
     }
 
     /// Node ids in bottom-up schedule order.
@@ -247,94 +215,6 @@ impl CallGraph {
     pub fn uses_summary(&self, caller: usize, callee: usize) -> bool {
         self.pos[callee] < self.pos[caller]
     }
-
-    /// Whether `f`'s body yields exactly node `v`'s recorded edges (the
-    /// same defined-callee set and self-recursion flag). A graph built
-    /// over a *different* parse of the module is still valid verbatim
-    /// when the function name sequence is unchanged and this holds for
-    /// every function whose body changed — the graph mentions no node
-    /// ids, only names and indices.
-    pub fn callees_match(&self, v: usize, f: &localias_ast::FunDef) -> bool {
-        let mut calls = Calls { out: Vec::new() };
-        calls.visit_block(&f.body);
-        let mut out = Vec::new();
-        let mut self_rec = false;
-        for callee in calls.out {
-            if callee == f.name.name {
-                self_rec = true;
-            } else if let Some(&c) = self.index.get(&callee) {
-                out.push(c);
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        self_rec == self.self_rec[v] && out == self.callees[v]
-    }
-}
-
-/// Iterative Tarjan SCC over the callee edges. Returns the SCC id of
-/// every node plus member lists in reverse-topological (callees-first)
-/// order; members are listed in ascending node id.
-fn tarjan(callees: &[Vec<usize>]) -> (Vec<usize>, Vec<Vec<usize>>) {
-    let n = callees.len();
-    const UNSET: usize = usize::MAX;
-    let mut index = vec![UNSET; n];
-    let mut lowlink = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut scc_of = vec![0usize; n];
-    let mut sccs: Vec<Vec<usize>> = Vec::new();
-    let mut next_index = 0usize;
-
-    // (node, next child position) frames of the explicit DFS stack.
-    let mut frames: Vec<(usize, usize)> = Vec::new();
-    for root in 0..n {
-        if index[root] != UNSET {
-            continue;
-        }
-        frames.push((root, 0));
-        index[root] = next_index;
-        lowlink[root] = next_index;
-        next_index += 1;
-        stack.push(root);
-        on_stack[root] = true;
-        while let Some(&mut (v, ref mut child)) = frames.last_mut() {
-            if *child < callees[v].len() {
-                let w = callees[v][*child];
-                *child += 1;
-                if index[w] == UNSET {
-                    index[w] = next_index;
-                    lowlink[w] = next_index;
-                    next_index += 1;
-                    stack.push(w);
-                    on_stack[w] = true;
-                    frames.push((w, 0));
-                } else if on_stack[w] {
-                    lowlink[v] = lowlink[v].min(index[w]);
-                }
-            } else {
-                frames.pop();
-                if let Some(&(parent, _)) = frames.last() {
-                    lowlink[parent] = lowlink[parent].min(lowlink[v]);
-                }
-                if lowlink[v] == index[v] {
-                    let mut members = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("tarjan stack");
-                        on_stack[w] = false;
-                        scc_of[w] = sccs.len();
-                        members.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    members.sort_unstable();
-                    sccs.push(members);
-                }
-            }
-        }
-    }
-    (scc_of, sccs)
 }
 
 /// The legacy-compatible bottom-up schedule: Kahn rounds with
@@ -388,7 +268,6 @@ mod tests {
         let order: Vec<&str> = g.order().iter().map(|&v| g.name(v)).collect();
         assert_eq!(order, ["c", "b", "a"]);
         assert_eq!(g.waves().len(), 3);
-        assert_eq!(g.scc_count(), 3);
         assert!(!g.is_cyclic(g.node("a").unwrap()));
     }
 
@@ -413,7 +292,7 @@ mod tests {
     }
 
     #[test]
-    fn mutual_recursion_lands_in_one_scc_and_is_cyclic() {
+    fn mutual_recursion_and_its_callers_are_cyclic() {
         let g = graph(
             r#"
             void even(int n) { odd(n); }
@@ -424,8 +303,6 @@ mod tests {
         let even = g.node("even").unwrap();
         let odd = g.node("odd").unwrap();
         let user = g.node("user").unwrap();
-        assert_eq!(g.scc_of(even), g.scc_of(odd));
-        assert_ne!(g.scc_of(even), g.scc_of(user));
         assert!(g.is_cyclic(even) && g.is_cyclic(odd));
         // The legacy rule drags everything downstream of the cycle into
         // the cyclic remainder.
@@ -443,7 +320,7 @@ mod tests {
             "#,
         );
         let rec = g.node("rec").unwrap();
-        assert!(g.is_self_recursive(rec) && g.is_cyclic(rec));
+        assert!(g.is_cyclic(rec));
         let caller = g.node("caller").unwrap();
         assert!(!g.is_cyclic(caller));
         // `caller` < `rec` alphabetically, and rec never blocks, so both
@@ -503,6 +380,5 @@ mod tests {
         };
         assert_eq!(names(&g1), names(&g2));
         assert_eq!(g1.waves(), g2.waves());
-        assert_eq!(g1.sccs(), g2.sccs());
     }
 }

@@ -8,9 +8,9 @@
 //! 1. **Freeze** the analysis' location table ([`localias_core::Analysis::freeze`])
 //!    — after analysis no unification ever happens again, so resolution
 //!    becomes an immutable, `Sync` lookup.
-//! 2. **Build** the [`crate::callgraph::CallGraph`]: Tarjan SCC
-//!    condensation, a deterministic bottom-up schedule, and a wave
-//!    partition of the summary-dependency DAG.
+//! 2. **Build** the [`crate::callgraph::CallGraph`]: a deterministic
+//!    bottom-up schedule and a wave partition of the summary-dependency
+//!    DAG. [`check_modes`] builds one graph for all three modes.
 //! 3. **Check** each function ([`crate::intra::check_function`]) against
 //!    the frozen facts and its dependencies' published summaries, wave
 //!    by wave.
@@ -21,6 +21,7 @@
 //! store. See `crates/cqual/src/intra.rs` for where the paper's
 //! restrict/confine machinery plugs into the per-function walk.
 
+use crate::callgraph::CallGraph;
 use crate::fx::FxHashMap;
 use crate::intra::{check_function, CheckContext, FunOutcome};
 use crate::report::LockReport;
@@ -29,6 +30,7 @@ use localias_alias::FrozenLocs;
 use localias_ast::{FunDef, Module};
 use localias_core::{Analysis, SharedAnalysis};
 use localias_obs as obs;
+use std::sync::Arc;
 
 /// The three analysis modes of the Section 7 experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -64,7 +66,9 @@ pub const MODES: [Mode; 3] = [Mode::NoConfine, Mode::Confine, Mode::AllStrong];
 /// Checks the locking behaviour of `m` under `mode`, running the
 /// appropriate `localias-core` analysis first.
 pub fn check_locks(m: &Module, mode: Mode) -> LockReport {
-    check_mode(&mut SharedAnalysis::new(m), mode)
+    let mut shared = SharedAnalysis::new(m);
+    let (analysis, frozen) = mode.analysis(&mut shared);
+    check_locks_frozen(m, analysis, frozen, mode, 1)
 }
 
 /// Checks the module of `shared` in all three modes, in [`MODES`] order,
@@ -74,17 +78,21 @@ pub fn check_locks(m: &Module, mode: Mode) -> LockReport {
 /// analysis; `Mode::Confine` consumes the confine-inference analysis.
 /// The checker reads an analysis only through its frozen location
 /// snapshot, so the memoized analyses of `shared` serve every mode (two
-/// analyses per module, not three) and the reports are byte-identical to
-/// fresh per-mode [`check_locks`] runs.
+/// analyses per module, not three), one call graph serves all three
+/// checks, and `AllStrong` re-tags the base context instead of building
+/// its own. The reports are byte-identical to fresh per-mode
+/// [`check_locks`] runs.
 pub fn check_modes(shared: &mut SharedAnalysis) -> [LockReport; 3] {
-    MODES.map(|mode| check_mode(shared, mode))
-}
-
-/// One mode's check against the analysis `shared` memoizes for it.
-fn check_mode(shared: &mut SharedAnalysis, mode: Mode) -> LockReport {
     let m = shared.module();
-    let (analysis, frozen) = mode.analysis(shared);
-    check_locks_frozen(m, analysis, frozen, mode, 1)
+    let ((base_a, base_f), (conf_a, conf_f)) = shared.both_frozen();
+    let _span = obs::span!("cqual.check");
+    let graph = Arc::new(CallGraph::build(m));
+    let base = CheckContext::new_shared(m, base_a, base_f, Mode::NoConfine, graph.clone());
+    let confine = CheckContext::new_shared(m, conf_a, conf_f, Mode::Confine, graph);
+    let no_confine = check_waves(m, &base);
+    let confine = check_waves(m, &confine);
+    let all_strong = check_waves(m, &base.with_mode(Mode::AllStrong));
+    [no_confine, confine, all_strong]
 }
 
 /// Checks locking against a frozen analysis: functions are checked wave
@@ -102,7 +110,13 @@ pub fn check_locks_frozen(
 ) -> LockReport {
     assert_eq!(intra_jobs, 1, "the lock checker is sequential");
     let _span = obs::span!("cqual.check");
-    let cx = CheckContext::new(m, analysis, frozen, mode);
+    check_waves(m, &CheckContext::new(m, analysis, frozen, mode))
+}
+
+/// Walks `cx`'s wave schedule over the functions of `m`, publishing each
+/// wave's summaries before the next wave starts, and assembles the
+/// report in schedule order.
+fn check_waves(m: &Module, cx: &CheckContext<'_>) -> LockReport {
     // With duplicate definitions the later one wins (legacy behaviour of
     // the name-keyed function map).
     let by_name: FxHashMap<&str, &FunDef> =
@@ -118,7 +132,7 @@ pub fn check_locks_frozen(
         let _hist = obs::hist_timer!(obs::Hist::CheckWave);
         for &v in wave {
             if let Some(f) = by_name.get(cx.graph.name(v)) {
-                outcomes[v] = Some(check_function(&cx, &summaries, f));
+                outcomes[v] = Some(check_function(cx, &summaries, f));
             }
         }
         // Publish the wave's summaries (in schedule order) before the

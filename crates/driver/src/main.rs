@@ -7,9 +7,8 @@
 //! localias infer   <file.mc>          # restrict + confine inference
 //! localias locks   <file.mc> [mode]   # flow-sensitive lock checking
 //! localias run     <file.mc> [arg]    # execute under the §3.2 semantics
-//! localias watch   <file.mc> [--iterations N] [--poll-ms MS]
-//!                    [--verify] [--quiet]
-//!                                     # re-check incrementally on every save
+//! localias watch   <file.mc> [--iterations N] [--poll-ms MS] [--quiet]
+//!                                     # re-check the module on every save
 //! localias corpus  <dir> [seed]       # dump the synthetic driver corpus
 //! localias experiment [seed] [--jobs N]
 //!                    [--cache DIR | --no-cache] [--cache-shards N]
@@ -47,8 +46,7 @@
 
 use localias_ast::span::LineMap;
 use localias_ast::{parse_module, pretty, Module, NodeId};
-use localias_core::SharedAnalysis;
-use localias_cqual::{check_locks, check_modes, IncrementalSession, Mode, MODES};
+use localias_cqual::{check_locks, IncrementalSession, Mode, MODES};
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
@@ -94,12 +92,10 @@ fn main() -> ExitCode {
                  \x20                          missed real fault fails the run, shrunk to a minimal\n\
                  \x20                          repro module under --repro-dir (--stream prints the\n\
                  \x20                          per-module verdict lines)\n\
-                 watch   <file.mc> [--iterations N] [--poll-ms MS] [--verify] [--quiet]\n\
-                 \x20                          re-run the three lock checks on every save,\n\
-                 \x20                          re-checking only edited functions plus their\n\
-                 \x20                          summary-change cone (--verify cross-checks every\n\
-                 \x20                          report against from-scratch analysis; --iterations\n\
-                 \x20                          exits after N analyses, for scripting)\n\
+                 watch   <file.mc> [--iterations N] [--poll-ms MS] [--quiet]\n\
+                 \x20                          re-run the three lock checks on the whole module\n\
+                 \x20                          on every save (--iterations exits after N\n\
+                 \x20                          analyses, for scripting)\n\
                  corpus  <dir> [seed]       write the synthetic driver corpus to <dir>\n\
                  experiment [seed] [--jobs N] [--cache DIR | --no-cache]\n\
                  \x20                          [--cache-shards N] [--modules N] [--partition I/N]\n\
@@ -386,22 +382,19 @@ fn cmd_fuzz(args: &[String]) -> Result<String, String> {
 
 /// `localias watch FILE` — an edit→report loop over one module.
 ///
-/// Holds a [`IncrementalSession`], re-analyzing the file whenever its
-/// mtime or length changes. Each analysis prints one line: the
-/// per-mode error counts and what the incremental engine did (how many
-/// function×mode slots were re-checked vs served from the function
-/// cache). `--verify` additionally re-checks from scratch each time and
-/// fails loudly if the incremental reports ever diverge — the
-/// byte-identity contract, enforced live. `--iterations N` exits after
-/// N analyses (the first, cold one included), which is how scripts and
-/// tests drive the loop; without it the command polls until killed.
+/// Holds an [`IncrementalSession`], re-analyzing the file whenever its
+/// mtime or length changes. Each analysis checks the whole module and
+/// prints one line: the per-mode error counts and the time it took, or
+/// "source unchanged" when the saved text is byte-identical to the last
+/// one. `--iterations N` exits after N analyses (the first included),
+/// which is how scripts and tests drive the loop; without it the
+/// command polls until killed.
 fn cmd_watch(args: &[String]) -> Result<String, String> {
     const USAGE: &str = "usage: localias watch <file.mc> [--iterations N] \
-         [--poll-ms MS] [--verify] [--quiet]";
+         [--poll-ms MS] [--quiet]";
     let mut path: Option<String> = None;
     let mut iterations: Option<u64> = None;
     let mut poll_ms: u64 = 200;
-    let mut verify = false;
     let mut quiet = false;
     let mut it = args.iter();
     let parse_num = |flag: &str, val: Option<&String>| -> Result<u64, String> {
@@ -413,7 +406,6 @@ fn cmd_watch(args: &[String]) -> Result<String, String> {
         match a.as_str() {
             "--iterations" => iterations = Some(parse_num(a, it.next())?),
             "--poll-ms" => poll_ms = parse_num(a, it.next())?.max(1),
-            "--verify" => verify = true,
             "--quiet" => quiet = true,
             flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
             p if path.is_none() => path = Some(p.to_string()),
@@ -461,53 +453,22 @@ fn cmd_watch(args: &[String]) -> Result<String, String> {
             }
         };
         let ms = t0.elapsed().as_secs_f64() * 1e3;
-        let s = &out.stats;
-        let label = if s.module_hit {
-            "no-op"
-        } else if s.cold {
-            "cold"
-        } else if s.full_fallback {
-            "full"
-        } else {
-            "incr"
-        };
         let counts: Vec<String> = MODES
             .iter()
             .zip(&out.reports)
             .map(|(m, r)| format!("{m:?} {}", r.error_count()))
             .collect();
-        if s.module_hit {
-            println!(
-                "[{done}] {label}: {} — source unchanged, {ms:.1} ms",
-                counts.join(", ")
-            );
+        let unchanged = if out.stats.module_hit {
+            "source unchanged, "
         } else {
-            println!(
-                "[{done}] {label}: {} — rechecked {}/{} ({} hits), {ms:.1} ms",
-                counts.join(", "),
-                s.rechecked,
-                s.slots,
-                s.hits,
-            );
-        }
+            ""
+        };
+        println!("[{done}] {} — {unchanged}{ms:.1} ms", counts.join(", "));
         if !quiet {
             for (mode, report) in MODES.iter().zip(&out.reports) {
                 for e in &report.errors {
                     println!("    [{mode:?}] {e}");
                 }
-            }
-        }
-        if verify {
-            let m = parse_module(&name, &src).map_err(|e| format!("{path}: {e}"))?;
-            let want = check_modes(&mut SharedAnalysis::new(&m));
-            if out.reports != want {
-                return Err(format!(
-                    "watch: iteration {done}: incremental reports diverge from \
-                     from-scratch checking — this is a bug"
-                ));
-            }
-            if !quiet {
-                println!("    verified: byte-identical to from-scratch checking");
             }
         }
     }

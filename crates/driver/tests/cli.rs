@@ -345,25 +345,20 @@ fn diagnostics_carry_line_numbers() {
 }
 
 /// A two-function module: `helper` wraps a lock pair, `caller` uses it.
-/// Editing only `caller`'s body must leave `helper` cache-served.
 const WATCH_BASE: &str = "lock locks[8];\nextern void work();\nvoid helper(int i) {\n    spin_lock(&locks[i]);\n    work();\n    spin_unlock(&locks[i]);\n}\nvoid caller(int i) { helper(i); }\n";
 
 /// Same module with `caller`'s body edited (an extra call).
 const WATCH_EDIT: &str = "lock locks[8];\nextern void work();\nvoid helper(int i) {\n    spin_lock(&locks[i]);\n    work();\n    spin_unlock(&locks[i]);\n}\nvoid caller(int i) { work(); helper(i); }\n";
 
 #[test]
-fn watch_single_iteration_verifies_and_exits() {
+fn watch_single_iteration_prints_counts_and_exits() {
     let p = write_temp("watch1.mc", WATCH_BASE);
-    let (out, err, ok) = localias(&[
-        "watch",
-        p.to_str().unwrap(),
-        "--iterations",
-        "1",
-        "--verify",
-    ]);
+    let (out, err, ok) = localias(&["watch", p.to_str().unwrap(), "--iterations", "1"]);
     assert!(ok, "{out}{err}");
-    assert!(out.contains("[1] cold:"), "{out}");
-    assert!(out.contains("verified: byte-identical"), "{out}");
+    assert!(
+        out.contains("[1] NoConfine 1, Confine 0, AllStrong 0 — "),
+        "{out}"
+    );
 }
 
 #[test]
@@ -373,14 +368,20 @@ fn watch_rejects_unknown_flags() {
     assert!(err.contains("unknown flag"), "{err}");
 }
 
-/// The lock checker is sequential: the old wave-thread flag is gone from
-/// both commands that took it, and from the usage text.
+/// Removed flags are unknown and gone from the usage text: the old
+/// wave-thread flag (the lock checker is sequential) from both commands
+/// that took it, and `watch --verify` (every analysis is already a
+/// check from scratch).
 #[test]
-fn removed_wave_thread_flag_is_unknown() {
+fn removed_flags_are_unknown() {
     let p = write_temp("watch-intra.mc", WATCH_BASE);
     let (_, err, ok) = localias(&["watch", p.to_str().unwrap(), "--intra-jobs", "2"]);
     assert!(!ok);
     assert!(err.contains("unknown flag `--intra-jobs`"), "{err}");
+
+    let (_, err, ok) = localias(&["watch", p.to_str().unwrap(), "--verify"]);
+    assert!(!ok);
+    assert!(err.contains("unknown flag `--verify`"), "{err}");
 
     let (_, err, ok) = localias(&["experiment", "--intra-jobs", "2"]);
     assert!(!ok);
@@ -388,6 +389,7 @@ fn removed_wave_thread_flag_is_unknown() {
 
     let (_, err, _) = localias(&[]);
     assert!(!err.contains("--intra-jobs"), "{err}");
+    assert!(!err.contains("--verify"), "{err}");
 }
 
 #[test]
@@ -437,7 +439,7 @@ fn fuzz_rejects_bad_flags() {
 }
 
 #[test]
-fn watch_picks_up_an_edit_and_rechecks_incrementally() {
+fn watch_picks_up_an_edit_and_rechecks() {
     use std::io::Read as _;
     let p = write_temp("watch2.mc", WATCH_BASE);
     let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_localias"))
@@ -448,7 +450,6 @@ fn watch_picks_up_an_edit_and_rechecks_incrementally() {
             "2",
             "--poll-ms",
             "25",
-            "--verify",
         ])
         .stdout(std::process::Stdio::piped())
         .spawn()
@@ -466,12 +467,12 @@ fn watch_picks_up_an_edit_and_rechecks_incrementally() {
         .read_to_string(&mut out)
         .unwrap();
     assert!(status.success(), "{out}");
-    assert!(out.contains("[1] cold:"), "{out}");
-    assert!(out.contains("[2] incr:"), "{out}");
-    // 2 functions × 3 modes = 6 slots; only `caller` re-checks (its
-    // summary is unchanged, so the cone stops there).
-    assert!(
-        out.contains("rechecked 3/6 (3 hits)"),
-        "editing one of two functions must leave the other cache-served: {out}"
-    );
+    // The extra call in `caller` changes no verdict.
+    for line in ["[1] ", "[2] "] {
+        assert!(
+            out.contains(&format!("{line}NoConfine 1, Confine 0, AllStrong 0 — ")),
+            "{out}"
+        );
+    }
+    assert!(!out.contains("source unchanged"), "{out}");
 }

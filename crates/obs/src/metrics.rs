@@ -110,20 +110,8 @@ counters! {
     CacheLockSkips => "cache.lock_skips",
     /// Cache shards quarantined as corrupt or version-stale.
     CacheQuarantined => "cache.quarantined",
-    /// Incremental recheck: function×mode slots served from the function
-    /// cache (clean function, unchanged callee summaries).
-    IncrFunHits => "incr.fun_hits",
-    /// Incremental recheck: function×mode slots actually re-checked
-    /// (edited functions plus their summary-change cone).
-    IncrFunRechecks => "incr.fun_rechecks",
-    /// Incremental recheck: re-checked functions whose summary differed
-    /// from the cached one (each dirties its callers transitively).
-    IncrSummaryChanges => "incr.summary_changes",
-    /// Incremental recheck: sessions that fell back to a full recheck
-    /// (first run, or the module prelude changed shape).
-    IncrFullFallbacks => "incr.full_fallbacks",
-    /// Incremental recheck: whole-module no-op hits (raw source
-    /// byte-identical to the previous run).
+    /// Watch session: analyses answered without parsing (source
+    /// byte-identical to the previous one).
     IncrModuleHits => "incr.module_hits",
     /// Differential fuzzing: modules generated and checked.
     FuzzModules => "fuzz.modules",

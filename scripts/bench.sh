@@ -12,10 +12,6 @@
 #                                with per-shard cache counters and the
 #                                latency-histogram block with exact
 #                                p50/p90/p95/p99 per stage)
-#   BENCH_watch.json             function-granular incremental recheck:
-#                                cold/edit/no-op latencies + check-phase
-#                                speedup over from-scratch analysis
-#                                (schema localias-bench-watch/v4)
 #   BENCH_alias.json             alias-backend precision/perf frontier:
 #                                both backends over the calibrated
 #                                corpus, categories + error totals +
@@ -79,18 +75,6 @@ if [ -f BENCH_experiment.prev.json ]; then
     ./target/release/localias bench-diff BENCH_experiment.prev.json \
         BENCH_experiment.json || true
 fi
-
-# Function-granular incremental recheck on the mega-module: seeded
-# single-function edits against an IncrementalSession, every report
-# asserted byte-identical to from-scratch checking. The headline is
-# check-phase vs check-phase; end-to-end stays analysis-dominated by
-# design (see EXPERIMENTS.md).
-./target/release/watch --funs 300 --edits 8 --profile \
-    --bench-out BENCH_watch.json
-
-echo
-echo "wrote $(pwd)/BENCH_watch.json (incremental recheck):"
-cat BENCH_watch.json
 
 # Alias-backend frontier: the full experiment once per backend, printed
 # side by side and asserted against the paper's 352/85/138/14 baseline
