@@ -1,22 +1,24 @@
-//! Pluggable alias backends: how a finished typing walk becomes the
-//! immutable [`FrozenLocs`] view the flow-sensitive checker consumes.
+//! The freeze step: how a finished typing walk becomes the immutable
+//! [`FrozenLocs`] view the flow-sensitive checker consumes.
 //!
-//! The pipeline's seam is the *freeze* step. The Steensgaard typing walk
-//! ([`crate::steensgaard`]) always runs — it is what assigns every
-//! expression its analysis type and what the effect system and
-//! `restrict`/`confine` outcomes are computed against. A backend decides
-//! only how the final location table is *snapshotted* for the checker:
+//! The Steensgaard typing walk ([`crate::steensgaard`]) always runs — it
+//! is what assigns every expression its analysis type and what the
+//! effect system and `restrict`/`confine` outcomes are computed against.
+//! A [`Backend`] decides only how the final location table is
+//! *snapshotted* for the checker:
 //!
 //! * [`Backend::Steensgaard`] captures the table verbatim
-//!   ([`crate::loc::LocTable::freeze`]) — the paper's configuration, and
-//!   byte-identical to the historical pipeline.
+//!   ([`crate::loc::LocTable::freeze`]). This is the paper's
+//!   configuration and the only one the `localias` pipeline runs.
 //! * [`Backend::Andersen`] additionally runs the inclusion-based points-to
 //!   analysis ([`crate::andersen`]) and uses its directional flow facts
 //!   to *split* unification classes that the checker consults, where the
 //!   split is provably invisible to every query the checker can make
-//!   (see the refinement rules below). This realises the paper's §8
+//!   (see the refinement rules below). This tests the paper's §8
 //!   conjecture — "restrict checking can also be combined with more
 //!   precise alias analyses" — without re-deriving the effect system.
+//!   It measured flat against the §7 contract, so only the library and
+//!   the §8 headroom study reach it (DESIGN.md §11).
 //!
 //! ## The refinement's soundness argument
 //!
@@ -45,57 +47,21 @@ use crate::ty::{locs_of, Ty};
 use localias_ast::visit::{walk_expr, walk_module, Visitor};
 use localias_ast::{Expr, ExprKind, Module, NodeId};
 use localias_obs as obs;
-use std::fmt;
 
-/// Which alias backend produces the frozen location view.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+/// Which alias analysis produces the frozen location view.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Backend {
-    /// Unification-based may-alias (the paper's configuration; default).
-    #[default]
+    /// Unification-based may-alias (the paper's configuration).
     Steensgaard,
     /// Inclusion-based refinement of the unification classes.
     Andersen,
 }
 
 impl Backend {
-    /// All selectable backends, in CLI/display order.
+    /// Both variants, in index order.
     pub const ALL: [Backend; 2] = [Backend::Steensgaard, Backend::Andersen];
 
-    /// Parses a CLI backend name. The error lists the valid names.
-    pub fn parse(s: &str) -> Result<Backend, String> {
-        match s {
-            "steensgaard" => Ok(Backend::Steensgaard),
-            "andersen" => Ok(Backend::Andersen),
-            other => {
-                let valid: Vec<&str> = Backend::ALL.iter().map(|b| b.name()).collect();
-                Err(format!(
-                    "unknown alias backend `{other}` (valid backends: {})",
-                    valid.join(", ")
-                ))
-            }
-        }
-    }
-
-    /// The backend's canonical (CLI) name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Backend::Steensgaard => "steensgaard",
-            Backend::Andersen => "andersen",
-        }
-    }
-
-    /// Cache-fingerprint domain tag. The Steensgaard default is untagged
-    /// so existing cache stores stay valid byte-for-byte; every other
-    /// backend separates its domain so switching backends can never
-    /// serve a stale hit.
-    pub fn domain_tag(self) -> &'static str {
-        match self {
-            Backend::Steensgaard => "",
-            Backend::Andersen => "alias=andersen;",
-        }
-    }
-
-    /// Dense index, for per-backend memo tables.
+    /// Dense index into [`Backend::ALL`].
     pub fn index(self) -> usize {
         self as usize
     }
@@ -120,12 +86,6 @@ impl Backend {
                 refine(m, state, pinned)
             }
         }
-    }
-}
-
-impl fmt::Display for Backend {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
     }
 }
 
@@ -356,28 +316,6 @@ mod tests {
                 _ => None,
             })
             .unwrap_or_else(|| panic!("no addressed var `{name}`"))
-    }
-
-    #[test]
-    fn parse_names_and_errors() {
-        assert_eq!(Backend::parse("steensgaard"), Ok(Backend::Steensgaard));
-        assert_eq!(Backend::parse("andersen"), Ok(Backend::Andersen));
-        let err = Backend::parse("flowsensitive").unwrap_err();
-        assert!(
-            err.contains("steensgaard") && err.contains("andersen"),
-            "{err}"
-        );
-        assert_eq!(Backend::default(), Backend::Steensgaard);
-        assert_eq!(Backend::Andersen.to_string(), "andersen");
-        for b in Backend::ALL {
-            assert_eq!(Backend::parse(b.name()), Ok(b));
-        }
-    }
-
-    #[test]
-    fn domain_tags_keep_default_untagged() {
-        assert_eq!(Backend::Steensgaard.domain_tag(), "");
-        assert_eq!(Backend::Andersen.domain_tag(), "alias=andersen;");
     }
 
     #[test]

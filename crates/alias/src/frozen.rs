@@ -49,9 +49,8 @@ impl FrozenLocs {
     }
 
     /// Builds a snapshot directly from parallel per-key tables — the
-    /// constructor alias *backends* other than the live Steensgaard table
-    /// use (e.g. the Andersen refinement, which splits classes and so
-    /// cannot be captured from any `LocTable`).
+    /// constructor of the Andersen refinement ([`crate::backend`]), which
+    /// splits classes and so cannot be captured from any `LocTable`.
     ///
     /// `rep` must be idempotent (`rep[rep[l]] == rep[l]` for every key):
     /// the checker resolves through a single lookup, exactly like the

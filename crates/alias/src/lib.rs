@@ -18,9 +18,9 @@
 //! * [`andersen`] — an inclusion-based (subset) points-to analysis over
 //!   the same AST, for precision comparisons (the direction the paper's
 //!   §8 leaves unexplored);
-//! * [`backend`] — the pluggable freeze seam: [`backend::Backend`]
-//!   selects whether the checker's frozen view is the verbatim
-//!   unification capture or the Andersen-refined split of it.
+//! * [`backend`] — the freeze step: the pipeline always takes the
+//!   verbatim unification capture, and [`backend::Backend::Andersen`]
+//!   keeps the refined split of it for the §8 headroom study.
 //!
 //! # Example
 //!

@@ -82,14 +82,14 @@ struct LocInfo {
     /// How many concrete objects the class may stand for.
     mult: Multiplicity,
     /// The multiplicity this *key* was allocated with, before any
-    /// unification joined it into a class. Never mutated; alternative
-    /// alias backends recompute class multiplicities from these when they
-    /// split a Steensgaard class into finer pieces.
+    /// unification joined it into a class. Never mutated; the Andersen
+    /// refinement ([`crate::backend`]) recomputes class multiplicities
+    /// from these when it splits a Steensgaard class into finer pieces.
     created: Multiplicity,
     /// `true` if [`LocTable::raise_multiplicity`] was applied to the
     /// class (a failed `restrict`/`confine` forcing `ρ'` to `Many`).
     /// Such classes carry checker-visible state beyond what the creation
-    /// multiplicities encode, so backends must not re-derive their
+    /// multiplicities encode, so the refinement must not re-derive their
     /// multiplicity.
     raised: bool,
 }

@@ -9,6 +9,7 @@
 //! serves the 14 rows here without re-analysis, and the sharded,
 //! lock-protected store makes running them side by side safe).
 
+use localias_alias::Backend;
 use localias_bench::{finish_obs, init_obs, measure_corpus_with_cache, CliOpts};
 use localias_corpus::{generate, FIGURE7};
 use localias_obs as obs;
@@ -46,7 +47,7 @@ fn main() {
         })
         .collect();
     let (measured, mut bench) =
-        measure_corpus_with_cache(&rows, opts.jobs, 1, seed, opts.alias, &opts.cache);
+        measure_corpus_with_cache(&rows, opts.jobs, 1, seed, Backend::Steensgaard, &opts.cache);
     match finish_obs(&opts) {
         Ok(report) => {
             bench.profile = report.trace;

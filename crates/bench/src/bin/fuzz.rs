@@ -5,33 +5,33 @@
 //! `--modules N` sets the number of fuzzed modules (default 2000), the
 //! positional argument the corpus seed; the shared observability flags
 //! (`--trace-out FILE`, `--profile`, `--quiet`) are honored. The
-//! machine-readable report (schema `localias-bench-fuzz/v3`; v2 added
+//! machine-readable report (schema `localias-bench-fuzz/v4`; v2 added
 //! the `hist` latency block, v3 the shared artifact envelope and
-//! `fp_rates` keyed by backend) is written to `BENCH_fuzz.json`, or to
-//! `--bench-out FILE` when given: modules/s fuzzed, the false-positive
-//! rate per mode per backend, shrinker statistics, per-operation latency
-//! histograms, and the embedded obs profile block.
+//! `fp_rates` keyed by backend, v4 keeps only `fp_rates.steensgaard`)
+//! is written to `BENCH_fuzz.json`, or to `--bench-out FILE` when given:
+//! modules/s fuzzed, the false-positive rate per mode, shrinker
+//! statistics, per-operation latency histograms, and the embedded obs
+//! profile block.
 //!
 //! The binary exits non-zero on any soundness divergence — a fuzz
 //! sweep doubles as a release gate.
 
 use std::time::Instant;
 
-use localias_alias::Backend;
 use localias_bench::fuzz::{mode_name, run_fuzz, FuzzConfig, FuzzReport};
 use localias_bench::Better::{Higher, Lower};
 use localias_bench::{finish_obs, init_obs, json_hists, json_trace, Artifact, CliOpts, ObsReport};
 use localias_cqual::MODES;
 use localias_obs as obs;
 
-/// The `localias-bench-fuzz/v3` artifact.
+/// The `localias-bench-fuzz/v4` artifact.
 fn report_json(
     cfg: &FuzzConfig,
     report: &FuzzReport,
     wall_seconds: f64,
     obs_report: &ObsReport,
 ) -> String {
-    let mut a = Artifact::new("localias-bench-fuzz/v3", cfg.seed);
+    let mut a = Artifact::new("localias-bench-fuzz/v4", cfg.seed);
     a.set(&["iterations"], cfg.iterations);
     a.set(&["fuel"], cfg.fuel);
     a.metric(&["wall_seconds"], wall_seconds, Lower);
@@ -50,18 +50,15 @@ fn report_json(
     for (key, n) in counts {
         a.set(&[key], n);
     }
-    for backend in Backend::ALL {
-        for (mi, &mode) in MODES.iter().enumerate() {
-            let st = &report.stats[backend.index()][mi];
-            let (b, m) = (backend.name(), mode_name(mode));
-            a.set(&["fp_rates", b, m, "flagged"], st.flagged_funs);
-            a.set(&["fp_rates", b, m, "true_positives"], st.true_positive_funs);
-            a.set(
-                &["fp_rates", b, m, "false_positives"],
-                st.false_positive_funs,
-            );
-            a.metric(&["fp_rates", b, m, "rate"], st.fp_rate(), Lower);
-        }
+    for (st, &mode) in report.stats[0].iter().zip(&MODES) {
+        let (b, m) = ("steensgaard", mode_name(mode));
+        a.set(&["fp_rates", b, m, "flagged"], st.flagged_funs);
+        a.set(&["fp_rates", b, m, "true_positives"], st.true_positive_funs);
+        a.set(
+            &["fp_rates", b, m, "false_positives"],
+            st.false_positive_funs,
+        );
+        a.metric(&["fp_rates", b, m, "rate"], st.fp_rate(), Lower);
     }
     a.set(&["shrink", "candidates"], report.shrink_candidates);
     a.set(&["shrink", "steps"], report.shrink_steps);

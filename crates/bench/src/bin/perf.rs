@@ -10,7 +10,6 @@
 //! `perf` always measures the analyses themselves, so the result cache is
 //! never consulted here (`--cache`/`--no-cache` draw a warning).
 
-use localias_alias::Backend;
 use localias_bench::harness::{avg_of, timed};
 use localias_bench::{finish_obs, init_obs, measure_corpus_cached, CliOpts};
 use localias_corpus::generate;
@@ -100,7 +99,7 @@ fn main() {
         }
     });
     let (_, shared) = timed("perf.shared_sweep", || {
-        measure_corpus_cached(&corpus, sweep_jobs, seed, Backend::Steensgaard, None)
+        measure_corpus_cached(&corpus, sweep_jobs, seed, None)
     });
 
     println!(

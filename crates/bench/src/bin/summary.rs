@@ -26,7 +26,7 @@ fn main() {
     let seed = opts.seed_or_default();
     let stream = CorpusStream::paper(seed);
     let (results, mut bench) =
-        measure_stream_with_cache(&stream, 0..stream.len(), opts.jobs, opts.alias, &opts.cache);
+        measure_stream_with_cache(&stream, 0..stream.len(), opts.jobs, &opts.cache);
     match finish_obs(&opts) {
         Ok(report) => {
             bench.profile = report.trace;

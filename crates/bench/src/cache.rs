@@ -109,15 +109,14 @@ const LOCK_BASE_MS: u64 = 1;
 /// Backoff ceiling per sleep.
 const LOCK_CAP_MS: u64 = 50;
 
-/// Fingerprint of a module's raw source text (the pre-parse fast path),
-/// domain-separated by the alias backend. The Steensgaard default stays
-/// byte-identical to the historical untagged domain, so existing stores
-/// remain valid; any other backend appends its
-/// [`Backend::domain_tag`](localias_alias::Backend::domain_tag), so a
-/// backend switch against a warm cache can never serve a stale hit.
+/// Fingerprint of a module's raw source text (the pre-parse fast path).
+///
+/// `backend` is kept only so the benchmark crate's calls keep their
+/// signature; the sweep runs Steensgaard alone, whose keys were always
+/// the untagged `raw;` domain.
 pub fn source_fingerprint(source: &str, backend: localias_alias::Backend) -> u128 {
-    let domain = format!("raw;{}", backend.domain_tag());
-    fp::fingerprint(&domain, source)
+    assert_eq!(backend, localias_alias::Backend::Steensgaard);
+    fp::fingerprint("raw;", source)
 }
 
 /// Fingerprint of one §8 precision-sweep subject. Domain-separated from
@@ -130,15 +129,13 @@ pub fn precision_fingerprint(source: &str) -> u128 {
 }
 
 /// Canonical fingerprint of a parsed module: hash of its pretty-printed
-/// source, domain-separated by the analysis version, configuration, and
-/// alias backend (Steensgaard untagged — see [`source_fingerprint`]).
+/// source, domain-separated by the analysis version and configuration.
 /// Deliberately independent of the corpus seed and the module's name.
+/// `backend` is a signature shim, as for [`source_fingerprint`].
 pub fn module_fingerprint(m: &localias_ast::Module, backend: localias_alias::Backend) -> u128 {
+    assert_eq!(backend, localias_alias::Backend::Steensgaard);
     let canon = localias_ast::pretty::print_module(m);
-    let domain = format!(
-        "{STORE_SCHEMA};av{ANALYSIS_VERSION};{ANALYSIS_CONFIG};{}",
-        backend.domain_tag()
-    );
+    let domain = format!("{STORE_SCHEMA};av{ANALYSIS_VERSION};{ANALYSIS_CONFIG};");
     fp::fingerprint(&domain, &canon)
 }
 
@@ -1040,27 +1037,28 @@ mod tests {
 
     #[test]
     fn fingerprint_domains_never_collide() {
-        use localias_alias::Backend;
         let src = "int g;\nvoid f() { g = 1; }\n";
         assert_ne!(
-            source_fingerprint(src, Backend::Steensgaard),
+            source_fingerprint(src, localias_alias::Backend::Steensgaard),
             precision_fingerprint(src),
             "precision keys are domain-separated from experiment keys"
         );
-        assert_ne!(
-            source_fingerprint(src, Backend::Steensgaard),
-            source_fingerprint(src, Backend::Andersen),
-            "per-backend raw keys are domain-separated"
+    }
+
+    /// The keys the sweep writes, pinned to the values existing stores
+    /// hold: changing either one turns every warm store cold.
+    #[test]
+    fn sweep_fingerprints_are_pinned() {
+        let steens = localias_alias::Backend::Steensgaard;
+        let src = "int g;\nvoid f() { g = 1; }\n";
+        assert_eq!(
+            source_fingerprint(src, steens),
+            269324119259027002061589211670920555604
         );
         let m = parse_module("m", src).unwrap();
-        assert_ne!(
-            module_fingerprint(&m, Backend::Steensgaard),
-            module_fingerprint(&m, Backend::Andersen),
-            "per-backend canonical keys are domain-separated"
-        );
-        assert_ne!(
-            source_fingerprint(src, Backend::Andersen),
-            precision_fingerprint(src),
+        assert_eq!(
+            module_fingerprint(&m, steens),
+            23901358085728585275109580152370666306
         );
     }
 

@@ -4,7 +4,7 @@
 //! `precision`, and `perf` all accept the same surface:
 //!
 //! ```text
-//! [SEED] [--jobs N | -j N] [--alias BACKEND]
+//! [SEED] [--jobs N | -j N]
 //! [--cache DIR | --no-cache] [--cache-shards N] [--modules N]
 //! [--partition I/N] [--bench-out FILE] [--trace-out FILE]
 //! [--trace-chrome FILE] [--profile] [--quiet | -q]
@@ -18,7 +18,6 @@
 //! cache) conflicts with `--no-cache` the same way.
 
 use crate::cache::{CachePolicy, DEFAULT_SHARDS, MAX_SHARDS};
-use localias_alias::Backend;
 use localias_corpus::DEFAULT_SEED;
 use std::path::PathBuf;
 
@@ -56,10 +55,6 @@ pub struct CliOpts {
     /// Partitioned sweep (`--partition I/N`): this process covers
     /// contiguous slice `I` of `N` disjoint slices of the seeded stream.
     pub partition: Option<(usize, usize)>,
-    /// Alias backend the frozen snapshots are produced through
-    /// (`--alias steensgaard|andersen`; default Steensgaard, the paper's
-    /// configuration).
-    pub alias: Backend,
 }
 
 impl CliOpts {
@@ -80,7 +75,6 @@ impl CliOpts {
         let mut quiet = false;
         let mut modules: Option<usize> = None;
         let mut partition: Option<(usize, usize)> = None;
-        let mut alias: Option<String> = None;
 
         let mut it = args.into_iter();
         while let Some(a) = it.next() {
@@ -117,12 +111,6 @@ impl CliOpts {
                     cache_shards = Some(n);
                 }
                 "--no-cache" => no_cache = true,
-                "--alias" => {
-                    if alias.is_some() {
-                        return Err("--alias given more than once".into());
-                    }
-                    alias = Some(value_of(&mut it, &a, "a backend name")?);
-                }
                 "--modules" => {
                     if modules.is_some() {
                         return Err("--modules given more than once".into());
@@ -179,10 +167,6 @@ impl CliOpts {
 
         // Value validation and conflicts are checked after the whole
         // argument list is read, so rejection cannot depend on flag order.
-        let alias = match &alias {
-            None => Backend::Steensgaard,
-            Some(name) => Backend::parse(name)?,
-        };
         if no_cache && cache_dir.is_some() {
             return Err("--cache and --no-cache are mutually exclusive".into());
         }
@@ -217,7 +201,6 @@ impl CliOpts {
             quiet,
             modules,
             partition,
-            alias,
         })
     }
 
@@ -456,34 +439,6 @@ mod tests {
         let o = parse(&["--partition", "0/2", "--cache", "d"]).unwrap();
         assert_eq!(o.partition, Some((0, 2)));
         assert!(matches!(o.cache, CachePolicy::Dir { .. }));
-    }
-
-    #[test]
-    fn alias_backend_parses_and_defaults() {
-        let o = parse(&[]).unwrap();
-        assert_eq!(o.alias, Backend::Steensgaard, "paper configuration");
-
-        let o = parse(&["--alias", "steensgaard"]).unwrap();
-        assert_eq!(o.alias, Backend::Steensgaard);
-        let o = parse(&["--alias", "andersen"]).unwrap();
-        assert_eq!(o.alias, Backend::Andersen);
-
-        // Composes with the rest of the surface.
-        let o = parse(&["7", "--alias", "andersen", "-j", "2"]).unwrap();
-        assert_eq!((o.seed, o.alias, o.jobs), (Some(7), Backend::Andersen, 2));
-
-        assert!(parse(&["--alias"]).is_err());
-        assert!(parse(&["--alias", "a", "--alias", "b"]).is_err());
-    }
-
-    /// An invalid backend name must fail with a message that teaches the
-    /// valid spellings.
-    #[test]
-    fn alias_backend_error_lists_valid_backends() {
-        let err = parse(&["--alias", "unification"]).unwrap_err();
-        assert!(err.contains("unification"), "{err}");
-        assert!(err.contains("steensgaard"), "{err}");
-        assert!(err.contains("andersen"), "{err}");
     }
 
     #[test]

@@ -2,16 +2,15 @@
 //! oracle for the static lock checker (`localias fuzz`).
 //!
 //! Each iteration draws a module from the seeded catalog generator
-//! ([`localias_corpus::fuzz_module`]), runs the three checker modes
-//! through both alias backends, and *executes* every defined function
-//! under `localias-interp`, which detects real locking mistakes
-//! (double acquire, release of an unheld lock) the way a kernel
-//! lockdep would. The two verdicts are compared per entry function:
+//! ([`localias_corpus::fuzz_module`]), runs the three checker modes,
+//! and *executes* every defined function under `localias-interp`,
+//! which detects real locking mistakes (double acquire, release of an
+//! unheld lock) the way a kernel lockdep would. The two verdicts are compared per entry function:
 //!
 //! * **unsound** — the entry faulted dynamically but no function it can
 //!   reach (itself plus transitive defined callees) carries a static
-//!   error under some mode × backend. The checker blessed a real bug;
-//!   any such divergence fails the run.
+//!   error under some mode. The checker blessed a real bug; any such
+//!   divergence fails the run.
 //! * **theorem-1** — the module passes the checking analysis
 //!   ([`localias_core::check`] reports no diagnostics and every
 //!   explicit `restrict`/`confine` verifies) yet execution raises a
@@ -19,8 +18,8 @@
 //!   happen, so it too fails the run.
 //! * **true/false positive** — a statically flagged function that does
 //!   / does not fault under any executed entry. False positives are
-//!   expected (the analysis is conservative); their *rate* per mode and
-//!   backend is the report's precision metric.
+//!   expected (the analysis is conservative); their *rate* per mode is
+//!   the report's precision metric.
 //!
 //! Reachability (not "errored in the same function") is the soundness
 //! bar because the checker may attribute one dynamic mistake to a
@@ -41,7 +40,6 @@
 //! [`stream`](FuzzReport::stream), which the determinism tests pin.
 //! See `DESIGN.md` §12.
 
-use localias_alias::Backend;
 use localias_ast::{parse_module, pretty, Block, ItemKind, Module, Stmt, StmtKind, TypeExpr};
 use localias_core::SharedAnalysis;
 use localias_corpus::fuzz_module;
@@ -76,25 +74,21 @@ impl Default for FuzzConfig {
     }
 }
 
-/// Static lock reports per alias backend (outer index, [`Backend::ALL`]
-/// order) and checker mode (inner index, [`MODES`] order).
+/// Static lock reports per checker mode, in [`MODES`] order. The fuzzer
+/// judges row 0 alone; row 1 is kept so existing callers that build a
+/// two-row matrix still compile, and the engine leaves it empty.
 #[derive(Debug, Clone, Default)]
 pub struct StaticMatrix(pub [[LockReport; 3]; 2]);
 
-/// The real checker under test: all three modes through both backends.
-/// One [`SharedAnalysis`] serves both: its base and confine analyses are
-/// backend-invariant, so switching backends only re-freezes them, and the
-/// module costs two analyses rather than four.
+/// The real checker under test: all three modes over one
+/// [`SharedAnalysis`].
 pub fn real_static_matrix(m: &Module) -> StaticMatrix {
-    let mut shared = SharedAnalysis::new(m);
-    StaticMatrix(Backend::ALL.map(|backend| {
-        shared.set_backend(backend);
-        check_modes(&mut shared)
-    }))
+    let mut out = StaticMatrix::default();
+    out.0[0] = check_modes(&mut SharedAnalysis::new(m));
+    out
 }
 
-/// Per-(mode × backend) precision tally over statically flagged
-/// functions.
+/// Per-mode precision tally over statically flagged functions.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ModeStats {
     /// Functions with at least one static error attributed to them.
@@ -153,11 +147,8 @@ pub struct Divergence {
     pub index: u64,
     /// The entry function whose execution diverged.
     pub entry: String,
-    /// Backend under which the checker missed the fault; `None` for
-    /// Theorem-1 divergences (the gate is mode/backend-independent).
-    pub backend: Option<Backend>,
     /// Mode under which the checker missed the fault; `None` for
-    /// Theorem-1 divergences.
+    /// Theorem-1 divergences (the gate is mode-independent).
     pub mode: Option<Mode>,
     /// The divergence class.
     pub kind: DivergenceKind,
@@ -190,8 +181,8 @@ pub struct FuzzReport {
     /// Runs that raised a restrict violation (only divergent when the
     /// module was check-clean).
     pub restrict_violations: u64,
-    /// Precision tallies, indexed `[backend][mode]` in
-    /// [`Backend::ALL`] / [`MODES`] order.
+    /// Precision tallies per mode, in [`MODES`] order, in row 0. Row 1
+    /// is kept for the matrix's shape and stays zero.
     pub stats: [[ModeStats; 3]; 2],
     /// All soundness divergences found (empty on a clean run).
     pub divergences: Vec<Divergence>,
@@ -230,21 +221,18 @@ impl FuzzReport {
             s,
             "false-positive rate (flagged functions that never fault):"
         );
-        for backend in Backend::ALL {
-            let mut row = format!("  {:<12}", backend.name());
-            for (mi, &mode) in MODES.iter().enumerate() {
-                let st = &self.stats[backend.index()][mi];
-                let _ = write!(
-                    row,
-                    " {}={:.1}% ({}/{})",
-                    mode_name(mode),
-                    100.0 * st.fp_rate(),
-                    st.false_positive_funs,
-                    st.flagged_funs
-                );
-            }
-            let _ = writeln!(s, "{row}");
+        let mut row = String::from("  steensgaard ");
+        for (st, &mode) in self.stats[0].iter().zip(&MODES) {
+            let _ = write!(
+                row,
+                " {}={:.1}% ({}/{})",
+                mode_name(mode),
+                100.0 * st.fp_rate(),
+                st.false_positive_funs,
+                st.flagged_funs
+            );
         }
+        let _ = writeln!(s, "{row}");
         let _ = writeln!(
             s,
             "shrinker: {} steps over {} candidates",
@@ -268,9 +256,9 @@ pub fn mode_name(m: Mode) -> &'static str {
 }
 
 fn divergence_line(d: &Divergence) -> String {
-    let at = match (d.backend, d.mode) {
-        (Some(b), Some(m)) => format!(" backend={} mode={}", b.name(), mode_name(m)),
-        _ => String::new(),
+    let at = match d.mode {
+        Some(m) => format!(" mode={}", mode_name(m)),
+        None => String::new(),
     };
     format!(
         "!! {} {} entry={}{}: {}",
@@ -287,7 +275,6 @@ fn divergence_line(d: &Divergence) -> String {
 #[derive(Debug, Clone)]
 struct Diverge {
     entry: String,
-    backend: Option<Backend>,
     mode: Option<Mode>,
     kind: DivergenceKind,
     detail: String,
@@ -303,9 +290,9 @@ struct ModuleOutcome {
     exec_errors: u64,
     out_of_fuel: u64,
     restrict_violations: u64,
-    /// Static error counts, `[backend][mode]`.
-    errs: [[usize; 3]; 2],
-    stats: [[ModeStats; 3]; 2],
+    /// Static error counts per mode.
+    errs: [usize; 3],
+    stats: [ModeStats; 3],
     divergences: Vec<Diverge>,
 }
 
@@ -422,40 +409,36 @@ fn check_one(m: &Module, fuel: u64, checker: &dyn Fn(&Module) -> StaticMatrix) -
         })
         .collect();
 
-    for backend in Backend::ALL {
-        for (mi, &mode) in MODES.iter().enumerate() {
-            let rep = &matrix.0[backend.index()][mi];
-            out.errs[backend.index()][mi] = rep.errors.len();
-            let mut flagged: BTreeSet<&str> = BTreeSet::new();
-            for e in &rep.errors {
-                flagged.insert(e.fun.as_str());
+    for (mi, &mode) in MODES.iter().enumerate() {
+        let rep = &matrix.0[0][mi];
+        out.errs[mi] = rep.errors.len();
+        let mut flagged: BTreeSet<&str> = BTreeSet::new();
+        for e in &rep.errors {
+            flagged.insert(e.fun.as_str());
+        }
+        let st = &mut out.stats[mi];
+        for &fun in &flagged {
+            st.flagged_funs += 1;
+            if fault_funs.contains(fun) {
+                st.true_positive_funs += 1;
+            } else {
+                st.false_positive_funs += 1;
             }
-            let st = &mut out.stats[backend.index()][mi];
-            for &fun in &flagged {
-                st.flagged_funs += 1;
-                if fault_funs.contains(fun) {
-                    st.true_positive_funs += 1;
-                } else {
-                    st.false_positive_funs += 1;
-                }
-            }
-            for (entry, reach, detail) in &reaches {
-                if reach.iter().all(|g| !flagged.contains(g.as_str())) {
-                    out.divergences.push(Diverge {
-                        entry: entry.clone(),
-                        backend: Some(backend),
-                        mode: Some(mode),
-                        kind: DivergenceKind::Unsound,
-                        detail: detail.clone(),
-                    });
-                }
+        }
+        for (entry, reach, detail) in &reaches {
+            if reach.iter().all(|g| !flagged.contains(g.as_str())) {
+                out.divergences.push(Diverge {
+                    entry: entry.clone(),
+                    mode: Some(mode),
+                    kind: DivergenceKind::Unsound,
+                    detail: detail.clone(),
+                });
             }
         }
     }
     if let Some((entry, detail)) = theorem1 {
         out.divergences.push(Diverge {
             entry,
-            backend: None,
             mode: None,
             kind: DivergenceKind::Theorem1,
             detail: format!("restrict violation: {detail}"),
@@ -492,10 +475,8 @@ pub fn run_fuzz_with(cfg: &FuzzConfig, checker: &dyn Fn(&Module) -> StaticMatrix
         report.exec_errors += oc.exec_errors;
         report.out_of_fuel += oc.out_of_fuel;
         report.restrict_violations += oc.restrict_violations;
-        for b in 0..2 {
-            for mi in 0..3 {
-                report.stats[b][mi].accumulate(oc.stats[b][mi]);
-            }
+        for (acc, st) in report.stats[0].iter_mut().zip(oc.stats) {
+            acc.accumulate(st);
         }
         obs::count(obs::Counter::FuzzModules, 1);
         obs::count(obs::Counter::FuzzEntries, oc.entries);
@@ -504,18 +485,15 @@ pub fn run_fuzz_with(cfg: &FuzzConfig, checker: &dyn Fn(&Module) -> StaticMatrix
 
         let _ = writeln!(
             report.stream,
-            "{} idioms={} entries={} runs={} faults={} st={}/{}/{} an={}/{}/{}",
+            "{} idioms={} entries={} runs={} faults={} st={}/{}/{}",
             fm.name,
             fm.idioms.join("+"),
             oc.entries,
             oc.runs,
             oc.dyn_faults,
-            oc.errs[0][0],
-            oc.errs[0][1],
-            oc.errs[0][2],
-            oc.errs[1][0],
-            oc.errs[1][1],
-            oc.errs[1][2],
+            oc.errs[0],
+            oc.errs[1],
+            oc.errs[2],
         );
 
         // One shrink per (module, kind): divergences of the same kind
@@ -542,7 +520,6 @@ pub fn run_fuzz_with(cfg: &FuzzConfig, checker: &dyn Fn(&Module) -> StaticMatrix
                 module: fm.name.clone(),
                 index: i,
                 entry: d.entry,
-                backend: d.backend,
                 mode: d.mode,
                 kind: d.kind,
                 detail: d.detail,
@@ -553,13 +530,8 @@ pub fn run_fuzz_with(cfg: &FuzzConfig, checker: &dyn Fn(&Module) -> StaticMatrix
             report.divergences.push(full);
         }
     }
-    for b in 0..2 {
-        for mi in 0..3 {
-            obs::count(
-                obs::Counter::FuzzFalsePositives,
-                report.stats[b][mi].false_positive_funs,
-            );
-        }
+    for st in &report.stats[0] {
+        obs::count(obs::Counter::FuzzFalsePositives, st.false_positive_funs);
     }
     report
 }
@@ -856,10 +828,8 @@ mod tests {
         let oc = check_one(&m, 100_000, &real_static_matrix);
         assert!(oc.dyn_faults > 0, "oracle sees the double acquire");
         assert!(oc.divergences.is_empty(), "checker flags it too");
-        for b in 0..2 {
-            for mi in 0..3 {
-                assert_eq!(oc.stats[b][mi].true_positive_funs, 1);
-            }
+        for st in oc.stats {
+            assert_eq!(st.true_positive_funs, 1);
         }
     }
 
@@ -872,11 +842,7 @@ mod tests {
         )
         .unwrap();
         let oc = check_one(&m, 100_000, &blind);
-        assert_eq!(
-            oc.divergences.len(),
-            6,
-            "unsound under every mode x backend"
-        );
+        assert_eq!(oc.divergences.len(), 3, "unsound under every mode");
         let src = pretty::print_module(&m);
         let sh = shrink_source("planted", &src, 100_000, &blind, DivergenceKind::Unsound);
         assert!(sh.steps > 0, "something was deleted");

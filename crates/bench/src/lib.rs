@@ -79,15 +79,9 @@ impl ModuleResult {
     /// Measures one parsed corpus module under all three modes, timing
     /// each phase. The no-confine and all-strong modes share one base
     /// analysis through [`SharedAnalysis`], so this runs two (not three)
-    /// analysis pipelines. `backend` selects the alias backend the frozen
-    /// snapshots are produced through.
-    fn measure_parsed(
-        name: &str,
-        parsed: &Module,
-        parse: Duration,
-        backend: Backend,
-    ) -> (ModuleResult, PhaseTimes) {
-        let mut shared = SharedAnalysis::new_with_backend(parsed, backend);
+    /// analysis pipelines.
+    fn measure_parsed(name: &str, parsed: &Module, parse: Duration) -> (ModuleResult, PhaseTimes) {
+        let mut shared = SharedAnalysis::new(parsed);
         let errors = |(analysis, frozen): (&Analysis, &FrozenLocs), mode| {
             check_locks_frozen(parsed, analysis, frozen, mode, 1).error_count()
         };
@@ -368,7 +362,6 @@ fn sweep_modules<M, I>(
     out_len: usize,
     jobs: usize,
     seed: u64,
-    backend: Backend,
     mut cache: Option<&mut AnalysisCache>,
 ) -> (Vec<ModuleResult>, ExperimentBench)
 where
@@ -397,7 +390,12 @@ where
                 times: e.times,
                 note,
             };
-            let keyed = snapshot.map(|c| (c, cache::source_fingerprint(&m.source, backend)));
+            let keyed = snapshot.map(|c| {
+                (
+                    c,
+                    cache::source_fingerprint(&m.source, Backend::Steensgaard),
+                )
+            });
             if let Some((c, raw)) = keyed {
                 if let Some((fp, e)) = c
                     .resolve_raw(raw)
@@ -412,14 +410,14 @@ where
             let note = match keyed {
                 None => CacheNote::Uncached,
                 Some((c, raw)) => {
-                    let fp = cache::module_fingerprint(&parsed, backend);
+                    let fp = cache::module_fingerprint(&parsed, Backend::Steensgaard);
                     if let Some(e) = c.lookup_fp(fp) {
                         return served(e, CacheNote::CanonHit { fp, raw });
                     }
                     CacheNote::Miss { fp, raw }
                 }
             };
-            let (result, times) = ModuleResult::measure_parsed(&m.name, &parsed, parse, backend);
+            let (result, times) = ModuleResult::measure_parsed(&m.name, &parsed, parse);
             SweepOutcome {
                 slot,
                 result,
@@ -560,17 +558,9 @@ pub fn measure_corpus_cached(
     corpus: &[GeneratedModule],
     jobs: usize,
     seed: u64,
-    backend: Backend,
     cache: Option<&mut AnalysisCache>,
 ) -> (Vec<ModuleResult>, ExperimentBench) {
-    sweep_modules(
-        corpus.iter().enumerate(),
-        corpus.len(),
-        jobs,
-        seed,
-        backend,
-        cache,
-    )
+    sweep_modules(corpus.iter().enumerate(), corpus.len(), jobs, seed, cache)
 }
 
 /// [`sweep_modules`] under a [`CachePolicy`]: loads the store, sweeps,
@@ -581,7 +571,6 @@ fn sweep_with_policy<M, I>(
     out_len: usize,
     jobs: usize,
     seed: u64,
-    backend: Backend,
     policy: &CachePolicy,
 ) -> (Vec<ModuleResult>, ExperimentBench)
 where
@@ -589,10 +578,10 @@ where
     I: Iterator<Item = (usize, M)> + Send,
 {
     let CachePolicy::Dir { dir, shards } = policy else {
-        return sweep_modules(modules, out_len, jobs, seed, backend, None);
+        return sweep_modules(modules, out_len, jobs, seed, None);
     };
     let mut c = AnalysisCache::load_sharded(dir, *shards);
-    let (results, mut bench) = sweep_modules(modules, out_len, jobs, seed, backend, Some(&mut c));
+    let (results, mut bench) = sweep_modules(modules, out_len, jobs, seed, Some(&mut c));
     if let Err(e) = c.persist() {
         obs::warn!(
             "localias-bench: warning: cache not fully written to {}: {e}",
@@ -619,7 +608,6 @@ pub fn measure_stream_with_cache(
     stream: &CorpusStream,
     range: Range<usize>,
     jobs: usize,
-    backend: Backend,
     policy: &CachePolicy,
 ) -> (Vec<ModuleResult>, ExperimentBench) {
     let base = range.start;
@@ -628,7 +616,6 @@ pub fn measure_stream_with_cache(
         range.len(),
         jobs,
         stream.seed(),
-        backend,
         policy,
     )
 }
@@ -636,8 +623,9 @@ pub fn measure_stream_with_cache(
 /// One full sweep of an already-materialized corpus slice under a
 /// [`CachePolicy`] (see [`measure_stream_with_cache`]).
 ///
-/// `intra_jobs` is kept only so the benchmark crate's calls keep their
-/// signature; the lock checker is sequential and the value must be 1.
+/// `intra_jobs` and `backend` are kept only so the benchmark crate's
+/// calls keep their signature: the lock checker is sequential and
+/// Steensgaard is the only alias configuration the sweep runs.
 pub fn measure_corpus_with_cache(
     corpus: &[GeneratedModule],
     jobs: usize,
@@ -647,14 +635,8 @@ pub fn measure_corpus_with_cache(
     policy: &CachePolicy,
 ) -> (Vec<ModuleResult>, ExperimentBench) {
     assert_eq!(intra_jobs, 1, "the lock checker is sequential");
-    sweep_with_policy(
-        corpus.iter().enumerate(),
-        corpus.len(),
-        jobs,
-        seed,
-        backend,
-        policy,
-    )
+    assert_eq!(backend, Backend::Steensgaard, "the sweep runs Steensgaard");
+    sweep_with_policy(corpus.iter().enumerate(), corpus.len(), jobs, seed, policy)
 }
 
 /// What [`finish_obs`] drained from the run's observability sinks.
@@ -1001,7 +983,7 @@ mod tests {
 
         let (results, mut bench) = {
             let corpus = localias_corpus::generate(1);
-            measure_corpus_cached(&corpus[..1], 1, 1, Backend::Steensgaard, None)
+            measure_corpus_cached(&corpus[..1], 1, 1, None)
         };
         assert_eq!(results.len(), 1);
         bench.profile = Some(trace);

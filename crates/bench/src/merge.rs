@@ -292,13 +292,12 @@ pub fn merge_partitions(docs: &[(String, String)]) -> Result<ExperimentBench, St
 mod tests {
     use super::*;
     use crate::{measure_stream_with_cache, CachePolicy, CorpusStream};
-    use localias_alias::Backend;
     use std::ops::Range;
 
     /// An uncached single-threaded sweep of stream positions `range`.
     fn sweep(stream: &CorpusStream, range: Range<usize>) -> (Vec<ModuleResult>, ExperimentBench) {
         let disabled = CachePolicy::Disabled;
-        measure_stream_with_cache(stream, range, 1, Backend::Steensgaard, &disabled)
+        measure_stream_with_cache(stream, range, 1, &disabled)
     }
 
     fn partition_artifact(stream: &CorpusStream, index: usize, count: usize) -> (String, String) {

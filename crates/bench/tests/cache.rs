@@ -40,7 +40,7 @@ fn slice() -> Vec<GeneratedModule> {
 /// The results of an uncached sweep: the reference every cached sweep
 /// must reproduce.
 fn uncached(slice: &[GeneratedModule], seed: u64) -> Vec<ModuleResult> {
-    measure_corpus_cached(slice, 1, seed, Backend::Steensgaard, None).0
+    measure_corpus_cached(slice, 1, seed, None).0
 }
 
 /// Renders results the way the report-diffing contract sees them: every
@@ -140,41 +140,6 @@ fn perturbing_one_module_invalidates_exactly_one() {
     // same perturbed corpus.
     let cold = uncached(&slice, DEFAULT_SEED);
     assert_eq!(render(&cold), render(&warm));
-}
-
-/// Switching the alias backend against a warm cache must miss on every
-/// module, in both directions: the two backends key disjoint fingerprint
-/// domains, so a Steensgaard-warmed store can never serve an Andersen
-/// sweep a stale (coarser) result, or vice versa.
-#[test]
-fn switching_alias_backend_never_hits_warm_cache() {
-    let dir = cache_dir("backend-domain");
-    let policy = policy(&dir);
-    let slice = slice();
-
-    // Warm the store under the default (Steensgaard) backend.
-    let _ = measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, Backend::Steensgaard, &policy);
-
-    // Same modules under Andersen: all misses.
-    let (_, bench) =
-        measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, Backend::Andersen, &policy);
-    let stats = bench.cache.expect("cache stats present");
-    assert_eq!(
-        (stats.hits, stats.misses),
-        (0, PREFIX),
-        "andersen sweep must not hit steensgaard-keyed entries"
-    );
-
-    // And the reverse direction, against the now two-domain store: both
-    // backends hit only their own entries.
-    let (_, bench) =
-        measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, Backend::Steensgaard, &policy);
-    let stats = bench.cache.expect("cache stats present");
-    assert_eq!((stats.hits, stats.misses), (PREFIX, 0));
-    let (_, bench) =
-        measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, Backend::Andersen, &policy);
-    let stats = bench.cache.expect("cache stats present");
-    assert_eq!((stats.hits, stats.misses), (PREFIX, 0));
 }
 
 #[test]
@@ -397,14 +362,12 @@ fn warm_sweep_is_deterministic_across_thread_counts() {
         &perturbed,
         1,
         DEFAULT_SEED,
-        Backend::Steensgaard,
         Some(&mut AnalysisCache::load(&dir)),
     );
     let (mixed8, _) = measure_corpus_cached(
         &perturbed,
         8,
         DEFAULT_SEED,
-        Backend::Steensgaard,
         Some(&mut AnalysisCache::load(&dir)),
     );
     assert_eq!(render(&mixed1), render(&mixed8));
@@ -476,13 +439,7 @@ fn concurrent_child() {
         std::thread::sleep(std::time::Duration::from_millis(2));
     }
 
-    let (_, bench) = measure_corpus_cached(
-        &slice,
-        1,
-        DEFAULT_SEED,
-        Backend::Steensgaard,
-        Some(&mut cache),
-    );
+    let (_, bench) = measure_corpus_cached(&slice, 1, DEFAULT_SEED, Some(&mut cache));
     assert_eq!(bench.cache.unwrap().misses, hi - lo);
     cache.persist().expect("child persist");
 }

@@ -2,7 +2,6 @@
 //! analysis-reuse path must report exactly what three independent runs of
 //! `check_locks` report, and the parallel runner must be deterministic.
 
-use localias_alias::Backend;
 use localias_bench::{measure_corpus_cached, ModuleResult};
 use localias_core::SharedAnalysis;
 use localias_corpus::{generate, GeneratedModule, DEFAULT_SEED};
@@ -15,7 +14,7 @@ const PREFIX: usize = 25;
 
 /// An uncached sweep of `slice` on `jobs` worker threads.
 fn sweep(slice: &[GeneratedModule], jobs: usize) -> Vec<ModuleResult> {
-    measure_corpus_cached(slice, jobs, DEFAULT_SEED, Backend::Steensgaard, None).0
+    measure_corpus_cached(slice, jobs, DEFAULT_SEED, None).0
 }
 
 /// The sweep's phase-timed path must count exactly the errors of

@@ -37,7 +37,7 @@ fn slice() -> Vec<GeneratedModule> {
 fn hist_sweep(slice: &[GeneratedModule], jobs: usize) -> Vec<obs::HistSnapshot> {
     obs::enable_hists();
     let _ = obs::drain();
-    let _ = measure_corpus_cached(slice, jobs, DEFAULT_SEED, Backend::Steensgaard, None);
+    let _ = measure_corpus_cached(slice, jobs, DEFAULT_SEED, None);
     let trace = obs::drain();
     obs::disable_hists();
     trace.hists

@@ -10,7 +10,6 @@
 //! the counters are process-global, so concurrently running tests that
 //! enable collection would observe each other.
 
-use localias_alias::Backend;
 use localias_bench::fuzz::{run_fuzz, FuzzConfig};
 use localias_bench::{measure_corpus_cached, AnalysisCache, ModuleResult};
 use localias_core::SharedAnalysis;
@@ -27,7 +26,7 @@ const PREFIX: usize = 40;
 fn traced_sweep(slice: &[localias_corpus::GeneratedModule], jobs: usize) -> obs::Trace {
     obs::enable_all();
     let _ = obs::drain();
-    let _ = measure_corpus_cached(slice, jobs, DEFAULT_SEED, Backend::Steensgaard, None);
+    let _ = measure_corpus_cached(slice, jobs, DEFAULT_SEED, None);
     let trace = obs::drain();
     obs::disable_metrics();
     obs::disable_spans();
@@ -36,13 +35,7 @@ fn traced_sweep(slice: &[localias_corpus::GeneratedModule], jobs: usize) -> obs:
 
 /// The sweep's measurement of one module, uncached and single-threaded.
 fn measure(m: &GeneratedModule) -> ModuleResult {
-    let (mut results, _) = measure_corpus_cached(
-        std::slice::from_ref(m),
-        1,
-        DEFAULT_SEED,
-        Backend::Steensgaard,
-        None,
-    );
+    let (mut results, _) = measure_corpus_cached(std::slice::from_ref(m), 1, DEFAULT_SEED, None);
     results.remove(0)
 }
 
@@ -197,7 +190,7 @@ fn repeated_runs_count_identically() {
 /// Analyses each entry point runs per module: two for a three-mode check
 /// and for a sweep miss (no-confine and all-strong share the base
 /// analysis), three for a fuzz module (the Theorem-1 gate, then the base
-/// and confine analyses both alias backends share).
+/// and confine analyses of its three-mode check).
 #[test]
 fn analyses_per_module_are_pinned() {
     let m = mega_module(7, 30);
@@ -216,7 +209,7 @@ fn analyses_per_module_are_pinned() {
     let miss = || {
         let mut cache = AnalysisCache::load(&dir);
         let slice = std::slice::from_ref(&m);
-        let (_, bench) = measure_corpus_cached(slice, 1, 7, Backend::Steensgaard, Some(&mut cache));
+        let (_, bench) = measure_corpus_cached(slice, 1, 7, Some(&mut cache));
         assert_eq!(bench.cache.map(|c| c.misses), Some(1));
     };
     let fuzz = FuzzConfig {

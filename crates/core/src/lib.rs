@@ -317,24 +317,21 @@ fn infer_confines_from(m: &Module, candidates: Vec<ConfineCandidate>) -> Confine
 /// which answers resolution queries immutably and never changes which
 /// locations are equal.
 ///
-/// The snapshots are produced through the selected alias [`Backend`]
-/// ([`Analysis::freeze_with`]) and memoized *per backend*: the base and
-/// confine analyses themselves are backend-invariant (the typing walk is
-/// always the unification analysis), so switching backends re-freezes but
-/// never re-analyzes.
+/// The snapshots are Steensgaard captures unless the cache was made
+/// with [`SharedAnalysis::new_with_backend`], which the §8 headroom
+/// study uses to freeze through [`Backend::Andersen`].
 #[derive(Debug)]
 pub struct SharedAnalysis<'m> {
     module: &'m Module,
     backend: Backend,
     base: Option<Analysis>,
     confine: Option<ConfineInference>,
-    base_frozen: [Option<FrozenLocs>; Backend::ALL.len()],
-    confine_frozen: [Option<FrozenLocs>; Backend::ALL.len()],
+    base_frozen: Option<FrozenLocs>,
+    confine_frozen: Option<FrozenLocs>,
 }
 
 impl<'m> SharedAnalysis<'m> {
-    /// Creates an empty cache for `module` with the default
-    /// ([`Backend::Steensgaard`]) alias backend; nothing is computed yet.
+    /// Creates an empty cache for `module`; nothing is computed yet.
     pub fn new(module: &'m Module) -> Self {
         Self::new_with_backend(module, Backend::Steensgaard)
     }
@@ -346,27 +343,14 @@ impl<'m> SharedAnalysis<'m> {
             backend,
             base: None,
             confine: None,
-            base_frozen: [None, None],
-            confine_frozen: [None, None],
+            base_frozen: None,
+            confine_frozen: None,
         }
     }
 
     /// The module under analysis.
     pub fn module(&self) -> &'m Module {
         self.module
-    }
-
-    /// The alias backend frozen snapshots are produced through.
-    pub fn backend(&self) -> Backend {
-        self.backend
-    }
-
-    /// Switches the alias backend for subsequent `*_frozen` calls. Cheap:
-    /// analyses are backend-invariant and snapshots are memoized per
-    /// backend, so flipping back and forth never recomputes anything
-    /// already done.
-    pub fn set_backend(&mut self, backend: Backend) {
-        self.backend = backend;
     }
 
     /// The plain checking analysis ([`check`]), computed on first use.
@@ -391,32 +375,26 @@ impl<'m> SharedAnalysis<'m> {
     /// use and memoized; the returned references are immutable, so any
     /// number of checker threads can share them.
     pub fn base_frozen(&mut self) -> (&Analysis, &FrozenLocs) {
-        let (backend, module) = (self.backend, self.module);
-        if self.base_frozen[backend.index()].is_none() {
-            let frozen = self.base().freeze_with(backend, module);
-            self.base_frozen[backend.index()] = Some(frozen);
+        if self.base_frozen.is_none() {
+            let (backend, module) = (self.backend, self.module);
+            self.base_frozen = Some(self.base().freeze_with(backend, module));
         }
         (
             self.base.as_ref().expect("base computed"),
-            self.base_frozen[backend.index()]
-                .as_ref()
-                .expect("just computed"),
+            self.base_frozen.as_ref().expect("just computed"),
         )
     }
 
     /// The confine-inference analysis together with its frozen location
     /// snapshot, computed on first use.
     pub fn confine_frozen(&mut self) -> (&Analysis, &FrozenLocs) {
-        let (backend, module) = (self.backend, self.module);
-        if self.confine_frozen[backend.index()].is_none() {
-            let frozen = self.confine().analysis.freeze_with(backend, module);
-            self.confine_frozen[backend.index()] = Some(frozen);
+        if self.confine_frozen.is_none() {
+            let (backend, module) = (self.backend, self.module);
+            self.confine_frozen = Some(self.confine().analysis.freeze_with(backend, module));
         }
         (
             &self.confine.as_ref().expect("confine computed").analysis,
-            self.confine_frozen[backend.index()]
-                .as_ref()
-                .expect("just computed"),
+            self.confine_frozen.as_ref().expect("just computed"),
         )
     }
 
@@ -430,15 +408,14 @@ impl<'m> SharedAnalysis<'m> {
     pub fn both_frozen(&mut self) -> ((&Analysis, &FrozenLocs), (&Analysis, &FrozenLocs)) {
         self.base_frozen();
         self.confine_frozen();
-        let ix = self.backend.index();
         (
             (
                 self.base.as_ref().expect("base computed"),
-                self.base_frozen[ix].as_ref().expect("base frozen"),
+                self.base_frozen.as_ref().expect("base frozen"),
             ),
             (
                 &self.confine.as_ref().expect("confine computed").analysis,
-                self.confine_frozen[ix].as_ref().expect("confine frozen"),
+                self.confine_frozen.as_ref().expect("confine frozen"),
             ),
         )
     }
@@ -1312,22 +1289,11 @@ mod tests {
     }
 
     #[test]
-    fn shared_analysis_memoizes_frozen_per_backend() {
+    fn shared_analysis_freezes_through_andersen() {
+        // Confine mode runs end-to-end under Andersen.
         let m = parse(SPLITTABLE);
-        let mut shared = SharedAnalysis::new(&m);
-        assert_eq!(shared.backend(), Backend::Steensgaard);
-        let steens = shared.base_frozen().1.clone();
-        shared.set_backend(Backend::Andersen);
-        assert_eq!(shared.backend(), Backend::Andersen);
-        let anders = shared.base_frozen().1.clone();
-        assert_ne!(steens, anders, "backends produce different snapshots");
-        // Flipping back serves the original memo, not a recomputation of
-        // the analysis: the snapshot is identical.
-        shared.set_backend(Backend::Steensgaard);
-        assert_eq!(&steens, shared.base_frozen().1);
-        // Confine mode runs end-to-end under Andersen too.
-        let mut shared2 = SharedAnalysis::new_with_backend(&m, Backend::Andersen);
-        let ((_, bf), (_, cf)) = shared2.both_frozen();
+        let mut shared = SharedAnalysis::new_with_backend(&m, Backend::Andersen);
+        let ((_, bf), (_, cf)) = shared.both_frozen();
         assert!(!bf.is_empty());
         assert!(!cf.is_empty());
     }

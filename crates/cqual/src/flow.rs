@@ -196,10 +196,10 @@ mod tests {
 
     /// The checker consumes *only* the frozen snapshot: once a
     /// [`FrozenLocs`](localias_alias::FrozenLocs) view is captured,
-    /// mutating the live location table must not change the report. This
-    /// is the invariant that makes alias backends pluggable — a backend
-    /// only has to produce a snapshot, never to keep the live table in
-    /// sync with it.
+    /// mutating the live location table must not change the report. The
+    /// Andersen refinement (`localias_alias::backend`) relies on this: a
+    /// freeze only has to produce a snapshot, never to keep the live
+    /// table in sync with it.
     #[test]
     fn checker_reads_only_the_frozen_view() {
         let m = localias_ast::parse_module(
@@ -266,6 +266,8 @@ mod tests {
     /// two locks that inclusion-based analysis keeps apart, the Andersen
     /// backend eliminates the spurious weak-update errors in the
     /// no-confine baseline, and all three modes still run to completion.
+    /// Only the library reaches this freeze: `localias` runs Steensgaard
+    /// alone, which gives the same §7 and fuzz numbers (DESIGN.md §11).
     #[test]
     fn andersen_backend_eliminates_spurious_conflation_errors() {
         let m = localias_ast::parse_module(

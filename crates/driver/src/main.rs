@@ -88,7 +88,7 @@ fn main() -> ExitCode {
                  \x20                          [--no-shrink] [--stream]\n\
                  \x20                          differential soundness fuzzing: generated modules\n\
                  \x20                          run through the interpreter (ground truth) and all\n\
-                 \x20                          three checker modes under both alias backends; any\n\
+                 \x20                          three checker modes; any\n\
                  \x20                          missed real fault fails the run, shrunk to a minimal\n\
                  \x20                          repro module under --repro-dir (--stream prints the\n\
                  \x20                          per-module verdict lines)\n\
@@ -99,7 +99,6 @@ fn main() -> ExitCode {
                  corpus  <dir> [seed]       write the synthetic driver corpus to <dir>\n\
                  experiment [seed] [--jobs N] [--cache DIR | --no-cache]\n\
                  \x20                          [--cache-shards N] [--modules N] [--partition I/N]\n\
-                 \x20                          [--alias steensgaard|andersen]\n\
                  \x20                          [--bench-out FILE] [--trace-out FILE]\n\
                  \x20                          [--trace-chrome FILE] [--profile] [--quiet]\n\
                  \x20                          run the full Section 7 experiment in parallel,\n\
@@ -110,10 +109,7 @@ fn main() -> ExitCode {
                  \x20                          --modules N streams an N-module corpus instead\n\
                  \x20                          of the paper's 589; --partition I/N sweeps only\n\
                  \x20                          slice I of N (run one process per slice over a\n\
-                 \x20                          shared cache, then bench-merge the reports);\n\
-                 \x20                          --alias selects the alias backend (steensgaard\n\
-                 \x20                          is the paper's default; andersen refines the\n\
-                 \x20                          frozen classes and keys its own cache domain)\n\
+                 \x20                          shared cache, then bench-merge the reports)\n\
                  bench-merge <part.json>... [--out FILE]\n\
                  \x20                          union per-partition --bench-out reports from a\n\
                  \x20                          --partition i/N sweep into one artifact equal to\n\
@@ -290,7 +286,7 @@ fn cmd_run(args: &[String]) -> Result<String, String> {
 ///
 /// Exits non-zero if any generated module exhibits a soundness
 /// divergence: a dynamic lock fault the checker missed under some
-/// mode × backend, or a Theorem-1 restrict violation in a check-clean
+/// mode, or a Theorem-1 restrict violation in a check-clean
 /// module. Divergent modules are shrunk to 1-minimal counterexamples
 /// and written under `--repro-dir` (so an empty repro dir after a run
 /// is the machine-checkable "all clean" signal `scripts/check.sh`
@@ -503,13 +499,8 @@ fn cmd_experiment(args: &[String]) -> Result<String, String> {
         Some((index, count)) => stream.partition(index, count),
         None => 0..stream.len(),
     };
-    let (results, mut bench) = localias_bench::measure_stream_with_cache(
-        &stream,
-        range,
-        opts.jobs,
-        opts.alias,
-        &opts.cache,
-    );
+    let (results, mut bench) =
+        localias_bench::measure_stream_with_cache(&stream, range, opts.jobs, &opts.cache);
     if let Some((index, count)) = opts.partition {
         // Partition artifacts carry their per-module rows so bench-merge
         // can reassemble the full sweep without re-analyzing anything.

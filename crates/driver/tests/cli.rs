@@ -168,24 +168,6 @@ fn experiment_flag_surface_is_validated() {
 }
 
 #[test]
-fn alias_backend_flag_surface_is_validated() {
-    // An unknown backend fails fast and names the valid choices.
-    let (_, err, ok) = localias(&["experiment", "--alias", "unification"]);
-    assert!(!ok);
-    assert!(err.contains("unknown alias backend"), "{err}");
-    assert!(err.contains("steensgaard"), "{err}");
-    assert!(err.contains("andersen"), "{err}");
-
-    let (_, err, ok) = localias(&["experiment", "--alias"]);
-    assert!(!ok);
-    assert!(err.contains("--alias requires"), "{err}");
-
-    // The usage text documents the flag.
-    let (_, err, _) = localias(&[]);
-    assert!(err.contains("--alias"), "{err}");
-}
-
-#[test]
 fn partition_flag_surface_is_validated() {
     // Strict slice-spec validation, rejected before any sweep runs.
     let (_, err, ok) = localias(&["experiment", "--partition", "2/2"]);
@@ -387,9 +369,15 @@ fn removed_flags_are_unknown() {
     assert!(!ok);
     assert!(err.contains("unknown flag `--intra-jobs`"), "{err}");
 
+    let (_, err, ok) = localias(&["experiment", "--alias", "andersen"]);
+    assert!(!ok);
+    assert!(err.contains("unknown flag `--alias`"), "{err}");
+
     let (_, err, _) = localias(&[]);
     assert!(!err.contains("--intra-jobs"), "{err}");
     assert!(!err.contains("--verify"), "{err}");
+    assert!(!err.contains("--alias"), "{err}");
+    assert!(!err.contains("both alias backends"), "{err}");
 }
 
 #[test]

@@ -88,7 +88,7 @@ hists! {
     CacheShardPersist => "cache.shard_persist",
     /// Differential fuzzing: one interpreter-oracle entry execution.
     FuzzExecute => "fuzz.execute",
-    /// Differential fuzzing: one module checked across modes × backends.
+    /// Differential fuzzing: one module checked under all three modes.
     FuzzCheck => "fuzz.check",
 }
 

@@ -12,13 +12,8 @@
 #                                with per-shard cache counters and the
 #                                latency-histogram block with exact
 #                                p50/p90/p95/p99 per stage)
-#   BENCH_alias.json             alias-backend precision/perf frontier:
-#                                both backends over the calibrated
-#                                corpus, categories + error totals +
-#                                wall time side by side (schema
-#                                localias-bench-alias/v4)
 #   BENCH_fuzz.json              differential-fuzzing throughput + FP
-#                                rates (schema localias-bench-fuzz/v3)
+#                                rates (schema localias-bench-fuzz/v4)
 #   BENCH_scale.json             modules/sec + peak RSS vs corpus size
 #                                (schema localias-bench-scale/v3; only
 #                                written when BENCH_SCALE=1 — it takes
@@ -76,23 +71,11 @@ if [ -f BENCH_experiment.prev.json ]; then
         BENCH_experiment.json || true
 fi
 
-# Alias-backend frontier: the full experiment once per backend, printed
-# side by side and asserted against the paper's 352/85/138/14 baseline
-# for the Steensgaard column. Cold for both backends (fresh cache dir)
-# so the wall-time comparison is fair.
-rm -rf "$CACHE-alias"
-./target/release/alias --cache "$CACHE-alias" --bench-out BENCH_alias.json
-rm -rf "$CACHE-alias"
-
-echo
-echo "wrote $(pwd)/BENCH_alias.json (backend frontier):"
-cat BENCH_alias.json
-
 # Differential fuzzing: 2,000 generated modules executed under the
-# interpreter oracle and checked under all three modes x both
-# backends. Exits non-zero on any soundness divergence, so the bench
-# sweep doubles as a release gate; the artifact records fuzz
-# throughput and the measured false-positive rate per mode/backend.
+# interpreter oracle and checked under all three modes. Exits non-zero
+# on any soundness divergence, so the bench sweep doubles as a release
+# gate; the artifact records fuzz throughput and the measured
+# false-positive rate per mode.
 ./target/release/fuzz 42 --modules 2000 --profile --bench-out BENCH_fuzz.json
 
 echo

@@ -15,7 +15,8 @@
 # self-compare, trips on an injected slowdown, and still compares the
 # committed pre-`gate` experiment artifact with a fresh one. The
 # benchmark workspace's tests run too, the solver's exactness tests are
-# gated by name, and the fuzz smoke pins its false-positive counts.
+# gated by name, and the fuzz smoke pins its false-positive counts for
+# the one alias configuration the pipeline runs (Steensgaard).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -333,32 +334,11 @@ grep -q '"partition": null' "$SCALE/merged.json" || {
     exit 1
 }
 
-# Alias-backend smoke: the Andersen backend must run the full three-mode
-# sweep end-to-end, emit a valid trace, and key its own cache domain —
-# a cache warmed by the default (Steensgaard) sweep serves it zero hits.
-ALIAS="$CACHE/alias"
-mkdir -p "$ALIAS"
-./target/release/localias experiment 7 --modules 80 \
-    --cache "$ALIAS/cache" --quiet >/dev/null
-./target/release/localias experiment 7 --modules 80 --alias andersen \
-    --cache "$ALIAS/cache" --bench-out "$ALIAS/andersen.json" \
-    --trace-out "$ALIAS/andersen-trace.jsonl" --quiet >/dev/null
-grep -q '"misses": 80' "$ALIAS/andersen.json" || {
-    echo "check.sh: andersen sweep hit the steensgaard cache domain:" >&2
-    cat "$ALIAS/andersen.json" >&2
-    exit 1
-}
-./target/release/localias tracecheck "$ALIAS/andersen-trace.jsonl" >/dev/null || {
-    echo "check.sh: andersen sweep emitted an invalid trace" >&2
-    cat "$ALIAS/andersen-trace.jsonl" >&2
-    exit 1
-}
-
 # Differential-fuzzing smoke: a seeded 1000-module sweep with the
 # interpreter as ground-truth oracle must find zero soundness
-# divergences across all three modes x both alias backends — the repro
-# dir staying empty is the machine-checkable "all clean" signal — and
-# must keep the pinned false-positive counts of both backends.
+# divergences across all three modes — the repro dir staying empty is
+# the machine-checkable "all clean" signal — and must keep the pinned
+# false-positive counts.
 FUZZ="$CACHE/fuzz-repro"
 FUZZOUT="$CACHE/fuzz.txt"
 mkdir -p "$FUZZ"
@@ -369,17 +349,15 @@ mkdir -p "$FUZZ"
     exit 1
 }
 FP_COUNTS='noconfine=55.6% (726/1305) confine=27.4% (218/797) allstrong=10.5% (68/647)'
-for BACKEND in steensgaard andersen; do
-    grep -qxF "  $(printf '%-12s' "$BACKEND") $FP_COUNTS" "$FUZZOUT" || {
-        echo "check.sh: fuzz smoke changed the $BACKEND false-positive counts:" >&2
-        cat "$FUZZOUT" >&2
-        exit 1
-    }
-done
+grep -qxF "  steensgaard  $FP_COUNTS" "$FUZZOUT" || {
+    echo "check.sh: fuzz smoke changed the steensgaard false-positive counts:" >&2
+    cat "$FUZZOUT" >&2
+    exit 1
+}
 if [ -n "$(ls -A "$FUZZ")" ]; then
     echo "check.sh: fuzz smoke exited 0 but wrote repro modules:" >&2
     ls "$FUZZ" >&2
     exit 1
 fi
 
-echo "check.sh: fmt, clippy, build, tests, concurrency + obs + hist + solver-exactness gates, §7 totals, warm-cache sweep, crash recovery, mega session test, watch smoke, trace + chrome smoke, bench-diff gate, partitioned scale smoke, andersen backend smoke, benchmark tests, and fuzz smoke all passed"
+echo "check.sh: fmt, clippy, build, tests, concurrency + obs + hist + solver-exactness gates, §7 totals, warm-cache sweep, crash recovery, mega session test, watch smoke, trace + chrome smoke, bench-diff gate, partitioned scale smoke, benchmark tests, and fuzz smoke all passed"
