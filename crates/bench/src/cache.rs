@@ -51,10 +51,10 @@
 //! lockfile) are broken; orphaned `*.tmp.<pid>` files from crashed
 //! writers are swept at load time once their writer is gone.
 //!
-//! Two sweeps sharing one cache directory — `experiment` and `precision`
-//! side by side, or two CI shards over disjoint corpora — therefore lose
-//! no entries: each persist folds the other's fresh entries into the
-//! union instead of clobbering the store wholesale.
+//! Two sweeps sharing one cache directory — two partitions of one
+//! corpus, or two CI shards over disjoint corpora — therefore lose no
+//! entries: each persist folds the other's fresh entries into the union
+//! instead of clobbering the store wholesale.
 
 use crate::{ModuleResult, PhaseTimes};
 use localias_ast::fp;
@@ -90,9 +90,6 @@ const SHARD_SCHEMA: &str = "localias-cache/v3-shard";
 /// into the fingerprint so a config change invalidates rather than hits.
 const ANALYSIS_CONFIG: &str = "modes=no_confine,confine,all_strong";
 
-/// Seed-independent description of what one §8 precision entry covers.
-const PRECISION_CONFIG: &str = "analyses=steensgaard,andersen;metric=local-pair-aliasing";
-
 /// Default number of shard files per cache directory.
 pub const DEFAULT_SHARDS: usize = 16;
 
@@ -117,15 +114,6 @@ const LOCK_CAP_MS: u64 = 50;
 pub fn source_fingerprint(source: &str, backend: localias_alias::Backend) -> u128 {
     assert_eq!(backend, localias_alias::Backend::Steensgaard);
     fp::fingerprint("raw;", source)
-}
-
-/// Fingerprint of one §8 precision-sweep subject. Domain-separated from
-/// [`source_fingerprint`] (and versioned like [`module_fingerprint`]) so
-/// experiment and precision entries can share one store without a key of
-/// one kind ever hitting an entry of the other.
-pub fn precision_fingerprint(source: &str) -> u128 {
-    let domain = format!("raw;precision;{STORE_SCHEMA};av{ANALYSIS_VERSION};{PRECISION_CONFIG};");
-    fp::fingerprint(&domain, source)
 }
 
 /// Canonical fingerprint of a parsed module: hash of its pretty-printed
@@ -169,11 +157,8 @@ impl CachePolicy {
     }
 }
 
-/// The generic store payload: six unsigned values per entry. What they
-/// mean is the *keying domain's* business — experiment entries pack a
-/// [`CachedOutcome`], precision entries a [`PrecisionOutcome`] — and the
-/// domain-separated fingerprints guarantee a key of one kind never
-/// resolves to values of the other.
+/// The store payload: six unsigned values per entry, a packed
+/// [`CachedOutcome`].
 pub type CachedValues = [u64; 6];
 
 /// One cached per-module outcome: the error triple plus the phase times
@@ -236,43 +221,6 @@ impl CachedOutcome {
                 check: Duration::from_nanos(v[4]),
                 confine: Duration::from_nanos(v[5]),
             },
-        }
-    }
-}
-
-/// One cached §8 precision-sweep outcome (per random subject module).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PrecisionOutcome {
-    /// Pointer-local pairs compared in the module.
-    pub pairs: u64,
-    /// Pairs aliased under unification (Steensgaard).
-    pub aliased_uni: u64,
-    /// Pairs aliased under inclusion (Andersen).
-    pub aliased_incl: u64,
-    /// Whether any pair is conflated only by unification.
-    pub gap: bool,
-}
-
-impl PrecisionOutcome {
-    /// Packs into the generic store payload.
-    pub fn to_values(self) -> CachedValues {
-        [
-            self.pairs,
-            self.aliased_uni,
-            self.aliased_incl,
-            self.gap as u64,
-            0,
-            0,
-        ]
-    }
-
-    /// Unpacks from the generic store payload.
-    pub fn from_values(v: CachedValues) -> PrecisionOutcome {
-        PrecisionOutcome {
-            pairs: v[0],
-            aliased_uni: v[1],
-            aliased_incl: v[2],
-            gap: v[3] != 0,
         }
     }
 }
@@ -465,15 +413,13 @@ impl AnalysisCache {
         self.record_values(fp, raw, outcome.to_values());
     }
 
-    /// Generic lookup of the raw payload under a canonical key. Callers
-    /// of a given keying domain (e.g. [`precision_fingerprint`]) own the
-    /// interpretation of the six values.
-    pub fn lookup_values(&self, fp: u128) -> Option<CachedValues> {
+    /// Lookup of the packed payload under a canonical key.
+    fn lookup_values(&self, fp: u128) -> Option<CachedValues> {
         self.entries.get(&fp).copied()
     }
 
-    /// Generic record of a raw payload under `(fp, raw)`.
-    pub fn record_values(&mut self, fp: u128, raw: u128, values: CachedValues) {
+    /// Record of a packed payload under `(fp, raw)`.
+    fn record_values(&mut self, fp: u128, raw: u128, values: CachedValues) {
         self.entries.insert(fp, values);
         self.by_raw.insert(raw, fp);
         self.dirty.insert(self.shard_of(fp));
@@ -949,20 +895,6 @@ mod tests {
     }
 
     #[test]
-    fn precision_outcomes_round_trip_through_values() {
-        let p = PrecisionOutcome {
-            pairs: 91,
-            aliased_uni: 30,
-            aliased_incl: 12,
-            gap: true,
-        };
-        assert_eq!(PrecisionOutcome::from_values(p.to_values()), p);
-        let line = entry_line(1, 2, &p.to_values());
-        let (_, _, v) = parse_entry(&line).expect("round trip");
-        assert_eq!(PrecisionOutcome::from_values(v), p);
-    }
-
-    #[test]
     fn malformed_entries_are_rejected() {
         for bad in [
             "",
@@ -1033,16 +965,6 @@ mod tests {
         ] {
             assert_eq!(shard_index_of(bad), None, "{bad}");
         }
-    }
-
-    #[test]
-    fn fingerprint_domains_never_collide() {
-        let src = "int g;\nvoid f() { g = 1; }\n";
-        assert_ne!(
-            source_fingerprint(src, localias_alias::Backend::Steensgaard),
-            precision_fingerprint(src),
-            "precision keys are domain-separated from experiment keys"
-        );
     }
 
     /// The keys the sweep writes, pinned to the values existing stores

@@ -1,7 +1,4 @@
-//! Shared command-line parsing for the experiment entry points.
-//!
-//! `experiment` (the `localias` CLI), `summary`, `fig6`, `fig7`,
-//! `precision`, and `perf` all accept the same surface:
+//! Command-line parsing for `localias experiment`:
 //!
 //! ```text
 //! [SEED] [--jobs N | -j N]
@@ -10,12 +7,10 @@
 //! [--trace-chrome FILE] [--profile] [--quiet | -q]
 //! ```
 //!
-//! so the cache flags land in exactly one place instead of being re-wired
-//! per binary (which is how `--jobs` used to work). Conflicting cache
-//! flags (`--no-cache` together with `--cache` or `--cache-shards`) are
-//! rejected up front, in either order, rather than resolving by flag
-//! position — and `--partition` (which cooperates through the shared
-//! cache) conflicts with `--no-cache` the same way.
+//! Conflicting cache flags (`--no-cache` together with `--cache` or
+//! `--cache-shards`) are rejected up front, in either order, rather than
+//! resolving by flag position — and `--partition` (which cooperates
+//! through the shared cache) conflicts with `--no-cache` the same way.
 
 use crate::cache::{CachePolicy, DEFAULT_SHARDS, MAX_SHARDS};
 use localias_corpus::DEFAULT_SEED;
@@ -31,10 +26,6 @@ pub struct CliOpts {
     /// Result-cache policy (default: enabled under `.localias-cache/`,
     /// partitioned into [`DEFAULT_SHARDS`] shard files).
     pub cache: CachePolicy,
-    /// Whether any cache flag (`--cache`/`--no-cache`/`--cache-shards`)
-    /// was given explicitly (lets binaries that ignore the cache warn
-    /// instead of silently dropping the flag).
-    pub cache_explicit: bool,
     /// Where to write the machine-readable bench report, if anywhere.
     pub bench_out: Option<String>,
     /// Where to write the `localias-trace/v2` JSON-lines trace, if
@@ -178,7 +169,6 @@ impl CliOpts {
             // cache; without it the merge step has nothing to union over.
             return Err("--partition and --no-cache are mutually exclusive".into());
         }
-        let cache_explicit = no_cache || cache_dir.is_some() || cache_shards.is_some();
         let cache = if no_cache {
             CachePolicy::Disabled
         } else {
@@ -193,7 +183,6 @@ impl CliOpts {
             jobs: jobs.unwrap_or(0),
             seed,
             cache,
-            cache_explicit,
             bench_out,
             trace_out,
             trace_chrome,
@@ -277,7 +266,6 @@ mod tests {
         assert_eq!(o.seed, None);
         assert_eq!(o.seed_or_default(), DEFAULT_SEED);
         assert_eq!(o.cache, CachePolicy::enabled_default());
-        assert!(!o.cache_explicit);
         assert_eq!(o.bench_out, None);
         assert_eq!(o.trace_out, None);
         assert!(!o.profile);
@@ -333,7 +321,6 @@ mod tests {
                 shards: 32
             }
         );
-        assert!(o.cache_explicit);
         assert_eq!(o.bench_out.as_deref(), Some("b.json"));
     }
 
@@ -344,7 +331,6 @@ mod tests {
 
         let o = parse(&["--cache-shards", "1"]).unwrap();
         assert!(matches!(o.cache, CachePolicy::Dir { shards: 1, .. }));
-        assert!(o.cache_explicit, "--cache-shards is a cache flag");
 
         assert!(parse(&["--cache-shards"]).is_err());
         assert!(parse(&["--cache-shards", "x"]).is_err());
@@ -357,7 +343,6 @@ mod tests {
     fn no_cache_disables() {
         let o = parse(&["--no-cache"]).unwrap();
         assert_eq!(o.cache, CachePolicy::Disabled);
-        assert!(o.cache_explicit);
     }
 
     /// `--no-cache` must conflict with the other cache flags *in either

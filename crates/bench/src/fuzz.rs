@@ -40,6 +40,8 @@
 //! [`stream`](FuzzReport::stream), which the determinism tests pin.
 //! See `DESIGN.md` §12.
 
+use crate::Better::{Higher, Lower};
+use crate::{json_hists, json_trace, Artifact, ObsReport};
 use localias_ast::{parse_module, pretty, Block, ItemKind, Module, Stmt, StmtKind, TypeExpr};
 use localias_core::SharedAnalysis;
 use localias_corpus::fuzz_module;
@@ -47,8 +49,9 @@ use localias_cqual::{check_modes, CallGraph, LockReport, Mode, MODES};
 use localias_interp::memory::default_value;
 use localias_interp::{Interp, RuntimeError, Value};
 use localias_obs as obs;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
+use std::path::Path;
 
 /// Configuration of one fuzz run.
 #[derive(Debug, Clone)]
@@ -268,6 +271,84 @@ fn divergence_line(d: &Divergence) -> String {
         at,
         d.detail
     )
+}
+
+/// The `localias-bench-fuzz/v4` artifact of one run (`localias fuzz
+/// --bench-out`): throughput, the oracle's counts, the false-positive
+/// rate per mode, shrinker statistics and the run's obs blocks. v2
+/// added the `hist` block, v3 the shared envelope and `fp_rates` keyed
+/// by backend, v4 keeps only `fp_rates.steensgaard`.
+pub fn artifact_json(
+    cfg: &FuzzConfig,
+    report: &FuzzReport,
+    wall_seconds: f64,
+    obs_report: &ObsReport,
+) -> String {
+    let mut a = Artifact::new("localias-bench-fuzz/v4", cfg.seed);
+    a.set(&["iterations"], cfg.iterations);
+    a.set(&["fuel"], cfg.fuel);
+    a.metric(&["wall_seconds"], wall_seconds, Lower);
+    let per_sec = report.modules as f64 / wall_seconds.max(1e-9);
+    a.metric(&["modules_per_sec"], per_sec, Higher);
+    let counts = [
+        ("entries", report.entries),
+        ("runs", report.runs),
+        ("dyn_faults", report.dyn_faults),
+        ("leaks", report.leaks),
+        ("restrict_violations", report.restrict_violations),
+        ("out_of_fuel", report.out_of_fuel),
+        ("exec_errors", report.exec_errors),
+        ("divergences", report.divergences.len() as u64),
+    ];
+    for (key, n) in counts {
+        a.set(&[key], n);
+    }
+    for (st, &mode) in report.stats[0].iter().zip(&MODES) {
+        let (b, m) = ("steensgaard", mode_name(mode));
+        a.set(&["fp_rates", b, m, "flagged"], st.flagged_funs);
+        a.set(&["fp_rates", b, m, "true_positives"], st.true_positive_funs);
+        a.set(
+            &["fp_rates", b, m, "false_positives"],
+            st.false_positive_funs,
+        );
+        a.metric(&["fp_rates", b, m, "rate"], st.fp_rate(), Lower);
+    }
+    a.set(&["shrink", "candidates"], report.shrink_candidates);
+    a.set(&["shrink", "steps"], report.shrink_steps);
+    a.finish(
+        json_hists(&obs_report.hists),
+        json_trace(obs_report.trace.as_ref()),
+    )
+}
+
+/// Writes the run's divergences under `dir` (`localias fuzz
+/// --repro-dir`): one `{module}_{kind}.mc` file per diverging module and
+/// kind, headed by one `// !! …` line per divergence it witnesses
+/// (entry, mode, detail) and a replay line, then the module's shrunk
+/// source, which every divergence of one kind in one module shares.
+/// Returns the number of files written.
+pub fn write_repros(dir: &Path, seed: u64, report: &FuzzReport) -> Result<usize, String> {
+    let at = |p: &Path, e: std::io::Error| format!("{}: {e}", p.display());
+    std::fs::create_dir_all(dir).map_err(|e| at(dir, e))?;
+    let mut files: BTreeMap<(u64, &str), Vec<&Divergence>> = BTreeMap::new();
+    for d in &report.divergences {
+        files.entry((d.index, d.kind.name())).or_default().push(d);
+    }
+    for ((index, kind), ds) in &files {
+        let mut body = String::new();
+        for d in ds {
+            let _ = writeln!(body, "// {}", divergence_line(d));
+        }
+        let _ = writeln!(
+            body,
+            "// replay: localias fuzz --seed {seed} --iterations {} (module index {index})",
+            index + 1
+        );
+        body.push_str(ds[0].shrunk.as_deref().unwrap_or(&ds[0].source));
+        let path = dir.join(format!("{}_{kind}.mc", ds[0].module));
+        std::fs::write(&path, body).map_err(|e| at(&path, e))?;
+    }
+    Ok(files.len())
 }
 
 /// A divergence detected inside [`check_one`], before the module source
@@ -810,6 +891,24 @@ pub fn shrink_source(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn writer_keeps_the_contract() {
+        let mut report = FuzzReport {
+            modules: 10,
+            ..FuzzReport::default()
+        };
+        report.stats[0][0] = ModeStats {
+            flagged_funs: 4,
+            true_positive_funs: 3,
+            false_positive_funs: 1,
+        };
+        let text = artifact_json(&FuzzConfig::default(), &report, 0.5, &ObsReport::default());
+        crate::testkit::assert_writer_contract(
+            &text,
+            &["fp_rates", "steensgaard", "noconfine", "rate"],
+        );
+    }
 
     #[test]
     fn int_assignments_dedupe() {

@@ -2,7 +2,7 @@
 //!
 //! The workspace builds fully offline (no crates.io registry), so the
 //! benches cannot link criterion. This module provides the thin slice the
-//! bench binaries need: named groups, per-input benchmarks, automatic
+//! benches need: named groups, per-input benchmarks, automatic
 //! iteration-count calibration, and a median-of-samples report printed as
 //! one line per benchmark.
 //!
@@ -108,27 +108,13 @@ impl BenchGroup {
 /// Times one invocation of `f` under an obs span named `name`,
 /// returning the result and its wall-clock seconds.
 ///
-/// This is the one place the bench binaries time a measured region —
-/// the `Instant::now()` pairs that used to be copy-pasted per binary —
-/// so every timed region also shows up in `--trace-out`/`--profile`
-/// output under its span name.
+/// Timing a region through here also records it under its span name
+/// whenever obs collection is on.
 pub fn timed<T>(name: &'static str, f: impl FnOnce() -> T) -> (T, f64) {
     let _span = localias_obs::span!(name);
     let t0 = Instant::now();
     let out = f();
     (out, t0.elapsed().as_secs_f64())
-}
-
-/// Runs `f` `reps` times (at least once) and returns the first run's
-/// result with the *mean* wall-clock seconds per run.
-pub fn avg_of<T>(name: &'static str, reps: usize, mut f: impl FnMut() -> T) -> (T, f64) {
-    let reps = reps.max(1);
-    let (first, mut total) = timed(name, &mut f);
-    for _ in 1..reps {
-        let (_, secs) = timed(name, &mut f);
-        total += secs;
-    }
-    (first, total / reps as f64)
 }
 
 /// Formats a duration in seconds with an auto-scaled unit.
@@ -165,19 +151,6 @@ mod tests {
         let (v, secs) = timed("test.timed", || 41 + 1);
         assert_eq!(v, 42);
         assert!(secs >= 0.0);
-
-        let mut runs = 0;
-        let (v, avg) = avg_of("test.avg", 4, || {
-            runs += 1;
-            runs * 10
-        });
-        assert_eq!(v, 10);
-        assert_eq!(runs, 4);
-        assert!(avg >= 0.0);
-
-        // Degenerate rep counts still run once.
-        let (_, s) = avg_of("test.avg", 0, || ());
-        assert!(s >= 0.0);
     }
 
     #[test]

@@ -1,7 +1,9 @@
-//! Shared helpers for the benchmark harness: the experiment runner that
-//! the figure/table binaries and the complexity benches build on, plus
-//! synthetic program generators for those benches and a small in-repo
-//! timing harness ([`harness`]) standing in for criterion.
+//! The paper's evaluation behind the `localias` driver's `experiment`,
+//! `fuzz`, `scale` and `precision` subcommands: the experiment runner
+//! and its result cache, the renderers of the paper's tables
+//! ([`paper`]), the artifact writers, and the differential fuzzer — plus
+//! synthetic program generators for the complexity benches and a small
+//! in-repo timing harness ([`harness`]) standing in for criterion.
 
 pub mod artifact;
 pub mod cache;
@@ -10,24 +12,22 @@ pub mod diff;
 pub mod fuzz;
 pub mod harness;
 pub mod merge;
+pub mod paper;
+pub mod precision;
+pub mod scale;
 #[cfg(test)]
 mod testkit;
-
-// Lets `testkit`, which the bench binaries' tests include too, name this
-// crate the way they do.
-#[cfg(test)]
-extern crate self as localias_bench;
 
 pub use artifact::{json_hists, json_trace, Artifact, Better};
 
 pub use cache::{
-    AnalysisCache, CachePolicy, CacheStats, CachedValues, PrecisionOutcome, ANALYSIS_VERSION,
-    DEFAULT_SHARDS, MAX_SHARDS,
+    AnalysisCache, CachePolicy, CacheStats, CachedValues, ANALYSIS_VERSION, DEFAULT_SHARDS,
+    MAX_SHARDS,
 };
 pub use cli::CliOpts;
 pub use diff::{diff_benches, DiffReport, DEFAULT_THRESHOLD_PCT};
 pub use localias_corpus::{partition_range, CorpusStream};
-pub use localias_obs::{json, text_histogram};
+pub use localias_obs::json;
 pub use merge::merge_partitions;
 
 use cache::CachedOutcome;
@@ -1015,12 +1015,5 @@ mod tests {
         let p50 = h.get("p50_ns").and_then(Value::as_u64);
         assert_eq!(p50, Some(snap.percentile(50)));
         assert_eq!(h.get("buckets").unwrap().render(), "[[4,1],[5,2],[6,1]]");
-    }
-
-    #[test]
-    fn histogram_renders() {
-        let h = text_histogram(&[("1".to_string(), 10), ("2".to_string(), 5)], 20);
-        assert!(h.contains("####"));
-        assert!(h.contains(" 10"));
     }
 }

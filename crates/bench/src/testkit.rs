@@ -1,9 +1,8 @@
-//! Test support shared by the library's and the bench binaries' unit
-//! tests (each includes this file as a `#[cfg(test)]` module).
+//! Test support shared by the library's unit tests.
 
-use localias_bench::artifact::{gated_paths, Better};
-use localias_bench::json::{self, Value};
-use localias_bench::{diff_benches, DEFAULT_THRESHOLD_PCT};
+use crate::artifact::{gated_paths, Better};
+use crate::json::{self, Value};
+use crate::{diff_benches, DEFAULT_THRESHOLD_PCT};
 
 /// The contract every family's writer keeps: every `gate` path resolves
 /// to a number in the document, a self-diff compares every gated path

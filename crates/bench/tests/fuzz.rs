@@ -8,8 +8,8 @@
 use localias_alias::Backend;
 use localias_ast::{parse_module, pretty, Module};
 use localias_bench::fuzz::{
-    real_static_matrix, run_fuzz, run_fuzz_with, shrink_source, DivergenceKind, FuzzConfig,
-    StaticMatrix,
+    real_static_matrix, run_fuzz, run_fuzz_with, shrink_source, write_repros, DivergenceKind,
+    FuzzConfig, StaticMatrix,
 };
 use localias_core::SharedAnalysis;
 use localias_corpus::fuzz_module;
@@ -136,6 +136,35 @@ fn broken_checker_is_caught_as_unsound() {
         .count();
     assert_eq!(tagged % 3, 0, "one divergence per mode");
     assert!(report.stream.contains("!! unsound"));
+}
+
+/// The blind checker misses each faulting entry under all three modes,
+/// so one module yields several divergences of one kind. Their repro
+/// file keeps every one: one header line per divergence.
+#[test]
+fn repro_files_keep_every_divergence() {
+    let report = run_fuzz_with(&cfg(40, true), &blind_checker);
+    let dir = std::env::temp_dir().join(format!("localias-fuzz-repros-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let files = write_repros(&dir, 42, &report).expect("repros written");
+    let mut headers = 0;
+    let mut written = 0;
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let text = std::fs::read_to_string(entry.unwrap().path()).unwrap();
+        headers += text.lines().filter(|l| l.starts_with("// !! ")).count();
+        assert!(
+            text.contains("// replay: localias fuzz --seed 42"),
+            "{text}"
+        );
+        written += 1;
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(written, files);
+    assert!(
+        files < report.divergences.len(),
+        "some file witnesses several"
+    );
+    assert_eq!(headers, report.divergences.len());
 }
 
 #[test]

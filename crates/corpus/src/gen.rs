@@ -579,7 +579,7 @@ mod tests {
     /// The critical calibration check: for a sample of modules across all
     /// categories, the *measured* error counts under all three modes must
     /// equal the composition's prediction. (The full 589-module sweep is
-    /// the experiment itself — `localias-bench`'s `summary` binary.)
+    /// the experiment itself — `localias experiment`.)
     #[test]
     fn measured_counts_match_expectations_on_a_sample() {
         use localias_core::SharedAnalysis;

@@ -7,6 +7,9 @@
 //! localias infer   <file.mc>          # restrict + confine inference
 //! localias locks   <file.mc> [mode]   # flow-sensitive lock checking
 //! localias run     <file.mc> [arg]    # execute under the §3.2 semantics
+//! localias fuzz    [--iterations N] [--seed S] [--fuel N] [--repro-dir DIR]
+//!                  [--no-shrink] [--stream] [--bench-out FILE] [--profile]
+//!                                     # differential soundness fuzzing
 //! localias watch   <file.mc> [--iterations N] [--poll-ms MS] [--quiet]
 //!                                     # re-check the module on every save
 //! localias corpus  <dir> [seed]       # dump the synthetic driver corpus
@@ -15,7 +18,12 @@
 //!                    [--modules N] [--partition I/N]
 //!                    [--bench-out FILE] [--trace-out FILE]
 //!                    [--trace-chrome FILE] [--profile] [--quiet]
-//!                                     # run the full Section 7 experiment
+//!                                     # run the full Section 7 experiment;
+//!                                     # a whole-corpus sweep also prints the
+//!                                     # §7 table, Figure 6 and Figure 7
+//! localias scale   [seed] [--sizes N,..] [--partitions N,..] [--jobs N]
+//!                  [--bench-out FILE] # modules/s and peak RSS vs corpus size
+//! localias precision [seed]           # §8: unification vs inclusion aliasing
 //! localias bench-merge <part.json>... [--out FILE]
 //!                                     # union per-partition bench reports
 //! localias bench-diff <old.json> <new.json> [--threshold PCT] [--json FILE]
@@ -72,12 +80,14 @@ fn main() -> ExitCode {
         Some("watch") => cmd_watch(&args[1..]),
         Some("corpus") => cmd_corpus(&args[1..]),
         Some("experiment") => cmd_experiment(&args[1..]),
+        Some("scale") => cmd_scale(&args[1..]),
+        Some("precision") => cmd_precision(&args[1..]),
         Some("bench-merge") => cmd_bench_merge(&args[1..]),
         Some("bench-diff") => cmd_bench_diff(&args[1..]),
         Some("tracecheck") => cmd_tracecheck(&args[1..]),
         _ => {
             eprintln!(
-                "usage: localias <parse|check|infer|locks|run|fuzz|watch|corpus|experiment|bench-merge|bench-diff|tracecheck> [args]\n\
+                "usage: localias <parse|check|infer|locks|run|fuzz|watch|corpus|experiment|scale|precision|bench-merge|bench-diff|tracecheck> [args]\n\
                  \n\
                  parse   <file.mc>          parse and pretty-print a module\n\
                  check   <file.mc>          check explicit restrict/confine annotations\n\
@@ -85,13 +95,14 @@ fn main() -> ExitCode {
                  locks   <file.mc> [mode]   lock checking (noconfine|confine|allstrong)\n\
                  run     <file.mc> [arg]    execute every function (restrict = copy-and-poison)\n\
                  fuzz    [--iterations N] [--seed S] [--fuel N] [--repro-dir DIR]\n\
-                 \x20                          [--no-shrink] [--stream]\n\
+                 \x20                          [--no-shrink] [--stream] [--bench-out FILE] [--profile]\n\
                  \x20                          differential soundness fuzzing: generated modules\n\
                  \x20                          run through the interpreter (ground truth) and all\n\
                  \x20                          three checker modes; any\n\
                  \x20                          missed real fault fails the run, shrunk to a minimal\n\
                  \x20                          repro module under --repro-dir (--stream prints the\n\
-                 \x20                          per-module verdict lines)\n\
+                 \x20                          per-module verdict lines; --bench-out writes the\n\
+                 \x20                          localias-bench-fuzz/v4 artifact)\n\
                  watch   <file.mc> [--iterations N] [--poll-ms MS] [--quiet]\n\
                  \x20                          re-run the three lock checks on the whole module\n\
                  \x20                          on every save (--iterations exits after N\n\
@@ -109,7 +120,18 @@ fn main() -> ExitCode {
                  \x20                          --modules N streams an N-module corpus instead\n\
                  \x20                          of the paper's 589; --partition I/N sweeps only\n\
                  \x20                          slice I of N (run one process per slice over a\n\
-                 \x20                          shared cache, then bench-merge the reports)\n\
+                 \x20                          shared cache, then bench-merge the reports). A\n\
+                 \x20                          whole-corpus sweep (neither flag) also prints the\n\
+                 \x20                          §7 paper-vs-measured table, Figure 6 and Figure 7\n\
+                 scale   [seed] [--sizes N,N,...] [--partitions N,N,...] [--jobs N]\n\
+                 \x20                          [--bench-out FILE]\n\
+                 \x20                          modules/s and peak RSS vs corpus size (default\n\
+                 \x20                          sizes 1000,5000,20000,50000, partitions 1,2); each\n\
+                 \x20                          point sweeps in experiment child processes over a\n\
+                 \x20                          cold cache (localias-bench-scale/v3 artifact)\n\
+                 precision [seed]           §8 headroom: pointer-local pairs unification\n\
+                 \x20                          (Steensgaard) conflates and inclusion (Andersen)\n\
+                 \x20                          separates, over 400 random modules\n\
                  bench-merge <part.json>... [--out FILE]\n\
                  \x20                          union per-partition --bench-out reports from a\n\
                  \x20                          --partition i/N sweep into one artifact equal to\n\
@@ -290,14 +312,23 @@ fn cmd_run(args: &[String]) -> Result<String, String> {
 /// module. Divergent modules are shrunk to 1-minimal counterexamples
 /// and written under `--repro-dir` (so an empty repro dir after a run
 /// is the machine-checkable "all clean" signal `scripts/check.sh`
-/// gates on).
+/// gates on). `--bench-out` writes the run's `localias-bench-fuzz/v4`
+/// artifact and `--profile` prints the obs tables to stderr.
 fn cmd_fuzz(args: &[String]) -> Result<String, String> {
     const USAGE: &str = "usage: localias fuzz [--iterations N] [--seed S] \
-         [--fuel N] [--repro-dir DIR] [--no-shrink] [--stream]";
+         [--fuel N] [--repro-dir DIR] [--no-shrink] [--stream] \
+         [--bench-out FILE] [--profile]";
     let mut cfg = localias_bench::fuzz::FuzzConfig::default();
     let mut repro_dir: Option<String> = None;
+    let mut bench_out: Option<String> = None;
     let mut stream = false;
+    let mut profile = false;
     let mut i = 0;
+    let path = |args: &[String], i: usize, what: &str| -> Result<String, String> {
+        args.get(i + 1)
+            .cloned()
+            .ok_or(format!("{what} needs a value\n{USAGE}"))
+    };
     let num = |args: &[String], i: usize, what: &str| -> Result<u64, String> {
         args.get(i + 1)
             .ok_or(format!("{what} needs a value\n{USAGE}"))?
@@ -319,12 +350,16 @@ fn cmd_fuzz(args: &[String]) -> Result<String, String> {
                 i += 2;
             }
             "--repro-dir" => {
-                repro_dir = Some(
-                    args.get(i + 1)
-                        .ok_or(format!("--repro-dir needs a value\n{USAGE}"))?
-                        .clone(),
-                );
+                repro_dir = Some(path(args, i, "--repro-dir")?);
                 i += 2;
+            }
+            "--bench-out" => {
+                bench_out = Some(path(args, i, "--bench-out")?);
+                i += 2;
+            }
+            "--profile" => {
+                profile = true;
+                i += 1;
             }
             "--no-shrink" => {
                 cfg.shrink = false;
@@ -337,30 +372,34 @@ fn cmd_fuzz(args: &[String]) -> Result<String, String> {
             other => return Err(format!("unknown fuzz option `{other}`\n{USAGE}")),
         }
     }
+    // The experiment's obs defaults, with this command's --profile.
+    let obs_opts = localias_bench::CliOpts {
+        profile,
+        ..localias_bench::CliOpts::parse(std::iter::empty())?
+    };
+    let traced = bench_out.is_some() || profile;
+    if traced {
+        localias_bench::init_obs(&obs_opts);
+    }
+    let t0 = std::time::Instant::now();
     let report = localias_bench::fuzz::run_fuzz(&cfg);
+    let wall = t0.elapsed().as_secs_f64();
     if let Some(dir) = &repro_dir {
-        std::fs::create_dir_all(dir).map_err(|e| format!("{dir}: {e}"))?;
-        for d in &report.divergences {
-            let path = format!("{dir}/{}_{}.mc", d.module, d.kind.name());
-            let mut body = format!(
-                "// {} divergence: entry {} ({})\n// replay: localias fuzz --seed {} \
-                 --iterations {} (module index {})\n",
-                d.kind.name(),
-                d.entry,
-                d.detail,
-                cfg.seed,
-                d.index + 1,
-                d.index,
-            );
-            body.push_str(d.shrunk.as_deref().unwrap_or(&d.source));
-            std::fs::write(&path, body).map_err(|e| format!("{path}: {e}"))?;
-        }
+        localias_bench::fuzz::write_repros(std::path::Path::new(dir), cfg.seed, &report)?;
     }
     let mut out = String::new();
     if stream {
         out.push_str(&report.stream);
     }
     let _ = write!(out, "seed {}: {}", cfg.seed, report.summary());
+    if traced {
+        let obs_report = localias_bench::finish_obs(&obs_opts)?;
+        if let Some(path) = &bench_out {
+            let json = localias_bench::fuzz::artifact_json(&cfg, &report, wall, &obs_report);
+            std::fs::write(path, json).map_err(|e| format!("{path}: {e}"))?;
+            let _ = writeln!(out, "wrote {path}");
+        }
+    }
     if report.clean() {
         Ok(out)
     } else {
@@ -515,6 +554,7 @@ fn cmd_experiment(args: &[String]) -> Result<String, String> {
     bench.profile = report.trace;
     bench.hist = report.hists;
     let [clean, real, full, partial] = localias_bench::category_counts(&results);
+    let whole_corpus = opts.modules.is_none() && opts.partition.is_none();
 
     let mut out = String::new();
     match opts.partition {
@@ -568,7 +608,74 @@ fn cmd_experiment(args: &[String]) -> Result<String, String> {
     if let Some(path) = &opts.trace_chrome {
         let _ = writeln!(out, "  wrote {path}");
     }
+    if whole_corpus {
+        out.push_str(&localias_bench::paper::render(&results, seed));
+    }
     Ok(out)
+}
+
+/// `localias scale` — modules/s and peak RSS vs. corpus size. Each
+/// grid point sweeps in child processes of this binary (see
+/// `localias_bench::scale`); the `localias-bench-scale/v3` report goes
+/// to `--bench-out`, or to stdout.
+fn cmd_scale(args: &[String]) -> Result<String, String> {
+    const USAGE: &str = "usage: localias scale [SEED] [--sizes N,N,...] \
+         [--partitions N,N,...] [--jobs N] [--bench-out FILE]";
+    let list = |val: &str, flag: &str| -> Result<Vec<usize>, String> {
+        let out = val
+            .split(',')
+            .map(|s| s.trim().parse::<usize>())
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|_| format!("{flag}: bad list `{val}` (expected N,N,...)"))?;
+        if out.is_empty() || out.contains(&0) {
+            return Err(format!("{flag}: entries must be positive (got `{val}`)"));
+        }
+        Ok(out)
+    };
+    let mut cfg = localias_bench::scale::ScaleConfig::default();
+    let mut bench_out: Option<String> = None;
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        let mut val = || {
+            it.next()
+                .ok_or_else(|| format!("{a} requires a value\n{USAGE}"))
+        };
+        match a.as_str() {
+            "--sizes" => cfg.sizes = list(val()?, a)?,
+            "--partitions" => cfg.partitions = list(val()?, a)?,
+            "--jobs" | "-j" => {
+                let v = val()?;
+                cfg.jobs = v.parse().map_err(|_| format!("bad thread count `{v}`"))?;
+            }
+            "--bench-out" => bench_out = Some(val()?.clone()),
+            flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`\n{USAGE}")),
+            seed => cfg.seed = seed.parse().map_err(|_| format!("bad seed `{seed}`"))?,
+        }
+    }
+    let exe = std::env::current_exe().map_err(|e| format!("localias binary: {e}"))?;
+    let report = localias_bench::scale::run(&cfg, &exe, |point| println!("{point}"))?;
+    match bench_out {
+        Some(path) => {
+            std::fs::write(&path, report).map_err(|e| format!("{path}: {e}"))?;
+            Ok(format!("wrote {path}\n"))
+        }
+        None => Ok(report),
+    }
+}
+
+/// `localias precision [SEED]` — the §8 headroom study.
+fn cmd_precision(args: &[String]) -> Result<String, String> {
+    const USAGE: &str = "usage: localias precision [SEED]";
+    let mut seed: Option<u64> = None;
+    for a in args {
+        match a.as_str() {
+            flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`\n{USAGE}")),
+            s if seed.is_none() => seed = Some(s.parse().map_err(|_| format!("bad seed `{s}`"))?),
+            extra => return Err(format!("unexpected argument `{extra}`\n{USAGE}")),
+        }
+    }
+    let seed = seed.unwrap_or(localias_corpus::DEFAULT_SEED);
+    Ok(localias_bench::precision::PrecisionStudy::run(seed).render())
 }
 
 /// `localias bench-diff OLD.json NEW.json` — the perf-regression gate.

@@ -413,6 +413,51 @@ fn fuzz_smoke_is_clean_and_deterministic() {
     assert_ne!(out, out3);
 }
 
+/// Each evaluation subcommand parses only its own flags: a flag that
+/// another subcommand takes is an error here, never silently ignored.
+#[test]
+fn subcommands_reject_flags_they_do_not_use() {
+    for args in [
+        &["precision", "--bench-out", "x.json"][..],
+        &["fuzz", "--no-cache"][..],
+        &["fuzz", "--jobs", "2"][..],
+        &["scale", "--bin", "x"][..],
+        &["scale", "--cache", "d"][..],
+    ] {
+        let (_, err, ok) = localias(args);
+        assert!(!ok, "{args:?} was accepted");
+        assert!(err.contains("unknown"), "{args:?}: {err}");
+    }
+    let (_, err, _) = localias(&[]);
+    for cmd in ["scale ", "precision "] {
+        assert!(
+            err.lines().any(|l| l.starts_with(cmd)),
+            "{cmd}missing:\n{err}"
+        );
+    }
+}
+
+#[test]
+fn fuzz_writes_its_artifact() {
+    let out_path = std::env::temp_dir().join("localias-cli-tests/fuzz-artifact.json");
+    let _ = std::fs::remove_file(&out_path);
+    let out_s = out_path.to_str().unwrap();
+    let args = ["fuzz", "--iterations", "20", "--seed", "42"];
+    let (plain, _, ok) = localias(&args);
+    assert!(ok, "{plain}");
+    let (out, err, ok) = localias(&[&args[..], &["--bench-out", out_s]].concat());
+    assert!(ok, "{err}");
+    assert_eq!(out, format!("{plain}wrote {out_s}\n"));
+    let text = std::fs::read_to_string(&out_path).unwrap();
+    let doc = localias_bench::json::parse(&text).expect("artifact parses");
+    let field = |k: &str| doc.get(k).cloned();
+    assert_eq!(
+        field("schema").as_ref().and_then(|v| v.as_str()),
+        Some("localias-bench-fuzz/v4")
+    );
+    assert_eq!(field("iterations").and_then(|v| v.as_u64()), Some(20));
+}
+
 #[test]
 fn fuzz_rejects_bad_flags() {
     let (_, err, ok) = localias(&["fuzz", "--frobnicate"]);

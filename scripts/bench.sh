@@ -34,7 +34,7 @@ cd "$(dirname "$0")/.."
 
 CACHE=${LOCALIAS_CACHE:-.localias-cache}
 
-cargo build --release -p localias-driver -p localias-bench
+cargo build --release -p localias-driver
 
 # Keep the previous warm artifact around for the run-over-run report.
 if [ -f BENCH_experiment.json ]; then
@@ -76,7 +76,8 @@ fi
 # on any soundness divergence, so the bench sweep doubles as a release
 # gate; the artifact records fuzz throughput and the measured
 # false-positive rate per mode.
-./target/release/fuzz 42 --modules 2000 --profile --bench-out BENCH_fuzz.json
+./target/release/localias fuzz --seed 42 --iterations 2000 --profile \
+    --bench-out BENCH_fuzz.json
 
 echo
 echo "wrote $(pwd)/BENCH_fuzz.json (differential fuzzing):"

@@ -10,16 +10,15 @@
 # `localias bench-merge`.
 #
 # Usage: scripts/bench_scale.sh [SEED] [--sizes N,N,...] [--partitions N,N,...]
-#        (extra args are passed through to the `scale` bin; defaults are
+#        (extra args are passed through to `localias scale`; defaults are
 #        sizes 1000,5000,20000,50000 and partitions 1,2)
 set -eu
 
 cd "$(dirname "$0")/.."
 
-cargo build --release -p localias-driver -p localias-bench
+cargo build --release -p localias-driver
 
-LOCALIAS_BIN=target/release/localias \
-    ./target/release/scale --bench-out BENCH_scale.json "$@"
+./target/release/localias scale --bench-out BENCH_scale.json "$@"
 
 echo
 echo "wrote $(pwd)/BENCH_scale.json"

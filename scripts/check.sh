@@ -1,7 +1,8 @@
 #!/bin/sh
 # CI gate: formatting + lints, tier-1 build + tests (workspace-wide, which
 # includes the multi-process cache concurrency test), the paper's §7
-# totals from a cold full sweep, a warm-cache smoke sweep that proves
+# totals, Figure 6 total and Figure 7 match from a cold full sweep, the
+# §8 precision counts, a warm-cache smoke sweep that proves
 # the incremental cache fully hits on an unchanged corpus, a
 # crash-recovery smoke that kills a sweep mid-run and fabricates the
 # worst-case crash artifacts to prove the sharded store heals itself, a
@@ -16,7 +17,9 @@
 # committed pre-`gate` experiment artifact with a fresh one. The
 # benchmark workspace's tests run too, the solver's exactness tests are
 # gated by name, and the fuzz smoke pins its false-positive counts for
-# the one alias configuration the pipeline runs (Steensgaard).
+# the one alias configuration the pipeline runs (Steensgaard). The fuzz
+# and scale subcommands write their artifacts once each, and a fuzz
+# artifact diffs clean against itself.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -79,7 +82,9 @@ for LINE in \
     '  errors unrelated to weak updates:  85' \
     '  fully recovered by confine:        138' \
     '  partially recovered (Figure 7):    14' \
-    '  spurious errors: 3116 of 3277 eliminated (95%)'; do
+    '  spurious errors: 3116 of 3277 eliminated (95%)' \
+    'total eliminated: 3116 (paper: 3,116)' \
+    '14/14 rows match the paper exactly'; do
     grep -qxF "$LINE" "$COLD" || {
         echo "check.sh: the cold sweep no longer reports the paper's numbers:" >&2
         cat "$COLD" >&2
@@ -360,4 +365,47 @@ if [ -n "$(ls -A "$FUZZ")" ]; then
     exit 1
 fi
 
-echo "check.sh: fmt, clippy, build, tests, concurrency + obs + hist + solver-exactness gates, §7 totals, warm-cache sweep, crash recovery, mega session test, watch smoke, trace + chrome smoke, bench-diff gate, partitioned scale smoke, benchmark tests, and fuzz smoke all passed"
+# Fuzz artifact smoke: `localias fuzz --bench-out` writes the
+# localias-bench-fuzz/v4 artifact, and the artifact diffs clean against
+# itself.
+FUZZART="$CACHE/fuzz.json"
+./target/release/localias fuzz --iterations 100 --seed 42 \
+    --bench-out "$FUZZART" >/dev/null
+grep -q '"schema": "localias-bench-fuzz/v4"' "$FUZZART" || {
+    echo "check.sh: fuzz --bench-out did not write a localias-bench-fuzz/v4 artifact:" >&2
+    cat "$FUZZART" >&2
+    exit 1
+}
+./target/release/localias bench-diff "$FUZZART" "$FUZZART" >/dev/null || {
+    echo "check.sh: bench-diff of the fuzz artifact against itself failed" >&2
+    exit 1
+}
+
+# §8 precision study: the five counts at the default seed.
+PRECOUT="$CACHE/precision.txt"
+./target/release/localias precision >"$PRECOUT"
+for ROW in \
+    'pointer-local pairs compared +6308' \
+    'aliased under unification \(Steensgaard\) +1320' \
+    'aliased under inclusion \(Andersen\) +1054' \
+    'pairs only unification conflates +266' \
+    'modules where precision differs +117'; do
+    grep -qE "^$ROW\$" "$PRECOUT" || {
+        echo "check.sh: localias precision changed its counts:" >&2
+        cat "$PRECOUT" >&2
+        exit 1
+    }
+done
+
+# Scale smoke: one small grid through `localias scale`, whose points
+# spawn `localias experiment` children and merge the two-partition one.
+SCALEART="$CACHE/scale.json"
+./target/release/localias scale --sizes 300 --partitions 1,2 \
+    --bench-out "$SCALEART" >/dev/null
+grep -q '"300x2": {' "$SCALEART" || {
+    echo "check.sh: localias scale did not write a 300x2 point:" >&2
+    cat "$SCALEART" >&2
+    exit 1
+}
+
+echo "check.sh: fmt, clippy, build, tests, concurrency + obs + hist + solver-exactness gates, §7 totals + Figures 6 and 7, warm-cache sweep, crash recovery, mega session test, watch smoke, trace + chrome smoke, bench-diff gate, partitioned scale smoke, benchmark tests, fuzz smoke, fuzz artifact, precision counts, and scale smoke all passed"

@@ -1,8 +1,8 @@
 //! Integration test of the Section 7 experiment: the Figure 7 rows are
 //! measured exactly, and a stratified sample of the corpus matches its
-//! calibrated expectations. (The full 589-module sweep lives in the
-//! `localias-bench` `summary` binary; it runs in about a second in
-//! release mode but is kept out of the default test run.)
+//! calibrated expectations. (The full 589-module sweep is
+//! `localias experiment`, which `scripts/check.sh` runs in release mode;
+//! it is kept out of the default test run.)
 
 use localias::ast::Module;
 use localias::core::SharedAnalysis;
