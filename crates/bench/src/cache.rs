@@ -26,10 +26,10 @@
 //! # Store: sharded, crash-safe, safe under concurrent writers
 //!
 //! The store is a directory (default `.localias-cache/`) holding N shard
-//! files `shard-00.jsonl` … (default N = [`DEFAULT_SHARDS`], set with
-//! `--cache-shards`). Entries are partitioned by canonical fingerprint
-//! (`fp mod N`); each shard is a JSON-lines file — a schema header line
-//! followed by one entry per `(raw, canonical)` fingerprint pair.
+//! files `shard-00.jsonl` … (N = [`DEFAULT_SHARDS`]). Entries are
+//! partitioned by canonical fingerprint (`fp mod N`); each shard is a
+//! JSON-lines file — a schema header line followed by one entry per
+//! `(raw, canonical)` fingerprint pair.
 //!
 //! *Loads are lock-free*: every `shard-*.jsonl` present is read at sweep
 //! start, whatever N it was written under. A shard that fails the strict
@@ -51,10 +51,11 @@
 //! lockfile) are broken; orphaned `*.tmp.<pid>` files from crashed
 //! writers are swept at load time once their writer is gone.
 //!
-//! Two sweeps sharing one cache directory — two partitions of one
-//! corpus, or two CI shards over disjoint corpora — therefore lose no
-//! entries: each persist folds the other's fresh entries into the union
-//! instead of clobbering the store wholesale.
+//! Two sweeps sharing one cache directory — two `localias experiment`
+//! processes started side by side, over the same corpus or disjoint
+//! ones — therefore lose no entries: each persist folds the other's
+//! fresh entries into the union instead of clobbering the store
+//! wholesale.
 
 use crate::{ModuleResult, PhaseTimes};
 use localias_ast::fp;
@@ -93,8 +94,8 @@ const ANALYSIS_CONFIG: &str = "modes=no_confine,confine,all_strong";
 /// Default number of shard files per cache directory.
 pub const DEFAULT_SHARDS: usize = 16;
 
-/// Upper bound on `--cache-shards` (beyond this, per-file overheads beat
-/// any contention win).
+/// Upper bound on a store's shard count (beyond this, per-file overheads
+/// beat any contention win).
 pub const MAX_SHARDS: usize = 256;
 
 /// Attempts to take one shard lock before skipping its persist.
@@ -137,6 +138,8 @@ pub enum CachePolicy {
         /// Cache directory.
         dir: PathBuf,
         /// Shard-file count (clamped to `1..=`[`MAX_SHARDS`] on load).
+        /// The CLI always uses [`DEFAULT_SHARDS`]; the field stays so the
+        /// benchmark crate's calls keep their signature.
         shards: usize,
     },
 }
@@ -225,8 +228,8 @@ impl CachedOutcome {
     }
 }
 
-/// Cache statistics for one sweep, reported in
-/// `localias-bench-experiment/v4` documents.
+/// Cache statistics for one sweep, reported in the experiment
+/// artifact's `cache` block ([`crate::EXPERIMENT_SCHEMA`]).
 #[derive(Debug, Clone, Default)]
 pub struct CacheStats {
     /// Modules served from the cache (raw or canonical fingerprint).
@@ -283,6 +286,8 @@ impl AnalysisCache {
     /// there are none. Corrupt, truncated, or version-mismatched shards
     /// are quarantined individually (renamed to `*.bad`) with a warning —
     /// never an error, and never at the expense of the healthy shards.
+    /// New entries go to `shards` files; the argument stays so the
+    /// benchmark crate's calls keep their signature.
     pub fn load_sharded(dir: &Path, shards: usize) -> AnalysisCache {
         let t0 = Instant::now();
         let mut cache = AnalysisCache {
@@ -302,7 +307,7 @@ impl AnalysisCache {
 
         // Read whatever shard files exist, in index order, whatever shard
         // count wrote them: entries are keyed by fingerprint, so a shard
-        // written under a different `--cache-shards` still serves hits
+        // written under a different shard count still serves hits
         // (its entries re-home at the next persist that touches them).
         let mut shard_files: Vec<(usize, PathBuf)> = Vec::new();
         if let Ok(rd) = std::fs::read_dir(dir) {

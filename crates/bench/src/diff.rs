@@ -1,8 +1,8 @@
 //! `bench-diff` — the perf-regression gate over two bench artifacts.
 //!
 //! Compares an old and a new bench JSON document of the same family
-//! (`localias-bench-experiment`, `-alias`, `-scale`, `-fuzz`, or
-//! `-diff`) metric by metric. The metrics are the ones each
+//! (`localias-bench-experiment`, `-scale`, `-fuzz`, or `-diff`) metric
+//! by metric. The metrics are the ones each
 //! artifact lists in its `gate` block — every number its writer
 //! recorded with a direction ([`crate::artifact`]) — plus the
 //! percentiles of every sampled histogram in its `hist` block (lower is
@@ -392,8 +392,8 @@ mod tests {
         assert!(err.contains("schema family mismatch"), "{err}");
     }
 
-    /// A document written before the envelope existed (the committed v6
-    /// experiment artifacts) has no `gate`: the new document's gate
+    /// A document written before the envelope existed (the committed
+    /// `BENCH_experiment_v6.json`) has no `gate`: the new document's gate
     /// decides what is compared, on the paths both documents hold.
     #[test]
     fn pre_gate_artifacts_compare_on_shared_paths() {
@@ -420,7 +420,7 @@ mod tests {
                 );
             }
             assert!(names.contains(&"hist.analyze.module.p95_ns"), "{names:?}");
-            // The v7-only hit rate is skipped, not compared.
+            // The hit rate, added in v7, is skipped, not compared.
             let side = if worse { "new" } else { "old" };
             assert_eq!(report.skipped, [format!("{side}:cache.hit_rate")]);
             let regressed = report

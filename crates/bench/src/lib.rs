@@ -11,7 +11,6 @@ pub mod cli;
 pub mod diff;
 pub mod fuzz;
 pub mod harness;
-pub mod merge;
 pub mod paper;
 pub mod precision;
 pub mod scale;
@@ -22,13 +21,11 @@ pub use artifact::{json_hists, json_trace, Artifact, Better};
 
 pub use cache::{
     AnalysisCache, CachePolicy, CacheStats, CachedValues, ANALYSIS_VERSION, DEFAULT_SHARDS,
-    MAX_SHARDS,
 };
 pub use cli::CliOpts;
 pub use diff::{diff_benches, DiffReport, DEFAULT_THRESHOLD_PCT};
-pub use localias_corpus::{partition_range, CorpusStream};
+pub use localias_corpus::CorpusStream;
 pub use localias_obs::json;
-pub use merge::merge_partitions;
 
 use cache::CachedOutcome;
 use localias_alias::{Backend, FrozenLocs};
@@ -39,7 +36,6 @@ use localias_cqual::{check_locks_frozen, Mode};
 use localias_obs as obs;
 use localias_obs::json::Value;
 use std::fmt::Write as _;
-use std::ops::Range;
 use std::time::{Duration, Instant};
 
 /// Per-module measured error counts under the three modes.
@@ -197,26 +193,10 @@ pub struct ExperimentBench {
     /// caller did not attach the drained snapshots). Unlike `profile`,
     /// histograms are always collected — see [`init_obs`].
     pub hist: Vec<obs::HistSnapshot>,
-    /// Which slice of the corpus this sweep covered (`None` for a full,
-    /// unpartitioned run).
-    pub partition: Option<PartitionInfo>,
-    /// Per-module `(name, no-confine, confine, all-strong)` rows, in
-    /// sweep order. `None` unless the caller opts in — partition
-    /// artifacts carry them so `bench-merge` can union disjoint sweeps
-    /// into one result set.
-    pub results: Option<Vec<ModuleResult>>,
 }
 
-/// Which disjoint slice of a seeded corpus one partitioned sweep covered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PartitionInfo {
-    /// Partition index, `0 ≤ index < count`.
-    pub index: usize,
-    /// Total number of cooperating partitions.
-    pub count: usize,
-    /// Total modules in the *whole* corpus the partitions split.
-    pub total: usize,
-}
+/// The experiment artifact's schema.
+pub const EXPERIMENT_SCHEMA: &str = "localias-bench-experiment/v8";
 
 impl ExperimentBench {
     /// Sweep throughput in modules per wall-clock second.
@@ -225,17 +205,16 @@ impl ExperimentBench {
     }
 
     /// Renders the stats through the artifact writer (schema
-    /// `localias-bench-experiment/v7`).
+    /// [`EXPERIMENT_SCHEMA`]).
     ///
     /// v2 added the `cache` block (`null` on uncached sweeps), v3 its
     /// sharded-store fields, v4 the `profile` block, v5 `partition` and
-    /// per-module `results` rows (`[name, nc, cf, as]`, the fields
-    /// `bench-merge` unions partition sweeps with), v6 the `hist` block.
-    /// v7 moves to the shared envelope (`host`, `gate`) and adds
-    /// `cache.hit_rate`.
+    /// per-module `results` rows, v6 the `hist` block. v7 moved to the
+    /// shared envelope (`host`, `gate`) and added `cache.hit_rate`. v8
+    /// drops `partition` and `results` with the partitioned sweep.
     pub fn to_json(&self) -> String {
         use Better::{Higher, Lower};
-        let mut a = Artifact::new(crate::merge::MERGE_SCHEMA, self.seed);
+        let mut a = Artifact::new(EXPERIMENT_SCHEMA, self.seed);
         a.set(&["modules"], self.modules);
         a.set(&["threads"], self.threads);
         a.metric(&["wall_seconds"], self.wall.as_secs_f64(), Lower);
@@ -273,25 +252,6 @@ impl ExperimentBench {
                 a.metric(&["cache", "store_seconds"], c.store.as_secs_f64(), Lower);
             }
         }
-        let partition = self.partition.map(|p| {
-            Value::obj([
-                ("index", p.index.into()),
-                ("count", p.count.into()),
-                ("total", p.total.into()),
-            ])
-        });
-        a.set(&["partition"], partition);
-        let results = self.results.as_ref().map(|rows| {
-            let row = |r: &ModuleResult| -> Value {
-                let cells = [r.no_confine, r.confine, r.all_strong].map(Value::from);
-                std::iter::once(r.name.as_str().into())
-                    .chain(cells)
-                    .collect::<Vec<_>>()
-                    .into()
-            };
-            rows.iter().map(row).collect::<Vec<_>>()
-        });
-        a.set(&["results"], results);
         a.finish(json_hists(&self.hist), json_trace(self.profile.as_ref()))
     }
 }
@@ -316,26 +276,6 @@ struct SweepOutcome {
     result: ModuleResult,
     times: PhaseTimes,
     note: CacheNote,
-}
-
-/// Corpus size above which the default shard count starts to contend.
-const LARGE_CORPUS_SHARD_WARN: usize = 10_000;
-
-/// The concrete `--cache-shards` value to suggest for a corpus of
-/// `modules` modules currently running on `shards` shards.
-///
-/// Targets roughly one shard per thousand modules (shards hold whole
-/// result records, so a thousand records per shard file keeps each file
-/// small enough to rewrite cheaply), rounded up to a power of two to
-/// match the sharding hash's mixing; never suggests less than doubling
-/// the current count (the warning only fires when the current count
-/// contends, so any useful suggestion is a strict increase) and never
-/// more than [`MAX_SHARDS`].
-fn suggest_cache_shards(modules: usize, shards: usize) -> usize {
-    (modules / 1_000)
-        .next_power_of_two()
-        .max(shards.saturating_mul(2))
-        .min(MAX_SHARDS)
 }
 
 /// The streaming sweep engine every `measure_*` entry point feeds.
@@ -373,13 +313,6 @@ where
     let start = Instant::now();
 
     let shards = cache.as_deref().map_or(0, AnalysisCache::shard_count);
-    if shards > 0 && shards <= DEFAULT_SHARDS && out_len > LARGE_CORPUS_SHARD_WARN {
-        obs::warn!(
-            "localias-bench: {out_len} modules over {shards} cache shards will contend; \
-             consider --cache-shards {} (max {MAX_SHARDS})",
-            suggest_cache_shards(out_len, shards),
-        );
-    }
 
     let outcomes: Vec<SweepOutcome> = {
         let snapshot: Option<&AnalysisCache> = cache.as_deref();
@@ -544,8 +477,6 @@ where
         cache: cache_stats,
         profile: None,
         hist: Vec::new(),
-        partition: None,
-        results: None,
     };
     (results, bench)
 }
@@ -597,23 +528,20 @@ where
     (results, bench)
 }
 
-/// One full streamed sweep of stream positions `range` under a
-/// [`CachePolicy`], without ever materializing the corpus: modules are
-/// generated one at a time (by the producer thread when `jobs > 1`) and
-/// dropped as soon as they are measured or served from cache, so peak
-/// memory is `O(jobs)` modules however large the range is. Results come
-/// back in stream order. The paper's experiment is
-/// `CorpusStream::paper(seed)` over its whole length.
+/// One full streamed sweep of `stream` under a [`CachePolicy`], without
+/// ever materializing the corpus: modules are generated one at a time
+/// (by the producer thread when `jobs > 1`) and dropped as soon as they
+/// are measured or served from cache, so peak memory is `O(jobs)`
+/// modules however long the stream is. Results come back in stream
+/// order. The paper's experiment is `CorpusStream::paper(seed)`.
 pub fn measure_stream_with_cache(
     stream: &CorpusStream,
-    range: Range<usize>,
     jobs: usize,
     policy: &CachePolicy,
 ) -> (Vec<ModuleResult>, ExperimentBench) {
-    let base = range.start;
     sweep_with_policy(
-        range.clone().map(|p| (p - base, stream.module_at(p))),
-        range.len(),
+        stream.iter().enumerate(),
+        stream.len(),
         jobs,
         stream.seed(),
         policy,
@@ -643,7 +571,7 @@ pub fn measure_corpus_with_cache(
 #[derive(Debug, Default)]
 pub struct ObsReport {
     /// The full span/counter trace — `Some` only when the run asked for
-    /// obs output (`--trace-out`, `--trace-chrome`, or `--profile`).
+    /// obs output (`--profile`).
     pub trace: Option<obs::Trace>,
     /// Merged latency histograms. Always populated (histograms are
     /// cheap enough to collect unconditionally), so every bench
@@ -655,7 +583,7 @@ pub struct ObsReport {
 /// (clearing any stale state so the trace covers exactly the run that
 /// follows). Latency histograms are always enabled — they cost one TLS
 /// array update per sample — while spans and counters only turn on
-/// when `--trace-out`, `--trace-chrome`, or `--profile` asks for them.
+/// when `--profile` asks for them.
 /// Call once, right after argument parsing.
 pub fn init_obs(opts: &CliOpts) {
     opts.apply_log_level();
@@ -667,20 +595,19 @@ pub fn init_obs(opts: &CliOpts) {
     let _ = obs::drain();
 }
 
-/// Drains the obs sinks after the run: writes the JSON-lines trace to
-/// `--trace-out`, the Chrome trace-event file to `--trace-chrome`,
-/// prints the `--profile` table to stderr, and returns the drained
-/// snapshots so callers can embed them (see [`ExperimentBench::profile`]
-/// and [`ExperimentBench::hist`]). The report's histograms are populated
-/// on every run; its trace only when the run asked for obs output.
-pub fn finish_obs(opts: &CliOpts) -> Result<ObsReport, String> {
+/// Drains the obs sinks after the run: prints the `--profile` table to
+/// stderr and returns the drained snapshots so callers can embed them
+/// (see [`ExperimentBench::profile`] and [`ExperimentBench::hist`]). The
+/// report's histograms are populated on every run; its trace only when
+/// the run asked for obs output.
+pub fn finish_obs(opts: &CliOpts) -> ObsReport {
     if !opts.wants_obs() {
         let trace = obs::drain();
         obs::disable_hists();
-        return Ok(ObsReport {
+        return ObsReport {
             trace: None,
             hists: trace.hists,
-        });
+        };
     }
     // Flush the memory gauges exactly once, here — not inside the sweep,
     // so the trace shape stays invariant across thread counts.
@@ -690,25 +617,11 @@ pub fn finish_obs(opts: &CliOpts) -> Result<ObsReport, String> {
     obs::gauge_max(obs::Counter::MemArenaSavedBytes, arena.saved_bytes);
     let trace = obs::drain();
     obs::disable_hists();
-    if let Some(path) = &opts.trace_out {
-        std::fs::write(path, trace.to_jsonl()).map_err(|e| format!("{path}: {e}"))?;
-    }
-    if let Some(path) = &opts.trace_chrome {
-        let counters: Vec<(String, u64)> = trace
-            .counters
-            .iter_nonzero()
-            .map(|(n, v)| (n.to_string(), v))
-            .collect();
-        let chrome = obs::chrome_trace(&trace.spans, &counters, &trace.hists);
-        std::fs::write(path, chrome).map_err(|e| format!("{path}: {e}"))?;
-    }
-    if opts.profile {
-        eprint!("{}", trace.render_profile());
-    }
-    Ok(ObsReport {
+    eprint!("{}", trace.render_profile());
+    ObsReport {
         hists: trace.hists.clone(),
         trace: Some(trace),
-    })
+    }
 }
 
 /// Generates a synthetic program of roughly `n` statements with `k`
@@ -808,25 +721,6 @@ mod tests {
         assert_eq!(category_counts(&results), [1, 1, 1, 1]);
     }
 
-    #[test]
-    fn shard_suggestion_tracks_corpus_size() {
-        // ~1k modules per shard, rounded up to a power of two.
-        assert_eq!(suggest_cache_shards(50_000, DEFAULT_SHARDS), 64);
-        assert_eq!(suggest_cache_shards(100_000, DEFAULT_SHARDS), 128);
-        assert_eq!(suggest_cache_shards(200_000, DEFAULT_SHARDS), MAX_SHARDS);
-        // Huge corpora clamp at the store's shard-count ceiling.
-        assert_eq!(suggest_cache_shards(10_000_000, DEFAULT_SHARDS), MAX_SHARDS);
-        // The suggestion is always a strict increase over a contending
-        // count (the warning's precondition: shards <= DEFAULT_SHARDS).
-        for shards in 1..=DEFAULT_SHARDS {
-            for modules in [LARGE_CORPUS_SHARD_WARN + 1, 20_000, 500_000] {
-                let s = suggest_cache_shards(modules, shards);
-                assert!(s > shards, "modules={modules} shards={shards} -> {s}");
-                assert!(s <= MAX_SHARDS);
-            }
-        }
-    }
-
     /// An experiment artifact with every optional block filled in.
     pub(crate) fn sample_bench() -> ExperimentBench {
         ExperimentBench {
@@ -864,17 +758,6 @@ mod tests {
                 max_ns: 32,
                 buckets: vec![(5, 1), (6, 1)],
             }],
-            partition: Some(PartitionInfo {
-                index: 1,
-                count: 2,
-                total: 589,
-            }),
-            results: Some(vec![ModuleResult {
-                name: "net_x0".into(),
-                no_confine: 2,
-                confine: 1,
-                all_strong: 0,
-            }]),
         }
     }
 
@@ -885,22 +768,14 @@ mod tests {
 
     #[test]
     fn bench_json_parses_back_field_for_field() {
-        let mut results = sample_bench().results.unwrap();
-        results.push(ModuleResult {
-            name: "scsi_y1".into(),
-            no_confine: 1,
-            confine: 1,
-            all_strong: 1,
-        });
         let bench = ExperimentBench {
             wall: Duration::from_nanos(313_788_123),
-            results: Some(results),
             ..sample_bench()
         };
         let text = bench.to_json();
         // The `"key": value` layout scripts/check.sh greps for.
         for line in [
-            "\"schema\": \"localias-bench-experiment/v7\"",
+            "\"schema\": \"localias-bench-experiment/v8\"",
             "\"hits\": 580",
             "\"misses\": 9",
             "\"dir\": \".localias-cache\"",
@@ -934,13 +809,9 @@ mod tests {
         assert_eq!(num(&["cache", "quarantined"]), 1.0);
         assert_eq!(num(&["cache", "lock_retries"]), 2.0);
         assert_eq!(num(&["cache", "lock_skips"]), 0.0);
-        assert_eq!(num(&["partition", "index"]), 1.0);
-        assert_eq!(num(&["partition", "count"]), 2.0);
-        assert_eq!(num(&["partition", "total"]), 589.0);
-        let rows = v.at(&["results"]).unwrap().as_arr().unwrap();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].render(), r#"["net_x0",2,1,0]"#);
-        assert_eq!(rows[1].render(), r#"["scsi_y1",1,1,1]"#);
+        for gone in ["partition", "results"] {
+            assert!(v.get(gone).is_none(), "{gone} is not a v8 key");
+        }
         // p50 hits bucket 5 (upper bound 31); p99 hits bucket 6, clamped
         // to the exact observed max.
         assert_eq!(num(&["hist", "analyze.module", "p50_ns"]), 31.0);
@@ -950,12 +821,10 @@ mod tests {
 
         let bare = ExperimentBench {
             cache: None,
-            partition: None,
-            results: None,
             ..bench
         };
         let v = json::parse(&bare.to_json()).unwrap();
-        for key in ["cache", "partition", "results", "profile"] {
+        for key in ["cache", "profile"] {
             assert!(v.get(key).unwrap().is_null(), "{key}");
         }
         // Without a cache there is no hit rate to gate.

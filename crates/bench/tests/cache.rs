@@ -306,7 +306,7 @@ fn stale_v1_store_is_discarded_whole() {
     assert_eq!(render(&uncached(&slice, DEFAULT_SEED)), render(&results));
 }
 
-/// `--cache-shards 1` degenerates to a single shard file and still
+/// A one-shard store degenerates to a single shard file and still
 /// round-trips; a later load under the default shard count reads it.
 #[test]
 fn single_shard_store_round_trips_across_shard_counts() {

@@ -119,8 +119,8 @@ fn layout_hists(values: &[u64], workers: usize) -> Vec<obs::HistSnapshot> {
 
 /// The pinned acceptance criterion, byte-identity half: the same sample
 /// multiset recorded under any worker layout renders the exact same
-/// bench-artifact `hist` block. This is what lets partitioned and
-/// multi-threaded runs be compared byte-for-byte.
+/// bench-artifact `hist` block. This is what lets multi-threaded runs
+/// be compared byte-for-byte.
 #[test]
 fn equal_multisets_render_byte_identical_hist_blocks() {
     let values: Vec<u64> = (0..1_000u64)

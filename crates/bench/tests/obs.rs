@@ -224,25 +224,3 @@ fn analyses_per_module_are_pinned() {
     assert_eq!(analyses(&miss), 2, "sweep miss");
     assert_eq!(analyses(&|| drop(run_fuzz(&fuzz))), 3, "fuzz module");
 }
-
-/// End to end through the file format: a real trace renders to JSON
-/// lines that the strict validator accepts and reads back verbatim.
-#[test]
-fn real_trace_round_trips_through_the_validator() {
-    let corpus = generate(DEFAULT_SEED);
-    let slice = &corpus[..8.min(corpus.len())];
-
-    let _l = obs::test_lock();
-    let trace = traced_sweep(slice, 2);
-    let text = trace.to_jsonl();
-    let summary = obs::validate_jsonl(&text).expect("generated trace validates");
-    assert_eq!(summary.spans, trace.spans.len());
-    for (name, value) in trace.counters.iter_nonzero() {
-        let read = summary
-            .counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, v)| v);
-        assert_eq!(read, Some(value), "counter {name} lost in serialization");
-    }
-}

@@ -182,9 +182,7 @@ enum SlotSpec {
 /// [`module_at`](CorpusStream::module_at) generates any position in
 /// `O(one module)` — the only per-corpus state is the `4`-byte-per-module
 /// order permutation, never the modules themselves. This is what lets the
-/// bench harness sweep a 100k-module corpus with a bounded in-flight set,
-/// and lets `--partition i/N` processes agree on the corpus without
-/// exchanging anything but `(seed, total)`.
+/// bench harness sweep a 100k-module corpus with a bounded in-flight set.
 ///
 /// # Example
 ///
@@ -350,29 +348,6 @@ impl CorpusStream {
     pub fn range(&self, range: Range<usize>) -> impl Iterator<Item = GeneratedModule> + '_ {
         range.map(move |p| self.module_at(p))
     }
-
-    /// The stream positions partition `index` of `count` covers:
-    /// contiguous, disjoint, and jointly exhaustive ranges, balanced to
-    /// within one module.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count` is zero or `index >= count`.
-    pub fn partition(&self, index: usize, count: usize) -> Range<usize> {
-        partition_range(self.len(), index, count)
-    }
-}
-
-/// Splits `0..total` into `count` contiguous near-equal ranges and
-/// returns the `index`-th: `[index·total/count, (index+1)·total/count)`.
-///
-/// # Panics
-///
-/// Panics if `count` is zero or `index >= count`.
-pub fn partition_range(total: usize, index: usize, count: usize) -> Range<usize> {
-    assert!(count > 0, "partition count must be nonzero");
-    assert!(index < count, "partition index {index} out of {count}");
-    (index * total / count)..((index + 1) * total / count)
 }
 
 /// Generates the 589-module corpus for `seed` eagerly: exactly
@@ -495,27 +470,12 @@ mod tests {
     }
 
     #[test]
-    fn partitions_cover_the_stream_exactly() {
-        let stream = CorpusStream::new(7, 100);
-        for count in [1usize, 2, 3, 7] {
-            let mut positions = Vec::new();
-            for i in 0..count {
-                let r = stream.partition(i, count);
-                positions.extend(r.clone());
-                // Balanced to within one module.
-                assert!(r.len() >= 100 / count && r.len() <= 100 / count + 1);
-            }
-            assert_eq!(positions, (0..100).collect::<Vec<_>>(), "count={count}");
-        }
-    }
-
-    #[test]
-    fn partitioned_stream_reassembles_the_corpus() {
+    fn stream_ranges_reassemble_the_corpus() {
         let stream = CorpusStream::paper(DEFAULT_SEED);
         let eager = generate(DEFAULT_SEED);
         let mut reassembled = Vec::new();
-        for i in 0..3 {
-            reassembled.extend(stream.range(stream.partition(i, 3)));
+        for r in [0..196, 196..392, 392..589] {
+            reassembled.extend(stream.range(r));
         }
         assert_eq!(reassembled.len(), eager.len());
         for (x, y) in reassembled.iter().zip(&eager) {

@@ -27,7 +27,7 @@ pub mod plan;
 pub mod synth;
 
 pub use fuzzgen::{fuzz_module, FuzzModule};
-pub use gen::{generate, partition_range, CorpusStream, GeneratedModule, DEFAULT_SEED};
+pub use gen::{generate, CorpusStream, GeneratedModule, DEFAULT_SEED};
 pub use idiom::{Expected, Idiom};
 pub use mega::{mega_edit, mega_module, MegaEdit, MegaEditKind, DEFAULT_MEGA_FUNS};
 pub use plan::{Category, FIGURE7, TOTAL_ELIMINATED, TOTAL_MODULES, TOTAL_POTENTIAL};

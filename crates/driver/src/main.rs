@@ -13,42 +13,32 @@
 //! localias watch   <file.mc> [--iterations N] [--poll-ms MS] [--quiet]
 //!                                     # re-check the module on every save
 //! localias corpus  <dir> [seed]       # dump the synthetic driver corpus
-//! localias experiment [seed] [--jobs N]
-//!                    [--cache DIR | --no-cache] [--cache-shards N]
-//!                    [--modules N] [--partition I/N]
-//!                    [--bench-out FILE] [--trace-out FILE]
-//!                    [--trace-chrome FILE] [--profile] [--quiet]
+//! localias experiment [seed] [--jobs N] [--cache DIR | --no-cache]
+//!                    [--modules N] [--bench-out FILE] [--profile] [--quiet]
 //!                                     # run the full Section 7 experiment;
 //!                                     # a whole-corpus sweep also prints the
 //!                                     # §7 table, Figure 6 and Figure 7
-//! localias scale   [seed] [--sizes N,..] [--partitions N,..] [--jobs N]
-//!                  [--bench-out FILE] # modules/s and peak RSS vs corpus size
+//! localias scale   [seed] [--sizes N,..] [--jobs N] [--bench-out FILE]
+//!                                     # modules/s and peak RSS vs corpus size
 //! localias precision [seed]           # §8: unification vs inclusion aliasing
-//! localias bench-merge <part.json>... [--out FILE]
-//!                                     # union per-partition bench reports
 //! localias bench-diff <old.json> <new.json> [--threshold PCT] [--json FILE]
 //!                                     # perf-regression gate over two artifacts
-//! localias tracecheck <trace.jsonl> [--chrome OUT.json]
-//!                                     # validate a localias-trace file
 //! ```
 //!
 //! `experiment` keeps an incremental result cache (default
 //! `.localias-cache/`): modules whose source is unchanged since the last
 //! sweep are served from the store instead of being re-analyzed. The
-//! store is sharded (`--cache-shards N` files, default 16) and persisted
-//! merge-on-write under per-shard locks, so concurrent sweeps sharing a
-//! cache directory never lose each other's entries.
+//! store is sharded (16 files) and persisted merge-on-write under
+//! per-shard locks, so concurrent sweeps sharing a cache directory never
+//! lose each other's entries.
 //!
-//! `--trace-out` writes a `localias-trace/v2` JSON-lines trace of the
-//! run (per-phase spans + latency histograms + pipeline counters),
-//! `--trace-chrome` a Chrome trace-event file of the same run, and
 //! `--profile` prints per-phase time and latency-percentile tables to
-//! stderr; all three also embed the trace in the `--bench-out` report's
-//! `profile` block. Latency histograms are always collected — every
-//! `--bench-out` report carries a `hist` block with exact
-//! p50/p90/p95/p99 percentiles. `--quiet` silences informational
-//! diagnostics (warnings still print); `LOCALIAS_LOG` overrides the
-//! level (`off|error|warn|info|debug`).
+//! stderr and embeds the trace in the `--bench-out` report's `profile`
+//! block. Latency histograms are always collected — every `--bench-out`
+//! report carries a `hist` block with exact p50/p90/p95/p99
+//! percentiles. `--quiet` silences informational diagnostics (warnings
+//! still print); `LOCALIAS_LOG` overrides the level
+//! (`off|error|warn|info|debug`).
 //!
 //! Modes for `locks`: `noconfine` (default), `confine`, `allstrong`.
 
@@ -82,12 +72,10 @@ fn main() -> ExitCode {
         Some("experiment") => cmd_experiment(&args[1..]),
         Some("scale") => cmd_scale(&args[1..]),
         Some("precision") => cmd_precision(&args[1..]),
-        Some("bench-merge") => cmd_bench_merge(&args[1..]),
         Some("bench-diff") => cmd_bench_diff(&args[1..]),
-        Some("tracecheck") => cmd_tracecheck(&args[1..]),
         _ => {
             eprintln!(
-                "usage: localias <parse|check|infer|locks|run|fuzz|watch|corpus|experiment|scale|precision|bench-merge|bench-diff|tracecheck> [args]\n\
+                "usage: localias <parse|check|infer|locks|run|fuzz|watch|corpus|experiment|scale|precision|bench-diff> [args]\n\
                  \n\
                  parse   <file.mc>          parse and pretty-print a module\n\
                  check   <file.mc>          check explicit restrict/confine annotations\n\
@@ -108,45 +96,31 @@ fn main() -> ExitCode {
                  \x20                          on every save (--iterations exits after N\n\
                  \x20                          analyses, for scripting)\n\
                  corpus  <dir> [seed]       write the synthetic driver corpus to <dir>\n\
-                 experiment [seed] [--jobs N] [--cache DIR | --no-cache]\n\
-                 \x20                          [--cache-shards N] [--modules N] [--partition I/N]\n\
-                 \x20                          [--bench-out FILE] [--trace-out FILE]\n\
-                 \x20                          [--trace-chrome FILE] [--profile] [--quiet]\n\
+                 experiment [seed] [--jobs N] [--cache DIR | --no-cache] [--modules N]\n\
+                 \x20                          [--bench-out FILE] [--profile] [--quiet]\n\
                  \x20                          run the full Section 7 experiment in parallel,\n\
                  \x20                          incrementally via the sharded result cache\n\
                  \x20                          (default .localias-cache/, 16 shards; only\n\
                  \x20                          changed modules re-analyze, and concurrent\n\
                  \x20                          sweeps sharing the dir merge instead of clobber).\n\
                  \x20                          --modules N streams an N-module corpus instead\n\
-                 \x20                          of the paper's 589; --partition I/N sweeps only\n\
-                 \x20                          slice I of N (run one process per slice over a\n\
-                 \x20                          shared cache, then bench-merge the reports). A\n\
-                 \x20                          whole-corpus sweep (neither flag) also prints the\n\
-                 \x20                          §7 paper-vs-measured table, Figure 6 and Figure 7\n\
-                 scale   [seed] [--sizes N,N,...] [--partitions N,N,...] [--jobs N]\n\
-                 \x20                          [--bench-out FILE]\n\
+                 \x20                          of the paper's 589; a whole-corpus sweep also\n\
+                 \x20                          prints the §7 paper-vs-measured table, Figure 6\n\
+                 \x20                          and Figure 7\n\
+                 scale   [seed] [--sizes N,N,...] [--jobs N] [--bench-out FILE]\n\
                  \x20                          modules/s and peak RSS vs corpus size (default\n\
-                 \x20                          sizes 1000,5000,20000,50000, partitions 1,2); each\n\
-                 \x20                          point sweeps in experiment child processes over a\n\
-                 \x20                          cold cache (localias-bench-scale/v3 artifact)\n\
+                 \x20                          sizes 1000,5000,20000,50000); each size sweeps in\n\
+                 \x20                          an experiment child process over a cold cache\n\
+                 \x20                          (localias-bench-scale/v4 artifact)\n\
                  precision [seed]           §8 headroom: pointer-local pairs unification\n\
                  \x20                          (Steensgaard) conflates and inclusion (Andersen)\n\
                  \x20                          separates, over 400 random modules\n\
-                 bench-merge <part.json>... [--out FILE]\n\
-                 \x20                          union per-partition --bench-out reports from a\n\
-                 \x20                          --partition i/N sweep into one artifact equal to\n\
-                 \x20                          a single-process sweep (stdout unless --out)\n\
                  bench-diff <OLD.json> <NEW.json> [--threshold PCT] [--json FILE]\n\
                  \x20                          compare two bench artifacts of the same schema\n\
                  \x20                          family metric by metric (throughput, phase times,\n\
                  \x20                          histogram percentiles, cache hit and FP rates);\n\
                  \x20                          exits non-zero when any metric regresses past the\n\
-                 \x20                          threshold (default 10%)\n\
-                 tracecheck <trace.jsonl> [--chrome OUT.json]\n\
-                 \x20                          validate a localias-trace/v1|v2 JSON-lines file\n\
-                 \x20                          (as written by --trace-out), summarize it, and\n\
-                 \x20                          optionally convert it to a Chrome trace-event\n\
-                 \x20                          file (chrome://tracing, Perfetto)"
+                 \x20                          threshold (default 10%)"
             );
             return ExitCode::from(2);
         }
@@ -393,7 +367,7 @@ fn cmd_fuzz(args: &[String]) -> Result<String, String> {
     }
     let _ = write!(out, "seed {}: {}", cfg.seed, report.summary());
     if traced {
-        let obs_report = localias_bench::finish_obs(&obs_opts)?;
+        let obs_report = localias_bench::finish_obs(&obs_opts);
         if let Some(path) = &bench_out {
             let json = localias_bench::fuzz::artifact_json(&cfg, &report, wall, &obs_report);
             std::fs::write(path, json).map_err(|e| format!("{path}: {e}"))?;
@@ -421,9 +395,11 @@ fn cmd_fuzz(args: &[String]) -> Result<String, String> {
 /// mtime or length changes. Each analysis checks the whole module and
 /// prints one line: the per-mode error counts and the time it took, or
 /// "source unchanged" when the saved text is byte-identical to the last
-/// one. `--iterations N` exits after N analyses (the first included),
-/// which is how scripts and tests drive the loop; without it the
-/// command polls until killed.
+/// one. An empty read is a save still in progress (the editor has
+/// truncated the file but not yet written it): it is not analyzed and
+/// the loop polls on. `--iterations N` exits after N analyses (the
+/// first included), which is how scripts and tests drive the loop;
+/// without it the command polls until killed.
 fn cmd_watch(args: &[String]) -> Result<String, String> {
     const USAGE: &str = "usage: localias watch <file.mc> [--iterations N] \
          [--poll-ms MS] [--quiet]";
@@ -463,8 +439,9 @@ fn cmd_watch(args: &[String]) -> Result<String, String> {
     let max_iters = iterations.unwrap_or(u64::MAX);
     let mut done = 0u64;
     let mut last_fp = fingerprint(&path);
+    let mut first = true;
     while done < max_iters {
-        if done > 0 {
+        if !first {
             // Block until the file visibly changes (mtime or length).
             loop {
                 std::thread::sleep(std::time::Duration::from_millis(poll_ms));
@@ -475,8 +452,12 @@ fn cmd_watch(args: &[String]) -> Result<String, String> {
                 }
             }
         }
-        done += 1;
+        first = false;
         let src = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
+        if src.is_empty() {
+            continue; // a save in progress: truncated, not yet written
+        }
+        done += 1;
         let t0 = std::time::Instant::now();
         let out = match session.analyze(&src) {
             Ok(out) => out,
@@ -511,11 +492,19 @@ fn cmd_watch(args: &[String]) -> Result<String, String> {
 }
 
 fn cmd_corpus(args: &[String]) -> Result<String, String> {
-    let dir = args.first().ok_or("missing output directory")?;
-    let seed = match args.get(1) {
-        Some(s) => s.parse().map_err(|_| format!("bad seed `{s}`"))?,
-        None => localias_corpus::DEFAULT_SEED,
-    };
+    const USAGE: &str = "usage: localias corpus <dir> [SEED]";
+    let mut dir: Option<&str> = None;
+    let mut seed: Option<u64> = None;
+    for a in args {
+        match a.as_str() {
+            flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`\n{USAGE}")),
+            d if dir.is_none() => dir = Some(d),
+            s if seed.is_none() => seed = Some(s.parse().map_err(|_| format!("bad seed `{s}`"))?),
+            extra => return Err(format!("unexpected argument `{extra}`\n{USAGE}")),
+        }
+    }
+    let dir = dir.ok_or(format!("missing output directory\n{USAGE}"))?;
+    let seed = seed.unwrap_or(localias_corpus::DEFAULT_SEED);
     std::fs::create_dir_all(dir).map_err(|e| format!("{dir}: {e}"))?;
     let corpus = localias_corpus::generate(seed);
     for m in &corpus {
@@ -534,42 +523,15 @@ fn cmd_experiment(args: &[String]) -> Result<String, String> {
         Some(n) => localias_bench::CorpusStream::new(seed, n),
         None => localias_bench::CorpusStream::paper(seed),
     };
-    let range = match opts.partition {
-        Some((index, count)) => stream.partition(index, count),
-        None => 0..stream.len(),
-    };
     let (results, mut bench) =
-        localias_bench::measure_stream_with_cache(&stream, range, opts.jobs, &opts.cache);
-    if let Some((index, count)) = opts.partition {
-        // Partition artifacts carry their per-module rows so bench-merge
-        // can reassemble the full sweep without re-analyzing anything.
-        bench.partition = Some(localias_bench::PartitionInfo {
-            index,
-            count,
-            total: stream.len(),
-        });
-        bench.results = Some(results.clone());
-    }
-    let report = localias_bench::finish_obs(&opts)?;
+        localias_bench::measure_stream_with_cache(&stream, opts.jobs, &opts.cache);
+    let report = localias_bench::finish_obs(&opts);
     bench.profile = report.trace;
     bench.hist = report.hists;
     let [clean, real, full, partial] = localias_bench::category_counts(&results);
-    let whole_corpus = opts.modules.is_none() && opts.partition.is_none();
 
     let mut out = String::new();
-    match opts.partition {
-        Some((index, count)) => {
-            let _ = writeln!(
-                out,
-                "{} modules — partition {index}/{count} of {} (seed {seed}):",
-                results.len(),
-                stream.len()
-            );
-        }
-        None => {
-            let _ = writeln!(out, "{} modules (seed {seed}):", results.len());
-        }
-    }
+    let _ = writeln!(out, "{} modules (seed {seed}):", results.len());
     let _ = writeln!(out, "  error-free without confine:        {clean}");
     let _ = writeln!(out, "  errors unrelated to weak updates:  {real}");
     let _ = writeln!(out, "  fully recovered by confine:        {full}");
@@ -602,25 +564,19 @@ fn cmd_experiment(args: &[String]) -> Result<String, String> {
         std::fs::write(&path, bench.to_json()).map_err(|e| format!("{path}: {e}"))?;
         let _ = writeln!(out, "  wrote {path}");
     }
-    if let Some(path) = &opts.trace_out {
-        let _ = writeln!(out, "  wrote {path}");
-    }
-    if let Some(path) = &opts.trace_chrome {
-        let _ = writeln!(out, "  wrote {path}");
-    }
-    if whole_corpus {
+    if opts.modules.is_none() {
         out.push_str(&localias_bench::paper::render(&results, seed));
     }
     Ok(out)
 }
 
-/// `localias scale` — modules/s and peak RSS vs. corpus size. Each
-/// grid point sweeps in child processes of this binary (see
-/// `localias_bench::scale`); the `localias-bench-scale/v3` report goes
+/// `localias scale` — modules/s and peak RSS vs. corpus size. Each size
+/// sweeps in a child process of this binary (see
+/// `localias_bench::scale`); the `localias-bench-scale/v4` report goes
 /// to `--bench-out`, or to stdout.
 fn cmd_scale(args: &[String]) -> Result<String, String> {
     const USAGE: &str = "usage: localias scale [SEED] [--sizes N,N,...] \
-         [--partitions N,N,...] [--jobs N] [--bench-out FILE]";
+         [--jobs N] [--bench-out FILE]";
     let list = |val: &str, flag: &str| -> Result<Vec<usize>, String> {
         let out = val
             .split(',')
@@ -633,6 +589,7 @@ fn cmd_scale(args: &[String]) -> Result<String, String> {
         Ok(out)
     };
     let mut cfg = localias_bench::scale::ScaleConfig::default();
+    let mut seed: Option<u64> = None;
     let mut bench_out: Option<String> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -642,16 +599,17 @@ fn cmd_scale(args: &[String]) -> Result<String, String> {
         };
         match a.as_str() {
             "--sizes" => cfg.sizes = list(val()?, a)?,
-            "--partitions" => cfg.partitions = list(val()?, a)?,
             "--jobs" | "-j" => {
                 let v = val()?;
                 cfg.jobs = v.parse().map_err(|_| format!("bad thread count `{v}`"))?;
             }
             "--bench-out" => bench_out = Some(val()?.clone()),
             flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`\n{USAGE}")),
-            seed => cfg.seed = seed.parse().map_err(|_| format!("bad seed `{seed}`"))?,
+            s if seed.is_none() => seed = Some(s.parse().map_err(|_| format!("bad seed `{s}`"))?),
+            extra => return Err(format!("unexpected argument `{extra}`\n{USAGE}")),
         }
     }
+    cfg.seed = seed.unwrap_or(cfg.seed);
     let exe = std::env::current_exe().map_err(|e| format!("localias binary: {e}"))?;
     let report = localias_bench::scale::run(&cfg, &exe, |point| println!("{point}"))?;
     match bench_out {
@@ -735,114 +693,4 @@ fn cmd_bench_diff(args: &[String]) -> Result<String, String> {
             report.regressions().len()
         ))
     }
-}
-
-fn cmd_bench_merge(args: &[String]) -> Result<String, String> {
-    let mut inputs: Vec<String> = Vec::new();
-    let mut out_path: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--out" | "-o" => {
-                if out_path.is_some() {
-                    return Err("--out given more than once".into());
-                }
-                out_path = Some(it.next().ok_or("--out requires a file path")?.clone());
-            }
-            flag if flag.starts_with('-') => {
-                return Err(format!("unknown flag `{flag}`"));
-            }
-            path => inputs.push(path.to_string()),
-        }
-    }
-    if inputs.is_empty() {
-        return Err("usage: localias bench-merge <part.json>... [--out FILE] — \
-             give one --bench-out report per --partition i/N process"
-            .into());
-    }
-    let docs = inputs
-        .iter()
-        .map(|path| {
-            std::fs::read_to_string(path)
-                .map(|text| (path.clone(), text))
-                .map_err(|e| format!("{path}: {e}"))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let merged = localias_bench::merge_partitions(&docs)?;
-    let rendered = merged.to_json();
-    let mut out = String::new();
-    match out_path {
-        Some(path) => {
-            std::fs::write(&path, &rendered).map_err(|e| format!("{path}: {e}"))?;
-            let _ = writeln!(
-                out,
-                "merged {} partitions ({} modules, seed {}) into {path}",
-                inputs.len(),
-                merged.modules,
-                merged.seed
-            );
-        }
-        None => out.push_str(&rendered),
-    }
-    Ok(out)
-}
-
-/// `localias tracecheck FILE [--chrome OUT.json]` — validates a
-/// `localias-trace/v1|v2` JSON-lines file; `--chrome` additionally
-/// converts it to a Chrome trace-event file (load via
-/// `chrome://tracing` or Perfetto).
-fn cmd_tracecheck(args: &[String]) -> Result<String, String> {
-    const USAGE: &str = "usage: localias tracecheck <trace.jsonl> [--chrome OUT.json]";
-    let mut path: Option<String> = None;
-    let mut chrome_out: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--chrome" => {
-                chrome_out = Some(
-                    it.next()
-                        .ok_or(format!("--chrome requires a file path\n{USAGE}"))?
-                        .clone(),
-                );
-            }
-            flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`\n{USAGE}")),
-            p if path.is_none() => path = Some(p.to_string()),
-            extra => return Err(format!("unexpected argument `{extra}`\n{USAGE}")),
-        }
-    }
-    let path = path.ok_or(format!("missing trace file\n{USAGE}"))?;
-    let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
-    let summary = localias_obs::validate_jsonl(&text).map_err(|e| format!("{path}: {e}"))?;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{path}: valid {} ({} span path{}, {} histogram{}, {} counter{})",
-        localias_obs::SCHEMA,
-        summary.spans,
-        if summary.spans == 1 { "" } else { "s" },
-        summary.hists.len(),
-        if summary.hists.len() == 1 { "" } else { "s" },
-        summary.counters.len(),
-        if summary.counters.len() == 1 { "" } else { "s" },
-    );
-    for h in &summary.hists {
-        let _ = writeln!(
-            out,
-            "  {} = {} samples, p50 {}, p99 {}",
-            h.name,
-            h.count,
-            localias_obs::fmt_ns(h.percentile(50)),
-            localias_obs::fmt_ns(h.percentile(99)),
-        );
-    }
-    for (name, value) in &summary.counters {
-        let _ = writeln!(out, "  {name} = {value}");
-    }
-    if let Some(chrome_path) = chrome_out {
-        let chrome =
-            localias_obs::chrome_trace(&summary.span_rows, &summary.counters, &summary.hists);
-        std::fs::write(&chrome_path, chrome).map_err(|e| format!("{chrome_path}: {e}"))?;
-        let _ = writeln!(out, "  wrote {chrome_path}");
-    }
-    Ok(out)
 }

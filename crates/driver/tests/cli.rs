@@ -146,13 +146,9 @@ fn experiment_flag_surface_is_validated() {
     assert!(!ok);
     assert!(err.contains("mutually exclusive"), "{err}");
 
-    let (_, err, ok) = localias(&["experiment", "--no-cache", "--cache-shards", "4"]);
+    let (_, err, ok) = localias(&["experiment", "--modules", "0"]);
     assert!(!ok);
-    assert!(err.contains("mutually exclusive"), "{err}");
-
-    let (_, err, ok) = localias(&["experiment", "--cache-shards", "0"]);
-    assert!(!ok);
-    assert!(err.contains("--cache-shards must be between"), "{err}");
+    assert!(err.contains("--modules must be at least 1"), "{err}");
 
     let (_, err, ok) = localias(&["experiment", "--frobnicate"]);
     assert!(!ok);
@@ -165,137 +161,6 @@ fn experiment_flag_surface_is_validated() {
     let (_, err, ok) = localias(&["experiment", "notaseed"]);
     assert!(!ok);
     assert!(err.contains("bad seed"), "{err}");
-}
-
-#[test]
-fn partition_flag_surface_is_validated() {
-    // Strict slice-spec validation, rejected before any sweep runs.
-    let (_, err, ok) = localias(&["experiment", "--partition", "2/2"]);
-    assert!(!ok);
-    assert!(err.contains("out of range"), "{err}");
-
-    let (_, err, ok) = localias(&["experiment", "--partition", "0/0"]);
-    assert!(!ok);
-    assert!(err.contains("at least 1"), "{err}");
-
-    let (_, err, ok) = localias(&["experiment", "--partition", "half"]);
-    assert!(!ok);
-    assert!(err.contains("bad partition spec"), "{err}");
-
-    let (_, err, ok) = localias(&["experiment", "--modules", "0"]);
-    assert!(!ok);
-    assert!(err.contains("--modules must be at least 1"), "{err}");
-
-    // Partitioned processes cooperate through the shared cache, so
-    // --no-cache conflicts — in either flag order.
-    for args in [
-        &["experiment", "--partition", "0/2", "--no-cache"][..],
-        &["experiment", "--no-cache", "--partition", "0/2"][..],
-    ] {
-        let (_, err, ok) = localias(args);
-        assert!(!ok);
-        assert!(err.contains("mutually exclusive"), "{args:?}: {err}");
-    }
-}
-
-#[test]
-fn bench_merge_usage_and_errors() {
-    let (_, err, ok) = localias(&["bench-merge"]);
-    assert!(!ok);
-    assert!(err.contains("usage: localias bench-merge"), "{err}");
-
-    let (_, err, ok) = localias(&["bench-merge", "/nonexistent/part0.json"]);
-    assert!(!ok);
-    assert!(err.contains("part0.json"), "{err}");
-
-    let (_, err, ok) = localias(&["bench-merge", "a.json", "--frobnicate"]);
-    assert!(!ok);
-    assert!(err.contains("unknown flag"), "{err}");
-}
-
-/// The ISSUE's multi-process acceptance test: two concurrent `localias
-/// experiment --partition i/2` processes over one shared cache directory,
-/// bench-merged, must yield exactly the module-result set of a
-/// single-process sweep of the same corpus.
-#[test]
-fn two_process_partition_sweep_merges_to_the_single_process_results() {
-    let dir = std::env::temp_dir().join("localias-cli-partition-test");
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
-    let (cache, p0, p1, merged, full) = (
-        path("cache"),
-        path("p0.json"),
-        path("p1.json"),
-        path("merged.json"),
-        path("full.json"),
-    );
-
-    // Two partition processes run concurrently over the shared cache.
-    let spawn = |idx: usize, out: &str| {
-        Command::new(env!("CARGO_BIN_EXE_localias"))
-            .args([
-                "experiment",
-                "7",
-                "--modules",
-                "60",
-                "--partition",
-                &format!("{idx}/2"),
-                "--cache",
-                &cache,
-                "--bench-out",
-                out,
-                "--quiet",
-            ])
-            .spawn()
-            .expect("binary spawns")
-    };
-    let (mut c0, mut c1) = (spawn(0, &p0), spawn(1, &p1));
-    assert!(c0.wait().unwrap().success());
-    assert!(c1.wait().unwrap().success());
-
-    let (out, err, ok) = localias(&["bench-merge", &p0, &p1, "--out", &merged]);
-    assert!(ok, "{err}");
-    assert!(
-        out.contains("merged 2 partitions (60 modules, seed 7)"),
-        "{out}"
-    );
-
-    // The single-process reference: --partition 0/1 is the whole corpus
-    // in one slice, so its artifact carries the full per-module rows.
-    let (_, err, ok) = localias(&[
-        "experiment",
-        "7",
-        "--modules",
-        "60",
-        "--partition",
-        "0/1",
-        "--cache",
-        &path("cache-single"),
-        "--bench-out",
-        &full,
-        "--quiet",
-    ]);
-    assert!(ok, "{err}");
-
-    let merged_doc = localias_bench::json::parse(&std::fs::read_to_string(&merged).unwrap())
-        .expect("merged artifact parses");
-    let full_doc = localias_bench::json::parse(&std::fs::read_to_string(&full).unwrap())
-        .expect("single-process artifact parses");
-    assert_eq!(
-        merged_doc.get("results").unwrap(),
-        full_doc.get("results").unwrap(),
-        "merged partitions must reproduce the single-process module-result set"
-    );
-    for key in ["errors", "spurious", "modules", "seed"] {
-        assert_eq!(
-            merged_doc.get(key).unwrap(),
-            full_doc.get(key).unwrap(),
-            "field {key:?} must agree"
-        );
-    }
-
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -352,8 +217,10 @@ fn watch_rejects_unknown_flags() {
 
 /// Removed flags are unknown and gone from the usage text: the old
 /// wave-thread flag (the lock checker is sequential) from both commands
-/// that took it, and `watch --verify` (every analysis is already a
-/// check from scratch).
+/// that took it, `watch --verify` (every analysis is already a check
+/// from scratch), and the partitioned sweep and extra trace files (one
+/// process per sweep, one artifact per run). Their subcommands print
+/// the usage text.
 #[test]
 fn removed_flags_are_unknown() {
     let p = write_temp("watch-intra.mc", WATCH_BASE);
@@ -373,11 +240,42 @@ fn removed_flags_are_unknown() {
     assert!(!ok);
     assert!(err.contains("unknown flag `--alias`"), "{err}");
 
-    let (_, err, _) = localias(&[]);
-    assert!(!err.contains("--intra-jobs"), "{err}");
-    assert!(!err.contains("--verify"), "{err}");
-    assert!(!err.contains("--alias"), "{err}");
-    assert!(!err.contains("both alias backends"), "{err}");
+    for (args, flag) in [
+        (&["experiment", "--partition", "0/2"][..], "--partition"),
+        (&["experiment", "--cache-shards", "4"][..], "--cache-shards"),
+        (&["experiment", "--trace-out", "F"][..], "--trace-out"),
+        (&["experiment", "--trace-chrome", "F"][..], "--trace-chrome"),
+        (&["scale", "--partitions", "1,2"][..], "--partitions"),
+    ] {
+        let (_, err, ok) = localias(args);
+        assert!(!ok, "{args:?} was accepted");
+        assert!(err.contains(&format!("unknown flag `{flag}`")), "{err}");
+    }
+
+    let (_, usage, _) = localias(&[]);
+    for cmd in ["bench-merge", "tracecheck"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_localias"))
+            .arg(cmd)
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{cmd}");
+        assert_eq!(String::from_utf8_lossy(&out.stderr), usage, "{cmd}");
+    }
+
+    for gone in [
+        "--intra-jobs",
+        "--verify",
+        "--alias",
+        "both alias backends",
+        "--partition",
+        "bench-merge",
+        "--cache-shards",
+        "--trace-out",
+        "--trace-chrome",
+        "tracecheck",
+    ] {
+        assert!(!usage.contains(gone), "{gone}: {usage}");
+    }
 }
 
 #[test]
@@ -428,6 +326,23 @@ fn subcommands_reject_flags_they_do_not_use() {
         assert!(!ok, "{args:?} was accepted");
         assert!(err.contains("unknown"), "{args:?}: {err}");
     }
+    // A second positional is an error, never a silent overwrite of the
+    // first (all of these fail before any sweep or write).
+    let dir = std::env::temp_dir().join("localias-cli-tests/corpus-extra");
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_s = dir.to_str().unwrap();
+    for (args, extra) in [
+        (&["scale", "1", "2", "--sizes", "20"][..], "2"),
+        (&["corpus", dir_s, "1", "extra", "junk"][..], "extra"),
+    ] {
+        let (_, err, ok) = localias(args);
+        assert!(!ok, "{args:?} was accepted");
+        assert!(
+            err.contains(&format!("unexpected argument `{extra}`")),
+            "{args:?}: {err}"
+        );
+    }
+    assert!(!dir.exists(), "a rejected corpus command wrote {dir_s}");
     let (_, err, _) = localias(&[]);
     for cmd in ["scale ", "precision "] {
         assert!(
@@ -471,14 +386,15 @@ fn fuzz_rejects_bad_flags() {
     assert!(err.contains("bad --seed value"), "{err}");
 }
 
-#[test]
-fn watch_picks_up_an_edit_and_rechecks() {
+/// Runs `localias watch FILE --iterations 2 --poll-ms 25` while `edit`
+/// saves over the file (after the cold pass has had time to finish), and
+/// returns what the watcher printed.
+fn watch_two_iterations(path: &std::path::Path, edit: impl FnOnce()) -> String {
     use std::io::Read as _;
-    let p = write_temp("watch2.mc", WATCH_BASE);
-    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_localias"))
+    let mut child = Command::new(env!("CARGO_BIN_EXE_localias"))
         .args([
             "watch",
-            p.to_str().unwrap(),
+            path.to_str().unwrap(),
             "--iterations",
             "2",
             "--poll-ms",
@@ -487,10 +403,8 @@ fn watch_picks_up_an_edit_and_rechecks() {
         .stdout(std::process::Stdio::piped())
         .spawn()
         .expect("binary runs");
-    // Give the watcher time to do the cold pass and record the mtime,
-    // then save an edit touching only `caller`.
     std::thread::sleep(std::time::Duration::from_millis(400));
-    std::fs::write(&p, WATCH_EDIT).unwrap();
+    edit();
     let status = child.wait().expect("watch exits after 2 iterations");
     let mut out = String::new();
     child
@@ -500,6 +414,18 @@ fn watch_picks_up_an_edit_and_rechecks() {
         .read_to_string(&mut out)
         .unwrap();
     assert!(status.success(), "{out}");
+    out
+}
+
+#[test]
+fn watch_picks_up_an_edit_and_rechecks() {
+    // Rewrite a file that already exists, as an earlier run leaves it:
+    // saving over a freshly rewritten file is what exposes a watcher to
+    // the empty window of a truncating save.
+    write_temp("watch2.mc", WATCH_EDIT);
+    let p = write_temp("watch2.mc", WATCH_BASE);
+    // Save an edit touching only `caller`.
+    let out = watch_two_iterations(&p, || std::fs::write(&p, WATCH_EDIT).unwrap());
     // The extra call in `caller` changes no verdict.
     for line in ["[1] ", "[2] "] {
         assert!(
@@ -508,4 +434,24 @@ fn watch_picks_up_an_edit_and_rechecks() {
         );
     }
     assert!(!out.contains("source unchanged"), "{out}");
+}
+
+/// A save caught between truncation and write reads as an empty file:
+/// the watcher must wait for the content, not report the empty module
+/// as the edit.
+#[test]
+fn watch_waits_out_a_truncated_save() {
+    let p = write_temp("watch3.mc", WATCH_BASE);
+    let out = watch_two_iterations(&p, || {
+        std::fs::File::create(&p).unwrap(); // truncates to empty
+        std::thread::sleep(std::time::Duration::from_millis(200));
+        std::fs::write(&p, WATCH_EDIT).unwrap();
+    });
+    for line in ["[1] ", "[2] "] {
+        assert!(
+            out.contains(&format!("{line}NoConfine 1, Confine 0, AllStrong 0 — ")),
+            "{out}"
+        );
+    }
+    assert!(!out.contains("parse error"), "{out}");
 }

@@ -63,14 +63,6 @@ macro_rules! hists {
                 $( Hist::$variant => $name, )+
             }
         }
-
-        /// Resolves a serialized histogram name back to its [`Hist`].
-        pub fn hist_by_name(name: &str) -> Option<Hist> {
-            match name {
-                $( $name => Some(Hist::$variant), )+
-                _ => None,
-            }
-        }
     };
 }
 
@@ -248,8 +240,7 @@ pub(crate) fn take_hists() -> Vec<HistSnapshot> {
 
 /// A drained histogram: exact count/sum/min/max plus the non-zero log2
 /// buckets, sparse and sorted by index. Obtained from [`crate::drain`]
-/// as part of a [`crate::Trace`], or rebuilt from a trace file by
-/// [`crate::validate_jsonl`].
+/// as part of a [`crate::Trace`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HistSnapshot {
     /// The registry name (`analyze.module`, `check.function`, …).
@@ -291,33 +282,6 @@ impl HistSnapshot {
                 .map(|(i, &c)| (i, c))
                 .collect(),
         }
-    }
-
-    /// Merges another histogram into this one. Bucket addition
-    /// commutes, so merge order never changes the result — the property
-    /// partitioned bench runs rely on.
-    pub fn merge(&mut self, other: &HistSnapshot) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 || other.min_ns < self.min_ns {
-            self.min_ns = other.min_ns;
-        }
-        if other.max_ns > self.max_ns {
-            self.max_ns = other.max_ns;
-        }
-        self.count += other.count;
-        self.sum_ns = self.sum_ns.saturating_add(other.sum_ns);
-        let mut dense = [0u64; HIST_BUCKETS];
-        for &(i, c) in self.buckets.iter().chain(other.buckets.iter()) {
-            dense[i.min(HIST_BUCKETS - 1)] += c;
-        }
-        self.buckets = dense
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c > 0)
-            .map(|(i, &c)| (i, c))
-            .collect();
     }
 
     /// The exact `pct`-th percentile (`pct` in 1..=100): the inclusive
@@ -430,24 +394,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_recording_everything_in_one_place() {
-        let all: Vec<u64> = (0..200u64).map(|i| i * i * 37 % 100_000).collect();
-        let whole = snap(&all);
-        let mut left = snap(&all[..77]);
-        let right = snap(&all[77..]);
-        left.merge(&right);
-        assert_eq!(left, whole, "merge is exact, not approximate");
-        // Merging an empty histogram is the identity.
-        left.merge(&HistSnapshot::empty("analyze.module"));
-        assert_eq!(left, whole);
-        // Merging *into* an empty histogram copies the distribution.
-        let mut start = HistSnapshot::empty("analyze.module");
-        start.name = whole.name.clone();
-        start.merge(&whole);
-        assert_eq!(start, whole);
-    }
-
-    #[test]
     fn threaded_recording_is_byte_identical_to_sequential() {
         let values: Vec<u64> = (0..1000u64).map(|i| (i * 2654435761) % 1_000_000).collect();
         let sequential = snap(&values);
@@ -500,15 +446,11 @@ mod tests {
     }
 
     #[test]
-    fn hist_names_are_unique_and_resolvable() {
-        for &h in &ALL_HISTS {
-            assert_eq!(hist_by_name(hist_name(h)), Some(h));
-        }
+    fn hist_names_are_unique() {
         let mut names: Vec<_> = ALL_HISTS.iter().map(|&h| hist_name(h)).collect();
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), HIST_COUNT, "duplicate histogram name");
-        assert_eq!(hist_by_name("no.such.hist"), None);
     }
 
     #[test]

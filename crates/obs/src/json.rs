@@ -1,10 +1,10 @@
 //! The workspace's one JSON module: a value type, a reader, and the two
-//! renderings every artifact and trace file is written with.
+//! renderings every artifact is written with.
 //!
 //! The workspace is dependency-free by design, so this is a small
 //! recursive-descent parser (full JSON syntax, numbers kept as `f64`,
 //! objects as association lists in document order) plus two writers:
-//! [`Value::render`] (compact, for JSON-lines and machine output) and
+//! [`Value::render`] (compact, one line) and
 //! [`Value::pretty`] (indented `"key": value` layout for bench
 //! artifacts). Every string escape and every non-finite-float guard in
 //! the workspace lives here.
@@ -152,11 +152,6 @@ impl Value {
             Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
             _ => None,
         }
-    }
-
-    /// The value as a `usize`, if it is a non-negative integral number.
-    pub fn as_usize(&self) -> Option<usize> {
-        self.as_u64().map(|n| n as usize)
     }
 
     /// `true` if the value is `null`.

@@ -30,13 +30,11 @@
 //!
 //! Sinks are pulled, not pushed: enable collection with
 //! [`enable_metrics`]/[`enable_spans`]/[`enable_hists`], run the
-//! pipeline, then [`drain`] a [`Trace`] and render it as a JSON-lines
-//! file ([`Trace::to_jsonl`], schema `localias-trace/v2`), a human
-//! profile table ([`Trace::render_profile`]), or a Chrome trace-event
-//! timeline ([`chrome_trace`]) that opens in Perfetto. All three JSON
-//! outputs, and every bench artifact, are written through [`json`].
+//! pipeline, then [`drain`] a [`Trace`]. It has two renderings: the
+//! human `--profile` table ([`Trace::render_profile`]) and the `profile`
+//! and `hist` blocks of a bench artifact, which the bench crate writes
+//! through [`json`].
 
-mod chrome;
 mod hist;
 pub mod json;
 mod log;
@@ -44,17 +42,16 @@ mod metrics;
 mod span;
 mod trace;
 
-pub use chrome::chrome_trace;
 pub use hist::{
-    bucket_index, bucket_upper_bound, fmt_ns, hist_by_name, hist_name, hists_enabled, record,
-    record_duration, Hist, HistSnapshot, HistTimer, ALL_HISTS, HIST_BUCKETS, HIST_COUNT,
+    bucket_upper_bound, fmt_ns, hist_name, hists_enabled, record, record_duration, Hist,
+    HistSnapshot, HistTimer, ALL_HISTS, HIST_COUNT,
 };
 pub use log::{init_from_env, log_enabled, set_level, Level};
 pub use metrics::{
     count, counter_name, gauge_max, metrics_enabled, peak_rss_bytes, Counter, Metrics,
 };
 pub use span::{fork, spans_enabled, Span, SpanAgg, SpanContext};
-pub use trace::{text_histogram, validate_jsonl, Trace, TraceSummary, SCHEMA, SCHEMA_V1};
+pub use trace::{text_histogram, Trace};
 
 use std::sync::atomic::Ordering;
 
@@ -92,8 +89,8 @@ pub fn disable_hists() {
     hist::HISTS_ENABLED.store(false, Ordering::Relaxed);
 }
 
-/// Enables spans, counters and histograms — the usual "install a sink"
-/// call behind `--trace-out` / `--profile` / `--trace-chrome`.
+/// Enables spans, counters and histograms — the "install a sink" call
+/// behind `--profile`.
 pub fn enable_all() {
     enable_metrics();
     enable_spans();

@@ -38,14 +38,6 @@ macro_rules! counters {
             }
         }
 
-        /// Resolves a serialized counter name back to its [`Counter`].
-        pub fn counter_by_name(name: &str) -> Option<Counter> {
-            match name {
-                $( $name => Some(Counter::$variant), )+
-                _ => None,
-            }
-        }
-
         // Derived `Default` stops at 32-element arrays, so the registry
         // generates this impl itself: adding a counter stays a one-line
         // change to the list below.
@@ -233,15 +225,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn names_are_unique_and_resolvable() {
-        for &c in &ALL_COUNTERS {
-            assert_eq!(counter_by_name(counter_name(c)), Some(c));
-        }
+    fn names_are_unique() {
         let mut names: Vec<_> = ALL_COUNTERS.iter().map(|&c| counter_name(c)).collect();
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), COUNTER_COUNT, "duplicate counter name");
-        assert_eq!(counter_by_name("no.such.counter"), None);
     }
 
     #[test]

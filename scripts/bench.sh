@@ -8,16 +8,20 @@
 #
 #   BENCH_experiment_cold.json   cold sweep, cache.misses == modules
 #   BENCH_experiment.json        warm sweep, cache.hits   == modules
-#                                (schema localias-bench-experiment/v7,
+#                                (schema localias-bench-experiment/v8,
 #                                with per-shard cache counters and the
 #                                latency-histogram block with exact
 #                                p50/p90/p95/p99 per stage)
 #   BENCH_fuzz.json              differential-fuzzing throughput + FP
 #                                rates (schema localias-bench-fuzz/v4)
 #   BENCH_scale.json             modules/sec + peak RSS vs corpus size
-#                                (schema localias-bench-scale/v3; only
+#                                (schema localias-bench-scale/v4; only
 #                                written when BENCH_SCALE=1 — it takes
 #                                minutes)
+#
+# BENCH_experiment_v6.json is not written here: it is a kept v6 artifact
+# from before the `gate` block, which scripts/check.sh diffs against a
+# fresh one to prove bench-diff still reads old schemas.
 #
 # After the sweeps, `localias bench-diff` reports warm-vs-cold and — when
 # a previous BENCH_experiment.json existed — run-over-run deltas. Both
@@ -83,8 +87,8 @@ echo
 echo "wrote $(pwd)/BENCH_fuzz.json (differential fuzzing):"
 cat BENCH_fuzz.json
 
-# The corpus-scale sweep (1k..50k modules, 1 and 2 partitions) takes
-# minutes, so it only runs when explicitly requested.
+# The corpus-scale sweep (1k..50k modules) takes minutes, so it only
+# runs when explicitly requested.
 if [ "${BENCH_SCALE:-0}" = "1" ]; then
     scripts/bench_scale.sh
 else

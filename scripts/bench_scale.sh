@@ -1,17 +1,15 @@
 #!/bin/sh
-# Corpus-scale sweep: modules/sec and peak RSS vs. corpus size, single-
-# and two-partition, written to BENCH_scale.json in the repo root
-# (schema localias-bench-scale/v3, embedding the obs profile and
-# latency-histogram blocks of the largest single-process sweep).
+# Corpus-scale sweep: modules/sec and peak RSS vs. corpus size, written
+# to BENCH_scale.json in the repo root (schema localias-bench-scale/v4,
+# embedding the obs profile and latency-histogram blocks of the largest
+# sweep).
 #
-# Every point runs in fresh `localias experiment` child processes — one
-# per partition, concurrently, over a shared cold cache — so peak RSS is
-# per sweep, not cumulative. Two-partition points are validated through
-# `localias bench-merge`.
+# Every size runs in a fresh `localias experiment` child process over a
+# cold cache, so peak RSS is per sweep, not cumulative.
 #
-# Usage: scripts/bench_scale.sh [SEED] [--sizes N,N,...] [--partitions N,N,...]
-#        (extra args are passed through to `localias scale`; defaults are
-#        sizes 1000,5000,20000,50000 and partitions 1,2)
+# Usage: scripts/bench_scale.sh [SEED] [--sizes N,N,...] [--jobs N]
+#        (extra args are passed through to `localias scale`; the default
+#        sizes are 1000,5000,20000,50000)
 set -eu
 
 cd "$(dirname "$0")/.."
