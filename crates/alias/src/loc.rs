@@ -196,14 +196,6 @@ impl LocTable {
         self.info[r.index()].content.clone()
     }
 
-    /// The content type of `l`'s class, without path compression or
-    /// cloning — the read the incremental anchor walk uses on an
-    /// already-frozen table.
-    pub fn content_const(&self, l: Loc) -> &Ty {
-        let r = self.find_const(l);
-        &self.info[r.index()].content
-    }
-
     /// Overwrites the content type of `l`'s class.
     pub fn set_content(&mut self, l: Loc, ty: Ty) {
         let r = self.find(l);

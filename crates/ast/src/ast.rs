@@ -11,8 +11,8 @@ use std::fmt;
 
 /// A dense, per-module identifier for an AST node.
 ///
-/// Ids are allocated contiguously from 0 by the parser or
-/// [`crate::builder::Builder`]; [`Module::node_count`] bounds them, so
+/// Ids are allocated contiguously from 0 by the parser;
+/// [`Module::node_count`] bounds them, so
 /// analyses can use plain vectors as side tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);

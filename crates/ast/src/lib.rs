@@ -11,9 +11,7 @@
 //! * the abstract syntax tree ([`ast`]) with stable [`NodeId`]s that the
 //!   downstream analyses key their facts on,
 //! * a [`pretty`] printer that round-trips through the parser,
-//! * a [`visit`] walker, and
-//! * a programmatic [`builder`] used by the driver corpus generator and
-//!   by tests.
+//! * a [`visit`] walker.
 //!
 //! Mini-C extends the paper's calculus
 //! (`e ::= x | n | new e | *e | e := e | let x = e in e | restrict x = e in e`)
@@ -42,7 +40,6 @@
 //! ```
 
 pub mod ast;
-pub mod builder;
 pub mod fp;
 pub mod intern;
 pub mod lexer;

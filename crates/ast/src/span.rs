@@ -25,7 +25,7 @@ impl Span {
         Span { lo, hi }
     }
 
-    /// A zero-width span used for synthesized nodes (e.g. from [`crate::builder`]).
+    /// A zero-width span used for synthesized nodes.
     pub const DUMMY: Span = Span { lo: 0, hi: 0 };
 
     /// The smallest span covering both `self` and `other`.

@@ -331,7 +331,7 @@ impl AnalysisCache {
                     cache.by_raw.extend(by_raw);
                 }
                 Err(why) => {
-                    obs::warn!(
+                    eprintln!(
                         "localias-bench: warning: quarantining cache shard {} ({why})",
                         path.display()
                     );
@@ -402,12 +402,6 @@ impl AnalysisCache {
         self.by_raw.get(&raw).copied()
     }
 
-    /// Fast-path lookup by raw-source fingerprint (no parse needed).
-    pub fn lookup_raw(&self, raw: u128) -> Option<CachedOutcome> {
-        self.lookup_values(self.resolve_raw(raw)?)
-            .map(CachedOutcome::from_values)
-    }
-
     /// Lookup by canonical fingerprint.
     pub fn lookup_fp(&self, fp: u128) -> Option<CachedOutcome> {
         self.lookup_values(fp).map(CachedOutcome::from_values)
@@ -469,7 +463,7 @@ impl AnalysisCache {
             }
         }
         if dangling > 0 {
-            obs::warn!(
+            eprintln!(
                 "localias-bench: warning: dropping {dangling} raw alias(es) whose backing \
                  entry is missing (store was corrupted or partially quarantined)"
             );
@@ -485,7 +479,7 @@ impl AnalysisCache {
                 }
                 Ok(false) => {} // skipped (contended or foreign); stays dirty
                 Err(e) => {
-                    obs::warn!(
+                    eprintln!(
                         "localias-bench: warning: cache shard {} not written: {e}",
                         self.dir.join(shard_file_name(s)).display()
                     );
@@ -511,7 +505,7 @@ impl AnalysisCache {
         let path = self.dir.join(shard_file_name(s));
         let lock_path = self.dir.join(format!("shard-{s:02}.lock"));
         let Some(_guard) = acquire_lock(&lock_path, &mut self.lock_retries)? else {
-            obs::warn!(
+            eprintln!(
                 "localias-bench: warning: cache shard {} is locked by another live \
                  process; skipping persist (its entries merge or recompute next run)",
                 path.display()
@@ -538,14 +532,14 @@ impl AnalysisCache {
                 }
                 Err(why) => {
                     if header_version(&text).is_some_and(|v| v > ANALYSIS_VERSION) {
-                        obs::warn!(
+                        eprintln!(
                             "localias-bench: warning: cache shard {} was written by a \
                              newer binary; leaving it alone",
                             path.display()
                         );
                         return Ok(false);
                     }
-                    obs::warn!(
+                    eprintln!(
                         "localias-bench: warning: quarantining cache shard {} ({why})",
                         path.display()
                     );

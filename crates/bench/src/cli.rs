@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! [SEED] [--jobs N | -j N] [--cache DIR | --no-cache] [--modules N]
-//! [--bench-out FILE] [--profile] [--quiet | -q]
+//! [--bench-out FILE] [--profile]
 //! ```
 //!
 //! `--no-cache` together with `--cache` is rejected up front, in either
@@ -25,8 +25,6 @@ pub struct CliOpts {
     /// Print the human per-phase profile table to stderr after the run.
     /// Also installs the obs sinks.
     pub profile: bool,
-    /// Silence informational diagnostics (warnings still print).
-    pub quiet: bool,
     /// Corpus size override (`--modules N`): sweep an `N`-module stream
     /// instead of the paper's 589.
     pub modules: Option<usize>,
@@ -44,7 +42,6 @@ impl CliOpts {
         let mut no_cache = false;
         let mut bench_out: Option<String> = None;
         let mut profile = false;
-        let mut quiet = false;
         let mut modules: Option<usize> = None;
 
         let mut it = args.into_iter();
@@ -87,7 +84,6 @@ impl CliOpts {
                     bench_out = Some(value_of(&mut it, &a, "a file path")?);
                 }
                 "--profile" => profile = true,
-                "--quiet" | "-q" => quiet = true,
                 flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
                 positional => {
                     if seed.is_some() {
@@ -118,7 +114,6 @@ impl CliOpts {
             cache,
             bench_out,
             profile,
-            quiet,
             modules,
         })
     }
@@ -135,16 +130,6 @@ impl CliOpts {
     /// carries latency percentiles.
     pub fn wants_obs(&self) -> bool {
         self.profile
-    }
-
-    /// Applies the logging-related options: `--quiet` lowers the global
-    /// level to warnings-only, and `LOCALIAS_LOG` (if set and valid)
-    /// overrides everything.
-    pub fn apply_log_level(&self) {
-        if self.quiet {
-            localias_obs::set_level(localias_obs::Level::Warn);
-        }
-        let _ = localias_obs::init_from_env();
     }
 }
 
@@ -172,7 +157,6 @@ mod tests {
         assert_eq!(o.cache, CachePolicy::enabled_default());
         assert_eq!(o.bench_out, None);
         assert!(!o.profile);
-        assert!(!o.quiet);
         assert!(!o.wants_obs(), "no sink unless explicitly requested");
     }
 
@@ -181,11 +165,6 @@ mod tests {
         let o = parse(&["--profile"]).unwrap();
         assert!(o.profile);
         assert!(o.wants_obs());
-
-        let o = parse(&["--quiet"]).unwrap();
-        assert!(o.quiet);
-        assert!(!o.wants_obs(), "--quiet alone installs no sink");
-        assert!(parse(&["-q"]).unwrap().quiet);
     }
 
     #[test]

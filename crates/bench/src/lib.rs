@@ -28,11 +28,11 @@ pub use localias_corpus::CorpusStream;
 pub use localias_obs::json;
 
 use cache::CachedOutcome;
-use localias_alias::{Backend, FrozenLocs};
+use localias_alias::Backend;
 use localias_ast::Module;
-use localias_core::{Analysis, SharedAnalysis};
+use localias_core::SharedAnalysis;
 use localias_corpus::GeneratedModule;
-use localias_cqual::{check_locks_frozen, Mode};
+use localias_cqual::check_modes;
 use localias_obs as obs;
 use localias_obs::json::Value;
 use std::fmt::Write as _;
@@ -56,10 +56,10 @@ pub struct ModuleResult {
 pub struct PhaseTimes {
     /// Lexing + parsing.
     pub parse: Duration,
-    /// Base analysis plus the no-confine and all-strong checks (the two
-    /// modes that share one analysis).
+    /// Base analysis plus the lock check of all three modes, which walk
+    /// one call graph.
     pub check: Duration,
-    /// Confine inference plus its check.
+    /// Confine inference alone (its mode's check is counted in `check`).
     pub confine: Duration,
 }
 
@@ -72,25 +72,21 @@ impl PhaseTimes {
 }
 
 impl ModuleResult {
-    /// Measures one parsed corpus module under all three modes, timing
-    /// each phase. The no-confine and all-strong modes share one base
-    /// analysis through [`SharedAnalysis`], so this runs two (not three)
-    /// analysis pipelines.
+    /// Measures one parsed corpus module under all three modes through
+    /// [`check_modes`], timing each phase. The no-confine and all-strong
+    /// modes share one base analysis through [`SharedAnalysis`], so this
+    /// runs two (not three) analysis pipelines.
     fn measure_parsed(name: &str, parsed: &Module, parse: Duration) -> (ModuleResult, PhaseTimes) {
         let mut shared = SharedAnalysis::new(parsed);
-        let errors = |(analysis, frozen): (&Analysis, &FrozenLocs), mode| {
-            check_locks_frozen(parsed, analysis, frozen, mode, 1).error_count()
-        };
-        let t1 = Instant::now();
-        let base = shared.base_frozen();
-        let no_confine = errors(base, Mode::NoConfine);
-        let all_strong = errors(base, Mode::AllStrong);
-        let check = t1.elapsed();
-
-        let t2 = Instant::now();
-        let confine = errors(shared.confine_frozen(), Mode::Confine);
-        let confine_time = t2.elapsed();
-
+        let t = Instant::now();
+        shared.base_frozen();
+        let base = t.elapsed();
+        let t = Instant::now();
+        shared.confine_frozen();
+        let confine_time = t.elapsed();
+        let t = Instant::now();
+        let [no_confine, confine, all_strong] = check_modes(&mut shared).map(|r| r.error_count());
+        let check = base + t.elapsed();
         (
             ModuleResult {
                 name: name.to_string(),
@@ -514,7 +510,7 @@ where
     let mut c = AnalysisCache::load_sharded(dir, *shards);
     let (results, mut bench) = sweep_modules(modules, out_len, jobs, seed, Some(&mut c));
     if let Err(e) = c.persist() {
-        obs::warn!(
+        eprintln!(
             "localias-bench: warning: cache not fully written to {}: {e}",
             dir.display()
         );
@@ -579,14 +575,12 @@ pub struct ObsReport {
     pub hists: Vec<obs::HistSnapshot>,
 }
 
-/// Applies the CLI's logging options and installs the obs sinks
-/// (clearing any stale state so the trace covers exactly the run that
-/// follows). Latency histograms are always enabled — they cost one TLS
-/// array update per sample — while spans and counters only turn on
-/// when `--profile` asks for them.
+/// Installs the obs sinks (clearing any stale state so the trace covers
+/// exactly the run that follows). Latency histograms are always enabled
+/// — they cost one TLS array update per sample — while spans and
+/// counters only turn on when `--profile` asks for them.
 /// Call once, right after argument parsing.
 pub fn init_obs(opts: &CliOpts) {
-    opts.apply_log_level();
     if opts.wants_obs() {
         obs::enable_all();
     } else {
@@ -682,7 +676,6 @@ pub fn confine_workload(pairs: usize) -> Module {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use localias_cqual::check_modes;
 
     #[test]
     fn checking_workload_scales_and_checks() {

@@ -132,7 +132,6 @@ fn run_point(
             "--jobs",
             &cfg.jobs.to_string(),
             "--profile",
-            "--quiet",
             "--cache",
         ])
         .arg(dir.join("cache"))

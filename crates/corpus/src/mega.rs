@@ -14,8 +14,10 @@
 //!   sharing the harmless leaves freely;
 //! * a small **top layer** of entry points fanning out over the mids.
 //!
-//! The call graph is a three-level DAG with no recursion, so the wave
-//! schedule is three wide waves. The expected error triple is exact by
+//! The call graph is a three-level DAG with no recursion, so the
+//! checker's bottom-up order lists every leaf before the mids and every
+//! mid before the tops, and each call applies an existing summary. The
+//! expected error triple is exact by
 //! construction: each array-pair leaf contributes one weak-update error
 //! that confine inference fully recovers, and nothing else ever fails,
 //! so a module with `a` array leaves expects `(a, 0, 0)`.

@@ -7,25 +7,16 @@
 //! order. (The predecessor of this module, the ad-hoc `call_order` pass,
 //! iterated `HashMap`/`HashSet` and was deterministic only by luck.)
 //!
-//! Two layers of structure are computed once, up front:
-//!
-//! 1. **Schedule positions** ([`CallGraph::pos`], [`CallGraph::order`]):
-//!    the bottom-up order functions are summarized in. This reproduces
-//!    the legacy sequential schedule bit-for-bit — Kahn rounds with
-//!    alphabetical tie-breaks, self-recursive callees ignored for
-//!    readiness, and the undrainable remainder (functions on or
-//!    downstream of a mutual-recursion cycle) appended alphabetically
-//!    and marked [`CallGraph::is_cyclic`] — so reports are byte-identical
-//!    to the historical checker. Calls into a cyclic function that is
-//!    not yet summarized conservatively havoc the store.
-//! 2. **Wave schedule** ([`CallGraph::waves`]): antichains of the
-//!    summary-dependency DAG. Function `f` depends on callee `c` exactly
-//!    when `pos(c) < pos(f)` (that is precisely when the sequential
-//!    checker consumes `c`'s summary at `f`'s call sites); every such
-//!    edge decreases `pos`, so the dependency relation is acyclic even
-//!    across recursion groups. Wave `k` holds the functions whose longest
-//!    dependency chain has length `k`; all functions in one wave are
-//!    mutually independent.
+//! The one derived structure is the bottom-up schedule
+//! ([`CallGraph::order`]) in which functions are checked and summarized.
+//! It reproduces the legacy sequential schedule bit-for-bit — Kahn rounds
+//! with alphabetical tie-breaks, self-recursive callees ignored for
+//! readiness, and the undrainable remainder (functions on or downstream
+//! of a mutual-recursion cycle) appended alphabetically and marked
+//! [`CallGraph::is_cyclic`] — so reports are byte-identical to the
+//! historical checker. A call consumes its callee's summary exactly when
+//! the callee comes earlier in the order; a call into a cyclic function
+//! that is not yet summarized conservatively havocs the store.
 
 use localias_ast::visit::{walk_expr, Visitor};
 use localias_ast::{Expr, ExprKind, Module};
@@ -33,8 +24,7 @@ use localias_obs as obs;
 use std::collections::HashMap;
 
 /// A call graph over a module's defined functions, with a deterministic
-/// bottom-up schedule and a wave partition. See the module docs for how
-/// the pieces relate.
+/// bottom-up schedule. See the module docs.
 #[derive(Debug, Clone)]
 pub struct CallGraph {
     /// Function names; the node id *is* the index into this sorted list.
@@ -48,13 +38,6 @@ pub struct CallGraph {
     cyclic: Vec<bool>,
     /// Node ids in schedule order (the legacy sequential order).
     order: Vec<usize>,
-    /// Schedule position per node (`pos[order[i]] == i`).
-    pos: Vec<usize>,
-    /// Summary dependencies per node: callees with a smaller position.
-    deps: Vec<Vec<usize>>,
-    /// Wave partition: `waves[k]` lists the nodes (by ascending position)
-    /// whose longest dependency chain has length `k`.
-    waves: Vec<Vec<usize>>,
 }
 
 /// Collects the callee names of one function body.
@@ -72,7 +55,7 @@ impl Visitor for Calls {
 }
 
 impl CallGraph {
-    /// Builds the graph, schedule, and waves for `m`.
+    /// Builds the graph and its schedule for `m`.
     pub fn build(m: &Module) -> CallGraph {
         let _span = obs::span!("cqual.graph");
         // Node ids: defined function names, sorted — so numeric order on
@@ -111,45 +94,12 @@ impl CallGraph {
         }
 
         let (order, cyclic) = schedule(&callees, &self_rec);
-        let mut pos = vec![0usize; n];
-        for (i, &v) in order.iter().enumerate() {
-            pos[v] = i;
-        }
-
-        // Summary dependencies: exactly the call edges the sequential
-        // checker resolves through a summary (callee summarized earlier).
-        // Every edge decreases `pos`, so the relation is acyclic.
-        let mut deps: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for v in 0..n {
-            deps[v] = callees[v]
-                .iter()
-                .copied()
-                .filter(|&c| pos[c] < pos[v])
-                .collect();
-        }
-
-        // Longest-path levels over the dependency DAG. Processing in
-        // schedule order guarantees dependencies are leveled first.
-        let mut level = vec![0usize; n];
-        let mut waves: Vec<Vec<usize>> = Vec::new();
-        for &v in &order {
-            let lvl = deps[v].iter().map(|&c| level[c] + 1).max().unwrap_or(0);
-            level[v] = lvl;
-            if waves.len() <= lvl {
-                waves.resize(lvl + 1, Vec::new());
-            }
-            waves[lvl].push(v);
-        }
-
         CallGraph {
             names,
             index,
             callees,
             cyclic,
             order,
-            pos,
-            deps,
-            waves,
         }
     }
 
@@ -178,9 +128,9 @@ impl CallGraph {
         &self.callees[v]
     }
 
-    /// Whether the checker treats `v` as recursive: calls to `v` havoc
-    /// unless `v`'s summary is already scheduled (see
-    /// [`CallGraph::uses_summary`]).
+    /// Whether the checker treats `v` as recursive: a call to `v` havocs
+    /// unless `v` comes earlier in [`CallGraph::order`] than the caller,
+    /// and so is already summarized.
     pub fn is_cyclic(&self, v: usize) -> bool {
         self.cyclic[v]
     }
@@ -188,32 +138,6 @@ impl CallGraph {
     /// Node ids in bottom-up schedule order.
     pub fn order(&self) -> &[usize] {
         &self.order
-    }
-
-    /// The schedule position of `v`.
-    pub fn pos(&self, v: usize) -> usize {
-        self.pos[v]
-    }
-
-    /// The summary dependencies of `v`: callees checked before `v`.
-    pub fn deps(&self, v: usize) -> &[usize] {
-        &self.deps[v]
-    }
-
-    /// The wave partition: each wave lists mutually-independent nodes in
-    /// ascending schedule position; a node's dependencies all live in
-    /// strictly earlier waves.
-    pub fn waves(&self) -> &[Vec<usize>] {
-        &self.waves
-    }
-
-    /// Whether a call *from* `caller` *to* `callee` consumes `callee`'s
-    /// summary — exactly when the sequential schedule has already
-    /// summarized the callee. Otherwise the call havocs if the callee is
-    /// cyclic, and is a no-op if it is merely later in the schedule
-    /// (which only happens for cyclic callees) or undefined.
-    pub fn uses_summary(&self, caller: usize, callee: usize) -> bool {
-        self.pos[callee] < self.pos[caller]
     }
 }
 
@@ -256,6 +180,19 @@ mod tests {
         CallGraph::build(&parse_module("t", src).expect("parse"))
     }
 
+    fn names(g: &CallGraph) -> Vec<&str> {
+        g.order().iter().map(|&v| g.name(v)).collect()
+    }
+
+    /// Schedule position of every node (`pos[order[i]] == i`).
+    fn positions(g: &CallGraph) -> Vec<usize> {
+        let mut pos = vec![0; g.len()];
+        for (i, &v) in g.order().iter().enumerate() {
+            pos[v] = i;
+        }
+        pos
+    }
+
     #[test]
     fn linear_chain_schedules_callees_first() {
         let g = graph(
@@ -265,14 +202,12 @@ mod tests {
             void a() { b(); }
             "#,
         );
-        let order: Vec<&str> = g.order().iter().map(|&v| g.name(v)).collect();
-        assert_eq!(order, ["c", "b", "a"]);
-        assert_eq!(g.waves().len(), 3);
+        assert_eq!(names(&g), ["c", "b", "a"]);
         assert!(!g.is_cyclic(g.node("a").unwrap()));
     }
 
     #[test]
-    fn siblings_share_a_wave_alphabetically() {
+    fn siblings_schedule_alphabetically() {
         let g = graph(
             r#"
             void z() {}
@@ -281,14 +216,7 @@ mod tests {
             void top() { a(); m(); }
             "#,
         );
-        let order: Vec<&str> = g.order().iter().map(|&v| g.name(v)).collect();
-        assert_eq!(order, ["z", "a", "m", "top"]);
-        let waves: Vec<Vec<&str>> = g
-            .waves()
-            .iter()
-            .map(|w| w.iter().map(|&v| g.name(v)).collect())
-            .collect();
-        assert_eq!(waves, [vec!["z"], vec!["a", "m"], vec!["top"]]);
+        assert_eq!(names(&g), ["z", "a", "m", "top"]);
     }
 
     #[test]
@@ -307,8 +235,7 @@ mod tests {
         // The legacy rule drags everything downstream of the cycle into
         // the cyclic remainder.
         assert!(g.is_cyclic(user));
-        let order: Vec<&str> = g.order().iter().map(|&v| g.name(v)).collect();
-        assert_eq!(order, ["even", "odd", "user"]);
+        assert_eq!(names(&g), ["even", "odd", "user"]);
     }
 
     #[test]
@@ -325,15 +252,15 @@ mod tests {
         assert!(!g.is_cyclic(caller));
         // `caller` < `rec` alphabetically, and rec never blocks, so both
         // drain in the first round — caller first.
-        let order: Vec<&str> = g.order().iter().map(|&v| g.name(v)).collect();
-        assert_eq!(order, ["caller", "rec"]);
-        // With pos(rec) > pos(caller), the call havocs instead of using a
-        // summary.
-        assert!(!g.uses_summary(caller, rec));
+        assert_eq!(names(&g), ["caller", "rec"]);
+        // With rec later in the order and cyclic, the call havocs instead
+        // of using a summary.
+        let pos = positions(&g);
+        assert!(pos[rec] > pos[caller]);
     }
 
     #[test]
-    fn waves_respect_dependencies() {
+    fn callees_are_scheduled_before_callers() {
         let g = graph(
             r#"
             void leaf1() {}
@@ -343,20 +270,17 @@ mod tests {
             void top() { mid1(); mid2(); }
             "#,
         );
-        let mut wave_of = vec![0usize; g.len()];
-        for (k, wave) in g.waves().iter().enumerate() {
-            for &v in wave {
-                wave_of[v] = k;
-            }
-        }
+        let pos = positions(&g);
         for v in 0..g.len() {
-            for &d in g.deps(v) {
-                assert!(wave_of[d] < wave_of[v], "{} dep {}", g.name(v), g.name(d));
+            assert!(!g.is_cyclic(v), "{}", g.name(v));
+            for &c in g.callees(v) {
+                assert!(pos[c] < pos[v], "{} calls {}", g.name(v), g.name(c));
             }
         }
-        // Every node appears in exactly one wave.
-        let total: usize = g.waves().iter().map(|w| w.len()).sum();
-        assert_eq!(total, g.len());
+        // Every node appears in the order exactly once.
+        let mut seen = g.order().to_vec();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..g.len()).collect::<Vec<_>>());
     }
 
     #[test]
@@ -375,10 +299,9 @@ mod tests {
         "#;
         let g1 = graph(fwd);
         let g2 = graph(rev);
-        let names = |g: &CallGraph| -> Vec<String> {
-            g.order().iter().map(|&v| g.name(v).to_string()).collect()
-        };
         assert_eq!(names(&g1), names(&g2));
-        assert_eq!(g1.waves(), g2.waves());
+        assert_eq!(g1.order(), g2.order());
+        let cyclic = |g: &CallGraph| (0..g.len()).map(|v| g.is_cyclic(v)).collect::<Vec<_>>();
+        assert_eq!(cyclic(&g1), cyclic(&g2));
     }
 }

@@ -8,29 +8,30 @@
 //! 1. **Freeze** the analysis' location table ([`localias_core::Analysis::freeze`])
 //!    — after analysis no unification ever happens again, so resolution
 //!    becomes an immutable, `Sync` lookup.
-//! 2. **Build** the [`crate::callgraph::CallGraph`]: a deterministic
-//!    bottom-up schedule and a wave partition of the summary-dependency
-//!    DAG. [`check_modes`] builds one graph for all three modes.
-//! 3. **Check** each function ([`crate::intra::check_function`]) against
-//!    the frozen facts and its dependencies' published summaries, wave
-//!    by wave.
-//! 4. **Assemble** the report in schedule order.
+//! 2. **Build** the [`crate::callgraph::CallGraph`] and its
+//!    deterministic bottom-up schedule. [`check_modes`] builds one graph
+//!    and one base context for all three modes.
+//! 3. **Walk** the schedule once per mode: check each function
+//!    ([`crate::intra::check_function`]) against the frozen facts and
+//!    the summaries of the functions checked before it, append its errors
+//!    and sites to the report, and store its summary in a slot indexed by
+//!    node id.
 //!
 //! Interprocedural behaviour goes through per-function summaries applied
-//! bottom-up; calls into recursive cycles conservatively havoc the
-//! store. See `crates/cqual/src/intra.rs` for where the paper's
-//! restrict/confine machinery plugs into the per-function walk.
+//! bottom-up: a call applies its callee's summary when the callee's slot
+//! is filled, and calls into recursive cycles that are not yet summarized
+//! conservatively havoc the store. See `crates/cqual/src/intra.rs` for
+//! where the paper's restrict/confine machinery plugs into the
+//! per-function walk.
 
 use crate::callgraph::CallGraph;
-use crate::fx::FxHashMap;
-use crate::intra::{check_function, CheckContext, FunOutcome};
+use crate::intra::{check_function, CheckContext};
 use crate::report::LockReport;
-use crate::summary::Summaries;
+use crate::summary::Summary;
 use localias_alias::FrozenLocs;
 use localias_ast::{FunDef, Module};
 use localias_core::{Analysis, SharedAnalysis};
 use localias_obs as obs;
-use std::sync::Arc;
 
 /// The three analysis modes of the Section 7 experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -86,18 +87,17 @@ pub fn check_modes(shared: &mut SharedAnalysis) -> [LockReport; 3] {
     let m = shared.module();
     let ((base_a, base_f), (conf_a, conf_f)) = shared.both_frozen();
     let _span = obs::span!("cqual.check");
-    let graph = Arc::new(CallGraph::build(m));
-    let base = CheckContext::new_shared(m, base_a, base_f, Mode::NoConfine, graph.clone());
-    let confine = CheckContext::new_shared(m, conf_a, conf_f, Mode::Confine, graph);
-    let no_confine = check_waves(m, &base);
-    let confine = check_waves(m, &confine);
-    let all_strong = check_waves(m, &base.with_mode(Mode::AllStrong));
+    let graph = CallGraph::build(m);
+    let base = CheckContext::new(m, base_a, base_f, Mode::NoConfine, &graph);
+    let confine = CheckContext::new(m, conf_a, conf_f, Mode::Confine, &graph);
+    let no_confine = check_schedule(m, &base);
+    let confine = check_schedule(m, &confine);
+    let all_strong = check_schedule(m, &base.with_mode(Mode::AllStrong));
     [no_confine, confine, all_strong]
 }
 
-/// Checks locking against a frozen analysis: functions are checked wave
-/// by wave, so every summary a function consumes is published first,
-/// and errors are assembled in schedule order.
+/// Checks locking against a frozen analysis, building the module's call
+/// graph and walking its schedule once.
 ///
 /// `intra_jobs` is kept only so the benchmark crate's calls keep their
 /// signature; the checker is sequential and the value must be 1.
@@ -110,46 +110,29 @@ pub fn check_locks_frozen(
 ) -> LockReport {
     assert_eq!(intra_jobs, 1, "the lock checker is sequential");
     let _span = obs::span!("cqual.check");
-    check_waves(m, &CheckContext::new(m, analysis, frozen, mode))
+    let graph = CallGraph::build(m);
+    check_schedule(m, &CheckContext::new(m, analysis, frozen, mode, &graph))
 }
 
-/// Walks `cx`'s wave schedule over the functions of `m`, publishing each
-/// wave's summaries before the next wave starts, and assembles the
-/// report in schedule order.
-fn check_waves(m: &Module, cx: &CheckContext<'_>) -> LockReport {
+/// Walks `cx`'s schedule over the functions of `m` once: each function
+/// is checked, its errors and sites go to the report, and its summary
+/// fills its slot. In schedule order a filled slot means exactly that
+/// the callee comes earlier in the order.
+fn check_schedule(m: &Module, cx: &CheckContext<'_>) -> LockReport {
     // With duplicate definitions the later one wins (legacy behaviour of
     // the name-keyed function map).
-    let by_name: FxHashMap<&str, &FunDef> =
-        m.functions().map(|f| (f.name.name.as_str(), f)).collect();
-
-    let n = cx.graph.len();
-    let mut outcomes: Vec<Option<FunOutcome>> = (0..n).map(|_| None).collect();
-    let mut summaries: Summaries = Summaries::default();
-
-    for wave in cx.graph.waves() {
-        obs::count(obs::Counter::CqualWaves, 1);
-        let _wave_span = obs::span!("cqual.wave");
-        let _hist = obs::hist_timer!(obs::Hist::CheckWave);
-        for &v in wave {
-            if let Some(f) = by_name.get(cx.graph.name(v)) {
-                outcomes[v] = Some(check_function(cx, &summaries, f));
-            }
-        }
-        // Publish the wave's summaries (in schedule order) before the
-        // next wave starts.
-        for &v in wave {
-            if let Some(out) = &outcomes[v] {
-                summaries.insert(cx.graph.name(v).to_string(), out.summary.clone());
-            }
-        }
+    let mut defs: Vec<Option<&FunDef>> = vec![None; cx.graph.len()];
+    for f in m.functions() {
+        defs[cx.graph.node(&f.name.name).expect("defined")] = Some(f);
     }
-
+    let mut summaries: Vec<Option<Summary>> = vec![None; cx.graph.len()];
     let mut report = LockReport::default();
     for &v in cx.graph.order() {
-        if let Some(out) = outcomes[v].take() {
-            report.errors.extend(out.errors);
-            report.sites += out.sites;
-        }
+        let f = defs[v].expect("every node is a defined function");
+        let out = check_function(cx, &summaries, f);
+        report.errors.extend(out.errors);
+        report.sites += out.sites;
+        summaries[v] = Some(out.summary);
     }
     report
 }

@@ -1,13 +1,10 @@
 //! The intraprocedural checker: one function, checked against immutable
 //! shared inputs.
 //!
-//! [`check_function`] is a *pure function* of the [`CheckContext`] (the
-//! frozen analysis facts) and the already-published callee
-//! [`Summaries`]; it mutates nothing shared and returns a
-//! [`FunOutcome`]. That referential transparency is what lets the
-//! scheduler in [`crate::flow`] run a whole wave of independent
-//! functions concurrently and still assemble a report byte-identical to
-//! the sequential order.
+//! [`check_function`] reads the [`CheckContext`] (the frozen analysis
+//! facts) and the summary slots of the functions [`crate::flow`] has
+//! already checked, and returns a [`FunOutcome`]; the scheduler stores
+//! its summary in the function's slot before the walk moves on.
 //!
 //! The abstract interpretation itself is unchanged from the historical
 //! monolithic checker: straight-line composition for blocks, pointwise
@@ -18,16 +15,15 @@
 //! [`FrozenLocs`] snapshot.
 
 use crate::callgraph::CallGraph;
-use crate::fx::{FxHashMap, FxHashSet};
 use crate::qual::LockState;
 use crate::report::{LockError, LockOp};
 use crate::store::Store;
-use crate::summary::{retarget, ParamInfo, Summaries, Summary};
+use crate::summary::{retarget, ParamInfo, Summary};
+use localias_alias::fx::{FxHashMap, FxHashSet};
 use localias_alias::{FrozenLocs, Loc, State, Ty};
 use localias_ast::{intrinsics, Block, Expr, ExprKind, FunDef, Module, NodeId, Stmt, StmtKind};
 use localias_core::{Analysis, ConfineSite};
 use localias_obs as obs;
-use std::sync::Arc;
 
 use crate::flow::Mode;
 
@@ -50,40 +46,26 @@ pub(crate) struct CheckContext<'a> {
     pub(crate) state: &'a State,
     /// The frozen location snapshot all resolution goes through.
     pub frozen: &'a FrozenLocs,
-    /// The call graph with its schedule and wave partition. Shared:
-    /// the graph depends only on the module, so one build serves every
-    /// mode's context (see [`CheckContext::new_shared`]).
-    pub graph: Arc<CallGraph>,
+    /// The call graph and its schedule. The graph depends only on the
+    /// module, so one build serves every mode's context.
+    pub graph: &'a CallGraph,
     /// Range scopes by block id, from confine outcomes.
     pub(crate) range_scopes: FxHashMap<NodeId, Vec<RangeScope>>,
     /// `(ρ, ρ')` for explicit confine/restrict statements, by stmt id.
     pub(crate) stmt_scopes: FxHashMap<NodeId, (Loc, Loc)>,
-    /// Per-function parameter metadata, indexed by call-graph node;
-    /// `Arc` so each call site shares it instead of cloning the vector.
-    pub(crate) params: Vec<Arc<Vec<ParamInfo>>>,
+    /// Per-function parameter metadata, indexed by call-graph node.
+    pub(crate) params: Vec<Vec<ParamInfo>>,
 }
 
 impl<'a> CheckContext<'a> {
     /// Collects the scope and parameter metadata for checking `m` under
-    /// `mode`, given its (frozen) analysis.
+    /// `mode`, given its (frozen) analysis and its call graph.
     pub fn new(
         m: &'a Module,
         analysis: &'a Analysis,
         frozen: &'a FrozenLocs,
         mode: Mode,
-    ) -> CheckContext<'a> {
-        Self::new_shared(m, analysis, frozen, mode, Arc::new(CallGraph::build(m)))
-    }
-
-    /// [`CheckContext::new`] with a pre-built call graph — the graph is
-    /// a function of the module alone, so callers constructing several
-    /// contexts over one module (one per analysis/mode) build it once.
-    pub fn new_shared(
-        m: &'a Module,
-        analysis: &'a Analysis,
-        frozen: &'a FrozenLocs,
-        mode: Mode,
-        graph: Arc<CallGraph>,
+        graph: &'a CallGraph,
     ) -> CheckContext<'a> {
         let _span = obs::span!("cqual.context");
         let mut range_scopes: FxHashMap<NodeId, Vec<RangeScope>> = FxHashMap::default();
@@ -135,8 +117,7 @@ impl<'a> CheckContext<'a> {
         // parameter metadata is a direct positional lookup — no pass
         // over the variable table. For duplicate definitions the later
         // one wins, matching the name-keyed function map.
-        let empty = Arc::new(Vec::new());
-        let mut params: Vec<Arc<Vec<ParamInfo>>> = vec![empty; graph.len()];
+        let mut params: Vec<Vec<ParamInfo>> = vec![Vec::new(); graph.len()];
         for f in m.functions() {
             let Some(v) = graph.node(&f.name.name) else {
                 continue;
@@ -148,7 +129,7 @@ impl<'a> CheckContext<'a> {
                 let restrict = p.restrict || inferred.contains(&(f.id, p.name.name.as_str()));
                 infos.push(ParamInfo { rho_p, restrict });
             }
-            params[v] = Arc::new(infos);
+            params[v] = infos;
         }
 
         CheckContext {
@@ -174,31 +155,26 @@ impl<'a> CheckContext<'a> {
 }
 
 /// The result of checking one function: its errors (in site order), its
-/// counted lock sites, and its published summary.
+/// counted lock sites, and its summary.
 pub(crate) struct FunOutcome {
     pub errors: Vec<LockError>,
     pub sites: usize,
-    pub summary: Arc<Summary>,
+    pub summary: Summary,
 }
 
-/// Checks one function against the context and the summaries its
-/// schedule dependencies have already published.
+/// Checks one function against the context and the summary slots, by
+/// node id, of the functions checked before it.
 pub(crate) fn check_function(
     cx: &CheckContext<'_>,
-    summaries: &Summaries,
+    summaries: &[Option<Summary>],
     f: &FunDef,
 ) -> FunOutcome {
     let _span = obs::span!("cqual.function");
     let _hist = obs::hist_timer!(obs::Hist::CheckFunction);
     obs::count(obs::Counter::CqualFunctionsChecked, 1);
-    let caller = cx
-        .graph
-        .node(&f.name.name)
-        .expect("checked function is defined");
     let mut fc = FunctionChecker {
         cx,
         summaries,
-        caller,
         current_fun: f.name.name.to_string(),
         errors: Vec::new(),
         sites: 0,
@@ -220,11 +196,11 @@ pub(crate) fn check_function(
     FunOutcome {
         errors: fc.errors,
         sites: fc.sites,
-        summary: Arc::new(Summary {
+        summary: Summary {
             first_req: sink.reqs,
             out,
             havocked: store.is_havocked(),
-        }),
+        },
     }
 }
 
@@ -255,9 +231,9 @@ struct ReqSink {
 /// inputs are behind `&` — only the per-function bookkeeping is mutable.
 struct FunctionChecker<'c, 'a> {
     cx: &'c CheckContext<'a>,
-    summaries: &'c Summaries,
-    /// This function's call-graph node.
-    caller: usize,
+    /// Summary slots by node id; filled for the functions checked before
+    /// this one.
+    summaries: &'c [Option<Summary>],
     current_fun: String,
     errors: Vec<LockError>,
     sites: usize,
@@ -504,25 +480,18 @@ impl FunctionChecker<'_, '_> {
             return;
         }
 
-        // Defined function: apply its summary if the schedule has already
-        // published it. The schedule gate (not map presence) keeps the
-        // parallel checker faithful to the sequential one: in a parallel
-        // run a later-scheduled cyclic callee's summary may already exist,
-        // but the sequential checker would not have seen it yet.
+        // Defined function: apply its summary if its slot is filled, that
+        // is, if the callee comes earlier in the schedule; otherwise havoc
+        // if it is cyclic (a callee later in the schedule always is).
         let Some(c) = self.cx.graph.node(callee) else {
             return; // extern/undefined: no interprocedural effect
         };
-        if !self.cx.graph.uses_summary(self.caller, c) {
+        let Some(sum) = &self.summaries[c] else {
             if self.cx.graph.is_cyclic(c) {
                 store.havoc();
             }
             return;
-        }
-        let sum = self
-            .summaries
-            .get(callee)
-            .cloned()
-            .expect("dependency summary published before caller is checked");
+        };
         let map = self.retarget_map(c, args);
         for (loc, required, _op) in &sum.first_req {
             let target = retarget(&map, self.cx.frozen, *loc);
@@ -544,10 +513,9 @@ impl FunctionChecker<'_, '_> {
 
     /// Maps a callee's restrict-parameter `ρ'` locations to the actual
     /// arguments' pointee locations at this call site.
-    fn retarget_map(&mut self, callee: usize, args: &[Expr]) -> FxHashMap<Loc, Loc> {
+    fn retarget_map(&self, callee: usize, args: &[Expr]) -> FxHashMap<Loc, Loc> {
         let mut map = FxHashMap::default();
-        let infos = self.cx.params[callee].clone();
-        for (info, arg) in infos.iter().zip(args) {
+        for (info, arg) in self.cx.params[callee].iter().zip(args) {
             if !info.restrict {
                 continue;
             }
@@ -560,7 +528,7 @@ impl FunctionChecker<'_, '_> {
     }
 
     /// The canonical pointee location of a pointer-valued argument.
-    fn arg_pointee(&mut self, arg: &Expr) -> Option<Loc> {
+    fn arg_pointee(&self, arg: &Expr) -> Option<Loc> {
         match self.cx.state.expr_ty.get(arg.id.index())?.as_ref()? {
             Ty::Ref(l) => Some(self.cx.frozen.find(*l)),
             _ => None,

@@ -39,7 +39,6 @@
 
 pub mod callgraph;
 pub mod flow;
-pub mod fx;
 pub mod incremental;
 mod intra;
 pub mod qual;

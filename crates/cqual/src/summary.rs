@@ -1,11 +1,11 @@
-//! Immutable interprocedural summaries and their call-site retargeting.
+//! Interprocedural summaries and their call-site retargeting.
 //!
 //! A [`Summary`] is the complete interprocedural artifact of checking one
 //! function: the lock states it requires on entry (per location, first
-//! use) and the states it leaves on exit. Summaries are built bottom-up
-//! over the [`crate::callgraph::CallGraph`] schedule and published behind
-//! `Arc` — once published they are never mutated, so the incremental
-//! checker shares cached ones across runs without copying them.
+//! use) and the states it leaves on exit. The checker walks the
+//! [`crate::callgraph::CallGraph`] order bottom-up and stores each
+//! function's summary in a slot indexed by its node id; a call applies
+//! its callee's summary when that slot is already filled.
 //!
 //! A summary speaks in the *callee's* frame: a restrict parameter's
 //! entries name the callee's fresh `ρ'`. [`retarget`] maps those entries
@@ -13,14 +13,12 @@
 //! inside a `confine` gets strong updates through
 //! `do_with_lock(&locks[i])`.
 
-use crate::fx::FxHashMap;
 use crate::qual::LockState;
 use crate::report::LockOp;
+use localias_alias::fx::FxHashMap;
 use localias_alias::{FrozenLocs, Loc};
-use std::sync::Arc;
 
-/// Per-function interprocedural summary. Immutable once published; share
-/// via [`Arc`].
+/// Per-function interprocedural summary.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct Summary {
     /// Lock state required on entry, per location (first use).
@@ -34,11 +32,6 @@ pub(crate) struct Summary {
     /// every call site outside the clique (found by `localias fuzz`).
     pub havocked: bool,
 }
-
-/// The published summaries, keyed by function name. Between waves the
-/// scheduler inserts the completed wave's summaries; during a wave the
-/// map is only read.
-pub(crate) type Summaries = FxHashMap<String, Arc<Summary>>;
 
 /// Parameter metadata for retargeting restrict-parameter summaries.
 #[derive(Debug, Clone)]

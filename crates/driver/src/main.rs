@@ -4,7 +4,8 @@
 //! ```text
 //! localias parse   <file.mc>          # parse & pretty-print
 //! localias check   <file.mc>          # check explicit restrict/confine annotations
-//! localias infer   <file.mc>          # restrict + confine inference
+//! localias infer   <file.mc> [--general]
+//!                                     # restrict + confine inference
 //! localias locks   <file.mc> [mode]   # flow-sensitive lock checking
 //! localias run     <file.mc> [arg]    # execute under the §3.2 semantics
 //! localias fuzz    [--iterations N] [--seed S] [--fuel N] [--repro-dir DIR]
@@ -14,7 +15,7 @@
 //!                                     # re-check the module on every save
 //! localias corpus  <dir> [seed]       # dump the synthetic driver corpus
 //! localias experiment [seed] [--jobs N] [--cache DIR | --no-cache]
-//!                    [--modules N] [--bench-out FILE] [--profile] [--quiet]
+//!                    [--modules N] [--bench-out FILE] [--profile]
 //!                                     # run the full Section 7 experiment;
 //!                                     # a whole-corpus sweep also prints the
 //!                                     # §7 table, Figure 6 and Figure 7
@@ -36,9 +37,7 @@
 //! stderr and embeds the trace in the `--bench-out` report's `profile`
 //! block. Latency histograms are always collected — every `--bench-out`
 //! report carries a `hist` block with exact p50/p90/p95/p99
-//! percentiles. `--quiet` silences informational diagnostics (warnings
-//! still print); `LOCALIAS_LOG` overrides the level
-//! (`off|error|warn|info|debug`).
+//! percentiles.
 //!
 //! Modes for `locks`: `noconfine` (default), `confine`, `allstrong`.
 
@@ -97,7 +96,7 @@ fn main() -> ExitCode {
                  \x20                          analyses, for scripting)\n\
                  corpus  <dir> [seed]       write the synthetic driver corpus to <dir>\n\
                  experiment [seed] [--jobs N] [--cache DIR | --no-cache] [--modules N]\n\
-                 \x20                          [--bench-out FILE] [--profile] [--quiet]\n\
+                 \x20                          [--bench-out FILE] [--profile]\n\
                  \x20                          run the full Section 7 experiment in parallel,\n\
                  \x20                          incrementally via the sharded result cache\n\
                  \x20                          (default .localias-cache/, 16 shards; only\n\
@@ -137,8 +136,31 @@ fn main() -> ExitCode {
     }
 }
 
-fn load(args: &[String]) -> Result<(String, Module, LineMap), String> {
-    let path = args.first().ok_or("missing input file")?;
+/// The input file of a file-based subcommand and at most `max_extra`
+/// further positional arguments. Every flag is rejected; a negative
+/// number such as `-3` is an argument, not a flag.
+fn file_args<'a>(
+    args: &'a [String],
+    max_extra: usize,
+    usage: &str,
+) -> Result<(&'a str, Vec<&'a str>), String> {
+    let mut positional = Vec::new();
+    for a in args {
+        if a.starts_with('-') && a.parse::<i64>().is_err() {
+            return Err(format!("unknown flag `{a}`\n{usage}"));
+        }
+        if positional.len() > max_extra {
+            return Err(format!("unexpected argument `{a}`\n{usage}"));
+        }
+        positional.push(a.as_str());
+    }
+    match positional.split_first() {
+        Some((path, rest)) => Ok((path, rest.to_vec())),
+        None => Err(format!("missing input file\n{usage}")),
+    }
+}
+
+fn load(path: &str) -> Result<(String, Module, LineMap), String> {
     let src = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let name = std::path::Path::new(path)
         .file_stem()
@@ -151,12 +173,14 @@ fn load(args: &[String]) -> Result<(String, Module, LineMap), String> {
 }
 
 fn cmd_parse(args: &[String]) -> Result<String, String> {
-    let (_, m, _) = load(args)?;
+    let (path, _) = file_args(args, 0, "usage: localias parse <file.mc>")?;
+    let (_, m, _) = load(path)?;
     Ok(pretty::print_module(&m))
 }
 
 fn cmd_check(args: &[String]) -> Result<String, String> {
-    let (name, m, lines) = load(args)?;
+    let (path, _) = file_args(args, 0, "usage: localias check <file.mc>")?;
+    let (name, m, lines) = load(path)?;
     let a = localias_core::check(&m);
     let mut out = String::new();
     let _ = writeln!(out, "module {name}:");
@@ -196,8 +220,11 @@ fn cmd_check(args: &[String]) -> Result<String, String> {
 }
 
 fn cmd_infer(args: &[String]) -> Result<String, String> {
-    let (name, m, _lines) = load(args)?;
-    let general = args.iter().any(|a| a == "--general");
+    let (general, rest): (Vec<String>, Vec<String>) =
+        args.iter().cloned().partition(|a| a == "--general");
+    let (path, _) = file_args(&rest, 0, "usage: localias infer <file.mc> [--general]")?;
+    let (name, m, _lines) = load(path)?;
+    let general = !general.is_empty();
     let mut out = String::new();
     let _ = writeln!(out, "module {name}:");
 
@@ -235,8 +262,10 @@ fn cmd_infer(args: &[String]) -> Result<String, String> {
 }
 
 fn cmd_locks(args: &[String]) -> Result<String, String> {
-    let (name, m, lines) = load(args)?;
-    let mode = match args.get(1).map(String::as_str) {
+    const USAGE: &str = "usage: localias locks <file.mc> [noconfine|confine|allstrong]";
+    let (path, rest) = file_args(args, 1, USAGE)?;
+    let (name, m, lines) = load(path)?;
+    let mode = match rest.first().copied() {
         None | Some("noconfine") => Mode::NoConfine,
         Some("confine") => Mode::Confine,
         Some("allstrong") => Mode::AllStrong,
@@ -253,8 +282,9 @@ fn cmd_locks(args: &[String]) -> Result<String, String> {
 }
 
 fn cmd_run(args: &[String]) -> Result<String, String> {
-    let (name, m, _lines) = load(args)?;
-    let arg: i64 = match args.get(1) {
+    let (path, rest) = file_args(args, 1, "usage: localias run <file.mc> [arg]")?;
+    let (name, m, _lines) = load(path)?;
+    let arg: i64 = match rest.first() {
         Some(s) => s.parse().map_err(|_| format!("bad argument `{s}`"))?,
         None => 1,
     };

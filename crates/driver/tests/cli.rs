@@ -218,9 +218,10 @@ fn watch_rejects_unknown_flags() {
 /// Removed flags are unknown and gone from the usage text: the old
 /// wave-thread flag (the lock checker is sequential) from both commands
 /// that took it, `watch --verify` (every analysis is already a check
-/// from scratch), and the partitioned sweep and extra trace files (one
-/// process per sweep, one artifact per run). Their subcommands print
-/// the usage text.
+/// from scratch), `experiment --quiet` (no diagnostic it could silence),
+/// and the partitioned sweep and extra trace files (one process per
+/// sweep, one artifact per run). Their subcommands print the usage
+/// text.
 #[test]
 fn removed_flags_are_unknown() {
     let p = write_temp("watch-intra.mc", WATCH_BASE);
@@ -241,6 +242,8 @@ fn removed_flags_are_unknown() {
     assert!(err.contains("unknown flag `--alias`"), "{err}");
 
     for (args, flag) in [
+        (&["experiment", "--quiet"][..], "--quiet"),
+        (&["experiment", "-q"][..], "-q"),
         (&["experiment", "--partition", "0/2"][..], "--partition"),
         (&["experiment", "--cache-shards", "4"][..], "--cache-shards"),
         (&["experiment", "--trace-out", "F"][..], "--trace-out"),
@@ -343,6 +346,39 @@ fn subcommands_reject_flags_they_do_not_use() {
         );
     }
     assert!(!dir.exists(), "a rejected corpus command wrote {dir_s}");
+
+    // The file-based subcommands take the input file and nothing they
+    // do not use: `locks` one optional mode, `run` one optional number,
+    // `infer` its `--general` flag on either side of the file.
+    let p = write_temp("strays.mc", FIG1);
+    let p = p.to_str().unwrap();
+    for (args, want) in [
+        (&["parse", p, "--bogus"][..], "unknown flag `--bogus`"),
+        (
+            &["check", p, "extra", "junk"][..],
+            "unexpected argument `extra`",
+        ),
+        (&["infer", p, "--bogus"][..], "unknown flag `--bogus`"),
+        (&["infer", p, "extra"][..], "unexpected argument `extra`"),
+        (&["locks", p, "confine", "x"][..], "unexpected argument `x`"),
+        (&["locks", p, "--mode"][..], "unknown flag `--mode`"),
+        (&["run", p, "3", "4"][..], "unexpected argument `4`"),
+        (&["run", p, "--fuel"][..], "unknown flag `--fuel`"),
+    ] {
+        let (_, err, ok) = localias(args);
+        assert!(!ok, "{args:?} was accepted");
+        assert!(err.contains(want), "{args:?}: {err}");
+    }
+    for args in [
+        &["infer", "--general", p][..],
+        &["infer", p, "--general"][..],
+        &["locks", p, "confine"][..],
+        &["run", p, "-3"][..],
+    ] {
+        let (out, err, ok) = localias(args);
+        assert!(ok, "{args:?} was rejected: {err}");
+        assert!(out.starts_with("module strays"), "{args:?}: {out}");
+    }
     let (_, err, _) = localias(&[]);
     for cmd in ["scale ", "precision "] {
         assert!(

@@ -93,13 +93,6 @@ impl Sets {
             })
         })
     }
-
-    /// The number of locations in `node`'s set.
-    fn len(&self, node: NodeIx) -> usize {
-        (0..self.w)
-            .map(|i| self.word(node, KindMask::ALL, i).count_ones() as usize)
-            .sum()
-    }
 }
 
 /// The propagation state: every node's [`Sets`] entry, plus the inputs of
@@ -520,11 +513,6 @@ impl Solution {
         self.node(cs, var)
             .into_iter()
             .flat_map(move |n| self.sets.iter(n))
-    }
-
-    /// The number of atoms in `var`'s solved set.
-    pub fn set_len(&self, cs: &ConstraintSystem, var: EffVar) -> usize {
-        self.node(cs, var).map_or(0, |n| self.sets.len(n))
     }
 
     /// Whether `flag` was set by a fired conditional.

@@ -227,11 +227,6 @@ impl Memory {
         &mut self.objects[a.obj].cells[a.off]
     }
 
-    /// Number of objects allocated.
-    pub fn object_count(&self) -> usize {
-        self.objects.len()
-    }
-
     /// Number of lock cells currently in the held state, across every
     /// object. The differential fuzz oracle reads this after an entry
     /// function returns: a nonzero count on a path the checker verified

@@ -72,8 +72,6 @@ hists! {
     AnalyzeModule => "analyze.module",
     /// Flow-sensitive lock check of one function under one mode.
     CheckFunction => "check.function",
-    /// One call-graph wave of the check schedule (all modes).
-    CheckWave => "check.wave",
     /// Result-cache shard read + parse on load.
     CacheShardLoad => "cache.shard_load",
     /// Result-cache shard serialize + locked rename on persist.
@@ -429,18 +427,18 @@ mod tests {
         crate::disable_hists();
         let _ = take_hists();
         {
-            let _t = HistTimer::start(Hist::CheckWave);
+            let _t = HistTimer::start(Hist::CheckFunction);
         }
         assert!(take_hists().is_empty(), "disabled timer records nothing");
         crate::enable_hists();
         {
-            let _t = HistTimer::start(Hist::CheckWave);
+            let _t = HistTimer::start(Hist::CheckFunction);
             std::thread::sleep(Duration::from_millis(1));
         }
         crate::disable_hists();
         let hists = take_hists();
         assert_eq!(hists.len(), 1);
-        assert_eq!(hists[0].name, "check.wave");
+        assert_eq!(hists[0].name, "check.function");
         assert_eq!(hists[0].count, 1);
         assert!(hists[0].min_ns >= 1_000_000, "slept a millisecond");
     }

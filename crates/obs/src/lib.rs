@@ -1,7 +1,6 @@
 #![warn(missing_docs)]
 
-//! Structured tracing, metrics and leveled logging for the whole
-//! analysis pipeline.
+//! Structured tracing and metrics for the whole analysis pipeline.
 //!
 //! The paper's empirical claims are about *where time and precision go*
 //! — O(kn) `CHECK-SAT`, O(n²) restrict inference, 589 flow-checked
@@ -24,9 +23,6 @@
 //!   distributions ([`Hist`]) with exact count/sum/min/max and
 //!   deterministic percentiles, merged thread-locally exactly like
 //!   spans — the per-event view (p50/p95/p99) that sums and means hide.
-//! * **Leveled logging** ([`error!`]/[`warn!`]/[`info!`]/[`debug!`]):
-//!   every diagnostic the pipeline used to `eprintln!` now respects one
-//!   global [`Level`], set from `LOCALIAS_LOG` and `--quiet`.
 //!
 //! Sinks are pulled, not pushed: enable collection with
 //! [`enable_metrics`]/[`enable_spans`]/[`enable_hists`], run the
@@ -37,7 +33,6 @@
 
 mod hist;
 pub mod json;
-mod log;
 mod metrics;
 mod span;
 mod trace;
@@ -46,7 +41,6 @@ pub use hist::{
     bucket_upper_bound, fmt_ns, hist_name, hists_enabled, record, record_duration, Hist,
     HistSnapshot, HistTimer, ALL_HISTS, HIST_COUNT,
 };
-pub use log::{init_from_env, log_enabled, set_level, Level};
 pub use metrics::{
     count, counter_name, gauge_max, metrics_enabled, peak_rss_bytes, Counter, Metrics,
 };

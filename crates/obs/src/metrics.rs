@@ -86,7 +86,10 @@ counters! {
     ModulesAnalyzed => "core.modules_analyzed",
     /// Functions checked by the flow-sensitive lock checker.
     CqualFunctionsChecked => "cqual.functions_checked",
-    /// Call-graph waves executed.
+    /// Nothing increments this counter: the lock checker walks its
+    /// schedule once, with no waves, so it always reads 0. It is kept
+    /// only because the `benchmark/` workspace still reads it as the
+    /// per-layer metric `cqual.waves`.
     CqualWaves => "cqual.waves",
     /// Lock acquire/release sites verified.
     CqualLockSites => "cqual.lock_sites",

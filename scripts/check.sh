@@ -15,8 +15,10 @@
 # perf-regression gate proving `localias bench-diff` is clean on a
 # self-compare, trips on an injected slowdown, and still compares the
 # kept pre-`gate` experiment artifact with a fresh one. The
-# benchmark workspace's tests run too, the solver's exactness tests are
-# gated by name, and the fuzz smoke pins its false-positive counts for
+# benchmark workspace's tests run too, the solver's exactness tests and
+# the lock checker's one-walk exactness tests (the sweep equals
+# `check_modes`, whose reports equal per-mode checks) are gated by name,
+# and the fuzz smoke pins its false-positive counts for
 # the one alias configuration the pipeline runs (Steensgaard). The fuzz
 # and scale subcommands write their artifacts once each, and a fuzz
 # artifact diffs clean against itself.
@@ -67,6 +69,16 @@ cargo test -q -p localias --test solver_props \
     conditional_fixpoint_matches_reference >/dev/null
 cargo test -q -p localias --test solver_props \
     corpus_systems_match_reference >/dev/null
+
+# The lock checker's exactness contract is gated by name too: the sweep
+# checks each module's three modes over one call graph through
+# `check_modes`, so its error triples must equal `check_modes`, and the
+# shared-graph reports must be byte-identical to three independent
+# per-mode checks.
+cargo test -q -p localias-bench --test experiment_pipeline \
+    sweep_matches_check_modes >/dev/null
+cargo test -q -p localias-bench --test experiment_pipeline \
+    shared_analysis_reports_are_byte_identical >/dev/null
 
 # Cold pass primes a throwaway cache and must report the paper's §7
 # totals over the whole corpus; warm pass must hit on all 589 modules
@@ -344,4 +356,4 @@ grep -q '"300": {' "$SCALEART" || {
     exit 1
 }
 
-echo "check.sh: fmt, clippy, build, tests, concurrency + obs + hist + solver-exactness gates, §7 totals + Figures 6 and 7, warm-cache sweep, crash recovery, mega session test, watch smoke, artifact smoke, bench-diff gate, benchmark tests, fuzz smoke, fuzz artifact, precision counts, and scale smoke all passed"
+echo "check.sh: fmt, clippy, build, tests, concurrency + obs + hist + solver-exactness + checker-exactness gates, §7 totals + Figures 6 and 7, warm-cache sweep, crash recovery, mega session test, watch smoke, artifact smoke, bench-diff gate, benchmark tests, fuzz smoke, fuzz artifact, precision counts, and scale smoke all passed"
