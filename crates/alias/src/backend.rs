@@ -45,7 +45,7 @@ use crate::loc::{Loc, Multiplicity};
 use crate::steensgaard::{State, VarKind};
 use crate::ty::{locs_of, Ty};
 use localias_ast::visit::{walk_expr, walk_module, Visitor};
-use localias_ast::{Expr, ExprKind, Module, NodeId};
+use localias_ast::{Expr, ExprKind, Module, NodeId, Symbol};
 use localias_obs as obs;
 
 /// Which alias analysis produces the frozen location view.
@@ -145,7 +145,7 @@ fn cell_keys(state: &State, cell: &Cell) -> Option<Vec<Loc>> {
         }
         Cell::Field(s, f) => state
             .fields
-            .get(&(s.clone(), f.clone()))
+            .get(&(Symbol::from(s.as_str()), Symbol::from(f.as_str())))
             .map(|&l| vec![l])
             .unwrap_or_default(),
         Cell::Heap(id) => {

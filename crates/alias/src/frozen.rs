@@ -132,7 +132,7 @@ mod tests {
                     1 => Multiplicity::One,
                     _ => Multiplicity::Many,
                 };
-                t.fresh_with(format!("l{i}"), Ty::Int, m)
+                t.fresh_with(Ty::Int, m)
             })
             .collect();
         for w in locs.chunks(4) {
@@ -158,8 +158,8 @@ mod tests {
     #[test]
     fn frozen_is_immutable_under_later_unions() {
         let mut t = LocTable::new();
-        let a = t.fresh("a", Ty::Int);
-        let b = t.fresh("b", Ty::Int);
+        let a = t.fresh(Ty::Int);
+        let b = t.fresh(Ty::Int);
         let frozen = t.freeze();
         assert!(!frozen.same(a, b));
         // Later unification does not retroactively change the snapshot.
@@ -171,11 +171,11 @@ mod tests {
     #[test]
     fn strong_updatable_matches_checker_rule() {
         let mut t = LocTable::new();
-        let one = t.fresh_with("x", Ty::Lock, Multiplicity::One);
-        let many = t.fresh_with("arr[]", Ty::Lock, Multiplicity::Many);
-        let tainted = t.fresh_with("y", Ty::Lock, Multiplicity::One);
+        let one = t.fresh_with(Ty::Lock, Multiplicity::One);
+        let many = t.fresh_with(Ty::Lock, Multiplicity::Many);
+        let tainted = t.fresh_with(Ty::Lock, Multiplicity::One);
         t.taint(tainted);
-        let zero = t.fresh("z", Ty::Lock);
+        let zero = t.fresh(Ty::Lock);
         let f = t.freeze();
         assert!(f.strong_updatable(one));
         assert!(f.strong_updatable(zero));

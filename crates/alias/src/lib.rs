@@ -37,7 +37,6 @@
 pub mod andersen;
 pub mod backend;
 pub mod frozen;
-pub mod fx;
 pub mod loc;
 pub mod steensgaard;
 pub mod ty;
@@ -45,8 +44,9 @@ pub mod union_find;
 
 pub use backend::Backend;
 pub use frozen::FrozenLocs;
-pub use fx::{FxHashMap, FxHashSet, FxHasher, FxMap, FxSet};
 pub use loc::{Loc, LocTable};
+pub use localias_ast::fx;
+pub use localias_ast::fx::{FxHashMap, FxHashSet, FxHasher, FxMap, FxSet};
 pub use steensgaard::{
     analyze, analyze_with, BindSite, FunSig, Hooks, ModuleAliases, NoHooks, ScopeKind, State,
     VarId, VarInfo, VarKind,

@@ -68,8 +68,6 @@ impl Multiplicity {
 /// Per-location metadata (kept on the canonical representative).
 #[derive(Debug, Clone)]
 struct LocInfo {
-    /// Debug name, e.g. `locks[]` or `dev.mu`.
-    name: String,
     /// The type of the value stored at this location.
     content: Ty,
     /// `true` if the location's identity was laundered through a type
@@ -113,17 +111,16 @@ impl LocTable {
     }
 
     /// Allocates a fresh placeholder location ([`Multiplicity::Zero`])
-    /// named `name` holding values of type `content`.
-    pub fn fresh(&mut self, name: impl Into<String>, content: Ty) -> Loc {
-        self.fresh_with(name, content, Multiplicity::Zero)
+    /// holding values of type `content`.
+    pub fn fresh(&mut self, content: Ty) -> Loc {
+        self.fresh_with(content, Multiplicity::Zero)
     }
 
     /// Allocates a fresh location with an explicit multiplicity.
-    pub fn fresh_with(&mut self, name: impl Into<String>, content: Ty, mult: Multiplicity) -> Loc {
+    pub fn fresh_with(&mut self, content: Ty, mult: Multiplicity) -> Loc {
         obs::count(obs::Counter::AliasFreshLocs, 1);
         let key = self.uf.push();
         self.info.push(LocInfo {
-            name: name.into(),
             content,
             tainted: false,
             mult,
@@ -202,12 +199,6 @@ impl LocTable {
         self.info[r.index()].content = ty;
     }
 
-    /// Debug name of `l`'s class.
-    pub fn name(&mut self, l: Loc) -> String {
-        let r = self.find(l);
-        self.info[r.index()].name.clone()
-    }
-
     /// Marks `l`'s class tainted (see [`LocTable::is_tainted`]).
     pub fn taint(&mut self, l: Loc) {
         let r = self.find(l);
@@ -229,12 +220,6 @@ impl LocTable {
         let merged = self.uf.union(a.0, b.0).map(|(w, l)| (Loc(w), Loc(l)));
         if let Some((winner, loser)) = merged {
             obs::count(obs::Counter::AliasUnifications, 1);
-            // Keep the earlier-created name for stable diagnostics, merge
-            // taint.
-            if loser.0 < winner.0 {
-                let name = self.info[loser.index()].name.clone();
-                self.info[winner.index()].name = name;
-            }
             let t = self.info[loser.index()].tainted;
             self.info[winner.index()].tainted |= t;
             let raised = self.info[loser.index()].raised;
@@ -283,18 +268,17 @@ mod tests {
     #[test]
     fn fresh_locations_are_distinct() {
         let mut t = LocTable::new();
-        let a = t.fresh("a", Ty::Int);
-        let b = t.fresh("b", Ty::Int);
+        let a = t.fresh(Ty::Int);
+        let b = t.fresh(Ty::Int);
         assert!(!t.same(a, b));
-        assert_eq!(t.name(a), "a");
         assert_eq!(t.content(b), Ty::Int);
     }
 
     #[test]
     fn union_merges_taint_and_logs() {
         let mut t = LocTable::new();
-        let a = t.fresh("a", Ty::Int);
-        let b = t.fresh("b", Ty::Int);
+        let a = t.fresh(Ty::Int);
+        let b = t.fresh(Ty::Int);
         t.taint(b);
         assert!(!t.is_tainted(a));
         t.union_raw(a, b);
@@ -306,20 +290,10 @@ mod tests {
     }
 
     #[test]
-    fn earlier_name_wins() {
-        let mut t = LocTable::new();
-        let a = t.fresh("first", Ty::Int);
-        let b = t.fresh("second", Ty::Int);
-        t.union_raw(b, a);
-        assert_eq!(t.name(a), "first");
-        assert_eq!(t.name(b), "first");
-    }
-
-    #[test]
     fn created_multiplicity_survives_union_and_raise() {
         let mut t = LocTable::new();
-        let a = t.fresh_with("a", Ty::Int, Multiplicity::One);
-        let b = t.fresh_with("b", Ty::Int, Multiplicity::One);
+        let a = t.fresh_with(Ty::Int, Multiplicity::One);
+        let b = t.fresh_with(Ty::Int, Multiplicity::One);
         t.union_raw(a, b);
         assert_eq!(t.multiplicity(a), Multiplicity::Many, "class joins");
         assert_eq!(t.created_multiplicity(a), Multiplicity::One);
@@ -333,8 +307,8 @@ mod tests {
     #[test]
     fn raised_propagates_through_union() {
         let mut t = LocTable::new();
-        let a = t.fresh("a", Ty::Int);
-        let b = t.fresh("b", Ty::Int);
+        let a = t.fresh(Ty::Int);
+        let b = t.fresh(Ty::Int);
         t.raise_multiplicity(b, Multiplicity::Many);
         assert!(!t.is_raised(a));
         t.union_raw(a, b);
@@ -344,7 +318,7 @@ mod tests {
     #[test]
     fn canonical_locs_shrink_under_union() {
         let mut t = LocTable::new();
-        let locs: Vec<Loc> = (0..10).map(|i| t.fresh(format!("l{i}"), Ty::Int)).collect();
+        let locs: Vec<Loc> = (0..10).map(|_| t.fresh(Ty::Int)).collect();
         assert_eq!(t.canonical_locs().len(), 10);
         for w in locs.windows(2) {
             t.union_raw(w[0], w[1]);

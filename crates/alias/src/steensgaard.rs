@@ -36,7 +36,7 @@ use crate::loc::{Loc, LocTable};
 use crate::ty::{unify, Ty, TypeMismatch};
 use localias_ast::{
     BinOp, BindingKind, Block, Expr, ExprKind, FunDef, Ident, ItemKind, Module, NodeId, Param,
-    Stmt, StmtKind, TypeExpr, UnOp,
+    Stmt, StmtKind, Symbol, TypeExpr, UnOp,
 };
 
 /// A dense identifier for a variable binding (global, parameter or local).
@@ -64,14 +64,14 @@ pub enum VarKind {
 #[derive(Debug, Clone)]
 pub struct VarInfo {
     /// Source name.
-    pub name: String,
+    pub name: Symbol,
     /// Storage classification.
     pub kind: VarKind,
     /// The variable's *value* type (for an [`VarKind::Addressed`] variable
     /// this equals the content type of its location).
     pub ty: Ty,
     /// Enclosing function, or `None` for globals.
-    pub fun: Option<String>,
+    pub fun: Option<Symbol>,
 }
 
 /// The signature of a defined or extern function.
@@ -136,24 +136,24 @@ pub struct State {
     /// All variable bindings.
     pub vars: Vec<VarInfo>,
     /// Field-based field locations: `(struct name, field name) → loc`.
-    pub fields: FxMap<(String, String), Loc>,
+    pub fields: FxMap<(Symbol, Symbol), Loc>,
     /// Function signatures by name.
-    pub funs: FxMap<String, FunSig>,
+    pub funs: FxMap<Symbol, FunSig>,
     /// Per defined function, the *bound* parameter value types in
     /// declaration order — i.e. the types the parameter variables carry
     /// after any binding hooks ran (a restrict parameter's pointee is
     /// its fresh ρ′, not the signature's ρ). For duplicate definitions
     /// the first body wins, matching the variable table's scan order.
-    pub param_tys: FxMap<String, Vec<Ty>>,
+    pub param_tys: FxMap<Symbol, Vec<Ty>>,
     /// Type mismatches found (standard typing errors; the analyses treat
     /// the involved locations as tainted rather than aborting).
     pub mismatches: Vec<TypeMismatch>,
     /// Scope stack of name → var bindings.
-    env: Vec<FxMap<String, VarId>>,
+    env: Vec<FxMap<Symbol, VarId>>,
     /// Names of variables whose address is taken somewhere in the module.
-    addr_taken: FxSet<String>,
+    addr_taken: FxSet<Symbol>,
     /// Current function name during body walks.
-    current_fun: Option<String>,
+    current_fun: Option<Symbol>,
 }
 
 impl State {
@@ -176,53 +176,51 @@ impl State {
 
     /// Lowers a syntactic type to an analysis type, creating fresh
     /// locations for pointer/array structure.
-    pub fn lower(&mut self, ty: &TypeExpr, hint: &str) -> Ty {
+    pub fn lower(&mut self, ty: &TypeExpr) -> Ty {
         match ty {
             TypeExpr::Int => Ty::Int,
             TypeExpr::Lock => Ty::Lock,
             TypeExpr::Void => Ty::Void,
-            TypeExpr::Struct(s) => Ty::Struct(s.to_string()),
+            TypeExpr::Struct(s) => Ty::Struct(s.clone()),
             TypeExpr::Ptr(inner) => {
-                let content = self.lower(inner, hint);
-                let l = self.locs.fresh(format!("*{hint}"), content);
-                Ty::Ref(l)
+                let content = self.lower(inner);
+                Ty::Ref(self.locs.fresh(content))
             }
             TypeExpr::Array(elem, _) => {
                 // Arrays collapse: the declared object's value is a
                 // pointer to the single element location, which stands for
                 // many concrete objects.
-                let content = self.lower(elem, hint);
-                let l = self.locs.fresh_with(
-                    format!("{hint}[]"),
-                    content,
-                    crate::loc::Multiplicity::Many,
-                );
-                Ty::Ref(l)
+                let content = self.lower(elem);
+                Ty::Ref(
+                    self.locs
+                        .fresh_with(content, crate::loc::Multiplicity::Many),
+                )
             }
         }
     }
 
     /// The field location for `(struct_name, field)`, creating it (with
     /// content lowered from `ty`) on first use.
-    pub fn field_loc(&mut self, struct_name: &str, field: &str, ty: Option<&TypeExpr>) -> Loc {
-        if let Some(&l) = self
-            .fields
-            .get(&(struct_name.to_string(), field.to_string()))
-        {
+    pub fn field_loc(
+        &mut self,
+        struct_name: &Symbol,
+        field: &Symbol,
+        ty: Option<&TypeExpr>,
+    ) -> Loc {
+        let key = (struct_name.clone(), field.clone());
+        if let Some(&l) = self.fields.get(&key) {
             return l;
         }
-        let hint = format!("{struct_name}.{field}");
         let content = match ty {
-            Some(t) => self.lower(t, &hint),
+            Some(t) => self.lower(t),
             None => Ty::Unknown,
         };
         // Field-based field classes stand for one field per instance —
         // possibly many objects.
         let l = self
             .locs
-            .fresh_with(hint, content, crate::loc::Multiplicity::Many);
-        self.fields
-            .insert((struct_name.to_string(), field.to_string()), l);
+            .fresh_with(content, crate::loc::Multiplicity::Many);
+        self.fields.insert(key, l);
         l
     }
 
@@ -234,13 +232,13 @@ impl State {
         self.env.pop();
     }
 
-    fn bind(&mut self, name: &str, info: VarInfo) -> VarId {
+    fn bind(&mut self, info: VarInfo) -> VarId {
         let id = VarId(self.vars.len() as u32);
-        self.vars.push(info);
         self.env
             .last_mut()
             .expect("bind outside any scope")
-            .insert(name.to_string(), id);
+            .insert(info.name.clone(), id);
+        self.vars.push(info);
         id
     }
 
@@ -266,8 +264,8 @@ impl State {
 
     /// The function whose body is currently being walked (available to
     /// hooks).
-    pub fn current_fun(&self) -> Option<&str> {
-        self.current_fun.as_deref()
+    pub fn current_fun(&self) -> Option<&Symbol> {
+        self.current_fun.as_ref()
     }
 }
 
@@ -282,7 +280,7 @@ pub trait Hooks {
     /// A location is allocated (`new`) at `at`.
     fn on_alloc(&mut self, st: &mut State, loc: Loc, at: NodeId) {}
     /// A call to a *defined* (non-extern, non-intrinsic) function.
-    fn on_call(&mut self, st: &mut State, callee: &str, at: NodeId) {}
+    fn on_call(&mut self, st: &mut State, callee: &Symbol, at: NodeId) {}
     /// A scope was entered.
     fn enter_scope(&mut self, st: &mut State, kind: ScopeKind) {}
     /// A scope was exited.
@@ -415,22 +413,18 @@ impl<H: Hooks> Walker<H> {
         self.st.push_scope();
         for item in &m.items {
             if let ItemKind::Global(g) = &item.kind {
-                let ty = self.st.lower(&g.ty, &g.name.name);
+                let ty = self.st.lower(&g.ty);
                 // Globals always have addressable storage (one object).
-                let l = self.st.locs.fresh_with(
-                    g.name.name.clone(),
-                    ty.clone(),
-                    crate::loc::Multiplicity::One,
-                );
-                let var = self.st.bind(
-                    &g.name.name,
-                    VarInfo {
-                        name: g.name.name.to_string(),
-                        kind: VarKind::Addressed(l),
-                        ty,
-                        fun: None,
-                    },
-                );
+                let l = self
+                    .st
+                    .locs
+                    .fresh_with(ty.clone(), crate::loc::Multiplicity::One);
+                let var = self.st.bind(VarInfo {
+                    name: g.name.name.clone(),
+                    kind: VarKind::Addressed(l),
+                    ty,
+                    fun: None,
+                });
                 self.hooks
                     .on_bind(&mut self.st, var, BindSite::Global, g.id);
             }
@@ -456,12 +450,12 @@ impl<H: Hooks> Walker<H> {
     }
 
     fn collect_addr_taken(&mut self, m: &Module) {
-        struct Collect<'a>(&'a mut FxSet<String>);
+        struct Collect<'a>(&'a mut FxSet<Symbol>);
         impl localias_ast::visit::Visitor for Collect<'_> {
             fn visit_expr(&mut self, e: &Expr) {
                 if let ExprKind::Unary(UnOp::AddrOf, inner) = &e.kind {
                     if let ExprKind::Var(x) = &inner.kind {
-                        self.0.insert(x.name.to_string());
+                        self.0.insert(x.name.clone());
                     }
                 }
                 localias_ast::visit::walk_expr(self, e);
@@ -471,20 +465,14 @@ impl<H: Hooks> Walker<H> {
         localias_ast::visit::walk_module(&mut c, m);
     }
 
-    fn declare_fun(&mut self, name: &str, params: &[Param], ret: &TypeExpr, is_extern: bool) {
+    fn declare_fun(&mut self, name: &Symbol, params: &[Param], ret: &TypeExpr, is_extern: bool) {
         if self.st.funs.contains_key(name) {
             return;
         }
-        let params = params
-            .iter()
-            .map(|p| {
-                let hint = format!("{name}.{}", p.name.name);
-                self.st.lower(&p.ty, &hint)
-            })
-            .collect();
-        let ret = self.st.lower(ret, &format!("{name}.ret"));
+        let params = params.iter().map(|p| self.st.lower(&p.ty)).collect();
+        let ret = self.st.lower(ret);
         self.st.funs.insert(
-            name.to_string(),
+            name.clone(),
             FunSig {
                 params,
                 ret,
@@ -494,11 +482,11 @@ impl<H: Hooks> Walker<H> {
     }
 
     fn fun(&mut self, f: &FunDef) {
-        self.st.current_fun = Some(f.name.name.to_string());
+        self.st.current_fun = Some(f.name.name.clone());
         self.hooks.enter_scope(&mut self.st, ScopeKind::Fun(f.id));
         self.st.push_scope();
 
-        let sig = self.st.funs[f.name.name.as_str()].clone();
+        let sig = self.st.funs[&f.name.name].clone();
         let mut bound_tys = Vec::with_capacity(f.params.len());
         for (p, sig_ty) in f.params.iter().zip(&sig.params) {
             let site = BindSite::Param {
@@ -506,22 +494,12 @@ impl<H: Hooks> Walker<H> {
             };
             let value_ty = self.hooks.bind_ty(&mut self.st, site, sig_ty.clone(), f.id);
             bound_tys.push(value_ty.clone());
-            let kind = self.var_kind(&p.name.name, &value_ty);
-            let fun = self.st.current_fun.clone();
-            let var = self.st.bind(
-                &p.name.name,
-                VarInfo {
-                    name: p.name.name.to_string(),
-                    kind,
-                    ty: value_ty,
-                    fun,
-                },
-            );
+            let var = self.bind_var(&p.name.name, value_ty);
             self.hooks.on_bind(&mut self.st, var, site, f.id);
         }
         self.st
             .param_tys
-            .entry(f.name.name.to_string())
+            .entry(f.name.name.clone())
             .or_insert(bound_tys);
 
         self.block_inner(&f.body);
@@ -531,19 +509,26 @@ impl<H: Hooks> Walker<H> {
         self.st.current_fun = None;
     }
 
-    /// Picks a storage classification for a new variable; address-taken
-    /// variables get a fresh location whose content is the value type.
-    fn var_kind(&mut self, name: &str, value_ty: &Ty) -> VarKind {
-        if self.st.addr_taken.contains(name) {
-            let l = self.st.locs.fresh_with(
-                name.to_string(),
-                value_ty.clone(),
-                crate::loc::Multiplicity::One,
-            );
+    /// Binds a local or parameter of the current function in the
+    /// innermost scope. Address-taken variables get a fresh location
+    /// whose content is the value type; the rest are registers.
+    fn bind_var(&mut self, name: &Symbol, ty: Ty) -> VarId {
+        let kind = if self.st.addr_taken.contains(name) {
+            let l = self
+                .st
+                .locs
+                .fresh_with(ty.clone(), crate::loc::Multiplicity::One);
             VarKind::Addressed(l)
         } else {
             VarKind::Register
-        }
+        };
+        let fun = self.st.current_fun.clone();
+        self.st.bind(VarInfo {
+            name: name.clone(),
+            kind,
+            ty,
+            fun,
+        })
     }
 
     fn scoped_block(&mut self, b: &Block, kind: ScopeKind) {
@@ -574,7 +559,7 @@ impl<H: Hooks> Walker<H> {
                 name,
                 init,
             } => {
-                let declared = self.st.lower(ty, &name.name);
+                let declared = self.st.lower(ty);
                 let init_ty = match init {
                     Some(e) => {
                         let t = self.rval(e);
@@ -587,17 +572,7 @@ impl<H: Hooks> Walker<H> {
                     has_init: init.is_some(),
                 };
                 let value_ty = self.hooks.bind_ty(&mut self.st, site, init_ty, s.id);
-                let kind = self.var_kind(&name.name, &value_ty);
-                let fun = self.st.current_fun.clone();
-                let var = self.st.bind(
-                    &name.name,
-                    VarInfo {
-                        name: name.name.to_string(),
-                        kind,
-                        ty: value_ty,
-                        fun,
-                    },
-                );
+                let var = self.bind_var(&name.name, value_ty);
                 self.hooks.on_bind(&mut self.st, var, site, s.id);
             }
             StmtKind::Restrict { name, init, body } => {
@@ -607,17 +582,7 @@ impl<H: Hooks> Walker<H> {
                 self.hooks
                     .enter_scope(&mut self.st, ScopeKind::RestrictBody(s.id));
                 self.st.push_scope();
-                let kind = self.var_kind(&name.name, &value_ty);
-                let fun = self.st.current_fun.clone();
-                let var = self.st.bind(
-                    &name.name,
-                    VarInfo {
-                        name: name.name.to_string(),
-                        kind,
-                        ty: value_ty,
-                        fun,
-                    },
-                );
+                let var = self.bind_var(&name.name, value_ty);
                 self.hooks.on_bind(&mut self.st, var, site, s.id);
                 self.block_inner(body);
                 self.st.pop_scope();
@@ -721,7 +686,7 @@ impl<H: Hooks> Walker<H> {
 
     /// Type of the struct a field access goes through. `through_ptr` for
     /// `e->f`.
-    fn base_struct_ty(&mut self, base: &Expr, through_ptr: bool) -> Option<String> {
+    fn base_struct_ty(&mut self, base: &Expr, through_ptr: bool) -> Option<Symbol> {
         let t = if through_ptr {
             let pt = self.rval(base);
             match self.deref_loc(&pt) {
@@ -752,7 +717,7 @@ impl<H: Hooks> Walker<H> {
         }
     }
 
-    fn struct_field(&mut self, struct_name: Option<String>, fname: &Ident) -> Option<Loc> {
+    fn struct_field(&mut self, struct_name: Option<Symbol>, fname: &Ident) -> Option<Loc> {
         let s = struct_name?;
         Some(self.st.field_loc(&s, &fname.name, None))
     }
@@ -763,7 +728,7 @@ impl<H: Hooks> Walker<H> {
         match t {
             Ty::Ref(l) => Some(self.st.locs.find(*l)),
             Ty::Unknown => {
-                let l = self.st.locs.fresh("<unknown>", Ty::Unknown);
+                let l = self.st.locs.fresh(Ty::Unknown);
                 self.st.locs.taint(l);
                 Some(l)
             }
@@ -946,17 +911,13 @@ impl<H: Hooks> Walker<H> {
             ExprKind::New(init) => {
                 let t = self.rval(init);
                 // An allocation site may execute many times.
-                let l = self.st.locs.fresh_with(
-                    format!("new{}", e.id),
-                    t,
-                    crate::loc::Multiplicity::Many,
-                );
+                let l = self.st.locs.fresh_with(t, crate::loc::Multiplicity::Many);
                 self.hooks.on_alloc(&mut self.st, l, e.id);
                 Ty::Ref(l)
             }
             ExprKind::Cast(ty, inner) => {
                 let src = self.rval(inner);
-                let dst = self.st.lower(ty, "cast");
+                let dst = self.st.lower(ty);
                 // Compatible casts unify cleanly; incompatible ones record
                 // a mismatch and taint — losing the ability to restrict or
                 // confine anything laundered through the cast.
@@ -988,33 +949,28 @@ impl<H: Hooks> Walker<H> {
             }
             return Ty::Void;
         }
-        let sig = match self.st.funs.get(f.name.as_str()) {
-            Some(sig) => sig.clone(),
-            None => {
-                // Implicit extern: parameters adopt the argument types;
-                // the return type is unknown.
-                let sig = FunSig {
-                    params: arg_tys.clone(),
-                    ret: Ty::Unknown,
-                    is_extern: true,
-                };
-                self.st.funs.insert(f.name.to_string(), sig.clone());
-                sig
-            }
-        };
+        let st = &mut self.st;
+        let sig = st.funs.entry(f.name.clone()).or_insert_with(|| FunSig {
+            // Implicit extern: parameters adopt the argument types; the
+            // return type is unknown.
+            params: arg_tys.clone(),
+            ret: Ty::Unknown,
+            is_extern: true,
+        });
         if sig.params.len() != arg_tys.len() {
-            self.st.mismatches.push(TypeMismatch {
+            st.mismatches.push(TypeMismatch {
                 left: format!("{} arguments to `{}`", arg_tys.len(), f.name),
                 right: format!("{}", sig.params.len()),
             });
         }
         for (a, p) in arg_tys.iter().zip(&sig.params) {
-            self.st.unify(a, p);
+            unify(&mut st.locs, a, p, &mut st.mismatches);
         }
-        if !sig.is_extern {
+        let (ret, is_extern) = (sig.ret.clone(), sig.is_extern);
+        if !is_extern {
             self.hooks.on_call(&mut self.st, &f.name, at);
         }
-        sig.ret
+        ret
     }
 }
 

@@ -9,6 +9,7 @@
 //! `{ρ} ∪ locs(content(ρ))`, a reachability query over location classes.
 
 use crate::loc::{Loc, LocTable};
+use localias_ast::Symbol;
 use std::collections::HashSet;
 use std::fmt;
 
@@ -25,7 +26,7 @@ pub enum Ty {
     /// A struct value; field locations are tracked field-based via the
     /// `(struct, field) → location` table in
     /// [`crate::steensgaard::State`].
-    Struct(String),
+    Struct(Symbol),
     /// A pointer to abstract location `ρ`.
     Ref(Loc),
     /// A value whose type the analysis lost track of (e.g. through an
@@ -166,8 +167,8 @@ mod tests {
     fn unify_refs_unions_locations() {
         let mut t = LocTable::new();
         let mut errs = Vec::new();
-        let l1 = t.fresh("a", Ty::Int);
-        let l2 = t.fresh("b", Ty::Int);
+        let l1 = t.fresh(Ty::Int);
+        let l2 = t.fresh(Ty::Int);
         let merged = unify(&mut t, &Ty::Ref(l1), &Ty::Ref(l2), &mut errs);
         assert!(t.same(l1, l2));
         assert_eq!(merged, Ty::Ref(t.find(l1)));
@@ -180,10 +181,10 @@ mod tests {
         let mut errs = Vec::new();
         // l1: ref -> a (int), l2: ref -> b (int); unify(ref l1, ref l2)
         // must also merge a and b.
-        let a = t.fresh("a", Ty::Int);
-        let b = t.fresh("b", Ty::Int);
-        let l1 = t.fresh("p", Ty::Ref(a));
-        let l2 = t.fresh("q", Ty::Ref(b));
+        let a = t.fresh(Ty::Int);
+        let b = t.fresh(Ty::Int);
+        let l1 = t.fresh(Ty::Ref(a));
+        let l2 = t.fresh(Ty::Ref(b));
         unify(&mut t, &Ty::Ref(l1), &Ty::Ref(l2), &mut errs);
         assert!(t.same(a, b), "pointee locations must merge");
         assert!(errs.is_empty());
@@ -194,9 +195,9 @@ mod tests {
         let mut t = LocTable::new();
         let mut errs = Vec::new();
         // Two self-referential locations: content(l) = Ref(l).
-        let l1 = t.fresh("c1", Ty::Unknown);
+        let l1 = t.fresh(Ty::Unknown);
         t.set_content(l1, Ty::Ref(l1));
-        let l2 = t.fresh("c2", Ty::Unknown);
+        let l2 = t.fresh(Ty::Unknown);
         t.set_content(l2, Ty::Ref(l2));
         unify(&mut t, &Ty::Ref(l1), &Ty::Ref(l2), &mut errs);
         assert!(t.same(l1, l2));
@@ -206,7 +207,7 @@ mod tests {
     fn mismatch_taints_and_records() {
         let mut t = LocTable::new();
         let mut errs = Vec::new();
-        let l = t.fresh("p", Ty::Int);
+        let l = t.fresh(Ty::Int);
         let out = unify(&mut t, &Ty::Ref(l), &Ty::Int, &mut errs);
         assert_eq!(out, Ty::Unknown);
         assert_eq!(errs.len(), 1);
@@ -217,7 +218,7 @@ mod tests {
     fn unknown_absorbs_and_taints() {
         let mut t = LocTable::new();
         let mut errs = Vec::new();
-        let l = t.fresh("p", Ty::Int);
+        let l = t.fresh(Ty::Int);
         let out = unify(&mut t, &Ty::Unknown, &Ty::Ref(l), &mut errs);
         assert_eq!(out, Ty::Ref(l));
         assert!(t.is_tainted(l), "flowing through Unknown taints");
@@ -227,8 +228,8 @@ mod tests {
     #[test]
     fn locs_of_reaches_through_contents() {
         let mut t = LocTable::new();
-        let a = t.fresh("a", Ty::Int);
-        let p = t.fresh("p", Ty::Ref(a));
+        let a = t.fresh(Ty::Int);
+        let p = t.fresh(Ty::Ref(a));
         let locs = locs_of(&mut t, &Ty::Ref(p));
         assert_eq!(locs.len(), 2);
         assert!(locs.contains(&t.find(a)));
@@ -238,7 +239,7 @@ mod tests {
     #[test]
     fn locs_of_handles_cycles() {
         let mut t = LocTable::new();
-        let l = t.fresh("c", Ty::Unknown);
+        let l = t.fresh(Ty::Unknown);
         t.set_content(l, Ty::Ref(l));
         let locs = locs_of(&mut t, &Ty::Ref(l));
         assert_eq!(locs.len(), 1);

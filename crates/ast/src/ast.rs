@@ -490,7 +490,7 @@ pub struct Module {
     /// with this.
     pub node_count: u32,
     /// Span of each node, indexed by [`NodeId`] (empty for synthesized
-    /// modules). Populate with [`crate::visit::collect_spans`].
+    /// modules). The parser records each span as it assigns the id.
     pub spans: Vec<Span>,
 }
 

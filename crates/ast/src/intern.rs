@@ -1,24 +1,27 @@
-//! Identifier interning — the AST memory diet.
+//! Identifier interning: after lexing, a name exists only as a [`Symbol`].
 //!
-//! Every identifier occurrence used to own its own `String` (24 bytes of
-//! header plus a heap allocation per *occurrence*). A corpus module
-//! mentions the same handful of names — globals, locks, helper
-//! functions, loop variables — hundreds of times, so the per-module AST
-//! footprint was dominated by duplicated identifier bytes. A [`Symbol`]
-//! is a shared `Arc<str>` handle: the parser routes every identifier
-//! through a per-parse [`Interner`], so all occurrences of one name in a
-//! module share a single allocation and a clone is a reference-count
-//! bump. When the module's AST drops, its symbol arena drops with it —
-//! nothing global grows with corpus size, which is what keeps peak RSS
-//! flat across a 100× streamed sweep.
+//! A corpus module mentions the same handful of names — globals, locks,
+//! helper functions, loop variables — hundreds of times. A [`Symbol`] is
+//! a shared `Arc<str>` handle: the lexer leaves an identifier as a span,
+//! and the parser interns that text once through a per-parse
+//! [`Interner`], so all occurrences of one name in a module share a
+//! single allocation and a clone is a reference-count bump. The analyses
+//! key their variable, function, field and struct tables on the same
+//! symbols, so no name is copied into a `String` between the lexer and
+//! the lock checker. When the module's AST drops, its symbol arena drops
+//! with it — nothing global grows with corpus size, which is what keeps
+//! peak RSS flat across a 100× streamed sweep.
+//!
+//! The interner's set hashes with [`crate::fx::FxHasher`]; a symbol
+//! hashes as its text, so symbol-keyed maps answer `&str` lookups.
 //!
 //! The interner tracks how many bytes its arena holds and how many a
 //! dedup hit avoided; [`stats`] exposes the process-wide totals that the
 //! bench harness surfaces as the `mem.arena_bytes` /
 //! `mem.arena_saved_bytes` gauges.
 
+use crate::fx::FxSet;
 use std::borrow::Borrow;
-use std::collections::HashSet;
 use std::fmt;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -170,7 +173,7 @@ pub fn stats() -> InternStats {
 /// interner; its accounting is flushed to the process totals on drop.
 #[derive(Debug, Default)]
 pub struct Interner {
-    set: HashSet<Arc<str>>,
+    set: FxSet<Arc<str>>,
     bytes: u64,
     saved: u64,
 }

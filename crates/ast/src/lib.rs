@@ -41,6 +41,7 @@
 
 pub mod ast;
 pub mod fp;
+pub mod fx;
 pub mod intern;
 pub mod lexer;
 pub mod parser;

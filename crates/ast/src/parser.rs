@@ -13,6 +13,12 @@
 //! `for` loops are desugared to `while` during parsing. Casts are
 //! unambiguous because Mini-C type expressions always begin with a type
 //! keyword (`int`, `lock`, `void`, `struct`).
+//!
+//! The whole source is lexed before parsing starts, so a lexical error
+//! anywhere is reported ahead of any syntax error. Identifiers are
+//! interned as they are consumed, and each node's span is recorded as
+//! its id is assigned, which fills [`Module::spans`] without a second
+//! walk.
 
 use crate::ast::*;
 use crate::intern::Interner;
@@ -73,7 +79,7 @@ pub fn parse_module(name: &str, src: &str) -> Result<Module, ParseError> {
 pub fn parse_expr(src: &str) -> Result<Expr, ParseError> {
     let mut p = Parser::new(src)?;
     let e = p.expr()?;
-    p.expect(&TokenKind::Eof)?;
+    p.expect(TokenKind::Eof)?;
     Ok(e)
 }
 
@@ -83,46 +89,65 @@ pub fn parse_expr(src: &str) -> Result<Expr, ParseError> {
 /// precedence-chain of stack frames.
 pub const MAX_NESTING: usize = 64;
 
-/// The parser state: a token buffer plus a node-id allocator.
+/// The parser state: the source and its token buffer, a node-id
+/// allocator with the span of each allocated id, and the identifier
+/// interner.
 #[derive(Debug)]
-pub struct Parser {
+pub struct Parser<'src> {
+    src: &'src str,
     toks: Vec<Token>,
     pos: usize,
-    next_id: u32,
     depth: usize,
+    /// Span of each allocated [`NodeId`], indexed by id.
+    spans: Vec<Span>,
     /// Per-parse symbol arena: every occurrence of one identifier in the
     /// module shares a single allocation (see [`crate::intern`]).
     interner: Interner,
 }
 
-impl Parser {
+impl<'src> Parser<'src> {
     /// Lexes `src` and readies a parser over it.
     ///
     /// # Errors
     ///
     /// Propagates lexing failures.
-    pub fn new(src: &str) -> Result<Self, ParseError> {
+    pub fn new(src: &'src str) -> Result<Self, ParseError> {
+        let toks = Lexer::new(src).tokenize()?;
+        // A module has fewer nodes than tokens.
+        let spans = Vec::with_capacity(toks.len());
         Ok(Parser {
-            toks: Lexer::new(src).tokenize()?,
+            src,
+            toks,
             pos: 0,
-            next_id: 0,
             depth: 0,
+            spans,
             interner: Interner::new(),
         })
     }
 
-    fn id(&mut self) -> NodeId {
-        let id = NodeId(self.next_id);
-        self.next_id += 1;
+    /// Allocates the next node id for a node spanning `span`.
+    fn node(&mut self, span: Span) -> NodeId {
+        let id = NodeId(self.spans.len() as u32);
+        self.spans.push(span);
         id
     }
 
-    fn peek(&self) -> &TokenKind {
-        &self.toks[self.pos].kind
+    fn peek(&self) -> TokenKind {
+        self.peek_nth(0)
     }
 
-    fn peek2(&self) -> &TokenKind {
-        &self.toks[(self.pos + 1).min(self.toks.len() - 1)].kind
+    fn peek2(&self) -> TokenKind {
+        self.peek_nth(1)
+    }
+
+    /// The kind of the token `n` places ahead (the final `Eof` repeats).
+    fn peek_nth(&self, n: usize) -> TokenKind {
+        self.toks[(self.pos + n).min(self.toks.len() - 1)].kind
+    }
+
+    /// The current token, described for an error message.
+    fn found(&self) -> String {
+        self.toks[self.pos].describe(self.src)
     }
 
     fn span(&self) -> Span {
@@ -134,14 +159,14 @@ impl Parser {
     }
 
     fn bump(&mut self) -> Token {
-        let t = self.toks[self.pos].clone();
+        let t = self.toks[self.pos];
         if self.pos + 1 < self.toks.len() {
             self.pos += 1;
         }
         t
     }
 
-    fn eat(&mut self, kind: &TokenKind) -> bool {
+    fn eat(&mut self, kind: TokenKind) -> bool {
         if self.peek() == kind {
             self.bump();
             true
@@ -150,11 +175,11 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, kind: &TokenKind) -> Result<Token, ParseError> {
+    fn expect(&mut self, kind: TokenKind) -> Result<Token, ParseError> {
         if self.peek() == kind {
             Ok(self.bump())
         } else {
-            Err(self.err(format!("expected {}, found {}", kind, self.peek())))
+            Err(self.err(format!("expected {}, found {}", kind, self.found())))
         }
     }
 
@@ -178,15 +203,12 @@ impl Parser {
     }
 
     fn ident(&mut self) -> Result<Ident, ParseError> {
-        match self.peek().clone() {
-            TokenKind::Ident(name) => {
-                let span = self.span();
-                self.bump();
-                let name = self.interner.intern(&name);
-                Ok(Ident { name, span })
-            }
-            other => Err(self.err(format!("expected identifier, found {other}"))),
+        if self.peek() != TokenKind::Ident {
+            return Err(self.err(format!("expected identifier, found {}", self.found())));
         }
+        let span = self.bump().span;
+        let name = self.interner.intern(span.snippet(self.src));
+        Ok(Ident { name, span })
     }
 
     fn at_type_start(&self) -> bool {
@@ -198,7 +220,7 @@ impl Parser {
 
     /// Parses a base type plus pointer stars: `int**`, `struct dev*`, ...
     fn type_expr(&mut self) -> Result<TypeExpr, ParseError> {
-        let mut ty = match self.peek().clone() {
+        let mut ty = match self.peek() {
             TokenKind::KwInt => {
                 self.bump();
                 TypeExpr::Int
@@ -216,9 +238,9 @@ impl Parser {
                 let name = self.ident()?;
                 TypeExpr::Struct(name.name)
             }
-            other => return Err(self.err(format!("expected a type, found {other}"))),
+            _ => return Err(self.err(format!("expected a type, found {}", self.found()))),
         };
-        while self.eat(&TokenKind::Star) {
+        while self.eat(TokenKind::Star) {
             ty = TypeExpr::ptr(ty);
         }
         Ok(ty)
@@ -231,36 +253,31 @@ impl Parser {
     /// Returns the first syntax error.
     pub fn module(&mut self, name: &str) -> Result<Module, ParseError> {
         let mut items = Vec::new();
-        while self.peek() != &TokenKind::Eof {
+        while self.peek() != TokenKind::Eof {
             items.push(self.item()?);
         }
-        let mut m = Module {
+        let spans = std::mem::take(&mut self.spans);
+        Ok(Module {
             name: name.to_string(),
             items,
-            node_count: self.next_id,
-            spans: Vec::new(),
-        };
-        m.spans = crate::visit::collect_spans(&m);
-        Ok(m)
+            node_count: spans.len() as u32,
+            spans,
+        })
     }
 
     fn item(&mut self) -> Result<Item, ParseError> {
-        if self.peek() == &TokenKind::KwStruct && matches!(self.peek2(), TokenKind::Ident(_)) {
-            // Could be a struct definition (`struct S { ... }`) or a
-            // global/function of struct type (`struct S g;`). Look past the
-            // name for `{`.
-            let save = self.pos;
-            self.bump();
-            let _name = self.ident()?;
-            let is_def = self.peek() == &TokenKind::LBrace;
-            self.pos = save;
-            if is_def {
-                return Ok(Item {
-                    kind: ItemKind::Struct(self.struct_def()?),
-                });
-            }
+        // `struct S {` opens a struct definition; `struct S g;` and
+        // `struct S *f() { ... }` declare a global or function of struct
+        // type.
+        if self.peek() == TokenKind::KwStruct
+            && self.peek2() == TokenKind::Ident
+            && self.peek_nth(2) == TokenKind::LBrace
+        {
+            return Ok(Item {
+                kind: ItemKind::Struct(self.struct_def()?),
+            });
         }
-        if self.peek() == &TokenKind::KwExtern {
+        if self.peek() == TokenKind::KwExtern {
             return Ok(Item {
                 kind: ItemKind::Extern(self.extern_def()?),
             });
@@ -269,35 +286,36 @@ impl Parser {
         let lo = self.span();
         let ty = self.type_expr()?;
         let name = self.ident()?;
-        if self.peek() == &TokenKind::LParen {
+        if self.peek() == TokenKind::LParen {
             let fun = self.fun_rest(lo, ty, name)?;
             Ok(Item {
                 kind: ItemKind::Fun(fun),
             })
         } else {
             let ty = self.array_suffix(ty)?;
-            self.expect(&TokenKind::Semi)?;
+            self.expect(TokenKind::Semi)?;
+            let span = lo.to(self.prev_span());
             Ok(Item {
                 kind: ItemKind::Global(Global {
-                    id: self.id(),
+                    id: self.node(span),
                     name,
                     ty,
-                    span: lo.to(self.prev_span()),
+                    span,
                 }),
             })
         }
     }
 
     fn array_suffix(&mut self, ty: TypeExpr) -> Result<TypeExpr, ParseError> {
-        if self.eat(&TokenKind::LBracket) {
-            let n = match self.peek().clone() {
+        if self.eat(TokenKind::LBracket) {
+            let n = match self.peek() {
                 TokenKind::Int(n) if n >= 0 => {
                     self.bump();
                     n as usize
                 }
-                other => return Err(self.err(format!("expected array length, found {other}"))),
+                _ => return Err(self.err(format!("expected array length, found {}", self.found()))),
             };
-            self.expect(&TokenKind::RBracket)?;
+            self.expect(TokenKind::RBracket)?;
             Ok(TypeExpr::array(ty, n))
         } else {
             Ok(ty)
@@ -306,51 +324,53 @@ impl Parser {
 
     fn struct_def(&mut self) -> Result<StructDef, ParseError> {
         let lo = self.span();
-        self.expect(&TokenKind::KwStruct)?;
+        self.expect(TokenKind::KwStruct)?;
         let name = self.ident()?;
-        self.expect(&TokenKind::LBrace)?;
+        self.expect(TokenKind::LBrace)?;
         let mut fields = Vec::new();
-        while self.peek() != &TokenKind::RBrace {
+        while self.peek() != TokenKind::RBrace {
             let ty = self.type_expr()?;
             let fname = self.ident()?;
             let ty = self.array_suffix(ty)?;
-            self.expect(&TokenKind::Semi)?;
+            self.expect(TokenKind::Semi)?;
             fields.push((fname, ty));
         }
-        self.expect(&TokenKind::RBrace)?;
-        self.expect(&TokenKind::Semi)?;
+        self.expect(TokenKind::RBrace)?;
+        self.expect(TokenKind::Semi)?;
+        let span = lo.to(self.prev_span());
         Ok(StructDef {
-            id: self.id(),
+            id: self.node(span),
             name,
             fields,
-            span: lo.to(self.prev_span()),
+            span,
         })
     }
 
     fn extern_def(&mut self) -> Result<ExternDef, ParseError> {
         let lo = self.span();
-        self.expect(&TokenKind::KwExtern)?;
+        self.expect(TokenKind::KwExtern)?;
         let ret = self.type_expr()?;
         let name = self.ident()?;
-        self.expect(&TokenKind::LParen)?;
+        self.expect(TokenKind::LParen)?;
         let params = self.params()?;
-        self.expect(&TokenKind::RParen)?;
-        self.expect(&TokenKind::Semi)?;
+        self.expect(TokenKind::RParen)?;
+        self.expect(TokenKind::Semi)?;
+        let span = lo.to(self.prev_span());
         Ok(ExternDef {
-            id: self.id(),
+            id: self.node(span),
             name,
             params,
             ret,
-            span: lo.to(self.prev_span()),
+            span,
         })
     }
 
     fn params(&mut self) -> Result<Vec<Param>, ParseError> {
         let mut params = Vec::new();
-        if self.peek() == &TokenKind::RParen {
+        if self.peek() == TokenKind::RParen {
             return Ok(params);
         }
-        if self.peek() == &TokenKind::KwVoid && self.peek2() == &TokenKind::RParen {
+        if self.peek() == TokenKind::KwVoid && self.peek2() == TokenKind::RParen {
             self.bump(); // C-style `f(void)`
             return Ok(params);
         }
@@ -358,27 +378,28 @@ impl Parser {
             // `restrict` may appear after the pointer stars, C99-style:
             // `lock *restrict l`. `type_expr` consumes the stars.
             let ty = self.type_expr()?;
-            let restrict = self.eat(&TokenKind::KwRestrict);
+            let restrict = self.eat(TokenKind::KwRestrict);
             let name = self.ident()?;
             params.push(Param { name, ty, restrict });
-            if !self.eat(&TokenKind::Comma) {
+            if !self.eat(TokenKind::Comma) {
                 return Ok(params);
             }
         }
     }
 
     fn fun_rest(&mut self, lo: Span, ret: TypeExpr, name: Ident) -> Result<FunDef, ParseError> {
-        self.expect(&TokenKind::LParen)?;
+        self.expect(TokenKind::LParen)?;
         let params = self.params()?;
-        self.expect(&TokenKind::RParen)?;
+        self.expect(TokenKind::RParen)?;
         let body = self.block()?;
+        let span = lo.to(self.prev_span());
         Ok(FunDef {
-            id: self.id(),
+            id: self.node(span),
             name,
             params,
             ret,
             body,
-            span: lo.to(self.prev_span()),
+            span,
         })
     }
 
@@ -390,23 +411,35 @@ impl Parser {
     pub fn block(&mut self) -> Result<Block, ParseError> {
         self.enter()?;
         let lo = self.span();
-        self.expect(&TokenKind::LBrace)?;
+        self.expect(TokenKind::LBrace)?;
         let mut stmts = Vec::new();
-        while self.peek() != &TokenKind::RBrace {
+        while self.peek() != TokenKind::RBrace {
             stmts.push(self.stmt()?);
         }
-        self.expect(&TokenKind::RBrace)?;
+        self.expect(TokenKind::RBrace)?;
         self.leave();
+        let span = lo.to(self.prev_span());
         Ok(Block {
-            id: self.id(),
+            id: self.node(span),
             stmts,
-            span: lo.to(self.prev_span()),
+            span,
         })
+    }
+
+    /// A statement of kind `kind` starting at `lo` and ending with the
+    /// token just consumed.
+    fn stmt_from(&mut self, lo: Span, kind: StmtKind) -> Stmt {
+        let span = lo.to(self.prev_span());
+        Stmt {
+            id: self.node(span),
+            kind,
+            span,
+        }
     }
 
     fn stmt(&mut self) -> Result<Stmt, ParseError> {
         let lo = self.span();
-        match self.peek().clone() {
+        match self.peek() {
             TokenKind::KwRestrict => {
                 self.bump();
                 if self.at_type_start() {
@@ -415,85 +448,58 @@ impl Parser {
                 } else {
                     // `restrict x = e { ... }` — the paper's scoped form.
                     let name = self.ident()?;
-                    self.expect(&TokenKind::Eq)?;
+                    self.expect(TokenKind::Eq)?;
                     let init = self.expr()?;
                     let body = self.block()?;
-                    Ok(Stmt {
-                        id: self.id(),
-                        kind: StmtKind::Restrict { name, init, body },
-                        span: lo.to(self.prev_span()),
-                    })
+                    Ok(self.stmt_from(lo, StmtKind::Restrict { name, init, body }))
                 }
             }
             TokenKind::KwConfine => {
                 self.bump();
-                self.expect(&TokenKind::LParen)?;
+                self.expect(TokenKind::LParen)?;
                 let expr = self.expr()?;
-                self.expect(&TokenKind::RParen)?;
+                self.expect(TokenKind::RParen)?;
                 let body = self.block()?;
-                Ok(Stmt {
-                    id: self.id(),
-                    kind: StmtKind::Confine { expr, body },
-                    span: lo.to(self.prev_span()),
-                })
+                Ok(self.stmt_from(lo, StmtKind::Confine { expr, body }))
             }
             TokenKind::KwIf => self.if_stmt(),
             TokenKind::KwWhile => {
                 self.bump();
-                self.expect(&TokenKind::LParen)?;
+                self.expect(TokenKind::LParen)?;
                 let cond = self.expr()?;
-                self.expect(&TokenKind::RParen)?;
+                self.expect(TokenKind::RParen)?;
                 let body = self.block()?;
-                Ok(Stmt {
-                    id: self.id(),
-                    kind: StmtKind::While {
-                        cond,
-                        body,
-                        step: None,
-                    },
-                    span: lo.to(self.prev_span()),
-                })
+                let kind = StmtKind::While {
+                    cond,
+                    body,
+                    step: None,
+                };
+                Ok(self.stmt_from(lo, kind))
             }
             TokenKind::KwFor => self.for_stmt(),
             TokenKind::KwReturn => {
                 self.bump();
-                let e = if self.peek() == &TokenKind::Semi {
+                let e = if self.peek() == TokenKind::Semi {
                     None
                 } else {
                     Some(self.expr()?)
                 };
-                self.expect(&TokenKind::Semi)?;
-                Ok(Stmt {
-                    id: self.id(),
-                    kind: StmtKind::Return(e),
-                    span: lo.to(self.prev_span()),
-                })
+                self.expect(TokenKind::Semi)?;
+                Ok(self.stmt_from(lo, StmtKind::Return(e)))
             }
             TokenKind::KwBreak => {
                 self.bump();
-                self.expect(&TokenKind::Semi)?;
-                Ok(Stmt {
-                    id: self.id(),
-                    kind: StmtKind::Break,
-                    span: lo.to(self.prev_span()),
-                })
+                self.expect(TokenKind::Semi)?;
+                Ok(self.stmt_from(lo, StmtKind::Break))
             }
             TokenKind::KwContinue => {
                 self.bump();
-                self.expect(&TokenKind::Semi)?;
-                Ok(Stmt {
-                    id: self.id(),
-                    kind: StmtKind::Continue,
-                    span: lo.to(self.prev_span()),
-                })
+                self.expect(TokenKind::Semi)?;
+                Ok(self.stmt_from(lo, StmtKind::Continue))
             }
             TokenKind::LBrace => {
                 let b = self.block()?;
-                Ok(Stmt {
-                    id: self.id(),
-                    kind: StmtKind::Block(b),
-                    span: lo.to(self.prev_span()),
-                })
+                Ok(self.stmt_from(lo, StmtKind::Block(b)))
             }
             TokenKind::KwLet => Err(self.err(
                 "`let` is reserved; write a typed declaration such as `int *x = e;`".to_string(),
@@ -501,12 +507,8 @@ impl Parser {
             _ if self.at_type_start() => self.decl_rest(lo, BindingKind::Let),
             _ => {
                 let e = self.expr()?;
-                self.expect(&TokenKind::Semi)?;
-                Ok(Stmt {
-                    id: self.id(),
-                    kind: StmtKind::Expr(e),
-                    span: lo.to(self.prev_span()),
-                })
+                self.expect(TokenKind::Semi)?;
+                Ok(self.stmt_from(lo, StmtKind::Expr(e)))
             }
         }
     }
@@ -515,38 +517,35 @@ impl Parser {
         let ty = self.type_expr()?;
         let name = self.ident()?;
         let ty = self.array_suffix(ty)?;
-        let init = if self.eat(&TokenKind::Eq) {
+        let init = if self.eat(TokenKind::Eq) {
             Some(self.expr()?)
         } else {
             None
         };
-        self.expect(&TokenKind::Semi)?;
-        Ok(Stmt {
-            id: self.id(),
-            kind: StmtKind::Decl {
-                binding,
-                ty,
-                name,
-                init,
-            },
-            span: lo.to(self.prev_span()),
-        })
+        self.expect(TokenKind::Semi)?;
+        let kind = StmtKind::Decl {
+            binding,
+            ty,
+            name,
+            init,
+        };
+        Ok(self.stmt_from(lo, kind))
     }
 
     fn if_stmt(&mut self) -> Result<Stmt, ParseError> {
         let lo = self.span();
-        self.expect(&TokenKind::KwIf)?;
-        self.expect(&TokenKind::LParen)?;
+        self.expect(TokenKind::KwIf)?;
+        self.expect(TokenKind::LParen)?;
         let cond = self.expr()?;
-        self.expect(&TokenKind::RParen)?;
+        self.expect(TokenKind::RParen)?;
         let then_blk = self.block()?;
-        let else_blk = if self.eat(&TokenKind::KwElse) {
-            if self.peek() == &TokenKind::KwIf {
+        let else_blk = if self.eat(TokenKind::KwElse) {
+            if self.peek() == TokenKind::KwIf {
                 // `else if` — wrap the nested if in a synthetic block.
                 let nested = self.if_stmt()?;
                 let span = nested.span;
                 Some(Block {
-                    id: self.id(),
+                    id: self.node(span),
                     stmts: vec![nested],
                     span,
                 })
@@ -556,24 +555,21 @@ impl Parser {
         } else {
             None
         };
-        Ok(Stmt {
-            id: self.id(),
-            kind: StmtKind::If {
-                cond,
-                then_blk,
-                else_blk,
-            },
-            span: lo.to(self.prev_span()),
-        })
+        let kind = StmtKind::If {
+            cond,
+            then_blk,
+            else_blk,
+        };
+        Ok(self.stmt_from(lo, kind))
     }
 
     /// Desugars `for (init; cond; step) body` into
     /// `{ init; while (cond) { body...; step; } }`.
     fn for_stmt(&mut self) -> Result<Stmt, ParseError> {
         let lo = self.span();
-        self.expect(&TokenKind::KwFor)?;
-        self.expect(&TokenKind::LParen)?;
-        let init: Option<Stmt> = if self.peek() == &TokenKind::Semi {
+        self.expect(TokenKind::KwFor)?;
+        self.expect(TokenKind::LParen)?;
+        let init: Option<Stmt> = if self.peek() == TokenKind::Semi {
             self.bump();
             None
         } else if self.at_type_start() {
@@ -581,35 +577,35 @@ impl Parser {
             Some(self.decl_rest(dlo, BindingKind::Let)?)
         } else {
             let e = self.expr()?;
-            self.expect(&TokenKind::Semi)?;
+            self.expect(TokenKind::Semi)?;
             let span = e.span;
             Some(Stmt {
-                id: self.id(),
+                id: self.node(span),
                 kind: StmtKind::Expr(e),
                 span,
             })
         };
-        let cond = if self.peek() == &TokenKind::Semi {
+        let cond = if self.peek() == TokenKind::Semi {
             let span = self.span();
             Expr {
-                id: self.id(),
+                id: self.node(span),
                 kind: ExprKind::Int(1),
                 span,
             }
         } else {
             self.expr()?
         };
-        self.expect(&TokenKind::Semi)?;
-        let step = if self.peek() == &TokenKind::RParen {
+        self.expect(TokenKind::Semi)?;
+        let step = if self.peek() == TokenKind::RParen {
             None
         } else {
             Some(self.expr()?)
         };
-        self.expect(&TokenKind::RParen)?;
+        self.expect(TokenKind::RParen)?;
         let body = self.block()?;
         let span = lo.to(self.prev_span());
         let while_stmt = Stmt {
-            id: self.id(),
+            id: self.node(span),
             kind: StmtKind::While { cond, body, step },
             span,
         };
@@ -621,12 +617,12 @@ impl Parser {
             return Ok(while_stmt);
         };
         let blk = Block {
-            id: self.id(),
+            id: self.node(span),
             stmts: vec![init, while_stmt],
             span,
         };
         Ok(Stmt {
-            id: self.id(),
+            id: self.node(span),
             kind: StmtKind::Block(blk),
             span,
         })
@@ -643,16 +639,21 @@ impl Parser {
 
     fn assign(&mut self) -> Result<Expr, ParseError> {
         let lhs = self.or_expr()?;
-        if self.eat(&TokenKind::Eq) {
+        if self.eat(TokenKind::Eq) {
             let rhs = self.assign()?; // right-associative
             let span = lhs.span.to(rhs.span);
-            Ok(Expr {
-                id: self.id(),
-                kind: ExprKind::Assign(Box::new(lhs), Box::new(rhs)),
-                span,
-            })
+            Ok(self.expr_at(span, ExprKind::Assign(Box::new(lhs), Box::new(rhs))))
         } else {
             Ok(lhs)
+        }
+    }
+
+    /// An expression of kind `kind` spanning `span`.
+    fn expr_at(&mut self, span: Span, kind: ExprKind) -> Expr {
+        Expr {
+            id: self.node(span),
+            kind,
+            span,
         }
     }
 
@@ -662,16 +663,12 @@ impl Parser {
     {
         let mut lhs = next(self)?;
         'outer: loop {
-            for (tok, op) in ops {
+            for &(tok, op) in ops {
                 if self.peek() == tok {
                     self.bump();
                     let rhs = next(self)?;
                     let span = lhs.span.to(rhs.span);
-                    lhs = Expr {
-                        id: self.id(),
-                        kind: ExprKind::Binary(*op, Box::new(lhs), Box::new(rhs)),
-                        span,
-                    };
+                    lhs = self.expr_at(span, ExprKind::Binary(op, Box::new(lhs), Box::new(rhs)));
                     continue 'outer;
                 }
             }
@@ -745,11 +742,7 @@ impl Parser {
                 self.bump();
                 let e = self.unary()?;
                 let span = lo.to(e.span);
-                return Ok(Expr {
-                    id: self.id(),
-                    kind: ExprKind::New(Box::new(e)),
-                    span,
-                });
+                return Ok(self.expr_at(span, ExprKind::New(Box::new(e))));
             }
             TokenKind::LParen
                 if matches!(
@@ -760,14 +753,10 @@ impl Parser {
                 // Cast: `( type ) unary`.
                 self.bump();
                 let ty = self.type_expr()?;
-                self.expect(&TokenKind::RParen)?;
+                self.expect(TokenKind::RParen)?;
                 let e = self.unary()?;
                 let span = lo.to(e.span);
-                return Ok(Expr {
-                    id: self.id(),
-                    kind: ExprKind::Cast(ty, Box::new(e)),
-                    span,
-                });
+                return Ok(self.expr_at(span, ExprKind::Cast(ty, Box::new(e))));
             }
             _ => None,
         };
@@ -775,11 +764,7 @@ impl Parser {
             self.bump();
             let e = self.unary()?;
             let span = lo.to(e.span);
-            Ok(Expr {
-                id: self.id(),
-                kind: ExprKind::Unary(op, Box::new(e)),
-                span,
-            })
+            Ok(self.expr_at(span, ExprKind::Unary(op, Box::new(e))))
         } else {
             self.postfix()
         }
@@ -792,33 +777,21 @@ impl Parser {
                 TokenKind::LBracket => {
                     self.bump();
                     let idx = self.expr()?;
-                    self.expect(&TokenKind::RBracket)?;
+                    self.expect(TokenKind::RBracket)?;
                     let span = e.span.to(self.prev_span());
-                    e = Expr {
-                        id: self.id(),
-                        kind: ExprKind::Index(Box::new(e), Box::new(idx)),
-                        span,
-                    };
+                    e = self.expr_at(span, ExprKind::Index(Box::new(e), Box::new(idx)));
                 }
                 TokenKind::Dot => {
                     self.bump();
                     let f = self.ident()?;
                     let span = e.span.to(f.span);
-                    e = Expr {
-                        id: self.id(),
-                        kind: ExprKind::Field(Box::new(e), f),
-                        span,
-                    };
+                    e = self.expr_at(span, ExprKind::Field(Box::new(e), f));
                 }
                 TokenKind::Arrow => {
                     self.bump();
                     let f = self.ident()?;
                     let span = e.span.to(f.span);
-                    e = Expr {
-                        id: self.id(),
-                        kind: ExprKind::Arrow(Box::new(e), f),
-                        span,
-                    };
+                    e = self.expr_at(span, ExprKind::Arrow(Box::new(e), f));
                 }
                 _ => return Ok(e),
             }
@@ -827,50 +800,39 @@ impl Parser {
 
     fn primary(&mut self) -> Result<Expr, ParseError> {
         let lo = self.span();
-        match self.peek().clone() {
+        match self.peek() {
             TokenKind::Int(n) => {
                 self.bump();
-                Ok(Expr {
-                    id: self.id(),
-                    kind: ExprKind::Int(n),
-                    span: lo,
-                })
+                Ok(self.expr_at(lo, ExprKind::Int(n)))
             }
-            TokenKind::Ident(_) => {
+            TokenKind::Ident => {
                 let name = self.ident()?;
-                if self.peek() == &TokenKind::LParen {
+                if self.peek() == TokenKind::LParen {
                     self.bump();
                     let mut args = Vec::new();
-                    if self.peek() != &TokenKind::RParen {
+                    if self.peek() != TokenKind::RParen {
                         loop {
                             args.push(self.expr()?);
-                            if !self.eat(&TokenKind::Comma) {
+                            if !self.eat(TokenKind::Comma) {
                                 break;
                             }
                         }
                     }
-                    self.expect(&TokenKind::RParen)?;
-                    Ok(Expr {
-                        id: self.id(),
-                        kind: ExprKind::Call(name, args),
-                        span: lo.to(self.prev_span()),
-                    })
+                    self.expect(TokenKind::RParen)?;
+                    let span = lo.to(self.prev_span());
+                    Ok(self.expr_at(span, ExprKind::Call(name, args)))
                 } else {
                     let span = name.span;
-                    Ok(Expr {
-                        id: self.id(),
-                        kind: ExprKind::Var(name),
-                        span,
-                    })
+                    Ok(self.expr_at(span, ExprKind::Var(name)))
                 }
             }
             TokenKind::LParen => {
                 self.bump();
                 let e = self.expr()?;
-                self.expect(&TokenKind::RParen)?;
+                self.expect(TokenKind::RParen)?;
                 Ok(e)
             }
-            other => Err(self.err(format!("expected an expression, found {other}"))),
+            _ => Err(self.err(format!("expected an expression, found {}", self.found()))),
         }
     }
 }

@@ -16,12 +16,12 @@
 //! ```
 //!
 //! Comments, whitespace, redundant parentheses, and the `while`-with-step
-//! vs. `for` surface distinction all normalize away. The incremental
-//! analysis cache (`localias-bench`) fingerprints modules by this
-//! canonical form, so the guarantee is load-bearing: a violation would
-//! split or conflate cache keys. It is pinned per construct by the tests
-//! below and over the whole 589-module corpus by
-//! `crates/bench/tests/pretty_stability.rs`.
+//! vs. `for` surface distinction all normalize away. The guarantee is
+//! pinned per construct by the tests below and over the whole 589-module
+//! corpus by `crates/bench/tests/pretty_stability.rs`. Cache keys do not
+//! depend on it: the incremental analysis cache (`localias-bench`) keys
+//! modules by their structure ([`crate::fp::structural`]), never by
+//! printed text.
 
 use crate::ast::*;
 use std::fmt::Write as _;

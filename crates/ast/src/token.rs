@@ -1,10 +1,14 @@
 //! Tokens produced by the Mini-C lexer.
+//!
+//! Tokens are `Copy`: an identifier token carries only its [`Span`], and
+//! the parser reads the identifier's text from the source and interns it
+//! once (see [`crate::intern`]). No token owns heap memory.
 
 use crate::span::Span;
 use std::fmt;
 
 /// A lexical token: a [`TokenKind`] plus its source [`Span`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Token {
     /// What kind of token this is.
     pub kind: TokenKind,
@@ -17,13 +21,22 @@ impl Token {
     pub fn new(kind: TokenKind, span: Span) -> Self {
         Token { kind, span }
     }
+
+    /// Short human-readable description used in parse errors. `src` is
+    /// the lexed source, which spells an identifier token.
+    pub fn describe(&self, src: &str) -> String {
+        match self.kind {
+            TokenKind::Ident => format!("identifier `{}`", self.span.snippet(src)),
+            kind => kind.describe(),
+        }
+    }
 }
 
 /// The kinds of Mini-C tokens.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokenKind {
-    /// An identifier such as `foo`.
-    Ident(String),
+    /// An identifier such as `foo`; its text is the token's span.
+    Ident,
     /// An integer literal such as `42`.
     Int(i64),
 
@@ -143,10 +156,11 @@ impl TokenKind {
         })
     }
 
-    /// Short human-readable description used in parse errors.
+    /// Short human-readable description used in parse errors (an
+    /// identifier's spelling needs its token: see [`Token::describe`]).
     pub fn describe(&self) -> String {
         match self {
-            TokenKind::Ident(s) => format!("identifier `{s}`"),
+            TokenKind::Ident => "identifier".to_string(),
             TokenKind::Int(n) => format!("integer `{n}`"),
             TokenKind::Eof => "end of input".to_string(),
             other => format!("`{}`", other.literal()),
@@ -198,7 +212,7 @@ impl TokenKind {
             TokenKind::Not => "!",
             TokenKind::AndAnd => "&&",
             TokenKind::OrOr => "||",
-            TokenKind::Ident(_) | TokenKind::Int(_) | TokenKind::Eof => unreachable!(),
+            TokenKind::Ident | TokenKind::Int(_) | TokenKind::Eof => unreachable!(),
         }
     }
 }
@@ -224,7 +238,7 @@ mod tests {
     #[test]
     fn describe_is_nonempty() {
         for k in [
-            TokenKind::Ident("x".into()),
+            TokenKind::Ident,
             TokenKind::Int(3),
             TokenKind::Arrow,
             TokenKind::Eof,
@@ -232,5 +246,13 @@ mod tests {
         ] {
             assert!(!k.describe().is_empty());
         }
+    }
+
+    #[test]
+    fn identifiers_are_described_by_their_spelling() {
+        let tok = Token::new(TokenKind::Ident, Span::new(4, 7));
+        assert_eq!(tok.describe("int foo;"), "identifier `foo`");
+        let tok = Token::new(TokenKind::Int(3), Span::new(0, 1));
+        assert_eq!(tok.describe("3"), "integer `3`");
     }
 }

@@ -128,45 +128,6 @@ pub fn walk_module<V: Visitor>(v: &mut V, m: &Module) {
     }
 }
 
-/// Builds the per-node span table for a module (indexed by [`NodeId`]).
-pub fn collect_spans(m: &Module) -> Vec<crate::span::Span> {
-    struct Spans(Vec<crate::span::Span>);
-    impl Spans {
-        fn put(&mut self, id: NodeId, span: crate::span::Span) {
-            let i = id.index();
-            if i < self.0.len() {
-                self.0[i] = span;
-            }
-        }
-    }
-    impl Visitor for Spans {
-        fn visit_expr(&mut self, e: &Expr) {
-            self.put(e.id, e.span);
-            walk_expr(self, e);
-        }
-        fn visit_stmt(&mut self, s: &Stmt) {
-            self.put(s.id, s.span);
-            walk_stmt(self, s);
-        }
-        fn visit_block(&mut self, b: &Block) {
-            self.put(b.id, b.span);
-            walk_block(self, b);
-        }
-        fn visit_item(&mut self, i: &Item) {
-            match &i.kind {
-                ItemKind::Struct(s) => self.put(s.id, s.span),
-                ItemKind::Global(g) => self.put(g.id, g.span),
-                ItemKind::Extern(e) => self.put(e.id, e.span),
-                ItemKind::Fun(f) => self.put(f.id, f.span),
-            }
-            walk_item(self, i);
-        }
-    }
-    let mut v = Spans(vec![crate::span::Span::DUMMY; m.node_count as usize]);
-    walk_module(&mut v, m);
-    v.0
-}
-
 /// Collects all call sites `(callee name, expr id)` in a module.
 ///
 /// A convenience used by several analyses and by the experiment harness to

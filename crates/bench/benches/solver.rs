@@ -15,10 +15,8 @@ fn layered_system(n: usize, seed: u64) -> (ConstraintSystem, LocTable) {
     let mut rng = Rng64::seed_from_u64(seed);
     let mut cs = ConstraintSystem::new();
     let mut locs = LocTable::new();
-    let vars: Vec<_> = (0..n).map(|i| cs.fresh_var(format!("v{i}"))).collect();
-    let ls: Vec<_> = (0..n / 4 + 1)
-        .map(|i| locs.fresh(format!("l{i}"), Ty::Int))
-        .collect();
+    let vars: Vec<_> = (0..n).map(|_| cs.fresh_var()).collect();
+    let ls: Vec<_> = (0..n / 4 + 1).map(|_| locs.fresh(Ty::Int)).collect();
     // Atoms at the bottom layer.
     for v in vars.iter().take(n / 4 + 1) {
         let l = ls[rng.gen_range(0..ls.len())];

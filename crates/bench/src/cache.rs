@@ -5,14 +5,14 @@
 //! # Keying
 //!
 //! The cache key is a 128-bit FNV-1a fingerprint of the module's
-//! *canonical* source — the [`localias_ast::pretty`] rendering of its
-//! parse tree — mixed with [`ANALYSIS_VERSION`] and the (seed-independent)
-//! analysis configuration. Canonicalizing through the pretty printer makes
-//! the key insensitive to comments and formatting, and the printer's
-//! fixpoint guarantee (`print ∘ parse ∘ print = print`, pinned by
-//! `tests/pretty_stability.rs`) makes it stable across round trips.
+//! *structure* — a prefix-free encoding of its parse tree's node tags,
+//! names, literals and types ([`localias_ast::fp::structural`]) — mixed
+//! with [`ANALYSIS_VERSION`] and the (seed-independent) analysis
+//! configuration. Spans, node ids and the module's name stay out of it,
+//! so the key is insensitive to comments, formatting and redundant
+//! parentheses, and nothing is printed to compute it.
 //!
-//! Because canonicalization requires a parse, every entry also remembers
+//! Because the canonical key requires a parse, every entry also remembers
 //! the raw-source fingerprint of the text that produced it. An unchanged
 //! module hits on the raw fingerprint without being parsed at all — the
 //! fast path a fully warm sweep takes for all 589 modules. A raw miss
@@ -79,10 +79,11 @@ pub const ANALYSIS_VERSION: u32 = localias_ast::fp::ANALYSIS_VERSION;
 
 /// Key-domain identifier, mixed into every canonical fingerprint.
 ///
-/// Deliberately *frozen* at the `v2` literal across the v3 sharded store
-/// layout: sharding changed where entries live, not what they mean, so
-/// existing fingerprints must keep hitting.
-const STORE_SCHEMA: &str = "localias-cache/v2";
+/// The structural key got a domain of its own when it replaced the
+/// printed-source key (`localias-cache/v2`): results did not change, so
+/// [`ANALYSIS_VERSION`] did not move, and entries an older store keyed
+/// by printed source still hit through their raw-source alias.
+const CANON_SCHEMA: &str = "localias-cache/ast-v1";
 
 /// Schema identifier written in every shard file's header line.
 const SHARD_SCHEMA: &str = "localias-cache/v3-shard";
@@ -117,15 +118,17 @@ pub fn source_fingerprint(source: &str, backend: localias_alias::Backend) -> u12
     fp::fingerprint("raw;", source)
 }
 
-/// Canonical fingerprint of a parsed module: hash of its pretty-printed
-/// source, domain-separated by the analysis version and configuration.
-/// Deliberately independent of the corpus seed and the module's name.
-/// `backend` is a signature shim, as for [`source_fingerprint`].
+/// Canonical fingerprint of a parsed module: hash of its structure,
+/// domain-separated by the analysis version and configuration.
+/// Deliberately independent of the corpus seed, the module's name and
+/// its spans. `backend` is a signature shim, as for
+/// [`source_fingerprint`].
 pub fn module_fingerprint(m: &localias_ast::Module, backend: localias_alias::Backend) -> u128 {
     assert_eq!(backend, localias_alias::Backend::Steensgaard);
-    let canon = localias_ast::pretty::print_module(m);
-    let domain = format!("{STORE_SCHEMA};av{ANALYSIS_VERSION};{ANALYSIS_CONFIG};");
-    fp::fingerprint(&domain, &canon)
+    static DOMAIN: std::sync::LazyLock<String> = std::sync::LazyLock::new(|| {
+        format!("{CANON_SCHEMA};av{ANALYSIS_VERSION};{ANALYSIS_CONFIG};")
+    });
+    fp::structural(&DOMAIN, m)
 }
 
 /// Where (whether) a sweep keeps its cache.
@@ -920,8 +923,9 @@ mod tests {
         )
         .is_err());
         // The PR-2/PR-3 monolithic header on a shard file: rejected.
-        let monolithic =
-            format!("{{\"schema\":\"{STORE_SCHEMA}\",\"analysis_version\":{ANALYSIS_VERSION}}}\n");
+        let monolithic = format!(
+            "{{\"schema\":\"localias-cache/v2\",\"analysis_version\":{ANALYSIS_VERSION}}}\n"
+        );
         assert!(parse_store(&monolithic, &h).is_err());
         // The right schema under the wrong shard index: rejected.
         assert!(parse_store(&format!("{}\n", shard_header_line(4)), &h).is_err());
@@ -966,8 +970,10 @@ mod tests {
         }
     }
 
-    /// The keys the sweep writes, pinned to the values existing stores
-    /// hold: changing either one turns every warm store cold.
+    /// The keys the sweep writes, pinned. The raw key must never move:
+    /// an unchanged source keeps hitting through its raw alias, whatever
+    /// canonical key the store filed it under. Moving the canonical key
+    /// costs only the canonical hits of edited sources, once.
     #[test]
     fn sweep_fingerprints_are_pinned() {
         let steens = localias_alias::Backend::Steensgaard;
@@ -979,7 +985,7 @@ mod tests {
         let m = parse_module("m", src).unwrap();
         assert_eq!(
             module_fingerprint(&m, steens),
-            23901358085728585275109580152370666306
+            252205954095893978351797807672331961640
         );
     }
 

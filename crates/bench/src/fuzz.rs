@@ -77,18 +77,26 @@ impl Default for FuzzConfig {
     }
 }
 
-/// Static lock reports per checker mode, in [`MODES`] order. The fuzzer
-/// judges row 0 alone; row 1 is kept so existing callers that build a
-/// two-row matrix still compile, and the engine leaves it empty.
+/// Static lock reports per checker mode, in [`MODES`] order, and the
+/// Theorem-1 gate's verdict. The fuzzer judges row 0 alone; row 1 is
+/// kept so existing callers that build a two-row matrix still compile,
+/// and the engine leaves it empty.
+///
+/// The gate verdict is whether [`localias_core::check`] accepts the
+/// module ([`localias_core::Analysis::clean`]). A checker that ran that
+/// analysis anyway hands the verdict back; `None` makes the oracle run
+/// the check itself.
 #[derive(Debug, Clone, Default)]
-pub struct StaticMatrix(pub [[LockReport; 3]; 2]);
+pub struct StaticMatrix(pub [[LockReport; 3]; 2], pub Option<bool>);
 
 /// The real checker under test: all three modes over one
-/// [`SharedAnalysis`].
+/// [`SharedAnalysis`], whose base analysis also answers the Theorem-1
+/// gate.
 pub fn real_static_matrix(m: &Module) -> StaticMatrix {
-    let mut out = StaticMatrix::default();
-    out.0[0] = check_modes(&mut SharedAnalysis::new(m));
-    out
+    let mut shared = SharedAnalysis::new(m);
+    let reports = check_modes(&mut shared);
+    let gate = shared.base().clean();
+    StaticMatrix([reports, Default::default()], Some(gate))
 }
 
 /// Per-mode precision tally over statically flagged functions.
@@ -424,9 +432,8 @@ fn check_one(m: &Module, fuel: u64, checker: &dyn Fn(&Module) -> StaticMatrix) -
     // Theorem-1 gate: does the plain checking analysis accept the
     // module? (Diagnostics clean, every explicit restrict/confine
     // verified.) Only then is a dynamic restrict violation a divergence.
-    let check_clean = localias_core::check(m).clean();
+    let check_clean = matrix.1.unwrap_or_else(|| localias_core::check(m).clean());
 
-    let cg = CallGraph::build(m);
     let mut out = ModuleOutcome::default();
     // Functions the oracle saw fault (by the frame the fault occurred
     // in), and entries whose execution produced at least one fault.
@@ -481,14 +488,20 @@ fn check_one(m: &Module, fuel: u64, checker: &dyn Fn(&Module) -> StaticMatrix) -
         }
     }
 
-    // Reach sets only matter for entries that actually faulted.
-    let reaches: Vec<(String, BTreeSet<String>, String)> = faulted_entries
-        .into_iter()
-        .map(|(entry, detail)| {
-            let reach = reach_of(&cg, &entry);
-            (entry, reach, detail)
-        })
-        .collect();
+    // Reach sets only matter for entries that actually faulted, so the
+    // call graph is built only when one did.
+    let reaches: Vec<(String, BTreeSet<String>, String)> = if faulted_entries.is_empty() {
+        Vec::new()
+    } else {
+        let cg = CallGraph::build(m);
+        faulted_entries
+            .into_iter()
+            .map(|(entry, detail)| {
+                let reach = reach_of(&cg, &entry);
+                (entry, reach, detail)
+            })
+            .collect()
+    };
 
     for (mi, &mode) in MODES.iter().enumerate() {
         let rep = &matrix.0[0][mi];

@@ -62,7 +62,7 @@ impl PrecisionStudy {
         let mut gap = false;
         for f in parsed.functions() {
             let fun = f.name.name.as_str();
-            let ptrs: Vec<(String, Loc)> = uni
+            let ptrs: Vec<(localias_ast::Symbol, Loc)> = uni
                 .state
                 .vars
                 .iter()

@@ -1,8 +1,8 @@
 //! Corpus-wide pin of the pretty printer's canonical-form guarantee:
 //! `print ∘ parse` must be a fixpoint on every module of the 589-module
-//! experiment corpus. The incremental analysis cache fingerprints modules
-//! by their pretty-printed source, so any instability here would silently
-//! split cache keys (spurious misses) — or worse, conflate them.
+//! experiment corpus. Cache keys do not depend on it (they hash the AST's
+//! structure, see `canonical_key.rs`); the corpus generator, the
+//! fuzzer's shrinker and `localias parse` emit printed modules.
 
 use localias_ast::{parse_module, pretty};
 use localias_corpus::{generate, DEFAULT_SEED};

@@ -46,9 +46,9 @@ use crate::heuristic::ConfineCandidate;
 use crate::outcome::{
     CandidateOutcome, ConfineOutcome, ConfineSite, Diag, Reason, RestrictOutcome,
 };
-use localias_alias::{BindSite, Hooks, Loc, ScopeKind, State, Ty, VarId, VarKind};
+use localias_alias::{BindSite, FxMap, Hooks, Loc, ScopeKind, State, Ty, VarId, VarKind};
 use localias_ast::visit::{walk_expr, Visitor};
-use localias_ast::{pretty, Block, Expr, ExprKind, NodeId, Span};
+use localias_ast::{pretty, Block, Expr, ExprKind, NodeId, Span, Symbol};
 use localias_effects::{
     Action, ConstraintSystem, EffVar, Effect, EffectKind, FlagId, Guard, KindMask, LocVars,
 };
@@ -92,7 +92,7 @@ enum FrameKind {
     /// Top level.
     Module,
     /// A function body; carries the function name.
-    Fun(String),
+    Fun(Symbol),
     /// A block / restrict body / confine body scope.
     Scope,
     /// One statement of a block.
@@ -134,9 +134,9 @@ struct Unit {
     site: ConfineSite,
     key: String,
     /// Leftmost identifier of the key (interception pre-filter).
-    root: Option<String>,
+    root: Option<Symbol>,
     explicit: bool,
-    fun: Option<String>,
+    fun: Option<Symbol>,
     /// The scope effect `L2`.
     l2: EffVar,
     /// `ε_Γ` snapshot at the confine point.
@@ -183,9 +183,16 @@ struct RangeReg {
     xeff: Option<EffVar>,
 }
 
-/// Leftmost identifier of an expression, owned (for unit records).
-fn root_of(e: &Expr) -> Option<String> {
-    Gen::leftmost_ident(e).map(str::to_string)
+/// Leftmost identifier of an expression (the cheap signature the
+/// interception pre-filter keys on).
+fn root_of(e: &Expr) -> Option<&Symbol> {
+    match &e.kind {
+        ExprKind::Var(x) => Some(&x.name),
+        ExprKind::Unary(_, i) | ExprKind::New(i) | ExprKind::Cast(_, i) => root_of(i),
+        ExprKind::Field(b, _) | ExprKind::Arrow(b, _) | ExprKind::Index(b, _) => root_of(b),
+        ExprKind::Binary(_, a, _) | ExprKind::Assign(a, _) => root_of(a),
+        ExprKind::Int(_) | ExprKind::Call(_, _) => None,
+    }
 }
 
 /// The pieces a restrict binder's constraints are wired from.
@@ -221,27 +228,33 @@ pub struct Gen {
     opts: Options,
     frames: Vec<Frame>,
     gamma_globals: EffVar,
-    fun_effs: HashMap<String, FunEff>,
-    struct_eps: HashMap<String, EffVar>,
+    /// Per-function effect variables, iterated by
+    /// [`Gen::into_outcomes`].
+    fun_effs: HashMap<Symbol, FunEff>,
+    /// Per-struct `ε` variables, iterated by [`Gen::finalize`].
+    struct_eps: HashMap<Symbol, EffVar>,
     pending_bind: Option<PendingBind>,
     pending_confine_stmt: Vec<NodeId>,
     /// Explicit confine units awaiting their body scope, by stmt id.
-    pending_body: HashMap<NodeId, usize>,
+    pending_body: FxMap<NodeId, usize>,
     units: Vec<Unit>,
     /// Active unit indices by expression key (outermost first).
-    active_by_key: HashMap<String, Vec<usize>>,
+    active_by_key: FxMap<String, Vec<usize>>,
     /// Reference counts of the leftmost identifiers of active keys — a
     /// cheap pre-filter so interception does not print every expression
     /// to a string.
-    active_roots: HashMap<String, usize>,
+    active_roots: FxMap<Symbol, usize>,
     /// Range registrations (confine? candidates and decl scopes) by block.
-    range_regs: HashMap<NodeId, Vec<RangeReg>>,
+    range_regs: FxMap<NodeId, Vec<RangeReg>>,
     /// Confine? candidates waiting to activate, by `(block, start)`.
-    pending_ranges: HashMap<(NodeId, usize), Vec<usize>>,
+    pending_ranges: FxMap<(NodeId, usize), Vec<usize>>,
+    /// Active confine? candidates by `(block, end + 1)`: the statement
+    /// index at which each one deactivates.
+    ending_ranges: FxMap<(NodeId, usize), Vec<usize>>,
     /// Stack of in-flight first-occurrence evaluations.
     awaiting: Vec<(NodeId, usize)>,
     /// Index of the statement currently being walked, per block.
-    stmt_indices: HashMap<NodeId, usize>,
+    stmt_indices: FxMap<NodeId, usize>,
     /// Tag bookkeeping for checked disinclusions.
     tag_targets: Vec<(TagTarget, Reason)>,
     /// Outcome accumulators.
@@ -257,9 +270,9 @@ impl Gen {
     /// Creates a generator for a module analysis with the given options.
     pub fn new(opts: Options) -> Self {
         let mut cs = ConstraintSystem::new();
-        let gamma_globals = cs.fresh_var("ε_Γ globals");
-        let module_eff = cs.fresh_var("module eff");
-        let mut pending_ranges: HashMap<(NodeId, usize), Vec<usize>> = HashMap::new();
+        let gamma_globals = cs.fresh_var();
+        let module_eff = cs.fresh_var();
+        let mut pending_ranges: FxMap<(NodeId, usize), Vec<usize>> = FxMap::default();
         let mut units = Vec::new();
         for (i, cand) in opts.confine_candidates.iter().enumerate() {
             pending_ranges
@@ -268,10 +281,10 @@ impl Gen {
                 .push(i);
             // Units are created eagerly so indices line up with
             // `opts.confine_candidates`; variables are cheap.
-            let l2 = cs.fresh_var("L2 confine?");
-            let xeff = cs.fresh_var("xeff confine?");
+            let l2 = cs.fresh_var();
+            let xeff = cs.fresh_var();
             let demoted = cs.fresh_flag();
-            let root = root_of(&cand.expr);
+            let root = root_of(&cand.expr).cloned();
             units.push(Unit {
                 site: cand.site(),
                 key: cand.key.clone(),
@@ -304,14 +317,15 @@ impl Gen {
             struct_eps: HashMap::new(),
             pending_bind: None,
             pending_confine_stmt: Vec::new(),
-            pending_body: HashMap::new(),
+            pending_body: FxMap::default(),
             units,
-            active_by_key: HashMap::new(),
-            active_roots: HashMap::new(),
-            range_regs: HashMap::new(),
+            active_by_key: FxMap::default(),
+            active_roots: FxMap::default(),
+            range_regs: FxMap::default(),
             pending_ranges,
+            ending_ranges: FxMap::default(),
             awaiting: Vec::new(),
-            stmt_indices: HashMap::new(),
+            stmt_indices: FxMap::default(),
             tag_targets: Vec::new(),
             diags: Vec::new(),
             restrict_outcomes: Vec::new(),
@@ -339,12 +353,12 @@ impl Gen {
         self.loc_vars.var_for(&mut self.cs, r)
     }
 
-    fn struct_var(&mut self, name: &str) -> EffVar {
+    fn struct_var(&mut self, name: &Symbol) -> EffVar {
         if let Some(&v) = self.struct_eps.get(name) {
             return v;
         }
-        let v = self.cs.fresh_var("ε_struct");
-        self.struct_eps.insert(name.to_string(), v);
+        let v = self.cs.fresh_var();
+        self.struct_eps.insert(name.clone(), v);
         v
     }
 
@@ -352,22 +366,19 @@ impl Gen {
     fn ty_eps(&mut self, st: &mut State, ty: &Ty) -> Option<EffVar> {
         match ty {
             Ty::Ref(l) => Some(self.loc_var(st, *l)),
-            Ty::Struct(s) => {
-                let s = s.clone();
-                Some(self.struct_var(&s))
-            }
+            Ty::Struct(s) => Some(self.struct_var(s)),
             _ => None,
         }
     }
 
-    fn fun_eff(&mut self, name: &str) -> FunEff {
+    fn fun_eff(&mut self, name: &Symbol) -> FunEff {
         if let Some(&fe) = self.fun_effs.get(name) {
             return fe;
         }
-        let raw = self.cs.fresh_var("raw eff");
-        let summary = self.cs.fresh_var("summary eff");
+        let raw = self.cs.fresh_var();
+        let summary = self.cs.fresh_var();
         let fe = FunEff { raw, summary };
-        self.fun_effs.insert(name.to_string(), fe);
+        self.fun_effs.insert(name.clone(), fe);
         fe
     }
 
@@ -377,28 +388,17 @@ impl Gen {
         self.cs.include(Effect::atom(kind, r), eff);
     }
 
-    /// The leftmost identifier of an expression (the cheap signature the
-    /// interception pre-filter keys on).
-    fn leftmost_ident(e: &Expr) -> Option<&str> {
-        match &e.kind {
-            ExprKind::Var(x) => Some(&x.name),
-            ExprKind::Unary(_, i) | ExprKind::New(i) | ExprKind::Cast(_, i) => {
-                Self::leftmost_ident(i)
-            }
-            ExprKind::Field(b, _) | ExprKind::Arrow(b, _) | ExprKind::Index(b, _) => {
-                Self::leftmost_ident(b)
-            }
-            ExprKind::Binary(_, a, _) | ExprKind::Assign(a, _) => Self::leftmost_ident(a),
-            ExprKind::Int(_) | ExprKind::Call(_, _) => None,
-        }
-    }
-
     fn activate_key(&mut self, ix: usize) {
-        let key = self.units[ix].key.clone();
-        if let Some(root) = self.units[ix].root.clone() {
-            *self.active_roots.entry(root).or_insert(0) += 1;
+        let u = &self.units[ix];
+        if let Some(root) = &u.root {
+            *self.active_roots.entry(root.clone()).or_insert(0) += 1;
         }
-        self.active_by_key.entry(key).or_default().push(ix);
+        match self.active_by_key.get_mut(&u.key) {
+            Some(stack) => stack.push(ix),
+            None => {
+                self.active_by_key.insert(u.key.clone(), vec![ix]);
+            }
+        }
     }
 
     fn deactivate_key(&mut self, ix: usize) {
@@ -424,19 +424,18 @@ impl Gen {
     /// The escape set `locs(Γ, τ1, τ_ret)` for a restriction at the
     /// current point: `gamma_pre ∪ ε(content(ρ)) ∪ ε(return type)`.
     fn escape_var(&mut self, st: &mut State, gamma_pre: EffVar, rho: Loc) -> EffVar {
-        let esc = self.cs.fresh_var("escape set");
+        let esc = self.cs.fresh_var();
         self.cs.include(Effect::var(gamma_pre), esc);
         let content = st.locs.content(rho);
         if let Some(v) = self.ty_eps(st, &content) {
             self.cs.include(Effect::var(v), esc);
         }
-        if let Some(fun) = st.current_fun().map(str::to_string) {
-            if let Some(sig) = st.funs.get(&fun) {
-                let ret = sig.ret.clone();
-                if let Some(v) = self.ty_eps(st, &ret) {
-                    self.cs.include(Effect::var(v), esc);
-                }
-            }
+        let ret = st
+            .current_fun()
+            .and_then(|f| st.funs.get(f))
+            .map(|sig| sig.ret.clone());
+        if let Some(v) = ret.and_then(|ret| self.ty_eps(st, &ret)) {
+            self.cs.include(Effect::var(v), esc);
         }
         esc
     }
@@ -456,12 +455,8 @@ impl Gen {
     /// Equal ranges count as the later registration nesting inside the
     /// earlier one (the paper's innermost-first translation order).
     fn register_range(&mut self, block: NodeId, reg: RangeReg) {
-        let others: Vec<RangeReg> = self
-            .range_regs
-            .get(&block)
-            .map(|v| v.to_vec())
-            .unwrap_or_default();
-        for other in others {
+        let regs = self.range_regs.entry(block).or_default();
+        for &other in regs.iter() {
             let intersects = reg.start <= other.end && other.start <= reg.end;
             if !intersects {
                 continue;
@@ -486,7 +481,7 @@ impl Gen {
                 }
             }
         }
-        self.range_regs.entry(block).or_default().push(reg);
+        regs.push(reg);
     }
 
     /// Demotion action for an inference candidate.
@@ -502,7 +497,13 @@ impl Gen {
 
     /// Wires an *explicit* restrict check: `ρ ∉ L2`, `ρ' ∉ esc`, and the
     /// `{ρ}` restriction effect into `wiring.parent_eff`.
-    fn wire_restrict_check(&mut self, st: &mut State, name: &str, at: NodeId, w: RestrictWiring) {
+    fn wire_restrict_check(
+        &mut self,
+        st: &mut State,
+        name: &Symbol,
+        at: NodeId,
+        w: RestrictWiring,
+    ) {
         let RestrictWiring {
             rho,
             rho_p,
@@ -513,7 +514,7 @@ impl Gen {
         let idx = self.restrict_outcomes.len();
         self.restrict_outcomes.push(RestrictOutcome {
             at,
-            name: name.to_string(),
+            name: name.clone(),
             reasons: Vec::new(),
             locs: Some((rho, rho_p)),
         });
@@ -532,7 +533,7 @@ impl Gen {
     fn wire_restrict_candidate(
         &mut self,
         st: &mut State,
-        name: &str,
+        name: &Symbol,
         at: NodeId,
         w: RestrictWiring,
     ) {
@@ -547,7 +548,7 @@ impl Gen {
         self.candidate_flags.push((
             CandidateOutcome {
                 at,
-                name: name.to_string(),
+                name: name.clone(),
                 restricted: false, // patched after solving
                 locs: Some((rho, rho_p)),
             },
@@ -601,14 +602,13 @@ impl Gen {
             return false;
         }
         let content = st.locs.content(rho);
-        let name = format!("{}'", self.units[ix].key);
         let rho_p = st
             .locs
-            .fresh_with(name, content, localias_alias::loc::Multiplicity::One);
+            .fresh_with(content, localias_alias::loc::Multiplicity::One);
 
-        let l1 = self.cs.fresh_var("L1");
+        let l1 = self.cs.fresh_var();
         self.cs.include(l1_effect, l1);
-        let p_var = self.cs.fresh_var("p'");
+        let p_var = self.cs.fresh_var();
 
         let (l2, gamma, parent_eff, xeff, explicit, demoted) = {
             let u = &self.units[ix];
@@ -748,7 +748,7 @@ impl Gen {
                 None => {
                     // Outermost pending: evaluate this occurrence raw,
                     // capturing its effect as L1.
-                    let cap = self.cs.fresh_var("L1 capture");
+                    let cap = self.cs.fresh_var();
                     self.frames.push(Frame {
                         kind: FrameKind::Capture,
                         eff: cap,
@@ -817,9 +817,9 @@ impl Gen {
         }
 
         let mut emitted: HashSet<Loc> = HashSet::new();
-        let mut structs_done: HashSet<String> = HashSet::new();
+        let mut structs_done: HashSet<Symbol> = HashSet::new();
         let mut stack: Vec<(Loc, EffVar)> = self.loc_vars.iter().collect();
-        let mut struct_stack: Vec<String> = self.struct_eps.keys().cloned().collect();
+        let mut struct_stack: Vec<Symbol> = self.struct_eps.keys().cloned().collect();
         loop {
             while let Some((l, v)) = stack.pop() {
                 let r = st.locs.find(l);
@@ -880,7 +880,7 @@ impl Gen {
         Vec<RestrictOutcome>,
         Vec<CandidateOutcome>,
         Vec<ConfineOutcome>,
-        HashMap<String, EffVar>,
+        HashMap<Symbol, EffVar>,
     ) {
         // Attach violated checks to their outcomes.
         for v in sol.violations() {
@@ -951,17 +951,17 @@ impl Gen {
     /// assigned inside `body` — the syntactic complement of referential
     /// transparency for effect-free locals.
     fn register_rt_violation(&self, st: &State, e: &Expr, body: &Block) -> bool {
-        let mut free_regs: HashSet<String> = HashSet::new();
+        let mut free_regs: HashSet<Symbol> = HashSet::new();
         struct Fv<'a> {
             st: &'a State,
-            out: &'a mut HashSet<String>,
+            out: &'a mut HashSet<Symbol>,
         }
         impl Visitor for Fv<'_> {
             fn visit_expr(&mut self, e: &Expr) {
                 if let ExprKind::Var(x) = &e.kind {
                     if let Some(Some(v)) = self.st.var_of_expr.get(e.id.index()) {
                         if matches!(self.st.vars[v.index()].kind, VarKind::Register) {
-                            self.out.insert(x.name.to_string());
+                            self.out.insert(x.name.clone());
                         }
                     }
                 }
@@ -977,12 +977,12 @@ impl Gen {
             return false;
         }
         let mut assigned = HashSet::new();
-        struct Av<'a>(&'a mut HashSet<String>);
+        struct Av<'a>(&'a mut HashSet<Symbol>);
         impl Visitor for Av<'_> {
             fn visit_expr(&mut self, e: &Expr) {
                 if let ExprKind::Assign(lhs, _) = &e.kind {
                     if let ExprKind::Var(x) = &lhs.kind {
-                        self.0.insert(x.name.to_string());
+                        self.0.insert(x.name.clone());
                     }
                 }
                 walk_expr(self, e);
@@ -1007,7 +1007,7 @@ impl Hooks for Gen {
         self.emit(st, EffectKind::Alloc, loc);
     }
 
-    fn on_call(&mut self, _st: &mut State, callee: &str, _at: NodeId) {
+    fn on_call(&mut self, _st: &mut State, callee: &Symbol, _at: NodeId) {
         let fe = self.fun_eff(callee);
         let eff = self.top_eff();
         self.cs.include(Effect::var(fe.summary), eff);
@@ -1016,9 +1016,9 @@ impl Hooks for Gen {
     fn enter_scope(&mut self, st: &mut State, kind: ScopeKind) {
         match kind {
             ScopeKind::Fun(_) => {
-                let name = st.current_fun().expect("in a function").to_string();
+                let name = st.current_fun().expect("in a function").clone();
                 let fe = self.fun_eff(&name);
-                let gamma = self.cs.fresh_var("ε_Γ");
+                let gamma = self.cs.fresh_var();
                 self.cs.include(Effect::var(self.gamma_globals), gamma);
                 self.frames.push(Frame {
                     kind: FrameKind::Fun(name),
@@ -1027,7 +1027,7 @@ impl Hooks for Gen {
                 });
             }
             ScopeKind::Block(_) | ScopeKind::RestrictBody(_) | ScopeKind::ConfineBody(_) => {
-                let eff = self.cs.fresh_var("scope eff");
+                let eff = self.cs.fresh_var();
                 let gamma = self.cur_gamma();
                 self.frames.push(Frame {
                     kind: FrameKind::Scope,
@@ -1058,7 +1058,7 @@ impl Hooks for Gen {
                 if self.opts.apply_down {
                     // (Down): mask the raw body effect by the locations
                     // visible through globals and the signature.
-                    let vis = self.cs.fresh_var("visible");
+                    let vis = self.cs.fresh_var();
                     self.cs.include(Effect::var(self.gamma_globals), vis);
                     if let Some(sig) = st.funs.get(&name).cloned() {
                         for p in &sig.params {
@@ -1107,18 +1107,11 @@ impl Hooks for Gen {
         }
 
         // Deactivate range candidates that ended at index - 1.
-        let ended: Vec<usize> = self
-            .units
-            .iter()
-            .enumerate()
-            .filter(|(_, u)| {
-                u.active
-                    && matches!(u.site, ConfineSite::Range { block: b, end, .. }
-                        if b == block && end + 1 == index)
-            })
-            .map(|(i, _)| i)
-            .collect();
-        for ix in ended {
+        for ix in self
+            .ending_ranges
+            .remove(&(block, index))
+            .unwrap_or_default()
+        {
             self.units[ix].active = false;
             self.deactivate_key(ix);
         }
@@ -1141,9 +1134,13 @@ impl Hooks for Gen {
                 };
                 self.units[ix].gamma = self.cur_gamma();
                 self.units[ix].parent_eff = self.top_eff();
-                self.units[ix].fun = st.current_fun().map(str::to_string);
+                self.units[ix].fun = st.current_fun().cloned();
                 self.units[ix].active = true;
                 self.activate_key(ix);
+                self.ending_ranges
+                    .entry((block, end + 1))
+                    .or_default()
+                    .push(ix);
                 let l2 = self.units[ix].l2;
                 let xeff = self.units[ix].xeff;
                 self.register_range(
@@ -1160,20 +1157,15 @@ impl Hooks for Gen {
 
         // Push this statement's frame and feed covering registrations.
         self.stmt_indices.insert(block, index);
-        let eff = self.cs.fresh_var("stmt");
+        let eff = self.cs.fresh_var();
         self.frames.push(Frame {
             kind: FrameKind::Stmt { block },
             eff,
             gamma: None,
         });
-        if let Some(regs) = self.range_regs.get(&block) {
-            let covering: Vec<EffVar> = regs
-                .iter()
-                .filter(|r| r.start <= index && index <= r.end)
-                .map(|r| r.l2)
-                .collect();
-            for l2 in covering {
-                self.cs.include(Effect::var(eff), l2);
+        for r in self.range_regs.get(&block).into_iter().flatten() {
+            if r.start <= index && index <= r.end {
+                self.cs.include(Effect::var(eff), r.l2);
             }
         }
     }
@@ -1227,10 +1219,9 @@ impl Hooks for Gen {
             return init_ty;
         }
         let content = st.locs.content(rho);
-        let name = format!("{}'", st.locs.name(rho));
         let rho_p = st
             .locs
-            .fresh_with(name, content, localias_alias::loc::Multiplicity::One);
+            .fresh_with(content, localias_alias::loc::Multiplicity::One);
         self.pending_bind = Some(PendingBind {
             rho,
             rho_p,
@@ -1257,7 +1248,7 @@ impl Hooks for Gen {
             }
         } else {
             let old = self.cur_gamma();
-            let new = self.cs.fresh_var("ε_Γ+");
+            let new = self.cs.fresh_var();
             self.cs.include(Effect::var(old), new);
             for v in parts {
                 self.cs.include(Effect::var(v), new);
@@ -1285,9 +1276,9 @@ impl Hooks for Gen {
         // L2 and the parent effect depend on the binder's shape.
         let (l2, parent_eff) = match site {
             BindSite::Param { .. } => {
-                let name = st.current_fun().expect("param binds in a function");
-                let fe = self.fun_eff(name);
-                let l2 = self.cs.fresh_var("L2 param");
+                let name = st.current_fun().expect("param binds in a function").clone();
+                let fe = self.fun_eff(&name);
+                let l2 = self.cs.fresh_var();
                 self.cs.include(Effect::var(fe.raw), l2);
                 // The restriction effect of a parameter belongs to the
                 // function's summary (it happens at each call).
@@ -1295,7 +1286,7 @@ impl Hooks for Gen {
             }
             BindSite::RestrictStmt => {
                 let body_eff = self.top_eff();
-                let l2 = self.cs.fresh_var("L2 restrict");
+                let l2 = self.cs.fresh_var();
                 self.cs.include(Effect::var(body_eff), l2);
                 let parent = self.frames[self.frames.len() - 2].eff;
                 (l2, parent)
@@ -1303,7 +1294,7 @@ impl Hooks for Gen {
             BindSite::Decl { .. } => {
                 // Scope: the rest of the enclosing block — all statement
                 // frames with a higher index feed this L2.
-                let l2 = self.cs.fresh_var("L2 decl");
+                let l2 = self.cs.fresh_var();
                 let parent = self.top_eff();
                 if let Some(Frame {
                     kind: FrameKind::Stmt { block },
@@ -1342,7 +1333,7 @@ impl Hooks for Gen {
     }
 
     fn on_confine_start(&mut self, _st: &mut State, at: NodeId) {
-        let cap = self.cs.fresh_var("L1 confine");
+        let cap = self.cs.fresh_var();
         self.frames.push(Frame {
             kind: FrameKind::Capture,
             eff: cap,
@@ -1359,18 +1350,17 @@ impl Hooks for Gen {
         let eff = self.top_eff();
         self.cs.include(Effect::var(cap.eff), eff);
 
-        let key = pretty::print_expr(expr);
-        let l2 = self.cs.fresh_var("L2 confine");
-        let xeff = self.cs.fresh_var("xeff confine");
+        let l2 = self.cs.fresh_var();
+        let xeff = self.cs.fresh_var();
         let demoted = self.cs.fresh_flag();
         let ix = self.units.len();
-        let root = root_of(expr);
+        let root = root_of(expr).cloned();
         self.units.push(Unit {
             site: ConfineSite::Stmt(at),
-            key: key.clone(),
+            key: pretty::print_expr(expr),
             root,
             explicit: true,
-            fun: st.current_fun().map(str::to_string),
+            fun: st.current_fun().cloned(),
             l2,
             gamma: self.cur_gamma(),
             parent_eff: self.top_eff(),
@@ -1422,7 +1412,7 @@ impl Hooks for Gen {
         }
         // Pre-filter on the leftmost identifier before paying for a
         // printed key.
-        match Self::leftmost_ident(e) {
+        match root_of(e) {
             Some(root) if self.active_roots.contains_key(root) => {}
             _ => return None,
         }

@@ -23,9 +23,9 @@
 //! referential-transparency check).
 
 use crate::outcome::ConfineSite;
-use localias_ast::visit::{walk_expr, Visitor};
+use localias_alias::{FxMap, FxSet};
 use localias_ast::{intrinsics, pretty, Block, Expr, ExprKind, Module, NodeId, Stmt, StmtKind};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// A proposed `confine?` site: confine `expr` around statements
 /// `start..=end` of `block`.
@@ -54,82 +54,94 @@ impl ConfineCandidate {
     }
 }
 
-/// Free variable names of an expression.
-fn free_vars(e: &Expr) -> HashSet<String> {
-    struct Fv(HashSet<String>);
-    impl Visitor for Fv {
-        fn visit_expr(&mut self, e: &Expr) {
-            if let ExprKind::Var(x) = &e.kind {
-                self.0.insert(x.name.to_string());
+/// Calls `f` on `e` and on each of its subexpressions, parents first.
+fn each_expr<'m>(e: &'m Expr, f: &mut impl FnMut(&'m Expr)) {
+    f(e);
+    match &e.kind {
+        ExprKind::Int(_) | ExprKind::Var(_) => {}
+        ExprKind::Unary(_, a)
+        | ExprKind::New(a)
+        | ExprKind::Cast(_, a)
+        | ExprKind::Field(a, _)
+        | ExprKind::Arrow(a, _) => each_expr(a, f),
+        ExprKind::Binary(_, a, b) | ExprKind::Assign(a, b) | ExprKind::Index(a, b) => {
+            each_expr(a, f);
+            each_expr(b, f);
+        }
+        ExprKind::Call(_, args) => {
+            for a in args {
+                each_expr(a, f);
             }
-            walk_expr(self, e);
         }
     }
-    let mut v = Fv(HashSet::new());
-    v.visit_expr(e);
-    v.0
+}
+
+/// The expressions a statement evaluates itself, not those of its
+/// nested blocks.
+fn own_exprs(s: &Stmt) -> [Option<&Expr>; 2] {
+    match &s.kind {
+        StmtKind::Expr(e) | StmtKind::Return(Some(e)) => [Some(e), None],
+        StmtKind::Decl { init, .. } => [init.as_ref(), None],
+        StmtKind::If { cond, .. } => [Some(cond), None],
+        StmtKind::While { cond, step, .. } => [Some(cond), step.as_ref()],
+        StmtKind::Restrict { init, .. } => [Some(init), None],
+        StmtKind::Confine { expr, .. } => [Some(expr), None],
+        StmtKind::Return(None) | StmtKind::Block(_) | StmtKind::Break | StmtKind::Continue => {
+            [None, None]
+        }
+    }
+}
+
+/// Free variable names of an expression.
+fn free_vars(e: &Expr) -> Vec<&str> {
+    let mut out: Vec<&str> = Vec::new();
+    each_expr(e, &mut |e| {
+        if let ExprKind::Var(x) = &e.kind {
+            if !out.contains(&x.name.as_str()) {
+                out.push(&x.name);
+            }
+        }
+    });
+    out
 }
 
 /// Names assigned (as whole variables) anywhere within a statement.
-fn assigned_vars(s: &Stmt, out: &mut HashSet<String>) {
-    struct Av<'a>(&'a mut HashSet<String>);
-    impl Visitor for Av<'_> {
-        fn visit_expr(&mut self, e: &Expr) {
+fn assigned_vars<'m>(s: &'m Stmt, out: &mut FxSet<&'m str>) {
+    for e in own_exprs(s).into_iter().flatten() {
+        each_expr(e, &mut |e| {
             if let ExprKind::Assign(lhs, _) = &e.kind {
                 if let ExprKind::Var(x) = &lhs.kind {
-                    self.0.insert(x.name.to_string());
+                    out.insert(&x.name);
                 }
             }
-            walk_expr(self, e);
+        });
+    }
+    for b in child_blocks(s) {
+        for s in &b.stmts {
+            assigned_vars(s, out);
         }
     }
-    let mut v = Av(out);
-    v.visit_stmt(s);
 }
 
 /// `change_type` argument expressions called *directly* in this
 /// statement's own expressions, *not* descending into nested blocks
-/// (those report through their own scan).
-fn direct_change_type_args(s: &Stmt) -> Vec<Expr> {
-    struct Args(Vec<Expr>);
-    impl Visitor for Args {
-        fn visit_expr(&mut self, e: &Expr) {
+/// (those report through their own scan). An explicit confine already
+/// handles its own expression.
+fn direct_change_type_args(s: &Stmt) -> Vec<&Expr> {
+    let mut out = Vec::new();
+    if matches!(s.kind, StmtKind::Confine { .. }) {
+        return out;
+    }
+    for e in own_exprs(s).into_iter().flatten() {
+        each_expr(e, &mut |e| {
             if let ExprKind::Call(f, args) = &e.kind {
                 if intrinsics::is_change_type(&f.name) {
-                    self.0.extend(args.iter().cloned());
+                    out.extend(args);
                 }
             }
-            walk_expr(self, e);
-        }
-        // Do not descend into nested statements via blocks: visit_stmt
-        // default recursion handles expressions of *this* statement only
-        // because we never call it on child statements.
+        });
     }
-    let mut v = Args(Vec::new());
-    match &s.kind {
-        StmtKind::Expr(e) => v.visit_expr(e),
-        StmtKind::Decl { init, .. } => {
-            if let Some(e) = init {
-                v.visit_expr(e);
-            }
-        }
-        StmtKind::If { cond, .. } => v.visit_expr(cond),
-        StmtKind::While { cond, step, .. } => {
-            v.visit_expr(cond);
-            if let Some(step) = step {
-                v.visit_expr(step);
-            }
-        }
-        StmtKind::Return(Some(e)) => v.visit_expr(e),
-        StmtKind::Restrict { init, .. } => v.visit_expr(init),
-        // An explicit confine already handles its own expression.
-        StmtKind::Confine { .. }
-        | StmtKind::Return(None)
-        | StmtKind::Block(_)
-        | StmtKind::Break
-        | StmtKind::Continue => {}
-    }
-    v.0
+    out
 }
 
 /// The nested blocks of a statement, in order.
@@ -150,7 +162,9 @@ fn child_blocks(s: &Stmt) -> Vec<&Block> {
     }
 }
 
-struct Scan {
+/// The scan's state. Names and example expressions are borrowed from
+/// the module; only the printed keys are owned.
+struct Scan<'m> {
     /// Also propose per-occurrence singletons and disjoint adjacent pairs
     /// (the paper's *general* strategy, approximated with a bounded
     /// candidate set), not just the min–max heuristic range.
@@ -161,43 +175,39 @@ struct Scan {
     ancestors: Vec<(NodeId, usize)>,
     /// Names assigned anywhere within each enclosing statement subtree —
     /// parallel to `ancestors`.
-    ancestor_assigned: Vec<HashSet<String>>,
+    ancestor_assigned: Vec<FxSet<&'m str>>,
     /// Scoped environment: name → stack of `(depth, stmt index)` binding
     /// sites. Depth 0 is globals/params. Avoids cloning visibility sets
     /// per statement (which made the heuristic cost more than the whole
     /// analysis on large modules).
-    env: HashMap<String, Vec<(usize, usize)>>,
+    env: FxMap<&'m str, Vec<(usize, usize)>>,
     seen: HashSet<(NodeId, usize, usize, String)>,
 }
 
-impl Scan {
-    fn push_candidate(&mut self, block: NodeId, start: usize, end: usize, expr: &Expr) {
-        let key = pretty::print_expr(expr);
-        if self.seen.insert((block, start, end, key.clone())) {
+impl<'m> Scan<'m> {
+    fn push_candidate(&mut self, block: NodeId, start: usize, end: usize, key: &str, expr: &Expr) {
+        if self.seen.insert((block, start, end, key.to_string())) {
             self.out.push(ConfineCandidate {
                 block,
                 start,
                 end,
                 expr: expr.clone(),
-                key,
+                key: key.to_string(),
             });
         }
     }
 
-    fn bind(&mut self, name: &str, depth: usize, idx: usize, undo: &mut Vec<String>) {
-        self.env
-            .entry(name.to_string())
-            .or_default()
-            .push((depth, idx));
-        undo.push(name.to_string());
+    fn bind(&mut self, name: &'m str, depth: usize, idx: usize, undo: &mut Vec<&'m str>) {
+        self.env.entry(name).or_default().push((depth, idx));
+        undo.push(name);
     }
 
-    fn unbind_all(&mut self, undo: Vec<String>) {
+    fn unbind_all(&mut self, undo: Vec<&'m str>) {
         for name in undo {
-            if let Some(stack) = self.env.get_mut(&name) {
+            if let Some(stack) = self.env.get_mut(name) {
                 stack.pop();
                 if stack.is_empty() {
-                    self.env.remove(&name);
+                    self.env.remove(name);
                 }
             }
         }
@@ -217,21 +227,20 @@ impl Scan {
     /// Scans a block at nesting `depth` (function body = 1). Returns the
     /// `change_type` argument keys (with an example expression) that
     /// remain *unconsumed* and bubble up.
-    fn block(&mut self, b: &Block, depth: usize) -> HashMap<String, Expr> {
+    fn block(&mut self, b: &'m Block, depth: usize) -> FxMap<String, &'m Expr> {
         // First pass: per-statement keys (direct + bubbled from nested
         // blocks) and assigned names; the scoped env evolves in place.
-        let mut per_stmt_keys: Vec<HashMap<String, Expr>> = Vec::with_capacity(b.stmts.len());
-        let mut per_stmt_assigned: Vec<HashSet<String>> = Vec::with_capacity(b.stmts.len());
-        let mut undo: Vec<String> = Vec::new();
+        let mut per_stmt_keys: Vec<FxMap<String, &'m Expr>> = Vec::with_capacity(b.stmts.len());
+        let mut per_stmt_assigned: Vec<FxSet<&'m str>> = Vec::with_capacity(b.stmts.len());
+        let mut undo: Vec<&'m str> = Vec::new();
         for (i, s) in b.stmts.iter().enumerate() {
-            let mut assigned = HashSet::new();
+            let mut assigned = FxSet::default();
             assigned_vars(s, &mut assigned);
-            per_stmt_assigned.push(assigned.clone());
 
-            let mut keys: HashMap<String, Expr> = HashMap::new();
+            let mut keys: FxMap<String, &'m Expr> = FxMap::default();
             for a in direct_change_type_args(s) {
                 if a.is_confinable_shape() {
-                    keys.entry(pretty::print_expr(&a)).or_insert(a);
+                    keys.entry(pretty::print_expr(a)).or_insert(a);
                 }
             }
 
@@ -250,7 +259,7 @@ impl Scan {
             }
             self.unbind_all(inner_undo);
             self.ancestors.pop();
-            self.ancestor_assigned.pop();
+            per_stmt_assigned.push(self.ancestor_assigned.pop().expect("pushed above"));
 
             if let StmtKind::Decl { name, .. } = &s.kind {
                 self.bind(&name.name, depth, i, &mut undo);
@@ -261,21 +270,21 @@ impl Scan {
         // Second pass: group by key across statements of this block.
         // (All of this block's declarations are in the env with their
         // statement index, so visibility at a range start is a lookup.)
-        let mut by_key: HashMap<String, Vec<usize>> = HashMap::new();
+        let mut by_key: FxMap<&str, Vec<usize>> = FxMap::default();
         for (i, keys) in per_stmt_keys.iter().enumerate() {
             for k in keys.keys() {
-                by_key.entry(k.clone()).or_default().push(i);
+                by_key.entry(k).or_default().push(i);
             }
         }
 
-        let mut bubbled: HashMap<String, Expr> = HashMap::new();
-        let mut sorted_keys: Vec<&String> = by_key.keys().collect();
-        sorted_keys.sort();
+        let mut bubbled: FxMap<String, &'m Expr> = FxMap::default();
+        let mut sorted_keys: Vec<&str> = by_key.keys().copied().collect();
+        sorted_keys.sort_unstable();
         for k in sorted_keys {
             let stmts = &by_key[k];
-            let example = per_stmt_keys[stmts[0]][k].clone();
+            let example: &'m Expr = per_stmt_keys[stmts[0]][k];
             if stmts.len() < 2 {
-                bubbled.insert(k.clone(), example);
+                bubbled.insert(k.to_string(), example);
                 continue;
             }
             let start = *stmts.first().expect("nonempty");
@@ -283,23 +292,19 @@ impl Scan {
 
             // Syntactic referential-transparency pre-filter: no free
             // variable of the expression may be assigned in the range.
-            let fv = free_vars(&example);
-            let range_ok = |lo: usize,
-                            hi: usize,
-                            per_stmt_assigned: &[HashSet<String>],
-                            fv: &HashSet<String>| {
-                let assigned: HashSet<&String> =
-                    per_stmt_assigned[lo..=hi].iter().flatten().collect();
-                !fv.iter().any(|v| assigned.contains(v))
+            let fv = free_vars(example);
+            let range_ok = |lo: usize, hi: usize| {
+                !per_stmt_assigned[lo..=hi]
+                    .iter()
+                    .any(|assigned| fv.iter().any(|v| assigned.contains(v)))
             };
-            if !range_ok(start, end, &per_stmt_assigned, &fv) {
+            if !range_ok(start, end) {
                 // The general strategy may still find safe sub-ranges.
                 if self.general {
                     for &si in stmts {
-                        if range_ok(si, si, &per_stmt_assigned, &fv)
-                            && fv.iter().all(|v| self.visible_before(v, depth, si))
+                        if range_ok(si, si) && fv.iter().all(|v| self.visible_before(v, depth, si))
                         {
-                            self.push_candidate(b.id, si, si, &example);
+                            self.push_candidate(b.id, si, si, k, example);
                         }
                     }
                 }
@@ -310,7 +315,7 @@ impl Scan {
                 continue;
             }
 
-            self.push_candidate(b.id, start, end, &example);
+            self.push_candidate(b.id, start, end, k, example);
 
             if self.general {
                 // Per-occurrence singletons and disjoint adjacent pairs —
@@ -318,15 +323,15 @@ impl Scan {
                 // still succeed (the paper's greedy merge applied to a
                 // bounded candidate ladder).
                 for &si in stmts {
-                    self.push_candidate(b.id, si, si, &example);
+                    self.push_candidate(b.id, si, si, k, example);
                 }
-                let mut k = 0;
-                while k + 1 < stmts.len() {
-                    let (lo, hi) = (stmts[k], stmts[k + 1]);
-                    if range_ok(lo, hi, &per_stmt_assigned, &fv) {
-                        self.push_candidate(b.id, lo, hi, &example);
+                let mut j = 0;
+                while j + 1 < stmts.len() {
+                    let (lo, hi) = (stmts[j], stmts[j + 1]);
+                    if range_ok(lo, hi) {
+                        self.push_candidate(b.id, lo, hi, k, example);
                     }
-                    k += 2;
+                    j += 2;
                 }
             }
 
@@ -345,7 +350,7 @@ impl Scan {
                 {
                     break; // the enclosing statement assigns a free var
                 }
-                self.push_candidate(ab, ai, ai, &example);
+                self.push_candidate(ab, ai, ai, k, example);
             }
         }
         self.unbind_all(undo);
@@ -398,7 +403,7 @@ fn propose_with(m: &Module, general: bool) -> Vec<ConfineCandidate> {
         out: Vec::new(),
         ancestors: Vec::new(),
         ancestor_assigned: Vec::new(),
-        env: HashMap::new(),
+        env: FxMap::default(),
         seen: HashSet::new(),
     };
     let mut global_undo = Vec::new();

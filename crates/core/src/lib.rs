@@ -80,7 +80,7 @@ pub struct Analysis {
     pub confines: Vec<ConfineOutcome>,
     /// The `(Down)`-masked effect-summary variable of each defined
     /// function; resolve through [`Analysis::function_effect`].
-    pub fun_effects: HashMap<String, localias_effects::EffVar>,
+    pub fun_effects: HashMap<localias_ast::Symbol, localias_effects::EffVar>,
 }
 
 impl Analysis {

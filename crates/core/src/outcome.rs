@@ -1,6 +1,6 @@
 //! Diagnostics and per-annotation/per-candidate outcomes.
 
-use localias_ast::{NodeId, Span};
+use localias_ast::{NodeId, Span, Symbol};
 use std::fmt;
 
 /// Why a `restrict`/`confine` was rejected (or an error reported).
@@ -80,7 +80,7 @@ pub struct RestrictOutcome {
     /// The annotation's statement/function node.
     pub at: NodeId,
     /// The restricted name.
-    pub name: String,
+    pub name: Symbol,
     /// Rejection reasons; empty means the annotation checks.
     pub reasons: Vec<Reason>,
     /// The original location `ρ` and the fresh scope-local `ρ'`
@@ -102,7 +102,7 @@ pub struct CandidateOutcome {
     /// The declaration's statement node.
     pub at: NodeId,
     /// The declared name.
-    pub name: String,
+    pub name: Symbol,
     /// `true` if the binding can soundly be a `restrict`.
     pub restricted: bool,
     /// `(ρ, ρ')` for the candidate (after demotion the two are unified,

@@ -385,3 +385,71 @@ fn general_strategy_subsumes_heuristic_on_simple_regions() {
         .any(|c| c.key == h_best.key && c.start <= h_best.start && h_best.end <= c.end);
     assert!(covered, "general must not lose the heuristic's region");
 }
+
+/// `confine?` ranges activate and deactivate at statement boundaries:
+/// one block holds nested, equal and adjacent ranges, ranges that end
+/// at the block's last statement, and several candidates for one
+/// expression. Every verdict and the outermost selection are pinned.
+#[test]
+fn range_deactivation_over_nested_equal_and_adjacent_ranges() {
+    use localias_ast::{parse_expr, pretty};
+    use localias_core::{block_parents, encloses, select_outermost, ConfineCandidate};
+
+    let m = parse(
+        r#"
+        lock a; lock b; lock *pa;
+        extern void work();
+        void g() { pa = &a; }
+        void f() {
+            spin_lock(&a);
+            spin_unlock(&a);
+            spin_lock(&a);
+            spin_unlock(pa);
+            spin_lock(&b);
+            work();
+            spin_unlock(&b);
+        }
+        "#,
+    );
+    let block = m.function("f").expect("f").body.id;
+    let cand = |src: &str, start: usize, end: usize| {
+        let expr = parse_expr(src).expect("expr");
+        ConfineCandidate {
+            block,
+            start,
+            end,
+            key: pretty::print_expr(&expr),
+            expr,
+        }
+    };
+    let candidates = vec![
+        cand("&a", 0, 1),
+        cand("&a", 0, 1), // equal to the first
+        cand("&a", 2, 3), // adjacent to [0, 1]; `pa` aliases `a` in it
+        cand("&a", 0, 3), // encloses both
+        cand("&a", 2, 2), // nested in [2, 3]
+        cand("&b", 4, 6), // ends at the last statement
+        cand("&b", 6, 6), // nested, also ends there
+        cand("&b", 4, 5), // nested, adjacent to [6, 6]
+    ];
+    let a = analyze(
+        &m,
+        Options {
+            confine_candidates: candidates.clone(),
+            ..Options::default()
+        },
+    );
+    let ok: Vec<bool> = a.confines[..candidates.len()]
+        .iter()
+        .map(|c| c.ok())
+        .collect();
+    assert_eq!(
+        ok,
+        [true, true, false, false, true, true, true, true],
+        "{:?}",
+        a.confines
+    );
+    let parents = block_parents(&m);
+    let chosen = select_outermost(&candidates, &ok, &|x, y| encloses(&parents, x, y));
+    assert_eq!(chosen, [0, 1, 4, 5]);
+}

@@ -18,19 +18,19 @@
 //! the callee comes earlier in the order; a call into a cyclic function
 //! that is not yet summarized conservatively havocs the store.
 
+use localias_alias::FxHashMap;
 use localias_ast::visit::{walk_expr, Visitor};
-use localias_ast::{Expr, ExprKind, Module};
+use localias_ast::{Expr, ExprKind, Module, Symbol};
 use localias_obs as obs;
-use std::collections::HashMap;
 
 /// A call graph over a module's defined functions, with a deterministic
 /// bottom-up schedule. See the module docs.
 #[derive(Debug, Clone)]
 pub struct CallGraph {
     /// Function names; the node id *is* the index into this sorted list.
-    names: Vec<String>,
+    names: Vec<Symbol>,
     /// Name → node id.
-    index: HashMap<String, usize>,
+    index: FxHashMap<Symbol, usize>,
     /// Sorted, deduplicated defined callees per node, excluding self.
     callees: Vec<Vec<usize>>,
     /// Treated as recursive by the checker: direct self-recursion, or on/
@@ -42,13 +42,13 @@ pub struct CallGraph {
 
 /// Collects the callee names of one function body.
 struct Calls {
-    out: Vec<String>,
+    out: Vec<Symbol>,
 }
 
 impl Visitor for Calls {
     fn visit_expr(&mut self, e: &Expr) {
         if let ExprKind::Call(name, _) = &e.kind {
-            self.out.push(name.name.to_string());
+            self.out.push(name.name.clone());
         }
         walk_expr(self, e);
     }
@@ -61,10 +61,10 @@ impl CallGraph {
         // Node ids: defined function names, sorted — so numeric order on
         // ids is alphabetical order on names, whatever the definition
         // order was.
-        let mut names: Vec<String> = m.functions().map(|f| f.name.name.to_string()).collect();
+        let mut names: Vec<Symbol> = m.functions().map(|f| f.name.name.clone()).collect();
         names.sort();
         names.dedup();
-        let index: HashMap<String, usize> = names
+        let index: FxHashMap<Symbol, usize> = names
             .iter()
             .enumerate()
             .map(|(i, n)| (n.clone(), i))
@@ -77,7 +77,7 @@ impl CallGraph {
         let mut callees: Vec<Vec<usize>> = vec![Vec::new(); n];
         let mut self_rec = vec![false; n];
         for f in m.functions() {
-            let v = index[f.name.name.as_str()];
+            let v = index[&f.name.name];
             let mut calls = Calls { out: Vec::new() };
             calls.visit_block(&f.body);
             let mut out = Vec::new();

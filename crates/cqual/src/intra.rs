@@ -21,7 +21,9 @@ use crate::store::Store;
 use crate::summary::{retarget, ParamInfo, Summary};
 use localias_alias::fx::{FxHashMap, FxHashSet};
 use localias_alias::{FrozenLocs, Loc, State, Ty};
-use localias_ast::{intrinsics, Block, Expr, ExprKind, FunDef, Module, NodeId, Stmt, StmtKind};
+use localias_ast::{
+    intrinsics, Block, Expr, ExprKind, FunDef, Module, NodeId, Stmt, StmtKind, Symbol,
+};
 use localias_core::{Analysis, ConfineSite};
 use localias_obs as obs;
 
@@ -175,7 +177,7 @@ pub(crate) fn check_function(
     let mut fc = FunctionChecker {
         cx,
         summaries,
-        current_fun: f.name.name.to_string(),
+        current_fun: f.name.name.clone(),
         errors: Vec::new(),
         sites: 0,
         recording: true,
@@ -234,7 +236,7 @@ struct FunctionChecker<'c, 'a> {
     /// Summary slots by node id; filled for the functions checked before
     /// this one.
     summaries: &'c [Option<Summary>],
-    current_fun: String,
+    current_fun: Symbol,
     errors: Vec<LockError>,
     sites: usize,
     recording: bool,
@@ -444,7 +446,7 @@ impl FunctionChecker<'_, '_> {
                     site,
                     op,
                     found,
-                    fun: self.current_fun.clone(),
+                    fun: self.current_fun.to_string(),
                 });
             }
         }

@@ -303,15 +303,15 @@ mod tests {
     #[test]
     fn strong_updatability() {
         let mut t = LocTable::new();
-        let single = t.fresh_with("x", Ty::Lock, Multiplicity::One);
-        let many = t.fresh_with("arr[]", Ty::Lock, Multiplicity::Many);
+        let single = t.fresh_with(Ty::Lock, Multiplicity::One);
+        let many = t.fresh_with(Ty::Lock, Multiplicity::Many);
         assert!(strong_updatable(&mut t, single));
         assert!(!strong_updatable(&mut t, many));
-        let tainted = t.fresh_with("y", Ty::Lock, Multiplicity::One);
+        let tainted = t.fresh_with(Ty::Lock, Multiplicity::One);
         t.taint(tainted);
         assert!(!strong_updatable(&mut t, tainted));
         // Merging a single with another single makes both Many.
-        let s2 = t.fresh_with("z", Ty::Lock, Multiplicity::One);
+        let s2 = t.fresh_with(Ty::Lock, Multiplicity::One);
         t.union_raw(single, s2);
         assert!(!strong_updatable(&mut t, single));
     }

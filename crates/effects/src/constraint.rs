@@ -4,7 +4,6 @@
 use crate::effect::{EffVar, Effect, KindMask};
 use localias_alias::{Loc, UnionFind};
 use localias_obs as obs;
-use std::borrow::Cow;
 use std::fmt;
 
 /// A boolean flag set by a fired conditional constraint.
@@ -97,7 +96,6 @@ pub struct Conditional {
 #[derive(Debug, Default)]
 pub struct ConstraintSystem {
     evars: UnionFind,
-    names: Vec<Cow<'static, str>>,
     /// Unconditional inclusions `L ⊆ ε`.
     pub includes: Vec<(Effect, EffVar)>,
     /// Checked disinclusions.
@@ -113,16 +111,10 @@ impl ConstraintSystem {
         ConstraintSystem::default()
     }
 
-    /// Allocates a fresh effect variable; `name` is for diagnostics.
-    ///
-    /// Names are never consulted on the analysis hot path, so callers
-    /// should pass a `&'static str` (free) rather than a formatted
-    /// `String` — dynamic context belongs in diagnostics, not here.
-    pub fn fresh_var(&mut self, name: impl Into<Cow<'static, str>>) -> EffVar {
+    /// Allocates a fresh effect variable.
+    pub fn fresh_var(&mut self) -> EffVar {
         obs::count(obs::Counter::EffectVars, 1);
-        let v = EffVar(self.evars.push());
-        self.names.push(name.into());
-        v
+        EffVar(self.evars.push())
     }
 
     /// Allocates a fresh flag (initially unset).
@@ -168,11 +160,6 @@ impl ConstraintSystem {
         EffVar(self.evars.find_const(v.0))
     }
 
-    /// Diagnostic name of `v`.
-    pub fn name(&self, v: EffVar) -> &str {
-        self.names[v.index()].as_ref()
-    }
-
     /// Adds a checked disinclusion `ρ ∉_κ ε` tagged `tag`.
     pub fn check_not_in(&mut self, loc: Loc, kinds: KindMask, var: EffVar, tag: u32) {
         self.not_ins.push(NotIn {
@@ -210,10 +197,9 @@ mod tests {
     #[test]
     fn vars_and_flags_allocate() {
         let mut cs = ConstraintSystem::new();
-        let a = cs.fresh_var("a");
-        let b = cs.fresh_var("b");
+        let a = cs.fresh_var();
+        let b = cs.fresh_var();
         assert_ne!(a, b);
-        assert_eq!(cs.name(a), "a");
         let f1 = cs.fresh_flag();
         let f2 = cs.fresh_flag();
         assert_ne!(f1, f2);
@@ -223,8 +209,8 @@ mod tests {
     #[test]
     fn equate_merges() {
         let mut cs = ConstraintSystem::new();
-        let a = cs.fresh_var("a");
-        let b = cs.fresh_var("b");
+        let a = cs.fresh_var();
+        let b = cs.fresh_var();
         cs.equate(a, b);
         assert_eq!(cs.find(a), cs.find(b));
     }
@@ -232,7 +218,7 @@ mod tests {
     #[test]
     fn empty_inclusions_are_dropped() {
         let mut cs = ConstraintSystem::new();
-        let a = cs.fresh_var("a");
+        let a = cs.fresh_var();
         cs.include(Effect::Empty, a);
         assert!(cs.includes.is_empty());
         cs.include(Effect::atom(EffectKind::Read, Loc(0)), a);

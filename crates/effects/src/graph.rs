@@ -187,8 +187,8 @@ mod tests {
     #[test]
     fn atoms_and_edges_lower() {
         let mut cs = ConstraintSystem::new();
-        let a = cs.fresh_var("a");
-        let b = cs.fresh_var("b");
+        let a = cs.fresh_var();
+        let b = cs.fresh_var();
         cs.include(Effect::atom(EffectKind::Read, Loc(0)), a);
         cs.include(Effect::var(a), b);
         let g = build(&mut cs);
@@ -201,9 +201,9 @@ mod tests {
     #[test]
     fn unions_flatten_without_aux_nodes() {
         let mut cs = ConstraintSystem::new();
-        let a = cs.fresh_var("a");
-        let b = cs.fresh_var("b");
-        let c = cs.fresh_var("c");
+        let a = cs.fresh_var();
+        let b = cs.fresh_var();
+        let c = cs.fresh_var();
         cs.include(Effect::union(Effect::var(a), Effect::var(b)), c);
         let g = build(&mut cs);
         assert!(g.kinds.iter().all(|k| *k == NodeKind::Plain));
@@ -213,9 +213,9 @@ mod tests {
     #[test]
     fn intersections_create_inodes() {
         let mut cs = ConstraintSystem::new();
-        let a = cs.fresh_var("a");
-        let b = cs.fresh_var("b");
-        let c = cs.fresh_var("c");
+        let a = cs.fresh_var();
+        let b = cs.fresh_var();
+        let c = cs.fresh_var();
         cs.include(Effect::inter(Effect::var(a), Effect::var(b)), c);
         let g = build(&mut cs);
         assert_eq!(g.kinds.iter().filter(|k| **k == NodeKind::Inter).count(), 1);
@@ -237,8 +237,8 @@ mod tests {
     #[test]
     fn equated_vars_share_a_node() {
         let mut cs = ConstraintSystem::new();
-        let a = cs.fresh_var("a");
-        let b = cs.fresh_var("b");
+        let a = cs.fresh_var();
+        let b = cs.fresh_var();
         cs.equate(a, b);
         let mut g = Graph::new(&cs);
         let na = g.var_node(&mut cs, a);

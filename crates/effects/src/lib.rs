@@ -25,9 +25,9 @@
 //! use localias_alias::{LocTable, Ty};
 //!
 //! let mut locs = LocTable::new();
-//! let rho = locs.fresh("rho", Ty::Int);
+//! let rho = locs.fresh(Ty::Int);
 //! let mut cs = ConstraintSystem::new();
-//! let body = cs.fresh_var("body effect");
+//! let body = cs.fresh_var();
 //! cs.include(Effect::atom(EffectKind::Write, rho), body);
 //! cs.check_not_in(rho, KindMask::ACCESS, body, 0); // "ρ ∉ L2"
 //! let sol = solve(&mut cs, &mut locs);

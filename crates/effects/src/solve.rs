@@ -550,7 +550,7 @@ impl LocVars {
         match self.map.get(&canonical) {
             Some(&v) => v,
             None => {
-                let v = cs.fresh_var("ε_ρ");
+                let v = cs.fresh_var();
                 self.map.insert(canonical, v);
                 v
             }
@@ -826,10 +826,10 @@ mod tests {
     #[test]
     fn atoms_flow_through_var_chains() {
         let (mut cs, mut locs) = setup();
-        let l = locs.fresh("l", Ty::Int);
-        let a = cs.fresh_var("a");
-        let b = cs.fresh_var("b");
-        let c = cs.fresh_var("c");
+        let l = locs.fresh(Ty::Int);
+        let a = cs.fresh_var();
+        let b = cs.fresh_var();
+        let c = cs.fresh_var();
         cs.include(Effect::atom(EffectKind::Read, l), a);
         cs.include(Effect::var(a), b);
         cs.include(Effect::var(b), c);
@@ -841,11 +841,11 @@ mod tests {
     #[test]
     fn intersection_gates_by_location() {
         let (mut cs, mut locs) = setup();
-        let l1 = locs.fresh("l1", Ty::Int);
-        let l2 = locs.fresh("l2", Ty::Int);
-        let eff = cs.fresh_var("eff");
-        let vis = cs.fresh_var("vis");
-        let out = cs.fresh_var("out");
+        let l1 = locs.fresh(Ty::Int);
+        let l2 = locs.fresh(Ty::Int);
+        let eff = cs.fresh_var();
+        let vis = cs.fresh_var();
+        let out = cs.fresh_var();
         // eff = {read l1, write l2}; vis = {mention l1}; out ⊇ eff ∩ vis.
         cs.include(Effect::atom(EffectKind::Read, l1), eff);
         cs.include(Effect::atom(EffectKind::Write, l2), eff);
@@ -864,9 +864,9 @@ mod tests {
     #[test]
     fn cyclic_constraints_terminate() {
         let (mut cs, mut locs) = setup();
-        let l = locs.fresh("l", Ty::Int);
-        let a = cs.fresh_var("a");
-        let b = cs.fresh_var("b");
+        let l = locs.fresh(Ty::Int);
+        let a = cs.fresh_var();
+        let b = cs.fresh_var();
         cs.include(Effect::var(a), b);
         cs.include(Effect::var(b), a);
         cs.include(Effect::atom(EffectKind::Write, l), a);
@@ -878,8 +878,8 @@ mod tests {
     #[test]
     fn checked_disinclusion_violations() {
         let (mut cs, mut locs) = setup();
-        let l = locs.fresh("l", Ty::Int);
-        let a = cs.fresh_var("a");
+        let l = locs.fresh(Ty::Int);
+        let a = cs.fresh_var();
         cs.include(Effect::atom(EffectKind::Read, l), a);
         cs.check_not_in(l, KindMask::ACCESS, a, 7);
         cs.check_not_in(l, KindMask::MENTION, a, 8);
@@ -892,9 +892,9 @@ mod tests {
     #[test]
     fn conditional_loc_in_fires_and_unifies() {
         let (mut cs, mut locs) = setup();
-        let rho = locs.fresh("rho", Ty::Int);
-        let rho_p = locs.fresh("rho'", Ty::Int);
-        let body = cs.fresh_var("body");
+        let rho = locs.fresh(Ty::Int);
+        let rho_p = locs.fresh(Ty::Int);
+        let body = cs.fresh_var();
         cs.include(Effect::atom(EffectKind::Read, rho), body);
         let flag = cs.fresh_flag();
         cs.conditional(
@@ -918,10 +918,10 @@ mod tests {
     #[test]
     fn conditional_does_not_fire_when_guard_false() {
         let (mut cs, mut locs) = setup();
-        let rho = locs.fresh("rho", Ty::Int);
-        let rho_p = locs.fresh("rho'", Ty::Int);
-        let other = locs.fresh("other", Ty::Int);
-        let body = cs.fresh_var("body");
+        let rho = locs.fresh(Ty::Int);
+        let rho_p = locs.fresh(Ty::Int);
+        let other = locs.fresh(Ty::Int);
+        let body = cs.fresh_var();
         cs.include(Effect::atom(EffectKind::Read, other), body);
         let flag = cs.fresh_flag();
         cs.conditional(
@@ -946,10 +946,10 @@ mod tests {
         // Firing one guard unifies locations, which makes a second guard
         // true on the next round.
         let (mut cs, mut locs) = setup();
-        let a = locs.fresh("a", Ty::Int);
-        let b = locs.fresh("b", Ty::Int);
-        let c = locs.fresh("c", Ty::Int);
-        let v = cs.fresh_var("v");
+        let a = locs.fresh(Ty::Int);
+        let b = locs.fresh(Ty::Int);
+        let c = locs.fresh(Ty::Int);
+        let v = cs.fresh_var();
         cs.include(Effect::atom(EffectKind::Write, a), v);
         let f1 = cs.fresh_flag();
         let f2 = cs.fresh_flag();
@@ -988,10 +988,10 @@ mod tests {
     #[test]
     fn overlap_guard() {
         let (mut cs, mut locs) = setup();
-        let l = locs.fresh("l", Ty::Int);
-        let m = locs.fresh("m", Ty::Int);
-        let l1 = cs.fresh_var("L1");
-        let l2 = cs.fresh_var("L2");
+        let l = locs.fresh(Ty::Int);
+        let m = locs.fresh(Ty::Int);
+        let l1 = cs.fresh_var();
+        let l2 = cs.fresh_var();
         cs.include(Effect::atom(EffectKind::Read, l), l1);
         cs.include(Effect::atom(EffectKind::Write, m), l2);
         let f = cs.fresh_flag();
@@ -1014,9 +1014,9 @@ mod tests {
         // Now make the locations alias and re-solve: the RT conflict
         // appears.
         let (mut cs2, mut locs2) = setup();
-        let l = locs2.fresh("l", Ty::Int);
-        let l12 = cs2.fresh_var("L1");
-        let l22 = cs2.fresh_var("L2");
+        let l = locs2.fresh(Ty::Int);
+        let l12 = cs2.fresh_var();
+        let l22 = cs2.fresh_var();
         cs2.include(Effect::atom(EffectKind::Read, l), l12);
         cs2.include(Effect::atom(EffectKind::Write, l), l22);
         let f2 = cs2.fresh_flag();
@@ -1040,8 +1040,8 @@ mod tests {
     #[test]
     fn any_kind_guard() {
         let (mut cs, mut locs) = setup();
-        let l = locs.fresh("l", Ty::Int);
-        let v = cs.fresh_var("v");
+        let l = locs.fresh(Ty::Int);
+        let v = cs.fresh_var();
         cs.include(Effect::atom(EffectKind::Alloc, l), v);
         let f = cs.fresh_flag();
         cs.conditional(
@@ -1062,9 +1062,9 @@ mod tests {
     #[test]
     fn conditional_include_extends_solution() {
         let (mut cs, mut locs) = setup();
-        let l = locs.fresh("l", Ty::Int);
-        let trigger = cs.fresh_var("trigger");
-        let sink = cs.fresh_var("sink");
+        let l = locs.fresh(Ty::Int);
+        let trigger = cs.fresh_var();
+        let sink = cs.fresh_var();
         cs.include(Effect::atom(EffectKind::Read, l), trigger);
         cs.conditional(
             Guard::LocIn {
@@ -1087,12 +1087,12 @@ mod tests {
     #[test]
     fn reaches_matches_full_propagation() {
         let (mut cs, mut locs) = setup();
-        let l1 = locs.fresh("l1", Ty::Int);
-        let l2 = locs.fresh("l2", Ty::Int);
-        let a = cs.fresh_var("a");
-        let b = cs.fresh_var("b");
-        let vis = cs.fresh_var("vis");
-        let out = cs.fresh_var("out");
+        let l1 = locs.fresh(Ty::Int);
+        let l2 = locs.fresh(Ty::Int);
+        let a = cs.fresh_var();
+        let b = cs.fresh_var();
+        let vis = cs.fresh_var();
+        let out = cs.fresh_var();
         cs.include(Effect::atom(EffectKind::Read, l1), a);
         cs.include(Effect::atom(EffectKind::Write, l2), a);
         cs.include(Effect::var(a), b);
@@ -1120,9 +1120,9 @@ mod tests {
     #[test]
     fn unified_locations_share_atoms() {
         let (mut cs, mut locs) = setup();
-        let a = locs.fresh("a", Ty::Int);
-        let b = locs.fresh("b", Ty::Int);
-        let v = cs.fresh_var("v");
+        let a = locs.fresh(Ty::Int);
+        let b = locs.fresh(Ty::Int);
+        let v = cs.fresh_var();
         cs.include(Effect::atom(EffectKind::Read, a), v);
         locs.union_raw(a, b);
         let sol = solve(&mut cs, &mut locs);

@@ -16,12 +16,12 @@ fn deeply_nested_intersections() {
     // ((((atoms ∩ g1) ∩ g2) ∩ g3) ∩ g4) ⊆ out — the atom survives only if
     // its location is present in every gate.
     let (mut cs, mut locs) = setup();
-    let l = locs.fresh("l", Ty::Int);
-    let gates: Vec<_> = (0..4).map(|i| cs.fresh_var(format!("g{i}"))).collect();
+    let l = locs.fresh(Ty::Int);
+    let gates: Vec<_> = (0..4).map(|_| cs.fresh_var()).collect();
     for &g in &gates {
         cs.include(Effect::atom(EffectKind::Mention, l), g);
     }
-    let out = cs.fresh_var("out");
+    let out = cs.fresh_var();
     let mut term = Effect::atom(EffectKind::Write, l);
     for &g in &gates {
         term = Effect::inter(term, Effect::var(g));
@@ -32,11 +32,11 @@ fn deeply_nested_intersections() {
 
     // Remove one gate's mention: a second location must not pass.
     let (mut cs2, mut locs2) = setup();
-    let l2 = locs2.fresh("l", Ty::Int);
-    let m2 = locs2.fresh("m", Ty::Int);
-    let g = cs2.fresh_var("gate");
+    let l2 = locs2.fresh(Ty::Int);
+    let m2 = locs2.fresh(Ty::Int);
+    let g = cs2.fresh_var();
     cs2.include(Effect::atom(EffectKind::Mention, l2), g);
-    let out2 = cs2.fresh_var("out");
+    let out2 = cs2.fresh_var();
     cs2.include(
         Effect::inter(
             Effect::union(
@@ -55,10 +55,10 @@ fn deeply_nested_intersections() {
 #[test]
 fn equated_vars_before_and_after_inclusion() {
     let (mut cs, mut locs) = setup();
-    let l = locs.fresh("l", Ty::Int);
-    let a = cs.fresh_var("a");
-    let b = cs.fresh_var("b");
-    let c = cs.fresh_var("c");
+    let l = locs.fresh(Ty::Int);
+    let a = cs.fresh_var();
+    let b = cs.fresh_var();
+    let c = cs.fresh_var();
     // Include into `a`, equate a = b afterwards, then flow b into c.
     cs.include(Effect::atom(EffectKind::Read, l), a);
     cs.equate(a, b);
@@ -74,10 +74,8 @@ fn long_conditional_cascade_is_incremental() {
     // engine must converge without quadratic blowup in rounds.
     const N: usize = 60;
     let (mut cs, mut locs) = setup();
-    let ls: Vec<_> = (0..N + 1)
-        .map(|i| locs.fresh(format!("l{i}"), Ty::Int))
-        .collect();
-    let v = cs.fresh_var("v");
+    let ls: Vec<_> = (0..N + 1).map(|_| locs.fresh(Ty::Int)).collect();
+    let v = cs.fresh_var();
     cs.include(Effect::atom(EffectKind::Write, ls[0]), v);
     let flags: Vec<_> = (0..N).map(|_| cs.fresh_flag()).collect();
     for i in 0..N {
@@ -108,15 +106,15 @@ fn unification_cascade_with_loc_vars() {
     // keep the per-location ε variables extensionally equal throughout.
     let (mut cs, mut locs) = setup();
     let mut loc_vars = LocVars::new();
-    let a = locs.fresh("a", Ty::Int);
-    let b = locs.fresh("b", Ty::Int);
+    let a = locs.fresh(Ty::Int);
+    let b = locs.fresh(Ty::Int);
     let va = loc_vars.var_for(&mut cs, a);
     let vb = loc_vars.var_for(&mut cs, b);
     cs.include(Effect::atom(EffectKind::Mention, a), va);
     cs.include(Effect::atom(EffectKind::Mention, b), vb);
 
-    let trig = cs.fresh_var("trigger");
-    let tl = locs.fresh("t", Ty::Int);
+    let trig = cs.fresh_var();
+    let tl = locs.fresh(Ty::Int);
     cs.include(Effect::atom(EffectKind::Read, tl), trig);
     let f = cs.fresh_flag();
     cs.conditional(
@@ -145,11 +143,11 @@ fn merge_unlocks_an_intersection_gate() {
     // write(a) waits at a gate that only mentions b; unifying a = b via a
     // conditional must let it through incrementally.
     let (mut cs, mut locs) = setup();
-    let a = locs.fresh("a", Ty::Int);
-    let b = locs.fresh("b", Ty::Int);
-    let eff = cs.fresh_var("eff");
-    let vis = cs.fresh_var("vis");
-    let out = cs.fresh_var("out");
+    let a = locs.fresh(Ty::Int);
+    let b = locs.fresh(Ty::Int);
+    let eff = cs.fresh_var();
+    let vis = cs.fresh_var();
+    let out = cs.fresh_var();
     cs.include(Effect::atom(EffectKind::Write, a), eff);
     cs.include(Effect::atom(EffectKind::Mention, b), vis);
     cs.include(Effect::inter(Effect::var(eff), Effect::var(vis)), out);
@@ -179,9 +177,9 @@ fn merge_unlocks_an_intersection_gate() {
 #[test]
 fn checked_disinclusions_see_post_merge_classes() {
     let (mut cs, mut locs) = setup();
-    let a = locs.fresh("a", Ty::Int);
-    let b = locs.fresh("b", Ty::Int);
-    let v = cs.fresh_var("v");
+    let a = locs.fresh(Ty::Int);
+    let b = locs.fresh(Ty::Int);
+    let v = cs.fresh_var();
     cs.include(Effect::atom(EffectKind::Write, b), v);
     // The check watches `a`; a conditional later merges a into b's class.
     cs.check_not_in(a, KindMask::ACCESS, v, 42);
@@ -209,10 +207,8 @@ fn large_flat_system_solves_fast() {
     // effectively linear. (A timing assertion would flake; the real check
     // is that it terminates promptly under `cargo test`.)
     let (mut cs, mut locs) = setup();
-    let ls: Vec<_> = (0..100)
-        .map(|i| locs.fresh(format!("l{i}"), Ty::Int))
-        .collect();
-    let vars: Vec<_> = (0..5000).map(|i| cs.fresh_var(format!("v{i}"))).collect();
+    let ls: Vec<_> = (0..100).map(|_| locs.fresh(Ty::Int)).collect();
+    let vars: Vec<_> = (0..5000).map(|_| cs.fresh_var()).collect();
     for (i, &l) in ls.iter().enumerate() {
         cs.include(Effect::atom(EffectKind::Read, l), vars[i]);
     }

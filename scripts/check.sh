@@ -15,10 +15,11 @@
 # perf-regression gate proving `localias bench-diff` is clean on a
 # self-compare, trips on an injected slowdown, and still compares the
 # kept pre-`gate` experiment artifact with a fresh one. The
-# benchmark workspace's tests run too, the solver's exactness tests and
+# benchmark workspace's tests run too, the solver's exactness tests,
 # the lock checker's one-walk exactness tests (the sweep equals
-# `check_modes`, whose reports equal per-mode checks) are gated by name,
-# and the fuzz smoke pins its false-positive counts for
+# `check_modes`, whose reports equal per-mode checks), the front end's
+# pinned output digest and the canonical cache key's properties are
+# gated by name, and the fuzz smoke pins its false-positive counts for
 # the one alias configuration the pipeline runs (Steensgaard). The fuzz
 # and scale subcommands write their artifacts once each, and a fuzz
 # artifact diffs clean against itself.
@@ -79,6 +80,18 @@ cargo test -q -p localias-bench --test experiment_pipeline \
     sweep_matches_check_modes >/dev/null
 cargo test -q -p localias-bench --test experiment_pipeline \
     shared_analysis_reports_are_byte_identical >/dev/null
+
+# The front end's exactness contract is gated by name: every parse
+# result (module dump with spans, or error) over the parser-totality
+# inputs, the corpus, the mega module and the fuzz stream folds into one
+# pinned digest. So is the canonical cache key's: it must ignore layout,
+# comments and parentheses, move on every structural edit, survive
+# print-then-parse, and never be shared by two modules that print
+# differently.
+cargo test -q -p localias --test frontend_digest \
+    front_end_output_is_pinned >/dev/null
+cargo test -q -p localias-bench --test canonical_key \
+    structural_key_tracks_structure_not_text >/dev/null
 
 # Cold pass primes a throwaway cache and must report the paper's §7
 # totals over the whole corpus; warm pass must hit on all 589 modules
@@ -356,4 +369,4 @@ grep -q '"300": {' "$SCALEART" || {
     exit 1
 }
 
-echo "check.sh: fmt, clippy, build, tests, concurrency + obs + hist + solver-exactness + checker-exactness gates, §7 totals + Figures 6 and 7, warm-cache sweep, crash recovery, mega session test, watch smoke, artifact smoke, bench-diff gate, benchmark tests, fuzz smoke, fuzz artifact, precision counts, and scale smoke all passed"
+echo "check.sh: fmt, clippy, build, tests, concurrency + obs + hist + solver-exactness + checker-exactness + front-end digest + canonical-key gates, §7 totals + Figures 6 and 7, warm-cache sweep, crash recovery, mega session test, watch smoke, artifact smoke, bench-diff gate, benchmark tests, fuzz smoke, fuzz artifact, precision counts, and scale smoke all passed"

@@ -121,7 +121,7 @@ fn ident_count(src: &str, name: &str) -> usize {
         .tokenize()
         .map(|toks| {
             toks.iter()
-                .filter(|t| matches!(&t.kind, TokenKind::Ident(s) if s == name))
+                .filter(|t| t.kind == TokenKind::Ident && t.span.snippet(src) == name)
                 .count()
         })
         .unwrap_or(0)
@@ -185,7 +185,7 @@ fn andersen_refines_steensgaard() {
                 .collect();
             let ptrs: Vec<(String, localias::alias::Loc)> = vars
                 .iter()
-                .filter_map(|v| v.ty.pointee().map(|l| (v.name.clone(), l)))
+                .filter_map(|v| v.ty.pointee().map(|l| (v.name.to_string(), l)))
                 .collect();
             for i in 0..ptrs.len() {
                 for j in (i + 1)..ptrs.len() {

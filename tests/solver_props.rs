@@ -41,10 +41,8 @@ fn random_system(seed: u64, n_vars: usize, n_locs: usize, n_cons: usize, inters:
     let mut rng = Rng64::seed_from_u64(seed);
     let mut cs = ConstraintSystem::new();
     let mut locs = LocTable::new();
-    let vars: Vec<EffVar> = (0..n_vars).map(|i| cs.fresh_var(format!("v{i}"))).collect();
-    let loc_ids: Vec<_> = (0..n_locs)
-        .map(|i| locs.fresh(format!("l{i}"), Ty::Int))
-        .collect();
+    let vars: Vec<EffVar> = (0..n_vars).map(|_| cs.fresh_var()).collect();
+    let loc_ids: Vec<_> = (0..n_locs).map(|_| locs.fresh(Ty::Int)).collect();
     for _ in 0..n_cons {
         let target = vars[rng.gen_range(0..vars.len())];
         let effect = random_effect(&mut rng, &vars, &loc_ids, if inters { 2 } else { 0 });
