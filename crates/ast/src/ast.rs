@@ -255,8 +255,8 @@ impl Expr {
     }
 
     /// Structural equality *ignoring node ids and spans* — the "syntactic
-    /// match" used by the §7 block heuristic to group `change_type`
-    /// arguments.
+    /// match" that makes an expression an occurrence of a confined one in
+    /// `localias-core`'s constraint generator.
     pub fn syntactically_equal(&self, other: &Expr) -> bool {
         match (&self.kind, &other.kind) {
             (ExprKind::Int(a), ExprKind::Int(b)) => a == b,

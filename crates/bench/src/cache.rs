@@ -23,33 +23,32 @@
 //! shortcut is sound because the canonical fingerprint is a pure function
 //! of the raw source.
 //!
-//! # Store: sharded, crash-safe, safe under concurrent writers
+//! # Store: one file, crash-safe, safe under concurrent writers
 //!
-//! The store is a directory (default `.localias-cache/`) holding N shard
-//! files `shard-00.jsonl` … (N = [`DEFAULT_SHARDS`]). Entries are
-//! partitioned by canonical fingerprint (`fp mod N`); each shard is a
-//! JSON-lines file — a schema header line followed by one entry per
-//! `(raw, canonical)` fingerprint pair.
+//! The store is one JSON-lines file, `store.jsonl`, under a cache
+//! directory (default `.localias-cache/`): a schema header line followed
+//! by one entry per `(raw, canonical)` fingerprint pair, sorted by raw
+//! fingerprint so the bytes are a pure function of the contents.
 //!
-//! *Loads are lock-free*: every `shard-*.jsonl` present is read at sweep
-//! start, whatever N it was written under. A shard that fails the strict
-//! parse — truncation, corruption, a schema or [`ANALYSIS_VERSION`]
-//! mismatch — is *quarantined individually* (renamed to `<shard>.bad`)
-//! with a warning; the rest of the store keeps serving hits. A cache can
-//! never panic a sweep or change its results.
+//! *Loads are lock-free* and read the file line by line. A file that
+//! fails the strict parse — truncation, corruption, a schema or older
+//! [`ANALYSIS_VERSION`] — is *quarantined* (renamed to `store.jsonl.bad`)
+//! with a warning, and every module re-analyzes once. A store whose
+//! header names a *newer* `analysis_version` belongs to a newer binary:
+//! it serves nothing, is never quarantined and is never overwritten. A
+//! cache can never panic a sweep or change its results.
 //!
-//! *Persists are merge-on-write under an advisory lock*: for each shard
-//! with new entries, the writer takes `shard-NN.lock` (created with
-//! `create_new`, the portable flock analogue) with bounded exponential
-//! backoff, re-reads the shard, unions it with its in-memory entries —
-//! on-disk wins ties, and a shard header carrying a *newer*
-//! `analysis_version` is left entirely alone — and atomically replaces
-//! the file (temp + rename). If the lock cannot be acquired in time the
-//! shard is skipped with a warning rather than blocking the sweep: the
-//! unsaved entries are merely recomputed (or merged) by a later run.
-//! Locks held by dead processes (the holder's pid is written into the
-//! lockfile) are broken; orphaned `*.tmp.<pid>` files from crashed
-//! writers are swept at load time once their writer is gone.
+//! *Persists are merge-on-write under an advisory lock*: the writer takes
+//! `store.lock` (created with `create_new`, the portable flock analogue)
+//! with bounded exponential backoff, re-reads the file, folds its entries
+//! into the in-memory ones — on-disk wins ties — and writes the union to
+//! a temp file that is atomically renamed over the store. If the lock
+//! cannot be acquired in time the persist is skipped with a warning
+//! rather than blocking the sweep: the unsaved entries are merely
+//! recomputed (or merged) by a later run. Locks held by dead processes
+//! (the holder's pid is written into the lockfile) are broken; orphaned
+//! `*.tmp.<pid>` files from crashed writers are swept at load time once
+//! their writer is gone.
 //!
 //! Two sweeps sharing one cache directory — two `localias experiment`
 //! processes started side by side, over the same corpus or disjoint
@@ -60,14 +59,14 @@
 use crate::{ModuleResult, PhaseTimes};
 use localias_ast::fp;
 use localias_obs as obs;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 /// Bumped whenever any analysis stage changes observable results, so
 /// stale caches from older binaries can never serve wrong answers. Mixed
-/// into every canonical fingerprint *and* written in every shard header.
+/// into every canonical fingerprint *and* written in the store's header.
 ///
 /// Single-sourced from [`localias_ast::fp`], next to the fingerprint
 /// core.
@@ -85,21 +84,27 @@ pub const ANALYSIS_VERSION: u32 = localias_ast::fp::ANALYSIS_VERSION;
 /// by printed source still hit through their raw-source alias.
 const CANON_SCHEMA: &str = "localias-cache/ast-v1";
 
-/// Schema identifier written in every shard file's header line.
-const SHARD_SCHEMA: &str = "localias-cache/v3-shard";
+/// Schema identifier written in the store's header line.
+///
+/// v4 is the one-file store; the 16 `shard-NN.jsonl` files of
+/// `localias-cache/v3-shard` are never read.
+const STORE_SCHEMA: &str = "localias-cache/v4";
+
+/// The store's file name inside the cache directory.
+const STORE_FILE: &str = "store.jsonl";
+
+/// The advisory lockfile persists take, inside the cache directory.
+const LOCK_FILE: &str = "store.lock";
 
 /// Seed-independent description of what one cached result covers. Keyed
 /// into the fingerprint so a config change invalidates rather than hits.
 const ANALYSIS_CONFIG: &str = "modes=no_confine,confine,all_strong";
 
-/// Default number of shard files per cache directory.
-pub const DEFAULT_SHARDS: usize = 16;
+/// The store is one file. The constant stays so the benchmark crate's
+/// calls keep their signature; every shard count is ignored.
+pub const DEFAULT_SHARDS: usize = 1;
 
-/// Upper bound on a store's shard count (beyond this, per-file overheads
-/// beat any contention win).
-pub const MAX_SHARDS: usize = 256;
-
-/// Attempts to take one shard lock before skipping its persist.
+/// Attempts to take the store lock before skipping the persist.
 const LOCK_ATTEMPTS: u32 = 8;
 
 /// First backoff sleep; doubles per attempt up to [`LOCK_CAP_MS`].
@@ -136,12 +141,11 @@ pub fn module_fingerprint(m: &localias_ast::Module, backend: localias_alias::Bac
 pub enum CachePolicy {
     /// No cache: every sweep is cold and nothing touches the disk.
     Disabled,
-    /// Cache under the given directory, partitioned into `shards` files.
+    /// Cache in the one store file under the given directory.
     Dir {
         /// Cache directory.
         dir: PathBuf,
-        /// Shard-file count (clamped to `1..=`[`MAX_SHARDS`] on load).
-        /// The CLI always uses [`DEFAULT_SHARDS`]; the field stays so the
+        /// Ignored: the store is one file. The field stays so the
         /// benchmark crate's calls keep their signature.
         shards: usize,
     },
@@ -149,12 +153,12 @@ pub enum CachePolicy {
 
 impl CachePolicy {
     /// The default policy: caching on, under `.localias-cache/` in the
-    /// current directory, with [`DEFAULT_SHARDS`] shards.
+    /// current directory.
     pub fn enabled_default() -> CachePolicy {
         CachePolicy::dir(".localias-cache")
     }
 
-    /// Caching on under `dir` with the default shard count.
+    /// Caching on under `dir`.
     pub fn dir(dir: impl Into<PathBuf>) -> CachePolicy {
         CachePolicy::Dir {
             dir: dir.into(),
@@ -241,22 +245,16 @@ pub struct CacheStats {
     pub misses: usize,
     /// Cache directory, as given.
     pub dir: String,
-    /// Shard files the store is partitioned into.
-    pub shards: usize,
-    /// Hits per home shard (`len == shards`).
-    pub shard_hits: Vec<usize>,
-    /// Misses per home shard (`len == shards`).
-    pub shard_misses: Vec<usize>,
-    /// Shards quarantined (renamed to `*.bad`) this sweep.
+    /// Store files quarantined (renamed to `*.bad`) this sweep.
     pub quarantined: usize,
     /// Lock-acquisition retries (backoff sleeps) while persisting.
     pub lock_retries: usize,
-    /// Shards whose persist was skipped because the lock stayed
-    /// contended past the bounded backoff.
+    /// Persists skipped because the lock stayed contended past the
+    /// bounded backoff.
     pub lock_skips: usize,
-    /// Time spent reading + parsing the shards at sweep start.
+    /// Time spent reading + parsing the store at sweep start.
     pub load: Duration,
-    /// Time spent merging + atomically rewriting them at sweep end.
+    /// Time spent merging + atomically rewriting it at sweep end.
     pub store: Duration,
 }
 
@@ -264,14 +262,14 @@ pub struct CacheStats {
 #[derive(Debug)]
 pub struct AnalysisCache {
     dir: PathBuf,
-    /// Shard-file count new entries are partitioned into.
-    shards: usize,
     /// canonical fingerprint → generic payload.
     entries: HashMap<u128, CachedValues>,
     /// raw-source fingerprint → canonical fingerprint.
     by_raw: HashMap<u128, u128>,
-    /// Home shards holding entries not yet persisted.
-    dirty: HashSet<usize>,
+    /// Entries or aliases not yet persisted.
+    dirty: bool,
+    /// A newer binary's store was found (and warned about) already.
+    newer_seen: bool,
     quarantined: usize,
     lock_retries: usize,
     lock_skips: usize,
@@ -279,26 +277,31 @@ pub struct AnalysisCache {
     store_time: Duration,
 }
 
-impl AnalysisCache {
-    /// [`AnalysisCache::load_sharded`] with [`DEFAULT_SHARDS`].
-    pub fn load(dir: &Path) -> AnalysisCache {
-        Self::load_sharded(dir, DEFAULT_SHARDS)
-    }
+/// What reading the store file found.
+enum StoreRead {
+    /// Every entry of a valid store went to the sink (none when there is
+    /// no store file, or it vanished before it could be opened).
+    Loaded,
+    /// The header names this newer `analysis_version`; nothing was read.
+    Newer(u32),
+    /// The strict parse failed, for this reason.
+    Bad(String),
+}
 
-    /// Loads every shard under `dir` (lock-free), or starts empty when
-    /// there are none. Corrupt, truncated, or version-mismatched shards
-    /// are quarantined individually (renamed to `*.bad`) with a warning —
-    /// never an error, and never at the expense of the healthy shards.
-    /// New entries go to `shards` files; the argument stays so the
-    /// benchmark crate's calls keep their signature.
-    pub fn load_sharded(dir: &Path, shards: usize) -> AnalysisCache {
+impl AnalysisCache {
+    /// Loads the store under `dir` (lock-free, line by line), or starts
+    /// empty when there is none. A corrupt, truncated, or older-version
+    /// store is quarantined (renamed to `*.bad`) with a warning — never
+    /// an error. A newer binary's store serves nothing and is left in
+    /// place.
+    pub fn load(dir: &Path) -> AnalysisCache {
         let t0 = Instant::now();
         let mut cache = AnalysisCache {
             dir: dir.to_path_buf(),
-            shards: shards.clamp(1, MAX_SHARDS),
             entries: HashMap::new(),
             by_raw: HashMap::new(),
-            dirty: HashSet::new(),
+            dirty: false,
+            newer_seen: false,
             quarantined: 0,
             lock_retries: 0,
             lock_skips: 0,
@@ -308,40 +311,20 @@ impl AnalysisCache {
 
         sweep_orphaned_tmp_files(dir);
 
-        // Read whatever shard files exist, in index order, whatever shard
-        // count wrote them: entries are keyed by fingerprint, so a shard
-        // written under a different shard count still serves hits
-        // (its entries re-home at the next persist that touches them).
-        let mut shard_files: Vec<(usize, PathBuf)> = Vec::new();
-        if let Ok(rd) = std::fs::read_dir(dir) {
-            for entry in rd.flatten() {
-                if let Some(idx) = shard_index_of(&entry.file_name().to_string_lossy()) {
-                    shard_files.push((idx, entry.path()));
-                }
-            }
-        }
-        shard_files.sort();
-        for (idx, path) in shard_files {
-            let _hist = obs::hist_timer!(obs::Hist::CacheShardLoad);
-            // A read error means the file vanished since listing (a
-            // concurrent writer's rename) — skip, never quarantine.
-            let Ok(text) = std::fs::read_to_string(&path) else {
-                continue;
-            };
-            match parse_store(&text, &shard_header_line(idx)) {
-                Ok((entries, by_raw)) => {
-                    cache.entries.extend(entries);
-                    cache.by_raw.extend(by_raw);
-                }
-                Err(why) => {
-                    eprintln!(
-                        "localias-bench: warning: quarantining cache shard {} ({why})",
-                        path.display()
-                    );
-                    quarantine(&path);
-                    cache.quarantined += 1;
-                    obs::count(obs::Counter::CacheQuarantined, 1);
-                }
+        let path = dir.join(STORE_FILE);
+        let (entries, by_raw) = (&mut cache.entries, &mut cache.by_raw);
+        let read = read_store(&path, |fp, raw, v| {
+            entries.insert(fp, v);
+            by_raw.insert(raw, fp);
+        });
+        match read {
+            StoreRead::Loaded => {}
+            StoreRead::Newer(v) => cache.warn_newer(&path, v),
+            StoreRead::Bad(why) => {
+                // A partial parse is never half-trusted.
+                cache.entries.clear();
+                cache.by_raw.clear();
+                cache.quarantine(&path, &why);
             }
         }
 
@@ -349,22 +332,19 @@ impl AnalysisCache {
         cache
     }
 
+    /// [`AnalysisCache::load`]. `shards` is ignored: the store is one
+    /// file. The argument stays so the benchmark crate's calls keep their
+    /// signature.
+    pub fn load_sharded(dir: &Path, _shards: usize) -> AnalysisCache {
+        Self::load(dir)
+    }
+
     /// The directory this cache persists under, for display.
     pub fn dir_display(&self) -> String {
         self.dir.display().to_string()
     }
 
-    /// Shard files new entries are partitioned into.
-    pub fn shard_count(&self) -> usize {
-        self.shards
-    }
-
-    /// The home shard of a canonical fingerprint.
-    pub fn shard_of(&self, fp: u128) -> usize {
-        (fp % self.shards as u128) as usize
-    }
-
-    /// Shards quarantined while loading or persisting.
+    /// Store files quarantined while loading or persisting.
     pub fn quarantined(&self) -> usize {
         self.quarantined
     }
@@ -374,12 +354,12 @@ impl AnalysisCache {
         self.lock_retries
     }
 
-    /// Shard persists skipped because their lock stayed contended.
+    /// Persists skipped because the lock stayed contended.
     pub fn lock_skips(&self) -> usize {
         self.lock_skips
     }
 
-    /// Time [`AnalysisCache::load_sharded`] spent on the store files.
+    /// Time [`AnalysisCache::load`] spent on the store file.
     pub fn load_time(&self) -> Duration {
         self.load_time
     }
@@ -424,92 +404,42 @@ impl AnalysisCache {
     fn record_values(&mut self, fp: u128, raw: u128, values: CachedValues) {
         self.entries.insert(fp, values);
         self.by_raw.insert(raw, fp);
-        self.dirty.insert(self.shard_of(fp));
+        self.dirty = true;
     }
 
     /// Remembers that `raw` canonicalizes to the already-cached `fp`, so
     /// the next sweep takes the no-parse fast path for this source.
     pub fn alias_raw(&mut self, raw: u128, fp: u128) {
-        if self.by_raw.get(&raw) != Some(&fp) {
-            self.by_raw.insert(raw, fp);
-            self.dirty.insert(self.shard_of(fp));
+        if self.by_raw.insert(raw, fp) != Some(fp) {
+            self.dirty = true;
         }
     }
 
-    /// Persists every dirty shard: merge-on-write under the shard lock,
-    /// then an atomic temp + rename replace. A no-op when nothing changed
-    /// since load. Lock timeouts skip the shard with a warning (bounded
-    /// backoff, never blocking the sweep); I/O errors are reported after
-    /// every shard has been attempted.
+    /// Persists the store when anything changed since load:
+    /// merge-on-write under the store lock, then an atomic temp + rename
+    /// replace. A lock timeout skips the persist with a warning (bounded
+    /// backoff, never blocking the sweep), as does a store a newer binary
+    /// wrote; either way the entries stay unsaved for a later persist.
     pub fn persist(&mut self) -> std::io::Result<()> {
-        if self.dirty.is_empty() {
+        if !self.dirty {
             return Ok(());
         }
         let t0 = Instant::now();
-        std::fs::create_dir_all(&self.dir)?;
-
-        // Group every in-memory line by its home shard. A raw alias whose
-        // backing entry is gone (a quarantined shard held the entry but
-        // another shard held the alias) is dropped — loudly, so store
-        // corruption is observable instead of invisible.
-        let mut lines: HashMap<usize, ShardLines> = HashMap::new();
-        let mut dangling = 0usize;
-        for (&raw, &fp) in &self.by_raw {
-            match self.entries.get(&fp) {
-                Some(v) => {
-                    lines
-                        .entry(self.shard_of(fp))
-                        .or_default()
-                        .insert(raw, (fp, *v));
-                }
-                None => dangling += 1,
-            }
-        }
-        if dangling > 0 {
-            eprintln!(
-                "localias-bench: warning: dropping {dangling} raw alias(es) whose backing \
-                 entry is missing (store was corrupted or partially quarantined)"
-            );
-        }
-
-        let mut first_err: Option<std::io::Error> = None;
-        let mut todo: Vec<usize> = self.dirty.iter().copied().collect();
-        todo.sort_unstable();
-        for s in todo {
-            match self.persist_shard(s, lines.get(&s)) {
-                Ok(true) => {
-                    self.dirty.remove(&s);
-                }
-                Ok(false) => {} // skipped (contended or foreign); stays dirty
-                Err(e) => {
-                    eprintln!(
-                        "localias-bench: warning: cache shard {} not written: {e}",
-                        self.dir.join(shard_file_name(s)).display()
-                    );
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
-        }
-
+        let written = self.persist_locked();
         self.store_time = t0.elapsed();
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
+        if written? {
+            self.dirty = false;
         }
+        Ok(())
     }
 
-    /// Persists one shard. `Ok(true)` on success, `Ok(false)` when the
-    /// shard was skipped (lock contention past the backoff bound, or a
-    /// shard owned by a newer binary).
-    fn persist_shard(&mut self, s: usize, mine: Option<&ShardLines>) -> std::io::Result<bool> {
-        let _hist = obs::hist_timer!(obs::Hist::CacheShardPersist);
-        let path = self.dir.join(shard_file_name(s));
-        let lock_path = self.dir.join(format!("shard-{s:02}.lock"));
-        let Some(_guard) = acquire_lock(&lock_path, &mut self.lock_retries)? else {
+    /// The locked merge and write. `Ok(false)` when skipped.
+    fn persist_locked(&mut self) -> std::io::Result<bool> {
+        std::fs::create_dir_all(&self.dir)?;
+        let path = self.dir.join(STORE_FILE);
+        let Some(_guard) = acquire_lock(&self.dir.join(LOCK_FILE), &mut self.lock_retries)? else {
             eprintln!(
-                "localias-bench: warning: cache shard {} is locked by another live \
+                "localias-bench: warning: cache store {} is locked by another live \
                  process; skipping persist (its entries merge or recompute next run)",
                 path.display()
             );
@@ -518,90 +448,95 @@ impl AnalysisCache {
             return Ok(false);
         };
 
-        // Merge-on-write: union with whatever is on disk *now*, which a
+        // Merge-on-write: fold in whatever is on disk *now*, which a
         // concurrent writer may have extended since our lock-free load.
         // On-disk wins ties (same analysis_version ⇒ same deterministic
-        // values, and keeping disk avoids churn); a shard written by a
-        // *newer* analysis_version is theirs, not ours — leave it alone.
-        let mut merged: ShardLines = mine.cloned().unwrap_or_default();
-        if let Ok(text) = std::fs::read_to_string(&path) {
-            match parse_store(&text, &shard_header_line(s)) {
-                Ok((entries, by_raw)) => {
-                    for (raw, fp) in by_raw {
-                        if let Some(v) = entries.get(&fp) {
-                            merged.insert(raw, (fp, *v));
-                        }
-                    }
-                }
-                Err(why) => {
-                    if header_version(&text).is_some_and(|v| v > ANALYSIS_VERSION) {
-                        eprintln!(
-                            "localias-bench: warning: cache shard {} was written by a \
-                             newer binary; leaving it alone",
-                            path.display()
-                        );
-                        return Ok(false);
-                    }
-                    eprintln!(
-                        "localias-bench: warning: quarantining cache shard {} ({why})",
-                        path.display()
-                    );
-                    quarantine(&path);
-                    self.quarantined += 1;
-                    obs::count(obs::Counter::CacheQuarantined, 1);
+        // results, and keeping disk avoids churn).
+        let mut on_disk = Vec::new();
+        match read_store(&path, |fp, raw, v| on_disk.push((fp, raw, v))) {
+            StoreRead::Loaded => {
+                for (fp, raw, v) in on_disk {
+                    self.entries.insert(fp, v);
+                    self.by_raw.insert(raw, fp);
                 }
             }
+            StoreRead::Newer(v) => {
+                self.warn_newer(&path, v);
+                return Ok(false);
+            }
+            StoreRead::Bad(why) => self.quarantine(&path, &why),
         }
 
-        let mut out = String::with_capacity(64 + merged.len() * 128);
-        out.push_str(&shard_header_line(s));
-        out.push('\n');
-        // BTreeMap iteration is raw-sorted: byte-stable for a given
-        // contents regardless of hash-map iteration order.
-        for (raw, (fp, v)) in &merged {
-            out.push_str(&entry_line(*fp, *raw, v));
-            out.push('\n');
-        }
+        // Raw-sorted, so the file is byte-stable for a given contents
+        // whatever the hash maps' iteration order. A raw alias whose
+        // backing entry is missing is dropped — loudly, so store
+        // corruption is observable instead of invisible.
+        let mut lines: Vec<(u128, u128)> = self.by_raw.iter().map(|(&r, &f)| (r, f)).collect();
+        lines.sort_unstable();
         let tmp = self
             .dir
-            .join(format!("{}.tmp.{}", shard_file_name(s), std::process::id()));
-        std::fs::write(&tmp, &out)?;
-        let result = std::fs::rename(&tmp, &path);
-        if result.is_err() {
+            .join(format!("{STORE_FILE}.tmp.{}", std::process::id()));
+        let written = self
+            .write_store(&tmp, &lines)
+            .and_then(|dangling| std::fs::rename(&tmp, &path).map(|()| dangling));
+        if written.is_err() {
             let _ = std::fs::remove_file(&tmp);
         }
-        result?;
+        let dangling = written?;
+        if dangling > 0 {
+            eprintln!(
+                "localias-bench: warning: dropped {dangling} raw alias(es) whose backing \
+                 entry is missing (the store was corrupted)"
+            );
+        }
         Ok(true)
     }
-}
 
-/// The file name of shard `i` (`shard-00.jsonl`, `shard-01.jsonl`, …).
-pub fn shard_file_name(i: usize) -> String {
-    format!("shard-{i:02}.jsonl")
-}
-
-/// Parses a shard index back out of a file name; `None` for anything
-/// that is not exactly a shard file (`*.bad`, `*.tmp.*`, locks, …).
-fn shard_index_of(name: &str) -> Option<usize> {
-    let digits = name.strip_prefix("shard-")?.strip_suffix(".jsonl")?;
-    if digits.is_empty() || digits.len() > 3 || !digits.bytes().all(|b| b.is_ascii_digit()) {
-        return None;
+    /// Writes the header and every backed `(raw, fp)` line to `tmp`;
+    /// returns how many lines had no backing entry.
+    fn write_store(&self, tmp: &Path, lines: &[(u128, u128)]) -> std::io::Result<usize> {
+        let mut out = std::io::BufWriter::new(std::fs::File::create(tmp)?);
+        writeln!(out, "{}", header_line())?;
+        let mut dangling = 0;
+        for &(raw, fp) in lines {
+            match self.entries.get(&fp) {
+                Some(v) => write_entry(&mut out, fp, raw, v)?,
+                None => dangling += 1,
+            }
+        }
+        out.into_inner().map_err(|e| e.into_error())?;
+        Ok(dangling)
     }
-    digits.parse().ok()
-}
 
-/// Renames a broken store file to `<name>.bad` (replacing any previous
-/// quarantine of the same file) so the evidence survives for inspection
-/// without ever being parsed again.
-fn quarantine(path: &Path) {
-    let mut bad = path.as_os_str().to_os_string();
-    bad.push(".bad");
-    let bad = PathBuf::from(bad);
-    let _ = std::fs::remove_file(&bad);
-    if std::fs::rename(path, &bad).is_err() {
-        // Cross-device or permission trouble: removal still protects the
-        // next run from re-parsing garbage.
-        let _ = std::fs::remove_file(path);
+    /// Renames a broken store to `<name>.bad` with a warning (replacing
+    /// any previous quarantine) so the evidence survives for inspection
+    /// without ever being parsed again.
+    fn quarantine(&mut self, path: &Path, why: &str) {
+        eprintln!(
+            "localias-bench: warning: quarantining cache store {} ({why})",
+            path.display()
+        );
+        let mut bad = path.as_os_str().to_os_string();
+        bad.push(".bad");
+        let _ = std::fs::remove_file(&bad);
+        if std::fs::rename(path, &bad).is_err() {
+            // Cross-device or permission trouble: removal still protects
+            // the next run from re-parsing garbage.
+            let _ = std::fs::remove_file(path);
+        }
+        self.quarantined += 1;
+        obs::count(obs::Counter::CacheQuarantined, 1);
+    }
+
+    /// Warns, once per cache, that a newer binary owns the store.
+    fn warn_newer(&mut self, path: &Path, version: u32) {
+        if !std::mem::replace(&mut self.newer_seen, true) {
+            eprintln!(
+                "localias-bench: warning: cache store {} was written by a newer binary \
+                 (analysis_version {version}); serving nothing from it and leaving it alone",
+                path.display()
+            );
+        }
     }
 }
 
@@ -643,11 +578,11 @@ fn pid_is_dead(pid: u32) -> bool {
 }
 
 /// Holds `path` as an advisory lock; removes it on drop.
-struct ShardLock {
+struct StoreLock {
     path: PathBuf,
 }
 
-impl Drop for ShardLock {
+impl Drop for StoreLock {
     fn drop(&mut self) {
         let _ = std::fs::remove_file(&self.path);
     }
@@ -656,7 +591,7 @@ impl Drop for ShardLock {
 /// One `create_new` attempt on the lockfile (the portable atomic
 /// test-and-set). The holder's pid is written inside for stale-lock
 /// detection and debugging.
-fn try_lock(path: &Path) -> std::io::Result<Option<ShardLock>> {
+fn try_lock(path: &Path) -> std::io::Result<Option<StoreLock>> {
     match std::fs::OpenOptions::new()
         .write(true)
         .create_new(true)
@@ -664,7 +599,7 @@ fn try_lock(path: &Path) -> std::io::Result<Option<ShardLock>> {
     {
         Ok(mut f) => {
             let _ = write!(f, "{}", std::process::id());
-            Ok(Some(ShardLock {
+            Ok(Some(StoreLock {
                 path: path.to_path_buf(),
             }))
         }
@@ -673,10 +608,10 @@ fn try_lock(path: &Path) -> std::io::Result<Option<ShardLock>> {
     }
 }
 
-/// Takes the shard lock with bounded exponential backoff, breaking locks
+/// Takes the store lock with bounded exponential backoff, breaking locks
 /// whose holder is provably dead. `Ok(None)` when the lock stayed
 /// contended through every attempt — the caller skips, never blocks.
-fn acquire_lock(path: &Path, retries: &mut usize) -> std::io::Result<Option<ShardLock>> {
+fn acquire_lock(path: &Path, retries: &mut usize) -> std::io::Result<Option<StoreLock>> {
     for attempt in 0..LOCK_ATTEMPTS {
         if attempt > 0 {
             *retries += 1;
@@ -709,11 +644,9 @@ fn acquire_lock(path: &Path, retries: &mut usize) -> std::io::Result<Option<Shar
     Ok(None)
 }
 
-/// Header line of shard `i`.
-fn shard_header_line(i: usize) -> String {
-    format!(
-        "{{\"schema\":\"{SHARD_SCHEMA}\",\"analysis_version\":{ANALYSIS_VERSION},\"shard\":{i}}}"
-    )
+/// The store's header line.
+fn header_line() -> String {
+    format!("{{\"schema\":\"{STORE_SCHEMA}\",\"analysis_version\":{ANALYSIS_VERSION}}}")
 }
 
 /// Best-effort extraction of `analysis_version` from a store file that
@@ -728,46 +661,75 @@ fn header_version(text: &str) -> Option<u32> {
     rest[..end].parse().ok()
 }
 
-fn entry_line(fp: u128, raw: u128, v: &CachedValues) -> String {
-    format!(
+/// Writes one entry line, newline included.
+fn write_entry(
+    out: &mut impl std::io::Write,
+    fp: u128,
+    raw: u128,
+    v: &CachedValues,
+) -> std::io::Result<()> {
+    writeln!(
+        out,
         "{{\"fp\":\"{fp:032x}\",\"raw\":\"{raw:032x}\",\"v\":[{},{},{},{},{},{}]}}",
         v[0], v[1], v[2], v[3], v[4], v[5],
     )
 }
 
-/// Lines of one shard keyed by raw fingerprint: raw → (canonical,
-/// payload). Raw-sorted so the written file is byte-stable.
-type ShardLines = BTreeMap<u128, (u128, CachedValues)>;
+/// Strictly reads the store at `path` line by line, handing each entry
+/// to `sink`. Any deviation from the written shape is [`StoreRead::Bad`]
+/// (the caller discards what the sink saw and quarantines the file): a
+/// half-written or hand-edited store must degrade to a cold run, not
+/// half-hit.
+fn read_store(path: &Path, mut sink: impl FnMut(u128, u128, CachedValues)) -> StoreRead {
+    // An open error means there is no store, or a concurrent writer's
+    // rename raced the open — never quarantine for it.
+    let Ok(file) = std::fs::File::open(path) else {
+        return StoreRead::Loaded;
+    };
+    let mut reader = std::io::BufReader::new(file);
+    let mut line = Vec::new();
+    let header = next_line(&mut reader, &mut line);
+    if line != header_line().as_bytes() {
+        return match header_version(&String::from_utf8_lossy(&line)) {
+            Some(v) if v > ANALYSIS_VERSION => StoreRead::Newer(v),
+            _ if line.is_empty() => StoreRead::Bad("empty store".into()),
+            _ => StoreRead::Bad("schema or analysis-version mismatch".into()),
+        };
+    }
+    if let Err(why) = header {
+        return StoreRead::Bad(why);
+    }
+    for n in 2.. {
+        match next_line(&mut reader, &mut line) {
+            Ok(true) => {}
+            Ok(false) => break,
+            Err(why) => return StoreRead::Bad(why),
+        }
+        let Some((fp, raw, v)) = std::str::from_utf8(&line).ok().and_then(parse_entry) else {
+            return StoreRead::Bad(format!("malformed entry on line {n}"));
+        };
+        sink(fp, raw, v);
+    }
+    StoreRead::Loaded
+}
 
-type StoreIndex = (HashMap<u128, CachedValues>, HashMap<u128, u128>);
-
-/// Strictly parses a store file against the expected header. Any
-/// deviation from the written shape is an error (the caller quarantines
-/// the file): a half-written or hand-edited shard must degrade to a cold
-/// run of its modules, not half-hit.
-fn parse_store(text: &str, header: &str) -> Result<StoreIndex, String> {
-    let mut lines = text.lines();
-    match lines.next() {
-        Some(h) if h == header => {}
-        Some(_) => return Err("schema, shard, or analysis-version mismatch".into()),
-        None => return Err("empty store".into()),
+/// Reads the next line into `buf`, newline stripped. `Ok(false)` at the
+/// end of the file; a last line without its newline is truncation.
+fn next_line(reader: &mut impl std::io::BufRead, buf: &mut Vec<u8>) -> Result<bool, String> {
+    buf.clear();
+    match reader.read_until(b'\n', buf) {
+        Ok(0) => Ok(false),
+        Ok(_) if buf.ends_with(b"\n") => {
+            buf.pop();
+            Ok(true)
+        }
+        Ok(_) => Err("truncated store (no trailing newline)".into()),
+        Err(e) => Err(format!("read error: {e}")),
     }
-    if !text.ends_with('\n') {
-        return Err("truncated store (no trailing newline)".into());
-    }
-    let mut entries = HashMap::new();
-    let mut by_raw = HashMap::new();
-    for (n, line) in lines.enumerate() {
-        let (fp, raw, outcome) =
-            parse_entry(line).ok_or_else(|| format!("malformed entry on line {}", n + 2))?;
-        entries.insert(fp, outcome);
-        by_raw.insert(raw, fp);
-    }
-    Ok((entries, by_raw))
 }
 
 /// A minimal strict scanner over one entry line (we parse only what
-/// [`entry_line`] writes; anything else is corruption).
+/// [`write_entry`] writes; anything else is corruption).
 struct Scan<'a>(&'a str);
 
 impl<'a> Scan<'a> {
@@ -883,8 +845,10 @@ mod tests {
                 confine: Duration::from_nanos(1_000_000_001),
             },
         };
-        let line = entry_line(u128::MAX - 7, 42, &outcome.to_values());
-        let (fp, raw, v) = parse_entry(&line).expect("round trip");
+        let mut line = Vec::new();
+        write_entry(&mut line, u128::MAX - 7, 42, &outcome.to_values()).unwrap();
+        let line = std::str::from_utf8(&line).unwrap();
+        let (fp, raw, v) = parse_entry(line.strip_suffix('\n').unwrap()).expect("round trip");
         assert_eq!(fp, u128::MAX - 7);
         assert_eq!(raw, 42);
         let back = CachedOutcome::from_values(v);
@@ -914,32 +878,66 @@ mod tests {
         }
     }
 
+    /// Reads `text` as a store file: the entries it yields, or `Err`
+    /// with the verdict's name when it is not a valid store.
+    fn read_text(tag: &str, text: impl AsRef<[u8]>) -> Result<usize, &'static str> {
+        let path = test_dir(tag).join(STORE_FILE);
+        std::fs::write(&path, text).unwrap();
+        let mut n = 0;
+        match read_store(&path, |_, _, _| n += 1) {
+            StoreRead::Loaded => Ok(n),
+            StoreRead::Newer(_) => Err("newer"),
+            StoreRead::Bad(_) => Err("bad"),
+        }
+    }
+
     #[test]
-    fn shard_header_mismatch_is_an_error() {
-        let h = shard_header_line(3);
-        assert!(parse_store(
-            "{\"schema\":\"localias-cache/v0\",\"analysis_version\":1}\n",
-            &h
-        )
-        .is_err());
-        // The PR-2/PR-3 monolithic header on a shard file: rejected.
-        let monolithic = format!(
+    fn header_mismatch_is_an_error() {
+        let h = header_line();
+        let old = "{\"schema\":\"localias-cache/v0\",\"analysis_version\":1}\n";
+        assert_eq!(read_text("hdr-old", old), Err("bad"));
+        // The monolithic v2 header and a v3 shard header: rejected.
+        let v2 = format!(
             "{{\"schema\":\"localias-cache/v2\",\"analysis_version\":{ANALYSIS_VERSION}}}\n"
         );
-        assert!(parse_store(&monolithic, &h).is_err());
-        // The right schema under the wrong shard index: rejected.
-        assert!(parse_store(&format!("{}\n", shard_header_line(4)), &h).is_err());
-        assert!(parse_store("", &h).is_err());
-        let good = format!("{h}\n");
-        assert!(parse_store(&good, &h).is_ok());
+        assert_eq!(read_text("hdr-v2", &v2), Err("bad"));
+        let shard = format!(
+            "{{\"schema\":\"localias-cache/v3-shard\",\"analysis_version\":{ANALYSIS_VERSION},\"shard\":0}}\n"
+        );
+        assert_eq!(read_text("hdr-shard", &shard), Err("bad"));
+        assert_eq!(read_text("hdr-empty", ""), Err("bad"));
+        // A newer analysis version is someone else's store, whatever its
+        // shape, even truncated.
+        let newer = h.replace(
+            &format!(":{ANALYSIS_VERSION}}}"),
+            &format!(":{}}}", ANALYSIS_VERSION + 1),
+        );
+        assert_ne!(newer, h);
+        assert_eq!(read_text("hdr-newer", format!("{newer}\n")), Err("newer"));
+        assert_eq!(read_text("hdr-newer-cut", &newer), Err("newer"));
+        assert_eq!(read_text("hdr-good", format!("{h}\n")), Ok(0));
         // Truncation (missing trailing newline) is corruption.
-        assert!(parse_store(good.trim_end(), &h).is_err());
+        assert_eq!(read_text("hdr-cut", &h), Err("bad"));
+        let mut entry = Vec::new();
+        write_entry(&mut entry, 1, 2, &[0; 6]).unwrap();
+        let entry = String::from_utf8(entry).unwrap();
+        let full = format!("{h}\n{entry}{entry}");
+        assert_eq!(read_text("entries", &full), Ok(2));
+        assert_eq!(read_text("entry-cut", &full[..full.len() - 1]), Err("bad"));
+        let not_utf8 = [h.as_bytes(), b"\n\xff\n"].concat();
+        assert_eq!(read_text("no-utf8", not_utf8), Err("bad"));
+        // No store file reads as an empty store.
+        let missing = test_dir("hdr-missing").join(STORE_FILE);
+        assert!(matches!(
+            read_store(&missing, |_, _, _| ()),
+            StoreRead::Loaded
+        ));
     }
 
     #[test]
     fn header_version_is_extracted_even_from_unparseable_stores() {
         assert_eq!(
-            header_version(&format!("{}\n", shard_header_line(0))),
+            header_version(&format!("{}\n", header_line())),
             Some(ANALYSIS_VERSION)
         );
         assert_eq!(
@@ -950,24 +948,6 @@ mod tests {
         );
         assert_eq!(header_version("no header at all"), None);
         assert_eq!(header_version(""), None);
-    }
-
-    #[test]
-    fn shard_file_names_round_trip_and_reject_cousins() {
-        for i in [0, 1, 15, 99, 255] {
-            assert_eq!(shard_index_of(&shard_file_name(i)), Some(i), "{i}");
-        }
-        for bad in [
-            "shard-00.jsonl.bad",
-            "shard-00.jsonl.tmp.123",
-            "shard-00.lock",
-            "shard-.jsonl",
-            "shard-xx.jsonl",
-            "shard-1234.jsonl",
-            "store.jsonl",
-        ] {
-            assert_eq!(shard_index_of(bad), None, "{bad}");
-        }
     }
 
     /// The keys the sweep writes, pinned. The raw key must never move:
@@ -1016,47 +996,14 @@ mod tests {
         assert_eq!((c.quarantined(), c.lock_skips()), (0, 0));
     }
 
-    /// Entries partition across multiple shard files, every shard file
-    /// carries its own header, and a foreign shard count still loads.
-    #[test]
-    fn entries_partition_across_shards() {
-        let dir = test_dir("partition");
-        let mut c = AnalysisCache::load_sharded(&dir, 4);
-        for i in 0..64u128 {
-            c.record_values(i, i + 1, [1, 0, 0, 0, 0, 0]);
-        }
-        c.persist().unwrap();
-
-        let mut files = 0;
-        for i in 0..4 {
-            let path = dir.join(shard_file_name(i));
-            if !path.is_file() {
-                continue;
-            }
-            files += 1;
-            let text = std::fs::read_to_string(&path).unwrap();
-            assert!(text.starts_with(&shard_header_line(i)), "own header");
-            for line in text.lines().skip(1) {
-                let (fp, _, _) = parse_entry(line).unwrap();
-                assert_eq!((fp % 4) as usize, i, "entry in its home shard");
-            }
-        }
-        assert!(files > 1, "entries spread over multiple shards");
-
-        // A different shard count still loads everything (entries are
-        // keyed by fingerprint, not by which file holds them).
-        let c8 = AnalysisCache::load_sharded(&dir, 8);
-        assert_eq!(c8.len(), 64);
-    }
-
     /// `*.tmp.<pid>` files from dead writers are swept at load; a live
     /// writer's temp file is left alone.
     #[test]
     fn orphaned_tmp_files_are_swept_at_load() {
         let dir = test_dir("tmp-sweep");
         // Dead pid: well above any default pid_max.
-        let dead = dir.join("shard-03.jsonl.tmp.999999999");
-        let live = dir.join(format!("shard-03.jsonl.tmp.{}", std::process::id()));
+        let dead = dir.join("store.jsonl.tmp.999999999");
+        let live = dir.join(format!("store.jsonl.tmp.{}", std::process::id()));
         std::fs::write(&dead, "half-written").unwrap();
         std::fs::write(&live, "in flight").unwrap();
 
@@ -1065,14 +1012,14 @@ mod tests {
         assert!(live.exists(), "live writer's temp file untouched");
     }
 
-    /// A lockfile whose holder died mid-persist must not wedge the shard
+    /// A lockfile whose holder died mid-persist must not wedge the store
     /// forever: the next persist breaks it and writes through.
     #[test]
     fn stale_lock_from_dead_process_is_broken() {
         let dir = test_dir("stale-lock");
         let mut c = AnalysisCache::load(&dir);
         c.record_values(5, 6, [9, 0, 0, 0, 0, 0]);
-        let lock = dir.join(format!("shard-{:02}.lock", c.shard_of(5)));
+        let lock = dir.join(LOCK_FILE);
         std::fs::write(&lock, "999999999").unwrap();
 
         c.persist().unwrap();
@@ -1091,22 +1038,18 @@ mod tests {
         let dir = test_dir("live-lock");
         let mut c = AnalysisCache::load(&dir);
         c.record_values(5, 6, [9, 0, 0, 0, 0, 0]);
-        let shard = c.shard_of(5);
-        let lock = dir.join(format!("shard-{shard:02}.lock"));
+        let lock = dir.join(LOCK_FILE);
         // Our own pid is definitionally alive.
         std::fs::write(&lock, format!("{}", std::process::id())).unwrap();
 
         c.persist().unwrap();
-        assert_eq!(c.lock_skips(), 1, "contended shard skipped");
+        assert_eq!(c.lock_skips(), 1, "contended persist skipped");
         assert!(c.lock_retries() >= 1, "backoff retries counted");
-        assert!(
-            !dir.join(shard_file_name(shard)).exists(),
-            "skipped shard not written"
-        );
+        assert!(!dir.join(STORE_FILE).exists(), "skipped store not written");
         assert!(lock.exists(), "foreign lock left in place");
         std::fs::remove_file(&lock).unwrap();
 
-        // With the lock gone the still-dirty shard persists fine.
+        // With the lock gone the still-dirty store persists fine.
         c.persist().unwrap();
         assert_eq!(
             AnalysisCache::load(&dir).lookup_values(5),

@@ -1,6 +1,7 @@
 //! The paper's evaluation behind the `localias` driver's `experiment`,
 //! `fuzz`, `scale` and `precision` subcommands: the experiment runner
-//! and its result cache, the renderers of the paper's tables
+//! (one work queue over a corpus slice or stream) and its one-file
+//! result cache, the renderers of the paper's tables
 //! ([`paper`]), the artifact writers, and the differential fuzzer — plus
 //! synthetic program generators for the complexity benches and a small
 //! in-repo timing harness ([`harness`]) standing in for criterion.
@@ -35,7 +36,9 @@ use localias_corpus::GeneratedModule;
 use localias_cqual::check_modes;
 use localias_obs as obs;
 use localias_obs::json::Value;
+use std::borrow::Cow;
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// Per-module measured error counts under the three modes.
@@ -192,7 +195,7 @@ pub struct ExperimentBench {
 }
 
 /// The experiment artifact's schema.
-pub const EXPERIMENT_SCHEMA: &str = "localias-bench-experiment/v8";
+pub const EXPERIMENT_SCHEMA: &str = "localias-bench-experiment/v9";
 
 impl ExperimentBench {
     /// Sweep throughput in modules per wall-clock second.
@@ -207,7 +210,9 @@ impl ExperimentBench {
     /// sharded-store fields, v4 the `profile` block, v5 `partition` and
     /// per-module `results` rows, v6 the `hist` block. v7 moved to the
     /// shared envelope (`host`, `gate`) and added `cache.hit_rate`. v8
-    /// drops `partition` and `results` with the partitioned sweep.
+    /// drops `partition` and `results` with the partitioned sweep, v9
+    /// the `cache` block's `shards`, `shard_hits` and `shard_misses` with
+    /// the sharded store.
     pub fn to_json(&self) -> String {
         use Better::{Higher, Lower};
         let mut a = Artifact::new(EXPERIMENT_SCHEMA, self.seed);
@@ -232,13 +237,9 @@ impl ExperimentBench {
         match &self.cache {
             None => a.set(&["cache"], Value::Null),
             Some(c) => {
-                let counts = |xs: &[usize]| Value::Arr(xs.iter().map(|&x| x.into()).collect());
                 a.set(&["cache", "hits"], c.hits);
                 a.set(&["cache", "misses"], c.misses);
                 a.set(&["cache", "dir"], c.dir.as_str());
-                a.set(&["cache", "shards"], c.shards);
-                a.set(&["cache", "shard_hits"], counts(&c.shard_hits));
-                a.set(&["cache", "shard_misses"], counts(&c.shard_misses));
                 a.set(&["cache", "quarantined"], c.quarantined);
                 a.set(&["cache", "lock_retries"], c.lock_retries);
                 a.set(&["cache", "lock_skips"], c.lock_skips);
@@ -258,7 +259,7 @@ enum CacheNote {
     Uncached,
     /// The raw source fingerprint was already known — served without
     /// even parsing.
-    RawHit { fp: u128 },
+    RawHit,
     /// Raw source changed but the canonical fingerprint still hit; the
     /// new raw fingerprint should alias it for the next sweep.
     CanonHit { fp: u128, raw: u128 },
@@ -274,16 +275,19 @@ struct SweepOutcome {
     note: CacheNote,
 }
 
+/// The sweep's view of its corpus: the module at each position, borrowed
+/// from a slice or generated from a [`CorpusStream`].
+type ModuleAt<'m> = dyn Fn(usize) -> Cow<'m, GeneratedModule> + Sync + 'm;
+
 /// The streaming sweep engine every `measure_*` entry point feeds.
 ///
-/// `modules` yields `(slot, module)` pairs; `slot` is the module's index
-/// in the returned result vector (`0..out_len`). With more than one
-/// worker the iterator is drained by a producer thread into a *bounded*
-/// channel (capacity `2·threads`), so no matter how large the corpus is,
-/// only `O(threads)` modules are ever alive at once — each worker drops
-/// its module as soon as the result (or cache note) is extracted.
-/// Results are merged back into slot order afterwards, so output is
-/// byte-identical for every `jobs` value and for the sequential path.
+/// `module_at(slot)` yields the module at each position `0..len`; `slot`
+/// is its index in the returned result vector. With one worker the loop
+/// runs on the calling thread. With more, the workers claim positions
+/// from one shared counter, so however large the corpus is, each worker
+/// holds at most one module at a time and drops it as soon as the result
+/// (or cache note) is extracted. Results are merged back into slot order
+/// afterwards, so output is byte-identical for every `jobs` value.
 ///
 /// With a cache, each worker first resolves the module's raw source
 /// fingerprint against an immutable cache snapshot — a hit skips the
@@ -293,26 +297,22 @@ struct SweepOutcome {
 /// fresh records) are applied on the calling thread after the sweep;
 /// persisting the store is the caller's job (see
 /// [`measure_corpus_with_cache`]).
-fn sweep_modules<M, I>(
-    modules: I,
-    out_len: usize,
+fn sweep_modules(
+    len: usize,
+    module_at: &ModuleAt<'_>,
     jobs: usize,
     seed: u64,
     mut cache: Option<&mut AnalysisCache>,
-) -> (Vec<ModuleResult>, ExperimentBench)
-where
-    M: std::borrow::Borrow<GeneratedModule> + Send,
-    I: Iterator<Item = (usize, M)> + Send,
-{
+) -> (Vec<ModuleResult>, ExperimentBench) {
     let threads = if jobs == 0 { default_jobs() } else { jobs };
     let _sweep_span = obs::span!("bench.sweep");
     let start = Instant::now();
 
-    let shards = cache.as_deref().map_or(0, AnalysisCache::shard_count);
-
-    let outcomes: Vec<SweepOutcome> = {
+    // One run of outcomes per worker, each in increasing slot order.
+    let runs: Vec<Vec<SweepOutcome>> = {
         let snapshot: Option<&AnalysisCache> = cache.as_deref();
-        let work = |slot: usize, m: &GeneratedModule| -> SweepOutcome {
+        let work = |slot: usize| -> SweepOutcome {
+            let m = module_at(slot);
             let served = |e: CachedOutcome, note| SweepOutcome {
                 slot,
                 result: e.to_result(&m.name),
@@ -326,11 +326,8 @@ where
                 )
             });
             if let Some((c, raw)) = keyed {
-                if let Some((fp, e)) = c
-                    .resolve_raw(raw)
-                    .and_then(|fp| Some((fp, c.lookup_fp(fp)?)))
-                {
-                    return served(e, CacheNote::RawHit { fp });
+                if let Some(e) = c.resolve_raw(raw).and_then(|fp| c.lookup_fp(fp)) {
+                    return served(e, CacheNote::RawHit);
                 }
             }
             let t0 = Instant::now();
@@ -356,94 +353,70 @@ where
         };
 
         if threads <= 1 {
-            // Sequential path: generate, measure, drop — one module live.
-            modules.map(|(slot, m)| work(slot, m.borrow())).collect()
+            vec![(0..len).map(work).collect()]
         } else {
-            // Bounded in-flight set: the producer blocks once the channel
-            // holds 2·threads undrained modules.
-            let (tx, rx) = std::sync::mpsc::sync_channel::<(usize, M)>(threads * 2);
-            let rx = std::sync::Mutex::new(rx);
+            // The next unclaimed position. `Relaxed` suffices: the counter
+            // publishes no other data, and the outcomes come back through
+            // `join`.
+            let next = AtomicUsize::new(0);
             // Workers inherit the sweep's span path, so the span tree is
             // identical whatever the thread count.
             let span_cx = obs::fork();
             std::thread::scope(|s| {
-                let producer = s.spawn(move || {
-                    for item in modules {
-                        if tx.send(item).is_err() {
-                            break; // workers gone (a worker panicked)
-                        }
-                    }
-                });
                 let handles: Vec<_> = (0..threads)
                     .map(|_| {
                         let span_cx = span_cx.clone();
-                        let (rx, work) = (&rx, &work);
+                        let (next, work) = (&next, &work);
                         s.spawn(move || {
                             let _attached = span_cx.attach();
-                            let mut out = Vec::new();
-                            loop {
-                                let item = rx.lock().expect("receiver poisoned").recv();
-                                match item {
-                                    Ok((slot, m)) => out.push(work(slot, m.borrow())),
-                                    Err(_) => break out, // producer done, channel drained
-                                }
-                            }
+                            let claim = || Some(next.fetch_add(1, Ordering::Relaxed));
+                            std::iter::from_fn(claim)
+                                .take_while(|&slot| slot < len)
+                                .map(work)
+                                .collect::<Vec<_>>()
                         })
                     })
                     .collect();
-                producer.join().expect("producer thread panicked");
                 handles
                     .into_iter()
-                    .flat_map(|h| h.join().expect("worker thread panicked"))
+                    .map(|h| h.join().expect("worker thread panicked"))
                     .collect()
             })
         }
     };
 
-    let mut slots: Vec<Option<(ModuleResult, PhaseTimes)>> = (0..out_len).map(|_| None).collect();
+    // Merge in slot order, applying the cache notes on this thread. Each
+    // slot is at the head of exactly one run when its turn comes, so no
+    // outcome is copied into a combined vector first.
+    let mut runs: Vec<_> = runs.into_iter().map(|r| r.into_iter().peekable()).collect();
+    let mut results = Vec::with_capacity(len);
+    let mut phases = PhaseTimes::default();
     let mut hits = 0usize;
     let mut misses = 0usize;
-    let mut shard_hits = vec![0usize; shards];
-    let mut shard_misses = vec![0usize; shards];
-    for o in outcomes {
+    for slot in 0..len {
+        let o = runs
+            .iter_mut()
+            .find_map(|run| run.next_if(|o| o.slot == slot))
+            .expect("every module measured exactly once");
         match o.note {
             CacheNote::Uncached => {}
-            CacheNote::RawHit { fp } => {
-                hits += 1;
-                if let Some(c) = cache.as_deref() {
-                    shard_hits[c.shard_of(fp)] += 1;
-                    obs::count(obs::Counter::CacheShardHits, 1);
-                }
-            }
+            CacheNote::RawHit => hits += 1,
             CacheNote::CanonHit { fp, raw } => {
                 hits += 1;
                 if let Some(c) = cache.as_deref_mut() {
-                    shard_hits[c.shard_of(fp)] += 1;
-                    obs::count(obs::Counter::CacheShardHits, 1);
                     c.alias_raw(raw, fp);
                 }
             }
             CacheNote::Miss { fp, raw } => {
                 misses += 1;
                 if let Some(c) = cache.as_deref_mut() {
-                    shard_misses[c.shard_of(fp)] += 1;
-                    obs::count(obs::Counter::CacheShardMisses, 1);
                     c.record(fp, raw, CachedOutcome::of(&o.result, o.times));
                 }
             }
         }
-        slots[o.slot] = Some((o.result, o.times));
+        phases.accumulate(o.times);
+        results.push(o.result);
     }
-
-    let mut phases = PhaseTimes::default();
-    let results: Vec<ModuleResult> = slots
-        .into_iter()
-        .map(|s| {
-            let (r, t) = s.expect("every module measured exactly once");
-            phases.accumulate(t);
-            r
-        })
-        .collect();
 
     let errors = results.iter().fold((0, 0, 0), |(nc, cf, st), r| {
         (nc + r.no_confine, cf + r.confine, st + r.all_strong)
@@ -452,9 +425,6 @@ where
         hits,
         misses,
         dir: c.dir_display(),
-        shards,
-        shard_hits,
-        shard_misses,
         quarantined: c.quarantined(),
         lock_retries: 0, // lock counters are filled in after persist
         lock_skips: 0,
@@ -487,28 +457,30 @@ pub fn measure_corpus_cached(
     seed: u64,
     cache: Option<&mut AnalysisCache>,
 ) -> (Vec<ModuleResult>, ExperimentBench) {
-    sweep_modules(corpus.iter().enumerate(), corpus.len(), jobs, seed, cache)
+    sweep_modules(
+        corpus.len(),
+        &|i| Cow::Borrowed(&corpus[i]),
+        jobs,
+        seed,
+        cache,
+    )
 }
 
 /// [`sweep_modules`] under a [`CachePolicy`]: loads the store, sweeps,
 /// and atomically persists the store back. Cache I/O failures degrade to
 /// warnings — results are never affected.
-fn sweep_with_policy<M, I>(
-    modules: I,
-    out_len: usize,
+fn sweep_with_policy(
+    len: usize,
+    module_at: &ModuleAt<'_>,
     jobs: usize,
     seed: u64,
     policy: &CachePolicy,
-) -> (Vec<ModuleResult>, ExperimentBench)
-where
-    M: std::borrow::Borrow<GeneratedModule> + Send,
-    I: Iterator<Item = (usize, M)> + Send,
-{
-    let CachePolicy::Dir { dir, shards } = policy else {
-        return sweep_modules(modules, out_len, jobs, seed, None);
+) -> (Vec<ModuleResult>, ExperimentBench) {
+    let CachePolicy::Dir { dir, .. } = policy else {
+        return sweep_modules(len, module_at, jobs, seed, None);
     };
-    let mut c = AnalysisCache::load_sharded(dir, *shards);
-    let (results, mut bench) = sweep_modules(modules, out_len, jobs, seed, Some(&mut c));
+    let mut c = AnalysisCache::load(dir);
+    let (results, mut bench) = sweep_modules(len, module_at, jobs, seed, Some(&mut c));
     if let Err(e) = c.persist() {
         eprintln!(
             "localias-bench: warning: cache not fully written to {}: {e}",
@@ -525,19 +497,19 @@ where
 }
 
 /// One full streamed sweep of `stream` under a [`CachePolicy`], without
-/// ever materializing the corpus: modules are generated one at a time
-/// (by the producer thread when `jobs > 1`) and dropped as soon as they
-/// are measured or served from cache, so peak memory is `O(jobs)`
-/// modules however long the stream is. Results come back in stream
-/// order. The paper's experiment is `CorpusStream::paper(seed)`.
+/// ever materializing the corpus: each worker generates the module at the
+/// position it claims and drops it as soon as it is measured or served
+/// from cache, so peak memory is `O(jobs)` modules however long the
+/// stream is. Results come back in stream order. The paper's experiment
+/// is `CorpusStream::paper(seed)`.
 pub fn measure_stream_with_cache(
     stream: &CorpusStream,
     jobs: usize,
     policy: &CachePolicy,
 ) -> (Vec<ModuleResult>, ExperimentBench) {
     sweep_with_policy(
-        stream.iter().enumerate(),
         stream.len(),
+        &|i| Cow::Owned(stream.module_at(i)),
         jobs,
         stream.seed(),
         policy,
@@ -560,7 +532,13 @@ pub fn measure_corpus_with_cache(
 ) -> (Vec<ModuleResult>, ExperimentBench) {
     assert_eq!(intra_jobs, 1, "the lock checker is sequential");
     assert_eq!(backend, Backend::Steensgaard, "the sweep runs Steensgaard");
-    sweep_with_policy(corpus.iter().enumerate(), corpus.len(), jobs, seed, policy)
+    sweep_with_policy(
+        corpus.len(),
+        &|i| Cow::Borrowed(&corpus[i]),
+        jobs,
+        seed,
+        policy,
+    )
 }
 
 /// What [`finish_obs`] drained from the run's observability sinks.
@@ -733,9 +711,6 @@ mod tests {
                 hits: 580,
                 misses: 9,
                 dir: ".localias-cache".into(),
-                shards: 4,
-                shard_hits: vec![147, 148, 147, 138],
-                shard_misses: vec![2, 2, 2, 3],
                 quarantined: 1,
                 lock_retries: 2,
                 lock_skips: 0,
@@ -768,13 +743,10 @@ mod tests {
         let text = bench.to_json();
         // The `"key": value` layout scripts/check.sh greps for.
         for line in [
-            "\"schema\": \"localias-bench-experiment/v8\"",
+            "\"schema\": \"localias-bench-experiment/v9\"",
             "\"hits\": 580",
             "\"misses\": 9",
             "\"dir\": \".localias-cache\"",
-            "\"shards\": 4",
-            "\"shard_hits\": [147, 148, 147, 138]",
-            "\"shard_misses\": [2, 2, 2, 3]",
             "\"quarantined\": 1",
             "\"lock_retries\": 2",
             "\"lock_skips\": 0",
@@ -793,12 +765,10 @@ mod tests {
             cache.get("dir").and_then(Value::as_str),
             Some(".localias-cache")
         );
-        assert_eq!(num(&["cache", "shards"]), 4.0);
         assert_eq!(num(&["cache", "hit_rate"]), 580.0 / 589.0);
-        let shard_hits = cache.get("shard_hits").unwrap().render();
-        assert_eq!(shard_hits, "[147,148,147,138]");
-        let shard_misses = cache.get("shard_misses").unwrap().render();
-        assert_eq!(shard_misses, "[2,2,2,3]");
+        for gone in ["shards", "shard_hits", "shard_misses"] {
+            assert!(cache.get(gone).is_none(), "{gone} is not a v9 cache key");
+        }
         assert_eq!(num(&["cache", "quarantined"]), 1.0);
         assert_eq!(num(&["cache", "lock_retries"]), 2.0);
         assert_eq!(num(&["cache", "lock_skips"]), 0.0);

@@ -1,12 +1,12 @@
 //! Correctness regression tests for the incremental analysis cache: warm
 //! results must be byte-identical to cold ones, invalidation must be
-//! exact (one changed module = one miss), broken shards must quarantine
-//! individually and degrade their modules to a cold run, concurrent
-//! writers sharing one store must lose no entries, and warm sweeps must
-//! stay deterministic across thread counts and seed changes.
+//! exact (one changed module = one miss), a broken store must quarantine
+//! and degrade the sweep to a cold run, a newer binary's store must be
+//! left alone, concurrent writers sharing one store must lose no
+//! entries, and warm sweeps must stay deterministic across thread counts
+//! and seed changes.
 
 use localias_alias::Backend;
-use localias_bench::cache::shard_file_name;
 use localias_bench::{
     measure_corpus_cached, measure_corpus_with_cache, AnalysisCache, CachePolicy, ModuleResult,
     ANALYSIS_VERSION,
@@ -15,8 +15,7 @@ use localias_corpus::{generate, GeneratedModule, DEFAULT_SEED};
 use std::path::{Path, PathBuf};
 
 /// Corpus prefix the tests sweep: big enough to cover every generator
-/// archetype (and to populate most of the 16 shards), small enough for
-/// debug builds.
+/// archetype, small enough for debug builds.
 const PREFIX: usize = 40;
 
 /// A fresh, empty cache directory unique to this test.
@@ -57,23 +56,27 @@ fn render(results: &[ModuleResult]) -> String {
         .collect()
 }
 
-/// Every `shard-NN.jsonl` currently present under `dir`, sorted.
-fn shard_paths(dir: &Path) -> Vec<PathBuf> {
-    let mut out: Vec<PathBuf> = std::fs::read_dir(dir)
-        .into_iter()
-        .flatten()
-        .flatten()
-        .map(|e| e.path())
-        .filter(|p| {
-            let name = p.file_name().unwrap_or_default().to_string_lossy();
-            name.starts_with("shard-") && name.ends_with(".jsonl")
-        })
+/// The store file under `dir`.
+fn store_path(dir: &Path) -> PathBuf {
+    dir.join("store.jsonl")
+}
+
+/// Where a quarantined store under `dir` lands.
+fn bad_path(dir: &Path) -> PathBuf {
+    dir.join("store.jsonl.bad")
+}
+
+/// The names of every file under `dir`, sorted.
+fn listing(dir: &Path) -> Vec<String> {
+    let mut out: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
         .collect();
     out.sort();
     out
 }
 
-/// Number of entry lines (excluding the header) in one shard file.
+/// Number of entry lines (excluding the header) in the store file.
 fn entry_count(path: &Path) -> usize {
     std::fs::read_to_string(path).unwrap().lines().count() - 1
 }
@@ -88,24 +91,22 @@ fn cold_then_warm_is_byte_identical_and_fully_hits() {
         measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, Backend::Steensgaard, &policy);
     let stats = cold_bench.cache.expect("cache stats present");
     assert_eq!((stats.hits, stats.misses), (0, PREFIX));
-    assert_eq!(stats.shard_misses.iter().sum::<usize>(), PREFIX);
     assert_eq!((stats.quarantined, stats.lock_skips), (0, 0));
-    let shards = shard_paths(&dir);
-    assert!(
-        shards.len() > 1,
-        "entries persisted across multiple shard files, got {shards:?}"
+    assert_eq!(
+        listing(&dir),
+        ["store.jsonl"],
+        "one store file, nothing else"
     );
     assert_eq!(
-        shards.iter().map(|p| entry_count(p)).sum::<usize>(),
+        entry_count(&store_path(&dir)),
         PREFIX,
-        "every module's entry lands in exactly one shard"
+        "one entry per module"
     );
 
     let (warm, warm_bench) =
         measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, Backend::Steensgaard, &policy);
     let stats = warm_bench.cache.expect("cache stats present");
     assert_eq!((stats.hits, stats.misses), (PREFIX, 0));
-    assert_eq!(stats.shard_hits.iter().sum::<usize>(), PREFIX);
     assert_eq!(
         render(&cold),
         render(&warm),
@@ -134,7 +135,6 @@ fn perturbing_one_module_invalidates_exactly_one() {
         (PREFIX - 1, 1),
         "exactly the perturbed module must miss"
     );
-    assert_eq!(stats.shard_misses.iter().sum::<usize>(), 1);
 
     // The mixed warm/miss report must equal a cold, uncached run of the
     // same perturbed corpus.
@@ -166,20 +166,17 @@ fn comment_only_change_hits_via_canonical_fingerprint() {
     assert_eq!((stats.hits, stats.misses), (PREFIX, 0));
 }
 
-/// Corrupting every shard degrades the whole sweep to a cold run — and
-/// each broken shard is quarantined to `*.bad`, never re-parsed.
+/// Corrupting the store degrades the whole sweep to a cold run — and
+/// the broken file is quarantined to `store.jsonl.bad`, never re-parsed.
 #[test]
-fn corrupt_shards_fall_back_to_cold_run() {
+fn corrupt_store_falls_back_to_cold_run() {
     let dir = cache_dir("corrupt");
     let policy = policy(&dir);
     let slice = slice();
 
     let (cold, _) =
         measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, Backend::Steensgaard, &policy);
-    let shards = shard_paths(&dir);
-    for p in &shards {
-        std::fs::write(p, b"garbage\x00not a store\n").unwrap();
-    }
+    std::fs::write(store_path(&dir), b"garbage\x00not a store\n").unwrap();
 
     let (recovered, bench) =
         measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, Backend::Steensgaard, &policy);
@@ -187,18 +184,10 @@ fn corrupt_shards_fall_back_to_cold_run() {
     assert_eq!(
         (stats.hits, stats.misses),
         (0, PREFIX),
-        "corrupt shards must be discarded, not half-used"
+        "a corrupt store must be discarded, not half-used"
     );
-    assert_eq!(stats.quarantined, shards.len(), "one quarantine per shard");
-    for p in &shards {
-        let mut bad = p.as_os_str().to_os_string();
-        bad.push(".bad");
-        assert!(
-            PathBuf::from(bad).exists(),
-            "{} quarantined for inspection",
-            p.display()
-        );
-    }
+    assert_eq!(stats.quarantined, 1);
+    assert!(bad_path(&dir).exists(), "quarantined for inspection");
     assert_eq!(render(&cold), render(&recovered));
 
     // The rewrite healed the store.
@@ -209,73 +198,112 @@ fn corrupt_shards_fall_back_to_cold_run() {
     assert_eq!(stats.quarantined, 0);
 }
 
-/// Truncating ONE shard mid-entry (the way an interrupted write would)
-/// quarantines only that shard: its modules re-analyze, every other
-/// shard keeps serving hits.
+/// Truncating the store mid-entry (the way an interrupted write would,
+/// were the store not written to a temp file and renamed) quarantines it
+/// whole: every module re-analyzes to the uncached result, and the next
+/// sweep heals the store.
 #[test]
-fn truncated_shard_quarantines_only_itself() {
+fn truncated_store_is_quarantined_whole() {
     let dir = cache_dir("truncated");
     let policy = policy(&dir);
     let slice = slice();
 
     let _ = measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, Backend::Steensgaard, &policy);
-    let shards = shard_paths(&dir);
-    assert!(shards.len() > 1, "need multiple shards for this test");
-    let victim = &shards[0];
-    let lost = entry_count(victim);
-    let full = std::fs::read(victim).unwrap();
+    let store = store_path(&dir);
+    let full = std::fs::read(&store).unwrap();
     // Cut mid-entry (also severing the trailing newline).
-    std::fs::write(victim, &full[..full.len() - 3]).unwrap();
+    std::fs::write(&store, &full[..full.len() - 3]).unwrap();
 
     let (results, bench) =
         measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, Backend::Steensgaard, &policy);
     let stats = bench.cache.expect("cache stats present");
     assert_eq!(
         (stats.hits, stats.misses),
-        (PREFIX - lost, lost),
-        "exactly the truncated shard's modules re-analyze"
+        (0, PREFIX),
+        "every module of a truncated store re-analyzes"
     );
-    assert_eq!(stats.quarantined, 1, "only the broken shard quarantines");
-    let cold = uncached(&slice, DEFAULT_SEED);
-    assert_eq!(render(&cold), render(&results));
+    assert_eq!(stats.quarantined, 1);
+    assert!(bad_path(&dir).exists(), "quarantined for inspection");
+    assert_eq!(render(&uncached(&slice, DEFAULT_SEED)), render(&results));
 
-    // The re-analysis healed the quarantined shard.
+    // The re-analysis healed the store.
     let (_, bench) =
         measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, Backend::Steensgaard, &policy);
     let stats = bench.cache.expect("cache stats present");
     assert_eq!((stats.hits, stats.misses), (PREFIX, 0));
+    assert_eq!(stats.quarantined, 0);
+}
+
+/// The store's `analysis_version` with `version` in place of ours.
+fn with_version(text: &str, version: u32) -> String {
+    let bumped = text.replacen(
+        &format!("\"analysis_version\":{ANALYSIS_VERSION}"),
+        &format!("\"analysis_version\":{version}"),
+        1,
+    );
+    assert_ne!(text, bumped);
+    bumped
 }
 
 #[test]
-fn version_mismatched_shards_are_discarded() {
+fn version_mismatched_store_is_discarded() {
     let dir = cache_dir("version");
     let policy = policy(&dir);
     let slice = slice();
 
     let _ = measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, Backend::Steensgaard, &policy);
-    for p in shard_paths(&dir) {
-        let text = std::fs::read_to_string(&p).unwrap();
-        let bumped = text.replacen(
-            &format!("\"analysis_version\":{ANALYSIS_VERSION}"),
-            &format!("\"analysis_version\":{}", ANALYSIS_VERSION - 1),
-            1,
-        );
-        assert_ne!(text, bumped);
-        std::fs::write(&p, bumped).unwrap();
-    }
+    let store = store_path(&dir);
+    let text = std::fs::read_to_string(&store).unwrap();
+    std::fs::write(&store, with_version(&text, ANALYSIS_VERSION - 1)).unwrap();
 
     let (_, bench) =
         measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, Backend::Steensgaard, &policy);
     let stats = bench.cache.expect("cache stats present");
     assert_eq!((stats.hits, stats.misses), (0, PREFIX));
-    assert!(stats.quarantined > 0);
+    assert_eq!(stats.quarantined, 1);
+}
+
+/// A store whose header names a newer `analysis_version` belongs to a
+/// newer binary: a sweep serves nothing from it, and neither its load
+/// nor its persist quarantines or rewrites it.
+#[test]
+fn newer_binarys_store_is_left_alone() {
+    let dir = cache_dir("newer");
+    let policy = policy(&dir);
+    let slice = slice();
+
+    let _ = measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, Backend::Steensgaard, &policy);
+    let store = store_path(&dir);
+    let text = std::fs::read_to_string(&store).unwrap();
+    let newer = with_version(&text, ANALYSIS_VERSION + 1);
+    std::fs::write(&store, &newer).unwrap();
+
+    let (results, bench) =
+        measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, Backend::Steensgaard, &policy);
+    let stats = bench.cache.expect("cache stats present");
+    assert_eq!(
+        (stats.hits, stats.misses),
+        (0, PREFIX),
+        "nothing is served from a newer binary's store"
+    );
+    assert_eq!(stats.quarantined, 0);
+    assert!(
+        !bad_path(&dir).exists(),
+        "a newer store is never quarantined"
+    );
+    assert_eq!(
+        std::fs::read_to_string(&store).unwrap(),
+        newer,
+        "a newer store is left byte-identical"
+    );
+    assert_eq!(render(&uncached(&slice, DEFAULT_SEED)), render(&results));
 }
 
 /// A store written by the PR-2 binary (schema `localias-cache/v1`,
 /// `analysis_version: 1`, named-field entry lines) must be discarded
 /// whole: the checker pipeline changed in v2, so every v1 entry is
-/// potentially stale and none may be served. The sharded store never
-/// reads a `store.jsonl` at all.
+/// potentially stale and none may be served. It sits where the one-file
+/// store lives, so the load quarantines it.
 #[test]
 fn stale_v1_store_is_discarded_whole() {
     let dir = cache_dir("v1-store");
@@ -303,38 +331,8 @@ fn stale_v1_store_is_discarded_whole() {
         (0, PREFIX),
         "every stale v1 entry must be discarded, none served"
     );
+    assert_eq!(stats.quarantined, 1);
     assert_eq!(render(&uncached(&slice, DEFAULT_SEED)), render(&results));
-}
-
-/// A one-shard store degenerates to a single shard file and still
-/// round-trips; a later load under the default shard count reads it.
-#[test]
-fn single_shard_store_round_trips_across_shard_counts() {
-    let dir = cache_dir("one-shard");
-    let slice = slice();
-    let one = CachePolicy::Dir {
-        dir: dir.clone(),
-        shards: 1,
-    };
-
-    let (_, bench) =
-        measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, Backend::Steensgaard, &one);
-    let stats = bench.cache.expect("cache stats present");
-    assert_eq!(stats.shards, 1);
-    assert_eq!(stats.shard_misses, vec![PREFIX]);
-    assert_eq!(shard_paths(&dir), vec![dir.join(shard_file_name(0))]);
-
-    // Default shard count loads the single-shard layout without loss.
-    let (_, bench) = measure_corpus_with_cache(
-        &slice,
-        1,
-        1,
-        DEFAULT_SEED,
-        Backend::Steensgaard,
-        &policy(&dir),
-    );
-    let stats = bench.cache.expect("cache stats present");
-    assert_eq!((stats.hits, stats.misses), (PREFIX, 0));
 }
 
 #[test]
@@ -401,7 +399,7 @@ fn perturbed_seed_reports_match_a_cold_run() {
 // ---------------------------------------------------------------------
 // Multi-process concurrency: the PR-2/PR-3 monolithic store lost one
 // writer's entries whenever two processes raced the final rename. The
-// sharded merge-on-write store must keep the exact union.
+// merge-on-write store must keep the exact union.
 
 /// Child-process entry point, re-executed from the test binary itself
 /// (guarded by an env var, so it is an instant no-op as a normal test).

@@ -15,9 +15,7 @@
 //! Every test holds [`obs::test_lock`] across enable → work → drain —
 //! the histogram registry is process-global.
 
-use localias_alias::Backend;
-use localias_bench::CachePolicy;
-use localias_bench::{json, json_hists, measure_corpus_cached, measure_corpus_with_cache};
+use localias_bench::{json, json_hists, measure_corpus_cached};
 use localias_corpus::{generate, GeneratedModule, DEFAULT_SEED};
 use localias_obs as obs;
 
@@ -172,37 +170,4 @@ fn hist_block_reports_exact_percentiles() {
     // cold artifacts keep the same shape.
     let idle = doc.get("fuzz.execute").expect("registered but idle hist");
     assert_eq!(idle.get("count").and_then(json::Value::as_u64), Some(0));
-}
-
-/// The cache path is instrumented on both edges: a cold cached sweep
-/// times shard persists, a warm one times shard loads.
-#[test]
-fn cached_sweeps_record_shard_load_and_persist_latencies() {
-    let dir = std::env::temp_dir().join(format!("localias-hist-test-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let policy = CachePolicy::dir(&dir);
-    let slice = slice();
-
-    let _l = obs::test_lock();
-    obs::enable_hists();
-    let _ = obs::drain();
-    let _ = measure_corpus_with_cache(&slice, 2, 1, DEFAULT_SEED, Backend::Steensgaard, &policy);
-    let cold = obs::drain();
-    obs::disable_hists();
-    let persist = cold
-        .hist(obs::Hist::CacheShardPersist)
-        .expect("cold run persisted shards");
-    assert!(persist.count > 0);
-
-    obs::enable_hists();
-    let _ = obs::drain();
-    let _ = measure_corpus_with_cache(&slice, 2, 1, DEFAULT_SEED, Backend::Steensgaard, &policy);
-    let warm = obs::drain();
-    obs::disable_hists();
-    let load = warm
-        .hist(obs::Hist::CacheShardLoad)
-        .expect("warm run loaded shards");
-    assert!(load.count > 0);
-
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -52,17 +52,19 @@ use localias_ast::{pretty, Block, Expr, ExprKind, NodeId, Span, Symbol};
 use localias_effects::{
     Action, ConstraintSystem, EffVar, Effect, EffectKind, FlagId, Guard, KindMask, LocVars,
 };
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 
 /// What to generate beyond plain checking.
 #[derive(Debug)]
-pub struct Options {
+pub struct Options<'a> {
     /// Treat every initialized pointer declaration as a §5
     /// `let-or-restrict` candidate.
     pub infer_restrict: bool,
     /// `confine?` candidates (typically from
-    /// [`crate::heuristic::propose_confines`]).
-    pub confine_candidates: Vec<ConfineCandidate>,
+    /// [`crate::heuristic::propose_confines`]), borrowed for the whole
+    /// analysis.
+    pub confine_candidates: &'a [ConfineCandidate],
     /// Treat every unannotated pointer parameter as a restrict candidate
     /// — the natural extension of §5 to function boundaries, inferring
     /// the annotation Figure 1 asks the programmer to write.
@@ -75,11 +77,11 @@ pub struct Options {
     pub apply_down: bool,
 }
 
-impl Default for Options {
+impl Default for Options<'_> {
     fn default() -> Self {
         Options {
             infer_restrict: false,
-            confine_candidates: Vec::new(),
+            confine_candidates: &[],
             infer_restrict_params: false,
             apply_down: true,
         }
@@ -128,12 +130,16 @@ struct PendingBind {
 }
 
 /// State of one confine unit (explicit annotation or `confine?`
-/// candidate).
+/// candidate). A candidate's expression and text are borrowed from it.
 #[derive(Debug)]
-struct Unit {
+struct Unit<'a> {
     site: ConfineSite,
-    key: String,
-    /// Leftmost identifier of the key (interception pre-filter).
+    /// The confined expression; its occurrences are the expressions
+    /// syntactically equal to it.
+    expr: Cow<'a, Expr>,
+    /// The expression printed once, for [`ConfineOutcome::expr`].
+    text: Cow<'a, str>,
+    /// Leftmost identifier of the expression (interception pre-filter).
     root: Option<Symbol>,
     explicit: bool,
     fun: Option<Symbol>,
@@ -158,7 +164,6 @@ struct Unit {
     mat: Option<Mat>,
     /// `true` once the unit cannot proceed (bad shape / not a pointer).
     aborted: bool,
-    active: bool,
 }
 
 #[derive(Debug)]
@@ -220,12 +225,12 @@ enum TagTarget {
 /// The constraint generator. Implements [`Hooks`]; drive it with
 /// [`localias_alias::analyze_with`] and then [`Gen::finalize`].
 #[derive(Debug)]
-pub struct Gen {
+pub struct Gen<'a> {
     /// The constraint system under construction.
     pub cs: ConstraintSystem,
     /// Memoized per-location `ε_ρ` variables.
     pub loc_vars: LocVars,
-    opts: Options,
+    opts: Options<'a>,
     frames: Vec<Frame>,
     gamma_globals: EffVar,
     /// Per-function effect variables, iterated by
@@ -237,12 +242,12 @@ pub struct Gen {
     pending_confine_stmt: Vec<NodeId>,
     /// Explicit confine units awaiting their body scope, by stmt id.
     pending_body: FxMap<NodeId, usize>,
-    units: Vec<Unit>,
-    /// Active unit indices by expression key (outermost first).
-    active_by_key: FxMap<String, Vec<usize>>,
-    /// Reference counts of the leftmost identifiers of active keys — a
-    /// cheap pre-filter so interception does not print every expression
-    /// to a string.
+    units: Vec<Unit<'a>>,
+    /// Active unit indices in activation order (outermost first).
+    active: Vec<usize>,
+    /// Reference counts of the leftmost identifiers of active units'
+    /// expressions — a cheap pre-filter so interception compares only
+    /// expressions that could match.
     active_roots: FxMap<Symbol, usize>,
     /// Range registrations (confine? candidates and decl scopes) by block.
     range_regs: FxMap<NodeId, Vec<RangeReg>>,
@@ -266,9 +271,9 @@ pub struct Gen {
     mult_fixups: Vec<(usize, Loc)>,
 }
 
-impl Gen {
+impl<'a> Gen<'a> {
     /// Creates a generator for a module analysis with the given options.
-    pub fn new(opts: Options) -> Self {
+    pub fn new(opts: Options<'a>) -> Self {
         let mut cs = ConstraintSystem::new();
         let gamma_globals = cs.fresh_var();
         let module_eff = cs.fresh_var();
@@ -287,7 +292,8 @@ impl Gen {
             let root = root_of(&cand.expr).cloned();
             units.push(Unit {
                 site: cand.site(),
-                key: cand.key.clone(),
+                expr: Cow::Borrowed(&cand.expr),
+                text: Cow::Borrowed(&cand.key),
                 root,
                 explicit: false,
                 fun: None,
@@ -300,7 +306,6 @@ impl Gen {
                 pre_reasons: Vec::new(),
                 mat: None,
                 aborted: false,
-                active: false,
             });
         }
         Gen {
@@ -319,7 +324,7 @@ impl Gen {
             pending_confine_stmt: Vec::new(),
             pending_body: FxMap::default(),
             units,
-            active_by_key: FxMap::default(),
+            active: Vec::new(),
             active_roots: FxMap::default(),
             range_regs: FxMap::default(),
             pending_ranges,
@@ -388,23 +393,15 @@ impl Gen {
         self.cs.include(Effect::atom(kind, r), eff);
     }
 
-    fn activate_key(&mut self, ix: usize) {
-        let u = &self.units[ix];
-        if let Some(root) = &u.root {
+    fn activate(&mut self, ix: usize) {
+        if let Some(root) = &self.units[ix].root {
             *self.active_roots.entry(root.clone()).or_insert(0) += 1;
         }
-        match self.active_by_key.get_mut(&u.key) {
-            Some(stack) => stack.push(ix),
-            None => {
-                self.active_by_key.insert(u.key.clone(), vec![ix]);
-            }
-        }
+        self.active.push(ix);
     }
 
-    fn deactivate_key(&mut self, ix: usize) {
-        if let Some(stack) = self.active_by_key.get_mut(&self.units[ix].key) {
-            stack.retain(|&i| i != ix);
-        }
+    fn deactivate(&mut self, ix: usize) {
+        self.active.retain(|&i| i != ix);
         if let Some(root) = &self.units[ix].root {
             if let Some(n) = self.active_roots.get_mut(root) {
                 *n -= 1;
@@ -725,11 +722,18 @@ impl Gen {
         true
     }
 
-    /// Handles an occurrence of an active unit's expression: materializes
-    /// pending units in the stack outside-in and returns the replacement
-    /// type, or schedules a first-occurrence evaluation.
-    fn occurrence(&mut self, st: &mut State, e: &Expr, key: &str) -> Option<Ty> {
-        let stack: Vec<usize> = self.active_by_key.get(key)?.clone();
+    /// Handles a possible occurrence `e` of active units' expressions.
+    /// Its stack is the active units whose expression is syntactically
+    /// equal to `e`, outermost first; this materializes pending units in
+    /// the stack outside-in and returns the replacement type, or
+    /// schedules a first-occurrence evaluation.
+    fn occurrence(&mut self, st: &mut State, e: &Expr) -> Option<Ty> {
+        let stack: Vec<usize> = self
+            .active
+            .iter()
+            .copied()
+            .filter(|&ix| self.units[ix].expr.syntactically_equal(e))
+            .collect();
         if stack.is_empty() {
             return None;
         }
@@ -799,9 +803,8 @@ impl Gen {
         if !self.materialize(st, ix, rho, Effect::var(cap.eff)) {
             return ty;
         }
-        // Deeper pending units for the same key chain off this one.
-        let key = self.units[ix].key.clone();
-        self.occurrence(st, e, &key).unwrap_or(ty)
+        // Deeper pending units for the same expression chain off this one.
+        self.occurrence(st, e).unwrap_or(ty)
     }
 
     // ---- Post-walk ----------------------------------------------------------
@@ -924,7 +927,7 @@ impl Gen {
             }
             confines.push(ConfineOutcome {
                 site: u.site,
-                expr: u.key.clone(),
+                expr: std::mem::take(&mut u.text).into_owned(),
                 explicit: u.explicit,
                 reasons,
                 unused: u.mat.is_none() && !u.aborted,
@@ -994,7 +997,7 @@ impl Gen {
     }
 }
 
-impl Hooks for Gen {
+impl Hooks for Gen<'_> {
     fn on_read(&mut self, st: &mut State, loc: Loc, _at: NodeId) {
         self.emit(st, EffectKind::Read, loc);
     }
@@ -1038,8 +1041,7 @@ impl Hooks for Gen {
                     if let Some(&ix) = self.pending_body.get(&stmt) {
                         // The explicit confine's L2 is this body's effect.
                         self.cs.include(Effect::var(eff), self.units[ix].l2);
-                        self.units[ix].active = true;
-                        self.activate_key(ix);
+                        self.activate(ix);
                     }
                 }
             }
@@ -1088,8 +1090,7 @@ impl Hooks for Gen {
                 let eff = self.top_eff();
                 self.cs.include(Effect::var(frame.eff), eff);
                 if let Some(ix) = self.pending_body.remove(&stmt) {
-                    self.units[ix].active = false;
-                    self.deactivate_key(ix);
+                    self.deactivate(ix);
                 }
             }
         }
@@ -1112,8 +1113,7 @@ impl Hooks for Gen {
             .remove(&(block, index))
             .unwrap_or_default()
         {
-            self.units[ix].active = false;
-            self.deactivate_key(ix);
+            self.deactivate(ix);
         }
 
         if index >= total {
@@ -1135,8 +1135,7 @@ impl Hooks for Gen {
                 self.units[ix].gamma = self.cur_gamma();
                 self.units[ix].parent_eff = self.top_eff();
                 self.units[ix].fun = st.current_fun().cloned();
-                self.units[ix].active = true;
-                self.activate_key(ix);
+                self.activate(ix);
                 self.ending_ranges
                     .entry((block, end + 1))
                     .or_default()
@@ -1357,7 +1356,8 @@ impl Hooks for Gen {
         let root = root_of(expr).cloned();
         self.units.push(Unit {
             site: ConfineSite::Stmt(at),
-            key: pretty::print_expr(expr),
+            expr: Cow::Owned(expr.clone()),
+            text: Cow::Owned(pretty::print_expr(expr)),
             root,
             explicit: true,
             fun: st.current_fun().cloned(),
@@ -1370,7 +1370,6 @@ impl Hooks for Gen {
             pre_reasons: Vec::new(),
             mat: None,
             aborted: false,
-            active: false,
         });
 
         if !expr.is_confinable_shape() {
@@ -1399,7 +1398,7 @@ impl Hooks for Gen {
         if self.active_roots.is_empty() {
             return None;
         }
-        // Cheap shape filter before printing.
+        // Cheap shape filter before comparing.
         if !matches!(
             e.kind,
             ExprKind::Var(_)
@@ -1410,17 +1409,13 @@ impl Hooks for Gen {
         ) {
             return None;
         }
-        // Pre-filter on the leftmost identifier before paying for a
-        // printed key.
+        // Pre-filter on the leftmost identifier before comparing with
+        // every active unit.
         match root_of(e) {
             Some(root) if self.active_roots.contains_key(root) => {}
             _ => return None,
         }
-        let key = pretty::print_expr(e);
-        if !self.active_by_key.contains_key(&key) {
-            return None;
-        }
-        self.occurrence(st, e, &key)
+        self.occurrence(st, e)
     }
 
     fn after_expr(&mut self, st: &mut State, e: &Expr, ty: Ty) -> Ty {

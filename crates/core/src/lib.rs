@@ -280,7 +280,7 @@ fn infer_confines_from(m: &Module, candidates: Vec<ConfineCandidate>) -> Confine
     let analysis = analyze(
         m,
         Options {
-            confine_candidates: candidates.clone(),
+            confine_candidates: &candidates,
             ..Options::default()
         },
     );

@@ -435,7 +435,7 @@ fn range_deactivation_over_nested_equal_and_adjacent_ranges() {
     let a = analyze(
         &m,
         Options {
-            confine_candidates: candidates.clone(),
+            confine_candidates: &candidates,
             ..Options::default()
         },
     );

@@ -29,9 +29,9 @@
 //! `experiment` keeps an incremental result cache (default
 //! `.localias-cache/`): modules whose source is unchanged since the last
 //! sweep are served from the store instead of being re-analyzed. The
-//! store is sharded (16 files) and persisted merge-on-write under
-//! per-shard locks, so concurrent sweeps sharing a cache directory never
-//! lose each other's entries.
+//! store is one file, `store.jsonl`, persisted merge-on-write under one
+//! lock, so concurrent sweeps sharing a cache directory never lose each
+//! other's entries.
 //!
 //! `--profile` prints per-phase time and latency-percentile tables to
 //! stderr and embeds the trace in the `--bench-out` report's `profile`
@@ -98,8 +98,8 @@ fn main() -> ExitCode {
                  experiment [seed] [--jobs N] [--cache DIR | --no-cache] [--modules N]\n\
                  \x20                          [--bench-out FILE] [--profile]\n\
                  \x20                          run the full Section 7 experiment in parallel,\n\
-                 \x20                          incrementally via the sharded result cache\n\
-                 \x20                          (default .localias-cache/, 16 shards; only\n\
+                 \x20                          incrementally via the result cache (one store\n\
+                 \x20                          file under .localias-cache/ by default; only\n\
                  \x20                          changed modules re-analyze, and concurrent\n\
                  \x20                          sweeps sharing the dir merge instead of clobber).\n\
                  \x20                          --modules N streams an N-module corpus instead\n\

@@ -752,12 +752,14 @@ fn apply_action(
 /// The Figure 5 `CHECK-SAT` query: does `K(ρ)` (for any `K` in `kinds`)
 /// reach `var` in the least solution?
 ///
-/// This runs a *single-location* search — `O(n)` per query — and is the
-/// fast path `localias-core` uses for pure `restrict` *checking* (`k`
-/// annotations → `O(kn)` total, the paper's §4 bound). It answers
-/// identically to full propagation **when no intersection gate depends on
-/// other locations' presence** — true by construction here, because gates
-/// test presence of the *same* location on the right input.
+/// This runs a *single-location* search — `O(n)` per query, so `k`
+/// annotations cost `O(kn)` in total, the paper's §4 bound. Nothing in
+/// `localias-core` calls it: `check` computes the full least solution.
+/// It is the Figure 5 query the `solver` bench's ablation times and the
+/// solver tests check against full propagation. It answers identically to
+/// full propagation **when no intersection gate depends on other
+/// locations' presence** — true by construction here, because gates test
+/// presence of the *same* location on the right input.
 pub fn reaches(
     graph: &Graph,
     cs: &ConstraintSystem,

@@ -72,10 +72,6 @@ hists! {
     AnalyzeModule => "analyze.module",
     /// Flow-sensitive lock check of one function under one mode.
     CheckFunction => "check.function",
-    /// Result-cache shard read + parse on load.
-    CacheShardLoad => "cache.shard_load",
-    /// Result-cache shard serialize + locked rename on persist.
-    CacheShardPersist => "cache.shard_persist",
     /// Differential fuzzing: one interpreter-oracle entry execution.
     FuzzExecute => "fuzz.execute",
     /// Differential fuzzing: one module checked under all three modes.

@@ -95,15 +95,11 @@ counters! {
     CqualLockSites => "cqual.lock_sites",
     /// Lock-state errors reported.
     CqualErrors => "cqual.errors",
-    /// Result-cache shard hits.
-    CacheShardHits => "cache.shard_hits",
-    /// Result-cache shard misses.
-    CacheShardMisses => "cache.shard_misses",
-    /// Cache shard-lock acquisition retries.
+    /// Cache store-lock acquisition retries.
     CacheLockRetries => "cache.lock_retries",
-    /// Cache persists skipped because a shard stayed locked.
+    /// Cache persists skipped because the store stayed locked.
     CacheLockSkips => "cache.lock_skips",
-    /// Cache shards quarantined as corrupt or version-stale.
+    /// Cache stores quarantined as corrupt or version-stale.
     CacheQuarantined => "cache.quarantined",
     /// Watch session: analyses answered without parsing (source
     /// byte-identical to the previous one).
@@ -261,12 +257,12 @@ mod tests {
         let _l = crate::test_lock();
         crate::disable_metrics();
         let _ = take_counters();
-        count(Counter::CacheShardHits, 5);
-        assert_eq!(take_counters().get(Counter::CacheShardHits), 0);
+        count(Counter::CacheLockRetries, 5);
+        assert_eq!(take_counters().get(Counter::CacheLockRetries), 0);
         crate::enable_metrics();
-        count(Counter::CacheShardHits, 5);
-        count(Counter::CacheShardHits, 2);
+        count(Counter::CacheLockRetries, 5);
+        count(Counter::CacheLockRetries, 2);
         crate::disable_metrics();
-        assert_eq!(take_counters().get(Counter::CacheShardHits), 7);
+        assert_eq!(take_counters().get(Counter::CacheLockRetries), 7);
     }
 }

@@ -242,7 +242,7 @@ mod tests {
         enable_all();
         let _ = drain();
         count(Counter::CqualLockSites, 3);
-        count(Counter::CacheShardHits, 5);
+        count(Counter::CacheLockRetries, 5);
         crate::gauge_max(Counter::MemPeakRssBytes, 27 * 1024 * 1024 + 512 * 1024);
         crate::gauge_max(Counter::MemArenaBytes, 1536);
         let t = drain();
@@ -258,7 +258,7 @@ mod tests {
                 .find(needle)
                 .unwrap_or_else(|| panic!("{needle} missing: {table}"))
         };
-        assert!(pos("cache.shard_hits") < pos("cqual.lock_sites"));
+        assert!(pos("cache.lock_retries") < pos("cqual.lock_sites"));
         assert!(pos("cqual.lock_sites") < pos("mem.arena_bytes"));
         // Byte gauges humanize; plain counters stay plain counts.
         assert!(table.contains("1.5 KiB"), "{table}");

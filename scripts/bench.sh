@@ -8,8 +8,9 @@
 #
 #   BENCH_experiment_cold.json   cold sweep, cache.misses == modules
 #   BENCH_experiment.json        warm sweep, cache.hits   == modules
-#                                (schema localias-bench-experiment/v8,
-#                                with per-shard cache counters and the
+#                                (schema localias-bench-experiment/v9,
+#                                with the cache block's hit, miss,
+#                                quarantine and lock counters and the
 #                                latency-histogram block with exact
 #                                p50/p90/p95/p99 per stage)
 #   BENCH_fuzz.json              differential-fuzzing throughput + FP

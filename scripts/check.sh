@@ -5,7 +5,7 @@
 # §8 precision counts, a warm-cache smoke sweep that proves
 # the incremental cache fully hits on an unchanged corpus, a
 # crash-recovery smoke that kills a sweep mid-run and fabricates the
-# worst-case crash artifacts to prove the sharded store heals itself, a
+# worst-case crash artifacts to prove the one-file store heals itself, a
 # mega-module session test (closed-form edits through one
 # `IncrementalSession`, each report equal to checking from scratch), a
 # watch smoke pinning the per-mode counts `localias watch` prints
@@ -38,10 +38,14 @@ cargo test -q --workspace
 (cd benchmark && cargo test -q --offline)
 
 # The concurrent-writer regression is the load-bearing test of the
-# sharded store: two real processes persisting into one cache dir must
-# lose no entries. Gate it by name so a filtered test run can't skip it.
+# store: two real processes persisting into one cache dir must lose no
+# entries. A store a newer binary wrote must be left alone: served from
+# never, quarantined never, rewritten never. Gate both by name so a
+# filtered test run can't skip them.
 cargo test -q -p localias-bench --test cache \
     concurrent_disjoint_sweeps_lose_no_entries >/dev/null
+cargo test -q -p localias-bench --test cache \
+    newer_binarys_store_is_left_alone >/dev/null
 
 # The observability contract is likewise gated by name: counter totals
 # and the span tree must not depend on the thread count, and on the
@@ -131,8 +135,8 @@ grep -q '"misses": 0' "$WARM" || {
 }
 
 # Crash-recovery smoke, part 1: kill a sweep outright partway through.
-# Whatever it leaves behind (partial shards, temp files, a held lock),
-# the next sweep must load cleanly and exit 0.
+# Whatever it leaves behind (a temp file, a held lock), the next sweep
+# must load cleanly and exit 0.
 KILLED="$CACHE/killed"
 ./target/release/localias experiment --jobs 1 --cache "$KILLED" >/dev/null &
 SWEEP=$!
@@ -144,24 +148,24 @@ wait "$SWEEP" 2>/dev/null || true
     exit 1
 }
 
-# Part 2: fabricate the worst-case crash deterministically — one shard
+# Part 2: fabricate the worst-case crash deterministically — the store
 # truncated mid-entry, an orphaned temp file and a stale lock left by a
-# dead process — and prove the next sweep quarantines exactly the broken
-# shard, sweeps the orphan, breaks the lock, and heals the store.
+# dead process — and prove the next sweep quarantines the broken store,
+# sweeps the orphan, breaks the lock, and heals the store.
 CRASH="$CACHE/crash"
 ./target/release/localias experiment --jobs 1 --cache "$CRASH" >/dev/null
-SHARD=$(ls "$CRASH"/shard-*.jsonl | head -n 1)
-SIZE=$(wc -c <"$SHARD")
-head -c $((SIZE - 5)) "$SHARD" >"$SHARD.cut"
-mv "$SHARD.cut" "$SHARD"
-: >"$SHARD.tmp.999999999"
-echo 999999999 >"${SHARD%.jsonl}.lock"
+STORE="$CRASH/store.jsonl"
+SIZE=$(wc -c <"$STORE")
+head -c $((SIZE - 5)) "$STORE" >"$STORE.cut"
+mv "$STORE.cut" "$STORE"
+: >"$STORE.tmp.999999999"
+echo 999999999 >"${STORE%.jsonl}.lock"
 
 RECOVER="$CRASH/recover.json"
 ./target/release/localias experiment --jobs 1 --cache "$CRASH" \
     --bench-out "$RECOVER" >/dev/null
 grep -q '"quarantined": 1' "$RECOVER" || {
-    echo "check.sh: recovery sweep did not quarantine exactly one shard:" >&2
+    echo "check.sh: recovery sweep did not quarantine the store:" >&2
     cat "$RECOVER" >&2
     exit 1
 }
@@ -171,13 +175,13 @@ BAD=$(ls "$CRASH"/*.bad 2>/dev/null | wc -l)
     ls "$CRASH" >&2
     exit 1
 }
-[ ! -e "$SHARD.tmp.999999999" ] || {
+[ ! -e "$STORE.tmp.999999999" ] || {
     echo "check.sh: orphaned temp file from a dead pid was not swept" >&2
     exit 1
 }
 
-# The recovery sweep re-analyzed the lost shard and persisted it back:
-# one more pass must fully hit again.
+# The recovery sweep re-analyzed every module and persisted the store
+# back: one more pass must fully hit again.
 HEALED="$CRASH/healed.json"
 ./target/release/localias experiment --jobs 1 --cache "$CRASH" \
     --bench-out "$HEALED" >/dev/null
@@ -369,4 +373,4 @@ grep -q '"300": {' "$SCALEART" || {
     exit 1
 }
 
-echo "check.sh: fmt, clippy, build, tests, concurrency + obs + hist + solver-exactness + checker-exactness + front-end digest + canonical-key gates, §7 totals + Figures 6 and 7, warm-cache sweep, crash recovery, mega session test, watch smoke, artifact smoke, bench-diff gate, benchmark tests, fuzz smoke, fuzz artifact, precision counts, and scale smoke all passed"
+echo "check.sh: fmt, clippy, build, tests, concurrency + newer-store + obs + hist + solver-exactness + checker-exactness + front-end digest + canonical-key gates, §7 totals + Figures 6 and 7, warm-cache sweep, crash recovery, mega session test, watch smoke, artifact smoke, bench-diff gate, benchmark tests, fuzz smoke, fuzz artifact, precision counts, and scale smoke all passed"
