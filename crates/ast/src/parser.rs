@@ -105,6 +105,27 @@ pub struct Parser<'src> {
     interner: Interner,
 }
 
+/// The binary operator a token spells, with its precedence: `||`
+/// binds loosest, `*`, `/` and `%` tightest.
+fn binop(tok: TokenKind) -> Option<(BinOp, u8)> {
+    Some(match tok {
+        TokenKind::OrOr => (BinOp::Or, 0),
+        TokenKind::AndAnd => (BinOp::And, 1),
+        TokenKind::EqEq => (BinOp::Eq, 2),
+        TokenKind::NotEq => (BinOp::Ne, 2),
+        TokenKind::Lt => (BinOp::Lt, 3),
+        TokenKind::Le => (BinOp::Le, 3),
+        TokenKind::Gt => (BinOp::Gt, 3),
+        TokenKind::Ge => (BinOp::Ge, 3),
+        TokenKind::Plus => (BinOp::Add, 4),
+        TokenKind::Minus => (BinOp::Sub, 4),
+        TokenKind::Star => (BinOp::Mul, 5),
+        TokenKind::Slash => (BinOp::Div, 5),
+        TokenKind::Percent => (BinOp::Rem, 5),
+        _ => return None,
+    })
+}
+
 impl<'src> Parser<'src> {
     /// Lexes `src` and readies a parser over it.
     ///
@@ -638,7 +659,7 @@ impl<'src> Parser<'src> {
     }
 
     fn assign(&mut self) -> Result<Expr, ParseError> {
-        let lhs = self.or_expr()?;
+        let lhs = self.binary(0)?;
         if self.eat(TokenKind::Eq) {
             let rhs = self.assign()?; // right-associative
             let span = lhs.span.to(rhs.span);
@@ -657,71 +678,21 @@ impl<'src> Parser<'src> {
         }
     }
 
-    fn binary_level<F>(&mut self, ops: &[(TokenKind, BinOp)], next: F) -> Result<Expr, ParseError>
-    where
-        F: Fn(&mut Self) -> Result<Expr, ParseError>,
-    {
-        let mut lhs = next(self)?;
-        'outer: loop {
-            for &(tok, op) in ops {
-                if self.peek() == tok {
-                    self.bump();
-                    let rhs = next(self)?;
-                    let span = lhs.span.to(rhs.span);
-                    lhs = self.expr_at(span, ExprKind::Binary(op, Box::new(lhs), Box::new(rhs)));
-                    continue 'outer;
-                }
+    /// A chain of left-associative binary operators binding at least as
+    /// tightly as `min_prec`, by precedence climbing. Operands finish
+    /// before the node joining them, so node ids come out in post-order.
+    fn binary(&mut self, min_prec: u8) -> Result<Expr, ParseError> {
+        let mut lhs = self.unary()?;
+        while let Some((op, prec)) = binop(self.peek()) {
+            if prec < min_prec {
+                break;
             }
-            return Ok(lhs);
+            self.bump();
+            let rhs = self.binary(prec + 1)?;
+            let span = lhs.span.to(rhs.span);
+            lhs = self.expr_at(span, ExprKind::Binary(op, Box::new(lhs), Box::new(rhs)));
         }
-    }
-
-    fn or_expr(&mut self) -> Result<Expr, ParseError> {
-        self.binary_level(&[(TokenKind::OrOr, BinOp::Or)], Self::and_expr)
-    }
-
-    fn and_expr(&mut self) -> Result<Expr, ParseError> {
-        self.binary_level(&[(TokenKind::AndAnd, BinOp::And)], Self::equality)
-    }
-
-    fn equality(&mut self) -> Result<Expr, ParseError> {
-        self.binary_level(
-            &[(TokenKind::EqEq, BinOp::Eq), (TokenKind::NotEq, BinOp::Ne)],
-            Self::relational,
-        )
-    }
-
-    fn relational(&mut self) -> Result<Expr, ParseError> {
-        self.binary_level(
-            &[
-                (TokenKind::Lt, BinOp::Lt),
-                (TokenKind::Le, BinOp::Le),
-                (TokenKind::Gt, BinOp::Gt),
-                (TokenKind::Ge, BinOp::Ge),
-            ],
-            Self::additive,
-        )
-    }
-
-    fn additive(&mut self) -> Result<Expr, ParseError> {
-        self.binary_level(
-            &[
-                (TokenKind::Plus, BinOp::Add),
-                (TokenKind::Minus, BinOp::Sub),
-            ],
-            Self::multiplicative,
-        )
-    }
-
-    fn multiplicative(&mut self) -> Result<Expr, ParseError> {
-        self.binary_level(
-            &[
-                (TokenKind::Star, BinOp::Mul),
-                (TokenKind::Slash, BinOp::Div),
-                (TokenKind::Percent, BinOp::Rem),
-            ],
-            Self::unary,
-        )
+        Ok(lhs)
     }
 
     fn unary(&mut self) -> Result<Expr, ParseError> {

@@ -4,14 +4,21 @@
 //!
 //! ## Scope frames and effects
 //!
-//! Every lexical extent gets an effect variable; reads/writes/allocs are
-//! included into the innermost frame, and a frame's effect flows into its
-//! parent when it is popped. Function frames are the exception: their raw
-//! body effect is *masked* by the `(Down)` rule — intersected with the
-//! locations visible through globals and the function's own signature —
-//! before becoming the function's effect summary, which call sites then
-//! include. This is exactly the paper's §3.1 observation that `(Down)` is
-//! only profitably applied at function boundaries.
+//! Reads/writes/allocs are included into the innermost frame's effect
+//! variable, and a frame's effect flows into its parent when it is
+//! popped. A frame gets a variable of its own only where a constraint
+//! reads it. A statement gets a frame only when a statement-range
+//! registration covers it (a `confine?` candidate's range, or the rest
+//! of the block after a declaration binding a restrict or a §5
+//! candidate), because only then does an `L2` read its effect; any other
+//! statement's effects go straight into its scope's variable. A plain
+//! block shares its parent's variable, while restrict and confine bodies
+//! keep their own for their `L2`. Function frames are the exception:
+//! their raw body effect is *masked* by the `(Down)` rule — intersected
+//! with the locations visible through globals and the function's own
+//! signature — before becoming the function's effect summary, which call
+//! sites then include. This is exactly the paper's §3.1 observation that
+//! `(Down)` is only profitably applied at function boundaries.
 //!
 //! ## Environments
 //!
@@ -46,14 +53,13 @@ use crate::heuristic::ConfineCandidate;
 use crate::outcome::{
     CandidateOutcome, ConfineOutcome, ConfineSite, Diag, Reason, RestrictOutcome,
 };
-use localias_alias::{BindSite, FxMap, Hooks, Loc, ScopeKind, State, Ty, VarId, VarKind};
+use localias_alias::{BindSite, FxMap, FxSet, Hooks, Loc, ScopeKind, State, Ty, VarId, VarKind};
 use localias_ast::visit::{walk_expr, Visitor};
 use localias_ast::{pretty, Block, Expr, ExprKind, NodeId, Span, Symbol};
 use localias_effects::{
     Action, ConstraintSystem, EffVar, Effect, EffectKind, FlagId, Guard, KindMask, LocVars,
 };
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
 
 /// What to generate beyond plain checking.
 #[derive(Debug)]
@@ -95,9 +101,10 @@ enum FrameKind {
     Module,
     /// A function body; carries the function name.
     Fun(Symbol),
-    /// A block / restrict body / confine body scope.
+    /// A block, restrict body or confine body scope. A plain block's
+    /// frame shares its parent's effect variable.
     Scope,
-    /// One statement of a block.
+    /// One statement of a block that a range registration covers.
     Stmt { block: NodeId },
     /// Captures the effect of evaluating a confined expression (`L1`).
     Capture,
@@ -183,8 +190,8 @@ struct RangeReg {
     l2: EffVar,
     /// The owning unit's restriction-effect variable, if the registration
     /// belongs to a confine unit (None for plain declaration scopes,
-    /// whose restriction effect already flows through their statement
-    /// frame).
+    /// whose restriction effect flows into their statement's effect,
+    /// which every covering `L2` already reads).
     xeff: Option<EffVar>,
 }
 
@@ -235,9 +242,9 @@ pub struct Gen<'a> {
     gamma_globals: EffVar,
     /// Per-function effect variables, iterated by
     /// [`Gen::into_outcomes`].
-    fun_effs: HashMap<Symbol, FunEff>,
+    fun_effs: FxMap<Symbol, FunEff>,
     /// Per-struct `ε` variables, iterated by [`Gen::finalize`].
-    struct_eps: HashMap<Symbol, EffVar>,
+    struct_eps: FxMap<Symbol, EffVar>,
     pending_bind: Option<PendingBind>,
     pending_confine_stmt: Vec<NodeId>,
     /// Explicit confine units awaiting their body scope, by stmt id.
@@ -258,8 +265,9 @@ pub struct Gen<'a> {
     ending_ranges: FxMap<(NodeId, usize), Vec<usize>>,
     /// Stack of in-flight first-occurrence evaluations.
     awaiting: Vec<(NodeId, usize)>,
-    /// Index of the statement currently being walked, per block.
-    stmt_indices: FxMap<NodeId, usize>,
+    /// The blocks being walked, innermost last, each with the index of
+    /// its statement being walked.
+    blocks: Vec<(NodeId, usize)>,
     /// Tag bookkeeping for checked disinclusions.
     tag_targets: Vec<(TagTarget, Reason)>,
     /// Outcome accumulators.
@@ -318,8 +326,8 @@ impl<'a> Gen<'a> {
                 gamma: Some(gamma_globals),
             }],
             gamma_globals,
-            fun_effs: HashMap::new(),
-            struct_eps: HashMap::new(),
+            fun_effs: FxMap::default(),
+            struct_eps: FxMap::default(),
             pending_bind: None,
             pending_confine_stmt: Vec::new(),
             pending_body: FxMap::default(),
@@ -330,7 +338,7 @@ impl<'a> Gen<'a> {
             pending_ranges,
             ending_ranges: FxMap::default(),
             awaiting: Vec::new(),
-            stmt_indices: FxMap::default(),
+            blocks: Vec::new(),
             tag_targets: Vec::new(),
             diags: Vec::new(),
             restrict_outcomes: Vec::new(),
@@ -819,8 +827,8 @@ impl<'a> Gen<'a> {
             }
         }
 
-        let mut emitted: HashSet<Loc> = HashSet::new();
-        let mut structs_done: HashSet<Symbol> = HashSet::new();
+        let mut emitted: FxSet<Loc> = FxSet::default();
+        let mut structs_done: FxSet<Symbol> = FxSet::default();
         let mut stack: Vec<(Loc, EffVar)> = self.loc_vars.iter().collect();
         let mut struct_stack: Vec<Symbol> = self.struct_eps.keys().cloned().collect();
         loop {
@@ -883,7 +891,7 @@ impl<'a> Gen<'a> {
         Vec<RestrictOutcome>,
         Vec<CandidateOutcome>,
         Vec<ConfineOutcome>,
-        HashMap<Symbol, EffVar>,
+        FxMap<Symbol, EffVar>,
     ) {
         // Attach violated checks to their outcomes.
         for v in sol.violations() {
@@ -954,10 +962,10 @@ impl<'a> Gen<'a> {
     /// assigned inside `body` — the syntactic complement of referential
     /// transparency for effect-free locals.
     fn register_rt_violation(&self, st: &State, e: &Expr, body: &Block) -> bool {
-        let mut free_regs: HashSet<Symbol> = HashSet::new();
+        let mut free_regs: FxSet<Symbol> = FxSet::default();
         struct Fv<'a> {
             st: &'a State,
-            out: &'a mut HashSet<Symbol>,
+            out: &'a mut FxSet<Symbol>,
         }
         impl Visitor for Fv<'_> {
             fn visit_expr(&mut self, e: &Expr) {
@@ -979,8 +987,8 @@ impl<'a> Gen<'a> {
         if free_regs.is_empty() {
             return false;
         }
-        let mut assigned = HashSet::new();
-        struct Av<'a>(&'a mut HashSet<Symbol>);
+        let mut assigned = FxSet::default();
+        struct Av<'a>(&'a mut FxSet<Symbol>);
         impl Visitor for Av<'_> {
             fn visit_expr(&mut self, e: &Expr) {
                 if let ExprKind::Assign(lhs, _) = &e.kind {
@@ -1030,7 +1038,14 @@ impl Hooks for Gen<'_> {
                 });
             }
             ScopeKind::Block(_) | ScopeKind::RestrictBody(_) | ScopeKind::ConfineBody(_) => {
-                let eff = self.cs.fresh_var();
+                // A plain block's effect would only relay into its
+                // parent's, so the block shares it. Restrict and confine
+                // bodies keep their own: their `L2` reads it.
+                let eff = if matches!(kind, ScopeKind::Block(_)) {
+                    self.top_eff()
+                } else {
+                    self.cs.fresh_var()
+                };
                 let gamma = self.cur_gamma();
                 self.frames.push(Frame {
                     kind: FrameKind::Scope,
@@ -1082,7 +1097,8 @@ impl Hooks for Gen<'_> {
                     self.cs.include(Effect::var(fe.raw), fe.summary);
                 }
             }
-            ScopeKind::Block(_) | ScopeKind::RestrictBody(_) => {
+            ScopeKind::Block(_) => {}
+            ScopeKind::RestrictBody(_) => {
                 let eff = self.top_eff();
                 self.cs.include(Effect::var(frame.eff), eff);
             }
@@ -1097,7 +1113,10 @@ impl Hooks for Gen<'_> {
     }
 
     fn on_stmt_index(&mut self, st: &mut State, block: NodeId, index: usize, total: usize) {
-        // Pop the previous statement's frame.
+        if index == 0 {
+            self.blocks.push((block, 0));
+        }
+        // Pop the previous statement's frame, if it had one.
         if matches!(
             self.frames.last().map(|f| &f.kind),
             Some(FrameKind::Stmt { block: b }) if *b == block
@@ -1117,8 +1136,10 @@ impl Hooks for Gen<'_> {
         }
 
         if index >= total {
+            self.blocks.pop();
             return;
         }
+        self.blocks.last_mut().expect("pushed at index 0").1 = index;
 
         // Activate candidates starting here, widest first so the
         // occurrence-interception stack reflects lexical nesting (the
@@ -1154,19 +1175,23 @@ impl Hooks for Gen<'_> {
             }
         }
 
-        // Push this statement's frame and feed covering registrations.
-        self.stmt_indices.insert(block, index);
+        // A statement that a registration covers gets its own frame,
+        // feeding every covering `L2`; any other statement's effects go
+        // straight into the enclosing scope's.
+        let regs = self.range_regs.get(&block).map_or(&[][..], Vec::as_slice);
+        let covers = |r: &RangeReg| r.start <= index && index <= r.end;
+        if !regs.iter().any(covers) {
+            return;
+        }
         let eff = self.cs.fresh_var();
+        for r in regs.iter().filter(|r| covers(r)) {
+            self.cs.include(Effect::var(eff), r.l2);
+        }
         self.frames.push(Frame {
             kind: FrameKind::Stmt { block },
             eff,
             gamma: None,
         });
-        for r in self.range_regs.get(&block).into_iter().flatten() {
-            if r.start <= index && index <= r.end {
-                self.cs.include(Effect::var(eff), r.l2);
-            }
-        }
     }
 
     fn bind_ty(&mut self, st: &mut State, site: BindSite, init_ty: Ty, at: NodeId) -> Ty {
@@ -1295,23 +1320,16 @@ impl Hooks for Gen<'_> {
                 // frames with a higher index feed this L2.
                 let l2 = self.cs.fresh_var();
                 let parent = self.top_eff();
-                if let Some(Frame {
-                    kind: FrameKind::Stmt { block },
-                    ..
-                }) = self.frames.last()
-                {
-                    let block = *block;
-                    let idx = self.stmt_indices.get(&block).copied().unwrap_or(0);
-                    self.register_range(
-                        block,
-                        RangeReg {
-                            start: idx + 1,
-                            end: usize::MAX,
-                            l2,
-                            xeff: None,
-                        },
-                    );
-                }
+                let &(block, idx) = self.blocks.last().expect("a declaration is a statement");
+                self.register_range(
+                    block,
+                    RangeReg {
+                        start: idx + 1,
+                        end: usize::MAX,
+                        l2,
+                        xeff: None,
+                    },
+                );
                 (l2, parent)
             }
             BindSite::Global => return,

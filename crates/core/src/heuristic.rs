@@ -25,7 +25,6 @@
 use crate::outcome::ConfineSite;
 use localias_alias::{FxMap, FxSet};
 use localias_ast::{intrinsics, pretty, Block, Expr, ExprKind, Module, NodeId, Stmt, StmtKind};
-use std::collections::HashSet;
 
 /// A proposed `confine?` site: confine `expr` around statements
 /// `start..=end` of `block`.
@@ -145,25 +144,31 @@ fn direct_change_type_args(s: &Stmt) -> Vec<&Expr> {
 }
 
 /// The nested blocks of a statement, in order.
-fn child_blocks(s: &Stmt) -> Vec<&Block> {
-    match &s.kind {
-        StmtKind::Block(b) | StmtKind::While { body: b, .. } => vec![b],
+fn child_blocks(s: &Stmt) -> impl Iterator<Item = &Block> {
+    let (first, second) = match &s.kind {
+        StmtKind::Block(b)
+        | StmtKind::While { body: b, .. }
+        | StmtKind::Restrict { body: b, .. }
+        | StmtKind::Confine { body: b, .. } => (Some(b), None),
         StmtKind::If {
             then_blk, else_blk, ..
-        } => {
-            let mut v = vec![then_blk];
-            if let Some(e) = else_blk {
-                v.push(e);
-            }
-            v
-        }
-        StmtKind::Restrict { body, .. } | StmtKind::Confine { body, .. } => vec![body],
-        _ => Vec::new(),
+        } => (Some(then_blk), else_blk.as_ref()),
+        _ => (None, None),
+    };
+    first.into_iter().chain(second)
+}
+
+/// Adds `e` to `keys` unless a syntactically equal expression is
+/// already there; the first occurrence stays the group's example.
+fn add_key<'m>(keys: &mut Vec<&'m Expr>, e: &'m Expr) {
+    if !keys.iter().any(|k| k.syntactically_equal(e)) {
+        keys.push(e);
     }
 }
 
 /// The scan's state. Names and example expressions are borrowed from
-/// the module; only the printed keys are owned.
+/// the module; only the key of a group that spans two or more
+/// statements is printed.
 struct Scan<'m> {
     /// Also propose per-occurrence singletons and disjoint adjacent pairs
     /// (the paper's *general* strategy, approximated with a bounded
@@ -181,7 +186,7 @@ struct Scan<'m> {
     /// per statement (which made the heuristic cost more than the whole
     /// analysis on large modules).
     env: FxMap<&'m str, Vec<(usize, usize)>>,
-    seen: HashSet<(NodeId, usize, usize, String)>,
+    seen: FxSet<(NodeId, usize, usize, String)>,
 }
 
 impl<'m> Scan<'m> {
@@ -225,22 +230,22 @@ impl<'m> Scan<'m> {
     }
 
     /// Scans a block at nesting `depth` (function body = 1). Returns the
-    /// `change_type` argument keys (with an example expression) that
-    /// remain *unconsumed* and bubble up.
-    fn block(&mut self, b: &'m Block, depth: usize) -> FxMap<String, &'m Expr> {
+    /// `change_type` arguments that remain *unconsumed* and bubble up,
+    /// one example expression per syntactic match group.
+    fn block(&mut self, b: &'m Block, depth: usize) -> Vec<&'m Expr> {
         // First pass: per-statement keys (direct + bubbled from nested
         // blocks) and assigned names; the scoped env evolves in place.
-        let mut per_stmt_keys: Vec<FxMap<String, &'m Expr>> = Vec::with_capacity(b.stmts.len());
+        let mut per_stmt_keys: Vec<Vec<&'m Expr>> = Vec::with_capacity(b.stmts.len());
         let mut per_stmt_assigned: Vec<FxSet<&'m str>> = Vec::with_capacity(b.stmts.len());
         let mut undo: Vec<&'m str> = Vec::new();
         for (i, s) in b.stmts.iter().enumerate() {
             let mut assigned = FxSet::default();
             assigned_vars(s, &mut assigned);
 
-            let mut keys: FxMap<String, &'m Expr> = FxMap::default();
+            let mut keys: Vec<&'m Expr> = Vec::new();
             for a in direct_change_type_args(s) {
                 if a.is_confinable_shape() {
-                    keys.entry(pretty::print_expr(a)).or_insert(a);
+                    add_key(&mut keys, a);
                 }
             }
 
@@ -253,8 +258,8 @@ impl<'m> Scan<'m> {
                 self.bind(&name.name, depth + 1, 0, &mut inner_undo);
             }
             for child in child_blocks(s) {
-                for (k, e) in self.block(child, depth + 1) {
-                    keys.entry(k).or_insert(e);
+                for e in self.block(child, depth + 1) {
+                    add_key(&mut keys, e);
                 }
             }
             self.unbind_all(inner_undo);
@@ -267,26 +272,32 @@ impl<'m> Scan<'m> {
             per_stmt_keys.push(keys);
         }
 
-        // Second pass: group by key across statements of this block.
+        // Second pass: group this block's statements by syntactic match.
         // (All of this block's declarations are in the env with their
         // statement index, so visibility at a range start is a lookup.)
-        let mut by_key: FxMap<&str, Vec<usize>> = FxMap::default();
+        let mut groups: Vec<(&'m Expr, Vec<usize>)> = Vec::new();
         for (i, keys) in per_stmt_keys.iter().enumerate() {
-            for k in keys.keys() {
-                by_key.entry(k).or_default().push(i);
+            for &k in keys {
+                match groups.iter_mut().find(|(e, _)| e.syntactically_equal(k)) {
+                    Some((_, stmts)) => stmts.push(i),
+                    None => groups.push((k, vec![i])),
+                }
             }
         }
 
-        let mut bubbled: FxMap<String, &'m Expr> = FxMap::default();
-        let mut sorted_keys: Vec<&str> = by_key.keys().copied().collect();
-        sorted_keys.sort_unstable();
-        for k in sorted_keys {
-            let stmts = &by_key[k];
-            let example: &'m Expr = per_stmt_keys[stmts[0]][k];
+        // A group held by one statement bubbles up. The others propose
+        // ranges in the order of their printed keys, each printed once.
+        let mut bubbled = Vec::new();
+        let mut keyed = Vec::new();
+        for (example, stmts) in groups {
             if stmts.len() < 2 {
-                bubbled.insert(k.to_string(), example);
-                continue;
+                bubbled.push(example);
+            } else {
+                keyed.push((pretty::print_expr(example), example, stmts));
             }
+        }
+        keyed.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        for (k, example, stmts) in &keyed {
             let start = *stmts.first().expect("nonempty");
             let end = *stmts.last().expect("nonempty");
 
@@ -404,7 +415,7 @@ fn propose_with(m: &Module, general: bool) -> Vec<ConfineCandidate> {
         ancestors: Vec::new(),
         ancestor_assigned: Vec::new(),
         env: FxMap::default(),
-        seen: HashSet::new(),
+        seen: FxSet::default(),
     };
     let mut global_undo = Vec::new();
     for g in m.globals() {

@@ -53,12 +53,11 @@ pub use heuristic::{
 };
 pub use outcome::{CandidateOutcome, ConfineOutcome, ConfineSite, Diag, Reason, RestrictOutcome};
 
-use localias_alias::{analyze_with, Backend, FrozenLocs, Loc, State};
+use localias_alias::{analyze_with, Backend, FrozenLocs, FxMap, Loc, State};
 use localias_ast::visit::{walk_module, Visitor};
 use localias_ast::{Module, NodeId, StmtKind};
 use localias_effects::{solve_with, ConstraintSystem, Solution};
 use localias_obs as obs;
-use std::collections::HashMap;
 
 /// The complete result of one module analysis.
 #[derive(Debug)]
@@ -80,7 +79,7 @@ pub struct Analysis {
     pub confines: Vec<ConfineOutcome>,
     /// The `(Down)`-masked effect-summary variable of each defined
     /// function; resolve through [`Analysis::function_effect`].
-    pub fun_effects: HashMap<localias_ast::Symbol, localias_effects::EffVar>,
+    pub fun_effects: FxMap<localias_ast::Symbol, localias_effects::EffVar>,
 }
 
 impl Analysis {
@@ -423,9 +422,9 @@ impl<'m> SharedAnalysis<'m> {
 
 /// Maps each block to `(parent block, index of the containing statement)`.
 /// Function bodies have no parent.
-pub fn block_parents(m: &Module) -> HashMap<NodeId, (NodeId, usize)> {
+pub fn block_parents(m: &Module) -> FxMap<NodeId, (NodeId, usize)> {
     struct P {
-        out: HashMap<NodeId, (NodeId, usize)>,
+        out: FxMap<NodeId, (NodeId, usize)>,
         stack: Vec<(NodeId, usize)>,
     }
     impl Visitor for P {
@@ -458,7 +457,7 @@ pub fn block_parents(m: &Module) -> HashMap<NodeId, (NodeId, usize)> {
         }
     }
     let mut p = P {
-        out: HashMap::new(),
+        out: FxMap::default(),
         stack: Vec::new(),
     };
     walk_module(&mut p, m);
@@ -467,7 +466,7 @@ pub fn block_parents(m: &Module) -> HashMap<NodeId, (NodeId, usize)> {
 
 /// Does candidate `a` enclose candidate `b` (strictly)?
 pub fn encloses(
-    parents: &HashMap<NodeId, (NodeId, usize)>,
+    parents: &FxMap<NodeId, (NodeId, usize)>,
     a: &ConfineCandidate,
     b: &ConfineCandidate,
 ) -> bool {

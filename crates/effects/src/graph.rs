@@ -21,6 +21,11 @@
 //! iff it entered on the left and `ρ` (under any kind) entered on the
 //! right — for the symmetric location-set intersections the paper writes,
 //! this coincides with plain intersection.
+//!
+//! Edges live in one array in insertion order. Each node keeps links to
+//! its first and last out-edge, and each edge links to its source's next
+//! one, so adding an edge mid-solve is an append and no node owns a
+//! vector of its own.
 
 use crate::constraint::ConstraintSystem;
 use crate::effect::{Atom, EffVar, Effect};
@@ -48,14 +53,28 @@ pub enum NodeKind {
     Inter,
 }
 
+/// Marks the end of an edge chain: no edge has this index.
+const NO_EDGE: u32 = u32::MAX;
+
+/// One edge in [`Graph`]'s edge array.
+#[derive(Debug, Clone, Copy)]
+struct Edge {
+    to: NodeIx,
+    port: Port,
+    /// The source node's next out-edge, or [`NO_EDGE`].
+    next: u32,
+}
+
 /// The lowered constraint graph. Grows monotonically — conditional
 /// constraint firing adds edges but never removes them.
 #[derive(Debug, Default)]
 pub struct Graph {
     /// Node kinds, indexed by [`NodeIx`].
     pub kinds: Vec<NodeKind>,
-    /// Outgoing edges: `(from, to, port)` adjacency.
-    pub out: Vec<Vec<(NodeIx, Port)>>,
+    /// Each node's first and last out-edge, [`NO_EDGE`] while it has none.
+    ends: Vec<(u32, u32)>,
+    /// Every edge, in insertion order.
+    edges: Vec<Edge>,
     /// Atom sources: `(atom, node, port)`.
     pub atoms: Vec<(Atom, NodeIx, Port)>,
     /// Node of each *canonical* effect variable; lazily created.
@@ -66,12 +85,33 @@ pub struct Graph {
     added_edges: Vec<(NodeIx, NodeIx, Port)>,
 }
 
+/// The out-edges of one node, `(to, port)` in insertion order; see
+/// [`Graph::out`].
+#[derive(Debug, Clone)]
+pub(crate) struct Out<'g> {
+    edges: &'g [Edge],
+    next: u32,
+}
+
+impl Iterator for Out<'_> {
+    type Item = (NodeIx, Port);
+
+    #[inline]
+    fn next(&mut self) -> Option<(NodeIx, Port)> {
+        let e = self.edges.get(self.next as usize)?;
+        self.next = e.next;
+        Some((e.to, e.port))
+    }
+}
+
 impl Graph {
-    /// Creates a graph sized for `cs`'s variables.
+    /// Creates a graph sized for `cs`'s variables, with room for one edge
+    /// per inclusion.
     pub fn new(cs: &ConstraintSystem) -> Self {
         Graph {
-            kinds: Vec::new(),
-            out: Vec::new(),
+            kinds: Vec::with_capacity(cs.var_count()),
+            ends: Vec::with_capacity(cs.var_count()),
+            edges: Vec::with_capacity(cs.includes.len()),
             atoms: Vec::new(),
             var_node: vec![None; cs.var_count()],
             added_atoms: Vec::new(),
@@ -82,7 +122,7 @@ impl Graph {
     fn push_node(&mut self, kind: NodeKind) -> NodeIx {
         let ix = self.kinds.len() as NodeIx;
         self.kinds.push(kind);
-        self.out.push(Vec::new());
+        self.ends.push((NO_EDGE, NO_EDGE));
         ix
     }
 
@@ -114,8 +154,33 @@ impl Graph {
         self.var_node.get(canonical.index()).copied().flatten()
     }
 
+    /// The out-edges of node `n`, in the order they were added.
+    #[inline]
+    pub(crate) fn out(&self, n: NodeIx) -> Out<'_> {
+        Out {
+            edges: &self.edges,
+            next: self.ends[n as usize].0,
+        }
+    }
+
     fn edge(&mut self, from: NodeIx, to: NodeIx, port: Port) {
-        self.out[from as usize].push((to, port));
+        assert!(
+            self.edges.len() < NO_EDGE as usize,
+            "edge indices fit below u32::MAX"
+        );
+        let e = self.edges.len() as u32;
+        self.edges.push(Edge {
+            to,
+            port,
+            next: NO_EDGE,
+        });
+        let (first, last) = &mut self.ends[from as usize];
+        if *last == NO_EDGE {
+            *first = e;
+        } else {
+            self.edges[*last as usize].next = e;
+        }
+        *last = e;
         self.added_edges.push((from, to, port));
     }
 
@@ -194,8 +259,24 @@ mod tests {
         let g = build(&mut cs);
         assert_eq!(g.atoms.len(), 1);
         // a's node has one edge to b's node.
-        let edge_count: usize = g.out.iter().map(|v| v.len()).sum();
-        assert_eq!(edge_count, 1);
+        assert_eq!(g.edges.len(), 1);
+    }
+
+    #[test]
+    fn out_edges_keep_insertion_order_per_node() {
+        let mut cs = ConstraintSystem::new();
+        let v: Vec<EffVar> = (0..4).map(|_| cs.fresh_var()).collect();
+        // Interleave two sources so their edges alternate in the array.
+        for (from, to) in [(0, 1), (2, 3), (0, 2), (2, 1), (0, 3)] {
+            cs.include(Effect::var(v[from]), v[to]);
+        }
+        let mut g = build(&mut cs);
+        let n: Vec<NodeIx> = v.iter().map(|&x| g.var_node(&mut cs, x)).collect();
+        let targets = |from: usize| g.out(n[from]).map(|(to, _)| to).collect::<Vec<_>>();
+        assert_eq!(targets(0), [n[1], n[2], n[3]]);
+        assert_eq!(targets(2), [n[3], n[1]]);
+        assert_eq!(targets(1), []);
+        assert_eq!(g.edges.len(), 5);
     }
 
     #[test]
@@ -222,8 +303,8 @@ mod tests {
         // The I node has exactly one Left and one Right incoming edge.
         let mut left = 0;
         let mut right = 0;
-        for edges in &g.out {
-            for (_, port) in edges {
+        for n in 0..g.node_count() as NodeIx {
+            for (_, port) in g.out(n) {
                 match port {
                     Port::Left => left += 1,
                     Port::Right => right += 1,

@@ -33,7 +33,7 @@
 
 use crate::constraint::{Action, ConstraintSystem, Guard};
 use crate::effect::{EffVar, Effect, EffectKind, KindMask};
-use crate::graph::{build, Graph, NodeIx, NodeKind, Port};
+use crate::graph::{build, Graph, NodeIx, NodeKind, Out, Port};
 use localias_alias::{Loc, LocTable};
 use localias_obs as obs;
 
@@ -250,7 +250,7 @@ impl Store {
     fn drain(&mut self, graph: &Graph, work: &mut Worklist) -> u64 {
         let mut unions = 0;
         while let Some(n) = work.pop() {
-            for &(to, port) in &graph.out[n as usize] {
+            for (to, port) in graph.out(n) {
                 unions += 1;
                 if self.flow(n, to, port) {
                     work.push(to);
@@ -280,7 +280,7 @@ impl Store {
                 // possible cycle is a plain `ε ⊆ ε` self-edge (an
                 // intersection node's inputs are created before it), and
                 // that union adds nothing.
-                for &(to, port) in &graph.out[n as usize] {
+                for (to, port) in graph.out(n) {
                     unions += 1;
                     self.flow(n, to, port);
                 }
@@ -289,7 +289,7 @@ impl Store {
                     work.push(n);
                 }
                 while let Some(n) = work.pop() {
-                    for &(to, port) in &graph.out[n as usize] {
+                    for (to, port) in graph.out(n) {
                         if comp[to as usize] == c {
                             unions += 1;
                             if self.flow(n, to, port) {
@@ -299,7 +299,7 @@ impl Store {
                     }
                 }
                 for &n in members {
-                    for &(to, port) in &graph.out[n as usize] {
+                    for (to, port) in graph.out(n) {
                         if comp[to as usize] != c {
                             unions += 1;
                             self.flow(n, to, port);
@@ -392,9 +392,10 @@ impl Sccs {
         let mut low = vec![0u32; n];
         let mut comp = vec![UNSEEN; n];
         let mut order = Vec::with_capacity(n);
-        // The Tarjan stack, and the DFS stack of (node, next out-edge).
+        // The Tarjan stack, and the DFS stack of (node, cursor over its
+        // remaining out-edges).
         let mut stack: Vec<NodeIx> = Vec::new();
-        let mut calls: Vec<(NodeIx, usize)> = Vec::new();
+        let mut calls: Vec<(NodeIx, Out)> = Vec::new();
         let (mut next, mut comps) = (0u32, 0u32);
         for root in 0..n as NodeIx {
             if index[root as usize] != UNSEEN {
@@ -407,14 +408,13 @@ impl Sccs {
                     low[v as usize] = next;
                     next += 1;
                     stack.push(v);
-                    calls.push((v, 0));
+                    calls.push((v, graph.out(v)));
                 }
-                let Some(&(v, e)) = calls.last() else {
+                let Some((v, edges)) = calls.last_mut() else {
                     break;
                 };
-                let v = v as usize;
-                if let Some(&(to, _)) = graph.out[v].get(e) {
-                    calls.last_mut().expect("non-empty").1 += 1;
+                let v = *v as usize;
+                if let Some((to, _)) = edges.next() {
                     if index[to as usize] == UNSEEN {
                         enter = Some(to);
                     } else if comp[to as usize] == UNSEEN {
@@ -797,7 +797,7 @@ pub fn reaches(
         }
         while let Some(n) = work.pop() {
             nodes_visited += 1;
-            for &(to, port) in &graph.out[n as usize] {
+            for (to, port) in graph.out(n) {
                 edges_walked += 1;
                 if store.flow(n, to, port) {
                     if to == target && hit(&store) {

@@ -18,11 +18,11 @@
 # benchmark workspace's tests run too, the solver's exactness tests,
 # the lock checker's one-walk exactness tests (the sweep equals
 # `check_modes`, whose reports equal per-mode checks), the front end's
-# pinned output digest and the canonical cache key's properties are
-# gated by name, and the fuzz smoke pins its false-positive counts for
-# the one alias configuration the pipeline runs (Steensgaard). The fuzz
-# and scale subcommands write their artifacts once each, and a fuzz
-# artifact diffs clean against itself.
+# and the analysis's pinned output digests and the canonical cache key's
+# properties are gated by name, and the fuzz smoke pins its
+# false-positive counts for the one alias configuration the pipeline
+# runs (Steensgaard). The fuzz and scale subcommands write their
+# artifacts once each, and a fuzz artifact diffs clean against itself.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -94,6 +94,13 @@ cargo test -q -p localias-bench --test experiment_pipeline \
 # differently.
 cargo test -q -p localias --test frontend_digest \
     front_end_output_is_pinned >/dev/null
+# The analysis's exactness contract likewise: every candidate, outcome,
+# function effect, solver round and fired count, frozen location table
+# and lock report over three corpus seeds and three mega modules folds
+# into one pinned digest, so pruning constraint variables or changing
+# the solver's graph must leave every decision where it was.
+cargo test -q -p localias --test analysis_digest \
+    analysis_output_is_pinned >/dev/null
 cargo test -q -p localias-bench --test canonical_key \
     structural_key_tracks_structure_not_text >/dev/null
 
@@ -373,4 +380,4 @@ grep -q '"300": {' "$SCALEART" || {
     exit 1
 }
 
-echo "check.sh: fmt, clippy, build, tests, concurrency + newer-store + obs + hist + solver-exactness + checker-exactness + front-end digest + canonical-key gates, §7 totals + Figures 6 and 7, warm-cache sweep, crash recovery, mega session test, watch smoke, artifact smoke, bench-diff gate, benchmark tests, fuzz smoke, fuzz artifact, precision counts, and scale smoke all passed"
+echo "check.sh: fmt, clippy, build, tests, concurrency + newer-store + obs + hist + solver-exactness + checker-exactness + front-end digest + analysis digest + canonical-key gates, §7 totals + Figures 6 and 7, warm-cache sweep, crash recovery, mega session test, watch smoke, artifact smoke, bench-diff gate, benchmark tests, fuzz smoke, fuzz artifact, precision counts, and scale smoke all passed"
