@@ -47,7 +47,7 @@ fn main() {
     let module = &corpus[0];
     let measure = || {
         let parsed = module.parse();
-        check_modes(&mut SharedAnalysis::new(&parsed))
+        check_modes(&mut SharedAnalysis::new(&parsed)).0
     };
     let mut p = BenchGroup::new("obs_pipeline");
     p.sample_size(10);

@@ -74,17 +74,16 @@ fn bench_targeted_vs_full() {
     g.bench_with_setup(
         format!("targeted_x{k}"),
         || {
-            let (mut cs, locs) = layered_system(n, 7);
-            let graph = build(&mut cs);
-            (cs, locs, graph)
+            let (cs, locs) = layered_system(n, 7);
+            (locs, build(&cs))
         },
-        |(cs, mut locs, graph)| {
+        |(mut locs, graph)| {
             // k queries, as checking k restrict annotations would.
             let mut hits = 0;
             for q in 0..k {
                 let loc = localias_alias::Loc((q % 7) as u32);
                 let var = localias_effects::EffVar((q * 97 % 1600) as u32);
-                if reaches(&graph, &cs, &mut locs, loc, KindMask::ACCESS, var) {
+                if reaches(&graph, &mut locs, loc, KindMask::ACCESS, var) {
                     hits += 1;
                 }
             }

@@ -62,7 +62,7 @@ use localias_obs as obs;
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Bumped whenever any analysis stage changes observable results, so
 /// stale caches from older binaries can never serve wrong answers. Mixed
@@ -295,7 +295,7 @@ impl AnalysisCache {
     /// an error. A newer binary's store serves nothing and is left in
     /// place.
     pub fn load(dir: &Path) -> AnalysisCache {
-        let t0 = Instant::now();
+        let span = obs::Span::timed("cache.load");
         let mut cache = AnalysisCache {
             dir: dir.to_path_buf(),
             entries: HashMap::new(),
@@ -328,7 +328,7 @@ impl AnalysisCache {
             }
         }
 
-        cache.load_time = t0.elapsed();
+        cache.load_time = span.close();
         cache
     }
 
@@ -359,12 +359,13 @@ impl AnalysisCache {
         self.lock_skips
     }
 
-    /// Time [`AnalysisCache::load`] spent on the store file.
+    /// Time [`AnalysisCache::load`] spent, by its `cache.load` span.
     pub fn load_time(&self) -> Duration {
         self.load_time
     }
 
-    /// Time the last [`AnalysisCache::persist`] spent merging + writing.
+    /// Time the last [`AnalysisCache::persist`] spent, by its
+    /// `cache.persist` span.
     pub fn store_time(&self) -> Duration {
         self.store_time
     }
@@ -424,9 +425,9 @@ impl AnalysisCache {
         if !self.dirty {
             return Ok(());
         }
-        let t0 = Instant::now();
+        let span = obs::Span::timed("cache.persist");
         let written = self.persist_locked();
-        self.store_time = t0.elapsed();
+        self.store_time = span.close();
         if written? {
             self.dirty = false;
         }

@@ -94,7 +94,7 @@ pub struct StaticMatrix(pub [[LockReport; 3]; 2], pub Option<bool>);
 /// gate.
 pub fn real_static_matrix(m: &Module) -> StaticMatrix {
     let mut shared = SharedAnalysis::new(m);
-    let reports = check_modes(&mut shared);
+    let (reports, _) = check_modes(&mut shared);
     let gate = shared.base().clean();
     StaticMatrix([reports, Default::default()], Some(gate))
 }
@@ -425,7 +425,7 @@ fn reach_of(cg: &CallGraph, entry: &str) -> BTreeSet<String> {
 /// predicate.
 fn check_one(m: &Module, fuel: u64, checker: &dyn Fn(&Module) -> StaticMatrix) -> ModuleOutcome {
     let matrix = {
-        let _hist = obs::hist_timer!(obs::Hist::FuzzCheck);
+        let _span = obs::span!("fuzz.check", obs::Hist::FuzzCheck);
         checker(m)
     };
 
@@ -442,7 +442,7 @@ fn check_one(m: &Module, fuel: u64, checker: &dyn Fn(&Module) -> StaticMatrix) -
     let mut theorem1: Option<(String, String)> = None;
 
     for f in m.functions() {
-        let _hist = obs::hist_timer!(obs::Hist::FuzzExecute);
+        let _span = obs::span!("fuzz.execute", obs::Hist::FuzzExecute);
         out.entries += 1;
         let name = f.name.name.to_string();
         let mut first_fault: Option<String> = None;

@@ -54,15 +54,17 @@ pub struct ModuleResult {
     pub all_strong: usize,
 }
 
-/// Wall-clock time one module spent in each pipeline phase.
+/// Wall-clock time one module spent in each pipeline phase, as its spans
+/// recorded it.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PhaseTimes {
-    /// Lexing + parsing.
+    /// Lexing + parsing (`ast.parse`).
     pub parse: Duration,
     /// Base analysis plus the lock check of all three modes, which walk
-    /// one call graph.
+    /// one call graph (`core.base` + `cqual.check`).
     pub check: Duration,
-    /// Confine inference alone (its mode's check is counted in `check`).
+    /// Confine inference alone (`core.confine`; its mode's check is
+    /// counted in `check`).
     pub confine: Duration,
 }
 
@@ -76,20 +78,13 @@ impl PhaseTimes {
 
 impl ModuleResult {
     /// Measures one parsed corpus module under all three modes through
-    /// [`check_modes`], timing each phase. The no-confine and all-strong
-    /// modes share one base analysis through [`SharedAnalysis`], so this
-    /// runs two (not three) analysis pipelines.
+    /// [`check_modes`], which times each phase. The no-confine and
+    /// all-strong modes share one base analysis through
+    /// [`SharedAnalysis`], so this runs two (not three) analysis
+    /// pipelines.
     fn measure_parsed(name: &str, parsed: &Module, parse: Duration) -> (ModuleResult, PhaseTimes) {
-        let mut shared = SharedAnalysis::new(parsed);
-        let t = Instant::now();
-        shared.base_frozen();
-        let base = t.elapsed();
-        let t = Instant::now();
-        shared.confine_frozen();
-        let confine_time = t.elapsed();
-        let t = Instant::now();
-        let [no_confine, confine, all_strong] = check_modes(&mut shared).map(|r| r.error_count());
-        let check = base + t.elapsed();
+        let (reports, t) = check_modes(&mut SharedAnalysis::new(parsed));
+        let [no_confine, confine, all_strong] = reports.map(|r| r.error_count());
         (
             ModuleResult {
                 name: name.to_string(),
@@ -99,8 +94,8 @@ impl ModuleResult {
             },
             PhaseTimes {
                 parse,
-                check,
-                confine: confine_time,
+                check: t.base + t.check,
+                confine: t.confine,
             },
         )
     }
@@ -320,24 +315,36 @@ fn sweep_modules(
                 note,
             };
             let keyed = snapshot.map(|c| {
+                let _span = obs::span!("cache.raw_fp");
                 (
                     c,
                     cache::source_fingerprint(&m.source, Backend::Steensgaard),
                 )
             });
             if let Some((c, raw)) = keyed {
-                if let Some(e) = c.resolve_raw(raw).and_then(|fp| c.lookup_fp(fp)) {
+                let hit = {
+                    let _span = obs::span!("cache.lookup");
+                    c.resolve_raw(raw).and_then(|fp| c.lookup_fp(fp))
+                };
+                if let Some(e) = hit {
                     return served(e, CacheNote::RawHit);
                 }
             }
-            let t0 = Instant::now();
+            let span = obs::Span::timed("ast.parse");
             let parsed = m.parse();
-            let parse = t0.elapsed();
+            let parse = span.close();
             let note = match keyed {
                 None => CacheNote::Uncached,
                 Some((c, raw)) => {
-                    let fp = cache::module_fingerprint(&parsed, Backend::Steensgaard);
-                    if let Some(e) = c.lookup_fp(fp) {
+                    let fp = {
+                        let _span = obs::span!("cache.canon_fp");
+                        cache::module_fingerprint(&parsed, Backend::Steensgaard)
+                    };
+                    let hit = {
+                        let _span = obs::span!("cache.lookup");
+                        c.lookup_fp(fp)
+                    };
+                    if let Some(e) = hit {
                         return served(e, CacheNote::CanonHit { fp, raw });
                     }
                     CacheNote::Miss { fp, raw }
@@ -509,7 +516,10 @@ pub fn measure_stream_with_cache(
 ) -> (Vec<ModuleResult>, ExperimentBench) {
     sweep_with_policy(
         stream.len(),
-        &|i| Cow::Owned(stream.module_at(i)),
+        &|i| {
+            let _span = obs::span!("corpus.generate");
+            Cow::Owned(stream.module_at(i))
+        },
         jobs,
         stream.seed(),
         policy,
@@ -666,7 +676,9 @@ mod tests {
     #[test]
     fn confine_workload_is_fully_recoverable() {
         let m = confine_workload(4);
-        let [nc, cf, _] = check_modes(&mut SharedAnalysis::new(&m)).map(|r| r.error_count());
+        let [nc, cf, _] = check_modes(&mut SharedAnalysis::new(&m))
+            .0
+            .map(|r| r.error_count());
         assert_eq!(nc, 4);
         assert_eq!(cf, 0);
     }

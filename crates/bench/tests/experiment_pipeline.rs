@@ -26,7 +26,9 @@ fn sweep_matches_check_modes() {
 
     for (m, r) in corpus[..PREFIX].iter().zip(sweep(&corpus[..PREFIX], 1)) {
         let parsed = m.parse();
-        let [nc, cf, st] = check_modes(&mut SharedAnalysis::new(&parsed)).map(|r| r.error_count());
+        let [nc, cf, st] = check_modes(&mut SharedAnalysis::new(&parsed))
+            .0
+            .map(|r| r.error_count());
         assert_eq!(
             (r.no_confine, r.confine, r.all_strong),
             (nc, cf, st),
@@ -44,7 +46,7 @@ fn shared_analysis_reports_are_byte_identical() {
     let corpus = generate(DEFAULT_SEED);
     for m in &corpus[..PREFIX] {
         let parsed = m.parse();
-        let shared = check_modes(&mut SharedAnalysis::new(&parsed));
+        let shared = check_modes(&mut SharedAnalysis::new(&parsed)).0;
         for (mode, a) in MODES.into_iter().zip(&shared) {
             let b = check_locks(&parsed, mode);
             let render = |r: &LockReport| {

@@ -95,7 +95,7 @@ fn real_static_matrix_equals_a_fresh_analysis() {
 fn andersen_freeze_is_sound_and_ties_steensgaard() {
     let andersen = |m: &Module| {
         let mut out = StaticMatrix::default();
-        out.0[0] = check_modes(&mut SharedAnalysis::new_with_backend(m, Backend::Andersen));
+        out.0[0] = check_modes(&mut SharedAnalysis::new_with_backend(m, Backend::Andersen)).0;
         out
     };
     let cfg = cfg(300, true);

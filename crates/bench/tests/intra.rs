@@ -17,7 +17,9 @@ fn mega_module_generator_is_deterministic() {
 fn mega_module_matches_its_expected_triple() {
     let m = mega_module(20030609, 60);
     let parsed = m.parse();
-    let [nc, cf, st] = check_modes(&mut SharedAnalysis::new(&parsed)).map(|r| r.error_count());
+    let [nc, cf, st] = check_modes(&mut SharedAnalysis::new(&parsed))
+        .0
+        .map(|r| r.error_count());
     assert_eq!(
         (nc, cf, st),
         (m.expect.no_confine, m.expect.confine, m.expect.all_strong),
@@ -44,7 +46,7 @@ fn mega_module_schedule_covers_every_function() {
 }
 
 fn from_scratch(m: &GeneratedModule) -> [LockReport; 3] {
-    check_modes(&mut SharedAnalysis::new(&m.parse()))
+    check_modes(&mut SharedAnalysis::new(&m.parse())).0
 }
 
 /// The `localias watch` path on a large module: one session takes four

@@ -10,12 +10,16 @@
 //! the counters are process-global, so concurrently running tests that
 //! enable collection would observe each other.
 
+use localias_alias::Backend;
 use localias_bench::fuzz::{run_fuzz, FuzzConfig};
-use localias_bench::{measure_corpus_cached, AnalysisCache, ModuleResult};
+use localias_bench::{
+    measure_corpus_cached, measure_corpus_with_cache, AnalysisCache, CachePolicy, ModuleResult,
+};
 use localias_core::SharedAnalysis;
 use localias_corpus::{generate, mega_module, GeneratedModule, DEFAULT_SEED};
-use localias_cqual::check_modes;
+use localias_cqual::{check_modes, IncrementalSession};
 use localias_obs as obs;
+use std::time::Duration;
 
 /// Corpus prefix the determinism sweep runs; enough modules for the
 /// work-stealing loop to interleave on while staying fast in debug.
@@ -158,13 +162,13 @@ fn checksat_queries_count_nodes_and_edges() {
     for w in vars.windows(2) {
         cs.include(Effect::var(w[0]), w[1]);
     }
-    let graph = build(&mut cs);
+    let graph = build(&cs);
 
     let _l = obs::test_lock();
     obs::enable_all();
     let _ = obs::drain();
-    let hit = reaches(&graph, &cs, &mut locs, l, KindMask::ACCESS, vars[7]);
-    let miss = reaches(&graph, &cs, &mut locs, l, KindMask::WRITE, vars[7]);
+    let hit = reaches(&graph, &mut locs, l, KindMask::ACCESS, vars[7]);
+    let miss = reaches(&graph, &mut locs, l, KindMask::WRITE, vars[7]);
     let trace = obs::drain();
     obs::disable_metrics();
     obs::disable_spans();
@@ -227,8 +231,73 @@ fn analyses_per_module_are_pinned() {
     };
 
     let _l = obs::test_lock();
-    let modes = analyses(&|| drop(check_modes(&mut SharedAnalysis::new(&parsed))));
+    let modes = analyses(&|| drop(check_modes(&mut SharedAnalysis::new(&parsed)).0));
     assert_eq!(modes, 2, "check_modes");
     assert_eq!(analyses(&miss), 2, "sweep miss");
     assert_eq!(analyses(&|| drop(run_fuzz(&fuzz))), 2, "fuzz module");
+}
+
+/// `(count, total)` of the spans named `leaf`, at any depth.
+fn span_total(t: &obs::Trace, leaf: &str) -> (u64, Duration) {
+    let nested = format!("/{leaf}");
+    let (count, ns) = t
+        .spans
+        .iter()
+        .filter(|s| s.path == leaf || s.path.ends_with(&nested))
+        .fold((0, 0), |(n, ns), s| (n + s.count, ns + s.total_ns));
+    (count, Duration::from_nanos(ns))
+}
+
+/// There is one clock: every duration the sweep, the watch session and
+/// the store report is the total of the span that timed it, to the
+/// nanosecond. `PhaseTimes` holds `ast.parse`, `core.confine` and
+/// `core.base` + `cqual.check`; `IncrStats` the same spans of one
+/// analysis; `CacheStats` `cache.load` and `cache.persist`.
+#[test]
+fn reported_durations_are_span_totals() {
+    let corpus = generate(DEFAULT_SEED);
+    let slice = &corpus[..PREFIX.min(corpus.len())];
+    let total = |t: &obs::Trace, leaf: &str| span_total(t, leaf).1;
+    let _l = obs::test_lock();
+    obs::enable_spans();
+    let _ = obs::drain();
+
+    let (_, sweep) = measure_corpus_cached(slice, 1, DEFAULT_SEED, None);
+    let t = obs::drain();
+    for leaf in ["ast.parse", "core.base", "core.confine", "cqual.check"] {
+        assert_eq!(span_total(&t, leaf).0, slice.len() as u64, "{leaf}");
+    }
+    assert_eq!(sweep.phases.parse, total(&t, "ast.parse"));
+    assert_eq!(sweep.phases.confine, total(&t, "core.confine"));
+    assert_eq!(
+        sweep.phases.check,
+        total(&t, "core.base") + total(&t, "cqual.check")
+    );
+
+    let m = mega_module(DEFAULT_SEED, 24);
+    let mut session = IncrementalSession::new(&m.name, 1);
+    let stats = session.analyze(&m.source).expect("parses").stats;
+    let t = obs::drain();
+    assert_eq!(span_total(&t, "ast.parse").0, 1);
+    assert_eq!(stats.parse_seconds, total(&t, "ast.parse").as_secs_f64());
+    let analysis = total(&t, "core.base") + total(&t, "core.confine");
+    assert_eq!(stats.analysis_seconds, analysis.as_secs_f64());
+    assert_eq!(stats.check_seconds, total(&t, "cqual.check").as_secs_f64());
+
+    let dir = std::env::temp_dir().join(format!("localias-obs-clock-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let policy = CachePolicy::dir(&dir);
+    let (_, cold) =
+        measure_corpus_with_cache(slice, 1, 1, DEFAULT_SEED, Backend::Steensgaard, &policy);
+    let t = obs::drain();
+    obs::disable_spans();
+    let _ = std::fs::remove_dir_all(&dir);
+    let stats = cold.cache.expect("a cached sweep");
+    assert_eq!(
+        span_total(&t, "cache.persist").0,
+        1,
+        "the cold store persists"
+    );
+    assert_eq!(stats.load, total(&t, "cache.load"));
+    assert_eq!(stats.store, total(&t, "cache.persist"));
 }

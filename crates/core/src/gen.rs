@@ -886,7 +886,6 @@ impl<'a> Gen<'a> {
         st: &mut State,
         sol: &localias_effects::Solution,
     ) -> (
-        ConstraintSystem,
         Vec<Diag>,
         Vec<RestrictOutcome>,
         Vec<CandidateOutcome>,
@@ -949,7 +948,6 @@ impl<'a> Gen<'a> {
             .map(|(name, fe)| (name.clone(), fe.summary))
             .collect();
         (
-            self.cs,
             self.diags,
             self.restrict_outcomes,
             candidates,

@@ -53,10 +53,10 @@ pub use heuristic::{
 };
 pub use outcome::{CandidateOutcome, ConfineOutcome, ConfineSite, Diag, Reason, RestrictOutcome};
 
-use localias_alias::{analyze_with, Backend, FrozenLocs, FxMap, Loc, State};
+use localias_alias::{analyze_with, Backend, FrozenLocs, FxHashSet, FxMap, Loc, State};
 use localias_ast::visit::{walk_module, Visitor};
-use localias_ast::{Module, NodeId, StmtKind};
-use localias_effects::{solve_with, ConstraintSystem, Solution};
+use localias_ast::{FunDef, Module, NodeId, Param, StmtKind};
+use localias_effects::{solve_with, Solution};
 use localias_obs as obs;
 
 /// The complete result of one module analysis.
@@ -65,8 +65,6 @@ pub struct Analysis {
     /// The typing/aliasing state (location table with final unifications
     /// and multiplicities, per-expression types, variables, signatures).
     pub state: State,
-    /// The solved constraint system.
-    pub cs: ConstraintSystem,
     /// The least solution (with conditional constraints fired).
     pub solution: Solution,
     /// Free-standing diagnostics (malformed annotations etc.).
@@ -91,7 +89,7 @@ impl Analysis {
         name: &str,
     ) -> Vec<(localias_alias::Loc, localias_effects::KindMask)> {
         match self.fun_effects.get(name) {
-            Some(&v) => self.solution.set(&self.cs, v),
+            Some(&v) => self.solution.set(v),
             None => Vec::new(),
         }
     }
@@ -132,21 +130,14 @@ impl Analysis {
         for c in &self.confines {
             push_pair(c.locs, &mut pinned);
         }
-        // Parameter pointees the checker may retarget through (matching
-        // the checker's own restrict test: explicit annotation OR an
-        // inferred restricted candidate on that function × name).
-        let inferred: std::collections::HashSet<(NodeId, &str)> = self
-            .candidates
-            .iter()
-            .filter(|c| c.restricted)
-            .map(|c| (c.at, c.name.as_str()))
-            .collect();
+        // Parameter pointees the checker may retarget through.
+        let is_restrict = self.restrict_param();
         for f in m.functions() {
             let Some(tys) = self.state.param_tys.get(f.name.name.as_str()) else {
                 continue;
             };
             for (p, ty) in f.params.iter().zip(tys) {
-                if p.restrict || inferred.contains(&(f.id, p.name.name.as_str())) {
+                if is_restrict(f, p) {
                     if let Some(l) = ty.pointee() {
                         pinned.push(l);
                     }
@@ -156,15 +147,34 @@ impl Analysis {
         pinned
     }
 
+    /// The test of whether a parameter behaves as `restrict`, the one
+    /// rule [`Analysis::pinned_locs`] and the lock checker share: the
+    /// programmer wrote the qualifier, or parameter-restrict inference
+    /// restricted a candidate keyed by the function's node and the
+    /// parameter's name.
+    pub fn restrict_param(&self) -> impl Fn(&FunDef, &Param) -> bool + '_ {
+        let inferred: FxHashSet<(NodeId, &str)> = self
+            .candidates
+            .iter()
+            .filter(|c| c.restricted)
+            .map(|c| (c.at, c.name.as_str()))
+            .collect();
+        move |f: &FunDef, p: &Param| p.restrict || inferred.contains(&(f.id, p.name.name.as_str()))
+    }
+
     /// Freezes the location table through the selected alias [`Backend`].
     ///
     /// [`Backend::Steensgaard`] is the verbatim capture of
     /// [`Analysis::freeze`] (byte-identical snapshot); [`Backend::Andersen`]
     /// refines that capture by splitting unification classes the
     /// inclusion-based points-to analysis proves independent, never
-    /// touching classes that hold a [`Analysis::pinned_locs`] key.
+    /// touching classes that hold a [`Analysis::pinned_locs`] key. Only
+    /// the refinement reads those keys, so only it computes them.
     pub fn freeze_with(&mut self, backend: Backend, m: &Module) -> FrozenLocs {
-        let pinned = self.pinned_locs(m);
+        let pinned = match backend {
+            Backend::Steensgaard => Vec::new(),
+            Backend::Andersen => self.pinned_locs(m),
+        };
         backend.freeze(m, &mut self.state, &pinned)
     }
 
@@ -180,8 +190,7 @@ impl Analysis {
 
 /// Runs the full analysis over one module.
 pub fn analyze(m: &Module, opts: Options) -> Analysis {
-    let _span = obs::span!("core.analyze");
-    let _hist = obs::hist_timer!(obs::Hist::AnalyzeModule);
+    let _span = obs::span!("core.analyze", obs::Hist::AnalyzeModule);
     obs::count(obs::Counter::ModulesAnalyzed, 1);
     let (mut state, mut gen) = {
         let _s = obs::span!("core.alias");
@@ -190,23 +199,18 @@ pub fn analyze(m: &Module, opts: Options) -> Analysis {
         gen.finalize(&mut state);
         (state, gen)
     };
-    let mut cs = std::mem::take(&mut gen.cs);
-    let mut loc_vars = std::mem::take(&mut gen.loc_vars);
     let solution = {
         let _s = obs::span!("core.solve");
-        solve_with(&mut cs, &mut state.locs, &mut loc_vars)
+        solve_with(&mut gen.cs, &mut state.locs, &mut gen.loc_vars)
     };
-    gen.cs = cs;
-    gen.loc_vars = loc_vars;
     let _outcomes_span = obs::span!("core.outcomes");
-    let (cs, mut diags, restricts, candidates, confines, fun_effects) =
+    let (mut diags, restricts, candidates, confines, fun_effects) =
         gen.into_outcomes(&mut state, &solution);
     for d in &mut diags {
         d.span = m.span_of(d.at);
     }
     Analysis {
         state,
-        cs,
         solution,
         diags,
         restricts,
@@ -264,7 +268,11 @@ pub struct ConfineInference {
 /// Runs §6 confine inference with the §7 block heuristic and §6.2
 /// outermost-scope selection.
 pub fn infer_confines(m: &Module) -> ConfineInference {
-    infer_confines_from(m, propose_confines(m))
+    let candidates = {
+        let _span = obs::span!("core.propose");
+        propose_confines(m)
+    };
+    infer_confines_from(m, candidates)
 }
 
 /// Confine inference with the *general* §7 strategy: per-occurrence
@@ -376,7 +384,10 @@ impl<'m> SharedAnalysis<'m> {
     pub fn base_frozen(&mut self) -> (&Analysis, &FrozenLocs) {
         if self.base_frozen.is_none() {
             let (backend, module) = (self.backend, self.module);
-            self.base_frozen = Some(self.base().freeze_with(backend, module));
+            let base = self.base();
+            let _span = obs::span!("core.freeze");
+            let frozen = base.freeze_with(backend, module);
+            self.base_frozen = Some(frozen);
         }
         (
             self.base.as_ref().expect("base computed"),
@@ -389,7 +400,10 @@ impl<'m> SharedAnalysis<'m> {
     pub fn confine_frozen(&mut self) -> (&Analysis, &FrozenLocs) {
         if self.confine_frozen.is_none() {
             let (backend, module) = (self.backend, self.module);
-            self.confine_frozen = Some(self.confine().analysis.freeze_with(backend, module));
+            let confine = &mut self.confine().analysis;
+            let _span = obs::span!("core.freeze");
+            let frozen = confine.freeze_with(backend, module);
+            self.confine_frozen = Some(frozen);
         }
         (
             &self.confine.as_ref().expect("confine computed").analysis,

@@ -558,8 +558,9 @@ mod tests {
             }
             checked[slot] += 1;
             let parsed = m.parse();
-            let [nc, cf, as_] =
-                check_modes(&mut SharedAnalysis::new(&parsed)).map(|r| r.error_count());
+            let [nc, cf, as_] = check_modes(&mut SharedAnalysis::new(&parsed))
+                .0
+                .map(|r| r.error_count());
             assert_eq!(
                 (nc, cf, as_),
                 (m.expect.no_confine, m.expect.confine, m.expect.all_strong),

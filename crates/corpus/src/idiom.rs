@@ -855,7 +855,9 @@ mod tests {
         for (name, s) in &samples {
             let m = localias_ast::parse_module("m", &s.source)
                 .unwrap_or_else(|e| panic!("{name} failed to parse: {e}\n{}", s.source));
-            let [nc, cf, st] = check_modes(&mut SharedAnalysis::new(&m)).map(|r| r.error_count());
+            let [nc, cf, st] = check_modes(&mut SharedAnalysis::new(&m))
+                .0
+                .map(|r| r.error_count());
             let got = (nc, cf, st);
             let want = (s.expect.no_confine, s.expect.confine, s.expect.all_strong);
             assert_eq!(got, want, "{name} triple");

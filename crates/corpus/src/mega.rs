@@ -372,6 +372,7 @@ mod tests {
         let parsed = m.parse();
         let [nc, cf, st] =
             localias_cqual::check_modes(&mut localias_core::SharedAnalysis::new(&parsed))
+                .0
                 .map(|r| r.error_count());
         let got = (nc, cf, st);
         let want = (m.expect.no_confine, m.expect.confine, m.expect.all_strong);

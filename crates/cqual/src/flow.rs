@@ -10,7 +10,8 @@
 //!    becomes an immutable, `Sync` lookup.
 //! 2. **Build** the [`crate::callgraph::CallGraph`] and its
 //!    deterministic bottom-up schedule. [`check_modes`] builds one graph
-//!    and one base context for all three modes.
+//!    and one base context for all three modes, and times the two
+//!    analyses and the checks under timed spans ([`CheckTimes`]).
 //! 3. **Walk** the schedule once per mode: check each function
 //!    ([`crate::intra::check_function`]) against the frozen facts and
 //!    the summaries of the functions checked before it, append its errors
@@ -32,6 +33,7 @@ use localias_alias::FrozenLocs;
 use localias_ast::{FunDef, Module};
 use localias_core::{Analysis, SharedAnalysis};
 use localias_obs as obs;
+use std::time::Duration;
 
 /// The three analysis modes of the Section 7 experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -72,8 +74,19 @@ pub fn check_locks(m: &Module, mode: Mode) -> LockReport {
     check_locks_frozen(m, analysis, frozen, mode, 1)
 }
 
+/// What [`check_modes`] spent, read from its timed spans.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CheckTimes {
+    /// The base analysis and its freeze (`core.base`).
+    pub base: Duration,
+    /// Confine inference and its freeze (`core.confine`).
+    pub confine: Duration,
+    /// The call graph and the three mode checks (`cqual.check`).
+    pub check: Duration,
+}
+
 /// Checks the module of `shared` in all three modes, in [`MODES`] order,
-/// sequentially.
+/// sequentially, and says how long each step took.
 ///
 /// `Mode::NoConfine` and `Mode::AllStrong` both consume the base
 /// analysis; `Mode::Confine` consumes the confine-inference analysis.
@@ -83,17 +96,33 @@ pub fn check_locks(m: &Module, mode: Mode) -> LockReport {
 /// checks, and `AllStrong` re-tags the base context instead of building
 /// its own. The reports are byte-identical to fresh per-mode
 /// [`check_locks`] runs.
-pub fn check_modes(shared: &mut SharedAnalysis) -> [LockReport; 3] {
+///
+/// Each analysis (with its freeze) and the checks run under a timed
+/// span — `core.base`, `core.confine`, `cqual.check` — whose durations
+/// come back as [`CheckTimes`]. An analysis `shared` already holds is
+/// not run again, so its span times only the lookup.
+pub fn check_modes(shared: &mut SharedAnalysis) -> ([LockReport; 3], CheckTimes) {
+    let span = obs::Span::timed("core.base");
+    shared.base_frozen();
+    let base = span.close();
+    let span = obs::Span::timed("core.confine");
+    shared.confine_frozen();
+    let confine = span.close();
     let m = shared.module();
     let ((base_a, base_f), (conf_a, conf_f)) = shared.both_frozen();
-    let _span = obs::span!("cqual.check");
+    let span = obs::Span::timed("cqual.check");
     let graph = CallGraph::build(m);
-    let base = CheckContext::new(m, base_a, base_f, Mode::NoConfine, &graph);
-    let confine = CheckContext::new(m, conf_a, conf_f, Mode::Confine, &graph);
-    let no_confine = check_schedule(m, &base);
-    let confine = check_schedule(m, &confine);
-    let all_strong = check_schedule(m, &base.with_mode(Mode::AllStrong));
-    [no_confine, confine, all_strong]
+    let base_cx = CheckContext::new(m, base_a, base_f, Mode::NoConfine, &graph);
+    let confine_cx = CheckContext::new(m, conf_a, conf_f, Mode::Confine, &graph);
+    let no_confine = check_schedule(m, &base_cx);
+    let confine_report = check_schedule(m, &confine_cx);
+    let all_strong = check_schedule(m, &base_cx.with_mode(Mode::AllStrong));
+    let times = CheckTimes {
+        base,
+        confine,
+        check: span.close(),
+    };
+    ([no_confine, confine_report, all_strong], times)
 }
 
 /// Checks locking against a frozen analysis, building the module's call
@@ -170,7 +199,7 @@ mod tests {
         "#;
         for src in [simple, cyclic] {
             let m = localias_ast::parse_module("t", src).expect("parse");
-            let all = check_modes(&mut SharedAnalysis::new(&m));
+            let (all, _) = check_modes(&mut SharedAnalysis::new(&m));
             for (mode, got) in MODES.into_iter().zip(&all) {
                 assert_eq!(got, &check_locks(&m, mode), "{mode:?}");
             }
@@ -241,7 +270,7 @@ mod tests {
         )
         .expect("parse");
         let mut shared = SharedAnalysis::new_with_backend(&m, Backend::Steensgaard);
-        let got = check_modes(&mut shared);
+        let (got, _) = check_modes(&mut shared);
         assert_eq!(got, MODES.map(|mode| check_locks(&m, mode)));
     }
 
@@ -275,8 +304,8 @@ mod tests {
         .expect("parse");
         // `check_modes` runs every mode, so the refined classes must not
         // break the other two either.
-        let [steens, ..] = check_modes(&mut SharedAnalysis::new(&m));
-        let [anders, ..] =
+        let ([steens, ..], _) = check_modes(&mut SharedAnalysis::new(&m));
+        let ([anders, ..], _) =
             check_modes(&mut SharedAnalysis::new_with_backend(&m, Backend::Andersen));
         assert!(
             steens.error_count() > 0,

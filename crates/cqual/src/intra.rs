@@ -104,21 +104,14 @@ impl<'a> CheckContext<'a> {
             scopes.sort_by_key(|s| (s.start, std::cmp::Reverse(s.end)));
         }
 
-        // Parameter metadata. A parameter behaves as restrict if the
-        // programmer wrote the qualifier *or* parameter-restrict
-        // inference proved it (a successful candidate keyed by the
-        // function node and parameter name).
-        let inferred: FxHashSet<(NodeId, &str)> = analysis
-            .candidates
-            .iter()
-            .filter(|c| c.restricted)
-            .map(|c| (c.at, c.name.as_str()))
-            .collect();
-        // The alias analysis records each function's *bound* parameter
-        // value types (post binding hooks, first definition wins), so
-        // parameter metadata is a direct positional lookup — no pass
-        // over the variable table. For duplicate definitions the later
-        // one wins, matching the name-keyed function map.
+        // Parameter metadata. Whether a parameter is restrict is the
+        // analysis' rule ([`Analysis::restrict_param`]). The alias
+        // analysis records each function's *bound* parameter value types
+        // (post binding hooks, first definition wins), so parameter
+        // metadata is a direct positional lookup — no pass over the
+        // variable table. For duplicate definitions the later one wins,
+        // matching the name-keyed function map.
+        let is_restrict = analysis.restrict_param();
         let mut params: Vec<Vec<ParamInfo>> = vec![Vec::new(); graph.len()];
         for f in m.functions() {
             let Some(v) = graph.node(&f.name.name) else {
@@ -128,7 +121,7 @@ impl<'a> CheckContext<'a> {
             let mut infos = Vec::with_capacity(f.params.len());
             for (i, p) in f.params.iter().enumerate() {
                 let rho_p = tys.and_then(|t| t.get(i)).and_then(|ty| ty.pointee());
-                let restrict = p.restrict || inferred.contains(&(f.id, p.name.name.as_str()));
+                let restrict = is_restrict(f, p);
                 infos.push(ParamInfo { rho_p, restrict });
             }
             params[v] = infos;
@@ -171,8 +164,7 @@ pub(crate) fn check_function(
     summaries: &[Option<Summary>],
     f: &FunDef,
 ) -> FunOutcome {
-    let _span = obs::span!("cqual.function");
-    let _hist = obs::hist_timer!(obs::Hist::CheckFunction);
+    let _span = obs::span!("cqual.function", obs::Hist::CheckFunction);
     obs::count(obs::Counter::CqualFunctionsChecked, 1);
     let mut fc = FunctionChecker {
         cx,

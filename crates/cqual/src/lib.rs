@@ -47,7 +47,7 @@ pub mod store;
 mod summary;
 
 pub use callgraph::CallGraph;
-pub use flow::{check_locks, check_locks_frozen, check_modes, Mode, MODES};
+pub use flow::{check_locks, check_locks_frozen, check_modes, CheckTimes, Mode, MODES};
 pub use incremental::{IncrOutcome, IncrStats, IncrementalSession};
 pub use qual::LockState;
 pub use report::{LockError, LockOp, LockReport};

@@ -14,7 +14,9 @@ fn parse(src: &str) -> Module {
 
 fn counts(src: &str) -> (usize, usize, usize) {
     let m = parse(src);
-    let [nc, cf, st] = check_modes(&mut SharedAnalysis::new(&m)).map(|r| r.error_count());
+    let [nc, cf, st] = check_modes(&mut SharedAnalysis::new(&m))
+        .0
+        .map(|r| r.error_count());
     (nc, cf, st)
 }
 

@@ -36,7 +36,7 @@ void b(int n) {
 "#,
     )
     .unwrap();
-    let reports = check_modes(&mut SharedAnalysis::new(&m));
+    let reports = check_modes(&mut SharedAnalysis::new(&m)).0;
     for (mode, r) in MODES.into_iter().zip(reports) {
         assert_eq!(
             r.error_count(),
@@ -79,7 +79,7 @@ void outside(int n) {
 "#,
     )
     .unwrap();
-    let reports = check_modes(&mut SharedAnalysis::new(&m));
+    let reports = check_modes(&mut SharedAnalysis::new(&m)).0;
     for (mode, r) in MODES.into_iter().zip(reports) {
         assert!(
             r.errors
@@ -112,7 +112,7 @@ void clean() {
 "#,
     )
     .unwrap();
-    let reports = check_modes(&mut SharedAnalysis::new(&m));
+    let reports = check_modes(&mut SharedAnalysis::new(&m)).0;
     for (mode, r) in MODES.into_iter().zip(reports) {
         assert!(
             r.errors.iter().all(|e| e.fun != "clean"),
@@ -141,7 +141,7 @@ void f(int n) {
 "#,
     )
     .unwrap();
-    let reports = check_modes(&mut SharedAnalysis::new(&m));
+    let reports = check_modes(&mut SharedAnalysis::new(&m)).0;
     for (mode, r) in MODES.into_iter().zip(reports) {
         assert!(
             r.errors.iter().any(|e| e.found == LockState::Top),

@@ -7,7 +7,7 @@ use localias_cqual::{check_modes, IncrementalSession, LockReport};
 
 fn from_scratch(source: &str) -> [LockReport; 3] {
     let m = parse_module("m", source).expect("parse");
-    check_modes(&mut SharedAnalysis::new(&m))
+    check_modes(&mut SharedAnalysis::new(&m)).0
 }
 
 /// Drives `sources` through one session: no step is a module hit, and

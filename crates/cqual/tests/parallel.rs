@@ -41,7 +41,9 @@ fn check_all_orders(fragments: &[&str]) {
     for (k, ord) in orderings.iter().enumerate() {
         let src: String = ord.iter().map(|&i| fragments[i]).collect();
         let m = parse_module("shuffled", &src).expect("parse");
-        let got = check_modes(&mut SharedAnalysis::new(&m)).map(|r| shape(&r));
+        let got = check_modes(&mut SharedAnalysis::new(&m))
+            .0
+            .map(|r| shape(&r));
         match &baseline {
             None => baseline = Some(got),
             Some(want) => assert_eq!(&got, want, "ordering #{k}"),
@@ -85,8 +87,8 @@ fn repeated_runs_are_bit_stable() {
         void c(int i) { a(i); b(i); }
     "#;
     let m = parse_module("stable", src).expect("parse");
-    let first = check_modes(&mut SharedAnalysis::new(&m));
+    let first = check_modes(&mut SharedAnalysis::new(&m)).0;
     for _ in 0..5 {
-        assert_eq!(check_modes(&mut SharedAnalysis::new(&m)), first);
+        assert_eq!(check_modes(&mut SharedAnalysis::new(&m)).0, first);
     }
 }

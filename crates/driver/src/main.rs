@@ -448,7 +448,7 @@ fn cmd_watch(args: &[String]) -> Result<String, String> {
             "--iterations" => iterations = Some(parse_num(a, it.next())?),
             "--poll-ms" => poll_ms = parse_num(a, it.next())?.max(1),
             "--quiet" => quiet = true,
-            flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
+            flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`\n{USAGE}")),
             p if path.is_none() => path = Some(p.to_string()),
             extra => return Err(format!("unexpected argument `{extra}`\n{USAGE}")),
         }
@@ -545,7 +545,10 @@ fn cmd_corpus(args: &[String]) -> Result<String, String> {
 }
 
 fn cmd_experiment(args: &[String]) -> Result<String, String> {
-    let opts = localias_bench::CliOpts::parse(args.iter().cloned())?;
+    const USAGE: &str = "usage: localias experiment [SEED] [--jobs N] \
+         [--cache DIR | --no-cache] [--modules N] [--bench-out FILE] [--profile]";
+    let opts = localias_bench::CliOpts::parse(args.iter().cloned())
+        .map_err(|e| format!("{e}\n{USAGE}"))?;
     localias_bench::init_obs(&opts);
     let seed = opts.seed_or_default();
 

@@ -215,6 +215,23 @@ fn watch_rejects_unknown_flags() {
     assert!(err.contains("unknown flag"), "{err}");
 }
 
+/// `experiment` and `watch` follow an unknown flag with their usage
+/// text, as every other subcommand does.
+#[test]
+fn experiment_and_watch_print_usage_after_an_unknown_flag() {
+    let p = write_temp("watch-usage.mc", WATCH_BASE);
+    let p = p.to_str().unwrap();
+    for (args, usage) in [
+        (&["experiment", "--help"][..], "usage: localias experiment "),
+        (&["watch", p, "--bogus"][..], "usage: localias watch "),
+    ] {
+        let (_, err, ok) = localias(args);
+        assert!(!ok, "{args:?} was accepted");
+        assert!(err.contains("unknown flag"), "{args:?}: {err}");
+        assert!(err.contains(usage), "{args:?}: {err}");
+    }
+}
+
 /// Removed flags are unknown and gone from the usage text: the old
 /// wave-thread flag (the lock checker is sequential) from both commands
 /// that took it, `watch --verify` (every analysis is already a check

@@ -1,8 +1,8 @@
-//! The constraint system: inclusions, variable equalities, checked
-//! disinclusions, and the conditional constraints of §5/§6.
+//! The constraint system: inclusions, checked disinclusions, and the
+//! conditional constraints of §5/§6.
 
 use crate::effect::{EffVar, Effect, KindMask};
-use localias_alias::{Loc, UnionFind};
+use localias_alias::Loc;
 use localias_obs as obs;
 use std::fmt;
 
@@ -93,9 +93,13 @@ pub struct Conditional {
 /// The expected life cycle: `localias-core` generates constraints during
 /// its typing walk, then hands the system together with the
 /// [`localias_alias::LocTable`] to [`crate::solve::solve`].
+///
+/// No two effect variables are ever equated: the analysed types carry no
+/// effect variables, so Figure 4a's type-equality resolution never
+/// relates two of them, and every [`EffVar`] is its own representative.
 #[derive(Debug, Default)]
 pub struct ConstraintSystem {
-    evars: UnionFind,
+    var_count: u32,
     /// Unconditional inclusions `L ⊆ ε`.
     pub includes: Vec<(Effect, EffVar)>,
     /// Checked disinclusions.
@@ -114,7 +118,9 @@ impl ConstraintSystem {
     /// Allocates a fresh effect variable.
     pub fn fresh_var(&mut self) -> EffVar {
         obs::count(obs::Counter::EffectVars, 1);
-        EffVar(self.evars.push())
+        let v = EffVar(self.var_count);
+        self.var_count += 1;
+        v
     }
 
     /// Allocates a fresh flag (initially unset).
@@ -129,9 +135,9 @@ impl ConstraintSystem {
         self.flag_count
     }
 
-    /// Number of effect-variable keys allocated.
+    /// Number of effect variables allocated.
     pub fn var_count(&self) -> usize {
-        self.evars.len()
+        self.var_count as usize
     }
 
     /// Adds the inclusion `L ⊆ ε`.
@@ -141,23 +147,6 @@ impl ConstraintSystem {
         }
         obs::count(obs::Counter::ConstraintEdges, 1);
         self.includes.push((l, var));
-    }
-
-    /// Records the equality `ε1 = ε2` (from the Figure 4a type-equality
-    /// resolution): the variables become one.
-    pub fn equate(&mut self, a: EffVar, b: EffVar) {
-        obs::count(obs::Counter::ConstraintEdges, 1);
-        self.evars.union(a.0, b.0);
-    }
-
-    /// Canonical representative of `v`.
-    pub fn find(&mut self, v: EffVar) -> EffVar {
-        EffVar(self.evars.find(v.0))
-    }
-
-    /// Canonical representative without path compression.
-    pub fn find_const(&self, v: EffVar) -> EffVar {
-        EffVar(self.evars.find_const(v.0))
     }
 
     /// Adds a checked disinclusion `ρ ∉_κ ε` tagged `tag`.
@@ -204,15 +193,6 @@ mod tests {
         let f2 = cs.fresh_flag();
         assert_ne!(f1, f2);
         assert_eq!(cs.flag_count(), 2);
-    }
-
-    #[test]
-    fn equate_merges() {
-        let mut cs = ConstraintSystem::new();
-        let a = cs.fresh_var();
-        let b = cs.fresh_var();
-        cs.equate(a, b);
-        assert_eq!(cs.find(a), cs.find(b));
     }
 
     #[test]

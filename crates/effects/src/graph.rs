@@ -77,7 +77,7 @@ pub struct Graph {
     edges: Vec<Edge>,
     /// Atom sources: `(atom, node, port)`.
     pub atoms: Vec<(Atom, NodeIx, Port)>,
-    /// Node of each *canonical* effect variable; lazily created.
+    /// Node of each effect variable; lazily created.
     var_node: Vec<Option<NodeIx>>,
     /// Log of atoms/edges added since the last [`Graph::take_additions`]
     /// — the solver seeds these incrementally instead of re-propagating.
@@ -126,18 +126,16 @@ impl Graph {
         ix
     }
 
-    /// The node representing effect variable `v` (resolved to its
-    /// canonical representative first).
-    pub fn var_node(&mut self, cs: &mut ConstraintSystem, v: EffVar) -> NodeIx {
-        let r = cs.find(v);
-        if r.index() >= self.var_node.len() {
-            self.var_node.resize(r.index() + 1, None);
+    /// The node representing effect variable `v`.
+    pub fn var_node(&mut self, v: EffVar) -> NodeIx {
+        if v.index() >= self.var_node.len() {
+            self.var_node.resize(v.index() + 1, None);
         }
-        match self.var_node[r.index()] {
+        match self.var_node[v.index()] {
             Some(n) => n,
             None => {
                 let n = self.push_node(NodeKind::Plain);
-                self.var_node[r.index()] = Some(n);
+                self.var_node[v.index()] = Some(n);
                 n
             }
         }
@@ -148,10 +146,9 @@ impl Graph {
         self.kinds.len()
     }
 
-    /// The node of an already-canonical effect variable, without creating
-    /// one. Pass the result of [`ConstraintSystem::find`]/`find_const`.
-    pub fn var_node_readonly(&self, canonical: EffVar) -> Option<NodeIx> {
-        self.var_node.get(canonical.index()).copied().flatten()
+    /// The node of effect variable `v`, without creating one.
+    pub fn var_node_readonly(&self, v: EffVar) -> Option<NodeIx> {
+        self.var_node.get(v.index()).copied().flatten()
     }
 
     /// The out-edges of node `n`, in the order they were added.
@@ -184,8 +181,8 @@ impl Graph {
         self.added_edges.push((from, to, port));
     }
 
-    /// Consumes the graph, returning the node of each canonical effect
-    /// variable, indexed by variable.
+    /// Consumes the graph, returning the node of each effect variable,
+    /// indexed by variable.
     pub(crate) fn into_var_nodes(self) -> Vec<Option<NodeIx>> {
         self.var_node
     }
@@ -200,12 +197,12 @@ impl Graph {
     }
 
     /// Lowers the inclusion `l ⊆ ε` into graph edges (Figure 4b).
-    pub fn include(&mut self, cs: &mut ConstraintSystem, l: &Effect, var: EffVar) {
-        let target = self.var_node(cs, var);
-        self.lower(cs, l, target, Port::Normal);
+    pub fn include(&mut self, l: &Effect, var: EffVar) {
+        let target = self.var_node(var);
+        self.lower(l, target, Port::Normal);
     }
 
-    fn lower(&mut self, cs: &mut ConstraintSystem, l: &Effect, target: NodeIx, port: Port) {
+    fn lower(&mut self, l: &Effect, target: NodeIx, port: Port) {
         match l {
             Effect::Empty => {}
             Effect::Atom(a) => {
@@ -213,17 +210,17 @@ impl Graph {
                 self.added_atoms.push((*a, target, port));
             }
             Effect::Var(v) => {
-                let n = self.var_node(cs, *v);
+                let n = self.var_node(*v);
                 self.edge(n, target, port);
             }
             Effect::Union(a, b) => {
-                self.lower(cs, a, target, port);
-                self.lower(cs, b, target, port);
+                self.lower(a, target, port);
+                self.lower(b, target, port);
             }
             Effect::Inter(a, b) => {
                 let i = self.push_node(NodeKind::Inter);
-                self.lower(cs, a, i, Port::Left);
-                self.lower(cs, b, i, Port::Right);
+                self.lower(a, i, Port::Left);
+                self.lower(b, i, Port::Right);
                 self.edge(i, target, port);
             }
         }
@@ -231,15 +228,11 @@ impl Graph {
 }
 
 /// Builds the graph for every unconditional inclusion in `cs`.
-pub fn build(cs: &mut ConstraintSystem) -> Graph {
+pub fn build(cs: &ConstraintSystem) -> Graph {
     let mut g = Graph::new(cs);
-    // Lowering needs `cs` mutably, so move the inclusions out while it
-    // runs instead of cloning them.
-    let includes = std::mem::take(&mut cs.includes);
-    for (l, v) in &includes {
-        g.include(cs, l, *v);
+    for (l, v) in &cs.includes {
+        g.include(l, *v);
     }
-    cs.includes = includes;
     g
 }
 
@@ -256,7 +249,7 @@ mod tests {
         let b = cs.fresh_var();
         cs.include(Effect::atom(EffectKind::Read, Loc(0)), a);
         cs.include(Effect::var(a), b);
-        let g = build(&mut cs);
+        let g = build(&cs);
         assert_eq!(g.atoms.len(), 1);
         // a's node has one edge to b's node.
         assert_eq!(g.edges.len(), 1);
@@ -270,8 +263,8 @@ mod tests {
         for (from, to) in [(0, 1), (2, 3), (0, 2), (2, 1), (0, 3)] {
             cs.include(Effect::var(v[from]), v[to]);
         }
-        let mut g = build(&mut cs);
-        let n: Vec<NodeIx> = v.iter().map(|&x| g.var_node(&mut cs, x)).collect();
+        let mut g = build(&cs);
+        let n: Vec<NodeIx> = v.iter().map(|&x| g.var_node(x)).collect();
         let targets = |from: usize| g.out(n[from]).map(|(to, _)| to).collect::<Vec<_>>();
         assert_eq!(targets(0), [n[1], n[2], n[3]]);
         assert_eq!(targets(2), [n[3], n[1]]);
@@ -286,7 +279,7 @@ mod tests {
         let b = cs.fresh_var();
         let c = cs.fresh_var();
         cs.include(Effect::union(Effect::var(a), Effect::var(b)), c);
-        let g = build(&mut cs);
+        let g = build(&cs);
         assert!(g.kinds.iter().all(|k| *k == NodeKind::Plain));
         assert_eq!(g.node_count(), 3);
     }
@@ -298,7 +291,7 @@ mod tests {
         let b = cs.fresh_var();
         let c = cs.fresh_var();
         cs.include(Effect::inter(Effect::var(a), Effect::var(b)), c);
-        let g = build(&mut cs);
+        let g = build(&cs);
         assert_eq!(g.kinds.iter().filter(|k| **k == NodeKind::Inter).count(), 1);
         // The I node has exactly one Left and one Right incoming edge.
         let mut left = 0;
@@ -313,17 +306,5 @@ mod tests {
             }
         }
         assert_eq!((left, right), (1, 1));
-    }
-
-    #[test]
-    fn equated_vars_share_a_node() {
-        let mut cs = ConstraintSystem::new();
-        let a = cs.fresh_var();
-        let b = cs.fresh_var();
-        cs.equate(a, b);
-        let mut g = Graph::new(&cs);
-        let na = g.var_node(&mut cs, a);
-        let nb = g.var_node(&mut cs, b);
-        assert_eq!(na, nb);
     }
 }

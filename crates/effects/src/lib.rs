@@ -6,10 +6,10 @@
 //! * [`effect`] — kinded effect atoms (`read`/`write`/`alloc` plus plain
 //!   `mention` for location sets), effect variables `ε`, and effect terms
 //!   `L ::= ∅ | {K(ρ)} | ε | L ∪ L | L ∩ L`;
-//! * [`constraint`] — the constraint system: inclusions `L ⊆ ε`, variable
-//!   equalities (from Figure 4a type resolution), checked disinclusions
-//!   `ρ ∉ ε` (the (Restrict) side conditions), and the conditional
-//!   constraints that drive §5/§6 inference;
+//! * [`constraint`] — the constraint system: inclusions `L ⊆ ε`, checked
+//!   disinclusions `ρ ∉ ε` (the (Restrict) side conditions), and the
+//!   conditional constraints that drive §5/§6 inference (no two effect
+//!   variables are ever equal: our types carry none);
 //! * [`graph`] — normalization into a constraint graph with intersection
 //!   nodes (Figure 4b);
 //! * [`solve`](crate::solve()) (in the [`solve`](crate::solve) module) —

@@ -313,14 +313,8 @@ impl Store {
     }
 
     /// Evaluates a conditional's guard against the current sets.
-    fn holds(
-        &self,
-        guard: &Guard,
-        cs: &ConstraintSystem,
-        locs: &mut LocTable,
-        graph: &Graph,
-    ) -> bool {
-        let node = |v: EffVar| var_node_of(graph, cs, v);
+    fn holds(&self, guard: &Guard, locs: &mut LocTable, graph: &Graph) -> bool {
+        let node = |v: EffVar| graph.var_node_readonly(v);
         let sets = &self.sets;
         match guard {
             Guard::LocIn { loc, kinds, var } => {
@@ -448,7 +442,7 @@ impl Sccs {
 pub struct Solution {
     /// Final per-node sets.
     sets: Sets,
-    /// Node of each canonical effect variable, indexed by variable.
+    /// Node of each effect variable, indexed by variable.
     var_node: Vec<Option<NodeIx>>,
     /// Flag values set by fired conditionals.
     flags: Vec<bool>,
@@ -472,23 +466,13 @@ pub struct Violation {
 }
 
 impl Solution {
-    fn node(&self, cs: &ConstraintSystem, var: EffVar) -> Option<NodeIx> {
-        self.var_node
-            .get(cs.find_const(var).index())
-            .copied()
-            .flatten()
+    fn node(&self, var: EffVar) -> Option<NodeIx> {
+        self.var_node.get(var.index()).copied().flatten()
     }
 
     /// Is `K(ρ)` (for any `K` in `kinds`) in `var`'s least solution?
-    pub fn contains(
-        &self,
-        cs: &ConstraintSystem,
-        locs: &LocTable,
-        var: EffVar,
-        loc: Loc,
-        kinds: KindMask,
-    ) -> bool {
-        self.node(cs, var).is_some_and(|n| {
+    pub fn contains(&self, locs: &LocTable, var: EffVar, loc: Loc, kinds: KindMask) -> bool {
+        self.node(var).is_some_and(|n| {
             self.sets
                 .mask_at(n, locs.find_const(loc).index())
                 .overlaps(kinds)
@@ -499,18 +483,14 @@ impl Solution {
     ///
     /// Allocates; callers that only need to scan the set should prefer
     /// [`Solution::set_iter`].
-    pub fn set(&self, cs: &ConstraintSystem, var: EffVar) -> Vec<(Loc, KindMask)> {
-        self.set_iter(cs, var).collect()
+    pub fn set(&self, var: EffVar) -> Vec<(Loc, KindMask)> {
+        self.set_iter(var).collect()
     }
 
     /// Iterates `var`'s solved atom set without allocating, in location
     /// index order.
-    pub fn set_iter<'a>(
-        &'a self,
-        cs: &ConstraintSystem,
-        var: EffVar,
-    ) -> impl Iterator<Item = (Loc, KindMask)> + 'a {
-        self.node(cs, var)
+    pub fn set_iter(&self, var: EffVar) -> impl Iterator<Item = (Loc, KindMask)> + '_ {
+        self.node(var)
             .into_iter()
             .flat_map(move |n| self.sets.iter(n))
     }
@@ -642,7 +622,7 @@ pub fn solve_with(
         // iterator over `cs.conditionals` cannot be held across it.
         #[allow(clippy::needless_range_loop)]
         for i in 0..cs.conditionals.len() {
-            if fired[i] || !store.holds(&cs.conditionals[i].guard, cs, locs, &graph) {
+            if fired[i] || !store.holds(&cs.conditionals[i].guard, locs, &graph) {
                 continue;
             }
             fired[i] = true;
@@ -656,8 +636,8 @@ pub fn solve_with(
             );
             for (winner, loser) in locs.take_merges() {
                 for (l, v) in loc_vars.merge(winner, loser) {
-                    cs.includes.push((l.clone(), v));
-                    graph.include(cs, &l, v);
+                    graph.include(&l, v);
+                    cs.includes.push((l, v));
                 }
                 store.merge(winner.index(), loser.index(), &mut work);
             }
@@ -687,7 +667,7 @@ pub fn solve_with(
     // Verify the checked disinclusions against the final least solution.
     let mut violations = Vec::new();
     for check in &cs.not_ins {
-        if let Some(node) = var_node_of(&graph, cs, check.var) {
+        if let Some(node) = graph.var_node_readonly(check.var) {
             let l = locs.find(check.loc);
             let found = store.sets.mask_at(node, l.index()).inter(check.kinds);
             if !found.is_empty() {
@@ -714,11 +694,6 @@ pub fn solve_with(
     }
 }
 
-/// The node of `v`'s canonical variable, without creating one.
-fn var_node_of(graph: &Graph, cs: &ConstraintSystem, v: EffVar) -> Option<NodeIx> {
-    graph.var_node_readonly(cs.find_const(v))
-}
-
 fn apply_action(
     action: &Action,
     cs: &mut ConstraintSystem,
@@ -738,8 +713,8 @@ fn apply_action(
         );
     }
     for (l, v) in &action.include {
+        graph.include(l, *v);
         cs.includes.push((l.clone(), *v));
-        graph.include(cs, l, *v);
     }
     for f in &action.flags {
         if f.0 as usize >= flags.len() {
@@ -760,16 +735,9 @@ fn apply_action(
 /// full propagation **when no intersection gate depends on other
 /// locations' presence** — true by construction here, because gates test
 /// presence of the *same* location on the right input.
-pub fn reaches(
-    graph: &Graph,
-    cs: &ConstraintSystem,
-    locs: &mut LocTable,
-    loc: Loc,
-    kinds: KindMask,
-    var: EffVar,
-) -> bool {
+pub fn reaches(graph: &Graph, locs: &mut LocTable, loc: Loc, kinds: KindMask, var: EffVar) -> bool {
     obs::count(obs::Counter::CheckSatQueries, 1);
-    let Some(target) = var_node_of(graph, cs, var) else {
+    let Some(target) = graph.var_node_readonly(var) else {
         return false;
     };
     let l = locs.find(loc);
@@ -836,8 +804,8 @@ mod tests {
         cs.include(Effect::var(a), b);
         cs.include(Effect::var(b), c);
         let sol = solve(&mut cs, &mut locs);
-        assert!(sol.contains(&cs, &locs, c, l, KindMask::READ));
-        assert!(!sol.contains(&cs, &locs, c, l, KindMask::WRITE));
+        assert!(sol.contains(&locs, c, l, KindMask::READ));
+        assert!(!sol.contains(&locs, c, l, KindMask::WRITE));
     }
 
     #[test]
@@ -854,13 +822,13 @@ mod tests {
         cs.include(Effect::atom(EffectKind::Mention, l1), vis);
         cs.include(Effect::inter(Effect::var(eff), Effect::var(vis)), out);
         let sol = solve(&mut cs, &mut locs);
-        assert!(sol.contains(&cs, &locs, out, l1, KindMask::READ));
+        assert!(sol.contains(&locs, out, l1, KindMask::READ));
         assert!(
-            !sol.contains(&cs, &locs, out, l2, KindMask::ALL),
+            !sol.contains(&locs, out, l2, KindMask::ALL),
             "l2 is not visible, so the Down-style mask drops it"
         );
         // Kinds pass from the left only.
-        assert!(!sol.contains(&cs, &locs, out, l1, KindMask::MENTION));
+        assert!(!sol.contains(&locs, out, l1, KindMask::MENTION));
     }
 
     #[test]
@@ -873,8 +841,8 @@ mod tests {
         cs.include(Effect::var(b), a);
         cs.include(Effect::atom(EffectKind::Write, l), a);
         let sol = solve(&mut cs, &mut locs);
-        assert!(sol.contains(&cs, &locs, a, l, KindMask::WRITE));
-        assert!(sol.contains(&cs, &locs, b, l, KindMask::WRITE));
+        assert!(sol.contains(&locs, a, l, KindMask::WRITE));
+        assert!(sol.contains(&locs, b, l, KindMask::WRITE));
     }
 
     #[test]
@@ -1083,7 +1051,7 @@ mod tests {
         // Allocate the flag referenced above.
         let _ = cs.fresh_flag();
         let sol = solve(&mut cs, &mut locs);
-        assert!(sol.contains(&cs, &locs, sink, l, KindMask::WRITE));
+        assert!(sol.contains(&locs, sink, l, KindMask::WRITE));
     }
 
     #[test]
@@ -1100,7 +1068,7 @@ mod tests {
         cs.include(Effect::var(a), b);
         cs.include(Effect::atom(EffectKind::Mention, l1), vis);
         cs.include(Effect::inter(Effect::var(b), Effect::var(vis)), out);
-        let graph = build(&mut cs);
+        let graph = build(&cs);
         let sol = {
             let mut cs2 = ConstraintSystem::new();
             std::mem::swap(&mut cs2, &mut cs);
@@ -1111,8 +1079,8 @@ mod tests {
         for (loc, var) in [(l1, a), (l1, b), (l1, out), (l2, out), (l2, b)] {
             for kinds in [KindMask::READ, KindMask::WRITE, KindMask::ACCESS] {
                 assert_eq!(
-                    reaches(&graph, &cs, &mut locs, loc, kinds, var),
-                    sol.contains(&cs, &locs, var, loc, kinds),
+                    reaches(&graph, &mut locs, loc, kinds, var),
+                    sol.contains(&locs, var, loc, kinds),
                     "reaches vs full propagation disagree for {loc} {kinds} {var}"
                 );
             }
@@ -1128,6 +1096,6 @@ mod tests {
         cs.include(Effect::atom(EffectKind::Read, a), v);
         locs.union_raw(a, b);
         let sol = solve(&mut cs, &mut locs);
-        assert!(sol.contains(&cs, &locs, v, b, KindMask::READ));
+        assert!(sol.contains(&locs, v, b, KindMask::READ));
     }
 }

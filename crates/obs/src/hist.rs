@@ -27,7 +27,6 @@
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 /// Global gate for histogram collection (see [`crate::enable_hists`]).
 pub(crate) static HISTS_ENABLED: AtomicBool = AtomicBool::new(false);
@@ -44,7 +43,8 @@ pub const HIST_BUCKETS: usize = 64;
 macro_rules! hists {
     ($( $(#[$doc:meta])* $variant:ident => $name:literal, )+) => {
         /// Every named latency histogram the pipeline can record into.
-        /// Values are nanoseconds by convention ([`record_duration`]).
+        /// Values are nanoseconds by convention: the durations of the
+        /// spans that name the histogram (`span!(name, hist)`).
         #[derive(Debug, Clone, Copy, PartialEq, Eq)]
         #[repr(usize)]
         pub enum Hist {
@@ -141,38 +141,6 @@ pub fn record(h: Hist, v: u64) {
         acc.sum = acc.sum.saturating_add(v);
         acc.buckets[bucket_index(v)] += 1;
     });
-}
-
-/// Records a [`Duration`] as nanoseconds (saturating at `u64::MAX`).
-#[inline]
-pub fn record_duration(h: Hist, d: Duration) {
-    record(h, d.as_nanos().min(u64::MAX as u128) as u64);
-}
-
-/// Times a scope into a histogram: created by [`crate::hist_timer!`],
-/// records the elapsed nanoseconds on drop. Inert (no clock read) when
-/// histogram collection is disabled at construction.
-#[must_use = "a histogram timer records the lifetime of its guard"]
-pub struct HistTimer {
-    hist: Hist,
-    start: Option<Instant>,
-}
-
-impl HistTimer {
-    /// Starts timing into `h`.
-    #[inline]
-    pub fn start(hist: Hist) -> HistTimer {
-        let start = hists_enabled().then(Instant::now);
-        HistTimer { hist, start }
-    }
-}
-
-impl Drop for HistTimer {
-    fn drop(&mut self) {
-        if let Some(start) = self.start {
-            record_duration(self.hist, start.elapsed());
-        }
-    }
 }
 
 fn lock_global() -> std::sync::MutexGuard<'static, Option<Box<[HistAcc; HIST_COUNT]>>> {
@@ -415,28 +383,6 @@ mod tests {
                 "{workers} workers merge to the sequential histogram"
             );
         }
-    }
-
-    #[test]
-    fn timer_records_once_and_only_when_enabled() {
-        let _l = crate::test_lock();
-        crate::disable_hists();
-        let _ = take_hists();
-        {
-            let _t = HistTimer::start(Hist::CheckFunction);
-        }
-        assert!(take_hists().is_empty(), "disabled timer records nothing");
-        crate::enable_hists();
-        {
-            let _t = HistTimer::start(Hist::CheckFunction);
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        crate::disable_hists();
-        let hists = take_hists();
-        assert_eq!(hists.len(), 1);
-        assert_eq!(hists[0].name, "check.function");
-        assert_eq!(hists[0].count, 1);
-        assert!(hists[0].min_ns >= 1_000_000, "slept a millisecond");
     }
 
     #[test]

@@ -6,23 +6,27 @@
 //! — O(kn) `CHECK-SAT`, O(n²) restrict inference, 589 flow-checked
 //! driver modules — and this crate is how the repo sees any of that.
 //! Three facilities, all process-global, all zero-dep, all compiled down
-//! to **a branch on one relaxed atomic load when no sink is installed**:
+//! to **a branch on one relaxed atomic load when no sink is installed**
+//! (timed spans excepted: they read the clock for their caller):
 //!
-//! * **Spans** ([`span!`]): phase-scoped timers recorded into a
-//!   thread-local ring buffer and merged *deterministically* into a
-//!   process-wide aggregate keyed by hierarchical path — traces are
-//!   stable (modulo timestamps) for any `--jobs` value. Worker threads
-//!   inherit their spawner's span path through
-//!   [`fork`]/[`SpanContext::attach`], so the span tree is identical
-//!   whether a sweep ran sequentially or on eight threads.
+//! * **Spans** ([`span!`], [`Span::timed`]): phase-scoped timers, the
+//!   pipeline's one clock, recorded into a thread-local ring buffer and
+//!   merged *deterministically* into a process-wide aggregate keyed by
+//!   hierarchical path — traces are stable (modulo timestamps) for any
+//!   `--jobs` value. Worker threads inherit their spawner's span path
+//!   through [`fork`]/[`SpanContext::attach`], so the span tree is
+//!   identical whether a sweep ran sequentially or on eight threads. A
+//!   *timed* span always reads the clock and returns its duration, for
+//!   the phases a report carries the duration of.
 //! * **Counters** ([`count`]/[`counter!`]): named monotonic event
 //!   counters ([`Counter`]) incremented from deep inside the alias,
 //!   effects and cqual crates. Relaxed atomic adds commute, so totals
 //!   are byte-identical for every thread count.
-//! * **Histograms** ([`record`]/[`hist_timer!`]): log2-bucketed latency
-//!   distributions ([`Hist`]) with exact count/sum/min/max and
-//!   deterministic percentiles, merged thread-locally exactly like
-//!   spans — the per-event view (p50/p95/p99) that sums and means hide.
+//! * **Histograms** ([`record`], or a span that names a [`Hist`]:
+//!   `span!(name, hist)`): log2-bucketed latency distributions with
+//!   exact count/sum/min/max and deterministic percentiles, merged
+//!   thread-locally exactly like spans — the per-event view (p50/p95/p99)
+//!   that sums and means hide.
 //!
 //! Sinks are pulled, not pushed: enable collection with
 //! [`enable_metrics`]/[`enable_spans`]/[`enable_hists`], run the
@@ -38,8 +42,8 @@ mod span;
 mod trace;
 
 pub use hist::{
-    bucket_upper_bound, fmt_ns, hist_name, hists_enabled, record, record_duration, Hist,
-    HistSnapshot, HistTimer, ALL_HISTS, HIST_COUNT,
+    bucket_upper_bound, fmt_ns, hist_name, hists_enabled, record, Hist, HistSnapshot, ALL_HISTS,
+    HIST_COUNT,
 };
 pub use metrics::{
     count, counter_name, gauge_max, metrics_enabled, peak_rss_bytes, Counter, Metrics,
@@ -69,8 +73,8 @@ pub fn disable_spans() {
     span::SPANS_ENABLED.store(false, Ordering::Relaxed);
 }
 
-/// Enables histogram collection ([`record`] and [`hist_timer!`] become
-/// live). Histograms are cheap enough that the bench harness keeps them
+/// Enables histogram collection ([`record`] and the spans that name a
+/// [`Hist`] become live). Histograms are cheap enough that the bench harness keeps them
 /// on even when no span/counter sink is installed — every bench
 /// artifact carries latency percentiles.
 pub fn enable_hists() {
@@ -116,19 +120,25 @@ pub fn test_lock() -> std::sync::MutexGuard<'static, ()> {
     }
 }
 
-/// Opens a phase-scoped span: records wall time from here to the end of
-/// the enclosing scope under the given `&'static str` name, nested under
-/// whatever span is live on this thread. Compiles to one relaxed atomic
-/// load when spans are disabled.
+/// Opens a lazy phase-scoped span ([`Span::enter`]): records wall time
+/// from here to the end of the enclosing scope under the given
+/// `&'static str` name, nested under whatever span is live on this
+/// thread. Compiles to one relaxed atomic load when spans are disabled.
+/// With a second argument, a [`Hist`], the span also records its
+/// duration into that histogram.
 ///
 /// ```
 /// # use localias_obs as obs;
 /// let _guard = obs::span!("alias.analyze");
+/// let _timed = obs::span!("core.analyze", obs::Hist::AnalyzeModule);
 /// ```
 #[macro_export]
 macro_rules! span {
     ($name:expr) => {
-        $crate::Span::enter($name)
+        $crate::Span::enter($name, None)
+    };
+    ($name:expr, $hist:expr) => {
+        $crate::Span::enter($name, Some($hist))
     };
 }
 
@@ -142,21 +152,6 @@ macro_rules! span {
 macro_rules! counter {
     ($c:expr, $n:expr) => {
         $crate::count($c, $n)
-    };
-}
-
-/// Times the enclosing scope into a latency [`Hist`]ogram: records the
-/// elapsed nanoseconds when the returned guard drops. Compiles to one
-/// relaxed atomic load when histograms are disabled.
-///
-/// ```
-/// # use localias_obs as obs;
-/// let _t = obs::hist_timer!(obs::Hist::AnalyzeModule);
-/// ```
-#[macro_export]
-macro_rules! hist_timer {
-    ($h:expr) => {
-        $crate::HistTimer::start($h)
     };
 }
 

@@ -47,7 +47,7 @@ void flush_all(int n) {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let m = parse_module("minidriver", DRIVER)?;
 
-    let reports = check_modes(&mut SharedAnalysis::new(&m));
+    let reports = check_modes(&mut SharedAnalysis::new(&m)).0;
     for (mode, report) in MODES.iter().zip(&reports) {
         println!("{mode:?}: {report}");
         for e in &report.errors {

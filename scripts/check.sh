@@ -11,7 +11,8 @@
 # watch smoke pinning the per-mode counts `localias watch` prints
 # before and after an edit, an
 # artifact smoke that profiles a sweep and finds its profile and hist
-# blocks in the one artifact it writes, and a
+# blocks in the one artifact it writes (plus a cold uncached profile
+# whose table names every layer span), and a
 # perf-regression gate proving `localias bench-diff` is clean on a
 # self-compare, trips on an injected slowdown, and still compares the
 # kept pre-`gate` experiment artifact with a fresh one. The
@@ -48,12 +49,16 @@ cargo test -q -p localias-bench --test cache \
     newer_binarys_store_is_left_alone >/dev/null
 
 # The observability contract is likewise gated by name: counter totals
-# and the span tree must not depend on the thread count, and on the
-# mega-module the headline counters must match their closed forms.
+# and the span tree must not depend on the thread count, on the
+# mega-module the headline counters must match their closed forms, and
+# every duration a report carries (`PhaseTimes`, `IncrStats`,
+# `CacheStats`) must equal the total of the span that timed it.
 cargo test -q -p localias-bench --test obs \
     trace_shape_is_thread_invariant >/dev/null
 cargo test -q -p localias-bench --test obs \
     mega_module_counters_match_closed_form >/dev/null
+cargo test -q -p localias-bench --test obs \
+    reported_durations_are_span_totals >/dev/null
 
 # The histogram determinism contract too: per-hist sample counts must
 # not depend on the thread count, and equal sample multisets must render
@@ -272,6 +277,19 @@ grep -q 'bench.sweep' "$PROFTAB" || {
     cat "$PROFTAB" >&2
     exit 1
 }
+# That sweep ran on a warm store and parsed nothing; a cold uncached one
+# must show every layer the sweep runs in its table.
+COLDTAB="$CACHE/profile-cold.txt"
+./target/release/localias experiment --jobs 1 --no-cache --profile \
+    >/dev/null 2>"$COLDTAB"
+for SPAN in ast.parse core.base core.confine core.propose core.freeze \
+    cqual.check; do
+    grep -q "^bench.sweep/.*$SPAN " "$COLDTAB" || {
+        echo "check.sh: cold --profile table missing the $SPAN span:" >&2
+        cat "$COLDTAB" >&2
+        exit 1
+    }
+done
 
 # Perf-regression gate: bench-diff of the profiled artifact against
 # itself must be clean (exit 0); against a copy with a 10x wall-time

@@ -53,7 +53,7 @@ impl Digest {
             self.fold(&(c.block, c.start, c.end, c.key));
         }
         let mut shared = SharedAnalysis::new(m);
-        let reports = check_modes(&mut shared);
+        let reports = check_modes(&mut shared).0;
         let ((base, base_frozen), (confine, confine_frozen)) = shared.both_frozen();
         self.analysis(m, base);
         self.fold(base_frozen);

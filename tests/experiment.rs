@@ -11,7 +11,9 @@ use localias::cqual::check_modes;
 
 /// `(no-confine, confine, all-strong)` error counts of `m`.
 fn triple(m: &Module) -> (usize, usize, usize) {
-    let [nc, cf, st] = check_modes(&mut SharedAnalysis::new(m)).map(|r| r.error_count());
+    let [nc, cf, st] = check_modes(&mut SharedAnalysis::new(m))
+        .0
+        .map(|r| r.error_count());
     (nc, cf, st)
 }
 

@@ -242,6 +242,10 @@ fn pretty_printed_corpus_module_reanalyzes_identically() {
     let parsed = m.parse();
     let printed = localias::ast::pretty::print_module(&parsed);
     let reparsed = parse_module(&m.name, &printed).unwrap();
-    let counts = |m| check_modes(&mut core::SharedAnalysis::new(m)).map(|r| r.error_count());
+    let counts = |m| {
+        check_modes(&mut core::SharedAnalysis::new(m))
+            .0
+            .map(|r| r.error_count())
+    };
     assert_eq!(counts(&parsed), counts(&reparsed));
 }

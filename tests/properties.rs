@@ -64,7 +64,9 @@ fn error_counts_are_monotone_in_update_strength() {
         let (seed, stmts) = (rng.next_u64(), rng.gen_range(1usize..12));
         let src = random_module_source(seed, stmts);
         let m = parse(&src);
-        let [nc, cf, st] = check_modes(&mut core::SharedAnalysis::new(&m)).map(|r| r.error_count());
+        let [nc, cf, st] = check_modes(&mut core::SharedAnalysis::new(&m))
+            .0
+            .map(|r| r.error_count());
         assert!(st <= nc, "all-strong {st} > no-confine {nc}\n{src}");
         assert!(cf <= nc, "confine {cf} > no-confine {nc}\n{src}");
     }

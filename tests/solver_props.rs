@@ -88,7 +88,7 @@ type RefSet = FxHashMap<u32, KindMask>;
 type RefSol = FxHashMap<EffVar, RefSet>;
 
 /// Reference evaluation of an effect term under a solution.
-fn eval(e: &Effect, sol: &RefSol, cs: &ConstraintSystem, locs: &LocTable) -> RefSet {
+fn eval(e: &Effect, sol: &RefSol, locs: &LocTable) -> RefSet {
     match e {
         Effect::Empty => Default::default(),
         Effect::Atom(a) => {
@@ -96,18 +96,18 @@ fn eval(e: &Effect, sol: &RefSol, cs: &ConstraintSystem, locs: &LocTable) -> Ref
             m.insert(locs.find_const(a.loc).0, a.kind.mask());
             m
         }
-        Effect::Var(v) => sol.get(&cs.find_const(*v)).cloned().unwrap_or_default(),
+        Effect::Var(v) => sol.get(v).cloned().unwrap_or_default(),
         Effect::Union(a, b) => {
-            let mut m = eval(a, sol, cs, locs);
-            for (l, k) in eval(b, sol, cs, locs) {
+            let mut m = eval(a, sol, locs);
+            for (l, k) in eval(b, sol, locs) {
                 let e = m.entry(l).or_default();
                 *e = e.union(k);
             }
             m
         }
         Effect::Inter(a, b) => {
-            let left = eval(a, sol, cs, locs);
-            let right = eval(b, sol, cs, locs);
+            let left = eval(a, sol, locs);
+            let right = eval(b, sol, locs);
             left.into_iter()
                 .filter(|(l, _)| right.contains_key(l))
                 .collect()
@@ -128,7 +128,7 @@ fn reference_solve(cs: &ConstraintSystem, locs: &LocTable) -> RefSol {
 fn reference_fixpoint(cs: &ConstraintSystem, locs: &LocTable, start: RefSol) -> RefSol {
     let mut sol: RefSol = Default::default();
     for (v, set) in start {
-        let entry = sol.entry(cs.find_const(v)).or_default();
+        let entry = sol.entry(v).or_default();
         for (l, k) in set {
             let cur = entry.entry(locs.find_const(Loc(l)).0).or_default();
             *cur = cur.union(k);
@@ -137,7 +137,7 @@ fn reference_fixpoint(cs: &ConstraintSystem, locs: &LocTable, start: RefSol) -> 
     let mut readers: FxHashMap<EffVar, Vec<usize>> = Default::default();
     for (i, (l, _)) in cs.includes.iter().enumerate() {
         for v in vars_read(l) {
-            readers.entry(cs.find_const(v)).or_default().push(i);
+            readers.entry(v).or_default().push(i);
         }
     }
     let mut queue: std::collections::VecDeque<usize> = (0..cs.includes.len()).collect();
@@ -145,8 +145,8 @@ fn reference_fixpoint(cs: &ConstraintSystem, locs: &LocTable, start: RefSol) -> 
     while let Some(i) = queue.pop_front() {
         queued[i] = false;
         let (l, v) = &cs.includes[i];
-        let add = eval(l, &sol, cs, locs);
-        let target = cs.find_const(*v);
+        let add = eval(l, &sol, locs);
+        let target = *v;
         let entry = sol.entry(target).or_default();
         let mut changed = false;
         for (loc, k) in add {
@@ -194,15 +194,15 @@ fn solution_satisfies_all_inclusions() {
         // Rebuild a reference-style view of the solver's answer.
         let mut view: RefSol = Default::default();
         for raw in 0..cs.var_count() as u32 {
-            let v = cs.find_const(EffVar(raw));
+            let v = EffVar(raw);
             let entry = view.entry(v).or_default();
-            for (l, k) in sol.set(&cs, v) {
+            for (l, k) in sol.set(v) {
                 entry.insert(l.0, k);
             }
         }
         for (l, v) in cs.includes.clone() {
-            let lhs = eval(&l, &view, &cs, &locs);
-            let rhs = view.get(&cs.find_const(v)).cloned().unwrap_or_default();
+            let lhs = eval(&l, &view, &locs);
+            let rhs = view.get(&v).cloned().unwrap_or_default();
             for (loc, k) in lhs {
                 let have = rhs.get(&loc).copied().unwrap_or_default();
                 assert_eq!(
@@ -231,11 +231,8 @@ fn assert_least(seed: u64, inters: bool) {
         let reference = reference_solve(&cs, &locs);
         let sol = solve(&mut cs, &mut locs);
         for &v in &vars {
-            let got = sol.set(&cs, v);
-            let want = reference
-                .get(&cs.find_const(v))
-                .cloned()
-                .unwrap_or_default();
+            let got = sol.set(v);
+            let want = reference.get(&v).cloned().unwrap_or_default();
             // Same total mask weight both ways = equality of finite maps.
             let got_map: RefSet = got.iter().map(|&(l, k)| (l.0, k)).collect();
             assert_eq!(&got_map, &want, "var {:?}", v);
@@ -245,10 +242,10 @@ fn assert_least(seed: u64, inters: bool) {
             for &l in &loc_ids {
                 for kinds in [KindMask::READ, KindMask::ACCESS, KindMask::MENTION] {
                     let want = reference
-                        .get(&cs.find_const(v))
+                        .get(&v)
                         .and_then(|m| m.get(&locs.find_const(l).0))
                         .is_some_and(|k| k.overlaps(kinds));
-                    assert_eq!(sol.contains(&cs, &locs, v, l, kinds), want);
+                    assert_eq!(sol.contains(&locs, v, l, kinds), want);
                 }
             }
         }
@@ -276,7 +273,7 @@ fn targeted_reaches_agrees_with_full_solution() {
             vars,
             loc_ids,
         } = random_system(seed, 5, 4, 12, true);
-        let graph = build(&mut cs);
+        let graph = build(&cs);
         let sol = {
             // solve() rebuilds its own graph; run it on a clone-shaped
             // system by re-solving the same constraints.
@@ -290,8 +287,8 @@ fn targeted_reaches_agrees_with_full_solution() {
             for &l in &loc_ids {
                 for kinds in [KindMask::READ, KindMask::WRITE, KindMask::ALL] {
                     assert_eq!(
-                        reaches(&graph, &cs, &mut locs, l, kinds, v),
-                        sol.contains(&cs, &locs, v, l, kinds),
+                        reaches(&graph, &mut locs, l, kinds, v),
+                        sol.contains(&locs, v, l, kinds),
                         "loc {:?} kinds {} var {:?}",
                         l,
                         kinds,
@@ -345,7 +342,7 @@ fn solver_outcome(cs: &mut ConstraintSystem, locs: &mut LocTable, lv: &mut LocVa
             .collect(),
         sets: (0..cs.var_count() as u32)
             .map(|v| {
-                sol.set_iter(cs, EffVar(v))
+                sol.set_iter(EffVar(v))
                     .map(|(l, k)| (key[l.index()], k))
                     .collect()
             })
@@ -355,8 +352,8 @@ fn solver_outcome(cs: &mut ConstraintSystem, locs: &mut LocTable, lv: &mut LocVa
     }
 }
 
-fn reference_guard(g: &Guard, sol: &RefSol, cs: &ConstraintSystem, locs: &LocTable) -> bool {
-    let set = |v: EffVar| sol.get(&cs.find_const(v));
+fn reference_guard(g: &Guard, sol: &RefSol, locs: &LocTable) -> bool {
+    let set = |v: EffVar| sol.get(&v);
     match g {
         Guard::LocIn { loc, kinds, var } => set(*var)
             .and_then(|m| m.get(&locs.find_const(*loc).0))
@@ -394,7 +391,7 @@ fn reference_outcome(cs: &mut ConstraintSystem, locs: &mut LocTable, lv: &mut Lo
         // Indexed loop: firing mutates `cs.includes`.
         #[allow(clippy::needless_range_loop)]
         for i in 0..cs.conditionals.len() {
-            if fired[i] || !reference_guard(&cs.conditionals[i].guard, &sol, cs, locs) {
+            if fired[i] || !reference_guard(&cs.conditionals[i].guard, &sol, locs) {
                 continue;
             }
             fired[i] = true;
@@ -425,7 +422,7 @@ fn reference_outcome(cs: &mut ConstraintSystem, locs: &mut LocTable, lv: &mut Lo
     for check in &cs.not_ins {
         let l = locs.find_const(check.loc);
         let found = sol
-            .get(&cs.find_const(check.var))
+            .get(&check.var)
             .and_then(|m| m.get(&l.0))
             .map_or(KindMask::EMPTY, |k| k.inter(check.kinds));
         if !found.is_empty() {
@@ -438,7 +435,7 @@ fn reference_outcome(cs: &mut ConstraintSystem, locs: &mut LocTable, lv: &mut Lo
         violations,
         sets: (0..cs.var_count() as u32)
             .map(|v| {
-                sol.get(&cs.find_const(EffVar(v)))
+                sol.get(&EffVar(v))
                     .into_iter()
                     .flatten()
                     .map(|(&l, &k)| (key[l as usize], k))
