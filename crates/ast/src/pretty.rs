@@ -37,9 +37,19 @@ pub fn print_module(m: &Module) -> String {
 
 /// Renders a single expression.
 pub fn print_expr(e: &Expr) -> String {
-    let mut p = Printer::new();
+    let mut out = String::new();
+    write_expr(&mut out, e);
+    out
+}
+
+/// Appends the rendering of a single expression to `out`.
+pub fn write_expr(out: &mut String, e: &Expr) {
+    let mut p = Printer {
+        out: std::mem::take(out),
+        indent: 0,
+    };
     p.expr(e);
-    p.out
+    *out = p.out;
 }
 
 struct Printer {

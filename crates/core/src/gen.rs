@@ -57,7 +57,7 @@ use localias_alias::{BindSite, FxMap, FxSet, Hooks, Loc, ScopeKind, State, Ty, V
 use localias_ast::visit::{walk_expr, Visitor};
 use localias_ast::{pretty, Block, Expr, ExprKind, NodeId, Span, Symbol};
 use localias_effects::{
-    Action, ConstraintSystem, EffVar, Effect, EffectKind, FlagId, Guard, KindMask, LocVars,
+    ConstraintSystem, EffVar, Effect, EffectKind, FlagId, Guard, KindMask, LocVars,
 };
 use std::borrow::Cow;
 
@@ -163,8 +163,9 @@ struct Unit<'a> {
     xeff: EffVar,
     /// Demotion flag (candidates) — set means "could not confine".
     demoted: FlagId,
-    /// Reason flags: `(flag, reason)`; a set flag reports its reason.
-    reason_flags: Vec<(FlagId, Reason)>,
+    /// Reason flags: the first flag and the reason of each consecutive
+    /// flag from it; a set flag reports its reason.
+    reason_flags: (FlagId, &'static [Reason]),
     /// Reasons known before solving (shape, taint, ...).
     pre_reasons: Vec<Reason>,
     /// Filled at materialization.
@@ -194,6 +195,34 @@ struct RangeReg {
     /// which every covering `L2` already reads).
     xeff: Option<EffVar>,
 }
+
+/// A block being walked.
+#[derive(Debug, Clone, Copy)]
+struct WalkedBlock {
+    /// The index of its statement being walked.
+    stmt: usize,
+    /// Where its registrations start in [`Gen::range_regs`].
+    regs: usize,
+}
+
+/// Marks an activated entry of [`Gen::pending_ranges`].
+const NO_UNIT: usize = usize::MAX;
+
+/// The reasons of a `confine?` candidate's four demotion guards, in the
+/// order [`Gen::materialize`] wires them.
+const INFERENCE_REASONS: &[Reason] = &[
+    Reason::AliasAccessed,
+    Reason::Escapes,
+    Reason::ConfinedExprHasSideEffect,
+    Reason::ScopeWritesConfinedInput,
+];
+
+/// The reasons of an explicit confine's two referential-transparency
+/// flags, in wiring order.
+const EXPLICIT_REASONS: &[Reason] = &[
+    Reason::ConfinedExprHasSideEffect,
+    Reason::ScopeWritesConfinedInput,
+];
 
 /// Leftmost identifier of an expression (the cheap signature the
 /// interception pre-filter keys on).
@@ -256,18 +285,20 @@ pub struct Gen<'a> {
     /// expressions — a cheap pre-filter so interception compares only
     /// expressions that could match.
     active_roots: FxMap<Symbol, usize>,
-    /// Range registrations (confine? candidates and decl scopes) by block.
-    range_regs: FxMap<NodeId, Vec<RangeReg>>,
-    /// Confine? candidates waiting to activate, by `(block, start)`.
-    pending_ranges: FxMap<(NodeId, usize), Vec<usize>>,
-    /// Active confine? candidates by `(block, end + 1)`: the statement
-    /// index at which each one deactivates.
-    ending_ranges: FxMap<(NodeId, usize), Vec<usize>>,
+    /// Range registrations (confine? candidates and decl scopes) of the
+    /// blocks being walked. A block registers ranges only while it is the
+    /// innermost block walked, so its registrations are the run from its
+    /// [`WalkedBlock::regs`] to the end, dropped when the block ends.
+    range_regs: Vec<RangeReg>,
+    /// Confine? candidates waiting to activate as `(block, start, unit)`,
+    /// sorted by site and, per site, widest range first (ties in unit
+    /// order) so the occurrence-interception stack reflects lexical
+    /// nesting. `unit` becomes [`NO_UNIT`] once activated.
+    pending_ranges: Vec<(NodeId, usize, usize)>,
     /// Stack of in-flight first-occurrence evaluations.
     awaiting: Vec<(NodeId, usize)>,
-    /// The blocks being walked, innermost last, each with the index of
-    /// its statement being walked.
-    blocks: Vec<(NodeId, usize)>,
+    /// The blocks being walked, innermost last.
+    blocks: Vec<WalkedBlock>,
     /// Tag bookkeeping for checked disinclusions.
     tag_targets: Vec<(TagTarget, Reason)>,
     /// Outcome accumulators.
@@ -285,13 +316,10 @@ impl<'a> Gen<'a> {
         let mut cs = ConstraintSystem::new();
         let gamma_globals = cs.fresh_var();
         let module_eff = cs.fresh_var();
-        let mut pending_ranges: FxMap<(NodeId, usize), Vec<usize>> = FxMap::default();
-        let mut units = Vec::new();
+        let mut pending_ranges = Vec::with_capacity(opts.confine_candidates.len());
+        let mut units = Vec::with_capacity(opts.confine_candidates.len());
         for (i, cand) in opts.confine_candidates.iter().enumerate() {
-            pending_ranges
-                .entry((cand.block, cand.start))
-                .or_default()
-                .push(i);
+            pending_ranges.push((cand.block, cand.start, i));
             // Units are created eagerly so indices line up with
             // `opts.confine_candidates`; variables are cheap.
             let l2 = cs.fresh_var();
@@ -310,12 +338,16 @@ impl<'a> Gen<'a> {
                 parent_eff: module_eff, // overwritten at activation
                 xeff,
                 demoted,
-                reason_flags: Vec::new(),
+                reason_flags: (demoted, &[]),
                 pre_reasons: Vec::new(),
                 mat: None,
                 aborted: false,
             });
         }
+        let cands = opts.confine_candidates;
+        pending_ranges.sort_unstable_by_key(|&(block, start, i)| {
+            (block, start, std::cmp::Reverse(cands[i].end - start), i)
+        });
         Gen {
             cs,
             loc_vars: LocVars::new(),
@@ -334,9 +366,8 @@ impl<'a> Gen<'a> {
             units,
             active: Vec::new(),
             active_roots: FxMap::default(),
-            range_regs: FxMap::default(),
+            range_regs: Vec::new(),
             pending_ranges,
-            ending_ranges: FxMap::default(),
             awaiting: Vec::new(),
             blocks: Vec::new(),
             tag_targets: Vec::new(),
@@ -459,9 +490,9 @@ impl<'a> Gen<'a> {
     ///
     /// Equal ranges count as the later registration nesting inside the
     /// earlier one (the paper's innermost-first translation order).
-    fn register_range(&mut self, block: NodeId, reg: RangeReg) {
-        let regs = self.range_regs.entry(block).or_default();
-        for &other in regs.iter() {
+    fn register_range(&mut self, reg: RangeReg) {
+        let from = self.blocks.last().expect("a block is walked").regs;
+        for &other in &self.range_regs[from..] {
             let intersects = reg.start <= other.end && other.start <= reg.end;
             if !intersects {
                 continue;
@@ -486,16 +517,7 @@ impl<'a> Gen<'a> {
                 }
             }
         }
-        regs.push(reg);
-    }
-
-    /// Demotion action for an inference candidate.
-    fn demote_action(rho: Loc, rho_p: Loc, flags: Vec<FlagId>) -> Action {
-        Action {
-            unify: vec![(rho, rho_p)],
-            include: vec![],
-            flags,
-        }
+        self.range_regs.push(reg);
     }
 
     // ---- Restrict wiring ---------------------------------------------------
@@ -560,38 +582,40 @@ impl<'a> Gen<'a> {
             flag,
         ));
         // ρ accessed in the scope ⇒ must be a let.
-        self.cs.conditional(
+        self.cs.conditional_parts(
             Guard::LocIn {
                 loc: rho,
                 kinds: KindMask::ACCESS,
                 var: l2,
             },
-            Self::demote_action(rho, rho_p, vec![flag]),
+            [(rho, rho_p)],
+            [],
+            [flag],
         );
         // ρ' escapes ⇒ must be a let.
         let esc = self.escape_var(st, gamma_pre, rho);
-        self.cs.conditional(
+        self.cs.conditional_parts(
             Guard::LocIn {
                 loc: rho_p,
                 kinds: KindMask::MENTION,
                 var: esc,
             },
-            Self::demote_action(rho, rho_p, vec![flag]),
+            [(rho, rho_p)],
+            [],
+            [flag],
         );
         // If the restricted pointer is actually used, the restriction is
         // an effect on ρ (prevents overlapping sibling restricts).
         for kind in [EffectKind::Read, EffectKind::Write, EffectKind::Alloc] {
-            self.cs.conditional(
+            self.cs.conditional_parts(
                 Guard::LocIn {
                     loc: rho_p,
                     kinds: kind.mask(),
                     var: l2,
                 },
-                Action {
-                    unify: vec![],
-                    include: vec![(Effect::atom(kind, rho), parent_eff)],
-                    flags: vec![],
-                },
+                [],
+                [(Effect::atom(kind, rho), parent_eff)],
+                [],
             );
         }
     }
@@ -630,98 +654,79 @@ impl<'a> Gen<'a> {
             self.cs.check_not_in(rho_p, KindMask::MENTION, esc, t2);
             // Referential transparency, reported via flags.
             let f_side = self.cs.fresh_flag();
-            self.units[ix]
-                .reason_flags
-                .push((f_side, Reason::ConfinedExprHasSideEffect));
-            self.cs.conditional(
+            let f_rt = self.cs.fresh_flag();
+            self.units[ix].reason_flags = (f_side, EXPLICIT_REASONS);
+            self.cs.conditional_parts(
                 Guard::AnyKind {
                     var: l1,
                     kinds: KindMask::WRITE_OR_ALLOC,
                 },
-                Action {
-                    unify: vec![],
-                    include: vec![],
-                    flags: vec![f_side],
-                },
+                [],
+                [],
+                [f_side],
             );
-            let f_rt = self.cs.fresh_flag();
-            self.units[ix]
-                .reason_flags
-                .push((f_rt, Reason::ScopeWritesConfinedInput));
-            self.cs.conditional(
+            self.cs.conditional_parts(
                 Guard::Overlap {
                     left: l1,
                     left_kinds: KindMask::READ,
                     right: l2,
                     right_kinds: KindMask::WRITE_OR_ALLOC,
                 },
-                Action {
-                    unify: vec![],
-                    include: vec![],
-                    flags: vec![f_rt],
-                },
+                [],
+                [],
+                [f_rt],
             );
             // The restriction itself is an effect.
             self.cs.include(Effect::atom(EffectKind::Write, rho), xeff);
         } else {
-            // Inference: each guard both demotes and records its reason.
-            let demote_with = |gen: &mut Gen, guard: Guard, reason: Reason| {
-                let rf = gen.cs.fresh_flag();
-                gen.units[ix].reason_flags.push((rf, reason));
-                let mut action = Self::demote_action(rho, rho_p, vec![demoted, rf]);
-                action.include.push((Effect::var(l1), p_var));
-                gen.cs.conditional(guard, action);
-            };
-            demote_with(
-                self,
+            // Inference: each guard both demotes and records its reason
+            // (`INFERENCE_REASONS`, one flag each).
+            let guards = [
                 Guard::LocIn {
                     loc: rho,
                     kinds: KindMask::ACCESS,
                     var: l2,
                 },
-                Reason::AliasAccessed,
-            );
-            demote_with(
-                self,
                 Guard::LocIn {
                     loc: rho_p,
                     kinds: KindMask::MENTION,
                     var: esc,
                 },
-                Reason::Escapes,
-            );
-            demote_with(
-                self,
                 Guard::AnyKind {
                     var: l1,
                     kinds: KindMask::WRITE_OR_ALLOC,
                 },
-                Reason::ConfinedExprHasSideEffect,
-            );
-            demote_with(
-                self,
                 Guard::Overlap {
                     left: l1,
                     left_kinds: KindMask::READ,
                     right: l2,
                     right_kinds: KindMask::WRITE_OR_ALLOC,
                 },
-                Reason::ScopeWritesConfinedInput,
-            );
+            ];
+            for (i, guard) in guards.into_iter().enumerate() {
+                let rf = self.cs.fresh_flag();
+                if i == 0 {
+                    self.units[ix].reason_flags = (rf, INFERENCE_REASONS);
+                }
+                self.cs.conditional_parts(
+                    guard,
+                    [(rho, rho_p)],
+                    [(Effect::var(l1), p_var)],
+                    [demoted, rf],
+                );
+            }
             // Conditional extra effects: the confine is an effect on ρ of
             // whatever kinds ρ' is used at.
             for kind in [EffectKind::Read, EffectKind::Write, EffectKind::Alloc] {
-                self.cs.conditional(
+                self.cs.conditional_parts(
                     Guard::LocIn {
                         loc: rho_p,
                         kinds: kind.mask(),
                         var: l2,
                     },
-                    Action {
-                        unify: vec![],
-                        include: vec![(Effect::atom(kind, rho), xeff)],
-                        flags: vec![],
-                    },
+                    [],
+                    [(Effect::atom(kind, rho), xeff)],
+                    [],
                 );
             }
         }
@@ -736,19 +741,15 @@ impl<'a> Gen<'a> {
     /// the stack outside-in and returns the replacement type, or
     /// schedules a first-occurrence evaluation.
     fn occurrence(&mut self, st: &mut State, e: &Expr) -> Option<Ty> {
-        let stack: Vec<usize> = self
-            .active
-            .iter()
-            .copied()
-            .filter(|&ix| self.units[ix].expr.syntactically_equal(e))
-            .collect();
-        if stack.is_empty() {
-            return None;
-        }
         // Find the first unmaterialized (and unaborted) unit outside-in;
-        // everything before it is materialized.
+        // everything before it is materialized. Nothing here changes
+        // `active`, so the stack is read in place.
         let mut base: Option<usize> = None; // innermost materialized
-        for &ix in &stack {
+        for j in 0..self.active.len() {
+            let ix = self.active[j];
+            if !self.units[ix].expr.syntactically_equal(e) {
+                continue;
+            }
             if self.units[ix].aborted {
                 continue;
             }
@@ -917,8 +918,9 @@ impl<'a> Gen<'a> {
         let mut confines = Vec::new();
         for u in &mut self.units {
             let mut reasons = std::mem::take(&mut u.pre_reasons);
-            for &(flag, reason) in &u.reason_flags {
-                if sol.flag(flag) {
+            let (first, flagged) = u.reason_flags;
+            for (k, &reason) in (first.0..).zip(flagged) {
+                if sol.flag(FlagId(k)) {
                     reasons.push(reason);
                 }
             }
@@ -1112,7 +1114,10 @@ impl Hooks for Gen<'_> {
 
     fn on_stmt_index(&mut self, st: &mut State, block: NodeId, index: usize, total: usize) {
         if index == 0 {
-            self.blocks.push((block, 0));
+            self.blocks.push(WalkedBlock {
+                stmt: 0,
+                regs: self.range_regs.len(),
+            });
         }
         // Pop the previous statement's frame, if it had one.
         if matches!(
@@ -1125,58 +1130,60 @@ impl Hooks for Gen<'_> {
         }
 
         // Deactivate range candidates that ended at index - 1.
-        for ix in self
-            .ending_ranges
-            .remove(&(block, index))
-            .unwrap_or_default()
-        {
-            self.deactivate(ix);
+        let mut j = 0;
+        while j < self.active.len() {
+            let ix = self.active[j];
+            match self.units[ix].site {
+                ConfineSite::Range { block: b, end, .. } if b == block && end + 1 == index => {
+                    self.deactivate(ix);
+                }
+                _ => j += 1,
+            }
         }
 
         if index >= total {
-            self.blocks.pop();
+            let walked = self.blocks.pop().expect("pushed at index 0");
+            self.range_regs.truncate(walked.regs);
             return;
         }
-        self.blocks.last_mut().expect("pushed at index 0").1 = index;
+        self.blocks.last_mut().expect("pushed at index 0").stmt = index;
 
         // Activate candidates starting here, widest first so the
         // occurrence-interception stack reflects lexical nesting (the
         // innermost-first translation order).
-        if let Some(mut starting) = self.pending_ranges.remove(&(block, index)) {
-            starting.sort_by_key(|&ix| match self.units[ix].site {
-                ConfineSite::Range { start, end, .. } => std::cmp::Reverse(end - start),
-                ConfineSite::Stmt(_) => std::cmp::Reverse(usize::MAX),
-            });
-            for ix in starting {
-                let ConfineSite::Range { start, end, .. } = self.units[ix].site else {
-                    continue;
-                };
-                self.units[ix].gamma = self.cur_gamma();
-                self.units[ix].parent_eff = self.top_eff();
-                self.units[ix].fun = st.current_fun().cloned();
-                self.activate(ix);
-                self.ending_ranges
-                    .entry((block, end + 1))
-                    .or_default()
-                    .push(ix);
-                let l2 = self.units[ix].l2;
-                let xeff = self.units[ix].xeff;
-                self.register_range(
-                    block,
-                    RangeReg {
-                        start,
-                        end,
-                        l2,
-                        xeff: Some(xeff),
-                    },
-                );
+        let mut next = self
+            .pending_ranges
+            .partition_point(|&(b, start, _)| (b, start) < (block, index));
+        while let Some(&(b, start, ix)) = self.pending_ranges.get(next) {
+            if (b, start) != (block, index) {
+                break;
             }
+            self.pending_ranges[next].2 = NO_UNIT;
+            next += 1;
+            if ix == NO_UNIT {
+                continue;
+            }
+            let ConfineSite::Range { start, end, .. } = self.units[ix].site else {
+                continue;
+            };
+            self.units[ix].gamma = self.cur_gamma();
+            self.units[ix].parent_eff = self.top_eff();
+            self.units[ix].fun = st.current_fun().cloned();
+            self.activate(ix);
+            let l2 = self.units[ix].l2;
+            let xeff = self.units[ix].xeff;
+            self.register_range(RangeReg {
+                start,
+                end,
+                l2,
+                xeff: Some(xeff),
+            });
         }
 
         // A statement that a registration covers gets its own frame,
         // feeding every covering `L2`; any other statement's effects go
         // straight into the enclosing scope's.
-        let regs = self.range_regs.get(&block).map_or(&[][..], Vec::as_slice);
+        let regs = &self.range_regs[self.blocks.last().expect("pushed at index 0").regs..];
         let covers = |r: &RangeReg| r.start <= index && index <= r.end;
         if !regs.iter().any(covers) {
             return;
@@ -1318,16 +1325,13 @@ impl Hooks for Gen<'_> {
                 // frames with a higher index feed this L2.
                 let l2 = self.cs.fresh_var();
                 let parent = self.top_eff();
-                let &(block, idx) = self.blocks.last().expect("a declaration is a statement");
-                self.register_range(
-                    block,
-                    RangeReg {
-                        start: idx + 1,
-                        end: usize::MAX,
-                        l2,
-                        xeff: None,
-                    },
-                );
+                let idx = self.blocks.last().expect("a declaration is a statement").stmt;
+                self.register_range(RangeReg {
+                    start: idx + 1,
+                    end: usize::MAX,
+                    l2,
+                    xeff: None,
+                });
                 (l2, parent)
             }
             BindSite::Global => return,
@@ -1382,7 +1386,7 @@ impl Hooks for Gen<'_> {
             parent_eff: self.top_eff(),
             xeff,
             demoted,
-            reason_flags: Vec::new(),
+            reason_flags: (demoted, &[]),
             pre_reasons: Vec::new(),
             mat: None,
             aborted: false,

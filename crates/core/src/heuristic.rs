@@ -23,7 +23,7 @@
 //! referential-transparency check).
 
 use crate::outcome::ConfineSite;
-use localias_alias::{FxMap, FxSet};
+use localias_alias::FxMap;
 use localias_ast::{intrinsics, pretty, Block, Expr, ExprKind, Module, NodeId, Stmt, StmtKind};
 
 /// A proposed `confine?` site: confine `expr` around statements
@@ -91,9 +91,8 @@ fn own_exprs(s: &Stmt) -> [Option<&Expr>; 2] {
     }
 }
 
-/// Free variable names of an expression.
-fn free_vars(e: &Expr) -> Vec<&str> {
-    let mut out: Vec<&str> = Vec::new();
+/// Pushes the free variable names of `e` onto `out`, each once.
+fn free_vars<'m>(e: &'m Expr, out: &mut Vec<&'m str>) {
     each_expr(e, &mut |e| {
         if let ExprKind::Var(x) = &e.kind {
             if !out.contains(&x.name.as_str()) {
@@ -101,46 +100,50 @@ fn free_vars(e: &Expr) -> Vec<&str> {
             }
         }
     });
-    out
 }
 
-/// Names assigned (as whole variables) anywhere within a statement.
-fn assigned_vars<'m>(s: &'m Stmt, out: &mut FxSet<&'m str>) {
+/// Pushes the names assigned (as whole variables) anywhere within a
+/// statement onto `out`, skipping names already in `out[run..]`.
+fn assigned_vars<'m>(s: &'m Stmt, out: &mut Vec<&'m str>, run: usize) {
     for e in own_exprs(s).into_iter().flatten() {
         each_expr(e, &mut |e| {
             if let ExprKind::Assign(lhs, _) = &e.kind {
                 if let ExprKind::Var(x) = &lhs.kind {
-                    out.insert(&x.name);
+                    if !out[run..].contains(&x.name.as_str()) {
+                        out.push(&x.name);
+                    }
                 }
             }
         });
     }
     for b in child_blocks(s) {
         for s in &b.stmts {
-            assigned_vars(s, out);
+            assigned_vars(s, out, run);
         }
     }
 }
 
-/// `change_type` argument expressions called *directly* in this
-/// statement's own expressions, *not* descending into nested blocks
-/// (those report through their own scan). An explicit confine already
-/// handles its own expression.
-fn direct_change_type_args(s: &Stmt) -> Vec<&Expr> {
-    let mut out = Vec::new();
+/// Adds the confinable-shaped `change_type` arguments called *directly*
+/// in this statement's own expressions to `keys`, *not* descending into
+/// nested blocks (those report through their own scan). An explicit
+/// confine already handles its own expression.
+fn direct_change_type_args<'m>(s: &'m Stmt, keys: &mut Vec<&'m Expr>, run: usize) {
     if matches!(s.kind, StmtKind::Confine { .. }) {
-        return out;
+        return;
     }
     for e in own_exprs(s).into_iter().flatten() {
         each_expr(e, &mut |e| {
             if let ExprKind::Call(f, args) = &e.kind {
                 if intrinsics::is_change_type(&f.name) {
-                    out.extend(args);
+                    for a in args {
+                        if a.is_confinable_shape() {
+                            add_key(keys, run, a);
+                        }
+                    }
                 }
             }
         });
     }
-    out
 }
 
 /// The nested blocks of a statement, in order.
@@ -158,62 +161,142 @@ fn child_blocks(s: &Stmt) -> impl Iterator<Item = &Block> {
     first.into_iter().chain(second)
 }
 
-/// Adds `e` to `keys` unless a syntactically equal expression is
-/// already there; the first occurrence stays the group's example.
-fn add_key<'m>(keys: &mut Vec<&'m Expr>, e: &'m Expr) {
-    if !keys.iter().any(|k| k.syntactically_equal(e)) {
+/// Adds `e` to the run `keys[run..]` unless a syntactically equal
+/// expression is already there; the first occurrence stays the group's
+/// example.
+fn add_key<'m>(keys: &mut Vec<&'m Expr>, run: usize, e: &'m Expr) {
+    if !keys[run..].iter().any(|k| k.syntactically_equal(e)) {
         keys.push(e);
     }
 }
 
-/// The scan's state. Names and example expressions are borrowed from
-/// the module; only the key of a group that spans two or more
-/// statements is printed.
+/// Marks the end of a chain in [`Scan`]'s `bindings` and `next_at_site`.
+const NONE: u32 = u32::MAX;
+
+/// One name binding in scope.
+struct Binding<'m> {
+    name: &'m str,
+    /// Nesting depth: 0 for globals and parameters, 1 for a function body.
+    depth: usize,
+    /// Index of the binding statement in its block.
+    idx: usize,
+    /// The binding of the same name this one hides, or [`NONE`].
+    shadows: u32,
+}
+
+/// One statement of a block being scanned: where its runs end in
+/// [`Scan`]'s `assigned` and `keys` stacks (each run starts where the
+/// previous statement's ended).
+#[derive(Clone, Copy)]
+struct StmtRuns {
+    assigned_end: usize,
+    keys_end: usize,
+}
+
+/// A statement enclosing the current position.
+#[derive(Clone, Copy)]
+struct Ancestor {
+    block: NodeId,
+    idx: usize,
+    /// The statement's run in [`Scan`]'s `assigned` stack.
+    assigned: (usize, usize),
+}
+
+/// One syntactic match group of a block's `change_type` arguments.
+#[derive(Clone, Copy)]
+struct Group<'m> {
+    example: &'m Expr,
+    /// Statements holding the group (at most one key each).
+    count: usize,
+    first: usize,
+    last: usize,
+    /// Its printed key in [`Scan`]'s `texts`, once printed.
+    text: (usize, usize),
+}
+
+/// The scan's state. Every block pushes its statements' data onto flat
+/// stacks and truncates them when it is done, so the scan allocates only
+/// while a stack grows past its deepest use so far. Names and example
+/// expressions are borrowed from the module; a key is printed once per
+/// group that spans two or more statements.
 struct Scan<'m> {
     /// Also propose per-occurrence singletons and disjoint adjacent pairs
     /// (the paper's *general* strategy, approximated with a bounded
     /// candidate set), not just the min–max heuristic range.
     general: bool,
     out: Vec<ConfineCandidate>,
-    /// `(block id, stmt index)` for each enclosing block of the current
-    /// position.
-    ancestors: Vec<(NodeId, usize)>,
-    /// Names assigned anywhere within each enclosing statement subtree —
-    /// parallel to `ancestors`.
-    ancestor_assigned: Vec<FxSet<&'m str>>,
-    /// Scoped environment: name → stack of `(depth, stmt index)` binding
-    /// sites. Depth 0 is globals/params. Avoids cloning visibility sets
-    /// per statement (which made the heuristic cost more than the whole
-    /// analysis on large modules).
-    env: FxMap<&'m str, Vec<(usize, usize)>>,
-    seen: FxSet<(NodeId, usize, usize, String)>,
+    /// The innermost binding of each name in scope, as an index into
+    /// `bindings`.
+    env: FxMap<&'m str, u32>,
+    /// Every binding in scope, innermost last.
+    bindings: Vec<Binding<'m>>,
+    /// The statements enclosing the current position, outermost first.
+    ancestors: Vec<Ancestor>,
+    /// Names assigned anywhere within each statement of the blocks being
+    /// scanned, one run per statement.
+    assigned: Vec<&'m str>,
+    /// The `change_type` arguments of each statement of the blocks being
+    /// scanned (direct, then bubbled up from nested blocks), one run per
+    /// statement, one example per syntactic match group.
+    keys: Vec<&'m Expr>,
+    /// The statements of the blocks being scanned.
+    stmts: Vec<StmtRuns>,
+    /// The arguments a finished block hands up to its statement.
+    bubbled: Vec<&'m Expr>,
+    /// The match groups of the block being grouped, and the printed keys
+    /// of those spanning two or more statements. A block groups only
+    /// after its nested blocks are done, so one buffer serves them all.
+    groups: Vec<Group<'m>>,
+    texts: String,
+    /// The free variables of the group proposing candidates.
+    fv: Vec<&'m str>,
+    /// The latest candidate at each `(block, start, end)` site; earlier
+    /// ones at the same site chain through `next_at_site`.
+    seen: FxMap<(NodeId, usize, usize), u32>,
+    next_at_site: Vec<u32>,
 }
 
 impl<'m> Scan<'m> {
     fn push_candidate(&mut self, block: NodeId, start: usize, end: usize, key: &str, expr: &Expr) {
-        if self.seen.insert((block, start, end, key.to_string())) {
-            self.out.push(ConfineCandidate {
-                block,
-                start,
-                end,
-                expr: expr.clone(),
-                key: key.to_string(),
-            });
+        let site = (block, start, end);
+        let latest = self.seen.get(&site).copied().unwrap_or(NONE);
+        let mut at = latest;
+        while at != NONE {
+            if self.out[at as usize].key == key {
+                return;
+            }
+            at = self.next_at_site[at as usize];
         }
+        self.seen.insert(site, self.out.len() as u32);
+        self.next_at_site.push(latest);
+        self.out.push(ConfineCandidate {
+            block,
+            start,
+            end,
+            expr: expr.clone(),
+            key: key.to_string(),
+        });
     }
 
-    fn bind(&mut self, name: &'m str, depth: usize, idx: usize, undo: &mut Vec<&'m str>) {
-        self.env.entry(name).or_default().push((depth, idx));
-        undo.push(name);
+    fn bind(&mut self, name: &'m str, depth: usize, idx: usize) {
+        let ix = self.bindings.len() as u32;
+        let shadows = self.env.insert(name, ix).unwrap_or(NONE);
+        self.bindings.push(Binding {
+            name,
+            depth,
+            idx,
+            shadows,
+        });
     }
 
-    fn unbind_all(&mut self, undo: Vec<&'m str>) {
-        for name in undo {
-            if let Some(stack) = self.env.get_mut(name) {
-                stack.pop();
-                if stack.is_empty() {
-                    self.env.remove(name);
-                }
+    /// Drops every binding made since `bindings` had `mark` entries.
+    fn unbind_to(&mut self, mark: usize) {
+        while self.bindings.len() > mark {
+            let b = self.bindings.pop().expect("above the mark");
+            if b.shadows == NONE {
+                self.env.remove(b.name);
+            } else {
+                self.env.insert(b.name, b.shadows);
             }
         }
     }
@@ -222,98 +305,137 @@ impl<'m> Scan<'m> {
     /// (i.e. bound in a strictly enclosing scope, or earlier in the same
     /// block)?
     fn visible_before(&self, name: &str, depth: usize, idx: usize) -> bool {
-        self.env.get(name).is_some_and(|stack| {
-            stack
-                .iter()
-                .any(|&(d, i)| d < depth || (d == depth && i < idx))
-        })
+        let mut at = self.env.get(name).copied().unwrap_or(NONE);
+        while at != NONE {
+            let b = &self.bindings[at as usize];
+            if b.depth < depth || (b.depth == depth && b.idx < idx) {
+                return true;
+            }
+            at = b.shadows;
+        }
+        false
     }
 
-    /// Scans a block at nesting `depth` (function body = 1). Returns the
-    /// `change_type` arguments that remain *unconsumed* and bubble up,
-    /// one example expression per syntactic match group.
-    fn block(&mut self, b: &'m Block, depth: usize) -> Vec<&'m Expr> {
+    /// Scans a block at nesting `depth` (function body = 1), leaving the
+    /// `change_type` arguments that remain *unconsumed* on `bubbled`, one
+    /// example expression per syntactic match group.
+    fn block(&mut self, b: &'m Block, depth: usize) {
+        let mark = self.bindings.len();
+        let (assigned_base, keys_base, stmts_base) =
+            (self.assigned.len(), self.keys.len(), self.stmts.len());
+
         // First pass: per-statement keys (direct + bubbled from nested
         // blocks) and assigned names; the scoped env evolves in place.
-        let mut per_stmt_keys: Vec<Vec<&'m Expr>> = Vec::with_capacity(b.stmts.len());
-        let mut per_stmt_assigned: Vec<FxSet<&'m str>> = Vec::with_capacity(b.stmts.len());
-        let mut undo: Vec<&'m str> = Vec::new();
         for (i, s) in b.stmts.iter().enumerate() {
-            let mut assigned = FxSet::default();
-            assigned_vars(s, &mut assigned);
-
-            let mut keys: Vec<&'m Expr> = Vec::new();
-            for a in direct_change_type_args(s) {
-                if a.is_confinable_shape() {
-                    add_key(&mut keys, a);
-                }
-            }
+            let assigned_start = self.assigned.len();
+            assigned_vars(s, &mut self.assigned, assigned_start);
+            let assigned_end = self.assigned.len();
+            let keys_start = self.keys.len();
+            direct_change_type_args(s, &mut self.keys, keys_start);
 
             // Recurse into nested blocks with ancestry bookkeeping. A
             // scoped-restrict binder is visible inside its own body only.
-            self.ancestors.push((b.id, i));
-            self.ancestor_assigned.push(assigned);
-            let mut inner_undo = Vec::new();
+            self.ancestors.push(Ancestor {
+                block: b.id,
+                idx: i,
+                assigned: (assigned_start, assigned_end),
+            });
+            let inner_mark = self.bindings.len();
             if let StmtKind::Restrict { name, .. } = &s.kind {
-                self.bind(&name.name, depth + 1, 0, &mut inner_undo);
+                self.bind(&name.name, depth + 1, 0);
             }
             for child in child_blocks(s) {
-                for e in self.block(child, depth + 1) {
-                    add_key(&mut keys, e);
+                let from = self.bubbled.len();
+                self.block(child, depth + 1);
+                for j in from..self.bubbled.len() {
+                    let e = self.bubbled[j];
+                    add_key(&mut self.keys, keys_start, e);
                 }
+                self.bubbled.truncate(from);
             }
-            self.unbind_all(inner_undo);
+            self.unbind_to(inner_mark);
             self.ancestors.pop();
-            per_stmt_assigned.push(self.ancestor_assigned.pop().expect("pushed above"));
 
             if let StmtKind::Decl { name, .. } = &s.kind {
-                self.bind(&name.name, depth, i, &mut undo);
+                self.bind(&name.name, depth, i);
             }
-            per_stmt_keys.push(keys);
+            self.stmts.push(StmtRuns {
+                assigned_end,
+                keys_end: self.keys.len(),
+            });
         }
 
         // Second pass: group this block's statements by syntactic match.
         // (All of this block's declarations are in the env with their
         // statement index, so visibility at a range start is a lookup.)
-        let mut groups: Vec<(&'m Expr, Vec<usize>)> = Vec::new();
-        for (i, keys) in per_stmt_keys.iter().enumerate() {
-            for &k in keys {
-                match groups.iter_mut().find(|(e, _)| e.syntactically_equal(k)) {
-                    Some((_, stmts)) => stmts.push(i),
-                    None => groups.push((k, vec![i])),
+        self.groups.clear();
+        let mut from = keys_base;
+        for i in 0..b.stmts.len() {
+            let to = self.stmts[stmts_base + i].keys_end;
+            for &k in &self.keys[from..to] {
+                match self.groups.iter_mut().find(|g| g.example.syntactically_equal(k)) {
+                    Some(g) => {
+                        g.count += 1;
+                        g.last = i;
+                    }
+                    None => self.groups.push(Group {
+                        example: k,
+                        count: 1,
+                        first: i,
+                        last: i,
+                        text: (0, 0),
+                    }),
                 }
             }
+            from = to;
         }
 
         // A group held by one statement bubbles up. The others propose
         // ranges in the order of their printed keys, each printed once.
-        let mut bubbled = Vec::new();
-        let mut keyed = Vec::new();
-        for (example, stmts) in groups {
-            if stmts.len() < 2 {
-                bubbled.push(example);
+        let mut texts = std::mem::take(&mut self.texts);
+        texts.clear();
+        let mut keyed = 0;
+        for gi in 0..self.groups.len() {
+            let g = self.groups[gi];
+            if g.count < 2 {
+                self.bubbled.push(g.example);
             } else {
-                keyed.push((pretty::print_expr(example), example, stmts));
+                let at = texts.len();
+                pretty::write_expr(&mut texts, g.example);
+                self.groups[keyed] = Group {
+                    text: (at, texts.len()),
+                    ..g
+                };
+                keyed += 1;
             }
         }
-        keyed.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        for (k, example, stmts) in &keyed {
-            let start = *stmts.first().expect("nonempty");
-            let end = *stmts.last().expect("nonempty");
+        self.groups.truncate(keyed);
+        self.groups
+            .sort_unstable_by(|a, b| texts[a.text.0..a.text.1].cmp(&texts[b.text.0..b.text.1]));
+        let mut fv = std::mem::take(&mut self.fv);
+        for gi in 0..self.groups.len() {
+            let g = self.groups[gi];
+            let k = &texts[g.text.0..g.text.1];
+            let (start, end, example) = (g.first, g.last, g.example);
 
             // Syntactic referential-transparency pre-filter: no free
             // variable of the expression may be assigned in the range.
-            let fv = free_vars(example);
-            let range_ok = |lo: usize, hi: usize| {
-                !per_stmt_assigned[lo..=hi]
-                    .iter()
-                    .any(|assigned| fv.iter().any(|v| assigned.contains(v)))
+            fv.clear();
+            free_vars(example, &mut fv);
+            let range_ok = |this: &Self, lo: usize, hi: usize| {
+                let from = match lo {
+                    0 => assigned_base,
+                    _ => this.stmts[stmts_base + lo - 1].assigned_end,
+                };
+                let to = this.stmts[stmts_base + hi].assigned_end;
+                !this.assigned[from..to].iter().any(|v| fv.contains(v))
             };
-            if !range_ok(start, end) {
+            if !range_ok(self, start, end) {
                 // The general strategy may still find safe sub-ranges.
                 if self.general {
-                    for &si in stmts {
-                        if range_ok(si, si) && fv.iter().all(|v| self.visible_before(v, depth, si))
+                    for si in self.group_stmts(keys_base, stmts_base, example) {
+                        if range_ok(self, si, si)
+                            && fv.iter().all(|v| self.visible_before(v, depth, si))
                         {
                             self.push_candidate(b.id, si, si, k, example);
                         }
@@ -333,16 +455,15 @@ impl<'m> Scan<'m> {
                 // if the full range fails to verify, a sub-region may
                 // still succeed (the paper's greedy merge applied to a
                 // bounded candidate ladder).
-                for &si in stmts {
+                let stmts = self.group_stmts(keys_base, stmts_base, example);
+                for &si in &stmts {
                     self.push_candidate(b.id, si, si, k, example);
                 }
-                let mut j = 0;
-                while j + 1 < stmts.len() {
-                    let (lo, hi) = (stmts[j], stmts[j + 1]);
-                    if range_ok(lo, hi) {
+                for pair in stmts.chunks_exact(2) {
+                    let (lo, hi) = (pair[0], pair[1]);
+                    if range_ok(self, lo, hi) {
                         self.push_candidate(b.id, lo, hi, k, example);
                     }
-                    j += 2;
                 }
             }
 
@@ -350,22 +471,40 @@ impl<'m> Scan<'m> {
             // block, outermost kept if it succeeds. Ancestor depth in the
             // stack is its index + 1 (function body = 1).
             for depth_ix in (0..self.ancestors.len()).rev() {
-                let (ab, ai) = self.ancestors[depth_ix];
-                let a_depth = depth_ix + 1;
-                if !fv.iter().all(|v| self.visible_before(v, a_depth, ai)) {
+                let a = self.ancestors[depth_ix];
+                if !fv.iter().all(|v| self.visible_before(v, depth_ix + 1, a.idx)) {
                     break; // further out, still fewer names visible
                 }
-                if fv
-                    .iter()
-                    .any(|v| self.ancestor_assigned[depth_ix].contains(v))
-                {
+                let (from, to) = a.assigned;
+                if self.assigned[from..to].iter().any(|v| fv.contains(v)) {
                     break; // the enclosing statement assigns a free var
                 }
-                self.push_candidate(ab, ai, ai, k, example);
+                self.push_candidate(a.block, a.idx, a.idx, k, example);
             }
         }
-        self.unbind_all(undo);
-        bubbled
+        self.fv = fv;
+        self.texts = texts;
+        self.unbind_to(mark);
+        self.assigned.truncate(assigned_base);
+        self.keys.truncate(keys_base);
+        self.stmts.truncate(stmts_base);
+    }
+
+    /// The statements of the block being grouped (its runs start at
+    /// `keys_base` and `stmts_base`) that hold `example`'s group, in order.
+    fn group_stmts(&self, keys_base: usize, stmts_base: usize, example: &Expr) -> Vec<usize> {
+        let mut from = keys_base;
+        let mut out = Vec::new();
+        for (i, s) in self.stmts[stmts_base..].iter().enumerate() {
+            if self.keys[from..s.keys_end]
+                .iter()
+                .any(|k| k.syntactically_equal(example))
+            {
+                out.push(i);
+            }
+            from = s.keys_end;
+        }
+        out
     }
 }
 
@@ -412,22 +551,30 @@ fn propose_with(m: &Module, general: bool) -> Vec<ConfineCandidate> {
     let mut scan = Scan {
         general,
         out: Vec::new(),
-        ancestors: Vec::new(),
-        ancestor_assigned: Vec::new(),
         env: FxMap::default(),
-        seen: FxSet::default(),
+        bindings: Vec::new(),
+        ancestors: Vec::new(),
+        assigned: Vec::new(),
+        keys: Vec::new(),
+        stmts: Vec::new(),
+        bubbled: Vec::new(),
+        groups: Vec::new(),
+        texts: String::new(),
+        fv: Vec::new(),
+        seen: FxMap::default(),
+        next_at_site: Vec::new(),
     };
-    let mut global_undo = Vec::new();
     for g in m.globals() {
-        scan.bind(&g.name.name, 0, 0, &mut global_undo);
+        scan.bind(&g.name.name, 0, 0);
     }
+    let globals = scan.bindings.len();
     for f in m.functions() {
-        let mut param_undo = Vec::new();
         for p in &f.params {
-            scan.bind(&p.name.name, 0, 0, &mut param_undo);
+            scan.bind(&p.name.name, 0, 0);
         }
-        let _ = scan.block(&f.body, 1);
-        scan.unbind_all(param_undo);
+        scan.block(&f.body, 1);
+        scan.bubbled.clear();
+        scan.unbind_to(globals);
     }
     scan.out
 }

@@ -67,7 +67,10 @@ pub enum Guard {
     },
 }
 
-/// The consequent of a conditional constraint.
+/// The consequent of a conditional constraint, as an owned value: what
+/// [`ConstraintSystem::conditional`] takes and [`ConstraintSystem::action`]
+/// returns. The system itself keeps every action's lists in shared
+/// arrays.
 #[derive(Debug, Clone, Default)]
 pub struct Action {
     /// Location pairs to unify (the `⇒ ρ = ρ'` demotions).
@@ -79,13 +82,15 @@ pub struct Action {
 }
 
 /// A conditional constraint `guard ⇒ action`. One-shot: once fired it
-/// stays fired.
+/// stays fired. Its action is three runs in the system's shared arrays;
+/// read it with [`ConstraintSystem::action`].
 #[derive(Debug, Clone)]
 pub struct Conditional {
     /// The antecedent.
     pub guard: Guard,
-    /// The consequent.
-    pub action: Action,
+    pub(crate) unify: (u32, u32),
+    pub(crate) include: (u32, u32),
+    pub(crate) flags: (u32, u32),
 }
 
 /// A system of effect constraints under construction.
@@ -106,7 +111,23 @@ pub struct ConstraintSystem {
     pub not_ins: Vec<NotIn>,
     /// Conditional constraints.
     pub conditionals: Vec<Conditional>,
+    /// Every conditional's action lists, back to back.
+    pub(crate) action_unify: Vec<(Loc, Loc)>,
+    pub(crate) action_include: Vec<(Effect, EffVar)>,
+    pub(crate) action_flags: Vec<FlagId>,
     flag_count: u32,
+}
+
+/// Appends `items` to `to` and returns the run they occupy.
+fn append<T>(to: &mut Vec<T>, items: impl IntoIterator<Item = T>) -> (u32, u32) {
+    let start = to.len();
+    to.extend(items);
+    let run = |n: usize| u32::try_from(n).expect("action runs fit in u32");
+    (run(start), run(to.len()))
+}
+
+fn run<T>(items: &[T], (start, end): (u32, u32)) -> &[T] {
+    &items[start as usize..end as usize]
 }
 
 impl ConstraintSystem {
@@ -161,7 +182,53 @@ impl ConstraintSystem {
 
     /// Adds a conditional constraint.
     pub fn conditional(&mut self, guard: Guard, action: Action) {
-        self.conditionals.push(Conditional { guard, action });
+        self.conditional_parts(guard, action.unify, action.include, action.flags);
+    }
+
+    /// Adds a conditional constraint whose action unifies `unify`, adds
+    /// the inclusions `include` and sets `flags`. Unlike
+    /// [`ConstraintSystem::conditional`] it takes the lists as any
+    /// iterators, so a caller passing arrays allocates nothing.
+    pub fn conditional_parts(
+        &mut self,
+        guard: Guard,
+        unify: impl IntoIterator<Item = (Loc, Loc)>,
+        include: impl IntoIterator<Item = (Effect, EffVar)>,
+        flags: impl IntoIterator<Item = FlagId>,
+    ) {
+        let unify = append(&mut self.action_unify, unify);
+        let include = append(&mut self.action_include, include);
+        let flags = append(&mut self.action_flags, flags);
+        self.conditionals.push(Conditional {
+            guard,
+            unify,
+            include,
+            flags,
+        });
+    }
+
+    /// The locations conditional `i`'s action unifies.
+    pub fn action_unify(&self, i: usize) -> &[(Loc, Loc)] {
+        run(&self.action_unify, self.conditionals[i].unify)
+    }
+
+    /// The inclusions conditional `i`'s action adds.
+    pub fn action_include(&self, i: usize) -> &[(Effect, EffVar)] {
+        run(&self.action_include, self.conditionals[i].include)
+    }
+
+    /// The flags conditional `i`'s action sets.
+    pub fn action_flags(&self, i: usize) -> &[FlagId] {
+        run(&self.action_flags, self.conditionals[i].flags)
+    }
+
+    /// A copy of conditional `i`'s action.
+    pub fn action(&self, i: usize) -> Action {
+        Action {
+            unify: self.action_unify(i).to_vec(),
+            include: self.action_include(i).to_vec(),
+            flags: self.action_flags(i).to_vec(),
+        }
     }
 }
 

@@ -31,7 +31,7 @@
 //! worklist the paper charges `O(n)` re-computation per fired constraint
 //! to, giving the overall `O(n²)` inference bound.
 
-use crate::constraint::{Action, ConstraintSystem, Guard};
+use crate::constraint::{ConstraintSystem, Guard};
 use crate::effect::{EffVar, Effect, EffectKind, KindMask};
 use crate::graph::{build, Graph, NodeIx, NodeKind, Out, Port};
 use localias_alias::{Loc, LocTable};
@@ -627,8 +627,7 @@ pub fn solve_with(
             }
             fired[i] = true;
             any = true;
-            let action = cs.conditionals[i].action.clone();
-            apply_action(&action, cs, locs, &mut graph, &mut flags);
+            apply_action(i, cs, locs, &mut graph, &mut flags);
             assert_eq!(
                 locs.len(),
                 loc_count,
@@ -694,14 +693,16 @@ pub fn solve_with(
     }
 }
 
+/// Applies conditional `i`'s action in place: nothing of it is copied
+/// but the inclusions it appends to `cs.includes`.
 fn apply_action(
-    action: &Action,
+    i: usize,
     cs: &mut ConstraintSystem,
     locs: &mut LocTable,
     graph: &mut Graph,
     flags: &mut Vec<bool>,
 ) {
-    for &(a, b) in &action.unify {
+    for &(a, b) in cs.action_unify(i) {
         // Unify the classes and their contents; mismatches here mean the
         // program was already ill-typed and have been reported elsewhere.
         let mut mismatches = Vec::new();
@@ -712,11 +713,13 @@ fn apply_action(
             &mut mismatches,
         );
     }
-    for (l, v) in &action.include {
+    let (start, end) = cs.conditionals[i].include;
+    for j in start as usize..end as usize {
+        let (l, v) = &cs.action_include[j];
         graph.include(l, *v);
         cs.includes.push((l.clone(), *v));
     }
-    for f in &action.flags {
+    for f in cs.action_flags(i) {
         if f.0 as usize >= flags.len() {
             flags.resize(f.0 as usize + 1, false);
         }
@@ -785,7 +788,7 @@ pub fn reaches(graph: &Graph, locs: &mut LocTable, loc: Loc, kinds: KindMask, va
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::constraint::FlagId;
+    use crate::constraint::{Action, FlagId};
     use crate::effect::{Effect, EffectKind};
     use localias_alias::Ty;
 

@@ -400,7 +400,7 @@ fn reference_outcome(cs: &mut ConstraintSystem, locs: &mut LocTable, lv: &mut Lo
                 unify: pairs,
                 include,
                 flags: set,
-            } = cs.conditionals[i].action.clone();
+            } = cs.action(i);
             for (a, b) in pairs {
                 unify(locs, &Ty::Ref(a), &Ty::Ref(b), &mut Vec::new());
             }
