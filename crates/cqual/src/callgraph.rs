@@ -20,7 +20,7 @@
 
 use localias_alias::FxHashMap;
 use localias_ast::visit::{walk_expr, Visitor};
-use localias_ast::{Expr, ExprKind, Module, Symbol};
+use localias_ast::{Expr, ExprKind, Module, NodeId, Symbol};
 use localias_obs as obs;
 
 /// A call graph over a module's defined functions, with a deterministic
@@ -31,8 +31,16 @@ pub struct CallGraph {
     names: Vec<Symbol>,
     /// Name → node id.
     index: FxHashMap<Symbol, usize>,
-    /// Sorted, deduplicated defined callees per node, excluding self.
-    callees: Vec<Vec<usize>>,
+    /// The node of each function definition, in definition order.
+    defs: Vec<usize>,
+    /// Each call site's callee node, by the call expression's id;
+    /// [`NO_NODE`] for every other id and for calls to undefined
+    /// functions. Every mode's check reads its calls from here.
+    callee_of: Vec<u32>,
+    /// Each node's sorted, deduplicated defined callees (excluding
+    /// itself), as a run in `edges`.
+    callees: Vec<(usize, usize)>,
+    edges: Vec<usize>,
     /// Treated as recursive by the checker: direct self-recursion, or on/
     /// downstream of a mutual-recursion cycle (the legacy rule).
     cyclic: Vec<bool>,
@@ -40,15 +48,36 @@ pub struct CallGraph {
     order: Vec<usize>,
 }
 
-/// Collects the callee names of one function body.
-struct Calls {
-    out: Vec<Symbol>,
+/// Marks an id of [`CallGraph::callee_of`] that is no call to a defined
+/// function.
+const NO_NODE: u32 = u32::MAX;
+
+/// Resolves the call sites of one function body: each call's callee node
+/// goes to `callee_of`, and each defined callee other than `caller` to
+/// `edges`; a call to `caller` itself sets `self_rec`.
+struct Calls<'g> {
+    index: &'g FxHashMap<Symbol, usize>,
+    caller: &'g Symbol,
+    callee_of: &'g mut Vec<u32>,
+    edges: &'g mut Vec<usize>,
+    self_rec: bool,
 }
 
-impl Visitor for Calls {
+impl Visitor for Calls<'_> {
     fn visit_expr(&mut self, e: &Expr) {
         if let ExprKind::Call(name, _) = &e.kind {
-            self.out.push(name.name.clone());
+            if let Some(&c) = self.index.get(&name.name) {
+                let site = e.id.index();
+                if site >= self.callee_of.len() {
+                    self.callee_of.resize(site + 1, NO_NODE);
+                }
+                self.callee_of[site] = c as u32;
+                if name.name == *self.caller {
+                    self.self_rec = true;
+                } else {
+                    self.edges.push(c);
+                }
+            }
         }
         walk_expr(self, e);
     }
@@ -74,30 +103,44 @@ impl CallGraph {
         // Edges. With duplicate definitions the later definition's callee
         // set wins (mirroring the legacy last-wins function map), while
         // self-recursion accumulates across definitions.
-        let mut callees: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut defs = Vec::with_capacity(n);
+        let mut callee_of = vec![NO_NODE; m.node_count as usize];
+        let mut callees = vec![(0, 0); n];
+        let mut edges = Vec::new();
         let mut self_rec = vec![false; n];
         for f in m.functions() {
             let v = index[&f.name.name];
-            let mut calls = Calls { out: Vec::new() };
+            defs.push(v);
+            let start = edges.len();
+            let mut calls = Calls {
+                index: &index,
+                caller: &f.name.name,
+                callee_of: &mut callee_of,
+                edges: &mut edges,
+                self_rec: false,
+            };
             calls.visit_block(&f.body);
-            let mut out = Vec::new();
-            for callee in calls.out {
-                if callee == f.name.name {
-                    self_rec[v] = true;
-                } else if let Some(&c) = index.get(&callee) {
-                    out.push(c);
+            self_rec[v] |= calls.self_rec;
+            edges[start..].sort_unstable();
+            let mut end = start;
+            for i in start..edges.len() {
+                if i == start || edges[i] != edges[end - 1] {
+                    edges[end] = edges[i];
+                    end += 1;
                 }
             }
-            out.sort_unstable();
-            out.dedup();
-            callees[v] = out;
+            edges.truncate(end);
+            callees[v] = (start, end);
         }
 
-        let (order, cyclic) = schedule(&callees, &self_rec);
+        let (order, cyclic) = schedule(&callees, &edges, &self_rec);
         CallGraph {
             names,
             index,
+            defs,
+            callee_of,
             callees,
+            edges,
             cyclic,
             order,
         }
@@ -125,7 +168,23 @@ impl CallGraph {
 
     /// Sorted defined callees of `v` (excluding `v` itself).
     pub fn callees(&self, v: usize) -> &[usize] {
-        &self.callees[v]
+        let (start, end) = self.callees[v];
+        &self.edges[start..end]
+    }
+
+    /// The node of each function definition of the module, in
+    /// definition order.
+    pub(crate) fn defs(&self) -> &[usize] {
+        &self.defs
+    }
+
+    /// The node of the defined function the call expression `site`
+    /// calls, if it calls one.
+    pub(crate) fn call_target(&self, site: NodeId) -> Option<usize> {
+        match self.callee_of.get(site.index()) {
+            Some(&c) if c != NO_NODE => Some(c as usize),
+            _ => None,
+        }
     }
 
     /// Whether the checker treats `v` as recursive: a call to `v` havocs
@@ -146,28 +205,36 @@ impl CallGraph {
 /// never blocks readiness, followed by the undrainable remainder in
 /// alphabetical order. Returns `(order, cyclic)` where `cyclic` marks
 /// self-recursive functions and the whole remainder.
-fn schedule(callees: &[Vec<usize>], self_rec: &[bool]) -> (Vec<usize>, Vec<bool>) {
+fn schedule(
+    callees: &[(usize, usize)],
+    edges: &[usize],
+    self_rec: &[bool],
+) -> (Vec<usize>, Vec<bool>) {
     let n = callees.len();
     let mut remaining = vec![true; n];
     let mut order = Vec::with_capacity(n);
     loop {
-        let ready: Vec<usize> = (0..n)
-            .filter(|&v| remaining[v] && callees[v].iter().all(|&c| !remaining[c] || self_rec[c]))
-            .collect();
-        if ready.is_empty() {
+        // A round's ready nodes are appended to `order` and only then
+        // leave `remaining`, so readiness reads the previous round.
+        let round = order.len();
+        order.extend((0..n).filter(|&v| {
+            let (start, end) = callees[v];
+            remaining[v] && edges[start..end].iter().all(|&c| !remaining[c] || self_rec[c])
+        }));
+        if order.len() == round {
             break;
         }
-        for &v in &ready {
+        for &v in &order[round..] {
             remaining[v] = false;
         }
-        order.extend(ready);
     }
     let mut cyclic = self_rec.to_vec();
-    let rest: Vec<usize> = (0..n).filter(|&v| remaining[v]).collect();
-    for &v in &rest {
-        cyclic[v] = true;
+    for v in 0..n {
+        if remaining[v] {
+            cyclic[v] = true;
+            order.push(v);
+        }
     }
-    order.extend(rest);
     (order, cyclic)
 }
 

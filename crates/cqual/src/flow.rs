@@ -26,9 +26,8 @@
 //! per-function walk.
 
 use crate::callgraph::CallGraph;
-use crate::intra::{check_function, CheckContext};
+use crate::intra::{check_function, CheckContext, Walk};
 use crate::report::LockReport;
-use crate::summary::Summary;
 use localias_alias::FrozenLocs;
 use localias_ast::{FunDef, Module};
 use localias_core::{Analysis, SharedAnalysis};
@@ -112,11 +111,13 @@ pub fn check_modes(shared: &mut SharedAnalysis) -> ([LockReport; 3], CheckTimes)
     let ((base_a, base_f), (conf_a, conf_f)) = shared.both_frozen();
     let span = obs::Span::timed("cqual.check");
     let graph = CallGraph::build(m);
+    let defs = definitions(m, &graph);
     let base_cx = CheckContext::new(m, base_a, base_f, Mode::NoConfine, &graph);
     let confine_cx = CheckContext::new(m, conf_a, conf_f, Mode::Confine, &graph);
-    let no_confine = check_schedule(m, &base_cx);
-    let confine_report = check_schedule(m, &confine_cx);
-    let all_strong = check_schedule(m, &base_cx.with_mode(Mode::AllStrong));
+    let mut walk = Walk::default();
+    let no_confine = check_schedule(&defs, &base_cx, &mut walk);
+    let confine_report = check_schedule(&defs, &confine_cx, &mut walk);
+    let all_strong = check_schedule(&defs, &base_cx.with_mode(Mode::AllStrong), &mut walk);
     let times = CheckTimes {
         base,
         confine,
@@ -140,30 +141,39 @@ pub fn check_locks_frozen(
     assert_eq!(intra_jobs, 1, "the lock checker is sequential");
     let _span = obs::span!("cqual.check");
     let graph = CallGraph::build(m);
-    check_schedule(m, &CheckContext::new(m, analysis, frozen, mode, &graph))
+    let cx = CheckContext::new(m, analysis, frozen, mode, &graph);
+    check_schedule(&definitions(m, &graph), &cx, &mut Walk::default())
 }
 
-/// Walks `cx`'s schedule over the functions of `m` once: each function
+/// The definition each node of `graph` stands for. With duplicate
+/// definitions the later one wins (legacy behaviour of the name-keyed
+/// function map).
+fn definitions<'m>(m: &'m Module, graph: &CallGraph) -> Vec<Option<&'m FunDef>> {
+    let mut defs = vec![None; graph.len()];
+    for (f, &v) in m.functions().zip(graph.defs()) {
+        defs[v] = Some(f);
+    }
+    defs
+}
+
+/// Walks `cx`'s schedule over the definitions `defs` once: each function
 /// is checked, its errors and sites go to the report, and its summary
 /// fills its slot. In schedule order a filled slot means exactly that
 /// the callee comes earlier in the order.
-fn check_schedule(m: &Module, cx: &CheckContext<'_>) -> LockReport {
-    // With duplicate definitions the later one wins (legacy behaviour of
-    // the name-keyed function map).
-    let mut defs: Vec<Option<&FunDef>> = vec![None; cx.graph.len()];
-    for f in m.functions() {
-        defs[cx.graph.node(&f.name.name).expect("defined")] = Some(f);
-    }
-    let mut summaries: Vec<Option<Summary>> = vec![None; cx.graph.len()];
-    let mut report = LockReport::default();
+fn check_schedule(
+    defs: &[Option<&FunDef>],
+    cx: &CheckContext<'_>,
+    walk: &mut Walk,
+) -> LockReport {
+    walk.reset(cx.graph.len());
     for &v in cx.graph.order() {
         let f = defs[v].expect("every node is a defined function");
-        let out = check_function(cx, &summaries, f);
-        report.errors.extend(out.errors);
-        report.sites += out.sites;
-        summaries[v] = Some(out.summary);
+        check_function(cx, walk, f, v);
     }
-    report
+    LockReport {
+        errors: std::mem::take(&mut walk.errors),
+        sites: walk.sites,
+    }
 }
 
 #[cfg(test)]

@@ -18,8 +18,8 @@ use crate::callgraph::CallGraph;
 use crate::qual::LockState;
 use crate::report::{LockError, LockOp};
 use crate::store::Store;
-use crate::summary::{retarget, ParamInfo, Summary};
-use localias_alias::fx::{FxHashMap, FxHashSet};
+use crate::summary::{retarget, ParamInfo, Summaries, Summary};
+use localias_alias::fx::FxHashMap;
 use localias_alias::{FrozenLocs, Loc, State, Ty};
 use localias_ast::{
     intrinsics, Block, Expr, ExprKind, FunDef, Module, NodeId, Stmt, StmtKind, Symbol,
@@ -32,6 +32,7 @@ use crate::flow::Mode;
 /// A scope boundary requiring lock-state copy-in/copy-out.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RangeScope {
+    pub(crate) block: NodeId,
     pub(crate) start: usize,
     pub(crate) end: usize,
     pub(crate) rho: Loc,
@@ -51,12 +52,14 @@ pub(crate) struct CheckContext<'a> {
     /// The call graph and its schedule. The graph depends only on the
     /// module, so one build serves every mode's context.
     pub graph: &'a CallGraph,
-    /// Range scopes by block id, from confine outcomes.
-    pub(crate) range_scopes: FxHashMap<NodeId, Vec<RangeScope>>,
+    /// Range scopes from confine outcomes, sorted by block and, within a
+    /// block, in copy-in order; see [`CheckContext::scopes`].
+    pub(crate) range_scopes: Vec<RangeScope>,
     /// `(ρ, ρ')` for explicit confine/restrict statements, by stmt id.
     pub(crate) stmt_scopes: FxHashMap<NodeId, (Loc, Loc)>,
-    /// Per-function parameter metadata, indexed by call-graph node.
-    pub(crate) params: Vec<Vec<ParamInfo>>,
+    /// Each call-graph node's run of parameter metadata in `params`.
+    param_runs: Vec<(usize, usize)>,
+    params: Vec<ParamInfo>,
 }
 
 impl<'a> CheckContext<'a> {
@@ -70,13 +73,14 @@ impl<'a> CheckContext<'a> {
         graph: &'a CallGraph,
     ) -> CheckContext<'a> {
         let _span = obs::span!("cqual.context");
-        let mut range_scopes: FxHashMap<NodeId, Vec<RangeScope>> = FxHashMap::default();
+        let mut range_scopes = Vec::new();
         let mut stmt_scopes = FxHashMap::default();
         for c in &analysis.confines {
             let Some((rho, rho_p)) = c.locs else { continue };
             match c.site {
                 ConfineSite::Range { block, start, end } => {
-                    range_scopes.entry(block).or_default().push(RangeScope {
+                    range_scopes.push(RangeScope {
+                        block,
                         start,
                         end,
                         rho,
@@ -99,10 +103,9 @@ impl<'a> CheckContext<'a> {
             }
         }
         // Copy-in/out ordering: at a shared start boundary the wider
-        // (outer) scope must copy in first.
-        for scopes in range_scopes.values_mut() {
-            scopes.sort_by_key(|s| (s.start, std::cmp::Reverse(s.end)));
-        }
+        // (outer) scope must copy in first. The sort is stable, so equal
+        // ranges keep their outcome order.
+        range_scopes.sort_by_key(|s| (s.block, s.start, std::cmp::Reverse(s.end)));
 
         // Parameter metadata. Whether a parameter is restrict is the
         // analysis' rule ([`Analysis::restrict_param`]). The alias
@@ -112,19 +115,17 @@ impl<'a> CheckContext<'a> {
         // variable table. For duplicate definitions the later one wins,
         // matching the name-keyed function map.
         let is_restrict = analysis.restrict_param();
-        let mut params: Vec<Vec<ParamInfo>> = vec![Vec::new(); graph.len()];
-        for f in m.functions() {
-            let Some(v) = graph.node(&f.name.name) else {
-                continue;
-            };
+        let mut param_runs = vec![(0, 0); graph.len()];
+        let mut params = Vec::new();
+        for (f, &v) in m.functions().zip(graph.defs()) {
             let tys = analysis.state.param_tys.get(f.name.name.as_str());
-            let mut infos = Vec::with_capacity(f.params.len());
+            let start = params.len();
             for (i, p) in f.params.iter().enumerate() {
                 let rho_p = tys.and_then(|t| t.get(i)).and_then(|ty| ty.pointee());
                 let restrict = is_restrict(f, p);
-                infos.push(ParamInfo { rho_p, restrict });
+                params.push(ParamInfo { rho_p, restrict });
             }
-            params[v] = infos;
+            param_runs[v] = (start, params.len());
         }
 
         CheckContext {
@@ -134,8 +135,22 @@ impl<'a> CheckContext<'a> {
             graph,
             range_scopes,
             stmt_scopes,
+            param_runs,
             params,
         }
+    }
+
+    /// The range scopes of `block`, in copy-in order.
+    fn scopes(&self, block: NodeId) -> &[RangeScope] {
+        let from = self.range_scopes.partition_point(|s| s.block < block);
+        let len = self.range_scopes[from..].partition_point(|s| s.block == block);
+        &self.range_scopes[from..from + len]
+    }
+
+    /// The parameter metadata of call-graph node `v`.
+    fn params(&self, v: usize) -> &[ParamInfo] {
+        let (start, end) = self.param_runs[v];
+        &self.params[start..end]
     }
 
     /// Re-tags the context with a different [`Mode`]. The mode only
@@ -149,53 +164,62 @@ impl<'a> CheckContext<'a> {
     }
 }
 
-/// The result of checking one function: its errors (in site order), its
-/// counted lock sites, and its summary.
-pub(crate) struct FunOutcome {
+/// What one mode's walk over a schedule accumulates — the summary slots,
+/// the errors in site order and the counted lock sites — plus scratch
+/// that every function check of the walk reuses. One value serves every
+/// mode of a module in turn ([`Walk::reset`]).
+#[derive(Debug, Default)]
+pub(crate) struct Walk {
+    pub sums: Summaries,
     pub errors: Vec<LockError>,
     pub sites: usize,
-    pub summary: Summary,
+    /// Break/continue join points for each enclosing loop.
+    loop_stack: Vec<LoopExits>,
+    /// The current call site's restrict-parameter retargets.
+    retargets: Vec<(Loc, Loc)>,
 }
 
-/// Checks one function against the context and the summary slots, by
-/// node id, of the functions checked before it.
-pub(crate) fn check_function(
-    cx: &CheckContext<'_>,
-    summaries: &[Option<Summary>],
-    f: &FunDef,
-) -> FunOutcome {
+impl Walk {
+    /// Starts a walk over `nodes` functions.
+    pub fn reset(&mut self, nodes: usize) {
+        self.sums.reset(nodes);
+        self.errors.clear();
+        self.sites = 0;
+    }
+}
+
+/// Checks function `f`, node `v`, against the context and the summary
+/// slots of the functions checked before it: its errors and sites go to
+/// `walk`, and its summary fills slot `v`.
+pub(crate) fn check_function(cx: &CheckContext<'_>, walk: &mut Walk, f: &FunDef, v: usize) {
     let _span = obs::span!("cqual.function", obs::Hist::CheckFunction);
     obs::count(obs::Counter::CqualFunctionsChecked, 1);
+    let (errors, sites) = (walk.errors.len(), walk.sites);
+    let reqs = walk.sums.reqs.len();
     let mut fc = FunctionChecker {
         cx,
-        summaries,
+        walk,
         current_fun: f.name.name.clone(),
-        errors: Vec::new(),
-        sites: 0,
+        reqs,
         recording: true,
-        req_sink: Some(ReqSink::default()),
-        loop_stack: Vec::new(),
         return_store: Store::bottom(),
     };
     let mut store = Store::new();
     fc.block(&f.body, &mut store);
-    let sink = fc.req_sink.take().expect("sink");
 
     // The function's exit state is the join of its fall-through state
     // and every early return.
     store.join(&fc.return_store);
-    let out = store.iter().collect();
-    obs::count(obs::Counter::CqualLockSites, fc.sites as u64);
-    obs::count(obs::Counter::CqualErrors, fc.errors.len() as u64);
-    FunOutcome {
-        errors: fc.errors,
-        sites: fc.sites,
-        summary: Summary {
-            first_req: sink.reqs,
-            out,
-            havocked: store.is_havocked(),
-        },
-    }
+    let walk = fc.walk;
+    let outs = walk.sums.outs.len();
+    walk.sums.outs.extend(store.iter());
+    obs::count(obs::Counter::CqualLockSites, (walk.sites - sites) as u64);
+    obs::count(obs::Counter::CqualErrors, (walk.errors.len() - errors) as u64);
+    walk.sums.slots[v] = Some(Summary {
+        first_req: (reqs, walk.sums.reqs.len()),
+        out: (outs, walk.sums.outs.len()),
+        havocked: store.is_havocked(),
+    });
 }
 
 /// Break/continue accumulators for one loop.
@@ -214,27 +238,17 @@ impl LoopExits {
     }
 }
 
-/// The summary-requirement collector threaded through function analysis.
-#[derive(Debug, Default)]
-struct ReqSink {
-    reqs: Vec<(Loc, LockState, LockOp)>,
-    seen: FxHashSet<Loc>,
-}
-
 /// Walks one function body, tracking the abstract store. All shared
-/// inputs are behind `&` — only the per-function bookkeeping is mutable.
+/// inputs are behind `&`; the walk's accumulators are behind `&mut`.
 struct FunctionChecker<'c, 'a> {
     cx: &'c CheckContext<'a>,
-    /// Summary slots by node id; filled for the functions checked before
-    /// this one.
-    summaries: &'c [Option<Summary>],
+    /// Summary slots by node id, filled for the functions checked before
+    /// this one; this function's requirements append to its arrays.
+    walk: &'c mut Walk,
     current_fun: Symbol,
-    errors: Vec<LockError>,
-    sites: usize,
+    /// Where this function's requirements start in the walk's `reqs`.
+    reqs: usize,
     recording: bool,
-    req_sink: Option<ReqSink>,
-    /// Break/continue join points for each enclosing loop.
-    loop_stack: Vec<LoopExits>,
     /// Join of the stores at every `return` in the current function.
     return_store: Store,
 }
@@ -267,18 +281,24 @@ impl FunctionChecker<'_, '_> {
     }
 
     fn block(&mut self, b: &Block, store: &mut Store) {
-        let scopes: Vec<RangeScope> = self.cx.range_scopes.get(&b.id).cloned().unwrap_or_default();
+        let cx = self.cx;
+        let scopes = cx.scopes(b.id);
         let mut decl_scopes: Vec<(Loc, Loc)> = Vec::new();
         for (i, s) in b.stmts.iter().enumerate() {
             for sc in scopes.iter().filter(|sc| sc.start == i) {
                 self.copy_in(store, sc.rho, sc.rho_p);
             }
             self.stmt(s, store, &mut decl_scopes);
-            // Inner scopes (larger start) copy out first.
-            let mut ending: Vec<&RangeScope> = scopes.iter().filter(|sc| sc.end == i).collect();
-            ending.sort_by_key(|sc| std::cmp::Reverse(sc.start));
-            for sc in ending {
-                self.copy_out(store, sc.rho, sc.rho_p);
+            // Inner scopes (larger start) copy out first; scopes with
+            // one start keep their copy-in order.
+            let mut hi = scopes.len();
+            while hi > 0 {
+                let start = scopes[hi - 1].start;
+                let lo = scopes[..hi].partition_point(|sc| sc.start < start);
+                for sc in scopes[lo..hi].iter().filter(|sc| sc.end == i) {
+                    self.copy_out(store, sc.rho, sc.rho_p);
+                }
+                hi = lo;
             }
         }
         // Declaration-restrict scopes end with the block, innermost first.
@@ -329,14 +349,11 @@ impl FunctionChecker<'_, '_> {
                 self.expr(cond, store);
                 let mut then_store = store.clone();
                 self.block(then_blk, &mut then_store);
-                match else_blk {
-                    Some(e) => {
-                        let mut else_store = store.clone();
-                        self.block(e, &mut else_store);
-                        then_store.join(&else_store);
-                    }
-                    None => then_store.join(store),
+                // `store` walks on as the else branch.
+                if let Some(e) = else_blk {
+                    self.block(e, store);
                 }
+                then_store.join(store);
                 *store = then_store;
             }
             StmtKind::While { cond, body, step } => {
@@ -350,9 +367,9 @@ impl FunctionChecker<'_, '_> {
                 loop {
                     let mut iter_store = head.clone();
                     self.expr(cond, &mut iter_store);
-                    self.loop_stack.push(LoopExits::new());
+                    self.walk.loop_stack.push(LoopExits::new());
                     self.block(body, &mut iter_store);
-                    let exits = self.loop_stack.pop().expect("loop exits");
+                    let exits = self.walk.loop_stack.pop().expect("loop exits");
                     // The step runs on both normal completion and
                     // continue.
                     iter_store.join(&exits.continues);
@@ -370,9 +387,9 @@ impl FunctionChecker<'_, '_> {
                 let mut exit_store = head.clone();
                 self.expr(cond, &mut exit_store);
                 let mut body_store = exit_store.clone();
-                self.loop_stack.push(LoopExits::new());
+                self.walk.loop_stack.push(LoopExits::new());
                 self.block(body, &mut body_store);
-                let exits = self.loop_stack.pop().expect("loop exits");
+                let exits = self.walk.loop_stack.pop().expect("loop exits");
                 body_store.join(&exits.continues);
                 if let Some(step) = step {
                     self.expr(step, &mut body_store);
@@ -388,7 +405,7 @@ impl FunctionChecker<'_, '_> {
                 store.mark_unreachable();
             }
             StmtKind::Break => {
-                match self.loop_stack.last_mut() {
+                match self.walk.loop_stack.last_mut() {
                     Some(top) => top.breaks.join(store),
                     // break outside a loop: the path simply ends.
                     None => self.return_store.join(store),
@@ -396,7 +413,7 @@ impl FunctionChecker<'_, '_> {
                 store.mark_unreachable();
             }
             StmtKind::Continue => {
-                match self.loop_stack.last_mut() {
+                match self.walk.loop_stack.last_mut() {
                     Some(top) => top.continues.join(store),
                     None => self.return_store.join(store),
                 }
@@ -426,19 +443,18 @@ impl FunctionChecker<'_, '_> {
 
     fn require(&mut self, store: &Store, loc: Loc, required: LockState, op: LockOp, site: NodeId) {
         // Record a summary requirement on first touch.
-        if let Some(sink) = &mut self.req_sink {
-            if !store.touched(loc) && sink.seen.insert(loc) {
-                sink.reqs.push((loc, required, op));
-            }
+        let reqs = &mut self.walk.sums.reqs;
+        if !store.touched(loc) && !reqs[self.reqs..].iter().any(|r| r.0 == loc) {
+            reqs.push((loc, required, op));
         }
         if self.recording {
             let found = store.state(loc);
             if !found.verifies(required) {
-                self.errors.push(LockError {
+                self.walk.errors.push(LockError {
                     site,
                     op,
                     found,
-                    fun: self.current_fun.to_string(),
+                    fun: self.current_fun.clone(),
                 });
             }
         }
@@ -462,7 +478,7 @@ impl FunctionChecker<'_, '_> {
                 }
             };
             if self.recording {
-                self.sites += 1;
+                self.walk.sites += 1;
             }
             let Some(arg) = args.first() else { return };
             let Some(loc) = self.arg_pointee(arg) else {
@@ -477,19 +493,21 @@ impl FunctionChecker<'_, '_> {
         // Defined function: apply its summary if its slot is filled, that
         // is, if the callee comes earlier in the schedule; otherwise havoc
         // if it is cyclic (a callee later in the schedule always is).
-        let Some(c) = self.cx.graph.node(callee) else {
+        let Some(c) = self.cx.graph.call_target(site) else {
             return; // extern/undefined: no interprocedural effect
         };
-        let Some(sum) = &self.summaries[c] else {
+        let Some(sum) = self.walk.sums.slots[c] else {
             if self.cx.graph.is_cyclic(c) {
                 store.havoc();
             }
             return;
         };
-        let map = self.retarget_map(c, args);
-        for (loc, required, _op) in &sum.first_req {
-            let target = retarget(&map, self.cx.frozen, *loc);
-            self.require(store, target, *required, LockOp::CallRequirement, site);
+        self.fill_retargets(c, args);
+        // By index: requiring appends to the array the callee's run is in.
+        for j in sum.first_req.0..sum.first_req.1 {
+            let (loc, required, _op) = self.walk.sums.reqs[j];
+            let target = retarget(&self.walk.retargets, self.cx.frozen, loc);
+            self.require(store, target, required, LockOp::CallRequirement, site);
         }
         // A havocked callee reached an unanalyzed cyclic call on some
         // path: its `out` covers only the locations it mentioned, so
@@ -498,27 +516,32 @@ impl FunctionChecker<'_, '_> {
         if sum.havocked {
             store.havoc();
         }
-        for (loc, out_state) in &sum.out {
-            let target = retarget(&map, self.cx.frozen, *loc);
+        for &(loc, out_state) in &self.walk.sums.outs[sum.out.0..sum.out.1] {
+            let target = retarget(&self.walk.retargets, self.cx.frozen, loc);
             let strong = self.strong(target);
-            store.update(target, *out_state, strong);
+            store.update(target, out_state, strong);
         }
     }
 
     /// Maps a callee's restrict-parameter `ρ'` locations to the actual
-    /// arguments' pointee locations at this call site.
-    fn retarget_map(&self, callee: usize, args: &[Expr]) -> FxHashMap<Loc, Loc> {
-        let mut map = FxHashMap::default();
-        for (info, arg) in self.cx.params[callee].iter().zip(args) {
+    /// arguments' pointee locations at this call site, into the walk's
+    /// `retargets` (a later parameter with the same `ρ'` wins).
+    fn fill_retargets(&mut self, callee: usize, args: &[Expr]) {
+        let cx = self.cx;
+        self.walk.retargets.clear();
+        for (info, arg) in cx.params(callee).iter().zip(args) {
             if !info.restrict {
                 continue;
             }
             let Some(rho_p) = info.rho_p else { continue };
             if let Some(target) = self.arg_pointee(arg) {
-                map.insert(self.cx.frozen.find(rho_p), target);
+                let from = cx.frozen.find(rho_p);
+                match self.walk.retargets.iter_mut().find(|e| e.0 == from) {
+                    Some(e) => e.1 = target,
+                    None => self.walk.retargets.push((from, target)),
+                }
             }
         }
-        map
     }
 
     /// The canonical pointee location of a pointer-valued argument.

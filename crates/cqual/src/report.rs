@@ -1,7 +1,7 @@
 //! Lock-checking error reports.
 
 use crate::qual::LockState;
-use localias_ast::NodeId;
+use localias_ast::{NodeId, Symbol};
 use std::fmt;
 
 /// Which operation failed to verify.
@@ -36,7 +36,7 @@ pub struct LockError {
     /// The state the analysis had for the lock at that point.
     pub found: LockState,
     /// The enclosing function.
-    pub fun: String,
+    pub fun: Symbol,
 }
 
 impl fmt::Display for LockError {

@@ -18,15 +18,110 @@ use localias_alias::{Loc, LocTable};
 /// [`LockState::Bot`], updates are ignored, and it is the identity of
 /// [`Store::join`].
 ///
-/// Internally a sorted vector: a module tracks only a handful of lock
+/// Internally a sorted array: a module tracks only a handful of lock
 /// locations, and the flow checker clones stores at every branch and
-/// joins them at every merge — a flat array keeps a clone at one
-/// allocation (a `memcpy`) and keeps equality canonical.
+/// joins them at every merge. Up to [`INLINE`] entries live in the store
+/// itself, so such a clone is a `memcpy` that allocates nothing; a larger
+/// store moves them to the heap. Equality compares entries, never where
+/// they live, so it stays canonical.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Store {
-    map: Vec<(Loc, LockState)>,
+    map: Entries,
     unreachable: bool,
     havocked: bool,
+}
+
+/// Entries a store holds in place before it moves them to the heap.
+const INLINE: usize = 7;
+
+type Entry = (Loc, LockState);
+
+/// A store's sorted entries: in place while they fit, else on the heap.
+#[derive(Clone)]
+enum Entries {
+    Inline { len: u8, items: [Entry; INLINE] },
+    Heap(Vec<Entry>),
+}
+
+impl Default for Entries {
+    fn default() -> Self {
+        Entries::Inline {
+            len: 0,
+            items: [(Loc(0), LockState::Bot); INLINE],
+        }
+    }
+}
+
+impl Entries {
+    fn as_slice(&self) -> &[Entry] {
+        match self {
+            Entries::Inline { len, items } => &items[..*len as usize],
+            Entries::Heap(v) => v,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [Entry] {
+        match self {
+            Entries::Inline { len, items } => &mut items[..*len as usize],
+            Entries::Heap(v) => v,
+        }
+    }
+
+    fn insert(&mut self, i: usize, e: Entry) {
+        match self {
+            Entries::Inline { len, items } if (*len as usize) < INLINE => {
+                let n = *len as usize;
+                items.copy_within(i..n, i + 1);
+                items[i] = e;
+                *len += 1;
+            }
+            Entries::Inline { items, .. } => {
+                let mut v = Vec::with_capacity(2 * INLINE);
+                v.extend_from_slice(&items[..i]);
+                v.push(e);
+                v.extend_from_slice(&items[i..]);
+                *self = Entries::Heap(v);
+            }
+            Entries::Heap(v) => v.insert(i, e),
+        }
+    }
+
+    fn clear(&mut self) {
+        match self {
+            Entries::Inline { len, .. } => *len = 0,
+            Entries::Heap(v) => v.clear(),
+        }
+    }
+
+    fn retain(&mut self, mut keep: impl FnMut(&Entry) -> bool) {
+        match self {
+            Entries::Inline { len, items } => {
+                let mut kept = 0;
+                for i in 0..*len as usize {
+                    if keep(&items[i]) {
+                        items[kept] = items[i];
+                        kept += 1;
+                    }
+                }
+                *len = kept as u8;
+            }
+            Entries::Heap(v) => v.retain(keep),
+        }
+    }
+}
+
+impl PartialEq for Entries {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for Entries {}
+
+impl std::fmt::Debug for Entries {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.as_slice()).finish()
+    }
 }
 
 impl Store {
@@ -38,7 +133,7 @@ impl Store {
     /// An unreachable store — the identity of [`Store::join`].
     pub fn bottom() -> Self {
         Store {
-            map: Vec::new(),
+            map: Entries::default(),
             unreachable: true,
             havocked: false,
         }
@@ -57,7 +152,7 @@ impl Store {
     /// Index of `loc` in the sorted entry list, or where to insert it.
     #[inline]
     fn pos(&self, loc: Loc) -> Result<usize, usize> {
-        self.map.binary_search_by_key(&loc, |&(l, _)| l)
+        self.map.as_slice().binary_search_by_key(&loc, |&(l, _)| l)
     }
 
     /// Marks this path dead (after `return`/`break`/`continue`).
@@ -80,7 +175,7 @@ impl Store {
             return LockState::Bot;
         }
         match self.pos(loc) {
-            Ok(i) => self.map[i].1,
+            Ok(i) => self.map.as_slice()[i].1,
             Err(_) => self.default_state(),
         }
     }
@@ -91,7 +186,7 @@ impl Store {
             return;
         }
         match self.pos(loc) {
-            Ok(i) => self.map[i].1 = s,
+            Ok(i) => self.map.as_mut_slice()[i].1 = s,
             Err(i) => self.map.insert(i, (loc, s)),
         }
     }
@@ -107,8 +202,8 @@ impl Store {
         }
         match self.pos(loc) {
             Ok(i) => {
-                let cur = self.map[i].1;
-                self.map[i].1 = if strong { new } else { cur.weak_update(new) };
+                let e = &mut self.map.as_mut_slice()[i];
+                e.1 = if strong { new } else { e.1.weak_update(new) };
             }
             Err(i) => {
                 let s = if strong {
@@ -130,13 +225,13 @@ impl Store {
             *self = other.clone();
             return;
         }
-        for &(loc, s) in &other.map {
+        for &(loc, s) in other.map.as_slice() {
             let mine = self.state(loc);
             self.set(loc, mine.join(s));
         }
         // Locations only in self keep their state: other's implicit
         // default (Unlocked, or Top when havocked) must still join in.
-        for e in &mut self.map {
+        for e in self.map.as_mut_slice() {
             if other.pos(e.0).is_err() {
                 e.1 = e.1.join(other.default_state());
             }
@@ -173,7 +268,7 @@ impl Store {
 
     /// The touched locations and their states.
     pub fn iter(&self) -> impl Iterator<Item = (Loc, LockState)> + '_ {
-        self.map.iter().copied()
+        self.map.as_slice().iter().copied()
     }
 
     /// Whether `loc` has ever been explicitly set/updated (used when

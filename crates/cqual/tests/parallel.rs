@@ -21,7 +21,7 @@ fn shape(r: &LockReport) -> Shape {
     (
         r.errors
             .iter()
-            .map(|e| (e.fun.clone(), e.op, e.found))
+            .map(|e| (e.fun.to_string(), e.op, e.found))
             .collect(),
         r.sites,
     )
