@@ -139,17 +139,22 @@ pub struct State {
     pub fields: FxMap<(Symbol, Symbol), Loc>,
     /// Function signatures by name.
     pub funs: FxMap<Symbol, FunSig>,
-    /// Per defined function, the *bound* parameter value types in
-    /// declaration order — i.e. the types the parameter variables carry
-    /// after any binding hooks ran (a restrict parameter's pointee is
-    /// its fresh ρ′, not the signature's ρ). For duplicate definitions
-    /// the first body wins, matching the variable table's scan order.
-    pub param_tys: FxMap<Symbol, Vec<Ty>>,
+    /// Per defined function, the run of [`State::vars`] its parameters
+    /// were bound to, in declaration order; read it through
+    /// [`State::param_vars`]. For duplicate definitions the first body
+    /// wins, matching the variable table's scan order.
+    pub param_runs: FxMap<Symbol, (u32, u32)>,
     /// Type mismatches found (standard typing errors; the analyses treat
     /// the involved locations as tainted rather than aborting).
     pub mismatches: Vec<TypeMismatch>,
-    /// Scope stack of name → var bindings.
-    env: Vec<FxMap<Symbol, VarId>>,
+    /// The module scope's bindings (the globals).
+    globals: FxMap<Symbol, VarId>,
+    /// The bindings of the open local scopes, innermost last: a lookup
+    /// scans back from the end, so a later binding hides an earlier one.
+    locals: Vec<(Symbol, VarId)>,
+    /// Where each open scope starts in `locals`; the first is the
+    /// module scope, whose bindings go to `globals`.
+    scopes: Vec<usize>,
     /// Names of variables whose address is taken somewhere in the module.
     addr_taken: FxSet<Symbol>,
     /// Current function name during body walks.
@@ -166,9 +171,11 @@ impl State {
             vars: Vec::new(),
             fields: FxMap::default(),
             funs: FxMap::default(),
-            param_tys: FxMap::default(),
+            param_runs: FxMap::default(),
             mismatches: Vec::new(),
-            env: Vec::new(),
+            globals: FxMap::default(),
+            locals: Vec::new(),
+            scopes: Vec::new(),
             addr_taken: FxSet::default(),
             current_fun: None,
         }
@@ -225,30 +232,44 @@ impl State {
     }
 
     fn push_scope(&mut self) {
-        self.env.push(FxMap::default());
+        self.scopes.push(self.locals.len());
     }
 
     fn pop_scope(&mut self) {
-        self.env.pop();
+        let start = self.scopes.pop().expect("a scope is open");
+        self.locals.truncate(start);
+        if self.scopes.is_empty() {
+            self.globals.clear();
+        }
     }
 
     fn bind(&mut self, info: VarInfo) -> VarId {
         let id = VarId(self.vars.len() as u32);
-        self.env
-            .last_mut()
-            .expect("bind outside any scope")
-            .insert(info.name.clone(), id);
+        match self.scopes.len() {
+            0 => panic!("bind outside any scope"),
+            1 => {
+                self.globals.insert(info.name.clone(), id);
+            }
+            _ => self.locals.push((info.name.clone(), id)),
+        }
         self.vars.push(info);
         id
     }
 
     fn lookup(&self, name: &str) -> Option<VarId> {
-        for frame in self.env.iter().rev() {
-            if let Some(&id) = frame.get(name) {
-                return Some(id);
-            }
+        match self.locals.iter().rev().find(|(n, _)| n.as_str() == name) {
+            Some(&(_, id)) => Some(id),
+            None => self.globals.get(name).copied(),
         }
-        None
+    }
+
+    /// The parameter variables of defined function `fun`, in declaration
+    /// order. Their types are the *bound* parameter value types — the
+    /// types after any binding hooks ran (a restrict parameter's pointee
+    /// is its fresh ρ′, not the signature's ρ).
+    pub fn param_vars(&self, fun: &str) -> Option<&[VarInfo]> {
+        let &(start, end) = self.param_runs.get(fun)?;
+        Some(&self.vars[start as usize..end as usize])
     }
 
     /// Records and returns the value type of expression `e`.
@@ -386,6 +407,7 @@ pub fn analyze_with<H: Hooks>(m: &Module, hooks: H) -> (State, H) {
     let mut w = Walker {
         st: State::new(m),
         hooks,
+        args: Vec::new(),
     };
     w.module(m);
     (w.st, w.hooks)
@@ -394,6 +416,9 @@ pub fn analyze_with<H: Hooks>(m: &Module, hooks: H) -> (State, H) {
 struct Walker<H: Hooks> {
     st: State,
     hooks: H,
+    /// The argument types of the calls being walked, innermost last;
+    /// each call reads its own run and truncates it.
+    args: Vec<Ty>,
 }
 
 impl<H: Hooks> Walker<H> {
@@ -411,6 +436,8 @@ impl<H: Hooks> Walker<H> {
 
         // Pass 2: globals.
         self.st.push_scope();
+        let globals = m.globals().count();
+        self.st.globals.reserve(globals);
         for item in &m.items {
             if let ItemKind::Global(g) = &item.kind {
                 let ty = self.st.lower(&g.ty);
@@ -432,6 +459,8 @@ impl<H: Hooks> Walker<H> {
 
         // Pass 3: function signatures (defined + extern), so calls in any
         // order unify against shared parameter types.
+        self.st.funs.reserve(m.items.len() - globals);
+        self.st.param_runs.reserve(m.functions().count());
         for item in &m.items {
             match &item.kind {
                 ItemKind::Fun(f) => self.declare_fun(&f.name.name, &f.params, &f.ret, false),
@@ -486,21 +515,21 @@ impl<H: Hooks> Walker<H> {
         self.hooks.enter_scope(&mut self.st, ScopeKind::Fun(f.id));
         self.st.push_scope();
 
-        let sig = self.st.funs[&f.name.name].clone();
-        let mut bound_tys = Vec::with_capacity(f.params.len());
-        for (p, sig_ty) in f.params.iter().zip(&sig.params) {
+        // Parameters bind to consecutive variables (hooks cannot bind).
+        let name = &f.name.name;
+        let first = self.st.vars.len() as u32;
+        let bound = self.st.funs[name].params.len().min(f.params.len());
+        for (i, p) in f.params[..bound].iter().enumerate() {
             let site = BindSite::Param {
                 restrict: p.restrict,
             };
-            let value_ty = self.hooks.bind_ty(&mut self.st, site, sig_ty.clone(), f.id);
-            bound_tys.push(value_ty.clone());
+            let sig_ty = self.st.funs[name].params[i].clone();
+            let value_ty = self.hooks.bind_ty(&mut self.st, site, sig_ty, f.id);
             let var = self.bind_var(&p.name.name, value_ty);
             self.hooks.on_bind(&mut self.st, var, site, f.id);
         }
-        self.st
-            .param_tys
-            .entry(f.name.name.clone())
-            .or_insert(bound_tys);
+        let run = (first, self.st.vars.len() as u32);
+        self.st.param_runs.entry(name.clone()).or_insert(run);
 
         self.block_inner(&f.body);
 
@@ -929,10 +958,22 @@ impl<H: Hooks> Walker<H> {
     }
 
     fn call(&mut self, f: &Ident, args: &[Expr], at: NodeId) -> Ty {
-        let arg_tys: Vec<Ty> = args.iter().map(|a| self.rval(a)).collect();
+        let base = self.args.len();
+        for a in args {
+            let t = self.rval(a);
+            self.args.push(t);
+        }
+        let ret = self.call_with(f, base, at);
+        self.args.truncate(base);
+        ret
+    }
+
+    /// Types a call to `f` whose argument types are `self.args[base..]`.
+    fn call_with(&mut self, f: &Ident, base: usize, at: NodeId) -> Ty {
+        let arg_tys = &self.args[base..];
         if localias_ast::intrinsics::is_change_type(&f.name) {
             // change_type(e): writes the lock state at e's pointee.
-            for t in &arg_tys {
+            for t in arg_tys {
                 if let Ty::Ref(l) = t {
                     let l = self.st.locs.find(*l);
                     let content = self.st.locs.content(l);
@@ -953,7 +994,7 @@ impl<H: Hooks> Walker<H> {
         let sig = st.funs.entry(f.name.clone()).or_insert_with(|| FunSig {
             // Implicit extern: parameters adopt the argument types; the
             // return type is unknown.
-            params: arg_tys.clone(),
+            params: arg_tys.to_vec(),
             ret: Ty::Unknown,
             is_extern: true,
         });

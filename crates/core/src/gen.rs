@@ -1077,13 +1077,16 @@ impl Hooks for Gen<'_> {
                     // visible through globals and the signature.
                     let vis = self.cs.fresh_var();
                     self.cs.include(Effect::var(self.gamma_globals), vis);
-                    if let Some(sig) = st.funs.get(&name).cloned() {
-                        for p in &sig.params {
-                            if let Some(v) = self.ty_eps(st, p) {
-                                self.cs.include(Effect::var(v), vis);
-                            }
+                    // By index: `ty_eps` needs the state mutably.
+                    let params = st.funs.get(&name).map_or(0, |sig| sig.params.len());
+                    for i in 0..params {
+                        let p = st.funs[&name].params[i].clone();
+                        if let Some(v) = self.ty_eps(st, &p) {
+                            self.cs.include(Effect::var(v), vis);
                         }
-                        if let Some(v) = self.ty_eps(st, &sig.ret) {
+                    }
+                    if let Some(ret) = st.funs.get(&name).map(|sig| sig.ret.clone()) {
+                        if let Some(v) = self.ty_eps(st, &ret) {
                             self.cs.include(Effect::var(v), vis);
                         }
                     }
@@ -1264,22 +1267,21 @@ impl Hooks for Gen<'_> {
         let info = st.vars[var.index()].clone();
 
         // Extend ε_Γ with the new binding's reachable locations.
-        let mut parts: Vec<EffVar> = Vec::new();
-        if let Some(v) = self.ty_eps(st, &info.ty) {
-            parts.push(v);
-        }
-        if let VarKind::Addressed(l) = info.kind {
-            parts.push(self.loc_var(st, l));
-        }
+        let ty_part = self.ty_eps(st, &info.ty);
+        let addr_part = match info.kind {
+            VarKind::Addressed(l) => Some(self.loc_var(st, l)),
+            VarKind::Register => None,
+        };
+        let parts = [ty_part, addr_part];
         if matches!(site, BindSite::Global) {
-            for v in parts {
+            for v in parts.into_iter().flatten() {
                 self.cs.include(Effect::var(v), self.gamma_globals);
             }
-        } else {
+        } else if parts.iter().any(Option::is_some) {
             let old = self.cur_gamma();
             let new = self.cs.fresh_var();
             self.cs.include(Effect::var(old), new);
-            for v in parts {
+            for v in parts.into_iter().flatten() {
                 self.cs.include(Effect::var(v), new);
             }
             let frame = self
@@ -1290,6 +1292,7 @@ impl Hooks for Gen<'_> {
                 .expect("a gamma frame");
             frame.gamma = Some(new);
         }
+        // A binding that reaches no location adds nothing: `ε_Γ` stays.
 
         // Wire a pending restrict/candidate.
         let Some(pending) = self.pending_bind.take() else {

@@ -133,12 +133,12 @@ impl Analysis {
         // Parameter pointees the checker may retarget through.
         let is_restrict = self.restrict_param();
         for f in m.functions() {
-            let Some(tys) = self.state.param_tys.get(f.name.name.as_str()) else {
+            let Some(vars) = self.state.param_vars(&f.name.name) else {
                 continue;
             };
-            for (p, ty) in f.params.iter().zip(tys) {
+            for (p, var) in f.params.iter().zip(vars) {
                 if is_restrict(f, p) {
-                    if let Some(l) = ty.pointee() {
+                    if let Some(l) = var.ty.pointee() {
                         pinned.push(l);
                     }
                 }

@@ -118,10 +118,10 @@ impl<'a> CheckContext<'a> {
         let mut param_runs = vec![(0, 0); graph.len()];
         let mut params = Vec::new();
         for (f, &v) in m.functions().zip(graph.defs()) {
-            let tys = analysis.state.param_tys.get(f.name.name.as_str());
+            let vars = analysis.state.param_vars(&f.name.name);
             let start = params.len();
             for (i, p) in f.params.iter().enumerate() {
-                let rho_p = tys.and_then(|t| t.get(i)).and_then(|ty| ty.pointee());
+                let rho_p = vars.and_then(|v| v.get(i)).and_then(|v| v.ty.pointee());
                 let restrict = is_restrict(f, p);
                 params.push(ParamInfo { rho_p, restrict });
             }

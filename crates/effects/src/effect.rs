@@ -175,6 +175,10 @@ pub enum Effect {
     /// type — and every intersection the generation rules emit has this
     /// shape.
     Inter(Box<Effect>, Box<Effect>),
+    /// `ε1 ∩ ε2`: [`Effect::Inter`] of two variables, held without
+    /// boxes. [`Effect::inter`] builds it for two variables, which is the
+    /// shape of the `(Down)` mask every function emits.
+    InterVars(EffVar, EffVar),
 }
 
 impl Effect {
@@ -196,11 +200,13 @@ impl Effect {
         }
     }
 
-    /// Filtered intersection (see [`Effect::Inter`]).
+    /// Filtered intersection (see [`Effect::Inter`]); of two variables
+    /// it is an [`Effect::InterVars`].
     pub fn inter(a: Effect, b: Effect) -> Effect {
-        match (&a, &b) {
+        match (a, b) {
             (Effect::Empty, _) | (_, Effect::Empty) => Effect::Empty,
-            _ => Effect::Inter(Box::new(a), Box::new(b)),
+            (Effect::Var(a), Effect::Var(b)) => Effect::InterVars(a, b),
+            (a, b) => Effect::Inter(Box::new(a), Box::new(b)),
         }
     }
 }
@@ -213,6 +219,7 @@ impl fmt::Display for Effect {
             Effect::Var(v) => write!(f, "{v}"),
             Effect::Union(a, b) => write!(f, "({a} ∪ {b})"),
             Effect::Inter(a, b) => write!(f, "({a} ∩ {b})"),
+            Effect::InterVars(a, b) => write!(f, "({a} ∩ {b})"),
         }
     }
 }
@@ -239,6 +246,10 @@ mod tests {
         assert_eq!(Effect::union(Effect::Empty, a.clone()), a);
         assert_eq!(Effect::inter(Effect::Empty, a.clone()), Effect::Empty);
         assert_eq!(Effect::inter(a.clone(), Effect::Empty), Effect::Empty);
+        let (v, w) = (EffVar(1), EffVar(2));
+        let masked = Effect::inter(Effect::var(v), Effect::var(w));
+        assert_eq!(masked, Effect::InterVars(v, w));
+        assert_eq!(masked.to_string(), "(ε1 ∩ ε2)");
     }
 
     #[test]

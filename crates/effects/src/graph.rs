@@ -223,6 +223,14 @@ impl Graph {
                 self.lower(b, i, Port::Right);
                 self.edge(i, target, port);
             }
+            Effect::InterVars(a, b) => {
+                let i = self.push_node(NodeKind::Inter);
+                let a = self.var_node(*a);
+                self.edge(a, i, Port::Left);
+                let b = self.var_node(*b);
+                self.edge(b, i, Port::Right);
+                self.edge(i, target, port);
+            }
         }
     }
 }

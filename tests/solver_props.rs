@@ -112,6 +112,10 @@ fn eval(e: &Effect, sol: &RefSol, locs: &LocTable) -> RefSet {
                 .filter(|(l, _)| right.contains_key(l))
                 .collect()
         }
+        Effect::InterVars(a, b) => {
+            let inter = Effect::Inter(Box::new(Effect::Var(*a)), Box::new(Effect::Var(*b)));
+            eval(&inter, sol, locs)
+        }
     }
 }
 
@@ -174,6 +178,7 @@ fn vars_read(e: &Effect) -> Vec<EffVar> {
     match e {
         Effect::Empty | Effect::Atom(_) => Vec::new(),
         Effect::Var(v) => vec![*v],
+        Effect::InterVars(a, b) => vec![*a, *b],
         Effect::Union(a, b) | Effect::Inter(a, b) => {
             let mut vs = vars_read(a);
             vs.extend(vars_read(b));
