@@ -110,6 +110,15 @@ impl LocTable {
         LocTable::default()
     }
 
+    /// Creates an empty table with room for `locs` locations.
+    pub fn with_capacity(locs: usize) -> Self {
+        LocTable {
+            uf: UnionFind::with_capacity(locs),
+            info: Vec::with_capacity(locs),
+            merges: Vec::new(),
+        }
+    }
+
     /// Allocates a fresh placeholder location ([`Multiplicity::Zero`])
     /// holding values of type `content`.
     pub fn fresh(&mut self, content: Ty) -> Loc {

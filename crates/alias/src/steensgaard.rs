@@ -163,12 +163,16 @@ pub struct State {
 
 impl State {
     fn new(m: &Module) -> Self {
+        // Over the paper corpus a module has one location and one variable
+        // per 8–12 AST nodes (at most one location per 4), so a table
+        // sized at one per 8 nodes rarely grows.
+        let n = m.node_count as usize;
         State {
-            locs: LocTable::new(),
-            expr_ty: vec![None; m.node_count as usize],
-            expr_lval: vec![None; m.node_count as usize],
-            var_of_expr: vec![None; m.node_count as usize],
-            vars: Vec::new(),
+            locs: LocTable::with_capacity(n / 8),
+            expr_ty: vec![None; n],
+            expr_lval: vec![None; n],
+            var_of_expr: vec![None; n],
+            vars: Vec::with_capacity(n / 8),
             fields: FxMap::default(),
             funs: FxMap::default(),
             param_runs: FxMap::default(),

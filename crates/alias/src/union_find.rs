@@ -18,6 +18,14 @@ impl UnionFind {
         UnionFind::default()
     }
 
+    /// Creates an empty structure with room for `keys` keys.
+    pub fn with_capacity(keys: usize) -> Self {
+        UnionFind {
+            parent: Vec::with_capacity(keys),
+            rank: Vec::with_capacity(keys),
+        }
+    }
+
     /// Adds a fresh singleton set and returns its key.
     pub fn push(&mut self) -> u32 {
         let key = self.parent.len() as u32;

@@ -314,6 +314,8 @@ impl<'a> Gen<'a> {
     /// Creates a generator for a module analysis with the given options.
     pub fn new(opts: Options<'a>) -> Self {
         let mut cs = ConstraintSystem::new();
+        // A materialized candidate wires seven conditionals.
+        cs.reserve_conditionals(7 * opts.confine_candidates.len());
         let gamma_globals = cs.fresh_var();
         let module_eff = cs.fresh_var();
         let mut pending_ranges = Vec::with_capacity(opts.confine_candidates.len());
@@ -376,6 +378,16 @@ impl<'a> Gen<'a> {
             candidate_flags: Vec::new(),
             mult_fixups: Vec::new(),
         }
+    }
+
+    /// Sizes the constraint system and the per-location and per-function
+    /// tables for walking `m`. Over the paper corpus a module makes one
+    /// inclusion per 1–4 AST nodes and one location per 8–12.
+    pub fn reserve_for(&mut self, m: &localias_ast::Module) {
+        let nodes = m.node_count as usize;
+        self.cs.includes.reserve(nodes / 2);
+        self.loc_vars.reserve(nodes / 8);
+        self.fun_effs.reserve(m.functions().count());
     }
 
     // ---- Small helpers ----------------------------------------------------
@@ -828,14 +840,15 @@ impl<'a> Gen<'a> {
             }
         }
 
-        let mut emitted: FxSet<Loc> = FxSet::default();
+        // Finalizing creates no location, so a flag per location serves.
+        let mut emitted = vec![false; st.locs.len()];
         let mut structs_done: FxSet<Symbol> = FxSet::default();
         let mut stack: Vec<(Loc, EffVar)> = self.loc_vars.iter().collect();
         let mut struct_stack: Vec<Symbol> = self.struct_eps.keys().cloned().collect();
         loop {
             while let Some((l, v)) = stack.pop() {
                 let r = st.locs.find(l);
-                if !emitted.insert(r) {
+                if std::mem::replace(&mut emitted[r.index()], true) {
                     continue;
                 }
                 self.cs.include(Effect::atom(EffectKind::Mention, r), v);

@@ -194,7 +194,8 @@ pub fn analyze(m: &Module, opts: Options) -> Analysis {
     obs::count(obs::Counter::ModulesAnalyzed, 1);
     let (mut state, mut gen) = {
         let _s = obs::span!("core.alias");
-        let hooks = Gen::new(opts);
+        let mut hooks = Gen::new(opts);
+        hooks.reserve_for(m);
         let (mut state, mut gen) = analyze_with(m, hooks);
         gen.finalize(&mut state);
         (state, gen)

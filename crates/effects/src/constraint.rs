@@ -180,6 +180,15 @@ impl ConstraintSystem {
         });
     }
 
+    /// Makes room for `n` more conditionals, each with one unification,
+    /// one inclusion and two flags.
+    pub fn reserve_conditionals(&mut self, n: usize) {
+        self.conditionals.reserve(n);
+        self.action_unify.reserve(n);
+        self.action_include.reserve(n);
+        self.action_flags.reserve(2 * n);
+    }
+
     /// Adds a conditional constraint.
     pub fn conditional(&mut self, guard: Guard, action: Action) {
         self.conditional_parts(guard, action.unify, action.include, action.flags);

@@ -25,7 +25,8 @@
 //! Edges live in one array in insertion order. Each node keeps links to
 //! its first and last out-edge, and each edge links to its source's next
 //! one, so adding an edge mid-solve is an append and no node owns a
-//! vector of its own.
+//! vector of its own. Atoms and edges are only ever appended, so what
+//! was added since a [`Graph::mark`] is the tail of each array.
 
 use crate::constraint::ConstraintSystem;
 use crate::effect::{Atom, EffVar, Effect};
@@ -59,6 +60,7 @@ const NO_EDGE: u32 = u32::MAX;
 /// One edge in [`Graph`]'s edge array.
 #[derive(Debug, Clone, Copy)]
 struct Edge {
+    from: NodeIx,
     to: NodeIx,
     port: Port,
     /// The source node's next out-edge, or [`NO_EDGE`].
@@ -79,10 +81,45 @@ pub struct Graph {
     pub atoms: Vec<(Atom, NodeIx, Port)>,
     /// Node of each effect variable; lazily created.
     var_node: Vec<Option<NodeIx>>,
-    /// Log of atoms/edges added since the last [`Graph::take_additions`]
-    /// — the solver seeds these incrementally instead of re-propagating.
-    added_atoms: Vec<(Atom, NodeIx, Port)>,
-    added_edges: Vec<(NodeIx, NodeIx, Port)>,
+}
+
+/// A point in a [`Graph`]'s growth: how many atoms and edges it had.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Mark {
+    atoms: usize,
+    edges: usize,
+}
+
+/// What lowering an effect term adds to a graph.
+#[derive(Debug, Default, Clone, Copy)]
+struct Census {
+    atoms: usize,
+    edges: usize,
+    inter_nodes: usize,
+}
+
+impl Census {
+    fn add(&mut self, l: &Effect) {
+        match l {
+            Effect::Empty => {}
+            Effect::Atom(_) => self.atoms += 1,
+            Effect::Var(_) => self.edges += 1,
+            Effect::Union(a, b) => {
+                self.add(a);
+                self.add(b);
+            }
+            Effect::Inter(a, b) => {
+                self.inter_nodes += 1;
+                self.edges += 1;
+                self.add(a);
+                self.add(b);
+            }
+            Effect::InterVars(..) => {
+                self.inter_nodes += 1;
+                self.edges += 3;
+            }
+        }
+    }
 }
 
 /// The out-edges of one node, `(to, port)` in insertion order; see
@@ -105,17 +142,20 @@ impl Iterator for Out<'_> {
 }
 
 impl Graph {
-    /// Creates a graph sized for `cs`'s variables, with room for one edge
-    /// per inclusion.
+    /// Creates a graph sized for `cs`: room for every node, edge and atom
+    /// its unconditional inclusions lower to.
     pub fn new(cs: &ConstraintSystem) -> Self {
+        let mut census = Census::default();
+        for (l, _) in &cs.includes {
+            census.add(l);
+        }
+        let nodes = cs.var_count() + census.inter_nodes;
         Graph {
-            kinds: Vec::with_capacity(cs.var_count()),
-            ends: Vec::with_capacity(cs.var_count()),
-            edges: Vec::with_capacity(cs.includes.len()),
-            atoms: Vec::new(),
+            kinds: Vec::with_capacity(nodes),
+            ends: Vec::with_capacity(nodes),
+            edges: Vec::with_capacity(census.edges),
+            atoms: Vec::with_capacity(census.atoms),
             var_node: vec![None; cs.var_count()],
-            added_atoms: Vec::new(),
-            added_edges: Vec::new(),
         }
     }
 
@@ -167,6 +207,7 @@ impl Graph {
         );
         let e = self.edges.len() as u32;
         self.edges.push(Edge {
+            from,
             to,
             port,
             next: NO_EDGE,
@@ -178,7 +219,6 @@ impl Graph {
             self.edges[*last as usize].next = e;
         }
         *last = e;
-        self.added_edges.push((from, to, port));
     }
 
     /// Consumes the graph, returning the node of each effect variable,
@@ -187,13 +227,25 @@ impl Graph {
         self.var_node
     }
 
-    /// Drains the additions (atoms, edges) logged since the last call.
-    #[allow(clippy::type_complexity)]
-    pub fn take_additions(&mut self) -> (Vec<(Atom, NodeIx, Port)>, Vec<(NodeIx, NodeIx, Port)>) {
-        (
-            std::mem::take(&mut self.added_atoms),
-            std::mem::take(&mut self.added_edges),
-        )
+    /// The graph's growth so far; see [`Graph::atoms_since`] and
+    /// [`Graph::edges_since`].
+    pub fn mark(&self) -> Mark {
+        Mark {
+            atoms: self.atoms.len(),
+            edges: self.edges.len(),
+        }
+    }
+
+    /// The atom sources added since `mark`, in order.
+    pub fn atoms_since(&self, mark: Mark) -> &[(Atom, NodeIx, Port)] {
+        &self.atoms[mark.atoms..]
+    }
+
+    /// The edges `(from, to, port)` added since `mark`, in order.
+    pub fn edges_since(&self, mark: Mark) -> impl Iterator<Item = (NodeIx, NodeIx, Port)> + '_ {
+        self.edges[mark.edges..]
+            .iter()
+            .map(|e| (e.from, e.to, e.port))
     }
 
     /// Lowers the inclusion `l ⊆ ε` into graph edges (Figure 4b).
@@ -205,10 +257,7 @@ impl Graph {
     fn lower(&mut self, l: &Effect, target: NodeIx, port: Port) {
         match l {
             Effect::Empty => {}
-            Effect::Atom(a) => {
-                self.atoms.push((*a, target, port));
-                self.added_atoms.push((*a, target, port));
-            }
+            Effect::Atom(a) => self.atoms.push((*a, target, port)),
             Effect::Var(v) => {
                 let n = self.var_node(*v);
                 self.edge(n, target, port);

@@ -122,20 +122,24 @@ impl Store {
         }
     }
 
-    /// Extends the store with empty sets for nodes `graph` added since.
+    /// Extends the store with empty sets for nodes `graph` added since,
+    /// growing each array once.
     fn grow(&mut self, graph: &Graph) {
         let w = self.sets.w;
+        let mut gates = self.gates.len();
+        self.gate_of.reserve(graph.node_count() - self.gate_of.len());
         for n in self.gate_of.len()..graph.node_count() {
             let gate = match graph.kinds[n] {
                 NodeKind::Plain => NO_GATE,
                 NodeKind::Inter => {
-                    let at = u32::try_from(self.gates.len()).expect("gate offsets fit in u32");
-                    self.gates.resize(self.gates.len() + (KINDS + 1) * w, 0);
+                    let at = u32::try_from(gates).expect("gate offsets fit in u32");
+                    gates += (KINDS + 1) * w;
                     at
                 }
             };
             self.gate_of.push(gate);
         }
+        self.gates.resize(gates, 0);
         self.sets.words.resize(self.gate_of.len() * KINDS * w, 0);
     }
 
@@ -387,9 +391,9 @@ impl Sccs {
         let mut comp = vec![UNSEEN; n];
         let mut order = Vec::with_capacity(n);
         // The Tarjan stack, and the DFS stack of (node, cursor over its
-        // remaining out-edges).
-        let mut stack: Vec<NodeIx> = Vec::new();
-        let mut calls: Vec<(NodeIx, Out)> = Vec::new();
+        // remaining out-edges); neither holds more than every node.
+        let mut stack: Vec<NodeIx> = Vec::with_capacity(n);
+        let mut calls: Vec<(NodeIx, Out)> = Vec::with_capacity(n);
         let (mut next, mut comps) = (0u32, 0u32);
         for root in 0..n as NodeIx {
             if index[root as usize] != UNSEEN {
@@ -524,6 +528,11 @@ impl LocVars {
         LocVars::default()
     }
 
+    /// Makes room for `n` more locations' variables.
+    pub fn reserve(&mut self, n: usize) {
+        self.map.reserve(n);
+    }
+
     /// The `ε_ρ` variable for `loc`'s class, creating one (named from the
     /// location) on first use. Pass the canonical representative.
     pub fn var_for(&mut self, cs: &mut ConstraintSystem, canonical: Loc) -> EffVar {
@@ -605,7 +614,6 @@ pub fn solve_with(
     let mut work = Worklist::default();
     store.grow(&graph);
     work.grow(graph.node_count());
-    let _ = graph.take_additions(); // initial atoms are seeded in bulk
     for &(atom, node, port) in &graph.atoms {
         let l = locs.find(atom.loc);
         store.seed(node, port, l.index(), atom.kind);
@@ -627,6 +635,7 @@ pub fn solve_with(
             }
             fired[i] = true;
             any = true;
+            let mark = graph.mark();
             apply_action(i, cs, locs, &mut graph, &mut flags);
             assert_eq!(
                 locs.len(),
@@ -641,16 +650,15 @@ pub fn solve_with(
                 store.merge(winner.index(), loser.index(), &mut work);
             }
             // Seed whatever the action added to the graph.
-            let (atoms, edges) = graph.take_additions();
             store.grow(&graph);
             work.grow(graph.node_count());
-            for (atom, node, port) in atoms {
+            for &(atom, node, port) in graph.atoms_since(mark) {
                 let l = locs.find(atom.loc);
                 if store.seed(node, port, l.index(), atom.kind) {
                     work.push(node);
                 }
             }
-            for (from, to, port) in edges {
+            for (from, to, port) in graph.edges_since(mark) {
                 unions += 1;
                 if store.flow(from, to, port) {
                     work.push(to);
