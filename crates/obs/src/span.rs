@@ -1,15 +1,18 @@
 //! Phase-scoped spans with deterministic cross-thread merging — the
 //! pipeline's one clock.
 //!
-//! Each live thread keeps a stack of open spans plus a bounded buffer
-//! (the "ring") of completed span records. A completed span records its
-//! hierarchical *path* — the names of every enclosing span joined with
-//! `/` — and its total/self wall time. Buffers flush into one global
-//! aggregate keyed by path whenever the thread's span stack empties (or
-//! the buffer fills), and aggregation is commutative, so the merged
-//! result is independent of thread count and scheduling: the span *tree*
-//! (paths and counts) is byte-stable for any `--jobs` value, and only
-//! the recorded durations vary run to run.
+//! Each live thread keeps a stack of open spans. A completed span is
+//! counted against its hierarchical *path* — the names of every
+//! enclosing span joined with `/` — with its total/self wall time. Paths
+//! are interned once, into one process-wide table of `(parent, name)`
+//! pairs, and each thread caches its lookups in a small trie, so closing
+//! a span on a path the thread has seen before adds to a per-thread
+//! counter and allocates nothing. The thread's counters merge into the
+//! global aggregate whenever its span stack empties, and paths are
+//! rendered to strings only at drain. Aggregation is commutative, so the
+//! merged result is independent of thread count and scheduling: the span
+//! *tree* (paths and counts) is byte-stable for any `--jobs` value, and
+//! only the recorded durations vary run to run.
 //!
 //! A *lazy* span ([`Span::enter`]) reads the clock only when a sink
 //! wants it: spans, or the histogram it names. A *timed* span
@@ -24,7 +27,6 @@
 //! making the merged tree identical whichever thread did the work.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::sync::atomic::AtomicBool;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -40,31 +42,106 @@ pub fn spans_enabled() -> bool {
     SPANS_ENABLED.load(std::sync::atomic::Ordering::Relaxed)
 }
 
-/// Completed spans buffered per thread before the next flush.
-const RING_CAPACITY: usize = 256;
+/// No path: the parent of a top-level path, and the end of a trie's
+/// child list.
+const NONE: u32 = u32::MAX;
 
 /// One open span on a thread's stack. Its start time lives in the
 /// [`Span`] guard, which times the span.
 struct Frame {
     name: &'static str,
+    /// The span's path, as a node of the thread's trie.
+    node: u32,
     /// Nanoseconds spent in already-completed direct children (on this
     /// thread), subtracted from total to get self time.
     child_ns: u64,
 }
 
-/// One completed span, not yet merged into the global aggregate.
-struct SpanRec {
-    path: String,
-    total_ns: u64,
-    self_ns: u64,
+/// `(count, total_ns, self_ns)` of one span path.
+type AggStats = (u64, u64, u64);
+
+/// A node of a thread's path trie: one interned path.
+struct TrieNode {
+    /// The path's id in the global [`Registry`].
+    id: u32,
+    /// The path's last name.
+    name: &'static str,
+    first_child: u32,
+    next_sibling: u32,
 }
 
-#[derive(Default)]
 struct ThreadSpans {
-    /// Path prefix grafted by [`SpanContext::attach`].
+    /// Path prefix grafted by [`SpanContext::attach`], and its trie node.
     base: Vec<&'static str>,
+    base_node: u32,
     stack: Vec<Frame>,
-    buf: Vec<SpanRec>,
+    /// The paths this thread has used; node 0 is the empty path.
+    trie: Vec<TrieNode>,
+    /// Stats by path id, not yet merged into the global aggregate, and
+    /// the ids they are nonzero for.
+    pending: Vec<AggStats>,
+    dirty: Vec<u32>,
+}
+
+impl Default for ThreadSpans {
+    fn default() -> Self {
+        ThreadSpans {
+            base: Vec::new(),
+            base_node: 0,
+            stack: Vec::new(),
+            trie: vec![TrieNode {
+                id: NONE,
+                name: "",
+                first_child: NONE,
+                next_sibling: NONE,
+            }],
+            pending: Vec::new(),
+            dirty: Vec::new(),
+        }
+    }
+}
+
+impl ThreadSpans {
+    /// The trie node of path `parent`/`name`, interning it on first use.
+    fn child(&mut self, parent: u32, name: &'static str) -> u32 {
+        let mut c = self.trie[parent as usize].first_child;
+        while c != NONE {
+            let node = &self.trie[c as usize];
+            if node.name == name {
+                return c;
+            }
+            c = node.next_sibling;
+        }
+        let id = lock(&REGISTRY).intern(self.trie[parent as usize].id, name);
+        let node = self.trie.len() as u32;
+        self.trie.push(TrieNode {
+            id,
+            name,
+            first_child: NONE,
+            next_sibling: self.trie[parent as usize].first_child,
+        });
+        self.trie[parent as usize].first_child = node;
+        node
+    }
+
+    /// The trie node of a whole path.
+    fn path(&mut self, names: &[&'static str]) -> u32 {
+        names.iter().fold(0, |node, name| self.child(node, name))
+    }
+
+    fn record(&mut self, node: u32, total_ns: u64, self_ns: u64) {
+        let id = self.trie[node as usize].id as usize;
+        if id >= self.pending.len() {
+            self.pending.resize(id + 1, (0, 0, 0));
+        }
+        let slot = &mut self.pending[id];
+        if slot.0 == 0 {
+            self.dirty.push(id as u32);
+        }
+        slot.0 += 1;
+        slot.1 += total_ns;
+        slot.2 += self_ns;
+    }
 }
 
 thread_local! {
@@ -84,54 +161,97 @@ pub struct SpanAgg {
     pub self_ns: u64,
 }
 
-/// `(count, total_ns, self_ns)` per span path in the global aggregate.
-type AggStats = (u64, u64, u64);
+/// Every span path any thread has used, and the merged stats since the
+/// last drain. Path ids index both; the table is never emptied, so the
+/// ids threads cache stay valid.
+struct Registry {
+    /// `(parent id, last name)` of each path.
+    paths: Vec<(u32, &'static str)>,
+    stats: Vec<AggStats>,
+}
 
-static AGGREGATE: Mutex<Option<HashMap<String, AggStats>>> = Mutex::new(None);
-
-fn merge_into_global(records: Vec<SpanRec>) {
-    if records.is_empty() {
-        return;
+impl Registry {
+    fn intern(&mut self, parent: u32, name: &'static str) -> u32 {
+        if let Some(id) = self.paths.iter().position(|&p| p == (parent, name)) {
+            return id as u32;
+        }
+        self.paths.push((parent, name));
+        self.stats.push((0, 0, 0));
+        (self.paths.len() - 1) as u32
     }
-    let mut guard = match AGGREGATE.lock() {
-        Ok(g) => g,
-        Err(p) => p.into_inner(),
-    };
-    let map = guard.get_or_insert_with(HashMap::new);
-    for r in records {
-        let slot = map.entry(r.path).or_insert((0, 0, 0));
-        slot.0 += 1;
-        slot.1 += r.total_ns;
-        slot.2 += r.self_ns;
+
+    /// Path `id` rendered with `/` separators.
+    fn render(&self, id: u32) -> String {
+        let mut names = Vec::new();
+        let mut at = id;
+        while at != NONE {
+            let (parent, name) = self.paths[at as usize];
+            names.push(name);
+            at = parent;
+        }
+        names.reverse();
+        names.join("/")
     }
 }
 
-/// Flushes the calling thread's completed-span buffer into the global
-/// aggregate.
+static REGISTRY: Mutex<Registry> = Mutex::new(Registry {
+    paths: Vec::new(),
+    stats: Vec::new(),
+});
+
+fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    match m.lock() {
+        Ok(g) => g,
+        Err(p) => p.into_inner(),
+    }
+}
+
+/// Flushes the calling thread's span counters into the global aggregate.
 pub(crate) fn flush_current_thread() {
-    let records = TLS.with(|t| std::mem::take(&mut t.borrow_mut().buf));
-    merge_into_global(records);
+    TLS.with(|t| {
+        let t = &mut *t.borrow_mut();
+        if t.dirty.is_empty() {
+            return;
+        }
+        let mut reg = lock(&REGISTRY);
+        for &id in &t.dirty {
+            let (count, total, own) = std::mem::take(&mut t.pending[id as usize]);
+            let slot = &mut reg.stats[id as usize];
+            slot.0 += count;
+            slot.1 += total;
+            slot.2 += own;
+        }
+        t.dirty.clear();
+    });
 }
 
 /// Takes the global span aggregate, sorted by path.
 pub(crate) fn take_aggregate() -> Vec<SpanAgg> {
-    let map = {
-        let mut guard = match AGGREGATE.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
-        guard.take().unwrap_or_default()
-    };
-    let mut out: Vec<SpanAgg> = map
-        .into_iter()
-        .map(|(path, (count, total_ns, self_ns))| SpanAgg {
-            path,
-            count,
-            total_ns,
-            self_ns,
-        })
-        .collect();
+    let mut reg = lock(&REGISTRY);
+    let mut out: Vec<SpanAgg> = Vec::new();
+    for id in 0..reg.paths.len() {
+        let (count, total_ns, self_ns) = std::mem::take(&mut reg.stats[id]);
+        if count > 0 {
+            out.push(SpanAgg {
+                path: reg.render(id as u32),
+                count,
+                total_ns,
+                self_ns,
+            });
+        }
+    }
+    drop(reg);
     out.sort_by(|a, b| a.path.cmp(&b.path));
+    // Distinct name sequences can render alike (a name holding `/`).
+    out.dedup_by(|later, kept| {
+        let same = later.path == kept.path;
+        if same {
+            kept.count += later.count;
+            kept.total_ns += later.total_ns;
+            kept.self_ns += later.self_ns;
+        }
+        same
+    });
     out
 }
 
@@ -177,7 +297,16 @@ impl Span {
 
     fn open(name: &'static str, framed: bool, hist: Option<Hist>) -> Span {
         if framed {
-            TLS.with(|t| t.borrow_mut().stack.push(Frame { name, child_ns: 0 }));
+            TLS.with(|t| {
+                let t = &mut *t.borrow_mut();
+                let parent = t.stack.last().map_or(t.base_node, |f| f.node);
+                let node = t.child(parent, name);
+                t.stack.push(Frame {
+                    name,
+                    node,
+                    child_ns: 0,
+                });
+            });
         }
         Span {
             start: Some(Instant::now()),
@@ -211,18 +340,8 @@ impl Span {
                 if let Some(parent) = t.stack.last_mut() {
                     parent.child_ns += total_ns;
                 }
-                let mut path = String::new();
-                for name in t.base.iter().chain(t.stack.iter().map(|f| &f.name)) {
-                    path.push_str(name);
-                    path.push('/');
-                }
-                path.push_str(frame.name);
-                t.buf.push(SpanRec {
-                    path,
-                    total_ns,
-                    self_ns,
-                });
-                t.stack.is_empty() || t.buf.len() >= RING_CAPACITY
+                t.record(frame.node, total_ns, self_ns);
+                t.stack.is_empty()
             });
         if flush {
             flush_current_thread();
@@ -271,17 +390,22 @@ impl SpanContext {
     /// until the returned guard drops (which also flushes the thread's
     /// buffer — worker threads typically end right after).
     pub fn attach(&self) -> AttachGuard {
-        let prev = TLS.with(|t| {
-            let mut t = t.borrow_mut();
-            std::mem::replace(&mut t.base, self.path.clone())
+        let (prev, prev_node) = TLS.with(|t| {
+            let t = &mut *t.borrow_mut();
+            let node = t.path(&self.path);
+            (
+                std::mem::replace(&mut t.base, self.path.clone()),
+                std::mem::replace(&mut t.base_node, node),
+            )
         });
-        AttachGuard { prev }
+        AttachGuard { prev, prev_node }
     }
 }
 
 /// Restores the previous base path (and flushes) on drop.
 pub struct AttachGuard {
     prev: Vec<&'static str>,
+    prev_node: u32,
 }
 
 impl Drop for AttachGuard {
@@ -292,7 +416,9 @@ impl Drop for AttachGuard {
         // merged" point for every sink.
         crate::hist::flush_current_thread();
         TLS.with(|t| {
-            t.borrow_mut().base = std::mem::take(&mut self.prev);
+            let mut t = t.borrow_mut();
+            t.base = std::mem::take(&mut self.prev);
+            t.base_node = self.prev_node;
         });
     }
 }
@@ -326,20 +452,20 @@ mod tests {
     }
 
     #[test]
-    fn ring_overflow_flushes_instead_of_dropping() {
+    fn long_runs_under_one_root_count_every_close() {
         let _l = crate::test_lock();
         crate::enable_spans();
         let _ = crate::drain();
         {
             let _root = Span::enter("root", None);
-            for _ in 0..(RING_CAPACITY * 2 + 7) {
+            for _ in 0..519 {
                 let _s = Span::enter("leaf", None);
             }
         }
         let t = crate::drain();
         crate::disable_spans();
         let leaf = t.spans.iter().find(|s| s.path == "root/leaf").unwrap();
-        assert_eq!(leaf.count, (RING_CAPACITY * 2 + 7) as u64);
+        assert_eq!(leaf.count, 519);
     }
 
     #[test]
