@@ -15,8 +15,6 @@ pub mod harness;
 pub mod paper;
 pub mod precision;
 pub mod scale;
-#[cfg(test)]
-mod testkit;
 
 pub use artifact::{json_hists, json_trace, Artifact, Better};
 
@@ -660,6 +658,9 @@ pub fn confine_workload(pairs: usize) -> Module {
     }
     localias_ast::parse_module("confine-workload", &src).expect("workload parses")
 }
+
+#[cfg(test)]
+mod testkit;
 
 #[cfg(test)]
 mod tests {

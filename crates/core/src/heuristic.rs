@@ -548,11 +548,13 @@ pub fn propose_confines_general(m: &Module) -> Vec<ConfineCandidate> {
 }
 
 fn propose_with(m: &Module, general: bool) -> Vec<ConfineCandidate> {
+    // Room for the globals and a function's parameters and locals.
+    let names = m.globals().count() + 32;
     let mut scan = Scan {
         general,
         out: Vec::new(),
-        env: FxMap::default(),
-        bindings: Vec::new(),
+        env: FxMap::with_capacity_and_hasher(names, Default::default()),
+        bindings: Vec::with_capacity(names),
         ancestors: Vec::new(),
         assigned: Vec::new(),
         keys: Vec::new(),

@@ -116,7 +116,7 @@ impl<'a> CheckContext<'a> {
         // matching the name-keyed function map.
         let is_restrict = analysis.restrict_param();
         let mut param_runs = vec![(0, 0); graph.len()];
-        let mut params = Vec::new();
+        let mut params = Vec::with_capacity(m.functions().map(|f| f.params.len()).sum());
         for (f, &v) in m.functions().zip(graph.defs()) {
             let vars = analysis.state.param_vars(&f.name.name);
             let start = params.len();
