@@ -1341,7 +1341,11 @@ impl Hooks for Gen<'_> {
                 // frames with a higher index feed this L2.
                 let l2 = self.cs.fresh_var();
                 let parent = self.top_eff();
-                let idx = self.blocks.last().expect("a declaration is a statement").stmt;
+                let idx = self
+                    .blocks
+                    .last()
+                    .expect("a declaration is a statement")
+                    .stmt;
                 self.register_range(RangeReg {
                     start: idx + 1,
                     end: usize::MAX,

@@ -373,7 +373,11 @@ impl<'m> Scan<'m> {
         for i in 0..b.stmts.len() {
             let to = self.stmts[stmts_base + i].keys_end;
             for &k in &self.keys[from..to] {
-                match self.groups.iter_mut().find(|g| g.example.syntactically_equal(k)) {
+                match self
+                    .groups
+                    .iter_mut()
+                    .find(|g| g.example.syntactically_equal(k))
+                {
                     Some(g) => {
                         g.count += 1;
                         g.last = i;
@@ -472,7 +476,10 @@ impl<'m> Scan<'m> {
             // stack is its index + 1 (function body = 1).
             for depth_ix in (0..self.ancestors.len()).rev() {
                 let a = self.ancestors[depth_ix];
-                if !fv.iter().all(|v| self.visible_before(v, depth_ix + 1, a.idx)) {
+                if !fv
+                    .iter()
+                    .all(|v| self.visible_before(v, depth_ix + 1, a.idx))
+                {
                     break; // further out, still fewer names visible
                 }
                 let (from, to) = a.assigned;

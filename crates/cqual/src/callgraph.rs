@@ -219,7 +219,10 @@ fn schedule(
         let round = order.len();
         order.extend((0..n).filter(|&v| {
             let (start, end) = callees[v];
-            remaining[v] && edges[start..end].iter().all(|&c| !remaining[c] || self_rec[c])
+            remaining[v]
+                && edges[start..end]
+                    .iter()
+                    .all(|&c| !remaining[c] || self_rec[c])
         }));
         if order.len() == round {
             break;

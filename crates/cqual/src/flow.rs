@@ -160,11 +160,7 @@ fn definitions<'m>(m: &'m Module, graph: &CallGraph) -> Vec<Option<&'m FunDef>> 
 /// is checked, its errors and sites go to the report, and its summary
 /// fills its slot. In schedule order a filled slot means exactly that
 /// the callee comes earlier in the order.
-fn check_schedule(
-    defs: &[Option<&FunDef>],
-    cx: &CheckContext<'_>,
-    walk: &mut Walk,
-) -> LockReport {
+fn check_schedule(defs: &[Option<&FunDef>], cx: &CheckContext<'_>, walk: &mut Walk) -> LockReport {
     walk.reset(cx.graph.len());
     for &v in cx.graph.order() {
         let f = defs[v].expect("every node is a defined function");

@@ -109,11 +109,11 @@ impl<'a> CheckContext<'a> {
 
         // Parameter metadata. Whether a parameter is restrict is the
         // analysis' rule ([`Analysis::restrict_param`]). The alias
-        // analysis records each function's *bound* parameter value types
-        // (post binding hooks, first definition wins), so parameter
-        // metadata is a direct positional lookup — no pass over the
-        // variable table. For duplicate definitions the later one wins,
-        // matching the name-keyed function map.
+        // analysis records each function's run of parameter variables,
+        // whose types are the *bound* parameter value types (post
+        // binding hooks, first definition wins), so parameter metadata
+        // is a direct positional lookup. For duplicate definitions the
+        // later one wins, matching the name-keyed function map.
         let is_restrict = analysis.restrict_param();
         let mut param_runs = vec![(0, 0); graph.len()];
         let mut params = Vec::with_capacity(m.functions().map(|f| f.params.len()).sum());
@@ -214,7 +214,10 @@ pub(crate) fn check_function(cx: &CheckContext<'_>, walk: &mut Walk, f: &FunDef,
     let outs = walk.sums.outs.len();
     walk.sums.outs.extend(store.iter());
     obs::count(obs::Counter::CqualLockSites, (walk.sites - sites) as u64);
-    obs::count(obs::Counter::CqualErrors, (walk.errors.len() - errors) as u64);
+    obs::count(
+        obs::Counter::CqualErrors,
+        (walk.errors.len() - errors) as u64,
+    );
     walk.sums.slots[v] = Some(Summary {
         first_req: (reqs, walk.sums.reqs.len()),
         out: (outs, walk.sums.outs.len()),

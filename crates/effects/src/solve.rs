@@ -127,7 +127,8 @@ impl Store {
     fn grow(&mut self, graph: &Graph) {
         let w = self.sets.w;
         let mut gates = self.gates.len();
-        self.gate_of.reserve(graph.node_count() - self.gate_of.len());
+        self.gate_of
+            .reserve(graph.node_count() - self.gate_of.len());
         for n in self.gate_of.len()..graph.node_count() {
             let gate = match graph.kinds[n] {
                 NodeKind::Plain => NO_GATE,

@@ -22,7 +22,8 @@
 # and the analysis's pinned output digests and the canonical cache key's
 # properties are gated by name, and the fuzz smoke pins its
 # false-positive counts for the one alias configuration the pipeline
-# runs (Steensgaard). The fuzz and scale subcommands write their
+# runs (Steensgaard). The corpus pass's allocation count is gated
+# against its ceiling. The fuzz and scale subcommands write their
 # artifacts once each, and a fuzz artifact diffs clean against itself.
 set -eu
 
@@ -108,6 +109,11 @@ cargo test -q -p localias --test analysis_digest \
     analysis_output_is_pinned >/dev/null
 cargo test -q -p localias-bench --test canonical_key \
     structural_key_tracks_structure_not_text >/dev/null
+# The per-module pipeline's allocation budget is gated by name too: parse
+# plus `check_modes` over the corpus must stay under its ceiling, so an
+# allocation that creeps back into the analysis path fails here.
+cargo test -q -p localias --test alloc_budget \
+    corpus_pass_stays_inside_its_allocation_budget >/dev/null
 
 # Cold pass primes a throwaway cache and must report the paper's §7
 # totals over the whole corpus; warm pass must hit on all 589 modules
