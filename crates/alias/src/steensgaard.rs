@@ -163,16 +163,17 @@ pub struct State {
 
 impl State {
     fn new(m: &Module) -> Self {
-        // Over the paper corpus a module has one location and one variable
-        // per 8–12 AST nodes (at most one location per 4), so a table
-        // sized at one per 8 nodes rarely grows.
+        // A corpus module has one location and one variable per 8–12 AST
+        // nodes, the watched mega module one variable per 16 and far
+        // fewer locations; tables sized at one per 16 nodes grow at most
+        // once or twice and hold little spare room on large modules.
         let n = m.node_count as usize;
         State {
-            locs: LocTable::with_capacity(n / 8),
+            locs: LocTable::with_capacity(n / 16),
             expr_ty: vec![None; n],
             expr_lval: vec![None; n],
             var_of_expr: vec![None; n],
-            vars: Vec::with_capacity(n / 8),
+            vars: Vec::with_capacity(n / 16),
             fields: FxMap::default(),
             funs: FxMap::default(),
             param_runs: FxMap::default(),

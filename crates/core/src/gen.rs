@@ -381,12 +381,13 @@ impl<'a> Gen<'a> {
     }
 
     /// Sizes the constraint system and the per-location and per-function
-    /// tables for walking `m`. Over the paper corpus a module makes one
-    /// inclusion per 1–4 AST nodes and one location per 8–12.
+    /// tables for walking `m`. A corpus module makes one inclusion per
+    /// 1–4 AST nodes and one location per 8–12; the watched mega module
+    /// makes fewer of both, so the sizes stay at the low end.
     pub fn reserve_for(&mut self, m: &localias_ast::Module) {
         let nodes = m.node_count as usize;
-        self.cs.includes.reserve(nodes / 2);
-        self.loc_vars.reserve(nodes / 8);
+        self.cs.includes.reserve(nodes / 4);
+        self.loc_vars.reserve(nodes / 16);
         self.fun_effs.reserve(m.functions().count());
     }
 

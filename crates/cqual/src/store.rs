@@ -396,6 +396,51 @@ mod tests {
     }
 
     #[test]
+    fn stores_past_the_inline_entries_behave_alike() {
+        // Entries are inserted out of order, so the inline array shifts
+        // and then spills to the heap mid-array.
+        let locs = [9, 3, 7, 1, 5, 8, 2, 6, 4, 0].map(Loc);
+        let mut big = Store::new();
+        for (i, &l) in locs.iter().enumerate() {
+            big.update(l, LockState::Locked, i % 2 == 0);
+        }
+        let mut expect: Vec<_> = locs
+            .iter()
+            .enumerate()
+            .map(|(i, &l)| {
+                let s = if i % 2 == 0 {
+                    LockState::Locked
+                } else {
+                    LockState::Unlocked.weak_update(LockState::Locked)
+                };
+                (l, s)
+            })
+            .collect();
+        expect.sort_by_key(|&(l, _)| l);
+        assert_eq!(big.iter().collect::<Vec<_>>(), expect);
+
+        // Equality compares entries, not where they live: a store that
+        // spilled and was cut back equals one that never spilled.
+        let mut small = Store::new();
+        small.update(Loc(1), LockState::Locked, true);
+        let mut cut = big.clone();
+        cut.havoc();
+        cut.set(Loc(1), LockState::Locked);
+        let mut havocked_small = small.clone();
+        havocked_small.havoc();
+        havocked_small.set(Loc(1), LockState::Locked);
+        assert_eq!(cut, havocked_small);
+
+        // Joins normalize on either side of the boundary alike.
+        let mut top = Store::new();
+        top.havoc();
+        let mut joined = big.clone();
+        joined.join(&top);
+        assert!(joined.iter().all(|(_, s)| s != LockState::Top));
+        assert_eq!(joined.state(Loc(42)), LockState::Top);
+    }
+
+    #[test]
     fn strong_updatability() {
         let mut t = LocTable::new();
         let single = t.fresh_with(Ty::Lock, Multiplicity::One);
