@@ -140,10 +140,10 @@ pub struct State {
     /// Function signatures by name.
     pub funs: FxMap<Symbol, FunSig>,
     /// Per defined function, the run of [`State::vars`] its parameters
-    /// were bound to, in declaration order; read it through
-    /// [`State::param_vars`]. For duplicate definitions the first body
-    /// wins, matching the variable table's scan order.
-    pub param_runs: FxMap<Symbol, (u32, u32)>,
+    /// were bound to, in declaration order ([`State::param_vars`]). For
+    /// duplicate definitions the first body wins, matching the variable
+    /// table's scan order.
+    param_runs: FxMap<Symbol, (u32, u32)>,
     /// Type mismatches found (standard typing errors; the analyses treat
     /// the involved locations as tainted rather than aborting).
     pub mismatches: Vec<TypeMismatch>,

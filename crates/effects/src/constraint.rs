@@ -217,17 +217,12 @@ impl ConstraintSystem {
     }
 
     /// The locations conditional `i`'s action unifies.
-    pub fn action_unify(&self, i: usize) -> &[(Loc, Loc)] {
+    pub(crate) fn action_unify(&self, i: usize) -> &[(Loc, Loc)] {
         run(&self.action_unify, self.conditionals[i].unify)
     }
 
-    /// The inclusions conditional `i`'s action adds.
-    pub fn action_include(&self, i: usize) -> &[(Effect, EffVar)] {
-        run(&self.action_include, self.conditionals[i].include)
-    }
-
     /// The flags conditional `i`'s action sets.
-    pub fn action_flags(&self, i: usize) -> &[FlagId] {
+    pub(crate) fn action_flags(&self, i: usize) -> &[FlagId] {
         run(&self.action_flags, self.conditionals[i].flags)
     }
 
@@ -235,7 +230,7 @@ impl ConstraintSystem {
     pub fn action(&self, i: usize) -> Action {
         Action {
             unify: self.action_unify(i).to_vec(),
-            include: self.action_include(i).to_vec(),
+            include: run(&self.action_include, self.conditionals[i].include).to_vec(),
             flags: self.action_flags(i).to_vec(),
         }
     }

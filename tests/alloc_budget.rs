@@ -63,8 +63,7 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
 }
 
 /// The ceiling on one corpus pass: the 215,986 allocations this
-/// pipeline makes, plus under 2% headroom. (The pipeline made 649,528
-/// before its allocation diet.)
+/// pipeline makes, plus under 2% headroom.
 const CEILING: u64 = 220_000;
 
 #[test]
