@@ -85,7 +85,7 @@ pub struct Graph {
 
 /// A point in a [`Graph`]'s growth: how many atoms and edges it had.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Mark {
+pub(crate) struct Mark {
     atoms: usize,
     edges: usize,
 }
@@ -229,7 +229,7 @@ impl Graph {
 
     /// The graph's growth so far; see [`Graph::atoms_since`] and
     /// [`Graph::edges_since`].
-    pub fn mark(&self) -> Mark {
+    pub(crate) fn mark(&self) -> Mark {
         Mark {
             atoms: self.atoms.len(),
             edges: self.edges.len(),
@@ -237,12 +237,12 @@ impl Graph {
     }
 
     /// The atom sources added since `mark`, in order.
-    pub fn atoms_since(&self, mark: Mark) -> &[(Atom, NodeIx, Port)] {
+    pub(crate) fn atoms_since(&self, mark: Mark) -> &[(Atom, NodeIx, Port)] {
         &self.atoms[mark.atoms..]
     }
 
     /// The edges `(from, to, port)` added since `mark`, in order.
-    pub fn edges_since(&self, mark: Mark) -> impl Iterator<Item = (NodeIx, NodeIx, Port)> + '_ {
+    pub(crate) fn edges_since(&self, mark: Mark) -> impl Iterator<Item = (NodeIx, NodeIx, Port)> + '_ {
         self.edges[mark.edges..]
             .iter()
             .map(|e| (e.from, e.to, e.port))
