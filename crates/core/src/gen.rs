@@ -384,7 +384,7 @@ impl<'a> Gen<'a> {
     /// tables for walking `m`. A corpus module makes one inclusion per
     /// 1–4 AST nodes and one location per 8–12; the watched mega module
     /// makes fewer of both, so the sizes stay at the low end.
-    pub fn reserve_for(&mut self, m: &localias_ast::Module) {
+    pub(crate) fn reserve_for(&mut self, m: &localias_ast::Module) {
         let nodes = m.node_count as usize;
         self.cs.includes.reserve(nodes / 4);
         self.loc_vars.reserve(nodes / 16);
