@@ -242,7 +242,10 @@ impl Graph {
     }
 
     /// The edges `(from, to, port)` added since `mark`, in order.
-    pub(crate) fn edges_since(&self, mark: Mark) -> impl Iterator<Item = (NodeIx, NodeIx, Port)> + '_ {
+    pub(crate) fn edges_since(
+        &self,
+        mark: Mark,
+    ) -> impl Iterator<Item = (NodeIx, NodeIx, Port)> + '_ {
         self.edges[mark.edges..]
             .iter()
             .map(|e| (e.from, e.to, e.port))
