@@ -152,12 +152,6 @@ pub enum CachePolicy {
 }
 
 impl CachePolicy {
-    /// The default policy: caching on, under `.localias-cache/` in the
-    /// current directory.
-    pub fn enabled_default() -> CachePolicy {
-        CachePolicy::dir(".localias-cache")
-    }
-
     /// Caching on under `dir`.
     pub fn dir(dir: impl Into<PathBuf>) -> CachePolicy {
         CachePolicy::Dir {

@@ -243,7 +243,7 @@ pub fn diff_benches(
     new_text: &str,
     threshold_pct: f64,
 ) -> Result<DiffReport, String> {
-    if threshold_pct.is_nan() || threshold_pct < 0.0 {
+    if !threshold_pct.is_finite() || threshold_pct < 0.0 {
         return Err(format!(
             "threshold must be a non-negative percent, got {threshold_pct}"
         ));
@@ -382,6 +382,18 @@ mod tests {
         let new = edited(&doc, &[(MPS, 2000.0), (CHECK, 0.5), (P95, 200.0)]);
         let report = diff_benches(&old, &new, 10.0).unwrap();
         assert!(report.regressions().is_empty(), "{}", report.render_table());
+    }
+
+    /// A threshold no delta can pass would turn the gate off: only a
+    /// finite, non-negative percent is a threshold.
+    #[test]
+    fn thresholds_must_be_finite_and_non_negative() {
+        let doc = experiment().pretty();
+        for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -1.0] {
+            let err = diff_benches(&doc, &doc, bad).unwrap_err();
+            assert!(err.contains("non-negative percent"), "{bad}: {err}");
+        }
+        assert!(diff_benches(&doc, &doc, 100_000.0).is_ok());
     }
 
     #[test]

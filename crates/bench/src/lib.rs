@@ -8,7 +8,6 @@
 
 pub mod artifact;
 pub mod cache;
-pub mod cli;
 pub mod diff;
 pub mod fuzz;
 pub mod harness;
@@ -21,7 +20,6 @@ pub use artifact::{json_hists, json_trace, Artifact, Better};
 pub use cache::{
     AnalysisCache, CachePolicy, CacheStats, CachedValues, ANALYSIS_VERSION, DEFAULT_SHARDS,
 };
-pub use cli::CliOpts;
 pub use diff::{diff_benches, DiffReport, DEFAULT_THRESHOLD_PCT};
 pub use localias_corpus::CorpusStream;
 pub use localias_obs::json;
@@ -297,7 +295,10 @@ fn sweep_modules(
     seed: u64,
     mut cache: Option<&mut AnalysisCache>,
 ) -> (Vec<ModuleResult>, ExperimentBench) {
-    let threads = if jobs == 0 { default_jobs() } else { jobs };
+    let jobs = if jobs == 0 { default_jobs() } else { jobs };
+    // At most one worker per module: a worker with no module to claim
+    // would only be started and joined.
+    let threads = jobs.min(len).max(1);
     let _sweep_span = obs::span!("bench.sweep");
     let start = Instant::now();
 
@@ -564,10 +565,10 @@ pub struct ObsReport {
 /// Installs the obs sinks (clearing any stale state so the trace covers
 /// exactly the run that follows). Latency histograms are always enabled
 /// — they cost one TLS array update per sample — while spans and
-/// counters only turn on when `--profile` asks for them.
+/// counters only turn on when `profile` (`--profile`) asks for them.
 /// Call once, right after argument parsing.
-pub fn init_obs(opts: &CliOpts) {
-    if opts.wants_obs() {
+pub fn init_obs(profile: bool) {
+    if profile {
         obs::enable_all();
     } else {
         obs::enable_hists();
@@ -579,9 +580,9 @@ pub fn init_obs(opts: &CliOpts) {
 /// stderr and returns the drained snapshots so callers can embed them
 /// (see [`ExperimentBench::profile`] and [`ExperimentBench::hist`]). The
 /// report's histograms are populated on every run; its trace only when
-/// the run asked for obs output.
-pub fn finish_obs(opts: &CliOpts) -> ObsReport {
-    if !opts.wants_obs() {
+/// the run asked for obs output (`profile`, as given to [`init_obs`]).
+pub fn finish_obs(profile: bool) -> ObsReport {
+    if !profile {
         let trace = obs::drain();
         obs::disable_hists();
         return ObsReport {

@@ -69,25 +69,29 @@ fn shared_analysis_reports_are_byte_identical() {
 
 /// The work-stealing runner must produce the same results in the same
 /// order regardless of thread count — the experiment output is part of
-/// the paper-reproduction contract and may not depend on scheduling.
+/// the paper-reproduction contract and may not depend on scheduling —
+/// and starts at most one worker per module.
 #[test]
 fn parallel_runner_is_deterministic() {
     let corpus = generate(DEFAULT_SEED);
     // A slice keeps this fast in debug builds while still giving the
-    // stealing loop enough items to interleave on.
-    let slice = &corpus[..60.min(corpus.len())];
+    // stealing loop enough items to interleave on; three modules are
+    // fewer than the eight workers asked for.
+    for len in [60, 3] {
+        let slice = &corpus[..len];
+        let seq = sweep(slice, 1);
+        let (par, bench) = measure_corpus_cached(slice, 8, DEFAULT_SEED, None);
+        assert_eq!(bench.threads, len.min(8), "one worker per module at most");
 
-    let seq = sweep(slice, 1);
-    let par = sweep(slice, 8);
-
-    assert_eq!(seq.len(), par.len());
-    for (a, b) in seq.iter().zip(&par) {
-        assert_eq!(a.name, b.name, "module order must not depend on jobs");
-        assert_eq!(
-            (a.no_confine, a.confine, a.all_strong),
-            (b.no_confine, b.confine, b.all_strong),
-            "module {}: results differ between jobs=1 and jobs=8",
-            a.name
-        );
+        assert_eq!(seq.len(), par.len());
+        for (a, b) in seq.iter().zip(&par) {
+            assert_eq!(a.name, b.name, "module order must not depend on jobs");
+            assert_eq!(
+                (a.no_confine, a.confine, a.all_strong),
+                (b.no_confine, b.confine, b.all_strong),
+                "module {}: results differ between jobs=1 and jobs=8",
+                a.name
+            );
+        }
     }
 }

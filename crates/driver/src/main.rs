@@ -1,30 +1,9 @@
 //! `localias` — command-line interface to the local non-aliasing
 //! analyses.
 //!
-//! ```text
-//! localias parse   <file.mc>          # parse & pretty-print
-//! localias check   <file.mc>          # check explicit restrict/confine annotations
-//! localias infer   <file.mc> [--general]
-//!                                     # restrict + confine inference
-//! localias locks   <file.mc> [mode]   # flow-sensitive lock checking
-//! localias run     <file.mc> [arg]    # execute under the §3.2 semantics
-//! localias fuzz    [--iterations N] [--seed S] [--fuel N] [--repro-dir DIR]
-//!                  [--no-shrink] [--stream] [--bench-out FILE] [--profile]
-//!                                     # differential soundness fuzzing
-//! localias watch   <file.mc> [--iterations N] [--poll-ms MS] [--quiet]
-//!                                     # re-check the module on every save
-//! localias corpus  <dir> [seed]       # dump the synthetic driver corpus
-//! localias experiment [seed] [--jobs N] [--cache DIR | --no-cache]
-//!                    [--modules N] [--bench-out FILE] [--profile]
-//!                                     # run the full Section 7 experiment;
-//!                                     # a whole-corpus sweep also prints the
-//!                                     # §7 table, Figure 6 and Figure 7
-//! localias scale   [seed] [--sizes N,..] [--jobs N] [--bench-out FILE]
-//!                                     # modules/s and peak RSS vs corpus size
-//! localias precision [seed]           # §8: unification vs inclusion aliasing
-//! localias bench-diff <old.json> <new.json> [--threshold PCT] [--json FILE]
-//!                                     # perf-regression gate over two artifacts
-//! ```
+//! [`COMMANDS`] lists every subcommand with its usage line, summary and
+//! handler; `localias` without a known subcommand prints it. Each usage
+//! line is also the grammar its arguments are parsed by ([`args`]).
 //!
 //! `experiment` keeps an incremental result cache (default
 //! `.localias-cache/`): modules whose source is unchanged since the last
@@ -38,14 +17,136 @@
 //! block. Latency histograms are always collected — every `--bench-out`
 //! report carries a `hist` block with exact p50/p90/p95/p99
 //! percentiles.
-//!
-//! Modes for `locks`: `noconfine` (default), `confine`, `allstrong`.
 
+mod args;
+
+use args::Args;
 use localias_ast::span::LineMap;
 use localias_ast::{parse_module, pretty, Module, NodeId};
 use localias_cqual::{check_locks, IncrementalSession, Mode, MODES};
 use std::fmt::Write as _;
 use std::process::ExitCode;
+
+/// One subcommand: how it is called, what it does, and its handler.
+struct Command {
+    name: &'static str,
+    /// The usage line after the name, which [`Args::parse`] reads as the
+    /// grammar of the subcommand's arguments.
+    usage: &'static str,
+    /// What the subcommand does, for the top-level usage.
+    summary: &'static str,
+    run: fn(&Args) -> Result<String, String>,
+}
+
+/// Every subcommand, in the order the top-level usage lists them.
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "parse",
+        usage: "<file.mc>",
+        summary: "parse and pretty-print a module",
+        run: cmd_parse,
+    },
+    Command {
+        name: "check",
+        usage: "<file.mc>",
+        summary: "check explicit restrict/confine annotations",
+        run: cmd_check,
+    },
+    Command {
+        name: "infer",
+        usage: "<file.mc> [--general]",
+        summary: "run restrict and confine inference",
+        run: cmd_infer,
+    },
+    Command {
+        name: "locks",
+        usage: "<file.mc> [noconfine|confine|allstrong]",
+        summary: "lock checking in one mode (default noconfine)",
+        run: cmd_locks,
+    },
+    Command {
+        name: "run",
+        usage: "<file.mc> [arg]",
+        summary: "execute every function with the number arg (default 1;\n\
+                  restrict = copy-and-poison)",
+        run: cmd_run,
+    },
+    Command {
+        name: "fuzz",
+        usage: "[--iterations N] [--seed S] [--repro-dir DIR] [--stream] \
+                [--bench-out FILE] [--profile]",
+        summary: "differential soundness fuzzing: generated modules run through the\n\
+                  interpreter (ground truth) and all three checker modes; any\n\
+                  missed real fault fails the run, shrunk to a minimal repro\n\
+                  module under --repro-dir (--stream prints the per-module verdict\n\
+                  lines; --bench-out writes the localias-bench-fuzz/v4 artifact)",
+        run: cmd_fuzz,
+    },
+    Command {
+        name: "watch",
+        usage: "<file.mc> [--iterations N] [--poll-ms MS] [--quiet]",
+        summary: "re-run the three lock checks on the whole module on every save\n\
+                  (--iterations exits after N analyses, for scripting)",
+        run: cmd_watch,
+    },
+    Command {
+        name: "corpus",
+        usage: "<dir> [SEED]",
+        summary: "write the synthetic driver corpus to <dir>",
+        run: cmd_corpus,
+    },
+    Command {
+        name: "experiment",
+        usage: "[SEED] [--jobs|-j N] [--cache DIR | --no-cache] [--modules N] \
+                [--bench-out FILE] [--profile]",
+        summary: "run the full Section 7 experiment in parallel, incrementally via\n\
+                  the result cache (one store file under .localias-cache/ by\n\
+                  default; only changed modules re-analyze, and concurrent sweeps\n\
+                  sharing the dir merge instead of clobber). --modules N streams\n\
+                  an N-module corpus instead of the paper's 589; a whole-corpus\n\
+                  sweep also prints the §7 paper-vs-measured table, Figure 6 and\n\
+                  Figure 7",
+        run: cmd_experiment,
+    },
+    Command {
+        name: "scale",
+        usage: "[SEED] [--sizes N,N,...] [--jobs|-j N] [--bench-out FILE]",
+        summary: "modules/s and peak RSS vs corpus size (default sizes\n\
+                  1000,5000,20000,50000); each size sweeps in an experiment child\n\
+                  process over a cold cache (localias-bench-scale/v4 artifact)",
+        run: cmd_scale,
+    },
+    Command {
+        name: "precision",
+        usage: "[SEED]",
+        summary: "§8 headroom: pointer-local pairs unification (Steensgaard)\n\
+                  conflates and inclusion (Andersen) separates, over 400 random\n\
+                  modules",
+        run: cmd_precision,
+    },
+    Command {
+        name: "bench-diff",
+        usage: "<OLD.json> <NEW.json> [--threshold PCT] [--json FILE]",
+        summary: "compare two bench artifacts of the same schema family metric by\n\
+                  metric (throughput, phase times, histogram percentiles, cache\n\
+                  hit and FP rates); exits non-zero when any metric regresses\n\
+                  past the threshold (default 10%)",
+        run: cmd_bench_diff,
+    },
+];
+
+/// The top-level usage: every subcommand's usage line and summary.
+fn usage() -> String {
+    let names: Vec<&str> = COMMANDS.iter().map(|c| c.name).collect();
+    let mut out = format!("usage: localias <{}> [args]\n", names.join("|"));
+    for c in COMMANDS {
+        let _ = write!(out, "\n{} {}", c.name, c.usage);
+        for line in c.summary.lines() {
+            let _ = write!(out, "\n    {line}");
+        }
+    }
+    out
+}
 
 /// Formats `node`'s position as `line:col`, when known.
 fn at(m: &Module, lines: &LineMap, node: NodeId) -> String {
@@ -59,72 +160,14 @@ fn at(m: &Module, lines: &LineMap, node: NodeId) -> String {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("parse") => cmd_parse(&args[1..]),
-        Some("check") => cmd_check(&args[1..]),
-        Some("infer") => cmd_infer(&args[1..]),
-        Some("locks") => cmd_locks(&args[1..]),
-        Some("run") => cmd_run(&args[1..]),
-        Some("fuzz") => cmd_fuzz(&args[1..]),
-        Some("watch") => cmd_watch(&args[1..]),
-        Some("corpus") => cmd_corpus(&args[1..]),
-        Some("experiment") => cmd_experiment(&args[1..]),
-        Some("scale") => cmd_scale(&args[1..]),
-        Some("precision") => cmd_precision(&args[1..]),
-        Some("bench-diff") => cmd_bench_diff(&args[1..]),
-        _ => {
-            eprintln!(
-                "usage: localias <parse|check|infer|locks|run|fuzz|watch|corpus|experiment|scale|precision|bench-diff> [args]\n\
-                 \n\
-                 parse   <file.mc>          parse and pretty-print a module\n\
-                 check   <file.mc>          check explicit restrict/confine annotations\n\
-                 infer   <file.mc> [--general]  run restrict and confine inference\n\
-                 locks   <file.mc> [mode]   lock checking (noconfine|confine|allstrong)\n\
-                 run     <file.mc> [arg]    execute every function (restrict = copy-and-poison)\n\
-                 fuzz    [--iterations N] [--seed S] [--fuel N] [--repro-dir DIR]\n\
-                 \x20                          [--no-shrink] [--stream] [--bench-out FILE] [--profile]\n\
-                 \x20                          differential soundness fuzzing: generated modules\n\
-                 \x20                          run through the interpreter (ground truth) and all\n\
-                 \x20                          three checker modes; any\n\
-                 \x20                          missed real fault fails the run, shrunk to a minimal\n\
-                 \x20                          repro module under --repro-dir (--stream prints the\n\
-                 \x20                          per-module verdict lines; --bench-out writes the\n\
-                 \x20                          localias-bench-fuzz/v4 artifact)\n\
-                 watch   <file.mc> [--iterations N] [--poll-ms MS] [--quiet]\n\
-                 \x20                          re-run the three lock checks on the whole module\n\
-                 \x20                          on every save (--iterations exits after N\n\
-                 \x20                          analyses, for scripting)\n\
-                 corpus  <dir> [seed]       write the synthetic driver corpus to <dir>\n\
-                 experiment [seed] [--jobs N] [--cache DIR | --no-cache] [--modules N]\n\
-                 \x20                          [--bench-out FILE] [--profile]\n\
-                 \x20                          run the full Section 7 experiment in parallel,\n\
-                 \x20                          incrementally via the result cache (one store\n\
-                 \x20                          file under .localias-cache/ by default; only\n\
-                 \x20                          changed modules re-analyze, and concurrent\n\
-                 \x20                          sweeps sharing the dir merge instead of clobber).\n\
-                 \x20                          --modules N streams an N-module corpus instead\n\
-                 \x20                          of the paper's 589; a whole-corpus sweep also\n\
-                 \x20                          prints the §7 paper-vs-measured table, Figure 6\n\
-                 \x20                          and Figure 7\n\
-                 scale   [seed] [--sizes N,N,...] [--jobs N] [--bench-out FILE]\n\
-                 \x20                          modules/s and peak RSS vs corpus size (default\n\
-                 \x20                          sizes 1000,5000,20000,50000); each size sweeps in\n\
-                 \x20                          an experiment child process over a cold cache\n\
-                 \x20                          (localias-bench-scale/v4 artifact)\n\
-                 precision [seed]           §8 headroom: pointer-local pairs unification\n\
-                 \x20                          (Steensgaard) conflates and inclusion (Andersen)\n\
-                 \x20                          separates, over 400 random modules\n\
-                 bench-diff <OLD.json> <NEW.json> [--threshold PCT] [--json FILE]\n\
-                 \x20                          compare two bench artifacts of the same schema\n\
-                 \x20                          family metric by metric (throughput, phase times,\n\
-                 \x20                          histogram percentiles, cache hit and FP rates);\n\
-                 \x20                          exits non-zero when any metric regresses past the\n\
-                 \x20                          threshold (default 10%)"
-            );
-            return ExitCode::from(2);
-        }
+    let Some(cmd) = args
+        .first()
+        .and_then(|name| COMMANDS.iter().find(|c| c.name == name))
+    else {
+        eprintln!("{}", usage());
+        return ExitCode::from(2);
     };
-    match result {
+    match Args::parse(cmd.name, cmd.usage, &args[1..]).and_then(|a| (cmd.run)(&a)) {
         Ok(out) => {
             print!("{out}");
             ExitCode::SUCCESS
@@ -133,30 +176,6 @@ fn main() -> ExitCode {
             eprintln!("localias: {e}");
             ExitCode::FAILURE
         }
-    }
-}
-
-/// The input file of a file-based subcommand and at most `max_extra`
-/// further positional arguments. Every flag is rejected; a negative
-/// number such as `-3` is an argument, not a flag.
-fn file_args<'a>(
-    args: &'a [String],
-    max_extra: usize,
-    usage: &str,
-) -> Result<(&'a str, Vec<&'a str>), String> {
-    let mut positional = Vec::new();
-    for a in args {
-        if a.starts_with('-') && a.parse::<i64>().is_err() {
-            return Err(format!("unknown flag `{a}`\n{usage}"));
-        }
-        if positional.len() > max_extra {
-            return Err(format!("unexpected argument `{a}`\n{usage}"));
-        }
-        positional.push(a.as_str());
-    }
-    match positional.split_first() {
-        Some((path, rest)) => Ok((path, rest.to_vec())),
-        None => Err(format!("missing input file\n{usage}")),
     }
 }
 
@@ -172,15 +191,13 @@ fn load(path: &str) -> Result<(String, Module, LineMap), String> {
     Ok((name, module, lines))
 }
 
-fn cmd_parse(args: &[String]) -> Result<String, String> {
-    let (path, _) = file_args(args, 0, "usage: localias parse <file.mc>")?;
-    let (_, m, _) = load(path)?;
+fn cmd_parse(args: &Args) -> Result<String, String> {
+    let (_, m, _) = load(args.required(0))?;
     Ok(pretty::print_module(&m))
 }
 
-fn cmd_check(args: &[String]) -> Result<String, String> {
-    let (path, _) = file_args(args, 0, "usage: localias check <file.mc>")?;
-    let (name, m, lines) = load(path)?;
+fn cmd_check(args: &Args) -> Result<String, String> {
+    let (name, m, lines) = load(args.required(0))?;
     let a = localias_core::check(&m);
     let mut out = String::new();
     let _ = writeln!(out, "module {name}:");
@@ -219,12 +236,8 @@ fn cmd_check(args: &[String]) -> Result<String, String> {
     Ok(out)
 }
 
-fn cmd_infer(args: &[String]) -> Result<String, String> {
-    let (general, rest): (Vec<String>, Vec<String>) =
-        args.iter().cloned().partition(|a| a == "--general");
-    let (path, _) = file_args(&rest, 0, "usage: localias infer <file.mc> [--general]")?;
-    let (name, m, _lines) = load(path)?;
-    let general = !general.is_empty();
+fn cmd_infer(args: &Args) -> Result<String, String> {
+    let (name, m, _lines) = load(args.required(0))?;
     let mut out = String::new();
     let _ = writeln!(out, "module {name}:");
 
@@ -234,7 +247,7 @@ fn cmd_infer(args: &[String]) -> Result<String, String> {
         let _ = writeln!(out, "  binding {} ({}): {verdict}", c.name, c.at);
     }
 
-    let inf = if general {
+    let inf = if args.flag("--general") {
         localias_core::infer_confines_general(&m)
     } else {
         localias_core::infer_confines(&m)
@@ -261,16 +274,14 @@ fn cmd_infer(args: &[String]) -> Result<String, String> {
     Ok(out)
 }
 
-fn cmd_locks(args: &[String]) -> Result<String, String> {
-    const USAGE: &str = "usage: localias locks <file.mc> [noconfine|confine|allstrong]";
-    let (path, rest) = file_args(args, 1, USAGE)?;
-    let (name, m, lines) = load(path)?;
-    let mode = match rest.first().copied() {
+fn cmd_locks(args: &Args) -> Result<String, String> {
+    let mode = match args.positional(1) {
         None | Some("noconfine") => Mode::NoConfine,
         Some("confine") => Mode::Confine,
         Some("allstrong") => Mode::AllStrong,
-        Some(other) => return Err(format!("unknown mode `{other}`")),
+        Some(other) => return Err(args.reject(format!("unknown mode `{other}`"))),
     };
+    let (name, m, lines) = load(args.required(0))?;
     let r = check_locks(&m, mode);
     let mut out = String::new();
     let _ = writeln!(out, "module {name} ({mode:?}): {r}");
@@ -281,13 +292,9 @@ fn cmd_locks(args: &[String]) -> Result<String, String> {
     Ok(out)
 }
 
-fn cmd_run(args: &[String]) -> Result<String, String> {
-    let (path, rest) = file_args(args, 1, "usage: localias run <file.mc> [arg]")?;
-    let (name, m, _lines) = load(path)?;
-    let arg: i64 = match rest.first() {
-        Some(s) => s.parse().map_err(|_| format!("bad argument `{s}`"))?,
-        None => 1,
-    };
+fn cmd_run(args: &Args) -> Result<String, String> {
+    let arg: i64 = args.positional_number(1)?.unwrap_or(1);
+    let (name, m, _lines) = load(args.required(0))?;
     let mut out = String::new();
     let mut interp = localias_interp::Interp::new(&m, 1_000_000);
     match interp.run_all(arg) {
@@ -318,87 +325,34 @@ fn cmd_run(args: &[String]) -> Result<String, String> {
 /// is the machine-checkable "all clean" signal `scripts/check.sh`
 /// gates on). `--bench-out` writes the run's `localias-bench-fuzz/v4`
 /// artifact and `--profile` prints the obs tables to stderr.
-fn cmd_fuzz(args: &[String]) -> Result<String, String> {
-    const USAGE: &str = "usage: localias fuzz [--iterations N] [--seed S] \
-         [--fuel N] [--repro-dir DIR] [--no-shrink] [--stream] \
-         [--bench-out FILE] [--profile]";
-    let mut cfg = localias_bench::fuzz::FuzzConfig::default();
-    let mut repro_dir: Option<String> = None;
-    let mut bench_out: Option<String> = None;
-    let mut stream = false;
-    let mut profile = false;
-    let mut i = 0;
-    let path = |args: &[String], i: usize, what: &str| -> Result<String, String> {
-        args.get(i + 1)
-            .cloned()
-            .ok_or(format!("{what} needs a value\n{USAGE}"))
+fn cmd_fuzz(args: &Args) -> Result<String, String> {
+    let defaults = localias_bench::fuzz::FuzzConfig::default();
+    let cfg = localias_bench::fuzz::FuzzConfig {
+        iterations: args.number("--iterations")?.unwrap_or(defaults.iterations),
+        seed: args.number("--seed")?.unwrap_or(defaults.seed),
+        ..defaults
     };
-    let num = |args: &[String], i: usize, what: &str| -> Result<u64, String> {
-        args.get(i + 1)
-            .ok_or(format!("{what} needs a value\n{USAGE}"))?
-            .parse::<u64>()
-            .map_err(|_| format!("bad {what} value\n{USAGE}"))
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--iterations" => {
-                cfg.iterations = num(args, i, "--iterations")?;
-                i += 2;
-            }
-            "--seed" => {
-                cfg.seed = num(args, i, "--seed")?;
-                i += 2;
-            }
-            "--fuel" => {
-                cfg.fuel = num(args, i, "--fuel")?;
-                i += 2;
-            }
-            "--repro-dir" => {
-                repro_dir = Some(path(args, i, "--repro-dir")?);
-                i += 2;
-            }
-            "--bench-out" => {
-                bench_out = Some(path(args, i, "--bench-out")?);
-                i += 2;
-            }
-            "--profile" => {
-                profile = true;
-                i += 1;
-            }
-            "--no-shrink" => {
-                cfg.shrink = false;
-                i += 1;
-            }
-            "--stream" => {
-                stream = true;
-                i += 1;
-            }
-            other => return Err(format!("unknown fuzz option `{other}`\n{USAGE}")),
-        }
-    }
-    // The experiment's obs defaults, with this command's --profile.
-    let obs_opts = localias_bench::CliOpts {
-        profile,
-        ..localias_bench::CliOpts::parse(std::iter::empty())?
-    };
+    let repro_dir = args.value("--repro-dir");
+    let bench_out = args.value("--bench-out");
+    let profile = args.flag("--profile");
     let traced = bench_out.is_some() || profile;
     if traced {
-        localias_bench::init_obs(&obs_opts);
+        localias_bench::init_obs(profile);
     }
     let t0 = std::time::Instant::now();
     let report = localias_bench::fuzz::run_fuzz(&cfg);
     let wall = t0.elapsed().as_secs_f64();
-    if let Some(dir) = &repro_dir {
+    if let Some(dir) = repro_dir {
         localias_bench::fuzz::write_repros(std::path::Path::new(dir), cfg.seed, &report)?;
     }
     let mut out = String::new();
-    if stream {
+    if args.flag("--stream") {
         out.push_str(&report.stream);
     }
     let _ = write!(out, "seed {}: {}", cfg.seed, report.summary());
     if traced {
-        let obs_report = localias_bench::finish_obs(&obs_opts);
-        if let Some(path) = &bench_out {
+        let obs_report = localias_bench::finish_obs(profile);
+        if let Some(path) = bench_out {
             let json = localias_bench::fuzz::artifact_json(&cfg, &report, wall, &obs_report);
             std::fs::write(path, json).map_err(|e| format!("{path}: {e}"))?;
             let _ = writeln!(out, "wrote {path}");
@@ -408,7 +362,7 @@ fn cmd_fuzz(args: &[String]) -> Result<String, String> {
         Ok(out)
     } else {
         print!("{out}");
-        let wrote = match &repro_dir {
+        let wrote = match repro_dir {
             Some(dir) => format!("; repro modules written under {dir}/"),
             None => String::new(),
         };
@@ -430,31 +384,12 @@ fn cmd_fuzz(args: &[String]) -> Result<String, String> {
 /// the loop polls on. `--iterations N` exits after N analyses (the
 /// first included), which is how scripts and tests drive the loop;
 /// without it the command polls until killed.
-fn cmd_watch(args: &[String]) -> Result<String, String> {
-    const USAGE: &str = "usage: localias watch <file.mc> [--iterations N] \
-         [--poll-ms MS] [--quiet]";
-    let mut path: Option<String> = None;
-    let mut iterations: Option<u64> = None;
-    let mut poll_ms: u64 = 200;
-    let mut quiet = false;
-    let mut it = args.iter();
-    let parse_num = |flag: &str, val: Option<&String>| -> Result<u64, String> {
-        let val = val.ok_or_else(|| format!("{flag} requires a number"))?;
-        val.parse()
-            .map_err(|_| format!("bad count `{val}` for {flag}"))
-    };
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--iterations" => iterations = Some(parse_num(a, it.next())?),
-            "--poll-ms" => poll_ms = parse_num(a, it.next())?.max(1),
-            "--quiet" => quiet = true,
-            flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`\n{USAGE}")),
-            p if path.is_none() => path = Some(p.to_string()),
-            extra => return Err(format!("unexpected argument `{extra}`\n{USAGE}")),
-        }
-    }
-    let path = path.ok_or(USAGE)?;
-    let name = std::path::Path::new(&path)
+fn cmd_watch(args: &Args) -> Result<String, String> {
+    let max_iters: u64 = args.number("--iterations")?.unwrap_or(u64::MAX);
+    let poll_ms: u64 = args.number("--poll-ms")?.unwrap_or(200).max(1);
+    let quiet = args.flag("--quiet");
+    let path = args.required(0);
+    let name = std::path::Path::new(path)
         .file_stem()
         .and_then(|s| s.to_str())
         .unwrap_or("module")
@@ -466,16 +401,15 @@ fn cmd_watch(args: &[String]) -> Result<String, String> {
     };
 
     let mut session = IncrementalSession::new(&name, 1);
-    let max_iters = iterations.unwrap_or(u64::MAX);
     let mut done = 0u64;
-    let mut last_fp = fingerprint(&path);
+    let mut last_fp = fingerprint(path);
     let mut first = true;
     while done < max_iters {
         if !first {
             // Block until the file visibly changes (mtime or length).
             loop {
                 std::thread::sleep(std::time::Duration::from_millis(poll_ms));
-                let cur = fingerprint(&path);
+                let cur = fingerprint(path);
                 if cur != last_fp {
                     last_fp = cur;
                     break;
@@ -483,7 +417,7 @@ fn cmd_watch(args: &[String]) -> Result<String, String> {
             }
         }
         first = false;
-        let src = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
+        let src = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
         if src.is_empty() {
             continue; // a save in progress: truncated, not yet written
         }
@@ -521,20 +455,11 @@ fn cmd_watch(args: &[String]) -> Result<String, String> {
     Ok(String::new())
 }
 
-fn cmd_corpus(args: &[String]) -> Result<String, String> {
-    const USAGE: &str = "usage: localias corpus <dir> [SEED]";
-    let mut dir: Option<&str> = None;
-    let mut seed: Option<u64> = None;
-    for a in args {
-        match a.as_str() {
-            flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`\n{USAGE}")),
-            d if dir.is_none() => dir = Some(d),
-            s if seed.is_none() => seed = Some(s.parse().map_err(|_| format!("bad seed `{s}`"))?),
-            extra => return Err(format!("unexpected argument `{extra}`\n{USAGE}")),
-        }
-    }
-    let dir = dir.ok_or(format!("missing output directory\n{USAGE}"))?;
-    let seed = seed.unwrap_or(localias_corpus::DEFAULT_SEED);
+fn cmd_corpus(args: &Args) -> Result<String, String> {
+    let seed = args
+        .positional_number(1)?
+        .unwrap_or(localias_corpus::DEFAULT_SEED);
+    let dir = args.required(0);
     std::fs::create_dir_all(dir).map_err(|e| format!("{dir}: {e}"))?;
     let corpus = localias_corpus::generate(seed);
     for m in &corpus {
@@ -544,21 +469,31 @@ fn cmd_corpus(args: &[String]) -> Result<String, String> {
     Ok(format!("wrote {} modules to {dir}\n", corpus.len()))
 }
 
-fn cmd_experiment(args: &[String]) -> Result<String, String> {
-    const USAGE: &str = "usage: localias experiment [SEED] [--jobs N] \
-         [--cache DIR | --no-cache] [--modules N] [--bench-out FILE] [--profile]";
-    let opts = localias_bench::CliOpts::parse(args.iter().cloned())
-        .map_err(|e| format!("{e}\n{USAGE}"))?;
-    localias_bench::init_obs(&opts);
-    let seed = opts.seed_or_default();
+fn cmd_experiment(args: &Args) -> Result<String, String> {
+    let seed = args
+        .positional_number(0)?
+        .unwrap_or(localias_corpus::DEFAULT_SEED);
+    let jobs = args.number("--jobs")?.unwrap_or(0);
+    let modules: Option<usize> = args.number("--modules")?;
+    if modules == Some(0) {
+        return Err(args.reject("--modules must be at least 1"));
+    }
+    let cache = match (args.value("--cache"), args.flag("--no-cache")) {
+        (Some(_), true) => {
+            return Err(args.reject("--cache and --no-cache are mutually exclusive"));
+        }
+        (_, true) => localias_bench::CachePolicy::Disabled,
+        (dir, false) => localias_bench::CachePolicy::dir(dir.unwrap_or(".localias-cache")),
+    };
+    let profile = args.flag("--profile");
+    localias_bench::init_obs(profile);
 
-    let stream = match opts.modules {
+    let stream = match modules {
         Some(n) => localias_bench::CorpusStream::new(seed, n),
         None => localias_bench::CorpusStream::paper(seed),
     };
-    let (results, mut bench) =
-        localias_bench::measure_stream_with_cache(&stream, opts.jobs, &opts.cache);
-    let report = localias_bench::finish_obs(&opts);
+    let (results, mut bench) = localias_bench::measure_stream_with_cache(&stream, jobs, &cache);
+    let report = localias_bench::finish_obs(profile);
     bench.profile = report.trace;
     bench.hist = report.hists;
     let [clean, real, full, partial] = localias_bench::category_counts(&results);
@@ -593,11 +528,11 @@ fn cmd_experiment(args: &[String]) -> Result<String, String> {
             c.hits, c.misses, c.dir, c.load, c.store
         );
     }
-    if let Some(path) = opts.bench_out {
-        std::fs::write(&path, bench.to_json()).map_err(|e| format!("{path}: {e}"))?;
+    if let Some(path) = args.value("--bench-out") {
+        std::fs::write(path, bench.to_json()).map_err(|e| format!("{path}: {e}"))?;
         let _ = writeln!(out, "  wrote {path}");
     }
-    if opts.modules.is_none() {
+    if modules.is_none() {
         out.push_str(&localias_bench::paper::render(&results, seed));
     }
     Ok(out)
@@ -607,47 +542,28 @@ fn cmd_experiment(args: &[String]) -> Result<String, String> {
 /// sweeps in a child process of this binary (see
 /// `localias_bench::scale`); the `localias-bench-scale/v4` report goes
 /// to `--bench-out`, or to stdout.
-fn cmd_scale(args: &[String]) -> Result<String, String> {
-    const USAGE: &str = "usage: localias scale [SEED] [--sizes N,N,...] \
-         [--jobs N] [--bench-out FILE]";
-    let list = |val: &str, flag: &str| -> Result<Vec<usize>, String> {
-        let out = val
-            .split(',')
-            .map(|s| s.trim().parse::<usize>())
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(|_| format!("{flag}: bad list `{val}` (expected N,N,...)"))?;
-        if out.is_empty() || out.contains(&0) {
-            return Err(format!("{flag}: entries must be positive (got `{val}`)"));
-        }
-        Ok(out)
-    };
+fn cmd_scale(args: &Args) -> Result<String, String> {
     let mut cfg = localias_bench::scale::ScaleConfig::default();
-    let mut seed: Option<u64> = None;
-    let mut bench_out: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut val = || {
-            it.next()
-                .ok_or_else(|| format!("{a} requires a value\n{USAGE}"))
-        };
-        match a.as_str() {
-            "--sizes" => cfg.sizes = list(val()?, a)?,
-            "--jobs" | "-j" => {
-                let v = val()?;
-                cfg.jobs = v.parse().map_err(|_| format!("bad thread count `{v}`"))?;
-            }
-            "--bench-out" => bench_out = Some(val()?.clone()),
-            flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`\n{USAGE}")),
-            s if seed.is_none() => seed = Some(s.parse().map_err(|_| format!("bad seed `{s}`"))?),
-            extra => return Err(format!("unexpected argument `{extra}`\n{USAGE}")),
+    if let Some(list) = args.value("--sizes") {
+        cfg.sizes = list
+            .split(',')
+            .map(|s| args.parse_number("--sizes", s.trim()))
+            .collect::<Result<_, _>>()?;
+        // A repeated size would sweep twice into one `points` entry.
+        let sizes = &cfg.sizes;
+        let repeated = (0..sizes.len()).any(|i| sizes[..i].contains(&sizes[i]));
+        if sizes.contains(&0) || repeated {
+            let msg = format!("--sizes: entries must be positive and distinct (got `{list}`)");
+            return Err(args.reject(msg));
         }
     }
-    cfg.seed = seed.unwrap_or(cfg.seed);
+    cfg.jobs = args.number("--jobs")?.unwrap_or(cfg.jobs);
+    cfg.seed = args.positional_number(0)?.unwrap_or(cfg.seed);
     let exe = std::env::current_exe().map_err(|e| format!("localias binary: {e}"))?;
     let report = localias_bench::scale::run(&cfg, &exe, |point| println!("{point}"))?;
-    match bench_out {
+    match args.value("--bench-out") {
         Some(path) => {
-            std::fs::write(&path, report).map_err(|e| format!("{path}: {e}"))?;
+            std::fs::write(path, report).map_err(|e| format!("{path}: {e}"))?;
             Ok(format!("wrote {path}\n"))
         }
         None => Ok(report),
@@ -655,65 +571,30 @@ fn cmd_scale(args: &[String]) -> Result<String, String> {
 }
 
 /// `localias precision [SEED]` — the §8 headroom study.
-fn cmd_precision(args: &[String]) -> Result<String, String> {
-    const USAGE: &str = "usage: localias precision [SEED]";
-    let mut seed: Option<u64> = None;
-    for a in args {
-        match a.as_str() {
-            flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`\n{USAGE}")),
-            s if seed.is_none() => seed = Some(s.parse().map_err(|_| format!("bad seed `{s}`"))?),
-            extra => return Err(format!("unexpected argument `{extra}`\n{USAGE}")),
-        }
-    }
-    let seed = seed.unwrap_or(localias_corpus::DEFAULT_SEED);
+fn cmd_precision(args: &Args) -> Result<String, String> {
+    let seed = args
+        .positional_number(0)?
+        .unwrap_or(localias_corpus::DEFAULT_SEED);
     Ok(localias_bench::precision::PrecisionStudy::run(seed).render())
 }
 
 /// `localias bench-diff OLD.json NEW.json` — the perf-regression gate.
 ///
 /// Exits 0 when no metric moved past the threshold in its worse
-/// direction, 1 on any regression (so scripts can gate on it), and 2 on
-/// usage or I/O errors. `--json FILE` additionally writes the
+/// direction, and 1 on any regression (so scripts can gate on it) or
+/// on a usage or I/O error. `--json FILE` additionally writes the
 /// machine-readable `localias-bench-diff/v2` report.
-fn cmd_bench_diff(args: &[String]) -> Result<String, String> {
-    const USAGE: &str = "usage: localias bench-diff <OLD.json> <NEW.json> \
-         [--threshold PCT] [--json FILE]";
-    let mut paths: Vec<String> = Vec::new();
-    let mut threshold = localias_bench::DEFAULT_THRESHOLD_PCT;
-    let mut json_out: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--threshold" => {
-                let val = it
-                    .next()
-                    .ok_or(format!("--threshold requires a percent\n{USAGE}"))?;
-                threshold = val
-                    .trim_end_matches('%')
-                    .parse()
-                    .map_err(|_| format!("bad threshold `{val}`\n{USAGE}"))?;
-            }
-            "--json" => {
-                json_out = Some(
-                    it.next()
-                        .ok_or(format!("--json requires a file path\n{USAGE}"))?
-                        .clone(),
-                );
-            }
-            flag if flag.starts_with('-') => {
-                return Err(format!("unknown flag `{flag}`\n{USAGE}"));
-            }
-            path => paths.push(path.to_string()),
-        }
-    }
-    let [old_path, new_path] = paths.as_slice() else {
-        return Err(format!("expected exactly two artifacts\n{USAGE}"));
+fn cmd_bench_diff(args: &Args) -> Result<String, String> {
+    let threshold = match args.value("--threshold") {
+        Some(pct) => args.parse_number("--threshold", pct.trim_end_matches('%'))?,
+        None => localias_bench::DEFAULT_THRESHOLD_PCT,
     };
+    let (old_path, new_path) = (args.required(0), args.required(1));
     let old_text = std::fs::read_to_string(old_path).map_err(|e| format!("{old_path}: {e}"))?;
     let new_text = std::fs::read_to_string(new_path).map_err(|e| format!("{new_path}: {e}"))?;
     let report = localias_bench::diff_benches(&old_text, &new_text, threshold)?;
-    if let Some(path) = json_out {
-        std::fs::write(&path, report.to_json()).map_err(|e| format!("{path}: {e}"))?;
+    if let Some(path) = args.value("--json") {
+        std::fs::write(path, report.to_json()).map_err(|e| format!("{path}: {e}"))?;
     }
     print!("{}", report.render_table());
     if report.regressions().is_empty() {

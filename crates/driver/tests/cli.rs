@@ -3,8 +3,14 @@
 use std::process::Command;
 
 fn localias(args: &[&str]) -> (String, String, bool) {
+    localias_in(std::path::Path::new("."), args)
+}
+
+/// Runs `localias` in `dir`, returning stdout, stderr and success.
+fn localias_in(dir: &std::path::Path, args: &[&str]) -> (String, String, bool) {
     let out = Command::new(env!("CARGO_BIN_EXE_localias"))
         .args(args)
+        .current_dir(dir)
         .output()
         .expect("binary runs");
     (
@@ -12,6 +18,14 @@ fn localias(args: &[&str]) -> (String, String, bool) {
         String::from_utf8_lossy(&out.stderr).into_owned(),
         out.status.success(),
     )
+}
+
+/// An empty scratch directory of its own for each test that runs there.
+fn fresh_dir(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join("localias-cli-tests").join(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
 }
 
 fn write_temp(name: &str, src: &str) -> std::path::PathBuf {
@@ -140,11 +154,17 @@ fn experiment_flag_surface_is_validated() {
     // All of these fail during argument parsing, before any sweep runs.
     let (_, err, ok) = localias(&["experiment", "--cache"]);
     assert!(!ok);
-    assert!(err.contains("--cache requires"), "{err}");
+    assert!(err.contains("flag `--cache` needs a value"), "{err}");
 
-    let (_, err, ok) = localias(&["experiment", "--cache", "d", "--no-cache"]);
-    assert!(!ok);
-    assert!(err.contains("mutually exclusive"), "{err}");
+    // The conflict is rejected whichever flag comes first.
+    for args in [
+        &["experiment", "--cache", "d", "--no-cache"][..],
+        &["experiment", "--no-cache", "--cache", "d"][..],
+    ] {
+        let (_, err, ok) = localias(args);
+        assert!(!ok, "{args:?} was accepted");
+        assert!(err.contains("mutually exclusive"), "{args:?}: {err}");
+    }
 
     let (_, err, ok) = localias(&["experiment", "--modules", "0"]);
     assert!(!ok);
@@ -156,11 +176,70 @@ fn experiment_flag_surface_is_validated() {
 
     let (_, err, ok) = localias(&["experiment", "--jobs", "many"]);
     assert!(!ok);
-    assert!(err.contains("bad thread count"), "{err}");
+    assert!(err.contains("bad number `many` for `--jobs`"), "{err}");
 
     let (_, err, ok) = localias(&["experiment", "notaseed"]);
     assert!(!ok);
-    assert!(err.contains("bad seed"), "{err}");
+    assert!(err.contains("bad number `notaseed` for `SEED`"), "{err}");
+
+    let (_, err, ok) = localias(&["experiment", "1", "2"]);
+    assert!(!ok);
+    assert!(err.contains("unexpected argument `2`"), "{err}");
+}
+
+/// What `experiment` does when no flag says otherwise: the paper's seed,
+/// the result cache under `.localias-cache/` in the working directory,
+/// a worker per core (never more than one per module), no profile and
+/// no artifact. Then each flag changes its own part: `-j` is `--jobs`.
+#[test]
+fn experiment_defaults_and_each_flag() {
+    let dir = fresh_dir("experiment-defaults");
+    let (out, err, ok) = localias_in(&dir, &["experiment", "--modules", "3"]);
+    assert!(ok, "{err}");
+    assert!(out.starts_with("3 modules (seed 20030609):"), "{out}");
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let threads = match cores.min(3) {
+        1 => " on 1 thread ".to_string(),
+        n => format!(" on {n} threads "),
+    };
+    assert!(out.contains(&threads), "{out}");
+    assert!(!out.contains("wrote"), "{out}");
+    assert!(err.is_empty(), "no profile table unless asked: {err}");
+    assert!(dir.join(".localias-cache/store.jsonl").exists());
+
+    let dir = fresh_dir("experiment-flags");
+    let args = [
+        "experiment",
+        "7",
+        "-j",
+        "2",
+        "--modules",
+        "3",
+        "--cache",
+        "c",
+        "--bench-out",
+        "b.json",
+        "--profile",
+    ];
+    let (out, err, ok) = localias_in(&dir, &args);
+    assert!(ok, "{err}");
+    assert!(out.starts_with("3 modules (seed 7):"), "{out}");
+    assert!(out.contains(" on 2 threads "), "{out}");
+    assert!(out.contains("(dir c, "), "{out}");
+    assert!(out.contains("wrote b.json"), "{out}");
+    assert!(
+        err.contains("bench.sweep"),
+        "--profile prints its table: {err}"
+    );
+    assert!(dir.join("c/store.jsonl").exists());
+    let artifact = std::fs::read_to_string(dir.join("b.json")).unwrap();
+    assert!(artifact.contains("\"profile\": {"), "{artifact}");
+
+    let dir = fresh_dir("experiment-no-cache");
+    let (out, err, ok) = localias_in(&dir, &["experiment", "--modules", "3", "--no-cache"]);
+    assert!(ok, "{err}");
+    assert!(!out.contains("cache:"), "{out}");
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
 }
 
 #[test]
@@ -430,13 +509,116 @@ fn fuzz_writes_its_artifact() {
 fn fuzz_rejects_bad_flags() {
     let (_, err, ok) = localias(&["fuzz", "--frobnicate"]);
     assert!(!ok);
-    assert!(err.contains("unknown fuzz option"), "{err}");
+    assert!(err.contains("unknown flag `--frobnicate`"), "{err}");
     let (_, err, ok) = localias(&["fuzz", "--iterations"]);
     assert!(!ok);
-    assert!(err.contains("--iterations needs a value"), "{err}");
+    assert!(err.contains("flag `--iterations` needs a value"), "{err}");
     let (_, err, ok) = localias(&["fuzz", "--seed", "notanumber"]);
     assert!(!ok);
-    assert!(err.contains("bad --seed value"), "{err}");
+    assert!(
+        err.contains("bad number `notanumber` for `--seed`"),
+        "{err}"
+    );
+}
+
+/// Every subcommand that takes a flag shares one parser: a flag given
+/// twice, or given a value that is itself a flag, is rejected with the
+/// subcommand's usage line, before anything runs or is written.
+#[test]
+fn repeated_flags_and_flags_as_values_are_rejected() {
+    let dir = fresh_dir("one-parser");
+    let p = write_temp("one-parser.mc", WATCH_BASE);
+    let p = p.to_str().unwrap();
+    for (args, want) in [
+        (
+            &["infer", p, "--general", "--general"][..],
+            "flag `--general` given twice",
+        ),
+        (
+            &["fuzz", "--seed", "1", "--seed", "2"][..],
+            "flag `--seed` given twice",
+        ),
+        (
+            &["fuzz", "--repro-dir", "--stream"][..],
+            "flag `--repro-dir` needs a value, not the flag `--stream`",
+        ),
+        (
+            &["watch", p, "--poll-ms", "5", "--poll-ms", "6"][..],
+            "flag `--poll-ms` given twice",
+        ),
+        (
+            &["watch", p, "--iterations", "--quiet"][..],
+            "flag `--iterations` needs a value, not the flag `--quiet`",
+        ),
+        (
+            &["experiment", "--modules", "1", "--modules", "2"][..],
+            "flag `--modules` given twice",
+        ),
+        (
+            &["experiment", "-j", "1", "--jobs", "2"][..],
+            "flag `--jobs` given twice",
+        ),
+        (
+            &["experiment", "--cache", "--no-cache"][..],
+            "flag `--cache` needs a value, not the flag `--no-cache`",
+        ),
+        (
+            &["scale", "--jobs", "1", "--jobs", "2"][..],
+            "flag `--jobs` given twice",
+        ),
+        (
+            &["scale", "--sizes", "--jobs", "1"][..],
+            "flag `--sizes` needs a value, not the flag `--jobs`",
+        ),
+        (
+            &[
+                "bench-diff",
+                "a",
+                "b",
+                "--threshold",
+                "5",
+                "--threshold",
+                "6",
+            ][..],
+            "flag `--threshold` given twice",
+        ),
+        (
+            &["bench-diff", "a", "b", "--json", "--threshold", "5"][..],
+            "flag `--json` needs a value, not the flag `--threshold`",
+        ),
+        (&["fuzz", "--fuel", "5"][..], "unknown flag `--fuel`"),
+        (&["fuzz", "--no-shrink"][..], "unknown flag `--no-shrink`"),
+    ] {
+        let (_, err, ok) = localias_in(&dir, args);
+        assert!(!ok, "{args:?} was accepted");
+        let usage = format!("\nusage: localias {} ", args[0]);
+        assert!(
+            err.contains(&format!("localias: {want}{usage}")),
+            "{args:?}: {err}"
+        );
+    }
+    assert_eq!(
+        std::fs::read_dir(&dir).unwrap().count(),
+        0,
+        "a rejected command wrote into its working directory"
+    );
+    let (_, usage, _) = localias(&[]);
+    for gone in ["--fuel", "--no-shrink"] {
+        assert!(!usage.contains(gone), "{gone}: {usage}");
+    }
+}
+
+/// `scale --sizes` takes each size once: a repeated size would sweep
+/// twice into one `points` entry and gate its paths twice.
+#[test]
+fn scale_rejects_zero_and_repeated_sizes() {
+    for sizes in ["7,5,7", "0,5"] {
+        let (out, err, ok) = localias(&["scale", "--sizes", sizes]);
+        assert!(!ok, "{sizes} was accepted: {out}");
+        assert!(out.is_empty(), "{sizes}: no point may run: {out}");
+        let want = format!("--sizes: entries must be positive and distinct (got `{sizes}`)");
+        assert!(err.contains(&want), "{sizes}: {err}");
+    }
 }
 
 /// Runs `localias watch FILE --iterations 2 --poll-ms 25` while `edit`

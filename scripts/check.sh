@@ -23,8 +23,9 @@
 # properties are gated by name, and the fuzz smoke pins its
 # false-positive counts for the one alias configuration the pipeline
 # runs (Steensgaard). The corpus pass's allocation count is gated
-# against its ceiling. The fuzz and scale subcommands write their
-# artifacts once each, and a fuzz artifact diffs clean against itself.
+# against its ceiling, and the CLI's one-parser contract is gated by
+# name. The fuzz and scale subcommands write their artifacts once each,
+# and a fuzz artifact diffs clean against itself.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -114,6 +115,15 @@ cargo test -q -p localias-bench --test canonical_key \
 # allocation that creeps back into the analysis path fails here.
 cargo test -q -p localias --test alloc_budget \
     corpus_pass_stays_inside_its_allocation_budget >/dev/null
+
+# The CLI contract is gated by name as well: every subcommand reads its
+# arguments through one parser, so a flag given twice or given another
+# flag as its value is rejected with the subcommand's usage line before
+# anything runs, and no subcommand accepts a flag it does not use.
+cargo test -q -p localias-driver --test cli \
+    repeated_flags_and_flags_as_values_are_rejected >/dev/null
+cargo test -q -p localias-driver --test cli \
+    subcommands_reject_flags_they_do_not_use >/dev/null
 
 # Cold pass primes a throwaway cache and must report the paper's §7
 # totals over the whole corpus; warm pass must hit on all 589 modules
@@ -404,4 +414,4 @@ grep -q '"300": {' "$SCALEART" || {
     exit 1
 }
 
-echo "check.sh: fmt, clippy, build, tests, concurrency + newer-store + obs + hist + solver-exactness + checker-exactness + front-end digest + analysis digest + canonical-key gates, §7 totals + Figures 6 and 7, warm-cache sweep, crash recovery, mega session test, watch smoke, artifact smoke, bench-diff gate, benchmark tests, fuzz smoke, fuzz artifact, precision counts, and scale smoke all passed"
+echo "check.sh: fmt, clippy, build, tests, concurrency + newer-store + obs + hist + solver-exactness + checker-exactness + front-end digest + analysis digest + canonical-key + CLI-contract gates, §7 totals + Figures 6 and 7, warm-cache sweep, crash recovery, mega session test, watch smoke, artifact smoke, bench-diff gate, benchmark tests, fuzz smoke, fuzz artifact, precision counts, and scale smoke all passed"
