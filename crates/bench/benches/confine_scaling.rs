@@ -13,9 +13,9 @@ fn main() {
     for pairs in [4usize, 16, 64, 128] {
         let m = confine_workload(pairs);
         g.bench(pairs, || {
-            let inf = localias_core::infer_confines(&m);
-            assert_eq!(inf.chosen.len(), pairs);
-            inf.chosen.len()
+            let chosen = localias_core::infer_confines(&m).outermost_confines(&m);
+            assert_eq!(chosen.len(), pairs);
+            chosen.len()
         });
     }
 }

@@ -95,7 +95,7 @@ pub struct StaticMatrix(pub [[LockReport; 3]; 2], pub Option<bool>);
 pub fn real_static_matrix(m: &Module) -> StaticMatrix {
     let mut shared = SharedAnalysis::new(m);
     let (reports, _) = check_modes(&mut shared);
-    let gate = shared.base().clean();
+    let gate = shared.base_frozen().0.clean();
     StaticMatrix([reports, Default::default()], Some(gate))
 }
 

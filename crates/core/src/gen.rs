@@ -60,6 +60,7 @@ use localias_effects::{
     ConstraintSystem, EffVar, Effect, EffectKind, FlagId, Guard, KindMask, LocVars,
 };
 use std::borrow::Cow;
+use std::cmp::Reverse;
 
 /// What to generate beyond plain checking.
 #[derive(Debug)]
@@ -68,9 +69,10 @@ pub struct Options<'a> {
     /// `let-or-restrict` candidate.
     pub infer_restrict: bool,
     /// `confine?` candidates (typically from
-    /// [`crate::heuristic::propose_confines`]), borrowed for the whole
-    /// analysis.
-    pub confine_candidates: &'a [ConfineCandidate],
+    /// [`crate::heuristic::propose_confines`]). The generator consumes
+    /// them: each candidate's key becomes its outcome's
+    /// [`ConfineOutcome::expr`].
+    pub confine_candidates: Vec<ConfineCandidate<'a>>,
     /// Treat every unannotated pointer parameter as a restrict candidate
     /// — the natural extension of §5 to function boundaries, inferring
     /// the annotation Figure 1 asks the programmer to write.
@@ -87,7 +89,7 @@ impl Default for Options<'_> {
     fn default() -> Self {
         Options {
             infer_restrict: false,
-            confine_candidates: &[],
+            confine_candidates: Vec::new(),
             infer_restrict_params: false,
             apply_down: true,
         }
@@ -137,7 +139,8 @@ struct PendingBind {
 }
 
 /// State of one confine unit (explicit annotation or `confine?`
-/// candidate). A candidate's expression and text are borrowed from it.
+/// candidate). A candidate's expression is borrowed from the module, and
+/// its key is its text.
 #[derive(Debug)]
 struct Unit<'a> {
     site: ConfineSite,
@@ -145,7 +148,7 @@ struct Unit<'a> {
     /// syntactically equal to it.
     expr: Cow<'a, Expr>,
     /// The expression printed once, for [`ConfineOutcome::expr`].
-    text: Cow<'a, str>,
+    text: String,
     /// Leftmost identifier of the expression (interception pre-filter).
     root: Option<Symbol>,
     explicit: bool,
@@ -312,26 +315,33 @@ pub struct Gen<'a> {
 
 impl<'a> Gen<'a> {
     /// Creates a generator for a module analysis with the given options.
-    pub fn new(opts: Options<'a>) -> Self {
+    pub fn new(mut opts: Options<'a>) -> Self {
+        let candidates = std::mem::take(&mut opts.confine_candidates);
         let mut cs = ConstraintSystem::new();
         // A materialized candidate wires seven conditionals.
-        cs.reserve_conditionals(7 * opts.confine_candidates.len());
+        cs.reserve_conditionals(7 * candidates.len());
         let gamma_globals = cs.fresh_var();
         let module_eff = cs.fresh_var();
-        let mut pending_ranges = Vec::with_capacity(opts.confine_candidates.len());
-        let mut units = Vec::with_capacity(opts.confine_candidates.len());
-        for (i, cand) in opts.confine_candidates.iter().enumerate() {
-            pending_ranges.push((cand.block, cand.start, i));
-            // Units are created eagerly so indices line up with
-            // `opts.confine_candidates`; variables are cheap.
+        let mut pending_ranges: Vec<_> = candidates
+            .iter()
+            .enumerate()
+            .map(|(i, c)| (c.block, c.start, i))
+            .collect();
+        pending_ranges.sort_unstable_by_key(|&(block, start, i)| {
+            (block, start, Reverse(candidates[i].end - start), i)
+        });
+        let mut units = Vec::with_capacity(candidates.len());
+        for cand in candidates {
+            // Units are created eagerly so indices line up with the
+            // candidates; variables are cheap.
             let l2 = cs.fresh_var();
             let xeff = cs.fresh_var();
             let demoted = cs.fresh_flag();
-            let root = root_of(&cand.expr).cloned();
+            let root = root_of(cand.expr).cloned();
             units.push(Unit {
                 site: cand.site(),
-                expr: Cow::Borrowed(&cand.expr),
-                text: Cow::Borrowed(&cand.key),
+                expr: Cow::Borrowed(cand.expr),
+                text: cand.key,
                 root,
                 explicit: false,
                 fun: None,
@@ -346,10 +356,6 @@ impl<'a> Gen<'a> {
                 aborted: false,
             });
         }
-        let cands = opts.confine_candidates;
-        pending_ranges.sort_unstable_by_key(|&(block, start, i)| {
-            (block, start, std::cmp::Reverse(cands[i].end - start), i)
-        });
         Gen {
             cs,
             loc_vars: LocVars::new(),
@@ -950,7 +956,7 @@ impl<'a> Gen<'a> {
             }
             confines.push(ConfineOutcome {
                 site: u.site,
-                expr: std::mem::take(&mut u.text).into_owned(),
+                expr: std::mem::take(&mut u.text),
                 explicit: u.explicit,
                 reasons,
                 unused: u.mat.is_none() && !u.aborted,
@@ -1398,7 +1404,7 @@ impl Hooks for Gen<'_> {
         self.units.push(Unit {
             site: ConfineSite::Stmt(at),
             expr: Cow::Owned(expr.clone()),
-            text: Cow::Owned(pretty::print_expr(expr)),
+            text: pretty::print_expr(expr),
             root,
             explicit: true,
             fun: st.current_fun().cloned(),

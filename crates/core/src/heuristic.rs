@@ -13,8 +13,9 @@
 //! For §6.2 scope inference we additionally propose candidates at every
 //! *enclosing* block (a one-statement range around the containing
 //! statement), provided the expression's free variables are still in
-//! scope there; after constraint solving the caller keeps the outermost
-//! successful candidate ([`select_outermost`]).
+//! scope there; after constraint solving,
+//! [`crate::Analysis::outermost_confines`] picks the outermost successful
+//! candidate.
 //!
 //! Candidates are pre-filtered syntactically: the expression must have a
 //! confinable shape (§6.1's identifiers/fields/dereferences restriction)
@@ -29,20 +30,20 @@ use localias_ast::{intrinsics, pretty, Block, Expr, ExprKind, Module, NodeId, St
 /// A proposed `confine?` site: confine `expr` around statements
 /// `start..=end` of `block`.
 #[derive(Debug, Clone)]
-pub struct ConfineCandidate {
+pub struct ConfineCandidate<'m> {
     /// The block whose statements are covered.
     pub block: NodeId,
     /// First covered statement index.
     pub start: usize,
     /// Last covered statement index (inclusive).
     pub end: usize,
-    /// The confined expression (a clone of one syntactic occurrence).
-    pub expr: Expr,
+    /// The confined expression: one syntactic occurrence in the module.
+    pub expr: &'m Expr,
     /// The printed expression, used as the syntactic-match key.
     pub key: String,
 }
 
-impl ConfineCandidate {
+impl ConfineCandidate<'_> {
     /// This candidate's site, for outcome reporting.
     pub fn site(&self) -> ConfineSite {
         ConfineSite::Range {
@@ -224,7 +225,7 @@ struct Scan<'m> {
     /// (the paper's *general* strategy, approximated with a bounded
     /// candidate set), not just the min–max heuristic range.
     general: bool,
-    out: Vec<ConfineCandidate>,
+    out: Vec<ConfineCandidate<'m>>,
     /// The innermost binding of each name in scope, as an index into
     /// `bindings`.
     env: FxMap<&'m str, u32>,
@@ -257,7 +258,14 @@ struct Scan<'m> {
 }
 
 impl<'m> Scan<'m> {
-    fn push_candidate(&mut self, block: NodeId, start: usize, end: usize, key: &str, expr: &Expr) {
+    fn push_candidate(
+        &mut self,
+        block: NodeId,
+        start: usize,
+        end: usize,
+        key: &str,
+        expr: &'m Expr,
+    ) {
         let site = (block, start, end);
         let latest = self.seen.get(&site).copied().unwrap_or(NONE);
         let mut at = latest;
@@ -273,7 +281,7 @@ impl<'m> Scan<'m> {
             block,
             start,
             end,
-            expr: expr.clone(),
+            expr,
             key: key.to_string(),
         });
     }
@@ -539,7 +547,7 @@ impl<'m> Scan<'m> {
 /// assert!(cands.iter().any(|c| c.key == "&(locks[i])" && c.start == 0 && c.end == 2));
 /// # Ok::<(), localias_ast::ParseError>(())
 /// ```
-pub fn propose_confines(m: &Module) -> Vec<ConfineCandidate> {
+pub fn propose_confines(m: &Module) -> Vec<ConfineCandidate<'_>> {
     propose_with(m, false)
 }
 
@@ -550,11 +558,11 @@ pub fn propose_confines(m: &Module) -> Vec<ConfineCandidate> {
 /// greedily keeping the outermost/largest successes reconstructs the
 /// merged sub-blocks ("adjacent confines of the same expression can be
 /// combined").
-pub fn propose_confines_general(m: &Module) -> Vec<ConfineCandidate> {
+pub fn propose_confines_general(m: &Module) -> Vec<ConfineCandidate<'_>> {
     propose_with(m, true)
 }
 
-fn propose_with(m: &Module, general: bool) -> Vec<ConfineCandidate> {
+fn propose_with(m: &Module, general: bool) -> Vec<ConfineCandidate<'_>> {
     // Room for the globals and a function's parameters and locals.
     let names = m.globals().count() + 32;
     let mut scan = Scan {
@@ -586,41 +594,6 @@ fn propose_with(m: &Module, general: bool) -> Vec<ConfineCandidate> {
         scan.unbind_to(globals);
     }
     scan.out
-}
-
-/// Keeps, for each confined expression key, only the outermost successful
-/// candidates (drop successes nested inside another success for the same
-/// key).
-///
-/// `candidates` and `successes` are parallel: `successes[i]` says whether
-/// candidate `i` was verified. Containment is judged structurally: a
-/// candidate is dropped if another successful candidate with the same key
-/// encloses it (same block and covering range, or an ancestor block —
-/// approximated here by the ancestry recorded during proposal; candidates
-/// produced by [`propose_confines`] for the same key are totally ordered
-/// by scope).
-pub fn select_outermost(
-    candidates: &[ConfineCandidate],
-    successes: &[bool],
-    enclosing: &dyn Fn(&ConfineCandidate, &ConfineCandidate) -> bool,
-) -> Vec<usize> {
-    let mut keep = Vec::new();
-    'outer: for i in 0..candidates.len() {
-        if !successes[i] {
-            continue;
-        }
-        for j in 0..candidates.len() {
-            if i != j
-                && successes[j]
-                && candidates[j].key == candidates[i].key
-                && enclosing(&candidates[j], &candidates[i])
-            {
-                continue 'outer;
-            }
-        }
-        keep.push(i);
-    }
-    keep
 }
 
 #[cfg(test)]
@@ -786,32 +759,5 @@ mod tests {
             inner.iter().all(|c| c.block != f.body.id),
             "candidate must not float above d's scope: {inner:?}"
         );
-    }
-
-    #[test]
-    fn select_outermost_prefers_enclosing_success() {
-        let m = parse_module(
-            "m",
-            r#"
-            lock mu;
-            void f(int c) {
-                if (c) {
-                    spin_lock(&mu);
-                    spin_unlock(&mu);
-                }
-            }
-            "#,
-        )
-        .unwrap();
-        let cands = propose_confines(&m);
-        let successes = vec![true; cands.len()];
-        let f = m.function("f").unwrap();
-        let enclosing = |a: &ConfineCandidate, b: &ConfineCandidate| {
-            // In this test the function body encloses the if-block.
-            a.block == f.body.id && b.block != f.body.id
-        };
-        let kept = select_outermost(&cands, &successes, &enclosing);
-        assert_eq!(kept.len(), 1);
-        assert_eq!(cands[kept[0]].block, f.body.id);
     }
 }

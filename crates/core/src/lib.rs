@@ -16,8 +16,8 @@
 //!   the unique maximal set that can soundly be `restrict`.
 //! * **Confine inference** (§6–§7): [`infer_confines`] proposes
 //!   `confine?` candidates with the paper's block heuristic
-//!   ([`heuristic::propose_confines`]), solves, and keeps the outermost
-//!   successes.
+//!   ([`heuristic::propose_confines`]) and solves;
+//!   [`Analysis::outermost_confines`] picks the outermost successes.
 //!
 //! # Example: checking the paper's Figure 1
 //!
@@ -48,9 +48,7 @@ pub mod heuristic;
 pub mod outcome;
 
 pub use gen::{Gen, Options};
-pub use heuristic::{
-    propose_confines, propose_confines_general, select_outermost, ConfineCandidate,
-};
+pub use heuristic::{propose_confines, propose_confines_general, ConfineCandidate};
 pub use outcome::{CandidateOutcome, ConfineOutcome, ConfineSite, Diag, Reason, RestrictOutcome};
 
 use localias_alias::{analyze_with, Backend, FrozenLocs, FxHashSet, FxMap, Loc, State};
@@ -186,6 +184,34 @@ impl Analysis {
             && self.restricts.iter().all(|r| r.ok())
             && self.confines.iter().filter(|c| c.explicit).all(|c| c.ok())
     }
+
+    /// The §6.2 pick over the `confine?` candidates of module `m`: the
+    /// indices into [`Analysis::confines`] of the successful candidates
+    /// that no other success for the same expression strictly encloses,
+    /// in proposal order.
+    pub fn outermost_confines(&self, m: &Module) -> Vec<usize> {
+        let successes: Vec<(usize, &str, StmtRange)> = self
+            .confines
+            .iter()
+            .enumerate()
+            .filter_map(|(i, c)| match c.site {
+                ConfineSite::Range { block, start, end } if c.ok() => {
+                    Some((i, c.expr.as_str(), (block, start, end)))
+                }
+                _ => None,
+            })
+            .collect();
+        let parents = block_parents(m);
+        successes
+            .iter()
+            .filter(|&&(i, expr, range)| {
+                !successes
+                    .iter()
+                    .any(|&(j, e, r)| j != i && e == expr && encloses(&parents, r, range))
+            })
+            .map(|&(i, ..)| i)
+            .collect()
+    }
 }
 
 /// Runs the full analysis over one module.
@@ -252,23 +278,11 @@ pub fn infer_param_restricts(m: &Module) -> Analysis {
     )
 }
 
-/// The result of confine inference: the analysis plus which candidate
-/// outcomes were selected (outermost successes per confined expression).
-#[derive(Debug)]
-pub struct ConfineInference {
-    /// The underlying analysis (candidate verdicts are in
-    /// [`Analysis::confines`]).
-    pub analysis: Analysis,
-    /// The proposed candidates, parallel to the non-explicit entries of
-    /// `analysis.confines`.
-    pub candidates: Vec<ConfineCandidate>,
-    /// Indices (into `candidates`) of the outermost successful confines.
-    pub chosen: Vec<usize>,
-}
-
-/// Runs §6 confine inference with the §7 block heuristic and §6.2
-/// outermost-scope selection.
-pub fn infer_confines(m: &Module) -> ConfineInference {
+/// Runs §6 confine inference with the §7 block heuristic. Each
+/// candidate's verdict is a non-explicit entry of [`Analysis::confines`],
+/// in proposal order; [`Analysis::outermost_confines`] makes the §6.2
+/// outermost-scope pick.
+pub fn infer_confines(m: &Module) -> Analysis {
     let candidates = {
         let _span = obs::span!("core.propose");
         propose_confines(m)
@@ -280,32 +294,18 @@ pub fn infer_confines(m: &Module) -> ConfineInference {
 /// candidates let safe sub-regions survive even when the heuristic's
 /// min–max range fails (e.g. interleaved critical sections of aliased
 /// locks).
-pub fn infer_confines_general(m: &Module) -> ConfineInference {
-    infer_confines_from(m, heuristic::propose_confines_general(m))
+pub fn infer_confines_general(m: &Module) -> Analysis {
+    infer_confines_from(m, propose_confines_general(m))
 }
 
-fn infer_confines_from(m: &Module, candidates: Vec<ConfineCandidate>) -> ConfineInference {
-    let analysis = analyze(
+fn infer_confines_from(m: &Module, candidates: Vec<ConfineCandidate<'_>>) -> Analysis {
+    analyze(
         m,
         Options {
-            confine_candidates: &candidates,
+            confine_candidates: candidates,
             ..Options::default()
         },
-    );
-    // The first `candidates.len()` confine outcomes correspond 1:1 to the
-    // proposed candidates (units are created eagerly in that order).
-    let successes: Vec<bool> = analysis.confines[..candidates.len()]
-        .iter()
-        .map(|c| c.ok())
-        .collect();
-    let parents = block_parents(m);
-    let enclosing = |a: &ConfineCandidate, b: &ConfineCandidate| encloses(&parents, a, b);
-    let chosen = select_outermost(&candidates, &successes, &enclosing);
-    ConfineInference {
-        analysis,
-        candidates,
-        chosen,
-    }
+    )
 }
 
 /// Lazily computed per-module analyses, shared across experiment modes.
@@ -332,10 +332,8 @@ fn infer_confines_from(m: &Module, candidates: Vec<ConfineCandidate>) -> Confine
 pub struct SharedAnalysis<'m> {
     module: &'m Module,
     backend: Backend,
-    base: Option<Analysis>,
-    confine: Option<ConfineInference>,
-    base_frozen: Option<FrozenLocs>,
-    confine_frozen: Option<FrozenLocs>,
+    base: Option<(Analysis, FrozenLocs)>,
+    confine: Option<(Analysis, FrozenLocs)>,
 }
 
 impl<'m> SharedAnalysis<'m> {
@@ -351,8 +349,6 @@ impl<'m> SharedAnalysis<'m> {
             backend,
             base: None,
             confine: None,
-            base_frozen: None,
-            confine_frozen: None,
         }
     }
 
@@ -361,55 +357,26 @@ impl<'m> SharedAnalysis<'m> {
         self.module
     }
 
-    /// The plain checking analysis ([`check`]), computed on first use.
-    pub fn base(&mut self) -> &mut Analysis {
-        if self.base.is_none() {
-            self.base = Some(check(self.module));
-        }
-        self.base.as_mut().expect("just computed")
-    }
-
-    /// The confine-inference result ([`infer_confines`]), computed on
-    /// first use.
-    pub fn confine(&mut self) -> &mut ConfineInference {
-        if self.confine.is_none() {
-            self.confine = Some(infer_confines(self.module));
-        }
-        self.confine.as_mut().expect("just computed")
-    }
-
-    /// The base analysis together with its frozen location snapshot —
-    /// the `freeze()` step of the pipeline. Both are computed on first
-    /// use and memoized; the returned references are immutable, so any
-    /// number of checker threads can share them.
+    /// The plain checking analysis ([`check`]) together with its frozen
+    /// location snapshot — the `freeze()` step of the pipeline. Both are
+    /// computed on first use and memoized; the returned references are
+    /// immutable, so any number of checker threads can share them.
     pub fn base_frozen(&mut self) -> (&Analysis, &FrozenLocs) {
-        if self.base_frozen.is_none() {
-            let (backend, module) = (self.backend, self.module);
-            let base = self.base();
-            let _span = obs::span!("core.freeze");
-            let frozen = base.freeze_with(backend, module);
-            self.base_frozen = Some(frozen);
-        }
-        (
-            self.base.as_ref().expect("base computed"),
-            self.base_frozen.as_ref().expect("just computed"),
-        )
+        let (module, backend) = (self.module, self.backend);
+        let (a, frozen) = self
+            .base
+            .get_or_insert_with(|| with_frozen(check(module), backend, module));
+        (a, frozen)
     }
 
-    /// The confine-inference analysis together with its frozen location
-    /// snapshot, computed on first use.
+    /// The confine-inference analysis ([`infer_confines`]) together with
+    /// its frozen location snapshot, computed on first use.
     pub fn confine_frozen(&mut self) -> (&Analysis, &FrozenLocs) {
-        if self.confine_frozen.is_none() {
-            let (backend, module) = (self.backend, self.module);
-            let confine = &mut self.confine().analysis;
-            let _span = obs::span!("core.freeze");
-            let frozen = confine.freeze_with(backend, module);
-            self.confine_frozen = Some(frozen);
-        }
-        (
-            &self.confine.as_ref().expect("confine computed").analysis,
-            self.confine_frozen.as_ref().expect("just computed"),
-        )
+        let (module, backend) = (self.module, self.backend);
+        let (a, frozen) = self
+            .confine
+            .get_or_insert_with(|| with_frozen(infer_confines(module), backend, module));
+        (a, frozen)
     }
 
     /// Both frozen analyses at once — `(base, confine)` — for callers
@@ -422,22 +389,25 @@ impl<'m> SharedAnalysis<'m> {
     pub fn both_frozen(&mut self) -> ((&Analysis, &FrozenLocs), (&Analysis, &FrozenLocs)) {
         self.base_frozen();
         self.confine_frozen();
-        (
-            (
-                self.base.as_ref().expect("base computed"),
-                self.base_frozen.as_ref().expect("base frozen"),
-            ),
-            (
-                &self.confine.as_ref().expect("confine computed").analysis,
-                self.confine_frozen.as_ref().expect("confine frozen"),
-            ),
-        )
+        let (base, base_frozen) = self.base.as_ref().expect("base computed");
+        let (confine, confine_frozen) = self.confine.as_ref().expect("confine computed");
+        ((base, base_frozen), (confine, confine_frozen))
     }
 }
 
+/// `a` with its location table frozen through `backend`.
+fn with_frozen(mut a: Analysis, backend: Backend, m: &Module) -> (Analysis, FrozenLocs) {
+    let _span = obs::span!("core.freeze");
+    let frozen = a.freeze_with(backend, m);
+    (a, frozen)
+}
+
+/// A candidate's statement range: `(block, start, end)`, inclusive.
+type StmtRange = (NodeId, usize, usize);
+
 /// Maps each block to `(parent block, index of the containing statement)`.
 /// Function bodies have no parent.
-pub fn block_parents(m: &Module) -> FxMap<NodeId, (NodeId, usize)> {
+fn block_parents(m: &Module) -> FxMap<NodeId, (NodeId, usize)> {
     struct P {
         out: FxMap<NodeId, (NodeId, usize)>,
         stack: Vec<(NodeId, usize)>,
@@ -479,20 +449,17 @@ pub fn block_parents(m: &Module) -> FxMap<NodeId, (NodeId, usize)> {
     p.out
 }
 
-/// Does candidate `a` enclose candidate `b` (strictly)?
-pub fn encloses(
-    parents: &FxMap<NodeId, (NodeId, usize)>,
-    a: &ConfineCandidate,
-    b: &ConfineCandidate,
-) -> bool {
-    if a.block == b.block {
-        return a.start <= b.start && b.end <= a.end && (a.start, a.end) != (b.start, b.end);
+/// Does range `a` enclose range `b` (strictly)?
+fn encloses(parents: &FxMap<NodeId, (NodeId, usize)>, a: StmtRange, b: StmtRange) -> bool {
+    let ((a_block, a_start, a_end), (b_block, b_start, b_end)) = (a, b);
+    if a_block == b_block {
+        return a_start <= b_start && b_end <= a_end && (a_start, a_end) != (b_start, b_end);
     }
     // Walk b's ancestry looking for a's block.
-    let mut cur = b.block;
+    let mut cur = b_block;
     while let Some(&(parent, idx)) = parents.get(&cur) {
-        if parent == a.block {
-            return a.start <= idx && idx <= a.end;
+        if parent == a_block {
+            return a_start <= idx && idx <= a_end;
         }
         cur = parent;
     }
@@ -899,10 +866,9 @@ mod tests {
             }
             "#,
         );
-        let inf = infer_confines(&m);
-        assert!(!inf.chosen.is_empty(), "{:?}", inf.analysis.confines);
+        let mut a = infer_confines(&m);
+        assert!(!a.outermost_confines(&m).is_empty(), "{:?}", a.confines);
         // The chosen candidate enables a strong update at the lock sites.
-        let mut a = inf.analysis;
         let arg = find_expr(
             &m,
             |e| matches!(&e.kind, ExprKind::Call(f, _) if f.name == "spin_lock"),
@@ -930,24 +896,24 @@ mod tests {
             }
             "#,
         );
-        let inf = infer_confines(&m);
+        let a = infer_confines(&m);
         // &locks[i] and &locks[j] share one abstract location. The outer
         // (i) region contains j's accesses and must fail; the inner (j)
         // region contains no stale-alias access and is confinable.
-        let chosen_keys: Vec<&str> = inf
-            .chosen
-            .iter()
-            .map(|&k| inf.candidates[k].key.as_str())
+        let chosen_keys: Vec<&str> = a
+            .outermost_confines(&m)
+            .into_iter()
+            .map(|k| a.confines[k].expr.as_str())
             .collect();
         assert!(
             !chosen_keys.contains(&"&(locks[i])"),
             "outer region must fail: {:?}",
-            inf.analysis.confines
+            a.confines
         );
         assert!(
             chosen_keys.contains(&"&(locks[j])"),
             "inner region is sound: {:?}",
-            inf.analysis.confines
+            a.confines
         );
     }
 
@@ -966,12 +932,13 @@ mod tests {
             }
             "#,
         );
-        let inf = infer_confines(&m);
-        assert_eq!(inf.chosen.len(), 1, "{:?}", inf.analysis.confines);
-        let chosen = &inf.candidates[inf.chosen[0]];
+        let a = infer_confines(&m);
+        let chosen = a.outermost_confines(&m);
+        assert_eq!(chosen.len(), 1, "{:?}", a.confines);
+        let chosen = &a.confines[chosen[0]];
         let f = m.function("f").unwrap();
-        assert_eq!(
-            chosen.block, f.body.id,
+        assert!(
+            matches!(chosen.site, ConfineSite::Range { block, .. } if block == f.body.id),
             "outermost (function-body) scope must win: {chosen:?}"
         );
     }
@@ -991,11 +958,11 @@ mod tests {
             }
             "#,
         );
-        let inf = infer_confines(&m);
+        let a = infer_confines(&m);
         assert!(
-            !inf.chosen.is_empty(),
+            !a.outermost_confines(&m).is_empty(),
             "&d->mu should be confinable: {:?}",
-            inf.analysis.confines
+            a.confines
         );
     }
 
@@ -1016,11 +983,11 @@ mod tests {
             }
             "#,
         );
-        let inf = infer_confines(&m);
+        let a = infer_confines(&m);
         assert!(
-            inf.chosen.is_empty(),
+            a.outermost_confines(&m).is_empty(),
             "writing pp must block confining *q: {:?}",
-            inf.analysis.confines
+            a.confines
         );
     }
 
@@ -1037,11 +1004,11 @@ mod tests {
             }
             "#,
         );
-        let inf = infer_confines(&m);
+        let a = infer_confines(&m);
         assert!(
-            inf.chosen.is_empty(),
+            a.outermost_confines(&m).is_empty(),
             "tainted locations must not confine: {:?}",
-            inf.analysis.confines
+            a.confines
         );
     }
 

@@ -3,7 +3,10 @@
 //! idempotence properties.
 
 use localias_ast::{parse_module, Module};
-use localias_core::{analyze, check, infer_confines, infer_restricts, Options, Reason};
+use localias_core::{
+    analyze, check, infer_confines, infer_confines_general, infer_restricts, Analysis, ConfineSite,
+    Options, Reason,
+};
 
 fn parse(src: &str) -> Module {
     parse_module("corner", src).expect("parse")
@@ -127,15 +130,10 @@ fn confine_then_explicit_confine_nest() {
         }
         "#,
     );
-    let inf = infer_confines(&m);
-    let explicit_ok = inf
-        .analysis
-        .confines
-        .iter()
-        .filter(|c| c.explicit)
-        .all(|c| c.ok());
-    assert!(explicit_ok, "{:?}", inf.analysis.confines);
-    assert!(!inf.chosen.is_empty(), "{:?}", inf.analysis.confines);
+    let a = infer_confines(&m);
+    let explicit_ok = a.confines.iter().filter(|c| c.explicit).all(|c| c.ok());
+    assert!(explicit_ok, "{:?}", a.confines);
+    assert!(!a.outermost_confines(&m).is_empty(), "{:?}", a.confines);
 }
 
 #[test]
@@ -155,8 +153,8 @@ fn confine_inference_is_idempotent_on_outcomes() {
     );
     let a = infer_confines(&m);
     let b = infer_confines(&m);
-    assert_eq!(a.chosen, b.chosen);
-    assert_eq!(a.candidates.len(), b.candidates.len());
+    assert_eq!(a.outermost_confines(&m), b.outermost_confines(&m));
+    assert_eq!(a.confines.len(), b.confines.len());
 }
 
 #[test]
@@ -177,8 +175,8 @@ fn two_locks_two_regions_both_confined() {
         }
         "#,
     );
-    let inf = infer_confines(&m);
-    assert_eq!(inf.chosen.len(), 2, "{:?}", inf.analysis.confines);
+    let a = infer_confines(&m);
+    assert_eq!(a.outermost_confines(&m).len(), 2, "{:?}", a.confines);
 }
 
 #[test]
@@ -199,12 +197,12 @@ fn interleaved_distinct_locks_confine_with_overlapping_regions() {
         }
         "#,
     );
-    let inf = infer_confines(&m);
+    let a = infer_confines(&m);
     assert_eq!(
-        inf.chosen.len(),
+        a.outermost_confines(&m).len(),
         2,
         "independent overlapping regions: {:?}",
-        inf.analysis.confines
+        a.confines
     );
 }
 
@@ -224,7 +222,7 @@ fn explicit_restrict_inside_candidate_region() {
         "#,
     );
     let inf = infer_confines(&m);
-    assert!(!inf.chosen.is_empty(), "{:?}", inf.analysis.confines);
+    assert!(!inf.outermost_confines(&m).is_empty(), "{:?}", inf.confines);
     let a = check(&m);
     assert!(a.restricts[0].ok());
 }
@@ -245,11 +243,11 @@ fn unused_restrict_inside_confine_region_is_harmless() {
         }
         "#,
     );
-    let inf = infer_confines(&m);
+    let a = infer_confines(&m);
     assert!(
-        !inf.chosen.is_empty(),
+        !a.outermost_confines(&m).is_empty(),
         "the confine still holds: {:?}",
-        inf.analysis.confines
+        a.confines
     );
 }
 
@@ -269,16 +267,15 @@ fn using_confined_lock_inside_its_restrict_scope_fails() {
         }
         "#,
     );
-    let inf = infer_confines(&m);
-    let rejected = inf
-        .analysis
+    let a = infer_confines(&m);
+    let rejected = a
         .restricts
         .iter()
         .any(|r| r.reasons.contains(&Reason::AliasAccessed));
     assert!(
         rejected,
         "the restrict must reject the occurrence access: {:?}",
-        inf.analysis.restricts
+        a.restricts
     );
 }
 
@@ -295,13 +292,8 @@ fn reasons_surface_for_rejections() {
         }
         "#,
     );
-    let inf = infer_confines(&m);
-    let reasons: Vec<&Reason> = inf
-        .analysis
-        .confines
-        .iter()
-        .flat_map(|c| c.reasons.iter())
-        .collect();
+    let a = infer_confines(&m);
+    let reasons: Vec<&Reason> = a.confines.iter().flat_map(|c| c.reasons.iter()).collect();
     assert!(
         reasons.contains(&&Reason::Tainted) || reasons.contains(&&Reason::AliasAccessed),
         "{reasons:?}"
@@ -333,29 +325,25 @@ fn general_strategy_recovers_interleaved_regions() {
     "#;
     let m = parse(src);
 
-    let heuristic = localias_core::infer_confines(&m);
-    let chosen_i: Vec<_> = heuristic
-        .chosen
-        .iter()
-        .map(|&k| &heuristic.candidates[k])
-        .filter(|c| c.key == "&(locks[i])")
-        .collect();
-    assert!(
-        chosen_i.is_empty(),
-        "the min–max range for i spans j's section and must fail: {chosen_i:?}"
+    let chosen_i = |a: &Analysis| {
+        a.outermost_confines(&m)
+            .into_iter()
+            .filter(|&k| a.confines[k].expr == "&(locks[i])")
+            .count()
+    };
+    let heuristic = infer_confines(&m);
+    assert_eq!(
+        chosen_i(&heuristic),
+        0,
+        "the min–max range for i spans j's section and must fail: {:?}",
+        heuristic.confines
     );
 
-    let general = localias_core::infer_confines_general(&m);
-    let chosen_i: Vec<_> = general
-        .chosen
-        .iter()
-        .map(|&k| &general.candidates[k])
-        .filter(|c| c.key == "&(locks[i])")
-        .collect();
+    let general = infer_confines_general(&m);
     assert!(
-        chosen_i.len() >= 2,
+        chosen_i(&general) >= 2,
         "both of i's sections are individually confinable: {:?}",
-        general.analysis.confines
+        general.confines
     );
 }
 
@@ -371,18 +359,26 @@ fn general_strategy_subsumes_heuristic_on_simple_regions() {
         }
     "#;
     let m = parse(src);
-    let h = localias_core::infer_confines(&m);
-    let g = localias_core::infer_confines_general(&m);
-    assert!(!h.chosen.is_empty());
-    assert!(!g.chosen.is_empty());
+    let h = infer_confines(&m);
+    let g = infer_confines_general(&m);
+    let (h_chosen, g_chosen) = (h.outermost_confines(&m), g.outermost_confines(&m));
+    assert!(!h_chosen.is_empty());
+    assert!(!g_chosen.is_empty());
     // The general strategy's outermost success covers at least the
     // heuristic's range.
-    let h_best = &h.candidates[h.chosen[0]];
-    let covered = g
-        .chosen
-        .iter()
-        .map(|&k| &g.candidates[k])
-        .any(|c| c.key == h_best.key && c.start <= h_best.start && h_best.end <= c.end);
+    let h_best = &h.confines[h_chosen[0]];
+    let ConfineSite::Range {
+        start: h_start,
+        end: h_end,
+        ..
+    } = h_best.site
+    else {
+        panic!("a candidate covers a range: {h_best:?}");
+    };
+    let covered = g_chosen.iter().map(|&k| &g.confines[k]).any(|c| {
+        matches!(c.site, ConfineSite::Range { start, end, .. }
+            if c.expr == h_best.expr && start <= h_start && h_end <= end)
+    });
     assert!(covered, "general must not lose the heuristic's region");
 }
 
@@ -393,7 +389,7 @@ fn general_strategy_subsumes_heuristic_on_simple_regions() {
 #[test]
 fn range_deactivation_over_nested_equal_and_adjacent_ranges() {
     use localias_ast::{parse_expr, pretty};
-    use localias_core::{block_parents, encloses, select_outermost, ConfineCandidate};
+    use localias_core::ConfineCandidate;
 
     let m = parse(
         r#"
@@ -412,44 +408,37 @@ fn range_deactivation_over_nested_equal_and_adjacent_ranges() {
         "#,
     );
     let block = m.function("f").expect("f").body.id;
-    let cand = |src: &str, start: usize, end: usize| {
-        let expr = parse_expr(src).expect("expr");
-        ConfineCandidate {
-            block,
-            start,
-            end,
-            key: pretty::print_expr(&expr),
-            expr,
-        }
+    let (a_lock, b_lock) = (parse_expr("&a").expect("&a"), parse_expr("&b").expect("&b"));
+    let cand = |expr, start: usize, end: usize| ConfineCandidate {
+        block,
+        start,
+        end,
+        key: pretty::print_expr(expr),
+        expr,
     };
     let candidates = vec![
-        cand("&a", 0, 1),
-        cand("&a", 0, 1), // equal to the first
-        cand("&a", 2, 3), // adjacent to [0, 1]; `pa` aliases `a` in it
-        cand("&a", 0, 3), // encloses both
-        cand("&a", 2, 2), // nested in [2, 3]
-        cand("&b", 4, 6), // ends at the last statement
-        cand("&b", 6, 6), // nested, also ends there
-        cand("&b", 4, 5), // nested, adjacent to [6, 6]
+        cand(&a_lock, 0, 1),
+        cand(&a_lock, 0, 1), // equal to the first
+        cand(&a_lock, 2, 3), // adjacent to [0, 1]; `pa` aliases `a` in it
+        cand(&a_lock, 0, 3), // encloses both
+        cand(&a_lock, 2, 2), // nested in [2, 3]
+        cand(&b_lock, 4, 6), // ends at the last statement
+        cand(&b_lock, 6, 6), // nested, also ends there
+        cand(&b_lock, 4, 5), // nested, adjacent to [6, 6]
     ];
     let a = analyze(
         &m,
         Options {
-            confine_candidates: &candidates,
+            confine_candidates: candidates,
             ..Options::default()
         },
     );
-    let ok: Vec<bool> = a.confines[..candidates.len()]
-        .iter()
-        .map(|c| c.ok())
-        .collect();
+    let ok: Vec<bool> = a.confines.iter().map(|c| c.ok()).collect();
     assert_eq!(
         ok,
         [true, true, false, false, true, true, true, true],
         "{:?}",
         a.confines
     );
-    let parents = block_parents(&m);
-    let chosen = select_outermost(&candidates, &ok, &|x, y| encloses(&parents, x, y));
-    assert_eq!(chosen, [0, 1, 4, 5]);
+    assert_eq!(a.outermost_confines(&m), [0, 1, 4, 5]);
 }

@@ -4,7 +4,7 @@
 //! Run with `cargo run --example confine_scopes`.
 
 use localias::ast::parse_module;
-use localias::core::infer_confines;
+use localias::core::{infer_confines, ConfineSite};
 
 const SOURCE: &str = r#"
 lock locks[16];
@@ -50,26 +50,31 @@ void crossed(int i, int j) {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let m = parse_module("scopes", SOURCE)?;
-    let inf = infer_confines(&m);
+    let a = infer_confines(&m);
+    let outermost = a.outermost_confines(&m);
 
-    println!("{} candidates proposed:", inf.candidates.len());
-    for (i, cand) in inf.candidates.iter().enumerate() {
-        let outcome = &inf.analysis.confines[i];
-        let status = if inf.chosen.contains(&i) {
+    // Each candidate's verdict is a non-explicit confine outcome.
+    let candidates = a.confines.iter().filter(|c| !c.explicit).count();
+    println!("{candidates} candidates proposed:");
+    for (i, c) in a.confines.iter().enumerate() {
+        let ConfineSite::Range { block, start, end } = c.site else {
+            continue;
+        };
+        let status = if outermost.contains(&i) {
             "CHOSEN (outermost success)".to_string()
-        } else if outcome.ok() {
+        } else if c.ok() {
             "succeeds (inner scope, shadowed)".to_string()
         } else {
-            let reasons: Vec<String> = outcome.reasons.iter().map(|r| r.to_string()).collect();
+            let reasons: Vec<String> = c.reasons.iter().map(|r| r.to_string()).collect();
             format!("rejected: {}", reasons.join("; "))
         };
         println!(
-            "  confine? {:<16} block {} stmts {}..={}  →  {status}",
-            cand.key, cand.block, cand.start, cand.end
+            "  confine? {:<16} block {block} stmts {start}..={end}  →  {status}",
+            c.expr
         );
     }
 
-    println!("\n{} confines placed.", inf.chosen.len());
-    assert!(!inf.chosen.is_empty());
+    println!("\n{} confines placed.", outermost.len());
+    assert!(!outermost.is_empty());
     Ok(())
 }

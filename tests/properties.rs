@@ -53,7 +53,7 @@ fn analyses_are_total_and_deterministic() {
         let _ = core::infer_restricts(&m);
         let inf1 = core::infer_confines(&m);
         let inf2 = core::infer_confines(&m);
-        assert_eq!(inf1.chosen, inf2.chosen);
+        assert_eq!(inf1.outermost_confines(&m), inf2.outermost_confines(&m));
     }
 }
 
@@ -224,9 +224,9 @@ fn general_confine_strategy_dominates_heuristic() {
         let (seed, stmts) = (rng.next_u64(), rng.gen_range(1usize..10));
         let src = random_module_source(seed, stmts);
         let m = parse(&src);
-        let confine_errors = |mut a: core::ConfineInference| {
-            let frozen = a.analysis.freeze();
-            check_locks_frozen(&m, &a.analysis, &frozen, Mode::Confine, 1).error_count()
+        let confine_errors = |mut a: core::Analysis| {
+            let frozen = a.freeze();
+            check_locks_frozen(&m, &a, &frozen, Mode::Confine, 1).error_count()
         };
         let heuristic = confine_errors(core::infer_confines(&m));
         let general = confine_errors(core::infer_confines_general(&m));

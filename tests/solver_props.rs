@@ -551,12 +551,11 @@ fn module_system(m: &Module, opts: Options) -> (ConstraintSystem, LocTable, LocV
 /// Both analyses the §7 pipeline runs on `m`: plain checking, and
 /// confine inference over the heuristic's candidates.
 fn assert_module_matches_reference(name: &str, m: &Module) {
-    let candidates = propose_confines(m);
     let both = || {
         [
             Options::default(),
             Options {
-                confine_candidates: &candidates,
+                confine_candidates: propose_confines(m),
                 ..Options::default()
             },
         ]
