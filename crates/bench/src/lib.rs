@@ -28,7 +28,7 @@ use cache::CachedOutcome;
 use localias_alias::Backend;
 use localias_ast::Module;
 use localias_core::SharedAnalysis;
-use localias_corpus::GeneratedModule;
+use localias_corpus::{Category, GeneratedModule};
 use localias_cqual::check_modes;
 use localias_obs as obs;
 use localias_obs::json::Value;
@@ -106,31 +106,19 @@ impl ModuleResult {
         self.no_confine - self.confine.min(self.no_confine)
     }
 
-    /// The module's §7 category. Every module falls in exactly one.
+    /// The module's §7 category, judged from its measured error counts.
+    /// Every module falls in exactly one.
     pub fn category(&self) -> Category {
         if self.no_confine == 0 {
             Category::Clean
         } else if self.no_confine == self.all_strong {
-            Category::Real
+            Category::RealBugs
         } else if self.confine == self.all_strong {
-            Category::Full
+            Category::Recovered
         } else {
             Category::Partial
         }
     }
-}
-
-/// The paper's §7 split of the modules, in the order it reports them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Category {
-    /// Error-free without confine.
-    Clean,
-    /// Errors unrelated to weak updates: all-strong removes none.
-    Real,
-    /// Confine inference removes every error all-strong removes.
-    Full,
-    /// Confine inference misses some strong updates (Figure 7).
-    Partial,
 }
 
 /// How many of `results` fall in each [`Category`], in declaration
@@ -695,8 +683,8 @@ mod tests {
         };
         let cases = [
             (r(0, 0, 0), Category::Clean),
-            (r(3, 3, 3), Category::Real),
-            (r(4, 1, 1), Category::Full),
+            (r(3, 3, 3), Category::RealBugs),
+            (r(4, 1, 1), Category::Recovered),
             (r(5, 2, 0), Category::Partial),
         ];
         for (m, want) in &cases {

@@ -54,7 +54,8 @@ pub const FIGURE7: [(&str, usize, usize, usize); 14] = [
     ("iph5526", 39, 34, 32),
 ];
 
-/// Which population slice a module belongs to.
+/// Which population slice a module belongs to, in the order §7 reports
+/// them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Category {
     /// No lock type errors in any mode.
