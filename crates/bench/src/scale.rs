@@ -83,16 +83,17 @@ pub fn run(
     // sweep's.
     let mut headline: Option<(usize, Value, Value)> = None;
     for &size in &cfg.sizes {
-        let (point, profile, hist) = run_point(cfg, exe, &scratch, size).inspect_err(|_| {
-            let _ = std::fs::remove_dir_all(&scratch);
-        })?;
+        let measured = run_point(cfg, exe, &scratch, size);
+        // Nothing outlives its point, so neither a failed sweep nor a
+        // `progress` that ends the process leaves files behind.
+        let _ = std::fs::remove_dir_all(&scratch);
+        let (point, profile, hist) = measured?;
         progress(&point);
         if headline.as_ref().is_none_or(|(s, ..)| size > *s) {
             headline = Some((size, profile, hist));
         }
         points.push(point);
     }
-    let _ = std::fs::remove_dir_all(&scratch);
     let (profile, hist) = headline
         .map(|(_, p, h)| (p, h))
         .unwrap_or((Value::Null, Value::Null));
@@ -155,7 +156,6 @@ fn run_point(
         .filter(|p| !p.is_null())
         .ok_or_else(|| format!("{}: missing profile block", out.display()))?;
     let hist = doc.get("hist").cloned().unwrap_or(Value::Null);
-    let _ = std::fs::remove_dir_all(&dir);
     let point = Point {
         modules: size,
         wall_seconds: wall,
