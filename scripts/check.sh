@@ -30,6 +30,23 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# gate CRATE TEST NAME: runs the one test NAME of CRATE's integration
+# test TEST and fails unless it ran and passed. A name that matches no
+# test would otherwise pass as "0 passed", so renaming or deleting a
+# gated test would quietly turn its gate off.
+gate() {
+    GATED=$(cargo test -q -p "$1" --test "$2" -- --exact "$3" 2>&1) || {
+        printf '%s\n' "$GATED" >&2
+        echo "check.sh: gated test $2::$3 of $1 failed" >&2
+        exit 1
+    }
+    printf '%s\n' "$GATED" | grep -qF 'test result: ok. 1 passed;' || {
+        printf '%s\n' "$GATED" >&2
+        echo "check.sh: gated test $2::$3 of $1 did not run" >&2
+        exit 1
+    }
+}
+
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release --workspace
@@ -45,52 +62,40 @@ cargo test -q --workspace
 # entries. A store a newer binary wrote must be left alone: served from
 # never, quarantined never, rewritten never. Gate both by name so a
 # filtered test run can't skip them.
-cargo test -q -p localias-bench --test cache \
-    concurrent_disjoint_sweeps_lose_no_entries >/dev/null
-cargo test -q -p localias-bench --test cache \
-    newer_binarys_store_is_left_alone >/dev/null
+gate localias-bench cache concurrent_disjoint_sweeps_lose_no_entries
+gate localias-bench cache newer_binarys_store_is_left_alone
 
 # The observability contract is likewise gated by name: counter totals
 # and the span tree must not depend on the thread count, on the
 # mega-module the headline counters must match their closed forms, and
 # every duration a report carries (`PhaseTimes`, `IncrStats`,
 # `CacheStats`) must equal the total of the span that timed it.
-cargo test -q -p localias-bench --test obs \
-    trace_shape_is_thread_invariant >/dev/null
-cargo test -q -p localias-bench --test obs \
-    mega_module_counters_match_closed_form >/dev/null
-cargo test -q -p localias-bench --test obs \
-    reported_durations_are_span_totals >/dev/null
+gate localias-bench obs trace_shape_is_thread_invariant
+gate localias-bench obs mega_module_counters_match_closed_form
+gate localias-bench obs reported_durations_are_span_totals
 
 # The histogram determinism contract too: per-hist sample counts must
 # not depend on the thread count, and equal sample multisets must render
 # byte-identical hist blocks under any worker layout.
-cargo test -q -p localias-bench --test hist \
-    sweep_hist_counts_are_thread_invariant >/dev/null
-cargo test -q -p localias-bench --test hist \
-    equal_multisets_render_byte_identical_hist_blocks >/dev/null
+gate localias-bench hist sweep_hist_counts_are_thread_invariant
+gate localias-bench hist equal_multisets_render_byte_identical_hist_blocks
 
 # The solver's exactness contract is gated by name as well: with
 # intersections and with conditional constraints of every guard shape,
 # on random systems and on the first 60 corpus modules plus a mega
 # module, `solve_with` must reach the naive reference's solution,
 # location partition, flags and violations.
-cargo test -q -p localias --test solver_props \
-    solution_is_least_with_intersections >/dev/null
-cargo test -q -p localias --test solver_props \
-    conditional_fixpoint_matches_reference >/dev/null
-cargo test -q -p localias --test solver_props \
-    corpus_systems_match_reference >/dev/null
+gate localias solver_props solution_is_least_with_intersections
+gate localias solver_props conditional_fixpoint_matches_reference
+gate localias solver_props corpus_systems_match_reference
 
 # The lock checker's exactness contract is gated by name too: the sweep
 # checks each module's three modes over one call graph through
 # `check_modes`, so its error triples must equal `check_modes`, and the
 # shared-graph reports must be byte-identical to three independent
 # per-mode checks.
-cargo test -q -p localias-bench --test experiment_pipeline \
-    sweep_matches_check_modes >/dev/null
-cargo test -q -p localias-bench --test experiment_pipeline \
-    shared_analysis_reports_are_byte_identical >/dev/null
+gate localias-bench experiment_pipeline sweep_matches_check_modes
+gate localias-bench experiment_pipeline shared_analysis_reports_are_byte_identical
 
 # The front end's exactness contract is gated by name: every parse
 # result (module dump with spans, or error) over the parser-totality
@@ -99,31 +104,28 @@ cargo test -q -p localias-bench --test experiment_pipeline \
 # comments and parentheses, move on every structural edit, survive
 # print-then-parse, and never be shared by two modules that print
 # differently.
-cargo test -q -p localias --test frontend_digest \
-    front_end_output_is_pinned >/dev/null
+gate localias frontend_digest front_end_output_is_pinned
 # The analysis's exactness contract likewise: every candidate, outcome,
 # function effect, solver round and fired count, frozen location table
 # and lock report over three corpus seeds and three mega modules folds
 # into one pinned digest, so pruning constraint variables or changing
-# the solver's graph must leave every decision where it was.
-cargo test -q -p localias --test analysis_digest \
-    analysis_output_is_pinned >/dev/null
-cargo test -q -p localias-bench --test canonical_key \
-    structural_key_tracks_structure_not_text >/dev/null
+# the solver's graph must leave every decision where it was. A second
+# digest pins what the general confine strategy and restrict inference
+# decide over the corpus.
+gate localias analysis_digest analysis_output_is_pinned
+gate localias analysis_digest inference_strategies_are_pinned
+gate localias-bench canonical_key structural_key_tracks_structure_not_text
 # The per-module pipeline's allocation budget is gated by name too: parse
 # plus `check_modes` over the corpus must stay under its ceiling, so an
 # allocation that creeps back into the analysis path fails here.
-cargo test -q -p localias --test alloc_budget \
-    corpus_pass_stays_inside_its_allocation_budget >/dev/null
+gate localias alloc_budget corpus_pass_stays_inside_its_allocation_budget
 
 # The CLI contract is gated by name as well: every subcommand reads its
 # arguments through one parser, so a flag given twice or given another
 # flag as its value is rejected with the subcommand's usage line before
 # anything runs, and no subcommand accepts a flag it does not use.
-cargo test -q -p localias-driver --test cli \
-    repeated_flags_and_flags_as_values_are_rejected >/dev/null
-cargo test -q -p localias-driver --test cli \
-    subcommands_reject_flags_they_do_not_use >/dev/null
+gate localias-driver cli repeated_flags_and_flags_as_values_are_rejected
+gate localias-driver cli subcommands_reject_flags_they_do_not_use
 
 # Cold pass primes a throwaway cache and must report the paper's §7
 # totals over the whole corpus; warm pass must hit on all 589 modules
@@ -224,8 +226,7 @@ grep -q '"hits": 589' "$HEALED" && grep -q '"misses": 0' "$HEALED" || {
 # and a byte-identical repeat; every error triple must equal its closed
 # form, every report checking from scratch, and the repeat must be a
 # module hit.
-cargo test -q -p localias-bench --test intra \
-    mega_edits_through_a_session_match_their_closed_forms >/dev/null
+gate localias-bench intra mega_edits_through_a_session_match_their_closed_forms
 
 # Watch smoke: `localias watch` must pick up an edit and print the
 # per-mode error counts of both versions (the edit drops the unlock).
