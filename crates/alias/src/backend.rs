@@ -203,7 +203,7 @@ fn refine(m: &Module, state: &mut State, pinned: &[Loc]) -> FrozenLocs {
         .funs
         .values()
         .filter(|sig| sig.is_extern)
-        .flat_map(|sig| sig.params.iter().cloned().chain([sig.ret.clone()]))
+        .flat_map(|sig| state.params(sig).iter().cloned().chain([sig.ret.clone()]))
         .collect();
     for ty in &extern_tys {
         for l in locs_of(&mut state.locs, ty) {

@@ -77,9 +77,11 @@ pub struct VarInfo {
 /// The signature of a defined or extern function.
 #[derive(Debug, Clone)]
 pub struct FunSig {
-    /// Parameter value types (shared across all call sites — the analysis
-    /// is context-insensitive, like the paper's).
-    pub params: Vec<Ty>,
+    /// The run of the state's parameter-type array holding this
+    /// signature's parameter value types ([`State::params`]), shared
+    /// across all call sites — the analysis is context-insensitive, like
+    /// the paper's.
+    params: (u32, u32),
     /// Return type.
     pub ret: Ty,
     /// `true` for `extern` declarations (no body).
@@ -139,6 +141,9 @@ pub struct State {
     pub fields: FxMap<(Symbol, Symbol), Loc>,
     /// Function signatures by name.
     pub funs: FxMap<Symbol, FunSig>,
+    /// Every signature's parameter value types, one run per [`FunSig`]
+    /// in declaration order (implicit externs last, as calls meet them).
+    param_tys: Vec<Ty>,
     /// Per defined function, the run of [`State::vars`] its parameters
     /// were bound to, in declaration order ([`State::param_vars`]). For
     /// duplicate definitions the first body wins, matching the variable
@@ -176,6 +181,7 @@ impl State {
             vars: Vec::with_capacity(n / 16),
             fields: FxMap::default(),
             funs: FxMap::default(),
+            param_tys: Vec::new(),
             param_runs: FxMap::default(),
             mismatches: Vec::new(),
             globals: FxMap::default(),
@@ -266,6 +272,11 @@ impl State {
             Some(&(_, id)) => Some(id),
             None => self.globals.get(name).copied(),
         }
+    }
+
+    /// `sig`'s parameter value types, in declaration order.
+    pub fn params(&self, sig: &FunSig) -> &[Ty] {
+        &self.param_tys[sig.params.0 as usize..sig.params.1 as usize]
     }
 
     /// The parameter variables of defined function `fun`, in declaration
@@ -466,6 +477,12 @@ impl<H: Hooks> Walker<H> {
         // order unify against shared parameter types.
         self.st.funs.reserve(m.items.len() - globals);
         self.st.param_runs.reserve(m.functions().count());
+        let params = m.items.iter().map(|item| match &item.kind {
+            ItemKind::Fun(f) => f.params.len(),
+            ItemKind::Extern(e) => e.params.len(),
+            _ => 0,
+        });
+        self.st.param_tys.reserve(params.sum());
         for item in &m.items {
             match &item.kind {
                 ItemKind::Fun(f) => self.declare_fun(&f.name.name, &f.params, &f.ret, false),
@@ -503,7 +520,12 @@ impl<H: Hooks> Walker<H> {
         if self.st.funs.contains_key(name) {
             return;
         }
-        let params = params.iter().map(|p| self.st.lower(&p.ty)).collect();
+        let first = self.st.param_tys.len() as u32;
+        for p in params {
+            let ty = self.st.lower(&p.ty);
+            self.st.param_tys.push(ty);
+        }
+        let params = (first, self.st.param_tys.len() as u32);
         let ret = self.st.lower(ret);
         self.st.funs.insert(
             name.clone(),
@@ -523,12 +545,13 @@ impl<H: Hooks> Walker<H> {
         // Parameters bind to consecutive variables (hooks cannot bind).
         let name = &f.name.name;
         let first = self.st.vars.len() as u32;
-        let bound = self.st.funs[name].params.len().min(f.params.len());
+        let (sig_first, sig_end) = self.st.funs[name].params;
+        let bound = ((sig_end - sig_first) as usize).min(f.params.len());
         for (i, p) in f.params[..bound].iter().enumerate() {
             let site = BindSite::Param {
                 restrict: p.restrict,
             };
-            let sig_ty = self.st.funs[name].params[i].clone();
+            let sig_ty = self.st.param_tys[sig_first as usize + i].clone();
             let value_ty = self.hooks.bind_ty(&mut self.st, site, sig_ty, f.id);
             let var = self.bind_var(&p.name.name, value_ty);
             self.hooks.on_bind(&mut self.st, var, site, f.id);
@@ -996,20 +1019,25 @@ impl<H: Hooks> Walker<H> {
             return Ty::Void;
         }
         let st = &mut self.st;
-        let sig = st.funs.entry(f.name.clone()).or_insert_with(|| FunSig {
+        let sig = st.funs.entry(f.name.clone()).or_insert_with(|| {
             // Implicit extern: parameters adopt the argument types; the
             // return type is unknown.
-            params: arg_tys.to_vec(),
-            ret: Ty::Unknown,
-            is_extern: true,
+            let first = st.param_tys.len() as u32;
+            st.param_tys.extend_from_slice(arg_tys);
+            FunSig {
+                params: (first, st.param_tys.len() as u32),
+                ret: Ty::Unknown,
+                is_extern: true,
+            }
         });
-        if sig.params.len() != arg_tys.len() {
+        let params = &st.param_tys[sig.params.0 as usize..sig.params.1 as usize];
+        if params.len() != arg_tys.len() {
             st.mismatches.push(TypeMismatch {
                 left: format!("{} arguments to `{}`", arg_tys.len(), f.name),
-                right: format!("{}", sig.params.len()),
+                right: format!("{}", params.len()),
             });
         }
-        for (a, p) in arg_tys.iter().zip(&sig.params) {
+        for (a, p) in arg_tys.iter().zip(params) {
             unify(&mut st.locs, a, p, &mut st.mismatches);
         }
         let (ret, is_extern) = (sig.ret.clone(), sig.is_extern);

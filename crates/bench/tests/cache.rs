@@ -7,6 +7,8 @@
 //! and seed changes.
 
 use localias_alias::Backend;
+use localias_ast::fp::{fnv1a, FNV_OFFSET};
+use localias_bench::cache::module_fingerprint;
 use localias_bench::{
     measure_corpus_cached, measure_corpus_with_cache, AnalysisCache, CachePolicy, ModuleResult,
     ANALYSIS_VERSION,
@@ -333,6 +335,64 @@ fn stale_v1_store_is_discarded_whole() {
     );
     assert_eq!(stats.quarantined, 1);
     assert_eq!(render(&uncached(&slice, DEFAULT_SEED)), render(&results));
+}
+
+/// A store the version-3 binary wrote for this slice must be discarded
+/// whole. Version 4 moved both keys from FNV-1a to MurmurHash3 without
+/// changing a result, so only the header's `analysis_version: 3` tells
+/// the store apart. The store below has today's line format, the raw
+/// keys the version-3 binary computed (`fnv1a` over `raw;` and the
+/// source) and wrong triples; its canonical keys are today's, so any
+/// entry served past the header check would hit and show in the report.
+/// The sweep must serve nothing, quarantine the store once, and report
+/// what an uncached run reports.
+#[test]
+fn stale_v3_store_is_discarded_whole() {
+    let dir = cache_dir("v3-store");
+    let policy = policy(&dir);
+    let slice = slice();
+
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut store = String::from("{\"schema\":\"localias-cache/v4\",\"analysis_version\":3}\n");
+    let mut lines: Vec<(u128, u128)> = slice
+        .iter()
+        .map(|m| {
+            let raw = fnv1a(fnv1a(FNV_OFFSET, b"raw;"), m.source.as_bytes());
+            (raw, module_fingerprint(&m.parse(), Backend::Steensgaard))
+        })
+        .collect();
+    lines.sort_unstable();
+    for (raw, fp) in lines {
+        store.push_str(&format!(
+            "{{\"fp\":\"{fp:032x}\",\"raw\":\"{raw:032x}\",\"v\":[97,98,99,1,1,1]}}\n"
+        ));
+    }
+    std::fs::write(store_path(&dir), &store).unwrap();
+
+    let (results, bench) =
+        measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, Backend::Steensgaard, &policy);
+    let stats = bench.cache.expect("cache stats present");
+    assert_eq!(
+        (stats.hits, stats.misses),
+        (0, PREFIX),
+        "no entry of a v3 store is served"
+    );
+    assert_eq!(stats.quarantined, 1);
+    assert_eq!(
+        std::fs::read_to_string(bad_path(&dir)).unwrap(),
+        store,
+        "the v3 store is kept for inspection as it was"
+    );
+    assert_eq!(render(&uncached(&slice, DEFAULT_SEED)), render(&results));
+
+    // Quarantined once: the rewritten store serves the next sweep.
+    let (_, bench) =
+        measure_corpus_with_cache(&slice, 1, 1, DEFAULT_SEED, Backend::Steensgaard, &policy);
+    let stats = bench.cache.expect("cache stats present");
+    assert_eq!(
+        (stats.hits, stats.misses, stats.quarantined),
+        (PREFIX, 0, 0)
+    );
 }
 
 #[test]

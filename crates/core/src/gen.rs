@@ -1098,9 +1098,9 @@ impl Hooks for Gen<'_> {
                     let vis = self.cs.fresh_var();
                     self.cs.include(Effect::var(self.gamma_globals), vis);
                     // By index: `ty_eps` needs the state mutably.
-                    let params = st.funs.get(&name).map_or(0, |sig| sig.params.len());
+                    let params = st.funs.get(&name).map_or(0, |sig| st.params(sig).len());
                     for i in 0..params {
-                        let p = st.funs[&name].params[i].clone();
+                        let p = st.params(&st.funs[&name])[i].clone();
                         if let Some(v) = self.ty_eps(st, &p) {
                             self.cs.include(Effect::var(v), vis);
                         }

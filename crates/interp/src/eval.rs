@@ -751,7 +751,6 @@ impl<'m> Interp<'m> {
         let Some(f) = self.module.function(name) else {
             return Err(RuntimeError::Unbound(name.to_string()));
         };
-        let f = f.clone();
         let mut args = Vec::new();
         for p in &f.params {
             let v = match &p.ty {
@@ -761,7 +760,7 @@ impl<'m> Interp<'m> {
             };
             args.push(v);
         }
-        self.call_def(&f, &args).map(|(v, _)| v)
+        self.call_def(f, &args).map(|(v, _)| v)
     }
 
     /// Calls a named function with explicit argument values — the
@@ -773,7 +772,6 @@ impl<'m> Interp<'m> {
         let Some(f) = self.module.function(name) else {
             return Err(RuntimeError::Unbound(name.to_string()));
         };
-        let f = f.clone();
         let mut vals = args.to_vec();
         for p in f.params.iter().skip(vals.len()) {
             vals.push(match &p.ty {
@@ -781,7 +779,7 @@ impl<'m> Interp<'m> {
                 other => default_value(other),
             });
         }
-        self.call_def(&f, &vals).map(|(v, _)| v)
+        self.call_def(f, &vals).map(|(v, _)| v)
     }
 
     /// Allocates a fresh zeroed object of type `ty` and returns its

@@ -19,12 +19,13 @@
 # benchmark workspace's tests run too, the solver's exactness tests,
 # the lock checker's one-walk exactness tests (the sweep equals
 # `check_modes`, whose reports equal per-mode checks), the front end's
-# and the analysis's pinned output digests and the canonical cache key's
-# properties are gated by name, and the fuzz smoke pins its
-# false-positive counts for the one alias configuration the pipeline
-# runs (Steensgaard). The corpus pass's allocation count is gated
-# against its ceiling, and the CLI's one-parser contract is gated by
-# name. The fuzz and scale subcommands write their artifacts once each,
+# and the analysis's pinned output digests, the canonical cache key's
+# properties, the fingerprint kernel's known answers and the one-time
+# quarantine of a version-3 store are gated by name, and the fuzz smoke
+# pins its false-positive counts for the one alias configuration the
+# pipeline runs (Steensgaard). The corpus pass's allocation count is
+# gated against its ceiling phase by phase, and the CLI's one-parser
+# contract is gated by name. The fuzz and scale subcommands write their artifacts once each,
 # and a fuzz artifact diffs clean against itself.
 set -eu
 
@@ -60,10 +61,19 @@ cargo test -q --workspace
 # The concurrent-writer regression is the load-bearing test of the
 # store: two real processes persisting into one cache dir must lose no
 # entries. A store a newer binary wrote must be left alone: served from
-# never, quarantined never, rewritten never. Gate both by name so a
-# filtered test run can't skip them.
+# never, quarantined never, rewritten never. A store the version-3
+# binary wrote (FNV-1a keys) must serve nothing and be quarantined once.
+# Gate all three by name so a filtered test run can't skip them.
 gate localias-bench cache concurrent_disjoint_sweeps_lose_no_entries
 gate localias-bench cache newer_binarys_store_is_left_alone
+gate localias-bench cache stale_v3_store_is_discarded_whole
+
+# The fingerprint kernel behind both cache keys must be MurmurHash3
+# x64_128 exactly: SMHasher's verification code, the reference digest of
+# "hello", and streaming equal to one-shot at every split point.
+gate localias-ast fingerprint_kernel smhasher_verification_code_matches
+gate localias-ast fingerprint_kernel hello_matches_the_reference_digest
+gate localias-ast fingerprint_kernel streaming_equals_one_shot_at_every_split
 
 # The observability contract is likewise gated by name: counter totals
 # and the span tree must not depend on the thread count, on the
@@ -116,8 +126,10 @@ gate localias analysis_digest analysis_output_is_pinned
 gate localias analysis_digest inference_strategies_are_pinned
 gate localias-bench canonical_key structural_key_tracks_structure_not_text
 # The per-module pipeline's allocation budget is gated by name too: parse
-# plus `check_modes` over the corpus must stay under its ceiling, so an
-# allocation that creeps back into the analysis path fails here.
+# plus `check_modes` over the corpus must stay under its ceiling, and each
+# phase (parse, base, the confine scan, the rest of confine inference,
+# check) under its own, so an allocation that creeps back into the
+# analysis path, or moves from one phase into another, fails here.
 gate localias alloc_budget corpus_pass_stays_inside_its_allocation_budget
 
 # The CLI contract is gated by name as well: every subcommand reads its
@@ -415,4 +427,4 @@ grep -q '"300": {' "$SCALEART" || {
     exit 1
 }
 
-echo "check.sh: fmt, clippy, build, tests, concurrency + newer-store + obs + hist + solver-exactness + checker-exactness + front-end digest + analysis digest + canonical-key + CLI-contract gates, §7 totals + Figures 6 and 7, warm-cache sweep, crash recovery, mega session test, watch smoke, artifact smoke, bench-diff gate, benchmark tests, fuzz smoke, fuzz artifact, precision counts, and scale smoke all passed"
+echo "check.sh: fmt, clippy, build, tests, concurrency + newer-store + v3-store + fingerprint-kernel + obs + hist + solver-exactness + checker-exactness + front-end digest + analysis digest + canonical-key + CLI-contract gates, §7 totals + Figures 6 and 7, warm-cache sweep, crash recovery, mega session test, watch smoke, artifact smoke, bench-diff gate, benchmark tests, fuzz smoke, fuzz artifact, precision counts, and scale smoke all passed"
