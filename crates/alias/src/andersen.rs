@@ -31,9 +31,10 @@
 //! `q` any of `p`'s, so unrelated pointees stay distinct where
 //! unification would conflate them.
 
-use localias_ast::visit::{walk_expr, Visitor};
+use localias_ast::visit::Visitor;
 use localias_ast::{
-    Expr, ExprKind, Ident, ItemKind, Module, NodeId, Stmt, StmtKind, TypeExpr, UnOp,
+    BlockId, Expr, ExprId, ExprKind, ExprList, Ident, ItemKind, Module, NodeId, Stmt, StmtKind,
+    TypeExpr, UnOp,
 };
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
@@ -140,7 +141,8 @@ impl PointsTo {
 }
 
 /// Analysis driver.
-struct Gen {
+struct Gen<'m> {
+    m: &'m Module,
     cells: Vec<Cell>,
     ix: HashMap<Cell, Ix>,
     /// Base facts `{target} ⊆ pts(node)`.
@@ -162,7 +164,7 @@ struct Gen {
     expr_value: HashMap<NodeId, Ix>,
 }
 
-impl Gen {
+impl Gen<'_> {
     fn cell(&mut self, c: Cell) -> Ix {
         if let Some(&i) = self.ix.get(&c) {
             return i;
@@ -198,7 +200,14 @@ impl Gen {
         ix
     }
 
+    /// [`Gen::value_of`] the module's expression `e`.
+    fn value_at(&mut self, e: ExprId) -> Ix {
+        let m = self.m;
+        self.value_of(m.expr(e))
+    }
+
     fn value_of_inner(&mut self, e: &Expr) -> Ix {
+        let m = self.m;
         match &e.kind {
             ExprKind::Var(x) => {
                 let c = self.var_cell(&x.name);
@@ -218,27 +227,27 @@ impl Gen {
             }
             ExprKind::Unary(UnOp::AddrOf, inner) => {
                 let fresh = self.fresh(e.id);
-                if let Some(target) = self.place_of(inner) {
+                if let Some(target) = self.place_of(m.expr(*inner)) {
                     self.bases.push((fresh, target));
                 }
                 fresh
             }
             ExprKind::Unary(UnOp::Deref, inner) => {
-                let q = self.value_of(inner);
+                let q = self.value_at(*inner);
                 let fresh = self.fresh(e.id);
                 self.complexes.push(Complex::LoadInto { q, p: fresh });
                 fresh
             }
             ExprKind::Index(arr, idx) => {
-                let _ = self.value_of(idx);
-                let q = self.value_of(arr);
+                let _ = self.value_at(*idx);
+                let q = self.value_at(*arr);
                 let fresh = self.fresh(e.id);
                 self.complexes.push(Complex::LoadInto { q, p: fresh });
                 fresh
             }
             ExprKind::Field(base, fld) | ExprKind::Arrow(base, fld) => {
-                let _ = self.value_of(base);
-                match self.field_cell_of(base, fld) {
+                let _ = self.value_at(*base);
+                match self.field_cell_of(m.expr(*base), fld) {
                     Some(c) => {
                         let i = self.cell(c);
                         // Reading the field: its contents.
@@ -250,13 +259,13 @@ impl Gen {
                 }
             }
             ExprKind::Assign(lhs, rhs) => {
-                let rv = self.value_of(rhs);
-                self.assign_into(lhs, rv);
+                let rv = self.value_at(*rhs);
+                self.assign_into(m.expr(*lhs), rv);
                 rv
             }
-            ExprKind::Call(f, args) => self.call(f, args, e.id),
+            ExprKind::Call(f, args) => self.call(f, *args, e.id),
             ExprKind::New(init) => {
-                let iv = self.value_of(init);
+                let iv = self.value_at(*init);
                 let heap = self.cell(Cell::Heap(e.id));
                 // The heap cell's contents receive the initializer.
                 self.copies.push((iv, heap));
@@ -264,14 +273,14 @@ impl Gen {
                 self.bases.push((fresh, heap));
                 fresh
             }
-            ExprKind::Cast(_, inner) => self.value_of(inner),
+            ExprKind::Cast(_, inner) => self.value_at(*inner),
             ExprKind::Unary(_, inner) => {
-                let _ = self.value_of(inner);
+                let _ = self.value_at(*inner);
                 self.fresh(e.id)
             }
             ExprKind::Binary(_, a, b) => {
-                let _ = self.value_of(a);
-                let _ = self.value_of(b);
+                let _ = self.value_at(*a);
+                let _ = self.value_at(*b);
                 self.fresh(e.id)
             }
             ExprKind::Int(_) => self.fresh(e.id),
@@ -281,6 +290,7 @@ impl Gen {
     /// The cell an lvalue denotes, when statically nameable (variables,
     /// fields, array elements).
     fn place_of(&mut self, e: &Expr) -> Option<Ix> {
+        let m = self.m;
         match &e.kind {
             ExprKind::Var(x) => {
                 let c = self.var_cell(&x.name);
@@ -290,7 +300,7 @@ impl Gen {
                 // &a[i]: the element cell when `a` is a direct array
                 // variable; otherwise fall back to the pointer's targets
                 // (handled by the caller through value_of + Load/Store).
-                if let ExprKind::Var(x) = &arr.kind {
+                if let ExprKind::Var(x) = &m.expr(*arr).kind {
                     let c = self.var_cell(&x.name);
                     if let Some(TypeExpr::Array(_, _)) = self.var_types.get(&c) {
                         let (fun, name) = match &c {
@@ -304,7 +314,7 @@ impl Gen {
                 None
             }
             ExprKind::Field(base, fld) | ExprKind::Arrow(base, fld) => {
-                let c = self.field_cell_of(base, fld)?;
+                let c = self.field_cell_of(m.expr(*base), fld)?;
                 Some(self.cell(c))
             }
             _ => None,
@@ -320,6 +330,7 @@ impl Gen {
 
     /// Best-effort struct-name inference for a base expression.
     fn struct_of(&mut self, base: &Expr) -> Option<String> {
+        let m = self.m;
         match &base.kind {
             ExprKind::Var(x) => {
                 let c = self.var_cell(&x.name);
@@ -332,9 +343,11 @@ impl Gen {
                     _ => None,
                 }
             }
-            ExprKind::Index(arr, _) | ExprKind::Unary(UnOp::Deref, arr) => self.struct_of(arr),
+            ExprKind::Index(arr, _) | ExprKind::Unary(UnOp::Deref, arr) => {
+                self.struct_of(m.expr(*arr))
+            }
             ExprKind::Field(b, f) | ExprKind::Arrow(b, f) => {
-                let s = self.struct_of(b)?;
+                let s = self.struct_of(m.expr(*b))?;
                 let fields = self.struct_fields.get(&s)?;
                 let (_, fty) = fields.iter().find(|(n, _)| *n == f.name)?;
                 match fty {
@@ -358,11 +371,11 @@ impl Gen {
         }
         match &lhs.kind {
             ExprKind::Unary(UnOp::Deref, inner) => {
-                let p = self.value_of(inner);
+                let p = self.value_at(*inner);
                 self.complexes.push(Complex::StoreFrom { p, q: rv });
             }
             ExprKind::Index(arr, _) => {
-                let p = self.value_of(arr);
+                let p = self.value_at(*arr);
                 self.complexes.push(Complex::StoreFrom { p, q: rv });
             }
             _ => {}
@@ -375,8 +388,9 @@ impl Gen {
         self.cell(Cell::Heap(NodeId(u32::MAX - id.0)))
     }
 
-    fn call(&mut self, f: &Ident, args: &[Expr], at: NodeId) -> Ix {
-        let arg_vals: Vec<Ix> = args.iter().map(|a| self.value_of(a)).collect();
+    fn call(&mut self, f: &Ident, args: ExprList, at: NodeId) -> Ix {
+        let m = self.m;
+        let arg_vals: Vec<Ix> = m.args(args).map(|a| self.value_of(a)).collect();
         if let Some(params) = self.params.get(f.name.as_str()).cloned() {
             for (p, v) in params.iter().zip(arg_vals) {
                 let pi = self.cell(p.clone());
@@ -394,7 +408,7 @@ impl Gen {
     fn stmt(&mut self, s: &Stmt) {
         match &s.kind {
             StmtKind::Expr(e) => {
-                let _ = self.value_of(e);
+                let _ = self.value_at(*e);
             }
             StmtKind::Decl { ty, name, init, .. } => {
                 let fun = self.current_fun.clone();
@@ -402,45 +416,45 @@ impl Gen {
                 self.cell(c.clone());
                 self.var_types.insert(c.clone(), ty.clone());
                 if let Some(e) = init {
-                    let rv = self.value_of(e);
+                    let rv = self.value_at(*e);
                     let i = self.cell(c);
                     self.copies.push((rv, i));
                 }
             }
             StmtKind::Restrict { name, init, body } => {
                 // As an alias analysis, restrict is just a binding.
-                let rv = self.value_of(init);
+                let rv = self.value_at(*init);
                 let fun = self.current_fun.clone();
                 let c = Cell::Var(fun, name.name.to_string());
                 let i = self.cell(c.clone());
                 self.var_types.insert(c, TypeExpr::ptr(TypeExpr::Int));
                 self.copies.push((rv, i));
-                self.block(body);
+                self.block(*body);
             }
             StmtKind::Confine { expr, body } => {
-                let _ = self.value_of(expr);
-                self.block(body);
+                let _ = self.value_at(*expr);
+                self.block(*body);
             }
             StmtKind::If {
                 cond,
                 then_blk,
                 else_blk,
             } => {
-                let _ = self.value_of(cond);
-                self.block(then_blk);
+                let _ = self.value_at(*cond);
+                self.block(*then_blk);
                 if let Some(e) = else_blk {
-                    self.block(e);
+                    self.block(*e);
                 }
             }
             StmtKind::While { cond, body, step } => {
-                let _ = self.value_of(cond);
-                self.block(body);
+                let _ = self.value_at(*cond);
+                self.block(*body);
                 if let Some(step) = step {
-                    let _ = self.value_of(step);
+                    let _ = self.value_at(*step);
                 }
             }
             StmtKind::Return(Some(e)) => {
-                let rv = self.value_of(e);
+                let rv = self.value_at(*e);
                 if let Some(fun) = self.current_fun.clone() {
                     if let Some(&r) = self.returns.get(&fun) {
                         self.copies.push((rv, r));
@@ -448,12 +462,13 @@ impl Gen {
                 }
             }
             StmtKind::Return(None) | StmtKind::Break | StmtKind::Continue => {}
-            StmtKind::Block(b) => self.block(b),
+            StmtKind::Block(b) => self.block(*b),
         }
     }
 
-    fn block(&mut self, b: &localias_ast::Block) {
-        for s in &b.stmts {
+    fn block(&mut self, b: BlockId) {
+        let m = self.m;
+        for s in m.stmts(b) {
             self.stmt(s);
         }
     }
@@ -481,6 +496,7 @@ impl Gen {
 /// ```
 pub fn analyze(m: &Module) -> PointsTo {
     let mut gen = Gen {
+        m,
         cells: Vec::new(),
         ix: HashMap::new(),
         bases: Vec::new(),
@@ -518,7 +534,7 @@ pub fn analyze(m: &Module) -> PointsTo {
     }
     for f in m.functions() {
         let mut ps = Vec::new();
-        for p in &f.params {
+        for p in m.params(f.params) {
             let c = Cell::Var(Some(f.name.name.to_string()), p.name.name.to_string());
             gen.cell(c.clone());
             gen.var_types.insert(c.clone(), p.ty.clone());
@@ -534,7 +550,7 @@ pub fn analyze(m: &Module) -> PointsTo {
     for item in &m.items {
         if let ItemKind::Fun(f) = &item.kind {
             gen.current_fun = Some(f.name.name.to_string());
-            gen.block(&f.body);
+            gen.block(f.body);
             gen.current_fun = None;
         }
     }
@@ -609,10 +625,7 @@ pub fn summarize(m: &Module) -> Vec<(String, String, Vec<String>)> {
     let mut out = Vec::new();
     struct Decls(Vec<(String, String)>, Option<String>);
     impl Visitor for Decls {
-        fn visit_expr(&mut self, e: &Expr) {
-            walk_expr(self, e);
-        }
-        fn visit_stmt(&mut self, s: &Stmt) {
+        fn visit_stmt(&mut self, m: &Module, s: &Stmt) {
             if let StmtKind::Decl { name, ty, .. } = &s.kind {
                 if ty.is_ptr() {
                     if let Some(f) = &self.1 {
@@ -620,12 +633,12 @@ pub fn summarize(m: &Module) -> Vec<(String, String, Vec<String>)> {
                     }
                 }
             }
-            localias_ast::visit::walk_stmt(self, s);
+            localias_ast::visit::walk_stmt(self, m, s);
         }
     }
     for f in m.functions() {
         let mut d = Decls(Vec::new(), Some(f.name.name.to_string()));
-        localias_ast::visit::walk_fun(&mut d, f);
+        localias_ast::visit::walk_fun(&mut d, m, f);
         for (fun, var) in d.0 {
             let set: Vec<String> = pts
                 .var_points_to(&fun, &var)

@@ -97,15 +97,15 @@ fn consulted_args(m: &Module, state: &State) -> Vec<(NodeId, Loc)> {
         out: Vec<(NodeId, Loc)>,
     }
     impl Visitor for Args<'_> {
-        fn visit_expr(&mut self, e: &Expr) {
-            if let ExprKind::Call(_, args) = &e.kind {
-                for a in args {
+        fn visit_expr(&mut self, m: &Module, e: &Expr) {
+            if let ExprKind::Call(_, args) = e.kind {
+                for a in m.args(args) {
                     if let Some(Ty::Ref(l)) = self.state.expr_ty[a.id.index()] {
                         self.out.push((a.id, l));
                     }
                 }
             }
-            walk_expr(self, e);
+            walk_expr(self, m, e);
         }
     }
     let mut v = Args {

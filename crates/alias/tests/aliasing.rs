@@ -16,13 +16,13 @@ fn parse(src: &str) -> Module {
 fn derefs_of(m: &Module, name: &str) -> Vec<NodeId> {
     struct D<'a>(&'a str, Vec<NodeId>);
     impl Visitor for D<'_> {
-        fn visit_expr(&mut self, e: &Expr) {
+        fn visit_expr(&mut self, m: &Module, e: &Expr) {
             if let ExprKind::Unary(UnOp::Deref, inner) = &e.kind {
-                if matches!(&inner.kind, ExprKind::Var(x) if x.name == self.0) {
+                if matches!(&m.expr(*inner).kind, ExprKind::Var(x) if x.name == self.0) {
                     self.1.push(e.id);
                 }
             }
-            walk_expr(self, e);
+            walk_expr(self, m, e);
         }
     }
     let mut d = D(name, Vec::new());
@@ -136,11 +136,11 @@ fn separate_arrays_do_not_alias() {
     let mut a = analyze(&m);
     struct Idx(Vec<NodeId>);
     impl Visitor for Idx {
-        fn visit_expr(&mut self, e: &Expr) {
+        fn visit_expr(&mut self, m: &Module, e: &Expr) {
             if matches!(e.kind, ExprKind::Index(_, _)) {
                 self.0.push(e.id);
             }
-            walk_expr(self, e);
+            walk_expr(self, m, e);
         }
     }
     let mut v = Idx(Vec::new());

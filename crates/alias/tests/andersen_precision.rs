@@ -145,15 +145,15 @@ fn strictly_more_precise_than_unification_on_the_separator() {
     let mut uni = steensgaard::analyze(&m);
     struct FindDeref(Option<NodeId>);
     impl Visitor for FindDeref {
-        fn visit_expr(&mut self, e: &Expr) {
+        fn visit_expr(&mut self, m: &Module, e: &Expr) {
             if self.0.is_none() {
                 if let ExprKind::Unary(UnOp::Deref, inner) = &e.kind {
-                    if matches!(&inner.kind, ExprKind::Var(x) if x.name == "q") {
+                    if matches!(&m.expr(*inner).kind, ExprKind::Var(x) if x.name == "q") {
                         self.0 = Some(e.id);
                     }
                 }
             }
-            walk_expr(self, e);
+            walk_expr(self, m, e);
         }
     }
     let mut fd = FindDeref(None);

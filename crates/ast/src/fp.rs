@@ -212,14 +212,17 @@ pub fn fingerprint(domain: &str, payload: &str) -> u128 {
 /// encoding (see the module docs).
 pub fn structural(domain: &str, m: &Module) -> u128 {
     // A corpus module encodes to about 1.7 KB.
-    let mut e = Encoder(Vec::with_capacity(2048));
+    let mut e = Encoder {
+        m,
+        out: Vec::with_capacity(2048),
+    };
     e.len(m.items.len());
     for item in &m.items {
         e.item(item);
     }
     let mut h = Murmur3::new(0);
     h.write(domain.as_bytes());
-    h.write(&e.0);
+    h.write(&e.out);
     key(h.finish())
 }
 
@@ -229,19 +232,22 @@ pub fn structural(domain: &str, m: &Module) -> u128 {
 /// lengths and integers are LEB128 varints (integers zigzagged), so every
 /// field has a self-delimiting encoding and the whole encoding is
 /// prefix-free.
-struct Encoder(Vec<u8>);
+struct Encoder<'m> {
+    m: &'m Module,
+    out: Vec<u8>,
+}
 
-impl Encoder {
+impl Encoder<'_> {
     fn tag(&mut self, t: u8) {
-        self.0.push(t);
+        self.out.push(t);
     }
 
     fn varint(&mut self, mut n: u64) {
         while n >= 0x80 {
-            self.0.push(n as u8 | 0x80);
+            self.out.push(n as u8 | 0x80);
             n >>= 7;
         }
-        self.0.push(n as u8);
+        self.out.push(n as u8);
     }
 
     fn len(&mut self, n: usize) {
@@ -254,7 +260,7 @@ impl Encoder {
 
     fn name(&mut self, s: &str) {
         self.len(s.len());
-        self.0.extend_from_slice(s.as_bytes());
+        self.out.extend_from_slice(s.as_bytes());
     }
 
     fn item(&mut self, item: &Item) {
@@ -276,22 +282,23 @@ impl Encoder {
             ItemKind::Fun(f) => {
                 self.tag(2);
                 self.name(&f.name.name);
-                self.params(&f.params);
+                self.params(f.params);
                 self.ty(&f.ret);
-                self.block(&f.body);
+                self.block(f.body);
             }
             ItemKind::Extern(x) => {
                 self.tag(3);
                 self.name(&x.name.name);
-                self.params(&x.params);
+                self.params(x.params);
                 self.ty(&x.ret);
             }
         }
     }
 
-    fn params(&mut self, params: &[Param]) {
+    fn params(&mut self, params: ParamList) {
+        let m = self.m;
         self.len(params.len());
-        for p in params {
+        for p in m.params(params) {
             self.name(&p.name.name);
             self.ty(&p.ty);
             self.tag(p.restrict as u8);
@@ -319,28 +326,36 @@ impl Encoder {
         }
     }
 
-    fn block(&mut self, b: &Block) {
-        self.len(b.stmts.len());
-        for s in &b.stmts {
+    fn block(&mut self, b: BlockId) {
+        let m = self.m;
+        let stmts = m.stmts(b);
+        self.len(stmts.len());
+        for s in stmts {
             self.stmt(s);
         }
     }
 
-    fn opt_expr(&mut self, e: Option<&Expr>) {
+    fn opt_expr(&mut self, e: Option<ExprId>) {
         match e {
             None => self.tag(0),
             Some(e) => {
                 self.tag(1);
-                self.expr(e);
+                self.sub(e);
             }
         }
+    }
+
+    /// Encodes child expression `e`.
+    fn sub(&mut self, e: ExprId) {
+        let m = self.m;
+        self.expr(m.expr(e));
     }
 
     fn stmt(&mut self, s: &Stmt) {
         match &s.kind {
             StmtKind::Expr(e) => {
                 self.tag(0);
-                self.expr(e);
+                self.sub(*e);
             }
             StmtKind::Decl {
                 binding,
@@ -355,18 +370,18 @@ impl Encoder {
                 });
                 self.ty(ty);
                 self.name(&name.name);
-                self.opt_expr(init.as_ref());
+                self.opt_expr(*init);
             }
             StmtKind::Restrict { name, init, body } => {
                 self.tag(2);
                 self.name(&name.name);
-                self.expr(init);
-                self.block(body);
+                self.sub(*init);
+                self.block(*body);
             }
             StmtKind::Confine { expr, body } => {
                 self.tag(3);
-                self.expr(expr);
-                self.block(body);
+                self.sub(*expr);
+                self.block(*body);
             }
             StmtKind::If {
                 cond,
@@ -374,31 +389,31 @@ impl Encoder {
                 else_blk,
             } => {
                 self.tag(4);
-                self.expr(cond);
-                self.block(then_blk);
+                self.sub(*cond);
+                self.block(*then_blk);
                 match else_blk {
                     None => self.tag(0),
                     Some(b) => {
                         self.tag(1);
-                        self.block(b);
+                        self.block(*b);
                     }
                 }
             }
             StmtKind::While { cond, body, step } => {
                 self.tag(5);
-                self.expr(cond);
-                self.block(body);
-                self.opt_expr(step.as_ref());
+                self.sub(*cond);
+                self.block(*body);
+                self.opt_expr(*step);
             }
             StmtKind::Return(e) => {
                 self.tag(6);
-                self.opt_expr(e.as_ref());
+                self.opt_expr(*e);
             }
             StmtKind::Break => self.tag(7),
             StmtKind::Continue => self.tag(8),
             StmtKind::Block(b) => {
                 self.tag(9);
-                self.block(b);
+                self.block(*b);
             }
         }
     }
@@ -416,50 +431,51 @@ impl Encoder {
             ExprKind::Unary(op, a) => {
                 self.tag(2);
                 self.tag(*op as u8);
-                self.expr(a);
+                self.sub(*a);
             }
             ExprKind::Binary(op, a, b) => {
                 self.tag(3);
                 self.tag(*op as u8);
-                self.expr(a);
-                self.expr(b);
+                self.sub(*a);
+                self.sub(*b);
             }
             ExprKind::Assign(a, b) => {
                 self.tag(4);
-                self.expr(a);
-                self.expr(b);
+                self.sub(*a);
+                self.sub(*b);
             }
             ExprKind::Call(f, args) => {
                 self.tag(5);
                 self.name(&f.name);
+                let m = self.m;
                 self.len(args.len());
-                for a in args {
+                for a in m.args(*args) {
                     self.expr(a);
                 }
             }
             ExprKind::Index(a, b) => {
                 self.tag(6);
-                self.expr(a);
-                self.expr(b);
+                self.sub(*a);
+                self.sub(*b);
             }
             ExprKind::Field(a, f) => {
                 self.tag(7);
-                self.expr(a);
+                self.sub(*a);
                 self.name(&f.name);
             }
             ExprKind::Arrow(a, f) => {
                 self.tag(8);
-                self.expr(a);
+                self.sub(*a);
                 self.name(&f.name);
             }
             ExprKind::New(a) => {
                 self.tag(9);
-                self.expr(a);
+                self.sub(*a);
             }
             ExprKind::Cast(ty, a) => {
                 self.tag(10);
                 self.ty(ty);
-                self.expr(a);
+                self.sub(*a);
             }
         }
     }

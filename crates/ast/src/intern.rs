@@ -184,6 +184,14 @@ impl Interner {
         Interner::default()
     }
 
+    /// An empty interner with room for `n` distinct names.
+    pub fn with_capacity(n: usize) -> Interner {
+        Interner {
+            set: FxSet::with_capacity_and_hasher(n, Default::default()),
+            ..Interner::default()
+        }
+    }
+
     /// Interns `s`: returns the shared handle, allocating only on first
     /// sight of the text.
     pub fn intern(&mut self, s: &str) -> Symbol {

@@ -2,7 +2,8 @@
 //!
 //! Supports `//` line comments and `/* ... */` block comments. Tokens are
 //! `Copy` and allocate nothing: an identifier is its span, interned by
-//! the parser.
+//! the parser. The parser pulls tokens one at a time with
+//! [`Lexer::next_token`]; [`Lexer::tokenize`] collects them all.
 
 use crate::span::Span;
 use crate::token::{Token, TokenKind};

@@ -7,9 +7,11 @@
 //! *Checking and Inferring Local Non-Aliasing* (Aiken, Foster, Kodumal &
 //! Terauchi, PLDI 2003). It provides:
 //!
-//! * a hand-written [`lexer`] and recursive-descent [`parser`],
-//! * the abstract syntax tree ([`ast`]) with stable [`NodeId`]s that the
-//!   downstream analyses key their facts on,
+//! * a hand-written [`lexer`] that streams tokens into a
+//!   recursive-descent [`parser`],
+//! * the abstract syntax tree ([`ast`]), whose nodes live in flat arrays
+//!   of their [`Module`], with stable [`NodeId`]s that the downstream
+//!   analyses key their facts on,
 //! * a [`pretty`] printer that round-trips through the parser,
 //! * a [`visit`] walker.
 //!
@@ -51,12 +53,13 @@ pub mod token;
 pub mod visit;
 
 pub use ast::{
-    BinOp, BindingKind, Block, Expr, ExprKind, FunDef, Global, Ident, Item, ItemKind, Module,
-    NodeId, Param, Stmt, StmtKind, StructDef, TypeExpr, UnOp,
+    BinOp, BindingKind, Block, BlockId, Expr, ExprId, ExprKind, ExprList, FunDef, Global, Ident,
+    Item, ItemKind, Module, NodeId, Param, ParamList, Run, Stmt, StmtId, StmtKind, StructDef,
+    TypeExpr, UnOp,
 };
 pub use intern::{Interner, Symbol};
 pub use lexer::{LexError, Lexer};
-pub use parser::{parse_expr, parse_module, ParseError, Parser};
+pub use parser::{parse_expr, parse_module, ParseError};
 pub use span::Span;
 pub use token::{Token, TokenKind};
 

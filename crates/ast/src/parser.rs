@@ -14,11 +14,15 @@
 //! unambiguous because Mini-C type expressions always begin with a type
 //! keyword (`int`, `lock`, `void`, `struct`).
 //!
-//! The whole source is lexed before parsing starts, so a lexical error
-//! anywhere is reported ahead of any syntax error. Identifiers are
-//! interned as they are consumed, and each node's span is recorded as
-//! its id is assigned, which fills [`Module::spans`] without a second
-//! walk.
+//! The lexer hands the parser one token at a time, three tokens ahead of
+//! what it has consumed; no token vector is built. A lexical error
+//! anywhere still wins over any syntax error: the parser reads a lexical
+//! error as the end of input, and when the parse fails first, the rest
+//! of the source is lexed for a lexical error to report instead.
+//! Identifiers are interned as they are consumed, and each node goes
+//! into its module's arrays as its id is assigned, children before
+//! parents, which numbers the ids in post-order and fills
+//! [`Module::spans`] without a second walk.
 
 use crate::ast::*;
 use crate::intern::Interner;
@@ -58,7 +62,8 @@ impl From<LexError> for ParseError {
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] describing the first syntax error.
+/// Returns a [`ParseError`] describing the first lexical error, or the
+/// first syntax error when the source lexes cleanly.
 ///
 /// # Example
 ///
@@ -68,19 +73,24 @@ impl From<LexError> for ParseError {
 /// # Ok::<(), localias_ast::ParseError>(())
 /// ```
 pub fn parse_module(name: &str, src: &str) -> Result<Module, ParseError> {
-    Parser::new(src)?.module(name)
+    let mut p = Parser::new(name, src);
+    let parsed = p.module();
+    p.finish(parsed).map(|(m, ())| m)
 }
 
-/// Parses a single expression (useful in tests and the REPL-ish CLI).
+/// Parses a single expression (useful in tests): a module that holds
+/// only the expression's nodes, and the expression's id in it.
 ///
 /// # Errors
 ///
 /// Returns a [`ParseError`] if `src` is not exactly one expression.
-pub fn parse_expr(src: &str) -> Result<Expr, ParseError> {
-    let mut p = Parser::new(src)?;
-    let e = p.expr()?;
-    p.expect(TokenKind::Eof)?;
-    Ok(e)
+pub fn parse_expr(src: &str) -> Result<(Module, ExprId), ParseError> {
+    let mut p = Parser::new("expr", src);
+    let parsed = p.expr().and_then(|e| {
+        p.expect(TokenKind::Eof)?;
+        Ok(e)
+    });
+    p.finish(parsed)
 }
 
 /// The maximum nesting depth (blocks + expressions) the parser accepts.
@@ -89,20 +99,28 @@ pub fn parse_expr(src: &str) -> Result<Expr, ParseError> {
 /// precedence-chain of stack frames.
 pub const MAX_NESTING: usize = 64;
 
-/// The parser state: the source and its token buffer, a node-id
-/// allocator with the span of each allocated id, and the identifier
-/// interner.
-#[derive(Debug)]
-pub struct Parser<'src> {
+/// The parser state: the lexer and the tokens read ahead of it, the
+/// module whose arrays the parse fills, the identifier interner, and the
+/// ids of the statements and call arguments still being collected.
+struct Parser<'src> {
     src: &'src str,
-    toks: Vec<Token>,
-    pos: usize,
+    lexer: Lexer<'src>,
+    /// The current token and the two after it.
+    ahead: [Token; 3],
+    /// The span of the last token consumed.
+    prev: Span,
+    /// The first lexical error; the lexer reads as end of input after it.
+    lex_error: Option<LexError>,
     depth: usize,
-    /// Span of each allocated [`NodeId`], indexed by id.
-    spans: Vec<Span>,
+    /// The module under construction.
+    m: Module,
     /// Per-parse symbol arena: every occurrence of one identifier in the
     /// module shares a single allocation (see [`crate::intern`]).
     interner: Interner,
+    /// The statements of every open block, innermost last.
+    open_stmts: Vec<StmtId>,
+    /// The arguments of every open call, innermost last.
+    open_args: Vec<ExprId>,
 }
 
 /// The binary operator a token spells, with its precedence: `||`
@@ -127,62 +145,90 @@ fn binop(tok: TokenKind) -> Option<(BinOp, u8)> {
 }
 
 impl<'src> Parser<'src> {
-    /// Lexes `src` and readies a parser over it.
-    ///
-    /// # Errors
-    ///
-    /// Propagates lexing failures.
-    pub fn new(src: &'src str) -> Result<Self, ParseError> {
-        let toks = Lexer::new(src).tokenize()?;
-        // A module has fewer nodes than tokens.
-        let spans = Vec::with_capacity(toks.len());
-        Ok(Parser {
+    /// A parser over `src` that builds module `name`, with the first
+    /// three tokens read.
+    fn new(name: &str, src: &'src str) -> Self {
+        let eof = Token::new(TokenKind::Eof, Span::DUMMY);
+        let mut p = Parser {
             src,
-            toks,
-            pos: 0,
+            lexer: Lexer::new(src),
+            ahead: [eof; 3],
+            prev: Span::DUMMY,
+            lex_error: None,
             depth: 0,
-            spans,
-            interner: Interner::new(),
-        })
+            m: Module::with_capacity(name, src.len()),
+            // A corpus module names a distinct identifier about every
+            // 70 bytes, a mega module every 350; the floor covers the
+            // densest fuzz modules, one every 25.
+            interner: Interner::with_capacity(src.len() / 64 + 16),
+            open_stmts: Vec::with_capacity(64),
+            open_args: Vec::with_capacity(16),
+        };
+        for i in 0..3 {
+            p.ahead[i] = p.lex();
+        }
+        p
     }
 
-    /// Allocates the next node id for a node spanning `span`.
-    fn node(&mut self, span: Span) -> NodeId {
-        let id = NodeId(self.spans.len() as u32);
-        self.spans.push(span);
-        id
+    /// Ends the parse with `parsed`'s outcome, unless the source holds a
+    /// lexical error: that wins over any syntax error, so a failed parse
+    /// lexes the rest of the source for one.
+    fn finish<T>(mut self, parsed: Result<T, ParseError>) -> Result<(Module, T), ParseError> {
+        if parsed.is_err() {
+            while self.lex_error.is_none() && self.lex().kind != TokenKind::Eof {}
+        }
+        if let Some(e) = self.lex_error {
+            return Err(e.into());
+        }
+        let value = parsed?;
+        self.m.node_count = self.m.spans.len() as u32;
+        Ok((self.m, value))
+    }
+
+    /// The lexer's next token; after a lexical error, the end of input.
+    fn lex(&mut self) -> Token {
+        if self.lex_error.is_none() {
+            match self.lexer.next_token() {
+                Ok(t) => return t,
+                Err(e) => self.lex_error = Some(e),
+            }
+        }
+        let end = self.src.len() as u32;
+        Token::new(TokenKind::Eof, Span::new(end, end))
     }
 
     fn peek(&self) -> TokenKind {
-        self.peek_nth(0)
+        self.ahead[0].kind
     }
 
     fn peek2(&self) -> TokenKind {
-        self.peek_nth(1)
+        self.ahead[1].kind
     }
 
-    /// The kind of the token `n` places ahead (the final `Eof` repeats).
-    fn peek_nth(&self, n: usize) -> TokenKind {
-        self.toks[(self.pos + n).min(self.toks.len() - 1)].kind
+    fn peek3(&self) -> TokenKind {
+        self.ahead[2].kind
     }
 
     /// The current token, described for an error message.
     fn found(&self) -> String {
-        self.toks[self.pos].describe(self.src)
+        self.ahead[0].describe(self.src)
     }
 
     fn span(&self) -> Span {
-        self.toks[self.pos].span
+        self.ahead[0].span
     }
 
     fn prev_span(&self) -> Span {
-        self.toks[self.pos.saturating_sub(1)].span
+        self.prev
     }
 
+    /// Consumes the current token; the end of input is never consumed.
     fn bump(&mut self) -> Token {
-        let t = self.toks[self.pos];
-        if self.pos + 1 < self.toks.len() {
-            self.pos += 1;
+        let t = self.ahead[0];
+        if t.kind != TokenKind::Eof {
+            self.prev = t.span;
+            let next = self.lex();
+            self.ahead = [self.ahead[1], self.ahead[2], next];
         }
         t
     }
@@ -267,23 +313,13 @@ impl<'src> Parser<'src> {
         Ok(ty)
     }
 
-    /// Parses a whole module.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first syntax error.
-    pub fn module(&mut self, name: &str) -> Result<Module, ParseError> {
-        let mut items = Vec::new();
+    /// Parses the items of a whole module into it.
+    fn module(&mut self) -> Result<(), ParseError> {
         while self.peek() != TokenKind::Eof {
-            items.push(self.item()?);
+            let item = self.item()?;
+            self.m.items.push(item);
         }
-        let spans = std::mem::take(&mut self.spans);
-        Ok(Module {
-            name: name.to_string(),
-            items,
-            node_count: spans.len() as u32,
-            spans,
-        })
+        Ok(())
     }
 
     fn item(&mut self) -> Result<Item, ParseError> {
@@ -292,7 +328,7 @@ impl<'src> Parser<'src> {
         // type.
         if self.peek() == TokenKind::KwStruct
             && self.peek2() == TokenKind::Ident
-            && self.peek_nth(2) == TokenKind::LBrace
+            && self.peek3() == TokenKind::LBrace
         {
             return Ok(Item {
                 kind: ItemKind::Struct(self.struct_def()?),
@@ -318,7 +354,7 @@ impl<'src> Parser<'src> {
             let span = lo.to(self.prev_span());
             Ok(Item {
                 kind: ItemKind::Global(Global {
-                    id: self.node(span),
+                    id: self.m.node(span),
                     name,
                     ty,
                     span,
@@ -360,7 +396,7 @@ impl<'src> Parser<'src> {
         self.expect(TokenKind::Semi)?;
         let span = lo.to(self.prev_span());
         Ok(StructDef {
-            id: self.node(span),
+            id: self.m.node(span),
             name,
             fields,
             span,
@@ -378,7 +414,7 @@ impl<'src> Parser<'src> {
         self.expect(TokenKind::Semi)?;
         let span = lo.to(self.prev_span());
         Ok(ExternDef {
-            id: self.node(span),
+            id: self.m.node(span),
             name,
             params,
             ret,
@@ -386,26 +422,24 @@ impl<'src> Parser<'src> {
         })
     }
 
-    fn params(&mut self) -> Result<Vec<Param>, ParseError> {
-        let mut params = Vec::new();
-        if self.peek() == TokenKind::RParen {
-            return Ok(params);
-        }
+    fn params(&mut self) -> Result<ParamList, ParseError> {
+        let start = self.m.param_count();
         if self.peek() == TokenKind::KwVoid && self.peek2() == TokenKind::RParen {
             self.bump(); // C-style `f(void)`
-            return Ok(params);
-        }
-        loop {
-            // `restrict` may appear after the pointer stars, C99-style:
-            // `lock *restrict l`. `type_expr` consumes the stars.
-            let ty = self.type_expr()?;
-            let restrict = self.eat(TokenKind::KwRestrict);
-            let name = self.ident()?;
-            params.push(Param { name, ty, restrict });
-            if !self.eat(TokenKind::Comma) {
-                return Ok(params);
+        } else if self.peek() != TokenKind::RParen {
+            loop {
+                // `restrict` may appear after the pointer stars, C99-style:
+                // `lock *restrict l`. `type_expr` consumes the stars.
+                let ty = self.type_expr()?;
+                let restrict = self.eat(TokenKind::KwRestrict);
+                let name = self.ident()?;
+                self.m.push_param(Param { name, ty, restrict });
+                if !self.eat(TokenKind::Comma) {
+                    break;
+                }
             }
         }
+        Ok(self.m.params_since(start))
     }
 
     fn fun_rest(&mut self, lo: Span, ret: TypeExpr, name: Ident) -> Result<FunDef, ParseError> {
@@ -415,7 +449,7 @@ impl<'src> Parser<'src> {
         let body = self.block()?;
         let span = lo.to(self.prev_span());
         Ok(FunDef {
-            id: self.node(span),
+            id: self.m.node(span),
             name,
             params,
             ret,
@@ -425,40 +459,31 @@ impl<'src> Parser<'src> {
     }
 
     /// Parses a brace-delimited block.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first syntax error.
-    pub fn block(&mut self) -> Result<Block, ParseError> {
+    fn block(&mut self) -> Result<BlockId, ParseError> {
         self.enter()?;
         let lo = self.span();
         self.expect(TokenKind::LBrace)?;
-        let mut stmts = Vec::new();
+        let base = self.open_stmts.len();
         while self.peek() != TokenKind::RBrace {
-            stmts.push(self.stmt()?);
+            let s = self.stmt()?;
+            self.open_stmts.push(s);
         }
         self.expect(TokenKind::RBrace)?;
         self.leave();
         let span = lo.to(self.prev_span());
-        Ok(Block {
-            id: self.node(span),
-            stmts,
-            span,
-        })
+        let b = self.m.push_block(&self.open_stmts[base..], span);
+        self.open_stmts.truncate(base);
+        Ok(b)
     }
 
     /// A statement of kind `kind` starting at `lo` and ending with the
     /// token just consumed.
-    fn stmt_from(&mut self, lo: Span, kind: StmtKind) -> Stmt {
+    fn stmt_from(&mut self, lo: Span, kind: StmtKind) -> StmtId {
         let span = lo.to(self.prev_span());
-        Stmt {
-            id: self.node(span),
-            kind,
-            span,
-        }
+        self.m.push_stmt(kind, span)
     }
 
-    fn stmt(&mut self) -> Result<Stmt, ParseError> {
+    fn stmt(&mut self) -> Result<StmtId, ParseError> {
         let lo = self.span();
         match self.peek() {
             TokenKind::KwRestrict => {
@@ -534,7 +559,7 @@ impl<'src> Parser<'src> {
         }
     }
 
-    fn decl_rest(&mut self, lo: Span, binding: BindingKind) -> Result<Stmt, ParseError> {
+    fn decl_rest(&mut self, lo: Span, binding: BindingKind) -> Result<StmtId, ParseError> {
         let ty = self.type_expr()?;
         let name = self.ident()?;
         let ty = self.array_suffix(ty)?;
@@ -553,7 +578,7 @@ impl<'src> Parser<'src> {
         Ok(self.stmt_from(lo, kind))
     }
 
-    fn if_stmt(&mut self) -> Result<Stmt, ParseError> {
+    fn if_stmt(&mut self) -> Result<StmtId, ParseError> {
         let lo = self.span();
         self.expect(TokenKind::KwIf)?;
         self.expect(TokenKind::LParen)?;
@@ -564,12 +589,8 @@ impl<'src> Parser<'src> {
             if self.peek() == TokenKind::KwIf {
                 // `else if` — wrap the nested if in a synthetic block.
                 let nested = self.if_stmt()?;
-                let span = nested.span;
-                Some(Block {
-                    id: self.node(span),
-                    stmts: vec![nested],
-                    span,
-                })
+                let span = self.m.stmt(nested).span;
+                Some(self.m.push_block(&[nested], span))
             } else {
                 Some(self.block()?)
             }
@@ -586,11 +607,11 @@ impl<'src> Parser<'src> {
 
     /// Desugars `for (init; cond; step) body` into
     /// `{ init; while (cond) { body...; step; } }`.
-    fn for_stmt(&mut self) -> Result<Stmt, ParseError> {
+    fn for_stmt(&mut self) -> Result<StmtId, ParseError> {
         let lo = self.span();
         self.expect(TokenKind::KwFor)?;
         self.expect(TokenKind::LParen)?;
-        let init: Option<Stmt> = if self.peek() == TokenKind::Semi {
+        let init = if self.peek() == TokenKind::Semi {
             self.bump();
             None
         } else if self.at_type_start() {
@@ -599,20 +620,12 @@ impl<'src> Parser<'src> {
         } else {
             let e = self.expr()?;
             self.expect(TokenKind::Semi)?;
-            let span = e.span;
-            Some(Stmt {
-                id: self.node(span),
-                kind: StmtKind::Expr(e),
-                span,
-            })
+            let span = self.m.expr(e).span;
+            Some(self.m.push_stmt(StmtKind::Expr(e), span))
         };
         let cond = if self.peek() == TokenKind::Semi {
             let span = self.span();
-            Expr {
-                id: self.node(span),
-                kind: ExprKind::Int(1),
-                span,
-            }
+            self.m.push_expr(ExprKind::Int(1), span)
         } else {
             self.expr()?
         };
@@ -625,11 +638,7 @@ impl<'src> Parser<'src> {
         self.expect(TokenKind::RParen)?;
         let body = self.block()?;
         let span = lo.to(self.prev_span());
-        let while_stmt = Stmt {
-            id: self.node(span),
-            kind: StmtKind::While { cond, body, step },
-            span,
-        };
+        let while_stmt = self.m.push_stmt(StmtKind::While { cond, body, step }, span);
         // The block wrapper exists only to scope the init declaration; an
         // init-less `for` must stay a bare loop so the pretty printer's
         // `for (; cond; step)` rendering re-parses to the same tree
@@ -637,51 +646,35 @@ impl<'src> Parser<'src> {
         let Some(init) = init else {
             return Ok(while_stmt);
         };
-        let blk = Block {
-            id: self.node(span),
-            stmts: vec![init, while_stmt],
-            span,
-        };
-        Ok(Stmt {
-            id: self.node(span),
-            kind: StmtKind::Block(blk),
-            span,
-        })
+        let blk = self.m.push_block(&[init, while_stmt], span);
+        Ok(self.m.push_stmt(StmtKind::Block(blk), span))
     }
 
     /// Parses an expression (lowest precedence: assignment).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first syntax error.
-    pub fn expr(&mut self) -> Result<Expr, ParseError> {
+    fn expr(&mut self) -> Result<ExprId, ParseError> {
         self.assign()
     }
 
-    fn assign(&mut self) -> Result<Expr, ParseError> {
+    fn assign(&mut self) -> Result<ExprId, ParseError> {
         let lhs = self.binary(0)?;
         if self.eat(TokenKind::Eq) {
             let rhs = self.assign()?; // right-associative
-            let span = lhs.span.to(rhs.span);
-            Ok(self.expr_at(span, ExprKind::Assign(Box::new(lhs), Box::new(rhs))))
+            let span = self.espan(lhs).to(self.espan(rhs));
+            Ok(self.m.push_expr(ExprKind::Assign(lhs, rhs), span))
         } else {
             Ok(lhs)
         }
     }
 
-    /// An expression of kind `kind` spanning `span`.
-    fn expr_at(&mut self, span: Span, kind: ExprKind) -> Expr {
-        Expr {
-            id: self.node(span),
-            kind,
-            span,
-        }
+    /// The span of parsed expression `e`.
+    fn espan(&self, e: ExprId) -> Span {
+        self.m.expr(e).span
     }
 
     /// A chain of left-associative binary operators binding at least as
     /// tightly as `min_prec`, by precedence climbing. Operands finish
     /// before the node joining them, so node ids come out in post-order.
-    fn binary(&mut self, min_prec: u8) -> Result<Expr, ParseError> {
+    fn binary(&mut self, min_prec: u8) -> Result<ExprId, ParseError> {
         let mut lhs = self.unary()?;
         while let Some((op, prec)) = binop(self.peek()) {
             if prec < min_prec {
@@ -689,20 +682,20 @@ impl<'src> Parser<'src> {
             }
             self.bump();
             let rhs = self.binary(prec + 1)?;
-            let span = lhs.span.to(rhs.span);
-            lhs = self.expr_at(span, ExprKind::Binary(op, Box::new(lhs), Box::new(rhs)));
+            let span = self.espan(lhs).to(self.espan(rhs));
+            lhs = self.m.push_expr(ExprKind::Binary(op, lhs, rhs), span);
         }
         Ok(lhs)
     }
 
-    fn unary(&mut self) -> Result<Expr, ParseError> {
+    fn unary(&mut self) -> Result<ExprId, ParseError> {
         self.enter()?;
         let result = self.unary_inner();
         self.leave();
         result
     }
 
-    fn unary_inner(&mut self) -> Result<Expr, ParseError> {
+    fn unary_inner(&mut self) -> Result<ExprId, ParseError> {
         let lo = self.span();
         let op = match self.peek() {
             TokenKind::Star => Some(UnOp::Deref),
@@ -712,8 +705,8 @@ impl<'src> Parser<'src> {
             TokenKind::KwNew => {
                 self.bump();
                 let e = self.unary()?;
-                let span = lo.to(e.span);
-                return Ok(self.expr_at(span, ExprKind::New(Box::new(e))));
+                let span = lo.to(self.espan(e));
+                return Ok(self.m.push_expr(ExprKind::New(e), span));
             }
             TokenKind::LParen
                 if matches!(
@@ -726,22 +719,22 @@ impl<'src> Parser<'src> {
                 let ty = self.type_expr()?;
                 self.expect(TokenKind::RParen)?;
                 let e = self.unary()?;
-                let span = lo.to(e.span);
-                return Ok(self.expr_at(span, ExprKind::Cast(ty, Box::new(e))));
+                let span = lo.to(self.espan(e));
+                return Ok(self.m.push_expr(ExprKind::Cast(ty, e), span));
             }
             _ => None,
         };
         if let Some(op) = op {
             self.bump();
             let e = self.unary()?;
-            let span = lo.to(e.span);
-            Ok(self.expr_at(span, ExprKind::Unary(op, Box::new(e))))
+            let span = lo.to(self.espan(e));
+            Ok(self.m.push_expr(ExprKind::Unary(op, e), span))
         } else {
             self.postfix()
         }
     }
 
-    fn postfix(&mut self) -> Result<Expr, ParseError> {
+    fn postfix(&mut self) -> Result<ExprId, ParseError> {
         let mut e = self.primary()?;
         loop {
             match self.peek() {
@@ -749,52 +742,55 @@ impl<'src> Parser<'src> {
                     self.bump();
                     let idx = self.expr()?;
                     self.expect(TokenKind::RBracket)?;
-                    let span = e.span.to(self.prev_span());
-                    e = self.expr_at(span, ExprKind::Index(Box::new(e), Box::new(idx)));
+                    let span = self.espan(e).to(self.prev_span());
+                    e = self.m.push_expr(ExprKind::Index(e, idx), span);
                 }
                 TokenKind::Dot => {
                     self.bump();
                     let f = self.ident()?;
-                    let span = e.span.to(f.span);
-                    e = self.expr_at(span, ExprKind::Field(Box::new(e), f));
+                    let span = self.espan(e).to(f.span);
+                    e = self.m.push_expr(ExprKind::Field(e, f), span);
                 }
                 TokenKind::Arrow => {
                     self.bump();
                     let f = self.ident()?;
-                    let span = e.span.to(f.span);
-                    e = self.expr_at(span, ExprKind::Arrow(Box::new(e), f));
+                    let span = self.espan(e).to(f.span);
+                    e = self.m.push_expr(ExprKind::Arrow(e, f), span);
                 }
                 _ => return Ok(e),
             }
         }
     }
 
-    fn primary(&mut self) -> Result<Expr, ParseError> {
+    fn primary(&mut self) -> Result<ExprId, ParseError> {
         let lo = self.span();
         match self.peek() {
             TokenKind::Int(n) => {
                 self.bump();
-                Ok(self.expr_at(lo, ExprKind::Int(n)))
+                Ok(self.m.push_expr(ExprKind::Int(n), lo))
             }
             TokenKind::Ident => {
                 let name = self.ident()?;
                 if self.peek() == TokenKind::LParen {
                     self.bump();
-                    let mut args = Vec::new();
+                    let base = self.open_args.len();
                     if self.peek() != TokenKind::RParen {
                         loop {
-                            args.push(self.expr()?);
+                            let a = self.expr()?;
+                            self.open_args.push(a);
                             if !self.eat(TokenKind::Comma) {
                                 break;
                             }
                         }
                     }
                     self.expect(TokenKind::RParen)?;
+                    let args = self.m.push_args(&self.open_args[base..]);
+                    self.open_args.truncate(base);
                     let span = lo.to(self.prev_span());
-                    Ok(self.expr_at(span, ExprKind::Call(name, args)))
+                    Ok(self.m.push_expr(ExprKind::Call(name, args), span))
                 } else {
                     let span = name.span;
-                    Ok(self.expr_at(span, ExprKind::Var(name)))
+                    Ok(self.m.push_expr(ExprKind::Var(name), span))
                 }
             }
             TokenKind::LParen => {
@@ -811,6 +807,11 @@ impl<'src> Parser<'src> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The statements of function `f`'s body.
+    fn body<'m>(m: &'m Module, f: &str) -> Vec<&'m Stmt> {
+        m.stmts(m.function(f).unwrap().body).collect()
+    }
 
     #[test]
     fn figure1_program_parses() {
@@ -829,9 +830,10 @@ mod tests {
         let m = parse_module("fig1", src).unwrap();
         assert_eq!(m.items.len(), 4);
         let f = m.function("do_with_lock").unwrap();
-        assert!(f.params[0].restrict, "parameter must be restrict-qualified");
-        assert_eq!(f.params[0].ty, TypeExpr::ptr(TypeExpr::Lock));
-        assert_eq!(f.body.stmts.len(), 3);
+        let params = m.params(f.params);
+        assert!(params[0].restrict, "parameter must be restrict-qualified");
+        assert_eq!(params[0].ty, TypeExpr::ptr(TypeExpr::Lock));
+        assert_eq!(m.stmts(f.body).len(), 3);
         let g = m.globals().next().unwrap();
         assert_eq!(g.ty, TypeExpr::array(TypeExpr::Lock, 8));
     }
@@ -847,11 +849,10 @@ mod tests {
             }
         "#;
         let m = parse_module("m", src).unwrap();
-        let f = m.function("f").unwrap();
-        match &f.body.stmts[0].kind {
+        match &body(&m, "f")[0].kind {
             StmtKind::Restrict { name, body, .. } => {
                 assert_eq!(name.name, "p");
-                assert_eq!(body.stmts.len(), 2);
+                assert_eq!(m.stmts(*body).len(), 2);
             }
             other => panic!("expected restrict stmt, got {other:?}"),
         }
@@ -861,8 +862,7 @@ mod tests {
     fn restrict_declaration() {
         let src = "void f(int *q) { restrict int *p = q; *p = 3; }";
         let m = parse_module("m", src).unwrap();
-        let f = m.function("f").unwrap();
-        match &f.body.stmts[0].kind {
+        match &body(&m, "f")[0].kind {
             StmtKind::Decl { binding, name, .. } => {
                 assert_eq!(*binding, BindingKind::Restrict);
                 assert_eq!(name.name, "p");
@@ -885,11 +885,10 @@ mod tests {
             }
         "#;
         let m = parse_module("m", src).unwrap();
-        let f = m.function("f").unwrap();
-        match &f.body.stmts[0].kind {
+        match &body(&m, "f")[0].kind {
             StmtKind::Confine { expr, body } => {
-                assert!(expr.is_confinable_shape());
-                assert_eq!(body.stmts.len(), 3);
+                assert!(m.expr(*expr).is_confinable_shape(&m));
+                assert_eq!(m.stmts(*body).len(), 3);
             }
             other => panic!("expected confine stmt, got {other:?}"),
         }
@@ -897,13 +896,14 @@ mod tests {
 
     #[test]
     fn precedence() {
-        let e = parse_expr("a = b == c + d * 2").unwrap();
+        let (m, e) = parse_expr("a = b == c + d * 2").unwrap();
+        let kind = |e: ExprId| &m.expr(e).kind;
         // a = (b == (c + (d * 2)))
-        match e.kind {
-            ExprKind::Assign(_, rhs) => match rhs.kind {
-                ExprKind::Binary(BinOp::Eq, _, inner) => match inner.kind {
+        match kind(e) {
+            ExprKind::Assign(_, rhs) => match kind(*rhs) {
+                ExprKind::Binary(BinOp::Eq, _, inner) => match kind(*inner) {
                     ExprKind::Binary(BinOp::Add, _, mul) => {
-                        assert!(matches!(mul.kind, ExprKind::Binary(BinOp::Mul, _, _)))
+                        assert!(matches!(kind(*mul), ExprKind::Binary(BinOp::Mul, _, _)))
                     }
                     other => panic!("expected add, got {other:?}"),
                 },
@@ -915,39 +915,39 @@ mod tests {
 
     #[test]
     fn assignment_is_right_associative() {
-        let e = parse_expr("a = b = c").unwrap();
-        match e.kind {
+        let (m, e) = parse_expr("a = b = c").unwrap();
+        match m.expr(e).kind {
             ExprKind::Assign(lhs, rhs) => {
-                assert!(matches!(lhs.kind, ExprKind::Var(_)));
-                assert!(matches!(rhs.kind, ExprKind::Assign(_, _)));
+                assert!(matches!(m.expr(lhs).kind, ExprKind::Var(_)));
+                assert!(matches!(m.expr(rhs).kind, ExprKind::Assign(_, _)));
             }
-            other => panic!("expected assign, got {other:?}"),
+            ref other => panic!("expected assign, got {other:?}"),
         }
     }
 
     #[test]
     fn casts_parse() {
-        let e = parse_expr("(lock*) p").unwrap();
-        match e.kind {
+        let (m, e) = parse_expr("(lock*) p").unwrap();
+        match &m.expr(e).kind {
             ExprKind::Cast(ty, inner) => {
-                assert_eq!(ty, TypeExpr::ptr(TypeExpr::Lock));
-                assert!(matches!(inner.kind, ExprKind::Var(_)));
+                assert_eq!(*ty, TypeExpr::ptr(TypeExpr::Lock));
+                assert!(matches!(m.expr(*inner).kind, ExprKind::Var(_)));
             }
             other => panic!("expected cast, got {other:?}"),
         }
         // A parenthesized expression is not a cast.
-        let e = parse_expr("(p)").unwrap();
-        assert!(matches!(e.kind, ExprKind::Var(_)));
+        let (m, e) = parse_expr("(p)").unwrap();
+        assert!(matches!(m.expr(e).kind, ExprKind::Var(_)));
     }
 
     #[test]
     fn new_expression() {
-        let e = parse_expr("new 0").unwrap();
-        assert!(matches!(e.kind, ExprKind::New(_)));
-        let e = parse_expr("new new 1").unwrap();
-        match e.kind {
-            ExprKind::New(inner) => assert!(matches!(inner.kind, ExprKind::New(_))),
-            other => panic!("expected nested new, got {other:?}"),
+        let (m, e) = parse_expr("new 0").unwrap();
+        assert!(matches!(m.expr(e).kind, ExprKind::New(_)));
+        let (m, e) = parse_expr("new new 1").unwrap();
+        match m.expr(e).kind {
+            ExprKind::New(inner) => assert!(matches!(m.expr(inner).kind, ExprKind::New(_))),
+            ref other => panic!("expected nested new, got {other:?}"),
         }
     }
 
@@ -955,15 +955,15 @@ mod tests {
     fn for_desugars_to_while() {
         let src = "void f() { for (int i = 0; i < 10; i = i + 1) { g(i); } }";
         let m = parse_module("m", src).unwrap();
-        let f = m.function("f").unwrap();
-        match &f.body.stmts[0].kind {
+        match &body(&m, "f")[0].kind {
             StmtKind::Block(b) => {
-                assert!(matches!(b.stmts[0].kind, StmtKind::Decl { .. }));
-                match &b.stmts[1].kind {
+                let stmts: Vec<&Stmt> = m.stmts(*b).collect();
+                assert!(matches!(stmts[0].kind, StmtKind::Decl { .. }));
+                match &stmts[1].kind {
                     StmtKind::While { body, step, .. } => {
                         // The step lives on the loop, not in the body,
                         // so `continue` still runs it (C semantics).
-                        assert_eq!(body.stmts.len(), 1);
+                        assert_eq!(m.stmts(*body).len(), 1);
                         assert!(step.is_some());
                     }
                     other => panic!("expected while, got {other:?}"),
@@ -977,11 +977,10 @@ mod tests {
     fn else_if_chains() {
         let src = "void f(int a) { if (a == 1) { g(); } else if (a == 2) { h(); } else { k(); } }";
         let m = parse_module("m", src).unwrap();
-        let f = m.function("f").unwrap();
-        match &f.body.stmts[0].kind {
+        match &body(&m, "f")[0].kind {
             StmtKind::If { else_blk, .. } => {
-                let else_blk = else_blk.as_ref().unwrap();
-                assert!(matches!(else_blk.stmts[0].kind, StmtKind::If { .. }));
+                let first = m.stmts(else_blk.unwrap()).next().unwrap();
+                assert!(matches!(first.kind, StmtKind::If { .. }));
             }
             other => panic!("expected if, got {other:?}"),
         }
@@ -1005,22 +1004,22 @@ mod tests {
 
     #[test]
     fn node_ids_are_dense_and_unique() {
-        use crate::visit::{walk_module, Visitor};
+        use crate::visit::{walk_block, walk_expr, walk_module, walk_stmt, Visitor};
         let src = "int g; void f(int x) { int *p = new x; *p = g; }";
         let m = parse_module("m", src).unwrap();
         struct Collect(Vec<u32>);
         impl Visitor for Collect {
-            fn visit_expr(&mut self, e: &Expr) {
+            fn visit_expr(&mut self, m: &Module, e: &Expr) {
                 self.0.push(e.id.0);
-                crate::visit::walk_expr(self, e);
+                walk_expr(self, m, e);
             }
-            fn visit_stmt(&mut self, s: &Stmt) {
+            fn visit_stmt(&mut self, m: &Module, s: &Stmt) {
                 self.0.push(s.id.0);
-                crate::visit::walk_stmt(self, s);
+                walk_stmt(self, m, s);
             }
-            fn visit_block(&mut self, b: &Block) {
-                self.0.push(b.id.0);
-                crate::visit::walk_block(self, b);
+            fn visit_block(&mut self, m: &Module, b: BlockId) {
+                self.0.push(m.block(b).id.0);
+                walk_block(self, m, b);
             }
         }
         let mut c = Collect(Vec::new());
@@ -1043,6 +1042,16 @@ mod tests {
     }
 
     #[test]
+    fn a_lexical_error_after_the_parse_ends_is_still_reported() {
+        // The module before `@` parses; the lexical error must not be
+        // lost behind the end of input it reads as.
+        let err = parse_module("m", "int g; @").unwrap_err();
+        assert_eq!(err.span, Span::new(7, 8));
+        let err = parse_expr("a + $").unwrap_err();
+        assert!(err.msg.contains("unexpected character"));
+    }
+
+    #[test]
     fn break_and_continue() {
         let src = r#"
             void f(int n) {
@@ -1054,11 +1063,11 @@ mod tests {
             }
         "#;
         let m = parse_module("m", src).unwrap();
-        let f = m.function("f").unwrap();
-        match &f.body.stmts[0].kind {
+        match &body(&m, "f")[0].kind {
             StmtKind::While { body, .. } => {
-                let then_of = |i: usize| match &body.stmts[i].kind {
-                    StmtKind::If { then_blk, .. } => &then_blk.stmts[0].kind,
+                let stmts: Vec<&Stmt> = m.stmts(*body).collect();
+                let then_of = |i: usize| match &stmts[i].kind {
+                    StmtKind::If { then_blk, .. } => &m.stmts(*then_blk).next().unwrap().kind,
                     other => panic!("expected if, got {other:?}"),
                 };
                 assert!(matches!(then_of(0), StmtKind::Break));

@@ -28,23 +28,24 @@ use std::fmt::Write as _;
 
 /// Renders a whole module as source text.
 pub fn print_module(m: &Module) -> String {
-    let mut p = Printer::new();
+    let mut p = Printer::new(m);
     for item in &m.items {
         p.item(item);
     }
     p.out
 }
 
-/// Renders a single expression.
-pub fn print_expr(e: &Expr) -> String {
+/// Renders a single expression of module `m`.
+pub fn print_expr(m: &Module, e: &Expr) -> String {
     let mut out = String::new();
-    write_expr(&mut out, e);
+    write_expr(&mut out, m, e);
     out
 }
 
-/// Appends the rendering of a single expression to `out`.
-pub fn write_expr(out: &mut String, e: &Expr) {
+/// Appends the rendering of a single expression of module `m` to `out`.
+pub fn write_expr(out: &mut String, m: &Module, e: &Expr) {
     let mut p = Printer {
+        m,
         out: std::mem::take(out),
         indent: 0,
     };
@@ -52,14 +53,16 @@ pub fn write_expr(out: &mut String, e: &Expr) {
     *out = p.out;
 }
 
-struct Printer {
+struct Printer<'m> {
+    m: &'m Module,
     out: String,
     indent: usize,
 }
 
-impl Printer {
-    fn new() -> Self {
+impl<'m> Printer<'m> {
+    fn new(m: &'m Module) -> Self {
         Printer {
+            m,
             out: String::new(),
             indent: 0,
         }
@@ -83,6 +86,19 @@ impl Printer {
         self.line(&format!("}}{tail}"));
     }
 
+    /// Prints the statements of block `b` at the current indentation.
+    fn stmts(&mut self, b: BlockId) {
+        let m = self.m;
+        for s in m.stmts(b) {
+            self.stmt(s);
+        }
+    }
+
+    /// Expression `e` rendered on its own.
+    fn expr_str(&self, e: ExprId) -> String {
+        print_expr(self.m, self.m.expr(e))
+    }
+
     fn item(&mut self, item: &Item) {
         match &item.kind {
             ItemKind::Struct(s) => {
@@ -96,15 +112,13 @@ impl Printer {
                 self.line(&Self::decl_str(&g.ty, &g.name.name));
             }
             ItemKind::Extern(e) => {
-                let params = Self::params_str(&e.params);
+                let params = Self::params_str(self.m.params(e.params));
                 self.line(&format!("extern {} {}({});", e.ret, e.name, params));
             }
             ItemKind::Fun(f) => {
-                let params = Self::params_str(&f.params);
+                let params = Self::params_str(self.m.params(f.params));
                 self.open(&format!("{} {}({})", f.ret, f.name, params));
-                for s in &f.body.stmts {
-                    self.stmt(s);
-                }
+                self.stmts(f.body);
                 self.close("");
             }
         }
@@ -132,17 +146,13 @@ impl Printer {
         }
     }
 
-    fn decl_init_str(ty: &TypeExpr, name: &str, init: Option<&Expr>) -> String {
-        let mut p = Printer::new();
+    fn decl_init_str(&self, ty: &TypeExpr, name: &str, init: Option<ExprId>) -> String {
         let lhs = match ty {
             TypeExpr::Array(elem, n) => format!("{elem} {name}[{n}]"),
             _ => format!("{ty} {name}"),
         };
         match init {
-            Some(e) => {
-                p.expr(e);
-                format!("{lhs} = {};", p.out)
-            }
+            Some(e) => format!("{lhs} = {};", self.expr_str(e)),
             None => format!("{lhs};"),
         }
     }
@@ -150,9 +160,8 @@ impl Printer {
     fn stmt(&mut self, s: &Stmt) {
         match &s.kind {
             StmtKind::Expr(e) => {
-                let mut p = Printer::new();
-                p.expr(e);
-                self.line(&format!("{};", p.out));
+                let e = self.expr_str(*e);
+                self.line(&format!("{e};"));
             }
             StmtKind::Decl {
                 binding,
@@ -164,25 +173,19 @@ impl Printer {
                     BindingKind::Let => "",
                     BindingKind::Restrict => "restrict ",
                 };
-                let rest = Self::decl_init_str(ty, &name.name, init.as_ref());
+                let rest = self.decl_init_str(ty, &name.name, *init);
                 self.line(&format!("{prefix}{rest}"));
             }
             StmtKind::Restrict { name, init, body } => {
-                let mut p = Printer::new();
-                p.expr(init);
-                self.open(&format!("restrict {} = {}", name, p.out));
-                for s in &body.stmts {
-                    self.stmt(s);
-                }
+                let init = self.expr_str(*init);
+                self.open(&format!("restrict {name} = {init}"));
+                self.stmts(*body);
                 self.close("");
             }
             StmtKind::Confine { expr, body } => {
-                let mut p = Printer::new();
-                p.expr(expr);
-                self.open(&format!("confine ({})", p.out));
-                for s in &body.stmts {
-                    self.stmt(s);
-                }
+                let expr = self.expr_str(*expr);
+                self.open(&format!("confine ({expr})"));
+                self.stmts(*body);
                 self.close("");
             }
             StmtKind::If {
@@ -190,59 +193,50 @@ impl Printer {
                 then_blk,
                 else_blk,
             } => {
-                let mut p = Printer::new();
-                p.expr(cond);
-                self.open(&format!("if ({})", p.out));
-                for s in &then_blk.stmts {
-                    self.stmt(s);
-                }
+                let cond = self.expr_str(*cond);
+                self.open(&format!("if ({cond})"));
+                self.stmts(*then_blk);
                 if let Some(else_blk) = else_blk {
                     self.indent -= 1;
                     self.line("} else {");
                     self.indent += 1;
-                    for s in &else_blk.stmts {
-                        self.stmt(s);
-                    }
+                    self.stmts(*else_blk);
                 }
                 self.close("");
             }
             StmtKind::While { cond, body, step } => {
-                let mut p = Printer::new();
-                p.expr(cond);
+                let cond = self.expr_str(*cond);
                 let head = match step {
                     // A stepped loop prints as a `for` so the step keeps
                     // its continue-safe position on re-parse.
-                    Some(step) => {
-                        let mut q = Printer::new();
-                        q.expr(step);
-                        format!("for (; {}; {})", p.out, q.out)
-                    }
-                    None => format!("while ({})", p.out),
+                    Some(step) => format!("for (; {cond}; {})", self.expr_str(*step)),
+                    None => format!("while ({cond})"),
                 };
                 self.open(&head);
-                for s in &body.stmts {
-                    self.stmt(s);
-                }
+                self.stmts(*body);
                 self.close("");
             }
             StmtKind::Break => self.line("break;"),
             StmtKind::Continue => self.line("continue;"),
             StmtKind::Return(e) => match e {
                 Some(e) => {
-                    let mut p = Printer::new();
-                    p.expr(e);
-                    self.line(&format!("return {};", p.out));
+                    let e = self.expr_str(*e);
+                    self.line(&format!("return {e};"));
                 }
                 None => self.line("return;"),
             },
             StmtKind::Block(b) => {
                 self.open("");
-                for s in &b.stmts {
-                    self.stmt(s);
-                }
+                self.stmts(*b);
                 self.close("");
             }
         }
+    }
+
+    /// Appends child expression `e`.
+    fn sub(&mut self, e: ExprId) {
+        let m = self.m;
+        self.expr(m.expr(e));
     }
 
     fn expr(&mut self, e: &Expr) {
@@ -256,25 +250,26 @@ impl Printer {
             ExprKind::Unary(op, inner) => {
                 self.out.push_str(op.symbol());
                 self.out.push('(');
-                self.expr(inner);
+                self.sub(*inner);
                 self.out.push(')');
             }
             ExprKind::Binary(op, a, b) => {
                 self.out.push('(');
-                self.expr(a);
+                self.sub(*a);
                 let _ = write!(self.out, " {} ", op.symbol());
-                self.expr(b);
+                self.sub(*b);
                 self.out.push(')');
             }
             ExprKind::Assign(a, b) => {
-                self.expr(a);
+                self.sub(*a);
                 self.out.push_str(" = ");
-                self.expr(b);
+                self.sub(*b);
             }
             ExprKind::Call(f, args) => {
                 self.out.push_str(&f.name);
                 self.out.push('(');
-                for (i, a) in args.iter().enumerate() {
+                let m = self.m;
+                for (i, a) in m.args(*args).enumerate() {
                     if i > 0 {
                         self.out.push_str(", ");
                     }
@@ -283,27 +278,27 @@ impl Printer {
                 self.out.push(')');
             }
             ExprKind::Index(a, i) => {
-                self.expr(a);
+                self.sub(*a);
                 self.out.push('[');
-                self.expr(i);
+                self.sub(*i);
                 self.out.push(']');
             }
             ExprKind::Field(a, f) => {
-                self.expr(a);
+                self.sub(*a);
                 let _ = write!(self.out, ".{f}");
             }
             ExprKind::Arrow(a, f) => {
-                self.expr(a);
+                self.sub(*a);
                 let _ = write!(self.out, "->{f}");
             }
             ExprKind::New(inner) => {
                 self.out.push_str("new (");
-                self.expr(inner);
+                self.sub(*inner);
                 self.out.push(')');
             }
             ExprKind::Cast(ty, inner) => {
                 let _ = write!(self.out, "({ty}) (");
-                self.expr(inner);
+                self.sub(*inner);
                 self.out.push(')');
             }
         }
@@ -393,9 +388,9 @@ mod tests {
     #[test]
     fn expr_printing() {
         use crate::parser::parse_expr;
-        let e = parse_expr("&locks[i]").unwrap();
-        assert_eq!(print_expr(&e), "&(locks[i])");
-        let e = parse_expr("a->f.g").unwrap();
-        assert_eq!(print_expr(&e), "a->f.g");
+        let (m, e) = parse_expr("&locks[i]").unwrap();
+        assert_eq!(print_expr(&m, m.expr(e)), "&(locks[i])");
+        let (m, e) = parse_expr("a->f.g").unwrap();
+        assert_eq!(print_expr(&m, m.expr(e)), "a->f.g");
     }
 }

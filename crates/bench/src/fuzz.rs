@@ -42,7 +42,7 @@
 
 use crate::Better::{Higher, Lower};
 use crate::{json_hists, json_trace, Artifact, ObsReport};
-use localias_ast::{parse_module, pretty, Block, ItemKind, Module, Stmt, StmtKind, TypeExpr};
+use localias_ast::{parse_module, pretty, BlockId, Module, StmtId, TypeExpr};
 use localias_core::SharedAnalysis;
 use localias_corpus::fuzz_module;
 use localias_cqual::{check_modes, CallGraph, LockReport, Mode, MODES};
@@ -449,8 +449,8 @@ fn check_one(m: &Module, fuel: u64, checker: &dyn Fn(&Module) -> StaticMatrix) -
         for ints in int_assignments(f.params.len()) {
             out.runs += 1;
             let mut interp = Interp::new(m, fuel);
-            let args: Vec<Value> = f
-                .params
+            let args: Vec<Value> = m
+                .params(f.params)
                 .iter()
                 .enumerate()
                 .map(|(pi, p)| match &p.ty {
@@ -645,104 +645,28 @@ pub struct ShrinkOutcome {
     pub steps: u64,
 }
 
-/// Path to a statement: descend through `(statement index, sub-block
-/// selector)` pairs, then index `at` in the final block.
-#[derive(Debug, Clone)]
-struct StmtAddr {
-    descend: Vec<(usize, u8)>,
-    at: usize,
-}
-
-/// One candidate shrinking edit.
+/// One candidate shrinking edit. A block is named by its id, which
+/// every edit of a clone of the module leaves valid: edits only rewire
+/// statement runs.
 #[derive(Debug, Clone)]
 enum Edit {
     /// Delete top-level item `i`.
     RemoveItem(usize),
-    /// Delete the statement at `addr` in function item `item`.
-    RemoveStmt { item: usize, addr: StmtAddr },
-    /// Replace the control-flow statement at `addr` with its nested
+    /// Delete statement `at` of `block`.
+    RemoveStmt { block: BlockId, at: usize },
+    /// Replace control-flow statement `at` of `block` with its nested
     /// statements, spliced inline (`if`/`while`/`restrict`/`confine`/
     /// bare block).
-    Splice { item: usize, addr: StmtAddr },
+    Splice { block: BlockId, at: usize },
 }
 
-/// The nested blocks of a statement, in a fixed selector order.
-fn sub_blocks(s: &StmtKind) -> Vec<&Block> {
-    match s {
-        StmtKind::If {
-            then_blk, else_blk, ..
-        } => {
-            let mut v = vec![then_blk];
-            if let Some(e) = else_blk {
-                v.push(e);
-            }
-            v
-        }
-        StmtKind::While { body, .. }
-        | StmtKind::Restrict { body, .. }
-        | StmtKind::Confine { body, .. } => vec![body],
-        StmtKind::Block(b) => vec![b],
-        _ => Vec::new(),
-    }
-}
-
-fn sub_blocks_mut(s: &mut StmtKind) -> Vec<&mut Block> {
-    match s {
-        StmtKind::If {
-            then_blk, else_blk, ..
-        } => {
-            let mut v = vec![then_blk];
-            if let Some(e) = else_blk {
-                v.push(e);
-            }
-            v
-        }
-        StmtKind::While { body, .. }
-        | StmtKind::Restrict { body, .. }
-        | StmtKind::Confine { body, .. } => vec![body],
-        StmtKind::Block(b) => vec![b],
-        _ => Vec::new(),
-    }
-}
-
-/// The statements inside a control-flow statement, concatenated — what
-/// a splice leaves behind. `None` for leaf statements.
-fn spliced_stmts(kind: StmtKind) -> Option<Vec<Stmt>> {
-    match kind {
-        StmtKind::If {
-            then_blk, else_blk, ..
-        } => {
-            let mut v = then_blk.stmts;
-            if let Some(e) = else_blk {
-                v.extend(e.stmts);
-            }
-            Some(v)
-        }
-        StmtKind::While { body, .. }
-        | StmtKind::Restrict { body, .. }
-        | StmtKind::Confine { body, .. } => Some(body.stmts),
-        StmtKind::Block(b) => Some(b.stmts),
-        _ => None,
-    }
-}
-
-fn collect_stmt_edits(b: &Block, item: usize, descend: &mut Vec<(usize, u8)>, out: &mut Vec<Edit>) {
-    for (si, s) in b.stmts.iter().enumerate() {
-        let addr = StmtAddr {
-            descend: descend.clone(),
-            at: si,
-        };
-        out.push(Edit::RemoveStmt {
-            item,
-            addr: addr.clone(),
-        });
-        let subs = sub_blocks(&s.kind);
-        if !subs.is_empty() {
-            out.push(Edit::Splice { item, addr });
-            for (bi, sub) in subs.into_iter().enumerate() {
-                descend.push((si, bi as u8));
-                collect_stmt_edits(sub, item, descend, out);
-                descend.pop();
+fn collect_stmt_edits(m: &Module, block: BlockId, out: &mut Vec<Edit>) {
+    for (at, s) in m.stmts(block).enumerate() {
+        out.push(Edit::RemoveStmt { block, at });
+        if s.kind.blocks().next().is_some() {
+            out.push(Edit::Splice { block, at });
+            for sub in s.kind.blocks() {
+                collect_stmt_edits(m, sub, out);
             }
         }
     }
@@ -756,70 +680,48 @@ fn enumerate_edits(m: &Module) -> Vec<Edit> {
     for i in 0..m.items.len() {
         out.push(Edit::RemoveItem(i));
     }
-    for (i, item) in m.items.iter().enumerate() {
-        if let ItemKind::Fun(f) = &item.kind {
-            collect_stmt_edits(&f.body, i, &mut Vec::new(), &mut out);
-        }
+    for f in m.functions() {
+        collect_stmt_edits(m, f.body, &mut out);
     }
     out
 }
 
-/// Navigates to the block `addr.descend` points into, inside function
-/// item `item`.
-fn block_at_mut<'a>(
-    m: &'a mut Module,
-    item: usize,
-    descend: &[(usize, u8)],
-) -> Option<&'a mut Block> {
-    let f = match &mut m.items.get_mut(item)?.kind {
-        ItemKind::Fun(f) => f,
-        _ => return None,
-    };
-    let mut blk = &mut f.body;
-    for &(si, bi) in descend {
-        let s = blk.stmts.get_mut(si)?;
-        blk = sub_blocks_mut(&mut s.kind).into_iter().nth(bi as usize)?;
-    }
-    Some(blk)
-}
-
-/// Applies `e` to `m`; `false` if the address no longer exists.
+/// Applies `e` to `m`; `false` if there is nothing to remove or splice.
 fn apply_edit(m: &mut Module, e: &Edit) -> bool {
-    match e {
+    match *e {
         Edit::RemoveItem(i) => {
-            if *i < m.items.len() {
-                m.items.remove(*i);
+            if i < m.items.len() {
+                m.items.remove(i);
                 true
             } else {
                 false
             }
         }
-        Edit::RemoveStmt { item, addr } => {
-            let Some(blk) = block_at_mut(m, *item, &addr.descend) else {
+        Edit::RemoveStmt { block, at } => {
+            let mut stmts = m.stmt_ids(block).to_vec();
+            if at >= stmts.len() {
                 return false;
-            };
-            if addr.at < blk.stmts.len() {
-                blk.stmts.remove(addr.at);
-                true
-            } else {
-                false
             }
+            stmts.remove(at);
+            m.set_stmts(block, &stmts);
+            true
         }
-        Edit::Splice { item, addr } => {
-            let Some(blk) = block_at_mut(m, *item, &addr.descend) else {
+        Edit::Splice { block, at } => {
+            let mut stmts = m.stmt_ids(block).to_vec();
+            let Some(&s) = stmts.get(at) else {
                 return false;
             };
-            if addr.at >= blk.stmts.len() {
+            let kind = &m.stmt(s).kind;
+            if kind.blocks().next().is_none() {
                 return false;
             }
-            let s = blk.stmts.remove(addr.at);
-            match spliced_stmts(s.kind) {
-                Some(inner) => {
-                    blk.stmts.splice(addr.at..addr.at, inner);
-                    true
-                }
-                None => false,
-            }
+            let inner: Vec<StmtId> = kind
+                .blocks()
+                .flat_map(|b| m.stmt_ids(b).iter().copied())
+                .collect();
+            stmts.splice(at..=at, inner);
+            m.set_stmts(block, &stmts);
+            true
         }
     }
 }

@@ -78,8 +78,12 @@ impl ModuleResult {
     /// all-strong modes share one base analysis through
     /// [`SharedAnalysis`], so this runs two (not three) analysis
     /// pipelines.
-    fn measure_parsed(name: &str, parsed: &Module, parse: Duration) -> (ModuleResult, PhaseTimes) {
-        let (reports, t) = check_modes(&mut SharedAnalysis::new(parsed));
+    fn measure_parsed(
+        name: &str,
+        shared: &mut SharedAnalysis<'_>,
+        parse: Duration,
+    ) -> (ModuleResult, PhaseTimes) {
+        let (reports, t) = check_modes(shared);
         let [no_confine, confine, all_strong] = reports.map(|r| r.error_count());
         (
             ModuleResult {
@@ -332,12 +336,22 @@ fn sweep_modules(
                         c.lookup_fp(fp)
                     };
                     if let Some(e) = hit {
+                        let span = obs::span!("bench.drop");
+                        drop(parsed);
+                        drop(span);
                         return served(e, CacheNote::CanonHit { fp, raw });
                     }
                     CacheNote::Miss { fp, raw }
                 }
             };
-            let (result, times) = ModuleResult::measure_parsed(&m.name, &parsed, parse);
+            let mut shared = SharedAnalysis::new(&parsed);
+            let (result, times) = ModuleResult::measure_parsed(&m.name, &mut shared, parse);
+            // Freeing the module's nodes and analyses is the worker's
+            // largest cost outside every layer.
+            let span = obs::span!("bench.drop");
+            drop(shared);
+            drop(parsed);
+            drop(span);
             SweepOutcome {
                 slot,
                 result,

@@ -4,9 +4,10 @@
 //! see moves it, and the printer's round trip keeps it.
 
 use localias_alias::Backend;
+use localias_ast::fp::{fnv1a, FNV_OFFSET};
 use localias_ast::{parse_module, pretty, Module};
 use localias_bench::cache::module_fingerprint;
-use localias_corpus::{fuzz_module, generate};
+use localias_corpus::{fuzz_module, generate, mega_module};
 use std::collections::HashMap;
 
 fn key(src: &str) -> u128 {
@@ -125,4 +126,32 @@ fn structural_key_tracks_structure_not_text() {
             m.name
         );
     }
+}
+
+/// Every canonical key the default-seed corpus, three mega modules and
+/// the fuzz stream produce, folded into one pinned value. The keys file
+/// a warm store's entries, so a re-encoded walk that moved the key of
+/// any node kind (a call, a field, a cast, a confine) would turn every
+/// warm hit into a silent miss; this test fails instead.
+#[test]
+fn canonical_keys_are_pinned() {
+    let mut digest = FNV_OFFSET;
+    let mut fold = |m: &Module| {
+        let k = module_fingerprint(m, Backend::Steensgaard);
+        digest = fnv1a(digest, &k.to_le_bytes());
+    };
+    for g in generate(20030609) {
+        fold(&g.parse());
+    }
+    for seed in 1..=3 {
+        fold(&mega_module(seed, 300).parse());
+    }
+    for i in 0..1000 {
+        let f = fuzz_module(42, i);
+        fold(&parse_module(&f.name, &f.source).expect("fuzz modules parse"));
+    }
+    assert_eq!(
+        digest, 177220112496090089481378625783635270902,
+        "a canonical cache key moved"
+    );
 }

@@ -53,7 +53,7 @@ pub use outcome::{CandidateOutcome, ConfineOutcome, ConfineSite, Diag, Reason, R
 
 use localias_alias::{analyze_with, Backend, FrozenLocs, FxHashSet, FxMap, Loc, State};
 use localias_ast::visit::{walk_module, Visitor};
-use localias_ast::{FunDef, Module, NodeId, Param, StmtKind};
+use localias_ast::{FunDef, Module, NodeId, Param};
 use localias_effects::{solve_with, Solution};
 use localias_obs as obs;
 
@@ -134,7 +134,7 @@ impl Analysis {
             let Some(vars) = self.state.param_vars(&f.name.name) else {
                 continue;
             };
-            for (p, var) in f.params.iter().zip(vars) {
+            for (p, var) in m.params(f.params).iter().zip(vars) {
                 if is_restrict(f, p) {
                     if let Some(l) = var.ty.pointee() {
                         pinned.push(l);
@@ -215,12 +215,12 @@ impl Analysis {
 }
 
 /// Runs the full analysis over one module.
-pub fn analyze(m: &Module, opts: Options) -> Analysis {
+pub fn analyze<'m>(m: &'m Module, opts: Options<'m>) -> Analysis {
     let _span = obs::span!("core.analyze", obs::Hist::AnalyzeModule);
     obs::count(obs::Counter::ModulesAnalyzed, 1);
     let (mut state, mut gen) = {
         let _s = obs::span!("core.alias");
-        let mut hooks = Gen::new(opts);
+        let mut hooks = Gen::new(m, opts);
         hooks.reserve_for(m);
         let (mut state, mut gen) = analyze_with(m, hooks);
         gen.finalize(&mut state);
@@ -413,31 +413,20 @@ fn block_parents(m: &Module) -> FxMap<NodeId, (NodeId, usize)> {
         stack: Vec<(NodeId, usize)>,
     }
     impl Visitor for P {
-        fn visit_block(&mut self, b: &localias_ast::Block) {
+        fn visit_block(&mut self, m: &Module, b: localias_ast::BlockId) {
+            let id = m.block(b).id;
             if let Some(&(parent, idx)) = self.stack.last() {
-                self.out.insert(b.id, (parent, idx));
+                self.out.insert(id, (parent, idx));
             }
-            for (i, s) in b.stmts.iter().enumerate() {
-                self.stack.push((b.id, i));
-                self.visit_stmt(s);
+            for (i, s) in m.stmts(b).enumerate() {
+                self.stack.push((id, i));
+                self.visit_stmt(m, s);
                 self.stack.pop();
             }
         }
-        fn visit_stmt(&mut self, s: &localias_ast::Stmt) {
-            match &s.kind {
-                StmtKind::Restrict { body, .. }
-                | StmtKind::Confine { body, .. }
-                | StmtKind::While { body, .. }
-                | StmtKind::Block(body) => self.visit_block(body),
-                StmtKind::If {
-                    then_blk, else_blk, ..
-                } => {
-                    self.visit_block(then_blk);
-                    if let Some(e) = else_blk {
-                        self.visit_block(e);
-                    }
-                }
-                _ => {}
+        fn visit_stmt(&mut self, m: &Module, s: &localias_ast::Stmt) {
+            for b in s.kind.blocks() {
+                self.visit_block(m, b);
             }
         }
     }
@@ -486,13 +475,13 @@ mod tests {
             found: Option<NodeId>,
         }
         impl Visitor for F {
-            fn visit_expr(&mut self, e: &Expr) {
+            fn visit_expr(&mut self, m: &Module, e: &Expr) {
                 if e.id == self.call {
                     if let ExprKind::Call(_, args) = &e.kind {
-                        self.found = Some(args[0].id);
+                        self.found = m.args(*args).next().map(|a| a.id);
                     }
                 }
-                walk_expr(self, e);
+                walk_expr(self, m, e);
             }
         }
         let mut f = F { call, found: None };
@@ -507,11 +496,11 @@ mod tests {
             found: Option<NodeId>,
         }
         impl<P: Fn(&Expr) -> bool> Visitor for F<P> {
-            fn visit_expr(&mut self, e: &Expr) {
+            fn visit_expr(&mut self, m: &Module, e: &Expr) {
                 if self.found.is_none() && (self.pred)(e) {
                     self.found = Some(e.id);
                 }
-                walk_expr(self, e);
+                walk_expr(self, m, e);
             }
         }
         let mut f = F { pred, found: None };
@@ -938,7 +927,7 @@ mod tests {
         let chosen = &a.confines[chosen[0]];
         let f = m.function("f").unwrap();
         assert!(
-            matches!(chosen.site, ConfineSite::Range { block, .. } if block == f.body.id),
+            matches!(chosen.site, ConfineSite::Range { block, .. } if block == m.block(f.body).id),
             "outermost (function-body) scope must win: {chosen:?}"
         );
     }
@@ -1042,7 +1031,9 @@ mod tests {
         let parents = block_parents(&m);
         let f = m.function("f").unwrap();
         // One inner block (the if-then) whose parent is the body.
-        assert!(parents.values().any(|&(p, i)| p == f.body.id && i == 0));
+        assert!(parents
+            .values()
+            .any(|&(p, i)| p == m.block(f.body).id && i == 0));
     }
 
     // ---- (Down) ablation -----------------------------------------------------

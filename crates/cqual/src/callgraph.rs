@@ -64,7 +64,7 @@ struct Calls<'g> {
 }
 
 impl Visitor for Calls<'_> {
-    fn visit_expr(&mut self, e: &Expr) {
+    fn visit_expr(&mut self, m: &Module, e: &Expr) {
         if let ExprKind::Call(name, _) = &e.kind {
             if let Some(&c) = self.index.get(&name.name) {
                 let site = e.id.index();
@@ -79,7 +79,7 @@ impl Visitor for Calls<'_> {
                 }
             }
         }
-        walk_expr(self, e);
+        walk_expr(self, m, e);
     }
 }
 
@@ -119,7 +119,7 @@ impl CallGraph {
                 edges: &mut edges,
                 self_rec: false,
             };
-            calls.visit_block(&f.body);
+            calls.visit_block(m, f.body);
             self_rec[v] |= calls.self_rec;
             edges[start..].sort_unstable();
             let mut end = start;

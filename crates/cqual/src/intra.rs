@@ -22,7 +22,8 @@ use crate::summary::{retarget, ParamInfo, Summaries, Summary};
 use localias_alias::fx::FxHashMap;
 use localias_alias::{FrozenLocs, Loc, State, Ty};
 use localias_ast::{
-    intrinsics, Block, Expr, ExprKind, FunDef, Module, NodeId, Stmt, StmtKind, Symbol,
+    intrinsics, BlockId, Expr, ExprId, ExprKind, ExprList, FunDef, Module, NodeId, Stmt, StmtKind,
+    Symbol,
 };
 use localias_core::{Analysis, ConfineSite};
 use localias_obs as obs;
@@ -45,6 +46,8 @@ pub(crate) struct RangeScope {
 /// serves every function check.
 pub(crate) struct CheckContext<'a> {
     pub mode: Mode,
+    /// The module whose functions are checked.
+    module: &'a Module,
     /// The typing/aliasing state (read-only: expression types, variables).
     pub(crate) state: &'a State,
     /// The frozen location snapshot all resolution goes through.
@@ -120,7 +123,7 @@ impl<'a> CheckContext<'a> {
         for (f, &v) in m.functions().zip(graph.defs()) {
             let vars = analysis.state.param_vars(&f.name.name);
             let start = params.len();
-            for (i, p) in f.params.iter().enumerate() {
+            for (i, p) in m.params(f.params).iter().enumerate() {
                 let rho_p = vars.and_then(|v| v.get(i)).and_then(|v| v.ty.pointee());
                 let restrict = is_restrict(f, p);
                 params.push(ParamInfo { rho_p, restrict });
@@ -130,6 +133,7 @@ impl<'a> CheckContext<'a> {
 
         CheckContext {
             mode,
+            module: m,
             state: &analysis.state,
             frozen,
             graph,
@@ -205,7 +209,7 @@ pub(crate) fn check_function(cx: &CheckContext<'_>, walk: &mut Walk, f: &FunDef,
         return_store: Store::bottom(),
     };
     let mut store = Store::new();
-    fc.block(&f.body, &mut store);
+    fc.block(f.body, &mut store);
 
     // The function's exit state is the join of its fall-through state
     // and every early return.
@@ -283,11 +287,12 @@ impl FunctionChecker<'_, '_> {
         }
     }
 
-    fn block(&mut self, b: &Block, store: &mut Store) {
+    fn block(&mut self, b: BlockId, store: &mut Store) {
         let cx = self.cx;
-        let scopes = cx.scopes(b.id);
+        let m = cx.module;
+        let scopes = cx.scopes(m.block(b).id);
         let mut decl_scopes: Vec<(Loc, Loc)> = Vec::new();
-        for (i, s) in b.stmts.iter().enumerate() {
+        for (i, s) in m.stmts(b).enumerate() {
             for sc in scopes.iter().filter(|sc| sc.start == i) {
                 self.copy_in(store, sc.rho, sc.rho_p);
             }
@@ -311,7 +316,7 @@ impl FunctionChecker<'_, '_> {
     }
 
     fn stmt(&mut self, s: &Stmt, store: &mut Store, decl_scopes: &mut Vec<(Loc, Loc)>) {
-        match &s.kind {
+        match s.kind {
             StmtKind::Expr(e) => self.expr(e, store),
             StmtKind::Decl { init, .. } => {
                 if let Some(e) = init {
@@ -426,20 +431,25 @@ impl FunctionChecker<'_, '_> {
         }
     }
 
-    fn expr(&mut self, e: &Expr, store: &mut Store) {
+    fn expr(&mut self, e: ExprId, store: &mut Store) {
+        let m = self.cx.module;
+        self.eval(m.expr(e), store);
+    }
+
+    fn eval(&mut self, e: &Expr, store: &mut Store) {
         match &e.kind {
             ExprKind::Int(_) | ExprKind::Var(_) => {}
-            ExprKind::Unary(_, a) | ExprKind::New(a) | ExprKind::Cast(_, a) => self.expr(a, store),
+            ExprKind::Unary(_, a) | ExprKind::New(a) | ExprKind::Cast(_, a) => self.expr(*a, store),
             ExprKind::Binary(_, a, b) | ExprKind::Assign(a, b) | ExprKind::Index(a, b) => {
-                self.expr(a, store);
-                self.expr(b, store);
+                self.expr(*a, store);
+                self.expr(*b, store);
             }
-            ExprKind::Field(a, _) | ExprKind::Arrow(a, _) => self.expr(a, store),
+            ExprKind::Field(a, _) | ExprKind::Arrow(a, _) => self.expr(*a, store),
             ExprKind::Call(f, args) => {
-                for a in args {
-                    self.expr(a, store);
+                for a in self.cx.module.args(*args) {
+                    self.eval(a, store);
                 }
-                self.call(e.id, &f.name, args, store);
+                self.call(e.id, &f.name, *args, store);
             }
         }
     }
@@ -463,7 +473,8 @@ impl FunctionChecker<'_, '_> {
         }
     }
 
-    fn call(&mut self, site: NodeId, callee: &str, args: &[Expr], store: &mut Store) {
+    fn call(&mut self, site: NodeId, callee: &str, args: ExprList, store: &mut Store) {
+        let args = self.cx.module.args(args);
         if intrinsics::is_change_type(callee) {
             let (required, new, op) = match callee {
                 intrinsics::SPIN_LOCK => (LockState::Unlocked, LockState::Locked, LockOp::Acquire),
@@ -483,7 +494,9 @@ impl FunctionChecker<'_, '_> {
             if self.recording {
                 self.walk.sites += 1;
             }
-            let Some(arg) = args.first() else { return };
+            let Some(arg) = args.clone().next() else {
+                return;
+            };
             let Some(loc) = self.arg_pointee(arg) else {
                 return;
             };
@@ -529,7 +542,7 @@ impl FunctionChecker<'_, '_> {
     /// Maps a callee's restrict-parameter `ρ'` locations to the actual
     /// arguments' pointee locations at this call site, into the walk's
     /// `retargets` (a later parameter with the same `ρ'` wins).
-    fn fill_retargets(&mut self, callee: usize, args: &[Expr]) {
+    fn fill_retargets<'m>(&mut self, callee: usize, args: impl Iterator<Item = &'m Expr>) {
         let cx = self.cx;
         self.walk.retargets.clear();
         for (info, arg) in cx.params(callee).iter().zip(args) {

@@ -20,8 +20,8 @@
 
 use crate::memory::{default_value, size_of, Addr, Memory, Value};
 use localias_ast::{
-    intrinsics, pretty, BinOp, BindingKind, Block, Expr, ExprKind, FunDef, Module, Stmt, StmtKind,
-    TypeExpr, UnOp,
+    intrinsics, pretty, BinOp, BindingKind, BlockId, Expr, ExprId, ExprKind, ExprList, FunDef,
+    Module, Stmt, StmtKind, TypeExpr, UnOp,
 };
 use std::collections::HashMap;
 use std::error::Error;
@@ -199,6 +199,16 @@ impl<'m> Interp<'m> {
 
     // ---- Places and values -------------------------------------------------
 
+    /// [`Interp::lval`] of the module's expression `e`.
+    fn lval_at(&mut self, e: ExprId) -> Result<(Addr, TypeExpr), RuntimeError> {
+        self.lval(self.module.expr(e))
+    }
+
+    /// [`Interp::rval`] of the module's expression `e`.
+    fn rval_at(&mut self, e: ExprId) -> Result<(Value, TypeExpr), RuntimeError> {
+        self.rval(self.module.expr(e))
+    }
+
     /// Evaluates `e` as a place (an addressable cell plus its type).
     fn lval(&mut self, e: &Expr) -> Result<(Addr, TypeExpr), RuntimeError> {
         self.tick()?;
@@ -208,7 +218,7 @@ impl<'m> Interp<'m> {
                 Ok((b.addr, b.ty))
             }
             ExprKind::Unary(UnOp::Deref, inner) => {
-                let (v, t) = self.rval(inner)?;
+                let (v, t) = self.rval_at(*inner)?;
                 let elem = match t {
                     TypeExpr::Ptr(inner) => *inner,
                     other => {
@@ -225,8 +235,8 @@ impl<'m> Interp<'m> {
                 }
             }
             ExprKind::Index(arr, idx) => {
-                let (av, at) = self.rval(arr)?;
-                let (iv, _) = self.rval(idx)?;
+                let (av, at) = self.rval_at(*arr)?;
+                let (iv, _) = self.rval_at(*idx)?;
                 let elem = match at {
                     TypeExpr::Ptr(inner) => *inner,
                     other => {
@@ -260,11 +270,11 @@ impl<'m> Interp<'m> {
                 }
             }
             ExprKind::Field(base, fname) => {
-                let (addr, ty) = self.lval(base)?;
+                let (addr, ty) = self.lval_at(*base)?;
                 self.field_place(addr, &ty, &fname.name)
             }
             ExprKind::Arrow(base, fname) => {
-                let (v, t) = self.rval(base)?;
+                let (v, t) = self.rval_at(*base)?;
                 let inner = match t {
                     TypeExpr::Ptr(inner) => *inner,
                     other => {
@@ -280,8 +290,8 @@ impl<'m> Interp<'m> {
                     }),
                 }
             }
-            other => Err(RuntimeError::TypeFault {
-                detail: format!("not an lvalue: {other:?}"),
+            _ => Err(RuntimeError::TypeFault {
+                detail: format!("not an lvalue: {:?}", self.module.kind_tree(e)),
             }),
         }
     }
@@ -327,7 +337,7 @@ impl<'m> Interp<'m> {
         // Active confine substitution: occurrences of the confined
         // expression denote the fresh copy.
         if !self.substs.is_empty() && is_substitutable(e) {
-            let key = pretty::print_expr(e);
+            let key = pretty::print_expr(self.module, e);
             for (k, v, t) in self.substs.iter().rev() {
                 if *k == key {
                     return Ok((*v, t.clone()));
@@ -350,13 +360,13 @@ impl<'m> Interp<'m> {
                     // sense under & or field selection.
                     TypeExpr::Struct(_) => Ok((Value::Addr(addr), TypeExpr::ptr(ty))),
                     scalar => {
-                        let v = self.read_cell(addr, &pretty::print_expr(e))?;
+                        let v = self.read_cell(addr, &pretty::print_expr(self.module, e))?;
                         Ok((v, scalar))
                     }
                 }
             }
             ExprKind::Unary(UnOp::AddrOf, inner) => {
-                let (addr, ty) = self.lval(inner)?;
+                let (addr, ty) = self.lval_at(*inner)?;
                 // &array decays like the array itself.
                 match ty {
                     TypeExpr::Array(elem, _) => Ok((Value::Addr(addr), TypeExpr::Ptr(elem))),
@@ -364,16 +374,16 @@ impl<'m> Interp<'m> {
                 }
             }
             ExprKind::Unary(UnOp::Neg, inner) => {
-                let (v, _) = self.rval(inner)?;
+                let (v, _) = self.rval_at(*inner)?;
                 Ok((Value::Int(-as_int(v)?), TypeExpr::Int))
             }
             ExprKind::Unary(UnOp::Not, inner) => {
-                let (v, _) = self.rval(inner)?;
+                let (v, _) = self.rval_at(*inner)?;
                 Ok((Value::Int((as_int(v)? == 0) as i64), TypeExpr::Int))
             }
             ExprKind::Binary(op, a, b) => {
-                let (va, _) = self.rval(a)?;
-                let (vb, _) = self.rval(b)?;
+                let (va, _) = self.rval_at(*a)?;
+                let (vb, _) = self.rval_at(*b)?;
                 let n = match op {
                     BinOp::Eq => (values_equal(va, vb)) as i64,
                     BinOp::Ne => (!values_equal(va, vb)) as i64,
@@ -408,19 +418,20 @@ impl<'m> Interp<'m> {
                 Ok((Value::Int(n), TypeExpr::Int))
             }
             ExprKind::Assign(lhs, rhs) => {
-                let (v, vt) = self.rval(rhs)?;
+                let (v, vt) = self.rval_at(*rhs)?;
+                let lhs = self.module.expr(*lhs);
                 let (addr, _) = self.lval(lhs)?;
-                self.write_cell(addr, v, &pretty::print_expr(lhs))?;
+                self.write_cell(addr, v, &pretty::print_expr(self.module, lhs))?;
                 Ok((v, vt))
             }
-            ExprKind::Call(f, args) => self.call(&f.name, args),
+            ExprKind::Call(f, args) => self.call(&f.name, *args),
             ExprKind::New(init) => {
-                let (v, t) = self.rval(init)?;
+                let (v, t) = self.rval_at(*init)?;
                 let addr = self.mem.alloc_cell(v);
                 Ok((Value::Addr(addr), TypeExpr::ptr(t)))
             }
             ExprKind::Cast(ty, inner) => {
-                let (v, _) = self.rval(inner)?;
+                let (v, _) = self.rval_at(*inner)?;
                 // Dynamically a no-op reinterpretation; abuse surfaces as
                 // a later TypeFault/MemoryFault.
                 let v = match (ty, v) {
@@ -437,11 +448,11 @@ impl<'m> Interp<'m> {
 
     // ---- Statements ----------------------------------------------------------
 
-    fn block(&mut self, b: &Block) -> Result<Flow, RuntimeError> {
+    fn block(&mut self, b: BlockId) -> Result<Flow, RuntimeError> {
         self.scopes.push(HashMap::new());
         let mut restores: Vec<Restore> = Vec::new();
         let mut flow = Flow::Normal;
-        for s in &b.stmts {
+        for s in self.module.stmts(b) {
             match self.stmt(s, &mut restores)? {
                 Flow::Normal => {}
                 other => {
@@ -491,7 +502,7 @@ impl<'m> Interp<'m> {
         self.tick()?;
         match &s.kind {
             StmtKind::Expr(e) => {
-                self.rval(e)?;
+                self.rval_at(*e)?;
                 Ok(Flow::Normal)
             }
             StmtKind::Decl {
@@ -502,7 +513,7 @@ impl<'m> Interp<'m> {
             } => {
                 let addr = self.mem.alloc(ty);
                 if let Some(e) = init {
-                    let (v, _) = self.rval(e)?;
+                    let (v, _) = self.rval_at(*e)?;
                     match binding {
                         BindingKind::Let => {
                             self.write_cell(addr, v, &name.name)?;
@@ -534,7 +545,7 @@ impl<'m> Interp<'m> {
                 Ok(Flow::Normal)
             }
             StmtKind::Restrict { name, init, body } => {
-                let (v, t) = self.rval(init)?;
+                let (v, t) = self.rval_at(*init)?;
                 let l = match v {
                     Value::Addr(a) => a,
                     other => {
@@ -554,12 +565,13 @@ impl<'m> Interp<'m> {
                         ty: t.clone(),
                     },
                 );
-                let flow = self.block(body)?;
+                let flow = self.block(*body)?;
                 self.scopes.pop();
                 self.restore(Restore { orig: l, copy });
                 Ok(flow)
             }
             StmtKind::Confine { expr, body } => {
+                let expr = self.module.expr(*expr);
                 let (v, vt) = self.rval(expr)?;
                 let l = match v {
                     Value::Addr(a) => a,
@@ -570,9 +582,9 @@ impl<'m> Interp<'m> {
                     }
                 };
                 let copy = self.enter_restrict(l)?;
-                let key = pretty::print_expr(expr);
+                let key = pretty::print_expr(self.module, expr);
                 self.substs.push((key, Value::Addr(copy), vt));
-                let flow = self.block(body)?;
+                let flow = self.block(*body)?;
                 self.substs.pop();
                 self.restore(Restore { orig: l, copy });
                 Ok(flow)
@@ -582,27 +594,27 @@ impl<'m> Interp<'m> {
                 then_blk,
                 else_blk,
             } => {
-                let (v, _) = self.rval(cond)?;
+                let (v, _) = self.rval_at(*cond)?;
                 if truthy(v) {
-                    self.block(then_blk)
+                    self.block(*then_blk)
                 } else if let Some(e) = else_blk {
-                    self.block(e)
+                    self.block(*e)
                 } else {
                     Ok(Flow::Normal)
                 }
             }
             StmtKind::While { cond, body, step } => {
                 loop {
-                    let (v, _) = self.rval(cond)?;
+                    let (v, _) = self.rval_at(*cond)?;
                     if !truthy(v) {
                         return Ok(Flow::Normal);
                     }
-                    match self.block(body)? {
+                    match self.block(*body)? {
                         // C `for` semantics: the step runs after the body
                         // and on `continue`.
                         Flow::Normal | Flow::Continue => {
                             if let Some(step) = step {
-                                self.rval(step)?;
+                                self.rval_at(*step)?;
                             }
                         }
                         Flow::Break => return Ok(Flow::Normal),
@@ -612,22 +624,22 @@ impl<'m> Interp<'m> {
             }
             StmtKind::Return(e) => {
                 let v = match e {
-                    Some(e) => self.rval(e)?.0,
+                    Some(e) => self.rval_at(*e)?.0,
                     None => Value::Void,
                 };
                 Ok(Flow::Return(v))
             }
             StmtKind::Break => Ok(Flow::Break),
             StmtKind::Continue => Ok(Flow::Continue),
-            StmtKind::Block(b) => self.block(b),
+            StmtKind::Block(b) => self.block(*b),
         }
     }
 
     // ---- Calls -----------------------------------------------------------------
 
-    fn call(&mut self, name: &str, args: &[Expr]) -> Result<(Value, TypeExpr), RuntimeError> {
+    fn call(&mut self, name: &str, args: ExprList) -> Result<(Value, TypeExpr), RuntimeError> {
         let mut vals = Vec::with_capacity(args.len());
-        for a in args {
+        for a in self.module.args(args) {
             vals.push(self.rval(a)?.0);
         }
         if intrinsics::is_change_type(name) {
@@ -659,7 +671,7 @@ impl<'m> Interp<'m> {
         self.scopes.push(HashMap::new());
 
         let mut restores = Vec::new();
-        for (p, v) in f.params.iter().zip(args) {
+        for (p, v) in self.module.params(f.params).iter().zip(args) {
             let addr = self.mem.alloc(&p.ty);
             let bound = if p.restrict {
                 // A restrict parameter enters a restrict scope for the
@@ -685,7 +697,7 @@ impl<'m> Interp<'m> {
             );
         }
 
-        let result = self.block(&f.body);
+        let result = self.block(f.body);
 
         for r in restores.into_iter().rev() {
             self.restore(r);
@@ -752,7 +764,7 @@ impl<'m> Interp<'m> {
             return Err(RuntimeError::Unbound(name.to_string()));
         };
         let mut args = Vec::new();
-        for p in &f.params {
+        for p in self.module.params(f.params) {
             let v = match &p.ty {
                 TypeExpr::Ptr(inner) => Value::Addr(self.mem.alloc(inner)),
                 TypeExpr::Int => Value::Int(n),
@@ -773,7 +785,7 @@ impl<'m> Interp<'m> {
             return Err(RuntimeError::Unbound(name.to_string()));
         };
         let mut vals = args.to_vec();
-        for p in f.params.iter().skip(vals.len()) {
+        for p in self.module.params(f.params).iter().skip(vals.len()) {
             vals.push(match &p.ty {
                 TypeExpr::Ptr(inner) => Value::Addr(self.mem.alloc(inner)),
                 other => default_value(other),

@@ -20,7 +20,8 @@
 # the lock checker's one-walk exactness tests (the sweep equals
 # `check_modes`, whose reports equal per-mode checks), the front end's
 # and the analysis's pinned output digests, the canonical cache key's
-# properties, the fingerprint kernel's known answers and the one-time
+# properties and pinned values, the front end's debug dump and error
+# precedence, the fingerprint kernel's known answers and the one-time
 # quarantine of a version-3 store are gated by name, and the fuzz smoke
 # pins its false-positive counts for the one alias configuration the
 # pipeline runs (Steensgaard). The corpus pass's allocation count is
@@ -125,6 +126,15 @@ gate localias frontend_digest front_end_output_is_pinned
 gate localias analysis_digest analysis_output_is_pinned
 gate localias analysis_digest inference_strategies_are_pinned
 gate localias-bench canonical_key structural_key_tracks_structure_not_text
+# Every canonical key of the corpus, three mega modules and the fuzz
+# stream folds into one pinned value: a re-encoded walk that moved the
+# key of any node kind would otherwise turn every warm hit into a miss.
+gate localias-bench canonical_key canonical_keys_are_pinned
+# The front end's contract on small inputs: the `{:?}` dump of a module
+# with every node kind, and a lexical error winning over an earlier
+# syntax error.
+gate localias-ast front_end_contract module_debug_dump_is_pinned
+gate localias-ast front_end_contract lex_error_wins_over_an_earlier_syntax_error
 # The per-module pipeline's allocation budget is gated by name too: parse
 # plus `check_modes` over the corpus must stay under its ceiling, and each
 # phase (parse, base, the confine scan, the rest of confine inference,
@@ -312,7 +322,7 @@ COLDTAB="$CACHE/profile-cold.txt"
 ./target/release/localias experiment --jobs 1 --no-cache --profile \
     >/dev/null 2>"$COLDTAB"
 for SPAN in ast.parse core.base core.confine core.propose core.freeze \
-    cqual.check; do
+    cqual.check bench.drop; do
     grep -q "^bench.sweep/.*$SPAN " "$COLDTAB" || {
         echo "check.sh: cold --profile table missing the $SPAN span:" >&2
         cat "$COLDTAB" >&2

@@ -12,7 +12,7 @@
 //! * inferred restricts are *sound*: rewriting the program with the
 //!   inferred annotation made explicit passes the checker.
 
-use localias::ast::{parse_module, pretty, BindingKind, Module, NodeId, StmtKind};
+use localias::ast::{parse_module, pretty, BindingKind, BlockId, Module, NodeId, StmtKind};
 use localias::core;
 use localias::cqual::{check_locks_frozen, check_modes, Mode};
 use localias_prng::Rng64;
@@ -131,34 +131,23 @@ fn ident_count(src: &str, name: &str) -> usize {
 
 /// Flips the given `let` declarations to `restrict` in place.
 fn promote_decls(m: &mut Module, targets: &[NodeId]) {
-    fn visit_block(b: &mut localias::ast::Block, targets: &[NodeId]) {
-        for s in &mut b.stmts {
+    fn visit_block(m: &mut Module, b: BlockId, targets: &[NodeId]) {
+        for i in 0..m.stmt_ids(b).len() {
+            let s = m.stmt_mut(m.stmt_ids(b)[i]);
             if targets.contains(&s.id) {
                 if let StmtKind::Decl { binding, .. } = &mut s.kind {
                     *binding = BindingKind::Restrict;
                 }
             }
-            match &mut s.kind {
-                StmtKind::Restrict { body, .. }
-                | StmtKind::Confine { body, .. }
-                | StmtKind::While { body, .. }
-                | StmtKind::Block(body) => visit_block(body, targets),
-                StmtKind::If {
-                    then_blk, else_blk, ..
-                } => {
-                    visit_block(then_blk, targets);
-                    if let Some(e) = else_blk {
-                        visit_block(e, targets);
-                    }
-                }
-                _ => {}
+            let nested: Vec<BlockId> = s.kind.blocks().collect();
+            for inner in nested {
+                visit_block(m, inner, targets);
             }
         }
     }
-    for item in &mut m.items {
-        if let localias::ast::ItemKind::Fun(f) = &mut item.kind {
-            visit_block(&mut f.body, targets);
-        }
+    let bodies: Vec<BlockId> = m.functions().map(|f| f.body).collect();
+    for body in bodies {
+        visit_block(m, body, targets);
     }
 }
 

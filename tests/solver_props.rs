@@ -542,8 +542,8 @@ fn conditional_fixpoint_matches_reference() {
 
 /// The pre-solve constraint system of one analysis of `m`, as
 /// `localias_core::analyze` hands it to the solver.
-fn module_system(m: &Module, opts: Options) -> (ConstraintSystem, LocTable, LocVars) {
-    let (mut state, mut gen) = analyze_with(m, Gen::new(opts));
+fn module_system<'m>(m: &'m Module, opts: Options<'m>) -> (ConstraintSystem, LocTable, LocVars) {
+    let (mut state, mut gen) = analyze_with(m, Gen::new(m, opts));
     gen.finalize(&mut state);
     (gen.cs, state.locs, gen.loc_vars)
 }
