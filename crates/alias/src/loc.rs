@@ -199,7 +199,7 @@ impl LocTable {
     /// The content type stored at `l`'s class.
     pub fn content(&mut self, l: Loc) -> Ty {
         let r = self.find(l);
-        self.info[r.index()].content.clone()
+        self.info[r.index()].content
     }
 
     /// Overwrites the content type of `l`'s class.

@@ -9,12 +9,12 @@
 //! `{ρ} ∪ locs(content(ρ))`, a reachability query over location classes.
 
 use crate::loc::{Loc, LocTable};
-use localias_ast::Symbol;
+use localias_ast::{Names, Symbol};
 use std::collections::HashSet;
 use std::fmt;
 
-/// An analysis type.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// An analysis type: `Copy`, 8 bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Ty {
     /// The integer type.
     Int,
@@ -23,9 +23,9 @@ pub enum Ty {
     Lock,
     /// The unit/void type (function returns only).
     Void,
-    /// A struct value; field locations are tracked field-based via the
-    /// `(struct, field) → location` table in
-    /// [`crate::steensgaard::State`].
+    /// A struct value, by its name in the module's name table; field
+    /// locations are tracked field-based via the `(struct, field) →
+    /// location` table in [`crate::steensgaard::State`].
     Struct(Symbol),
     /// A pointer to abstract location `ρ`.
     Ref(Loc),
@@ -43,15 +43,22 @@ impl Ty {
             _ => None,
         }
     }
+
+    /// The type printed, with a struct's name resolved in `names`.
+    pub fn show<'a>(&self, names: &'a Names) -> impl fmt::Display + 'a {
+        ShowTy(*self, names)
+    }
 }
 
-impl fmt::Display for Ty {
+struct ShowTy<'a>(Ty, &'a Names);
+
+impl fmt::Display for ShowTy<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
+        match self.0 {
             Ty::Int => write!(f, "int"),
             Ty::Lock => write!(f, "lock"),
             Ty::Void => write!(f, "void"),
-            Ty::Struct(s) => write!(f, "struct {s}"),
+            Ty::Struct(s) => write!(f, "struct {}", self.1.get(s)),
             Ty::Ref(l) => write!(f, "ref {l}"),
             Ty::Unknown => write!(f, "?"),
         }
@@ -65,6 +72,16 @@ pub struct TypeMismatch {
     pub left: String,
     /// See `left`.
     pub right: String,
+}
+
+impl TypeMismatch {
+    /// The mismatch of types `a` and `b`, printed with `names`.
+    pub fn between(names: &Names, a: &Ty, b: &Ty) -> TypeMismatch {
+        TypeMismatch {
+            left: a.show(names).to_string(),
+            right: b.show(names).to_string(),
+        }
+    }
 }
 
 impl fmt::Display for TypeMismatch {
@@ -82,26 +99,26 @@ impl fmt::Display for TypeMismatch {
 /// * [`Ty::Unknown`] absorbs anything.
 ///
 /// On a genuine mismatch the involved pointer locations are **tainted**
-/// (they can no longer be restricted/confined), a [`TypeMismatch`] is
-/// appended to `mismatches`, and `Unknown` is returned — the analysis
-/// stays total and conservative rather than failing.
-pub fn unify(table: &mut LocTable, a: &Ty, b: &Ty, mismatches: &mut Vec<TypeMismatch>) -> Ty {
-    match (a, b) {
+/// (they can no longer be restricted/confined), the two types are passed
+/// to `mismatch`, and `Unknown` is returned — the analysis stays total
+/// and conservative rather than failing.
+pub fn unify(table: &mut LocTable, a: &Ty, b: &Ty, mismatch: &mut dyn FnMut(&Ty, &Ty)) -> Ty {
+    match (*a, *b) {
         (Ty::Unknown, other) | (other, Ty::Unknown) => {
             // Losing type information taints any pointer structure it
             // touches.
             if let Ty::Ref(l) = other {
-                table.taint(*l);
+                table.taint(l);
             }
-            other.clone()
+            other
         }
         (Ty::Int, Ty::Int) => Ty::Int,
         (Ty::Lock, Ty::Lock) => Ty::Lock,
         (Ty::Void, Ty::Void) => Ty::Void,
-        (Ty::Struct(s1), Ty::Struct(s2)) if s1 == s2 => Ty::Struct(s1.clone()),
+        (Ty::Struct(s1), Ty::Struct(s2)) if s1 == s2 => Ty::Struct(s1),
         (Ty::Ref(l1), Ty::Ref(l2)) => {
-            let r1 = table.find(*l1);
-            let r2 = table.find(*l2);
+            let r1 = table.find(l1);
+            let r2 = table.find(l2);
             if r1 == r2 {
                 return Ty::Ref(r1);
             }
@@ -110,18 +127,15 @@ pub fn unify(table: &mut LocTable, a: &Ty, b: &Ty, mismatches: &mut Vec<TypeMism
             let c1 = table.content(r1);
             let c2 = table.content(r2);
             let (winner, _) = table.union_raw(r1, r2).expect("distinct classes");
-            let merged = unify(table, &c1, &c2, mismatches);
+            let merged = unify(table, &c1, &c2, mismatch);
             table.set_content(winner, merged);
             Ty::Ref(winner)
         }
         (x, y) => {
-            mismatches.push(TypeMismatch {
-                left: x.to_string(),
-                right: y.to_string(),
-            });
+            mismatch(&x, &y);
             for t in [x, y] {
                 if let Ty::Ref(l) = t {
-                    table.taint(*l);
+                    table.taint(l);
                 }
             }
             Ty::Unknown
@@ -138,7 +152,7 @@ pub fn unify(table: &mut LocTable, a: &Ty, b: &Ty, mismatches: &mut Vec<TypeMism
 /// agree with.
 pub fn locs_of(table: &mut LocTable, ty: &Ty) -> HashSet<Loc> {
     let mut out = HashSet::new();
-    let mut stack = vec![ty.clone()];
+    let mut stack = vec![*ty];
     while let Some(t) = stack.pop() {
         if let Ty::Ref(l) = t {
             let r = table.find(l);
@@ -154,12 +168,20 @@ pub fn locs_of(table: &mut LocTable, ty: &Ty) -> HashSet<Loc> {
 mod tests {
     use super::*;
 
+    /// Unifies, collecting the mismatched pairs into `errs`.
+    fn unify_into(t: &mut LocTable, a: &Ty, b: &Ty, errs: &mut Vec<(Ty, Ty)>) -> Ty {
+        unify(t, a, b, &mut |x, y| errs.push((*x, *y)))
+    }
+
     #[test]
     fn unify_base_types() {
         let mut t = LocTable::new();
         let mut errs = Vec::new();
-        assert_eq!(unify(&mut t, &Ty::Int, &Ty::Int, &mut errs), Ty::Int);
-        assert_eq!(unify(&mut t, &Ty::Lock, &Ty::Lock, &mut errs), Ty::Lock);
+        assert_eq!(unify_into(&mut t, &Ty::Int, &Ty::Int, &mut errs), Ty::Int);
+        assert_eq!(
+            unify_into(&mut t, &Ty::Lock, &Ty::Lock, &mut errs),
+            Ty::Lock
+        );
         assert!(errs.is_empty());
     }
 
@@ -169,7 +191,7 @@ mod tests {
         let mut errs = Vec::new();
         let l1 = t.fresh(Ty::Int);
         let l2 = t.fresh(Ty::Int);
-        let merged = unify(&mut t, &Ty::Ref(l1), &Ty::Ref(l2), &mut errs);
+        let merged = unify_into(&mut t, &Ty::Ref(l1), &Ty::Ref(l2), &mut errs);
         assert!(t.same(l1, l2));
         assert_eq!(merged, Ty::Ref(t.find(l1)));
         assert!(errs.is_empty());
@@ -185,7 +207,7 @@ mod tests {
         let b = t.fresh(Ty::Int);
         let l1 = t.fresh(Ty::Ref(a));
         let l2 = t.fresh(Ty::Ref(b));
-        unify(&mut t, &Ty::Ref(l1), &Ty::Ref(l2), &mut errs);
+        unify_into(&mut t, &Ty::Ref(l1), &Ty::Ref(l2), &mut errs);
         assert!(t.same(a, b), "pointee locations must merge");
         assert!(errs.is_empty());
     }
@@ -199,7 +221,7 @@ mod tests {
         t.set_content(l1, Ty::Ref(l1));
         let l2 = t.fresh(Ty::Unknown);
         t.set_content(l2, Ty::Ref(l2));
-        unify(&mut t, &Ty::Ref(l1), &Ty::Ref(l2), &mut errs);
+        unify_into(&mut t, &Ty::Ref(l1), &Ty::Ref(l2), &mut errs);
         assert!(t.same(l1, l2));
     }
 
@@ -208,7 +230,7 @@ mod tests {
         let mut t = LocTable::new();
         let mut errs = Vec::new();
         let l = t.fresh(Ty::Int);
-        let out = unify(&mut t, &Ty::Ref(l), &Ty::Int, &mut errs);
+        let out = unify_into(&mut t, &Ty::Ref(l), &Ty::Int, &mut errs);
         assert_eq!(out, Ty::Unknown);
         assert_eq!(errs.len(), 1);
         assert!(t.is_tainted(l));
@@ -219,7 +241,7 @@ mod tests {
         let mut t = LocTable::new();
         let mut errs = Vec::new();
         let l = t.fresh(Ty::Int);
-        let out = unify(&mut t, &Ty::Unknown, &Ty::Ref(l), &mut errs);
+        let out = unify_into(&mut t, &Ty::Unknown, &Ty::Ref(l), &mut errs);
         assert_eq!(out, Ty::Ref(l));
         assert!(t.is_tainted(l), "flowing through Unknown taints");
         assert!(errs.is_empty());

@@ -6,20 +6,20 @@ use localias_alias::loc::Multiplicity;
 use localias_alias::steensgaard::analyze;
 use localias_alias::Ty;
 use localias_ast::visit::{walk_expr, walk_module, Visitor};
-use localias_ast::{parse_module, Expr, ExprKind, Module, NodeId, UnOp};
+use localias_ast::{parse_module, Expr, ExprId, ExprKind, Module, UnOp};
 
 fn parse(src: &str) -> Module {
     parse_module("alias-test", src).expect("parse")
 }
 
 /// All `*name` dereference expression ids, in source order.
-fn derefs_of(m: &Module, name: &str) -> Vec<NodeId> {
-    struct D<'a>(&'a str, Vec<NodeId>);
+fn derefs_of(m: &Module, name: &str) -> Vec<ExprId> {
+    struct D<'a>(&'a str, Vec<ExprId>);
     impl Visitor for D<'_> {
         fn visit_expr(&mut self, m: &Module, e: &Expr) {
-            if let ExprKind::Unary(UnOp::Deref, inner) = &e.kind {
-                if matches!(&m.expr(*inner).kind, ExprKind::Var(x) if x.name == self.0) {
-                    self.1.push(e.id);
+            if let ExprKind::Unary(UnOp::Deref, inner) = e.kind {
+                if matches!(m.expr(inner).kind, ExprKind::Var(x) if m.name(x.name) == self.0) {
+                    self.1.push(m.expr_id(e));
                 }
             }
             walk_expr(self, m, e);
@@ -46,8 +46,8 @@ fn double_pointers_unify_by_level() {
     // The inner pointees must have merged: find *pp and *qq types.
     let dpp = derefs_of(&m, "pp")[0];
     let dqq = derefs_of(&m, "qq")[0];
-    let tp = a.state.expr_ty[dpp.index()].clone().unwrap();
-    let tq = a.state.expr_ty[dqq.index()].clone().unwrap();
+    let tp = a.state.exprs[dpp.index()].ty.unwrap();
+    let tq = a.state.exprs[dqq.index()].ty.unwrap();
     match (tp, tq) {
         (Ty::Ref(l1), Ty::Ref(l2)) => assert!(a.state.locs.same(l1, l2)),
         other => panic!("expected pointer types, got {other:?}"),
@@ -77,7 +77,7 @@ fn pointer_in_struct_flows_through_field() {
             .state
             .vars
             .iter()
-            .position(|v| v.name == "target")
+            .position(|v| m.name(v.name) == "target")
             .unwrap();
         match a.state.vars[v].kind {
             localias_alias::VarKind::Addressed(l) => a.state.locs.find(l),
@@ -105,7 +105,13 @@ fn extern_args_unify_with_each_other() {
     );
     let mut an = analyze(&m);
     let (la, lb) = {
-        let pos = |n: &str| an.state.vars.iter().position(|v| v.name == n).expect("var");
+        let pos = |n: &str| {
+            an.state
+                .vars
+                .iter()
+                .position(|v| m.name(v.name) == n)
+                .expect("var")
+        };
         let loc = |an: &mut localias_alias::ModuleAliases, i: usize| match an.state.vars[i].kind {
             localias_alias::VarKind::Addressed(l) => an.state.locs.find(l),
             _ => panic!("addressed"),
@@ -134,11 +140,11 @@ fn separate_arrays_do_not_alias() {
         "#,
     );
     let mut a = analyze(&m);
-    struct Idx(Vec<NodeId>);
+    struct Idx(Vec<ExprId>);
     impl Visitor for Idx {
         fn visit_expr(&mut self, m: &Module, e: &Expr) {
             if matches!(e.kind, ExprKind::Index(_, _)) {
-                self.0.push(e.id);
+                self.0.push(m.expr_id(e));
             }
             walk_expr(self, m, e);
         }
@@ -234,7 +240,12 @@ fn stress_many_chained_copies() {
     let mut a = analyze(&m);
     let d = derefs_of(&m, "p199")[0];
     let g_loc = {
-        let v = a.state.vars.iter().position(|v| v.name == "g").unwrap();
+        let v = a
+            .state
+            .vars
+            .iter()
+            .position(|v| m.name(v.name) == "g")
+            .unwrap();
         match a.state.vars[v].kind {
             localias_alias::VarKind::Addressed(l) => a.state.locs.find(l),
             _ => panic!(),

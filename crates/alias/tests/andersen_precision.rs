@@ -4,7 +4,7 @@
 use localias_alias::andersen::{analyze, Cell};
 use localias_alias::steensgaard;
 use localias_ast::visit::{walk_expr, walk_module, Visitor};
-use localias_ast::{parse_module, Expr, ExprKind, Module, NodeId, UnOp};
+use localias_ast::{parse_module, Expr, ExprId, ExprKind, Module, UnOp};
 
 fn parse(src: &str) -> Module {
     parse_module("andersen", src).expect("parse")
@@ -143,13 +143,13 @@ fn strictly_more_precise_than_unification_on_the_separator() {
 
     // Steensgaard: the deref of q lands in a class that also covers a.
     let mut uni = steensgaard::analyze(&m);
-    struct FindDeref(Option<NodeId>);
+    struct FindDeref(Option<ExprId>);
     impl Visitor for FindDeref {
         fn visit_expr(&mut self, m: &Module, e: &Expr) {
             if self.0.is_none() {
-                if let ExprKind::Unary(UnOp::Deref, inner) = &e.kind {
-                    if matches!(&m.expr(*inner).kind, ExprKind::Var(x) if x.name == "q") {
-                        self.0 = Some(e.id);
+                if let ExprKind::Unary(UnOp::Deref, inner) = e.kind {
+                    if matches!(m.expr(inner).kind, ExprKind::Var(x) if m.name(x.name) == "q") {
+                        self.0 = Some(m.expr_id(e));
                     }
                 }
             }
@@ -165,7 +165,7 @@ fn strictly_more_precise_than_unification_on_the_separator() {
             .state
             .vars
             .iter()
-            .position(|v| v.name == "a")
+            .position(|v| m.name(v.name) == "a")
             .expect("a");
         match uni.state.vars[i].kind {
             localias_alias::VarKind::Addressed(l) => uni.state.locs.find(l),

@@ -33,6 +33,7 @@
 //! bench re-exports these items.
 
 use crate::ast::*;
+use crate::intern::Symbol;
 
 /// Bumped whenever any analysis stage changes observable results, or
 /// whenever a cache key moves, so a stale on-disk module store can never
@@ -258,7 +259,10 @@ impl Encoder<'_> {
         self.varint(((n << 1) ^ (n >> 63)) as u64);
     }
 
-    fn name(&mut self, s: &str) {
+    /// A name, as its text: the key must not depend on the order in
+    /// which the module's names were interned.
+    fn name(&mut self, sym: Symbol) {
+        let s = self.m.name(sym);
         self.len(s.len());
         self.out.extend_from_slice(s.as_bytes());
     }
@@ -267,30 +271,30 @@ impl Encoder<'_> {
         match &item.kind {
             ItemKind::Struct(s) => {
                 self.tag(0);
-                self.name(&s.name.name);
+                self.name(s.name.name);
                 self.len(s.fields.len());
-                for (f, ty) in &s.fields {
-                    self.name(&f.name);
+                for &(f, ty) in &s.fields {
+                    self.name(f.name);
                     self.ty(ty);
                 }
             }
             ItemKind::Global(g) => {
                 self.tag(1);
-                self.name(&g.name.name);
-                self.ty(&g.ty);
+                self.name(g.name.name);
+                self.ty(g.ty);
             }
             ItemKind::Fun(f) => {
                 self.tag(2);
-                self.name(&f.name.name);
+                self.name(f.name.name);
                 self.params(f.params);
-                self.ty(&f.ret);
+                self.ty(f.ret);
                 self.block(f.body);
             }
             ItemKind::Extern(x) => {
                 self.tag(3);
-                self.name(&x.name.name);
+                self.name(x.name.name);
                 self.params(x.params);
-                self.ty(&x.ret);
+                self.ty(x.ret);
             }
         }
     }
@@ -299,27 +303,27 @@ impl Encoder<'_> {
         let m = self.m;
         self.len(params.len());
         for p in m.params(params) {
-            self.name(&p.name.name);
-            self.ty(&p.ty);
+            self.name(p.name.name);
+            self.ty(p.ty);
             self.tag(p.restrict as u8);
         }
     }
 
-    fn ty(&mut self, ty: &TypeExpr) {
-        match ty {
-            TypeExpr::Int => self.tag(0),
-            TypeExpr::Lock => self.tag(1),
-            TypeExpr::Void => self.tag(2),
-            TypeExpr::Ptr(t) => {
+    fn ty(&mut self, ty: TypeExpr) {
+        match self.m.ty(ty) {
+            TypeKind::Int => self.tag(0),
+            TypeKind::Lock => self.tag(1),
+            TypeKind::Void => self.tag(2),
+            TypeKind::Ptr(t) => {
                 self.tag(3);
                 self.ty(t);
             }
-            TypeExpr::Array(t, n) => {
+            TypeKind::Array(t, n) => {
                 self.tag(4);
                 self.ty(t);
-                self.len(*n);
+                self.len(n);
             }
-            TypeExpr::Struct(s) => {
+            TypeKind::Struct(s) => {
                 self.tag(5);
                 self.name(s);
             }
@@ -368,13 +372,13 @@ impl Encoder<'_> {
                     BindingKind::Let => 0,
                     BindingKind::Restrict => 1,
                 });
-                self.ty(ty);
-                self.name(&name.name);
+                self.ty(*ty);
+                self.name(name.name);
                 self.opt_expr(*init);
             }
             StmtKind::Restrict { name, init, body } => {
                 self.tag(2);
-                self.name(&name.name);
+                self.name(name.name);
                 self.sub(*init);
                 self.block(*body);
             }
@@ -426,7 +430,7 @@ impl Encoder<'_> {
             }
             ExprKind::Var(x) => {
                 self.tag(1);
-                self.name(&x.name);
+                self.name(x.name);
             }
             ExprKind::Unary(op, a) => {
                 self.tag(2);
@@ -446,7 +450,7 @@ impl Encoder<'_> {
             }
             ExprKind::Call(f, args) => {
                 self.tag(5);
-                self.name(&f.name);
+                self.name(f.name);
                 let m = self.m;
                 self.len(args.len());
                 for a in m.args(*args) {
@@ -461,12 +465,12 @@ impl Encoder<'_> {
             ExprKind::Field(a, f) => {
                 self.tag(7);
                 self.sub(*a);
-                self.name(&f.name);
+                self.name(f.name);
             }
             ExprKind::Arrow(a, f) => {
                 self.tag(8);
                 self.sub(*a);
-                self.name(&f.name);
+                self.name(f.name);
             }
             ExprKind::New(a) => {
                 self.tag(9);
@@ -474,7 +478,7 @@ impl Encoder<'_> {
             }
             ExprKind::Cast(ty, a) => {
                 self.tag(10);
-                self.ty(ty);
+                self.ty(*ty);
                 self.sub(*a);
             }
         }

@@ -100,38 +100,43 @@ impl<'m> Printer<'m> {
     }
 
     fn item(&mut self, item: &Item) {
+        let m = self.m;
         match &item.kind {
             ItemKind::Struct(s) => {
-                self.open(&format!("struct {}", s.name));
-                for (name, ty) in &s.fields {
-                    self.line(&Self::decl_str(ty, &name.name));
+                self.open(&format!("struct {}", m.name(s.name.name)));
+                for &(name, ty) in &s.fields {
+                    self.line(&self.decl_str(ty, name));
                 }
                 self.close(";");
             }
             ItemKind::Global(g) => {
-                self.line(&Self::decl_str(&g.ty, &g.name.name));
+                self.line(&self.decl_str(g.ty, g.name));
             }
             ItemKind::Extern(e) => {
-                let params = Self::params_str(self.m.params(e.params));
-                self.line(&format!("extern {} {}({});", e.ret, e.name, params));
+                let params = self.params_str(e.params);
+                let (ret, name) = (m.show_type(e.ret), m.name(e.name.name));
+                self.line(&format!("extern {ret} {name}({params});"));
             }
             ItemKind::Fun(f) => {
-                let params = Self::params_str(self.m.params(f.params));
-                self.open(&format!("{} {}({})", f.ret, f.name, params));
+                let params = self.params_str(f.params);
+                let (ret, name) = (m.show_type(f.ret), m.name(f.name.name));
+                self.open(&format!("{ret} {name}({params})"));
                 self.stmts(f.body);
                 self.close("");
             }
         }
     }
 
-    fn params_str(params: &[Param]) -> String {
-        params
+    fn params_str(&self, params: ParamList) -> String {
+        let m = self.m;
+        m.params(params)
             .iter()
             .map(|p| {
+                let (ty, name) = (m.show_type(p.ty), m.name(p.name.name));
                 if p.restrict {
-                    format!("{} restrict {}", p.ty, p.name)
+                    format!("{ty} restrict {name}")
                 } else {
-                    format!("{} {}", p.ty, p.name)
+                    format!("{ty} {name}")
                 }
             })
             .collect::<Vec<_>>()
@@ -139,18 +144,22 @@ impl<'m> Printer<'m> {
     }
 
     /// Formats `T x;` handling the `T[n]` → `T x[n];` declarator shuffle.
-    fn decl_str(ty: &TypeExpr, name: &str) -> String {
-        match ty {
-            TypeExpr::Array(elem, n) => format!("{elem} {name}[{n}];"),
-            _ => format!("{ty} {name};"),
+    fn decl_str(&self, ty: TypeExpr, name: Ident) -> String {
+        format!("{};", self.declarator(ty, name))
+    }
+
+    /// `T x`, or `T x[n]` for an array type.
+    fn declarator(&self, ty: TypeExpr, name: Ident) -> String {
+        let m = self.m;
+        let name = m.name(name.name);
+        match m.ty(ty) {
+            TypeKind::Array(elem, n) => format!("{} {name}[{n}]", m.show_type(elem)),
+            _ => format!("{} {name}", m.show_type(ty)),
         }
     }
 
-    fn decl_init_str(&self, ty: &TypeExpr, name: &str, init: Option<ExprId>) -> String {
-        let lhs = match ty {
-            TypeExpr::Array(elem, n) => format!("{elem} {name}[{n}]"),
-            _ => format!("{ty} {name}"),
-        };
+    fn decl_init_str(&self, ty: TypeExpr, name: Ident, init: Option<ExprId>) -> String {
+        let lhs = self.declarator(ty, name);
         match init {
             Some(e) => format!("{lhs} = {};", self.expr_str(e)),
             None => format!("{lhs};"),
@@ -173,11 +182,12 @@ impl<'m> Printer<'m> {
                     BindingKind::Let => "",
                     BindingKind::Restrict => "restrict ",
                 };
-                let rest = self.decl_init_str(ty, &name.name, *init);
+                let rest = self.decl_init_str(*ty, *name, *init);
                 self.line(&format!("{prefix}{rest}"));
             }
             StmtKind::Restrict { name, init, body } => {
                 let init = self.expr_str(*init);
+                let name = self.m.name(name.name);
                 self.open(&format!("restrict {name} = {init}"));
                 self.stmts(*body);
                 self.close("");
@@ -246,7 +256,7 @@ impl<'m> Printer<'m> {
             ExprKind::Int(n) => {
                 let _ = write!(self.out, "{n}");
             }
-            ExprKind::Var(x) => self.out.push_str(&x.name),
+            ExprKind::Var(x) => self.out.push_str(self.m.name(x.name)),
             ExprKind::Unary(op, inner) => {
                 self.out.push_str(op.symbol());
                 self.out.push('(');
@@ -266,7 +276,7 @@ impl<'m> Printer<'m> {
                 self.sub(*b);
             }
             ExprKind::Call(f, args) => {
-                self.out.push_str(&f.name);
+                self.out.push_str(self.m.name(f.name));
                 self.out.push('(');
                 let m = self.m;
                 for (i, a) in m.args(*args).enumerate() {
@@ -285,11 +295,11 @@ impl<'m> Printer<'m> {
             }
             ExprKind::Field(a, f) => {
                 self.sub(*a);
-                let _ = write!(self.out, ".{f}");
+                let _ = write!(self.out, ".{}", self.m.name(f.name));
             }
             ExprKind::Arrow(a, f) => {
                 self.sub(*a);
-                let _ = write!(self.out, "->{f}");
+                let _ = write!(self.out, "->{}", self.m.name(f.name));
             }
             ExprKind::New(inner) => {
                 self.out.push_str("new (");
@@ -297,7 +307,7 @@ impl<'m> Printer<'m> {
                 self.out.push(')');
             }
             ExprKind::Cast(ty, inner) => {
-                let _ = write!(self.out, "({ty}) (");
+                let _ = write!(self.out, "({}) (", self.m.show_type(*ty));
                 self.sub(*inner);
                 self.out.push(')');
             }

@@ -119,8 +119,8 @@ pub fn call_sites(m: &Module) -> Vec<(Symbol, NodeId)> {
     struct Calls(Vec<(Symbol, NodeId)>);
     impl Visitor for Calls {
         fn visit_expr(&mut self, m: &Module, e: &Expr) {
-            if let ExprKind::Call(name, _) = &e.kind {
-                self.0.push((name.name.clone(), e.id));
+            if let ExprKind::Call(name, _) = e.kind {
+                self.0.push((name.name, e.id));
             }
             walk_expr(self, m, e);
         }
@@ -143,7 +143,7 @@ mod tests {
         )
         .unwrap();
         let calls = call_sites(&m);
-        let names: Vec<_> = calls.iter().map(|(n, _)| n.as_str()).collect();
+        let names: Vec<_> = calls.iter().map(|&(n, _)| m.name(n)).collect();
         assert_eq!(names, vec!["spin_lock", "work", "spin_unlock"]);
     }
 

@@ -42,7 +42,7 @@
 
 use crate::Better::{Higher, Lower};
 use crate::{json_hists, json_trace, Artifact, ObsReport};
-use localias_ast::{parse_module, pretty, BlockId, Module, StmtId, TypeExpr};
+use localias_ast::{parse_module, pretty, BlockId, Module, StmtId, TypeKind};
 use localias_core::SharedAnalysis;
 use localias_corpus::fuzz_module;
 use localias_cqual::{check_modes, CallGraph, LockReport, Mode, MODES};
@@ -405,15 +405,15 @@ fn int_assignments(params: usize) -> Vec<Vec<i64>> {
 
 /// Functions reachable from `entry` in the call graph (itself plus
 /// transitive defined callees).
-fn reach_of(cg: &CallGraph, entry: &str) -> BTreeSet<String> {
+fn reach_of(m: &Module, cg: &CallGraph, entry: &str) -> BTreeSet<String> {
     let mut seen = BTreeSet::new();
-    let Some(start) = cg.node(entry) else {
+    let Some(start) = m.symbol(entry).and_then(|s| cg.node(s)) else {
         seen.insert(entry.to_string());
         return seen;
     };
     let mut stack = vec![start];
     while let Some(v) = stack.pop() {
-        if seen.insert(cg.name(v).to_string()) {
+        if seen.insert(m.name(cg.name(v)).to_string()) {
             stack.extend_from_slice(cg.callees(v));
         }
     }
@@ -444,7 +444,7 @@ fn check_one(m: &Module, fuel: u64, checker: &dyn Fn(&Module) -> StaticMatrix) -
     for f in m.functions() {
         let _span = obs::span!("fuzz.execute", obs::Hist::FuzzExecute);
         out.entries += 1;
-        let name = f.name.name.to_string();
+        let name = m.name(f.name.name).to_string();
         let mut first_fault: Option<String> = None;
         for ints in int_assignments(f.params.len()) {
             out.runs += 1;
@@ -453,16 +453,16 @@ fn check_one(m: &Module, fuel: u64, checker: &dyn Fn(&Module) -> StaticMatrix) -
                 .params(f.params)
                 .iter()
                 .enumerate()
-                .map(|(pi, p)| match &p.ty {
-                    TypeExpr::Int => Value::Int(ints[pi]),
-                    TypeExpr::Ptr(inner) => interp.fresh_object(inner),
+                .map(|(pi, p)| match m.ty(p.ty) {
+                    TypeKind::Int => Value::Int(ints[pi]),
+                    TypeKind::Ptr(inner) => interp.fresh_object(inner),
                     other => default_value(other),
                 })
                 .collect();
             let res = interp.call_entry(&name, &args);
             out.dyn_faults += interp.lock_faults.len() as u64;
             for lf in &interp.lock_faults {
-                fault_funs.insert(lf.fun.clone());
+                fault_funs.insert(lf.fun.to_string());
                 if first_fault.is_none() {
                     first_fault = Some(format!("{}: {}", lf.fun, lf.detail));
                 }
@@ -497,7 +497,7 @@ fn check_one(m: &Module, fuel: u64, checker: &dyn Fn(&Module) -> StaticMatrix) -
         faulted_entries
             .into_iter()
             .map(|(entry, detail)| {
-                let reach = reach_of(&cg, &entry);
+                let reach = reach_of(m, &cg, &entry);
                 (entry, reach, detail)
             })
             .collect()

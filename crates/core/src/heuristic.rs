@@ -26,7 +26,7 @@
 use crate::outcome::ConfineSite;
 use localias_alias::FxMap;
 use localias_ast::{
-    intrinsics, pretty, BlockId, Expr, ExprId, ExprKind, Module, NodeId, Stmt, StmtKind,
+    pretty, BlockId, Expr, ExprId, ExprKind, Module, NodeId, Stmt, StmtKind, Symbol,
 };
 
 /// A proposed `confine?` site: confine `expr` around statements
@@ -98,11 +98,11 @@ fn own_exprs(s: &Stmt) -> [Option<ExprId>; 2] {
 }
 
 /// Pushes the free variable names of `e` onto `out`, each once.
-fn free_vars<'m>(m: &'m Module, e: &'m Expr, out: &mut Vec<&'m str>) {
+fn free_vars(m: &Module, e: &Expr, out: &mut Vec<Symbol>) {
     each_expr(m, e, &mut |e| {
-        if let ExprKind::Var(x) = &e.kind {
-            if !out.contains(&x.name.as_str()) {
-                out.push(&x.name);
+        if let ExprKind::Var(x) = e.kind {
+            if !out.contains(&x.name) {
+                out.push(x.name);
             }
         }
     });
@@ -110,13 +110,13 @@ fn free_vars<'m>(m: &'m Module, e: &'m Expr, out: &mut Vec<&'m str>) {
 
 /// Pushes the names assigned (as whole variables) anywhere within a
 /// statement onto `out`, skipping names already in `out[run..]`.
-fn assigned_vars<'m>(m: &'m Module, s: &'m Stmt, out: &mut Vec<&'m str>, run: usize) {
+fn assigned_vars(m: &Module, s: &Stmt, out: &mut Vec<Symbol>, run: usize) {
     for e in own_exprs(s).into_iter().flatten() {
         each_expr(m, m.expr(e), &mut |e| {
             if let ExprKind::Assign(lhs, _) = e.kind {
-                if let ExprKind::Var(x) = &m.expr(lhs).kind {
-                    if !out[run..].contains(&x.name.as_str()) {
-                        out.push(&x.name);
+                if let ExprKind::Var(x) = m.expr(lhs).kind {
+                    if !out[run..].contains(&x.name) {
+                        out.push(x.name);
                     }
                 }
             }
@@ -139,9 +139,9 @@ fn direct_change_type_args<'m>(m: &'m Module, s: &'m Stmt, keys: &mut Vec<&'m Ex
     }
     for e in own_exprs(s).into_iter().flatten() {
         each_expr(m, m.expr(e), &mut |e| {
-            if let ExprKind::Call(f, args) = &e.kind {
-                if intrinsics::is_change_type(&f.name) {
-                    for a in m.args(*args) {
+            if let ExprKind::Call(f, args) = e.kind {
+                if f.name.is_change_type() {
+                    for a in m.args(args) {
                         if a.is_confinable_shape(m) {
                             add_key(m, keys, run, a);
                         }
@@ -165,8 +165,8 @@ fn add_key<'m>(m: &Module, keys: &mut Vec<&'m Expr>, run: usize, e: &'m Expr) {
 const NONE: u32 = u32::MAX;
 
 /// One name binding in scope.
-struct Binding<'m> {
-    name: &'m str,
+struct Binding {
+    name: Symbol,
     /// Nesting depth: 0 for globals and parameters, 1 for a function body.
     depth: usize,
     /// Index of the binding statement in its block.
@@ -217,16 +217,16 @@ struct Scan<'m> {
     /// candidate set), not just the min–max heuristic range.
     general: bool,
     out: Vec<ConfineCandidate<'m>>,
-    /// The innermost binding of each name in scope, as an index into
-    /// `bindings`.
-    env: FxMap<&'m str, u32>,
+    /// The innermost binding in scope of each name, indexed by name, as
+    /// an index into `bindings` ([`NONE`] for none).
+    env: Vec<u32>,
     /// Every binding in scope, innermost last.
-    bindings: Vec<Binding<'m>>,
+    bindings: Vec<Binding>,
     /// The statements enclosing the current position, outermost first.
     ancestors: Vec<Ancestor>,
     /// Names assigned anywhere within each statement of the blocks being
     /// scanned, one run per statement.
-    assigned: Vec<&'m str>,
+    assigned: Vec<Symbol>,
     /// The `change_type` arguments of each statement of the blocks being
     /// scanned (direct, then bubbled up from nested blocks), one run per
     /// statement, one example per syntactic match group.
@@ -241,7 +241,7 @@ struct Scan<'m> {
     groups: Vec<Group<'m>>,
     texts: String,
     /// The free variables of the group proposing candidates.
-    fv: Vec<&'m str>,
+    fv: Vec<Symbol>,
     /// The latest candidate at each `(block, start, end)` site; earlier
     /// ones at the same site chain through `next_at_site`.
     seen: FxMap<(NodeId, usize, usize), u32>,
@@ -277,9 +277,9 @@ impl<'m> Scan<'m> {
         });
     }
 
-    fn bind(&mut self, name: &'m str, depth: usize, idx: usize) {
+    fn bind(&mut self, name: Symbol, depth: usize, idx: usize) {
         let ix = self.bindings.len() as u32;
-        let shadows = self.env.insert(name, ix).unwrap_or(NONE);
+        let shadows = std::mem::replace(&mut self.env[name.index()], ix);
         self.bindings.push(Binding {
             name,
             depth,
@@ -292,19 +292,15 @@ impl<'m> Scan<'m> {
     fn unbind_to(&mut self, mark: usize) {
         while self.bindings.len() > mark {
             let b = self.bindings.pop().expect("above the mark");
-            if b.shadows == NONE {
-                self.env.remove(b.name);
-            } else {
-                self.env.insert(b.name, b.shadows);
-            }
+            self.env[b.name.index()] = b.shadows;
         }
     }
 
     /// Is `name` visible just before statement `idx` at nesting `depth`
     /// (i.e. bound in a strictly enclosing scope, or earlier in the same
     /// block)?
-    fn visible_before(&self, name: &str, depth: usize, idx: usize) -> bool {
-        let mut at = self.env.get(name).copied().unwrap_or(NONE);
+    fn visible_before(&self, name: Symbol, depth: usize, idx: usize) -> bool {
+        let mut at = self.env[name.index()];
         while at != NONE {
             let b = &self.bindings[at as usize];
             if b.depth < depth || (b.depth == depth && b.idx < idx) {
@@ -342,8 +338,8 @@ impl<'m> Scan<'m> {
                 assigned: (assigned_start, assigned_end),
             });
             let inner_mark = self.bindings.len();
-            if let StmtKind::Restrict { name, .. } = &s.kind {
-                self.bind(&name.name, depth + 1, 0);
+            if let StmtKind::Restrict { name, .. } = s.kind {
+                self.bind(name.name, depth + 1, 0);
             }
             for child in s.kind.blocks() {
                 let from = self.bubbled.len();
@@ -357,8 +353,8 @@ impl<'m> Scan<'m> {
             self.unbind_to(inner_mark);
             self.ancestors.pop();
 
-            if let StmtKind::Decl { name, .. } = &s.kind {
-                self.bind(&name.name, depth, i);
+            if let StmtKind::Decl { name, .. } = s.kind {
+                self.bind(name.name, depth, i);
             }
             self.stmts.push(StmtRuns {
                 assigned_end,
@@ -440,7 +436,7 @@ impl<'m> Scan<'m> {
                 if self.general {
                     for si in self.group_stmts(keys_base, stmts_base, example) {
                         if range_ok(self, si, si)
-                            && fv.iter().all(|v| self.visible_before(v, depth, si))
+                            && fv.iter().all(|&v| self.visible_before(v, depth, si))
                         {
                             self.push_candidate(b.id, si, si, k, example);
                         }
@@ -449,7 +445,7 @@ impl<'m> Scan<'m> {
                 continue;
             }
             // Free variables must be visible at the range start.
-            if !fv.iter().all(|v| self.visible_before(v, depth, start)) {
+            if !fv.iter().all(|&v| self.visible_before(v, depth, start)) {
                 continue;
             }
 
@@ -479,7 +475,7 @@ impl<'m> Scan<'m> {
                 let a = self.ancestors[depth_ix];
                 if !fv
                     .iter()
-                    .all(|v| self.visible_before(v, depth_ix + 1, a.idx))
+                    .all(|&v| self.visible_before(v, depth_ix + 1, a.idx))
                 {
                     break; // further out, still fewer names visible
                 }
@@ -556,14 +552,13 @@ pub fn propose_confines_general(m: &Module) -> Vec<ConfineCandidate<'_>> {
 }
 
 fn propose_with(m: &Module, general: bool) -> Vec<ConfineCandidate<'_>> {
-    // Room for the globals and a function's parameters and locals.
-    let names = m.globals().count() + 32;
     let mut scan = Scan {
         m,
         general,
         out: Vec::new(),
-        env: FxMap::with_capacity_and_hasher(names, Default::default()),
-        bindings: Vec::with_capacity(names),
+        env: vec![NONE; m.names().len()],
+        // Room for the globals and a function's parameters and locals.
+        bindings: Vec::with_capacity(m.globals().count() + 32),
         ancestors: Vec::new(),
         assigned: Vec::new(),
         keys: Vec::new(),
@@ -576,12 +571,12 @@ fn propose_with(m: &Module, general: bool) -> Vec<ConfineCandidate<'_>> {
         next_at_site: Vec::new(),
     };
     for g in m.globals() {
-        scan.bind(&g.name.name, 0, 0);
+        scan.bind(g.name.name, 0, 0);
     }
     let globals = scan.bindings.len();
     for f in m.functions() {
         for p in m.params(f.params) {
-            scan.bind(&p.name.name, 0, 0);
+            scan.bind(p.name.name, 0, 0);
         }
         scan.block(f.body, 1);
         scan.bubbled.clear();

@@ -53,7 +53,7 @@ pub use outcome::{CandidateOutcome, ConfineOutcome, ConfineSite, Diag, Reason, R
 
 use localias_alias::{analyze_with, Backend, FrozenLocs, FxHashSet, FxMap, Loc, State};
 use localias_ast::visit::{walk_module, Visitor};
-use localias_ast::{FunDef, Module, NodeId, Param};
+use localias_ast::{FunDef, Module, NodeId, Param, Symbol};
 use localias_effects::{solve_with, Solution};
 use localias_obs as obs;
 
@@ -74,20 +74,22 @@ pub struct Analysis {
     /// Verdicts on `confine` annotations and `confine?` candidates.
     pub confines: Vec<ConfineOutcome>,
     /// The `(Down)`-masked effect-summary variable of each defined
-    /// function; resolve through [`Analysis::function_effect`].
-    pub fun_effects: FxMap<localias_ast::Symbol, localias_effects::EffVar>,
+    /// function, indexed by name; resolve through
+    /// [`Analysis::function_effect`].
+    pub fun_effects: Vec<Option<localias_effects::EffVar>>,
 }
 
 impl Analysis {
-    /// The solved effect summary of a defined function: the locations it
-    /// may read/write/allocate, as visible to its callers (after the
-    /// `(Down)` mask).
+    /// The solved effect summary of defined function `name` of the
+    /// analysed module `m`: the locations it may read/write/allocate, as
+    /// visible to its callers (after the `(Down)` mask).
     pub fn function_effect(
         &self,
+        m: &Module,
         name: &str,
     ) -> Vec<(localias_alias::Loc, localias_effects::KindMask)> {
-        match self.fun_effects.get(name) {
-            Some(&v) => self.solution.set(v),
+        match m.symbol(name).and_then(|s| self.fun_effects[s.index()]) {
+            Some(v) => self.solution.set(v),
             None => Vec::new(),
         }
     }
@@ -131,7 +133,7 @@ impl Analysis {
         // Parameter pointees the checker may retarget through.
         let is_restrict = self.restrict_param();
         for f in m.functions() {
-            let Some(vars) = self.state.param_vars(&f.name.name) else {
+            let Some(vars) = self.state.param_vars(f.name.name) else {
                 continue;
             };
             for (p, var) in m.params(f.params).iter().zip(vars) {
@@ -151,13 +153,13 @@ impl Analysis {
     /// restricted a candidate keyed by the function's node and the
     /// parameter's name.
     pub fn restrict_param(&self) -> impl Fn(&FunDef, &Param) -> bool + '_ {
-        let inferred: FxHashSet<(NodeId, &str)> = self
+        let inferred: FxHashSet<(NodeId, Symbol)> = self
             .candidates
             .iter()
             .filter(|c| c.restricted)
-            .map(|c| (c.at, c.name.as_str()))
+            .map(|c| (c.at, c.name.symbol()))
             .collect();
-        move |f: &FunDef, p: &Param| p.restrict || inferred.contains(&(f.id, p.name.name.as_str()))
+        move |f: &FunDef, p: &Param| p.restrict || inferred.contains(&(f.id, p.name.name))
     }
 
     /// Freezes the location table through the selected alias [`Backend`].
@@ -462,23 +464,23 @@ mod tests {
     use localias_alias::Ty;
     use localias_ast::parse_module;
     use localias_ast::visit::{walk_expr, walk_module as wm};
-    use localias_ast::{Expr, ExprKind};
+    use localias_ast::{Expr, ExprId, ExprKind};
 
     fn parse(src: &str) -> Module {
         parse_module("test", src).expect("parse")
     }
 
     /// The first argument's node id of call expression `call`.
-    fn find_first_arg(m: &Module, call: NodeId) -> NodeId {
+    fn find_first_arg(m: &Module, call: NodeId) -> ExprId {
         struct F {
             call: NodeId,
-            found: Option<NodeId>,
+            found: Option<ExprId>,
         }
         impl Visitor for F {
             fn visit_expr(&mut self, m: &Module, e: &Expr) {
                 if e.id == self.call {
-                    if let ExprKind::Call(_, args) = &e.kind {
-                        self.found = m.args(*args).next().map(|a| a.id);
+                    if let ExprKind::Call(_, args) = e.kind {
+                        self.found = m.arg_ids(args).first().copied();
                     }
                 }
                 walk_expr(self, m, e);
@@ -786,10 +788,10 @@ mod tests {
         // fresh ρ' of multiplicity One — i.e., strongly updatable.
         let arg = find_expr(
             &m,
-            |e| matches!(&e.kind, ExprKind::Call(f, _) if f.name == "spin_lock"),
+            |e| matches!(e.kind, ExprKind::Call(f, _) if f.name == Symbol::SPIN_LOCK),
         );
         let arg = find_first_arg(&m, arg);
-        match a.state.expr_ty[arg.index()].clone() {
+        match a.state.exprs[arg.index()].ty {
             Some(Ty::Ref(l)) => {
                 assert_eq!(a.state.locs.multiplicity(l), Multiplicity::One);
             }
@@ -860,10 +862,10 @@ mod tests {
         // The chosen candidate enables a strong update at the lock sites.
         let arg = find_expr(
             &m,
-            |e| matches!(&e.kind, ExprKind::Call(f, _) if f.name == "spin_lock"),
+            |e| matches!(e.kind, ExprKind::Call(f, _) if f.name == Symbol::SPIN_LOCK),
         );
         let arg = find_first_arg(&m, arg);
-        match a.state.expr_ty[arg.index()].clone() {
+        match a.state.exprs[arg.index()].ty {
             Some(Ty::Ref(l)) => {
                 assert_eq!(a.state.locs.multiplicity(l), Multiplicity::One);
             }
@@ -1056,12 +1058,12 @@ mod tests {
         );
         let with_down = analyze(&m, Options::default());
         assert!(
-            with_down.function_effect("tmp").is_empty(),
+            with_down.function_effect(&m, "tmp").is_empty(),
             "tmp's effects are all on dead temporaries: {:?}",
-            with_down.function_effect("tmp")
+            with_down.function_effect(&m, "tmp")
         );
         assert_eq!(
-            with_down.function_effect("toucher").len(),
+            with_down.function_effect(&m, "toucher").len(),
             1,
             "the global write is visible"
         );
@@ -1074,7 +1076,7 @@ mod tests {
             },
         );
         assert!(
-            !without_down.function_effect("tmp").is_empty(),
+            !without_down.function_effect(&m, "tmp").is_empty(),
             "ablation: the temporary's alloc/write leaks into the summary"
         );
     }
@@ -1098,7 +1100,7 @@ mod tests {
             "#,
         );
         let with_down = analyze(&m, Options::default());
-        let masked = with_down.function_effect("walk");
+        let masked = with_down.function_effect(&m, "walk");
         assert_eq!(masked.len(), 1, "only the write to g survives: {masked:?}");
 
         let without_down = analyze(
@@ -1108,7 +1110,7 @@ mod tests {
                 ..Options::default()
             },
         );
-        let leaked = without_down.function_effect("walk");
+        let leaked = without_down.function_effect(&m, "walk");
         assert!(
             leaked.len() > masked.len(),
             "ablation: frame's location pollutes the recursive summary: {leaked:?}"
@@ -1226,8 +1228,8 @@ mod tests {
         let m = parse(SPLITTABLE);
         let mut a = check(&m);
         let coarse = a.freeze();
-        let la = loc_of_global(&a, "a");
-        let lb = loc_of_global(&a, "b");
+        let la = loc_of_global(&m, &a, "a");
+        let lb = loc_of_global(&m, &a, "b");
         assert!(coarse.same(la, lb), "Steensgaard conflates a and b");
         assert!(!coarse.strong_updatable(la));
         let fine = a.freeze_with(Backend::Andersen, &m);
@@ -1271,14 +1273,16 @@ mod tests {
     }
 
     /// The canonical location of global `name` in `a`'s state.
-    fn loc_of_global(a: &Analysis, name: &str) -> Loc {
+    fn loc_of_global(m: &Module, a: &Analysis, name: &str) -> Loc {
         a.state
             .vars
             .iter()
-            .find_map(|v| match (v.name == name && v.fun.is_none(), &v.kind) {
-                (true, localias_alias::VarKind::Addressed(l)) => Some(*l),
-                _ => None,
-            })
+            .find_map(
+                |v| match (m.name(v.name) == name && v.fun.is_none(), &v.kind) {
+                    (true, localias_alias::VarKind::Addressed(l)) => Some(*l),
+                    _ => None,
+                },
+            )
             .expect("global location")
     }
 }

@@ -1,6 +1,6 @@
 //! Diagnostics and per-annotation/per-candidate outcomes.
 
-use localias_ast::{NodeId, Span, Symbol};
+use localias_ast::{Name, NodeId, Span};
 use std::fmt;
 
 /// Why a `restrict`/`confine` was rejected (or an error reported).
@@ -80,7 +80,7 @@ pub struct RestrictOutcome {
     /// The annotation's statement/function node.
     pub at: NodeId,
     /// The restricted name.
-    pub name: Symbol,
+    pub name: Name,
     /// Rejection reasons; empty means the annotation checks.
     pub reasons: Vec<Reason>,
     /// The original location `ρ` and the fresh scope-local `ρ'`
@@ -102,7 +102,7 @@ pub struct CandidateOutcome {
     /// The declaration's statement node.
     pub at: NodeId,
     /// The declared name.
-    pub name: Symbol,
+    pub name: Name,
     /// `true` if the binding can soundly be a `restrict`.
     pub restricted: bool,
     /// `(ρ, ρ')` for the candidate (after demotion the two are unified,
@@ -176,16 +176,19 @@ mod tests {
 
     #[test]
     fn outcome_ok() {
+        let mut names = localias_ast::Names::default();
+        let p = names.intern("p");
+        let names = std::sync::Arc::new(names);
         let o = RestrictOutcome {
             at: NodeId(0),
-            name: "p".into(),
+            name: Name::new(&names, p),
             reasons: vec![],
             locs: None,
         };
         assert!(o.ok());
         let o = RestrictOutcome {
             at: NodeId(0),
-            name: "p".into(),
+            name: Name::new(&names, p),
             reasons: vec![Reason::Escapes],
             locs: None,
         };

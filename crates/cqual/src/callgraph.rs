@@ -18,7 +18,6 @@
 //! the callee comes earlier in the order; a call into a cyclic function
 //! that is not yet summarized conservatively havocs the store.
 
-use localias_alias::FxHashMap;
 use localias_ast::visit::{walk_expr, Visitor};
 use localias_ast::{Expr, ExprKind, Module, NodeId, Symbol};
 use localias_obs as obs;
@@ -27,10 +26,12 @@ use localias_obs as obs;
 /// bottom-up schedule. See the module docs.
 #[derive(Debug, Clone)]
 pub struct CallGraph {
-    /// Function names; the node id *is* the index into this sorted list.
+    /// Function names; the node id *is* the index into this list, sorted
+    /// by text.
     names: Vec<Symbol>,
-    /// Name → node id.
-    index: FxHashMap<Symbol, usize>,
+    /// Each name's node id, indexed by name; [`NO_NODE`] for a name that
+    /// is no defined function.
+    node_of: Vec<u32>,
     /// The node of each function definition, in definition order.
     defs: Vec<usize>,
     /// Each call site's callee node, by the call expression's id;
@@ -49,15 +50,15 @@ pub struct CallGraph {
 }
 
 /// Marks an id of [`CallGraph::callee_of`] that is no call to a defined
-/// function.
+/// function, and a name of [`CallGraph::node_of`] that names none.
 const NO_NODE: u32 = u32::MAX;
 
 /// Resolves the call sites of one function body: each call's callee node
 /// goes to `callee_of`, and each defined callee other than `caller` to
 /// `edges`; a call to `caller` itself sets `self_rec`.
 struct Calls<'g> {
-    index: &'g FxHashMap<Symbol, usize>,
-    caller: &'g Symbol,
+    node_of: &'g [u32],
+    caller: Symbol,
     callee_of: &'g mut Vec<u32>,
     edges: &'g mut Vec<usize>,
     self_rec: bool,
@@ -65,17 +66,18 @@ struct Calls<'g> {
 
 impl Visitor for Calls<'_> {
     fn visit_expr(&mut self, m: &Module, e: &Expr) {
-        if let ExprKind::Call(name, _) = &e.kind {
-            if let Some(&c) = self.index.get(&name.name) {
+        if let ExprKind::Call(name, _) = e.kind {
+            let c = self.node_of[name.name.index()];
+            if c != NO_NODE {
                 let site = e.id.index();
                 if site >= self.callee_of.len() {
                     self.callee_of.resize(site + 1, NO_NODE);
                 }
-                self.callee_of[site] = c as u32;
-                if name.name == *self.caller {
+                self.callee_of[site] = c;
+                if name.name == self.caller {
                     self.self_rec = true;
                 } else {
-                    self.edges.push(c);
+                    self.edges.push(c as usize);
                 }
             }
         }
@@ -90,14 +92,13 @@ impl CallGraph {
         // Node ids: defined function names, sorted — so numeric order on
         // ids is alphabetical order on names, whatever the definition
         // order was.
-        let mut names: Vec<Symbol> = m.functions().map(|f| f.name.name.clone()).collect();
-        names.sort();
+        let mut names: Vec<Symbol> = m.functions().map(|f| f.name.name).collect();
+        names.sort_unstable_by_key(|&s| m.name(s));
         names.dedup();
-        let index: FxHashMap<Symbol, usize> = names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.clone(), i))
-            .collect();
+        let mut node_of = vec![NO_NODE; m.names().len()];
+        for (i, n) in names.iter().enumerate() {
+            node_of[n.index()] = i as u32;
+        }
         let n = names.len();
 
         // Edges. With duplicate definitions the later definition's callee
@@ -109,12 +110,12 @@ impl CallGraph {
         let mut edges = Vec::new();
         let mut self_rec = vec![false; n];
         for f in m.functions() {
-            let v = index[&f.name.name];
+            let v = node_of[f.name.name.index()] as usize;
             defs.push(v);
             let start = edges.len();
             let mut calls = Calls {
-                index: &index,
-                caller: &f.name.name,
+                node_of: &node_of,
+                caller: f.name.name,
                 callee_of: &mut callee_of,
                 edges: &mut edges,
                 self_rec: false,
@@ -136,7 +137,7 @@ impl CallGraph {
         let (order, cyclic) = schedule(&callees, &edges, &self_rec);
         CallGraph {
             names,
-            index,
+            node_of,
             defs,
             callee_of,
             callees,
@@ -157,13 +158,16 @@ impl CallGraph {
     }
 
     /// The function name of node `v`.
-    pub fn name(&self, v: usize) -> &str {
-        &self.names[v]
+    pub fn name(&self, v: usize) -> Symbol {
+        self.names[v]
     }
 
     /// The node id of a defined function, if any.
-    pub fn node(&self, name: &str) -> Option<usize> {
-        self.index.get(name).copied()
+    pub fn node(&self, name: Symbol) -> Option<usize> {
+        match self.node_of[name.index()] {
+            NO_NODE => None,
+            v => Some(v as usize),
+        }
     }
 
     /// Sorted defined callees of `v` (excluding `v` itself).
@@ -246,11 +250,34 @@ mod tests {
     use super::*;
     use localias_ast::parse_module;
 
-    fn graph(src: &str) -> CallGraph {
-        CallGraph::build(&parse_module("t", src).expect("parse"))
+    /// A module and its graph, with lookups by name.
+    struct Graph(Module, CallGraph);
+
+    impl std::ops::Deref for Graph {
+        type Target = CallGraph;
+
+        fn deref(&self) -> &CallGraph {
+            &self.1
+        }
     }
 
-    fn names(g: &CallGraph) -> Vec<&str> {
+    impl Graph {
+        fn node(&self, name: &str) -> Option<usize> {
+            self.1.node(self.0.symbol(name)?)
+        }
+
+        fn name(&self, v: usize) -> &str {
+            self.0.name(self.1.name(v))
+        }
+    }
+
+    fn graph(src: &str) -> Graph {
+        let m = parse_module("t", src).expect("parse");
+        let g = CallGraph::build(&m);
+        Graph(m, g)
+    }
+
+    fn names(g: &Graph) -> Vec<&str> {
         g.order().iter().map(|&v| g.name(v)).collect()
     }
 

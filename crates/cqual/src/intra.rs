@@ -22,8 +22,7 @@ use crate::summary::{retarget, ParamInfo, Summaries, Summary};
 use localias_alias::fx::FxHashMap;
 use localias_alias::{FrozenLocs, Loc, State, Ty};
 use localias_ast::{
-    intrinsics, BlockId, Expr, ExprId, ExprKind, ExprList, FunDef, Module, NodeId, Stmt, StmtKind,
-    Symbol,
+    BlockId, Expr, ExprId, ExprKind, ExprList, FunDef, Module, Name, NodeId, Stmt, StmtKind, Symbol,
 };
 use localias_core::{Analysis, ConfineSite};
 use localias_obs as obs;
@@ -121,7 +120,7 @@ impl<'a> CheckContext<'a> {
         let mut param_runs = vec![(0, 0); graph.len()];
         let mut params = Vec::with_capacity(m.functions().map(|f| f.params.len()).sum());
         for (f, &v) in m.functions().zip(graph.defs()) {
-            let vars = analysis.state.param_vars(&f.name.name);
+            let vars = analysis.state.param_vars(f.name.name);
             let start = params.len();
             for (i, p) in m.params(f.params).iter().enumerate() {
                 let rho_p = vars.and_then(|v| v.get(i)).and_then(|v| v.ty.pointee());
@@ -203,7 +202,7 @@ pub(crate) fn check_function(cx: &CheckContext<'_>, walk: &mut Walk, f: &FunDef,
     let mut fc = FunctionChecker {
         cx,
         walk,
-        current_fun: f.name.name.clone(),
+        current_fun: Name::new(cx.module.names(), f.name.name),
         reqs,
         recording: true,
         return_store: Store::bottom(),
@@ -252,7 +251,8 @@ struct FunctionChecker<'c, 'a> {
     /// Summary slots by node id, filled for the functions checked before
     /// this one; this function's requirements append to its arrays.
     walk: &'c mut Walk,
-    current_fun: Symbol,
+    /// The function checked, shared by its errors.
+    current_fun: Name,
     /// Where this function's requirements start in the walk's `reqs`.
     reqs: usize,
     recording: bool,
@@ -449,7 +449,7 @@ impl FunctionChecker<'_, '_> {
                 for a in self.cx.module.args(*args) {
                     self.eval(a, store);
                 }
-                self.call(e.id, &f.name, *args, store);
+                self.call(e.id, f.name, *args, store);
             }
         }
     }
@@ -473,17 +473,15 @@ impl FunctionChecker<'_, '_> {
         }
     }
 
-    fn call(&mut self, site: NodeId, callee: &str, args: ExprList, store: &mut Store) {
-        let args = self.cx.module.args(args);
-        if intrinsics::is_change_type(callee) {
+    fn call(&mut self, site: NodeId, callee: Symbol, args: ExprList, store: &mut Store) {
+        let args = self.cx.module.arg_ids(args);
+        if callee.is_change_type() {
             let (required, new, op) = match callee {
-                intrinsics::SPIN_LOCK => (LockState::Unlocked, LockState::Locked, LockOp::Acquire),
-                intrinsics::SPIN_UNLOCK => {
-                    (LockState::Locked, LockState::Unlocked, LockOp::Release)
-                }
+                Symbol::SPIN_LOCK => (LockState::Unlocked, LockState::Locked, LockOp::Acquire),
+                Symbol::SPIN_UNLOCK => (LockState::Locked, LockState::Unlocked, LockOp::Release),
                 _ => {
                     // Generic change_type: no requirement, unknown result.
-                    for a in args {
+                    for &a in args {
                         if let Some(loc) = self.arg_pointee(a) {
                             store.update(loc, LockState::Top, false);
                         }
@@ -494,7 +492,7 @@ impl FunctionChecker<'_, '_> {
             if self.recording {
                 self.walk.sites += 1;
             }
-            let Some(arg) = args.clone().next() else {
+            let Some(&arg) = args.first() else {
                 return;
             };
             let Some(loc) = self.arg_pointee(arg) else {
@@ -542,10 +540,10 @@ impl FunctionChecker<'_, '_> {
     /// Maps a callee's restrict-parameter `ρ'` locations to the actual
     /// arguments' pointee locations at this call site, into the walk's
     /// `retargets` (a later parameter with the same `ρ'` wins).
-    fn fill_retargets<'m>(&mut self, callee: usize, args: impl Iterator<Item = &'m Expr>) {
+    fn fill_retargets(&mut self, callee: usize, args: &[ExprId]) {
         let cx = self.cx;
         self.walk.retargets.clear();
-        for (info, arg) in cx.params(callee).iter().zip(args) {
+        for (info, &arg) in cx.params(callee).iter().zip(args) {
             if !info.restrict {
                 continue;
             }
@@ -561,9 +559,9 @@ impl FunctionChecker<'_, '_> {
     }
 
     /// The canonical pointee location of a pointer-valued argument.
-    fn arg_pointee(&self, arg: &Expr) -> Option<Loc> {
-        match self.cx.state.expr_ty.get(arg.id.index())?.as_ref()? {
-            Ty::Ref(l) => Some(self.cx.frozen.find(*l)),
+    fn arg_pointee(&self, arg: ExprId) -> Option<Loc> {
+        match self.cx.state.exprs[arg.index()].ty? {
+            Ty::Ref(l) => Some(self.cx.frozen.find(l)),
             _ => None,
         }
     }

@@ -1,7 +1,7 @@
 //! Lock-checking error reports.
 
 use crate::qual::LockState;
-use localias_ast::{NodeId, Symbol};
+use localias_ast::{Name, NodeId};
 use std::fmt;
 
 /// Which operation failed to verify.
@@ -35,8 +35,8 @@ pub struct LockError {
     pub op: LockOp,
     /// The state the analysis had for the lock at that point.
     pub found: LockState,
-    /// The enclosing function.
-    pub fun: Symbol,
+    /// The enclosing function, sharing its module's name table.
+    pub fun: Name,
 }
 
 impl fmt::Display for LockError {
@@ -82,11 +82,13 @@ mod tests {
 
     #[test]
     fn display_forms() {
+        let mut names = localias_ast::Names::default();
+        let f = names.intern("f");
         let e = LockError {
             site: NodeId(3),
             op: LockOp::Release,
             found: LockState::Top,
-            fun: "f".into(),
+            fun: Name::new(&std::sync::Arc::new(names), f),
         };
         assert_eq!(
             e.to_string(),

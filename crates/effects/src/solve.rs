@@ -714,12 +714,11 @@ fn apply_action(
     for &(a, b) in cs.action_unify(i) {
         // Unify the classes and their contents; mismatches here mean the
         // program was already ill-typed and have been reported elsewhere.
-        let mut mismatches = Vec::new();
         localias_alias::unify(
             locs,
             &localias_alias::Ty::Ref(a),
             &localias_alias::Ty::Ref(b),
-            &mut mismatches,
+            &mut |_, _| {},
         );
     }
     let (start, end) = cs.conditionals[i].include;

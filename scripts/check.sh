@@ -135,6 +135,11 @@ gate localias-bench canonical_key canonical_keys_are_pinned
 # syntax error.
 gate localias-ast front_end_contract module_debug_dump_is_pinned
 gate localias-ast front_end_contract lex_error_wins_over_an_earlier_syntax_error
+# Names and types are `Copy` ids into per-module tables: a 4-byte
+# `Symbol`, an 8-byte `Ty`, and expression and statement nodes no larger
+# than the ids made them, so a refcounted name cannot creep back into a
+# node, a variable or a type.
+gate localias-alias layout names_and_types_are_small_copy_ids
 # The per-module pipeline's allocation budget is gated by name too: parse
 # plus `check_modes` over the corpus must stay under its ceiling, and each
 # phase (parse, base, the confine scan, the rest of confine inference,

@@ -45,7 +45,8 @@ impl Digest {
         self.fold(&a.confines);
         self.fold(&a.state.mismatches);
         for f in m.functions() {
-            self.fold(&(f.name.name.as_str(), a.function_effect(&f.name.name)));
+            let name = m.name(f.name.name);
+            self.fold(&(name, a.function_effect(m, name)));
         }
         self.fold(&(a.solution.rounds, a.solution.fired));
     }

@@ -167,16 +167,16 @@ fn andersen_refines_steensgaard() {
 
         // Compare per-function pointer locals pairwise.
         for f in m.functions() {
-            let fun = f.name.name.as_str();
+            let fun = m.name(f.name.name);
             let vars: Vec<&localias::alias::VarInfo> = uni
                 .state
                 .vars
                 .iter()
-                .filter(|v| v.fun.as_deref() == Some(fun))
+                .filter(|v| v.fun == Some(f.name.name))
                 .collect();
             let ptrs: Vec<(String, localias::alias::Loc)> = vars
                 .iter()
-                .filter_map(|v| v.ty.pointee().map(|l| (v.name.to_string(), l)))
+                .filter_map(|v| v.ty.pointee().map(|l| (m.name(v.name).to_string(), l)))
                 .collect();
             for i in 0..ptrs.len() {
                 for j in (i + 1)..ptrs.len() {

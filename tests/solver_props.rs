@@ -407,7 +407,7 @@ fn reference_outcome(cs: &mut ConstraintSystem, locs: &mut LocTable, lv: &mut Lo
                 flags: set,
             } = cs.action(i);
             for (a, b) in pairs {
-                unify(locs, &Ty::Ref(a), &Ty::Ref(b), &mut Vec::new());
+                unify(locs, &Ty::Ref(a), &Ty::Ref(b), &mut |_, _| {});
             }
             cs.includes.extend(include);
             for f in set {
