@@ -1,15 +1,16 @@
 //! An FxHash-style multiplicative hasher for analysis-internal keys.
 //!
-//! The identifier interner, the effect solver (small integer keys: `Loc`,
-//! `EffVar`) and the typing walk (symbol keys) spend real time probing
-//! hash maps; SipHash's per-lookup cost dwarfs the one-multiply mix below.
+//! The name table's index (identifier text), the effect solver (small
+//! integer keys: `Loc`, `EffVar`) and the typing walk (`(struct, field)`
+//! symbol pairs) spend real time probing hash tables; SipHash's
+//! per-lookup cost dwarfs the one-multiply mix below.
 //! Not DoS-resistant: the keys are locations and variables the analyses
 //! allocate and the identifiers of the module under analysis, so a module
 //! crafted to collide slows only its own analysis.
 //!
 //! This is the workspace's single `FxHasher` home. It lives in
-//! `localias-ast`, the root of the crate graph, because the identifier
-//! interner hashes with it; `localias-alias` and `localias-cqual`
+//! `localias-ast`, the root of the crate graph, because the name table
+//! ([`crate::intern::Names`]) hashes with it; `localias-alias` and `localias-cqual`
 //! re-export it (the checker's hot maps use the [`FxHashMap`] /
 //! [`FxHashSet`] spellings). Map iteration order is never observable in
 //! reports (every ordered artifact is assembled from deterministic

@@ -50,9 +50,9 @@ pub struct Point {
     modules_per_second: f64,
     /// Peak RSS of the sweep process.
     peak_rss_bytes: u64,
-    /// Interner footprint of the sweep process.
+    /// Name-table text of the sweep process (`mem.arena_bytes`).
     arena_bytes: u64,
-    /// Interner deduplication saving of the sweep process.
+    /// Name-table deduplication saving of the sweep process.
     arena_saved_bytes: u64,
 }
 

@@ -70,3 +70,9 @@ pub use localias_corpus as corpus;
 pub use localias_cqual as cqual;
 pub use localias_effects as effects;
 pub use localias_interp as interp;
+
+/// The README's Rust examples, compiled and run as doctests so they
+/// track the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
