@@ -17,9 +17,15 @@
 //! historical checker. A call consumes its callee's summary exactly when
 //! the callee comes earlier in the order; a call into a cyclic function
 //! that is not yet summarized conservatively havocs the store.
+//!
+//! The walk that finds the call sites also marks, bottom up, every
+//! expression, statement and block of a function body that can change a
+//! lock state (`CallGraph::marked`); the checker skips the rest
+//! (DESIGN.md §5).
 
-use localias_ast::visit::{walk_expr, Visitor};
-use localias_ast::{Expr, ExprKind, Module, NodeId, Symbol};
+use localias_ast::{
+    BindingKind, BlockId, ExprId, ExprKind, Module, NodeId, Stmt, StmtKind, Symbol,
+};
 use localias_obs as obs;
 
 /// A call graph over a module's defined functions, with a deterministic
@@ -34,9 +40,10 @@ pub struct CallGraph {
     node_of: Vec<u32>,
     /// The node of each function definition, in definition order.
     defs: Vec<usize>,
-    /// Each call site's callee node, by the call expression's id;
-    /// [`NO_NODE`] for every other id and for calls to undefined
-    /// functions. Every mode's check reads its calls from here.
+    /// Each node's mark, by node id: a call to a defined function holds
+    /// its callee's node, every other marked node [`LIVE`], and every
+    /// unmarked node [`NO_NODE`]. Every mode's check reads its calls and
+    /// the nodes it walks from here.
     callee_of: Vec<u32>,
     /// Each node's sorted, deduplicated defined callees (excluding
     /// itself), as a run in `edges`.
@@ -49,14 +56,25 @@ pub struct CallGraph {
     order: Vec<usize>,
 }
 
-/// Marks an id of [`CallGraph::callee_of`] that is no call to a defined
-/// function, and a name of [`CallGraph::node_of`] that names none.
+/// Marks an unmarked id of [`CallGraph::callee_of`], and a name of
+/// [`CallGraph::node_of`] that names no defined function.
 const NO_NODE: u32 = u32::MAX;
 
-/// Resolves the call sites of one function body: each call's callee node
-/// goes to `callee_of`, and each defined callee other than `caller` to
-/// `edges`; a call to `caller` itself sets `self_rec`.
-struct Calls<'g> {
+/// Marks an id of [`CallGraph::callee_of`] that can change a lock state
+/// but is no call to a defined function.
+const LIVE: u32 = u32::MAX - 1;
+
+/// Walks one function body bottom up. Each call to a defined function
+/// puts its callee's node in `callee_of`, and each defined callee other
+/// than `caller` goes to `edges`; a call to `caller` itself sets
+/// `self_rec`. Every other node that is or contains a `change_type`
+/// call, a call to a defined function, a `return`, `break` or
+/// `continue`, a `restrict` or `confine` statement or a `restrict`
+/// declaration is marked [`LIVE`]. Only these can change a lock state,
+/// touch a location, record a requirement, an error or a site, or end a
+/// path. Each method returns whether its node is marked.
+struct Marks<'g> {
+    m: &'g Module,
     node_of: &'g [u32],
     caller: Symbol,
     callee_of: &'g mut Vec<u32>,
@@ -64,24 +82,102 @@ struct Calls<'g> {
     self_rec: bool,
 }
 
-impl Visitor for Calls<'_> {
-    fn visit_expr(&mut self, m: &Module, e: &Expr) {
-        if let ExprKind::Call(name, _) = e.kind {
-            let c = self.node_of[name.name.index()];
-            if c != NO_NODE {
-                let site = e.id.index();
-                if site >= self.callee_of.len() {
-                    self.callee_of.resize(site + 1, NO_NODE);
-                }
-                self.callee_of[site] = c;
-                if name.name == self.caller {
-                    self.self_rec = true;
-                } else {
-                    self.edges.push(c as usize);
-                }
-            }
+impl Marks<'_> {
+    /// Sets `id`'s entry to `mark`; a `LIVE` mark never hides a call's
+    /// callee.
+    fn set(&mut self, id: NodeId, mark: u32) {
+        let i = id.index();
+        if i >= self.callee_of.len() {
+            self.callee_of.resize(i + 1, NO_NODE);
         }
-        walk_expr(self, m, e);
+        if mark != LIVE || self.callee_of[i] == NO_NODE {
+            self.callee_of[i] = mark;
+        }
+    }
+
+    /// Marks `id` when `live` holds; returns `live`.
+    fn mark(&mut self, id: NodeId, live: bool) -> bool {
+        if live {
+            self.set(id, LIVE);
+        }
+        live
+    }
+
+    fn block(&mut self, b: BlockId) -> bool {
+        let m = self.m;
+        let mut live = false;
+        for s in m.stmts(b) {
+            live |= self.stmt(s);
+        }
+        self.mark(m.block(b).id, live)
+    }
+
+    fn stmt(&mut self, s: &Stmt) -> bool {
+        let live = match s.kind {
+            StmtKind::Expr(e) => self.expr(e),
+            StmtKind::Decl { binding, init, .. } => {
+                init.is_some_and(|e| self.expr(e)) | (binding == BindingKind::Restrict)
+            }
+            StmtKind::Restrict {
+                init: e, body: b, ..
+            }
+            | StmtKind::Confine { expr: e, body: b } => {
+                self.expr(e);
+                self.block(b);
+                true
+            }
+            StmtKind::If {
+                cond,
+                then_blk,
+                else_blk,
+            } => self.expr(cond) | self.block(then_blk) | else_blk.is_some_and(|b| self.block(b)),
+            StmtKind::While { cond, body, step } => {
+                self.expr(cond) | self.block(body) | step.is_some_and(|e| self.expr(e))
+            }
+            StmtKind::Return(e) => {
+                if let Some(e) = e {
+                    self.expr(e);
+                }
+                true
+            }
+            StmtKind::Break | StmtKind::Continue => true,
+            StmtKind::Block(b) => self.block(b),
+        };
+        self.mark(s.id, live)
+    }
+
+    fn expr(&mut self, e: ExprId) -> bool {
+        let m = self.m;
+        let e = m.expr(e);
+        let live = match e.kind {
+            ExprKind::Int(_) | ExprKind::Var(_) => false,
+            ExprKind::Unary(_, a)
+            | ExprKind::New(a)
+            | ExprKind::Cast(_, a)
+            | ExprKind::Field(a, _)
+            | ExprKind::Arrow(a, _) => self.expr(a),
+            ExprKind::Binary(_, a, b) | ExprKind::Assign(a, b) | ExprKind::Index(a, b) => {
+                self.expr(a) | self.expr(b)
+            }
+            ExprKind::Call(name, args) => {
+                let mut live = name.name.is_change_type();
+                for &a in m.arg_ids(args) {
+                    live |= self.expr(a);
+                }
+                let c = self.node_of[name.name.index()];
+                if c != NO_NODE {
+                    if name.name == self.caller {
+                        self.self_rec = true;
+                    } else {
+                        self.edges.push(c as usize);
+                    }
+                    self.set(e.id, c);
+                    return true;
+                }
+                live
+            }
+        };
+        self.mark(e.id, live)
     }
 }
 
@@ -113,15 +209,16 @@ impl CallGraph {
             let v = node_of[f.name.name.index()] as usize;
             defs.push(v);
             let start = edges.len();
-            let mut calls = Calls {
+            let mut marks = Marks {
+                m,
                 node_of: &node_of,
                 caller: f.name.name,
                 callee_of: &mut callee_of,
                 edges: &mut edges,
                 self_rec: false,
             };
-            calls.visit_block(m, f.body);
-            self_rec[v] |= calls.self_rec;
+            marks.block(f.body);
+            self_rec[v] |= marks.self_rec;
             edges[start..].sort_unstable();
             let mut end = start;
             for i in start..edges.len() {
@@ -186,9 +283,18 @@ impl CallGraph {
     /// calls, if it calls one.
     pub(crate) fn call_target(&self, site: NodeId) -> Option<usize> {
         match self.callee_of.get(site.index()) {
-            Some(&c) if c != NO_NODE => Some(c as usize),
+            Some(&c) if c < LIVE => Some(c as usize),
             _ => None,
         }
+    }
+
+    /// Whether node `id` is or contains code that can change a lock
+    /// state (see [`Marks`]). The checker skips every unmarked node: it
+    /// would leave the store as it found it.
+    pub(crate) fn marked(&self, id: NodeId) -> bool {
+        self.callee_of
+            .get(id.index())
+            .is_some_and(|&c| c != NO_NODE)
     }
 
     /// Whether the checker treats `v` as recursive: a call to `v` havocs

@@ -5,8 +5,9 @@
 //! three reports. A byte-identical source gets those reports back without
 //! parsing (a module hit); any other source is parsed, analyzed and
 //! checked from scratch by [`check_modes`]. The whole-module check is
-//! `O(kn)` (the paper's §4); on a 300-function module it is a few
-//! milliseconds of an edit that parsing and analysis dominate, so nothing
+//! `O(kn)` (the paper's §4) and walks only the code that can change a
+//! lock state: on a 300-function module it takes about 0.4 ms of a
+//! 4–5 ms edit (1.6–1.7 ms when it walked every statement), so nothing
 //! finer is cached (DESIGN.md §10).
 
 use crate::flow::{check_modes, MODES};

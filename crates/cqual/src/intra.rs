@@ -43,6 +43,13 @@ pub(crate) struct RangeScope {
 /// the frozen analysis facts, the call graph, and per-function scope/
 /// parameter metadata. Immutable after construction, so one context
 /// serves every function check.
+///
+/// The checker walks only the nodes the graph marks
+/// ([`CallGraph::marked`]): an unmarked statement or expression leaves
+/// the store as it found it. A range scope is the one exception, since
+/// its copies add store entries whatever its statements do; a context
+/// with a range scope in an unmarked block (only a hand-built confine
+/// candidate makes one) walks every node.
 pub(crate) struct CheckContext<'a> {
     pub mode: Mode,
     /// The module whose functions are checked.
@@ -59,6 +66,9 @@ pub(crate) struct CheckContext<'a> {
     pub(crate) range_scopes: Vec<RangeScope>,
     /// `(ρ, ρ')` for explicit confine/restrict statements, by stmt id.
     pub(crate) stmt_scopes: FxHashMap<NodeId, (Loc, Loc)>,
+    /// Whether the walk skips unmarked nodes: no range scope lies in an
+    /// unmarked block.
+    sparse: bool,
     /// Each call-graph node's run of parameter metadata in `params`.
     param_runs: Vec<(usize, usize)>,
     params: Vec<ParamInfo>,
@@ -108,6 +118,7 @@ impl<'a> CheckContext<'a> {
         // (outer) scope must copy in first. The sort is stable, so equal
         // ranges keep their outcome order.
         range_scopes.sort_by_key(|s| (s.block, s.start, std::cmp::Reverse(s.end)));
+        let sparse = range_scopes.iter().all(|s| graph.marked(s.block));
 
         // Parameter metadata. Whether a parameter is restrict is the
         // analysis' rule ([`Analysis::restrict_param`]). The alias
@@ -138,6 +149,7 @@ impl<'a> CheckContext<'a> {
             graph,
             range_scopes,
             stmt_scopes,
+            sparse,
             param_runs,
             params,
         }
@@ -148,6 +160,11 @@ impl<'a> CheckContext<'a> {
         let from = self.range_scopes.partition_point(|s| s.block < block);
         let len = self.range_scopes[from..].partition_point(|s| s.block == block);
         &self.range_scopes[from..from + len]
+    }
+
+    /// Whether the walk visits node `id`.
+    fn walks(&self, id: NodeId) -> bool {
+        !self.sparse || self.graph.marked(id)
     }
 
     /// The parameter metadata of call-graph node `v`.
@@ -206,9 +223,11 @@ pub(crate) fn check_function(cx: &CheckContext<'_>, walk: &mut Walk, f: &FunDef,
         reqs,
         recording: true,
         return_store: Store::bottom(),
+        stmts: 0,
     };
     let mut store = Store::new();
     fc.block(f.body, &mut store);
+    obs::count(obs::Counter::CqualStmtsWalked, fc.stmts);
 
     // The function's exit state is the join of its fall-through state
     // and every early return.
@@ -258,6 +277,8 @@ struct FunctionChecker<'c, 'a> {
     recording: bool,
     /// Join of the stores at every `return` in the current function.
     return_store: Store,
+    /// Statements visited, loop passes included.
+    stmts: u64,
 }
 
 impl FunctionChecker<'_, '_> {
@@ -290,13 +311,19 @@ impl FunctionChecker<'_, '_> {
     fn block(&mut self, b: BlockId, store: &mut Store) {
         let cx = self.cx;
         let m = cx.module;
-        let scopes = cx.scopes(m.block(b).id);
+        let id = m.block(b).id;
+        if !cx.walks(id) {
+            return;
+        }
+        let scopes = cx.scopes(id);
         let mut decl_scopes: Vec<(Loc, Loc)> = Vec::new();
         for (i, s) in m.stmts(b).enumerate() {
             for sc in scopes.iter().filter(|sc| sc.start == i) {
                 self.copy_in(store, sc.rho, sc.rho_p);
             }
-            self.stmt(s, store, &mut decl_scopes);
+            if cx.walks(s.id) {
+                self.stmt(s, store, &mut decl_scopes);
+            }
             // Inner scopes (larger start) copy out first; scopes with
             // one start keep their copy-in order.
             let mut hi = scopes.len();
@@ -316,6 +343,7 @@ impl FunctionChecker<'_, '_> {
     }
 
     fn stmt(&mut self, s: &Stmt, store: &mut Store, decl_scopes: &mut Vec<(Loc, Loc)>) {
+        self.stmts += 1;
         match s.kind {
             StmtKind::Expr(e) => self.expr(e, store),
             StmtKind::Decl { init, .. } => {
@@ -437,6 +465,9 @@ impl FunctionChecker<'_, '_> {
     }
 
     fn eval(&mut self, e: &Expr, store: &mut Store) {
+        if !self.cx.walks(e.id) {
+            return;
+        }
         match &e.kind {
             ExprKind::Int(_) | ExprKind::Var(_) => {}
             ExprKind::Unary(_, a) | ExprKind::New(a) | ExprKind::Cast(_, a) => self.expr(*a, store),

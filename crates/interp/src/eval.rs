@@ -100,6 +100,15 @@ struct Restore {
     copy: Addr,
 }
 
+/// What a fault on a cell names: a variable or operation, or the
+/// expression that read or wrote the cell, printed only when a fault is
+/// raised.
+#[derive(Clone, Copy)]
+enum Label<'a> {
+    Name(&'a str),
+    Expr(&'a Expr),
+}
+
 /// The interpreter for one module.
 pub struct Interp<'m> {
     module: &'m Module,
@@ -195,35 +204,43 @@ impl<'m> Interp<'m> {
         self.mem.types().show(self.module.names(), t)
     }
 
-    fn read_cell(&self, a: Addr, what: &str) -> Result<Value, RuntimeError> {
+    /// The text a fault on a cell names.
+    fn label(&self, what: Label<'_>) -> String {
+        match what {
+            Label::Name(name) => name.to_string(),
+            Label::Expr(e) => pretty::print_expr(self.module, e),
+        }
+    }
+
+    fn read_cell(&self, a: Addr, what: Label<'_>) -> Result<Value, RuntimeError> {
         if !self.mem.in_bounds(a) {
             return Err(RuntimeError::MemoryFault {
-                detail: format!("read of {a} ({what}) out of bounds"),
+                detail: format!("read of {a} ({}) out of bounds", self.label(what)),
             });
         }
         let cell = self.mem.cell(a);
         if cell.poisoned {
             return Err(RuntimeError::RestrictViolation {
-                detail: format!("read of restricted cell {a} ({what})"),
+                detail: format!("read of restricted cell {a} ({})", self.label(what)),
             });
         }
         Ok(cell.value)
     }
 
-    fn write_cell(&mut self, a: Addr, v: Value, what: &str) -> Result<(), RuntimeError> {
+    fn write_cell(&mut self, a: Addr, v: Value, what: Label<'_>) -> Result<(), RuntimeError> {
         if !self.mem.in_bounds(a) {
             return Err(RuntimeError::MemoryFault {
-                detail: format!("write to {a} ({what}) out of bounds"),
+                detail: format!("write to {a} ({}) out of bounds", self.label(what)),
             });
         }
         let cell = self.mem.cell_mut(a);
-        if cell.poisoned {
-            return Err(RuntimeError::RestrictViolation {
-                detail: format!("write to restricted cell {a} ({what})"),
-            });
+        if !cell.poisoned {
+            cell.value = v;
+            return Ok(());
         }
-        cell.value = v;
-        Ok(())
+        Err(RuntimeError::RestrictViolation {
+            detail: format!("write to restricted cell {a} ({})", self.label(what)),
+        })
     }
 
     // ---- Places and values -------------------------------------------------
@@ -363,7 +380,7 @@ impl<'m> Interp<'m> {
                     // sense under & or field selection.
                     TypeKind::Struct(_) => Ok((Value::Addr(addr), self.mem.ptr(ty))),
                     _ => {
-                        let v = self.read_cell(addr, &pretty::print_expr(self.module, e))?;
+                        let v = self.read_cell(addr, Label::Expr(e))?;
                         Ok((v, ty))
                     }
                 }
@@ -424,7 +441,7 @@ impl<'m> Interp<'m> {
                 let (v, vt) = self.rval_at(rhs)?;
                 let lhs = self.module.expr(lhs);
                 let (addr, _) = self.lval(lhs)?;
-                self.write_cell(addr, v, &pretty::print_expr(self.module, lhs))?;
+                self.write_cell(addr, v, Label::Expr(lhs))?;
                 Ok((v, vt))
             }
             ExprKind::Call(f, args) => self.call(f.name, args),
@@ -517,7 +534,7 @@ impl<'m> Interp<'m> {
                 let addr = self.mem.alloc(ty);
                 if let Some(e) = init {
                     let (v, _) = self.rval_at(e)?;
-                    let what = self.module.name(name.name);
+                    let what = Label::Name(self.module.name(name.name));
                     match binding {
                         BindingKind::Let => {
                             self.write_cell(addr, v, what)?;
@@ -679,7 +696,7 @@ impl<'m> Interp<'m> {
             } else {
                 *v
             };
-            self.write_cell(addr, bound, self.module.name(p.name.name))?;
+            self.write_cell(addr, bound, Label::Name(self.module.name(p.name.name)))?;
             self.bind(p.name.name, Binding { addr, ty: p.ty });
         }
 
@@ -717,7 +734,8 @@ impl<'m> Interp<'m> {
                 detail: format!("{op} of non-pointer {v}"),
             });
         };
-        let held = match self.read_cell(a, op)? {
+        let what = Label::Name(op);
+        let held = match self.read_cell(a, what)? {
             Value::Lock(h) => h,
             other => {
                 return Err(RuntimeError::TypeFault {
@@ -730,17 +748,17 @@ impl<'m> Interp<'m> {
                 if held {
                     self.lock_fault(format!("double acquire at {a}"));
                 }
-                self.write_cell(a, Value::Lock(true), op)?;
+                self.write_cell(a, Value::Lock(true), what)?;
             }
             Symbol::SPIN_UNLOCK => {
                 if !held {
                     self.lock_fault(format!("release of unheld lock at {a}"));
                 }
-                self.write_cell(a, Value::Lock(false), op)?;
+                self.write_cell(a, Value::Lock(false), what)?;
             }
             _ => {
                 // Generic change_type: flip arbitrarily.
-                self.write_cell(a, Value::Lock(!held), op)?;
+                self.write_cell(a, Value::Lock(!held), what)?;
             }
         }
         Ok(())

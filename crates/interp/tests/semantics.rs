@@ -516,3 +516,42 @@ fn held_locks_counts_leaks_after_return() {
     assert!(interp.lock_faults.is_empty());
     assert_eq!(interp.held_locks(), 1);
 }
+
+/// A fault names the expression that read or wrote the cell, printed as
+/// source.
+#[test]
+fn fault_details_name_the_accessing_expression() {
+    let detail = |src: &str| match run(src, "main").unwrap_err() {
+        RuntimeError::RestrictViolation { detail } | RuntimeError::MemoryFault { detail } => detail,
+        other => panic!("not a restrict or memory fault: {other}"),
+    };
+    let read = detail(
+        r#"
+        int main() {
+            int *q = new (1);
+            int v = 0;
+            restrict p = q { v = *q + 1; }
+            return v;
+        }
+        "#,
+    );
+    let write = detail(
+        r#"
+        struct s { int f; };
+        int main() {
+            struct s *q = new (0);
+            restrict p = q { q->f = 3; }
+            return 0;
+        }
+        "#,
+    );
+    let out_of_bounds = detail("int arr[2]; int main() { int i = 5; return arr[i + 1]; }");
+    assert_eq!(
+        [read, write, out_of_bounds],
+        [
+            "read of restricted cell @1+0 (*(q))",
+            "write to restricted cell @1+0 (q->f)",
+            "read of @0+6 (arr[(i + 1)]) out of bounds",
+        ]
+    );
+}

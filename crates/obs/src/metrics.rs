@@ -86,6 +86,10 @@ counters! {
     ModulesAnalyzed => "core.modules_analyzed",
     /// Functions checked by the flow-sensitive lock checker.
     CqualFunctionsChecked => "cqual.functions_checked",
+    /// Statements the lock checker visits, loop passes included: only
+    /// those that can change a lock state. Counted in a local and added
+    /// once per function check.
+    CqualStmtsWalked => "cqual.stmts_walked",
     /// Nothing increments this counter: the lock checker walks its
     /// schedule once, with no waves, so it always reads 0. It is kept
     /// only because the `benchmark/` workspace still reads it as the

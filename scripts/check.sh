@@ -18,7 +18,8 @@
 # kept pre-`gate` experiment artifact with a fresh one. The
 # benchmark workspace's tests run too, the solver's exactness tests,
 # the lock checker's one-walk exactness tests (the sweep equals
-# `check_modes`, whose reports equal per-mode checks), the front end's
+# `check_modes`, whose reports equal per-mode checks) and its sparse
+# walk's pinned dead-code reports and statement count, the front end's
 # and the analysis's pinned output digests, the canonical cache key's
 # properties and pinned values, the front end's debug dump and error
 # precedence, the fingerprint kernel's known answers and the one-time
@@ -107,6 +108,16 @@ gate localias solver_props corpus_systems_match_reference
 # per-mode checks.
 gate localias-bench experiment_pipeline sweep_matches_check_modes
 gate localias-bench experiment_pipeline shared_analysis_reports_are_byte_identical
+# The checker walks only the code that can change a lock state. Its
+# reports on dead-code shapes (early exits in call-free branches and
+# loops, calls hidden in loop conditions, `for` steps and extern
+# arguments, scopes over call-free bodies) and on a hand-built confine
+# range over call-free statements are pinned in all three modes, and a
+# lock pair around a call-free loop nest walks the same statements at
+# every nest depth.
+gate localias-cqual sparse_walk dead_code_shapes_report_as_pinned
+gate localias-cqual sparse_walk a_range_over_call_free_statements_still_copies
+gate localias-cqual walk_cost call_free_loop_nests_walk_no_statements
 
 # The front end's exactness contract is gated by name: every parse
 # result (module dump with spans, or error) over the parser-totality
